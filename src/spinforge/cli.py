@@ -334,3 +334,7 @@ def main(argv=None) -> int:
         print(f"spinforge {args.family} {args.command}: error: {err}",
               file=sys.stderr)
         return USAGE_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import expm_multiply
 
-from .ghz_ising import GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation
+from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
+                        spin_hamiltonian)
 from .numerics import SymTridiag, propagator
 from .pst import standard_couplings
 from .synthesis import (
@@ -492,49 +492,13 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile
     return out
 
 
-def _ising_sparse(chain: IsingChain) -> sp.csr_matrix:
-    m = chain.n
-    dim = 1 << m
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    z = 1.0 - 2.0 * bits
-    diag = (z[:, :-1] * z[:, 1:]) @ chain.couplings if m > 1 else np.zeros(dim)
-    parts = [sp.diags(diag)]
-    for q in range(m):
-        flipped = idx ^ (1 << (m - 1 - q))
-        parts.append(sp.coo_matrix(
-            (np.full(dim, chain.fields[q]), (idx, flipped)), shape=(dim, dim)))
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total.tocsr()
-
-
-def _exchange_sparse(couplings: np.ndarray) -> sp.csr_matrix:
-    m = couplings.size + 1
-    dim = 1 << m
-    idx = np.arange(dim)
-    rows, cols, data = [], [], []
-    for n in range(m - 1):
-        hi = m - 1 - n
-        lo = m - 2 - n
-        differ = ((idx >> hi) & 1) != ((idx >> lo) & 1)
-        src = idx[differ]
-        rows.append(src ^ ((1 << hi) | (1 << lo)))
-        cols.append(src)
-        data.append(np.full(src.size, couplings[n]))
-    coo = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
-    return coo.tocsr()
-
-
 def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
     """Evolve a dense register state under the exchange chain (m <= 13).
 
-    The Hamiltonian hops excitations between neighbouring sites with the
-    given amplitudes in every excitation sector at once; the matrix is
-    kept sparse and applied with a Krylov exponential.
+    The Hamiltonian sum_n J_n (X_n X_n+1 + Y_n Y_n+1) / 2 hops excitations
+    between neighbouring sites with amplitude J_n in every excitation
+    sector at once; the matrix is kept sparse and applied with a Krylov
+    exponential.
     """
     couplings = np.asarray(couplings, dtype=float)
     m = couplings.size + 1
@@ -543,7 +507,8 @@ def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (1 << m,):
         raise ValueError("state dimension does not match the coupling count")
-    return expm_multiply(-1j * t * _exchange_sparse(couplings), vec)
+    h = spin_hamiltonian(m, xx=couplings / 2.0, yy=couplings / 2.0)
+    return expm_multiply(-1j * t * h, vec)
 
 
 def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
@@ -601,7 +566,7 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
             factor = ground
         vec = np.kron(vec, factor)
 
-    h_ghz = _ising_sparse(ghz_chain)
+    h_ghz = spin_hamiltonian(m, x=ghz_chain.fields, zz=ghz_chain.couplings)
     vec = expm_multiply(-1j * GHZ_TIME * h_ghz, vec)
     vec = _dense_cz(vec, m, m - k, m - k - 1)
     vec = expm_multiply(-1j * GHZ_TIME * h_ghz, vec)

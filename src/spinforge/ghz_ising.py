@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .numerics import SymTridiag, antisym_exp, eig_sym_tridiag
 from .pst import PstChain, standard_couplings
@@ -152,23 +153,51 @@ def ghz_global_phase(n: int) -> complex:
     return (-1.0) ** (n // 2) * np.exp(1j * np.pi / 4)
 
 
-def dense_hamiltonian(c: IsingChain) -> np.ndarray:
-    """Full 2^n x 2^n matrix of the chain Hamiltonian (real symmetric).
+def spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> sp.csr_matrix:
+    """Sparse 2^n x 2^n matrix of an n-qubit chain built from Pauli terms.
 
-    Qubit m corresponds to bit n-m of the basis index, so |00...0> is index 0
-    and |11...1> is the last index.
+    H = sum_m x_m X_m + sum_m (zz_m Z_m Z_m+1 + xx_m X_m X_m+1 + yy_m Y_m Y_m+1),
+    with n fields in ``x`` and n-1 bond coefficients in each of ``zz``,
+    ``xx`` and ``yy``; an omitted term kind is absent.  Qubit m corresponds
+    to bit n-m of the basis index, so |00...0> is index 0 and |11...1> the
+    last index.  Entries where XX and YY cancel are dropped, not stored.
     """
-    n = c.n
-    dim = 1 << n
-    idx = np.arange(dim)
+    for name, coeffs, size in (("x", x, n), ("zz", zz, n - 1), ("xx", xx, n - 1),
+                               ("yy", yy, n - 1)):
+        if coeffs is not None and np.shape(coeffs) != (size,):
+            raise ValueError(f"{name} needs {size} coefficients")
+    idx = np.arange(1 << n)
     bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    z = 1.0 - 2.0 * bits
-    h = np.zeros((dim, dim))
-    if n > 1:
-        h[idx, idx] = (z[:, :-1] * z[:, 1:]) @ c.couplings
-    for m in range(n):
-        h[idx, idx ^ (1 << (n - 1 - m))] += c.fields[m]
+    flips, values = [], []
+    if zz is not None:
+        z = 1.0 - 2.0 * bits
+        flips.append(0)
+        values.append((z[:, :-1] * z[:, 1:]) @ np.asarray(zz, dtype=float))
+    for m in range(n if x is not None else 0):
+        flips.append(1 << (n - 1 - m))
+        values.append(np.full(idx.size, float(x[m])))
+    for bond, equal_sign in ((xx, 1.0), (yy, -1.0)):
+        for m in range(n - 1 if bond is not None else 0):
+            flips.append(3 << (n - 2 - m))
+            sign = np.where(bits[:, m] == bits[:, m + 1], equal_sign, 1.0)
+            values.append(sign * float(bond[m]))
+    rows = (np.array(flips, dtype=int)[:, None] ^ idx).ravel()
+    cols = np.tile(idx, len(flips))
+    data = np.array(values, dtype=float).ravel()
+    h = sp.coo_matrix((data, (rows, cols)), shape=(idx.size, idx.size)).tocsr()
+    h.eliminate_zeros()
     return h
+
+
+def dense_hamiltonian(c: IsingChain) -> np.ndarray:
+    """Full 2^n x 2^n matrix of the chain Hamiltonian (real symmetric)."""
+    return spin_hamiltonian(c.n, x=c.fields, zz=c.couplings).toarray()
+
+
+def evolve_dense(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
+    """Exact evolution e^{-iHt} psi0 under a dense real symmetric Hamiltonian."""
+    w, v = np.linalg.eigh(h)
+    return v @ (np.exp(-1j * w * t) * (v.T @ psi0))
 
 
 def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
@@ -181,8 +210,7 @@ def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (1 << c.n,):
         raise ValueError("state dimension does not match qubit count")
-    w, v = np.linalg.eigh(dense_hamiltonian(c))
-    return v @ (np.exp(-1j * w * t) * (v.T @ psi0))
+    return evolve_dense(dense_hamiltonian(c), t, psi0)
 
 
 def one_particle_map(c: IsingChain, t: float) -> np.ndarray:

@@ -24,8 +24,10 @@ import numpy as np
 from .ghz_ising import (
     BRUTE_FORCE_MAX_QUBITS,
     GHZ_TIME,
+    evolve_dense,
     ghz_target,
     ising_from_pst,
+    spin_hamiltonian,
 )
 from .numerics import LinearConstraintSet, antisym_exp, solve_affine
 from .pst import standard_couplings
@@ -371,30 +373,15 @@ def zy_hamiltonian(x: GammaMatrix) -> np.ndarray:
         raise ValueError(
             f"dense construction is limited to {BRUTE_FORCE_MAX_QUBITS} qubits"
         )
-    dim = 1 << n
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))) & 1
-    h = np.zeros((dim, dim))
-    z = 1 - 2 * bits
-    if n > 1:
-        h[idx, idx] = (z[:, :-1] * z[:, 1:]) @ x.upper
-    for m in range(n):
-        h[idx ^ (1 << (n - 1 - m)), idx] += x.diag[m]
-    for m in range(n - 1):
-        mask = (1 << (n - 1 - m)) | (1 << (n - 2 - m))
-        sign = np.where(bits[:, m] == bits[:, m + 1], -1.0, 1.0)
-        h[idx ^ mask, idx] += sign * x.lower[m]
-    return h
+    return spin_hamiltonian(n, x=x.diag, zz=x.upper, yy=x.lower).toarray()
 
 
 def zy_ghz_overlap(x: GammaMatrix, t: float = GHZ_TIME) -> float:
-    """|<GHZ| e^{-iHt} |0...0>| for the spin Hamiltonian of ``x``."""
-    h = zy_hamiltonian(x)
-    w, v = np.linalg.eigh(h)
-    psi0 = np.zeros(h.shape[0], dtype=complex)
+    """|<GHZ| e^{-iHt} |0...0>| for the spin Hamiltonian of ``x``, clamped to 1."""
+    psi0 = np.zeros(1 << x.n, dtype=complex)
     psi0[0] = 1.0
-    psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
-    return float(abs(np.vdot(ghz_target(x.n), psi)))
+    psi = evolve_dense(zy_hamiltonian(x), t, psi0)
+    return float(min(abs(np.vdot(ghz_target(x.n), psi)), 1.0))
 
 
 def interpolate_gamma(
@@ -426,6 +413,8 @@ def interpolate_gamma(
         raise ValueError("step size must be positive")
     if not 0.0 <= gamma_to <= 1.0:
         raise ValueError("gamma_to must lie in [0, 1]")
+    if n < 2:
+        raise ValueError("chains need at least two sites")
     seed = gamma_seed(n, gamma_from)
     validate_seed(seed)
     trace = FlowTrace()

@@ -1,15 +1,15 @@
-"""Shared dense linear algebra and constrained-direction solvers.
+"""Shared dense linear algebra.
 
 Everything here is plain numerics with no quantum semantics: symmetric
 tridiagonal eigensolves, eigendecomposition-based matrix exponentials, and
-the projected steepest-descent step used by the flow engines. Matrices are
+the minimum-norm affine solve used by the flow engines. Matrices are
 small (dimension a few thousand at most), so dense eigendecomposition is
 the single primitive for every exponential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -103,19 +103,6 @@ class LinearConstraintSet:
     def n_params(self) -> int:
         return self.rows.shape[1]
 
-    def homogeneous(self) -> bool:
-        return bool(self.rhs.size == 0 or np.abs(self.rhs).max() == 0.0)
-
-
-@dataclass
-class DirectionResult:
-    """Outcome of a constrained direction solve."""
-
-    direction: np.ndarray
-    stationary: bool
-    constraint_rank: int
-    objective_value: float = 0.0
-
 
 class InfeasibleConstraints(ValueError):
     """Raised when a constraint system admits no solution; carries a rank report."""
@@ -182,14 +169,6 @@ def antisym_exp(g: np.ndarray) -> np.ndarray:
     return propagator(1j * g, 1.0).u.real
 
 
-def nullspace_basis(rows: np.ndarray, n_params: int) -> np.ndarray:
-    """Orthonormal basis of the nullspace of a stack of constraint rows."""
-    rows = np.atleast_2d(rows)
-    if rows.size == 0 or rows.shape[0] == 0:
-        return np.eye(n_params)
-    return scipy.linalg.null_space(rows)
-
-
 def solve_affine(constraints: LinearConstraintSet, residual_tol: float = 1e-8):
     """Minimum-norm solution of a (possibly redundant) linear system.
 
@@ -208,60 +187,3 @@ def solve_affine(constraints: LinearConstraintSet, residual_tol: float = 1e-8):
             rows=constraints.rows.shape[0],
         )
     return sol, rank
-
-
-def constrained_direction(
-    constraints: LinearConstraintSet,
-    gradient: np.ndarray,
-    delta: float,
-    norm_mode: str = "two_norm",
-    param_norm_scale: float = 1.0,
-) -> DirectionResult:
-    """Steepest-descent direction within the nullspace of homogeneous constraints.
-
-    The objective is the linear functional gradient . params; the returned
-    vector v satisfies every constraint row, has gradient . v <= 0, and is
-    bounded by delta. In two_norm mode the bound is param_norm_scale * ||v||_2
-    <= delta (callers building antisymmetric generators from packed upper
-    triangles pass sqrt(2) so the bound applies to the Frobenius norm of the
-    assembled generator). In inf_norm mode the largest entry magnitude is
-    delta: the projected gradient's sign vector is re-projected onto the
-    feasible space and rescaled, which maximizes descent per unit sup-norm.
-
-    A zero projected gradient (or an empty feasible space) is reported via
-    the stationary flag rather than an exception.
-    """
-    if delta <= 0:
-        raise ValueError("step bound must be positive")
-    if not constraints.homogeneous():
-        raise ValueError("constrained_direction expects homogeneous constraints")
-    gradient = np.asarray(gradient, dtype=float)
-    n = constraints.n_params
-    if gradient.shape != (n,):
-        raise ValueError("gradient length does not match parameter count")
-
-    basis = nullspace_basis(constraints.rows, n)
-    rank = n - basis.shape[1] if basis.size else n
-    if basis.size == 0 or basis.shape[1] == 0:
-        return DirectionResult(np.zeros(n), True, rank)
-
-    coeffs = basis.T @ gradient
-    g_proj = basis @ coeffs
-    gnorm = np.linalg.norm(g_proj)
-    if gnorm < 1e-14 * max(1.0, np.linalg.norm(gradient)):
-        return DirectionResult(np.zeros(n), True, rank)
-
-    if norm_mode == "two_norm":
-        v = -(delta / param_norm_scale) * g_proj / gnorm
-    elif norm_mode == "inf_norm":
-        signs = -np.sign(g_proj)
-        s_proj = basis @ (basis.T @ signs)
-        descent = gradient @ s_proj
-        if descent >= 0 or np.abs(s_proj).max() < 1e-14:
-            v = -(delta / param_norm_scale) * g_proj / gnorm
-        else:
-            v = s_proj * (delta / np.abs(s_proj).max())
-    else:
-        raise ValueError(f"unknown norm_mode {norm_mode!r}")
-
-    return DirectionResult(v, False, rank, objective_value=float(gradient @ v))

@@ -133,7 +133,9 @@ class ConvergenceState:
     ``chi`` is the quantity being driven to one: the null-vector overlap
     for the zero-mode flow, or the absolute target overlap for the
     commutator flow.  ``history`` keeps one row per recorded iteration as
-    ``(iteration, chi, delta, off_band_residual)``.
+    ``(iteration, chi, delta, off_band_residual)``, where ``delta`` is the
+    box size of that iteration's step.  ``small_couplings`` lists the
+    1-based bonds of the final chain whose couplings are below 1e-8.
     """
 
     chi: float
@@ -141,6 +143,7 @@ class ConvergenceState:
     iterations: int
     status: str = "running"
     history: list = field(default_factory=list)
+    small_couplings: list = field(default_factory=list)
 
     def __post_init__(self):
         if not -1.0 - 1e-12 <= self.chi <= 1.0 + 1e-12:
@@ -165,8 +168,12 @@ def step_size_rule(state: ConvergenceState, eps: float) -> float:
     second-order error of a finite rotation never overwhelms the
     first-order gain.
     """
-    chi = min(max(state.chi, -1.0), 1.0)
-    return eps * np.sqrt(1.0 - chi * chi)
+    return _saturating_box(eps, state.chi)
+
+
+def _saturating_box(step: float, chi: float) -> float:
+    chi = min(max(chi, -1.0), 1.0)
+    return step * np.sqrt(1.0 - chi * chi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +286,7 @@ def _compensate(x: np.ndarray, n: int, gate: float = 1e-8, max_inner: int = 12):
         try:
             p_fix, _ = solve_affine(LinearConstraintSet(rows, -leak),
                                     residual_tol=np.inf)
-        except Exception:
+        except np.linalg.LinAlgError:
             return x, res, False
         x = _apply_generators(x, p_fix)
     rows, mask = _off_pattern_rows(x)
@@ -300,6 +307,75 @@ def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
     if not res.success:
         return None, 0.0
     return res.x, float(gradient @ res.x)
+
+
+_STALL_WINDOW = 100
+
+
+def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
+            window_slope):
+    """Accept/reject ascent shared by both synthesis flows.
+
+    ``evaluate(x)`` returns ``(merit, chi, aux)``: the merit being ascended,
+    the overlap recorded in the history, and the input of ``gradient(aux)``,
+    the packed generator gradient.  ``box(step, chi)`` sizes the LP box.
+    Each iteration applies the LP direction plus the leakage fix ``p_fix``
+    as one exact rotation, then compensates.  Rejected steps halve the
+    working step; five consecutive accepts grow it by half, up to ``step``.
+    The flow stalls below ``min_step`` or when chi gains less than
+    ``window_slope * (1 - chi)`` over 100 iterations.
+
+    Returns the final block, its raw chi, the working step and the report.
+    """
+    merit, chi, aux = evaluate(x)
+    step_loc = step
+    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0),
+                              delta=max(step, 1e-300), iterations=0)
+    report.record(0, chi, box(step_loc, chi), 0.0)
+    consecutive = 0
+    status = "budget"
+    it = 0
+    while it < budget:
+        if merit >= 1.0 - tol:
+            status = "converged"
+            break
+        if step_loc < min_step:
+            status = "stalled"
+            break
+        it += 1
+        size = box(step_loc, chi)
+        rows, mask = _off_pattern_rows(x)
+        direction, gain = _lp_direction(rows, gradient(aux), size)
+        if direction is None or gain < 1e-15:
+            status = "stalled"
+            break
+        p_fix, _ = solve_affine(LinearConstraintSet(rows, -x[mask]),
+                                residual_tol=np.inf)
+        x_try = _apply_generators(x, p_fix + direction)
+        x_try, off_res, ok = _compensate(x_try, n)
+        merit_try, chi_try, aux_try = evaluate(x_try)
+        if ok and merit_try >= merit - 1e-14:
+            x, merit, chi, aux = x_try, merit_try, chi_try, aux_try
+            consecutive += 1
+            if consecutive >= 5:
+                step_loc = min(step_loc * 1.5, step)
+        else:
+            consecutive = 0
+            step_loc *= 0.5
+        report.record(it, chi, size, off_res)
+        if it % _STALL_WINDOW == 0 and len(report.history) > _STALL_WINDOW:
+            gain_w = chi - report.history[-_STALL_WINDOW - 1][1]
+            if (gain_w < max(1e-12, window_slope * (1.0 - chi))
+                    and merit < 1.0 - tol):
+                status = "stalled"
+                break
+    if merit >= 1.0 - tol:
+        status = "converged"
+    report.chi = min(max(chi, -1.0), 1.0)
+    report.delta = max(box(step_loc, report.chi), 1e-300)
+    report.iterations = it
+    report.status = status
+    return x, chi, step_loc, report
 
 
 # ---------------------------------------------------------------------------
@@ -489,60 +565,21 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
         raise ValueError("spectrum does not produce a reflection at the task time")
 
     no, ne = _split_dims(n)
-    x = _couplings_to_block(seed)
-    lam, _ = zero_mode(_block_to_couplings(x, n), lam_t_full)
-    chi = float(lam_t_full @ lam)
-    eps_loc = eps
-    report = ConvergenceState(chi=chi, delta=max(eps, 1e-300),
-                              iterations=0, status="running")
-    report.record(0, chi, step_size_rule(report, eps_loc), 0.0)
-    consecutive = 0
-    window = 100
-    status = "budget"
-    it = 0
-    while it < budget:
-        if chi >= 1.0 - tol:
-            status = "converged"
-            break
-        if eps_loc < 1e-13:
-            status = "stalled"
-            break
-        it += 1
-        report.chi = chi
-        delta = step_size_rule(report, eps_loc)
-        lam_odd = lam[0::2]
-        iu = np.triu_indices(no, 1)
-        grad = np.empty(_pack_count(no) + _pack_count(ne))
-        grad[: _pack_count(no)] = -(lam_t[iu[0]] * lam_odd[iu[1]]
-                                    - lam_t[iu[1]] * lam_odd[iu[0]])
-        grad[_pack_count(no):] = 0.0
-        rows, mask = _off_pattern_rows(x)
-        direction, gain = _lp_direction(rows, grad, delta)
-        if direction is None or gain < 1e-15:
-            status = "stalled"
-            break
-        p_fix, _ = solve_affine(LinearConstraintSet(rows, -x[mask]),
-                                residual_tol=np.inf)
-        x_try = _apply_generators(x, p_fix + direction)
-        x_try, off_res, ok = _compensate(x_try, n)
-        lam_try, _ = zero_mode(_block_to_couplings(x_try, n), lam_t_full)
-        chi_try = float(lam_t_full @ lam_try)
-        if ok and chi_try >= chi - 1e-14:
-            x, lam, chi = x_try, lam_try, chi_try
-            consecutive += 1
-            if consecutive >= 5:
-                eps_loc = min(eps_loc * 1.5, eps)
-        else:
-            consecutive = 0
-            eps_loc *= 0.5
-        report.record(it, chi, delta, off_res)
-        if it % window == 0 and len(report.history) > window:
-            gain_w = chi - report.history[-window - 1][1]
-            if gain_w < max(1e-12, 2e-3 * (1.0 - chi)) and chi < 1.0 - tol:
-                status = "stalled"
-                break
-    if chi >= 1.0 - tol:
-        status = "converged"
+    iu = np.triu_indices(no, 1)
+    even_zeros = np.zeros(_pack_count(ne))
+
+    def evaluate(block):
+        lam, _ = zero_mode(_block_to_couplings(block, n), lam_t_full)
+        chi = float(lam_t_full @ lam)
+        return chi, chi, lam[0::2]
+
+    def gradient(lam_odd):
+        return np.concatenate([-(lam_t[iu[0]] * lam_odd[iu[1]]
+                                 - lam_t[iu[1]] * lam_odd[iu[0]]), even_zeros])
+
+    x, chi, eps_loc, report = _ascend(
+        _couplings_to_block(seed), n, evaluate, gradient, _saturating_box, eps,
+        budget, tol, min_step=1e-13, window_slope=2e-3)
 
     couplings = _block_to_couplings(x, n)
     if polish_roots and chi >= 0.99:
@@ -553,12 +590,10 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
             if chi_p >= chi:
                 couplings, chi = polished, chi_p
                 if chi >= 1.0 - tol:
-                    status = "converged"
+                    report.status = "converged"
+                report.chi = min(max(chi, -1.0), 1.0)
+                report.delta = max(step_size_rule(report, eps_loc), 1e-300)
 
-    report.chi = min(max(chi, -1.0), 1.0)
-    report.delta = max(step_size_rule(report, eps_loc), 1e-300)
-    report.iterations = it
-    report.status = status
     report.small_couplings = _flag_small(couplings)
     return SymTridiag(np.zeros(n), couplings), report
 
@@ -664,7 +699,6 @@ def synthesis_flow_commutator(h0: SymTridiag, task: SynthesisTask,
 def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
     n = task.n
     no, ne = _split_dims(n)
-    x = _couplings_to_block(np.asarray(h0.offdiag, dtype=float))
     phi = np.zeros(n)
     phi[task.source - 1] = 1.0
     target = task.target
@@ -673,33 +707,16 @@ def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
     iu_o = np.triu_indices(no, 1)
     iu_e = np.triu_indices(ne, 1)
 
-    def evolve(block):
+    def evaluate(block):
         h = _hamiltonian_from_block(block, n)
         w, v = np.linalg.eigh(h)
         u = (v * np.exp(-1j * w * task.time)) @ v.T
-        return u, complex(target @ u @ phi)
+        f = complex(target @ u @ phi)
+        merit = abs(f) if phase_lock is None else float(np.real(phase_lock * f))
+        return merit, abs(f), (u, f)
 
-    def merit(f):
-        return abs(f) if phase_lock is None else float(np.real(phase_lock * f))
-
-    u, f = evolve(x)
-    val = merit(f)
-    delta_loc = delta
-    report = ConvergenceState(chi=min(abs(f), 1.0), delta=max(delta, 1e-300),
-                              iterations=0, status="running")
-    report.record(0, abs(f), delta_loc, 0.0)
-    consecutive = 0
-    window = 100
-    status = "budget"
-    it = 0
-    while it < budget:
-        if val >= 1.0 - tol:
-            status = "converged"
-            break
-        if delta_loc < 1e-14:
-            status = "stalled"
-            break
-        it += 1
+    def gradient(aux):
+        u, f = aux
         if phase_lock is None:
             w_phase = np.conj(f) / abs(f) if abs(f) > 1e-12 else 1.0
         else:
@@ -709,41 +726,14 @@ def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
         g_full = np.real(w_phase * (np.outer(y, phi) - np.outer(target, z)))
         g_o = g_full[np.ix_(odd, odd)]
         g_e = g_full[np.ix_(even, even)]
-        grad = np.concatenate([g_o[iu_o] - g_o.T[iu_o],
+        return np.concatenate([g_o[iu_o] - g_o.T[iu_o],
                                g_e[iu_e] - g_e.T[iu_e]])
-        rows, mask = _off_pattern_rows(x)
-        direction, gain = _lp_direction(rows, grad, delta_loc)
-        if direction is None or gain < 1e-15:
-            status = "stalled"
-            break
-        p_fix, _ = solve_affine(LinearConstraintSet(rows, -x[mask]),
-                                residual_tol=np.inf)
-        x_try = _apply_generators(x, p_fix + direction)
-        x_try, off_res, ok = _compensate(x_try, n)
-        u_try, f_try = evolve(x_try)
-        val_try = merit(f_try)
-        if ok and val_try >= val - 1e-14:
-            x, u, f, val = x_try, u_try, f_try, val_try
-            consecutive += 1
-            if consecutive >= 5:
-                delta_loc = min(delta_loc * 1.5, delta)
-        else:
-            consecutive = 0
-            delta_loc *= 0.5
-        report.record(it, abs(f), delta_loc, off_res)
-        if it % window == 0 and len(report.history) > window:
-            gain_w = abs(f) - report.history[-window - 1][1]
-            if gain_w < max(1e-12, 1e-3 * (1.0 - abs(f))) and val < 1.0 - tol:
-                status = "stalled"
-                break
-    if val >= 1.0 - tol:
-        status = "converged"
-    report.chi = min(abs(f), 1.0)
-    report.delta = max(delta_loc, 1e-300)
-    report.iterations = it
-    report.status = status
-    couplings = _block_to_couplings(x, n)
-    return SymTridiag(np.zeros(n), couplings), report
+
+    x, _, _, report = _ascend(
+        _couplings_to_block(np.asarray(h0.offdiag, dtype=float)), n, evaluate,
+        gradient, lambda step, chi: step, delta, budget, tol, min_step=1e-14,
+        window_slope=1e-3)
+    return SymTridiag(np.zeros(n), _block_to_couplings(x, n)), report
 
 
 # ---------------------------------------------------------------------------

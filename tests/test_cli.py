@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,6 @@ from spinforge.pst import standard_couplings
 
 def run(tmp_path, *args):
     """Invoke the entry point from inside tmp_path and hand back the code."""
-    import os
-
     old = os.getcwd()
     os.chdir(tmp_path)
     try:
@@ -73,6 +75,14 @@ class TestDesignGamma:
         assert trace[0] == "step,gamma,sv_drift,structure_residual"
         assert len(trace) > 1
         assert "stall" in capsys.readouterr().err.lower() or True
+
+    def test_single_site_fails_before_integrating(self, tmp_path, capsys):
+        code = run(tmp_path, "design", "gamma", "--n", "1", "--from", "0",
+                   "--to", "0.5")
+        assert code == 1
+        assert "two sites" in capsys.readouterr().err
+        assert not (tmp_path / "zy1.json").exists()
+        assert not (tmp_path / "zy1.trace.csv").exists()
 
 
 class TestDesignWstate:
@@ -219,3 +229,26 @@ class TestParsing:
     def test_entry_point_uses_argv_when_given(self, tmp_path):
         assert cli.main(["design", "pst", "--n", "4", "--out",
                          str(tmp_path / "p.json")]) == 0
+
+
+class TestModuleEntry:
+    """``python -m spinforge.cli`` runs the same entry point as ``main``."""
+
+    def invoke(self, tmp_path, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run([sys.executable, "-m", "spinforge.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_design_pst_writes_document(self, tmp_path):
+        done = self.invoke(tmp_path, "design", "pst", "--n", "8")
+        assert done.returncode == 0, done.stderr
+        assert read_document(tmp_path / "pst8.json").kind == "pst"
+
+    def test_bad_size_exits_one(self, tmp_path):
+        done = self.invoke(tmp_path, "design", "pst", "--n", "1")
+        assert done.returncode == 1
+        assert "error" in done.stderr
+        assert not (tmp_path / "pst1.json").exists()

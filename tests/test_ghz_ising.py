@@ -19,6 +19,7 @@ from spinforge.ghz_ising import (
     overlap_estimate,
     overlap_exact,
     perturb_sweep,
+    spin_hamiltonian,
     symmetric_form,
 )
 from spinforge.numerics import eig_sym_tridiag
@@ -332,3 +333,49 @@ class TestPerturbSweep:
         for point in (weak, strong):
             assert np.all((0.0 <= point.samples) & (point.samples <= 1.0))
         assert strong.mean < weak.mean
+
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+PAULI_Z = np.diag([1.0 + 0j, -1.0])
+
+
+def site_operator(n, ops):
+    """Kronecker product with ``ops[q]`` on qubit q (1-based) and 1 elsewhere."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(1, n + 1):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
+class TestSpinHamiltonian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_explicit_pauli_products(self, n):
+        rng = np.random.default_rng(40 + n)
+        x, zz, xx, yy = (rng.normal(size=size) for size in (n, n - 1, n - 1, n - 1))
+        expected = sum(x[m] * site_operator(n, {m + 1: PAULI_X}) for m in range(n))
+        for m in range(n - 1):
+            for coeff, op in ((zz, PAULI_Z), (xx, PAULI_X), (yy, PAULI_Y)):
+                expected = expected + coeff[m] * site_operator(n, {m + 1: op, m + 2: op})
+        got = spin_hamiltonian(n, x=x, zz=zz, xx=xx, yy=yy).toarray()
+        assert got.shape == (1 << n, 1 << n)
+        assert np.abs(got - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exchange_identity(self, n):
+        # (XX + YY)/2 on a bond is the hopping term |01><10| + |10><01|
+        rng = np.random.default_rng(60 + n)
+        j = rng.uniform(0.5, 2.0, n - 1)
+        lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+        expected = np.zeros((1 << n, 1 << n))
+        for m in range(n - 1):
+            hop = site_operator(n, {m + 1: lower, m + 2: lower.T}).real
+            expected += j[m] * (hop + hop.T)
+        h = spin_hamiltonian(n, xx=j / 2, yy=j / 2)
+        assert np.array_equal(h.toarray(), expected)
+        # the entries where XX and YY cancel are not stored
+        assert h.nnz == np.count_nonzero(expected)
+
+    def test_coefficient_count_checked(self):
+        with pytest.raises(ValueError):
+            spin_hamiltonian(3, zz=np.ones(3))

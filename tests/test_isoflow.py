@@ -243,8 +243,16 @@ class TestZyHamiltonian:
     def test_ising_endpoint_makes_ghz(self):
         assert zy_ghz_overlap(gamma_seed(3, 1.0)) >= 1 - 1e-9
 
+    def test_six_site_overlap_never_exceeds_one(self):
+        x, _ = interpolate_gamma(6, 0.0, 0.5)
+        assert 0.999 <= zy_ghz_overlap(x) <= 1.0
+
 
 class TestInterpolateGamma:
+    def test_single_site_rejected_before_seeding(self):
+        with pytest.raises(ValueError, match="two sites"):
+            interpolate_gamma(1, 0.0, 0.5)
+
     def test_equal_endpoints_return_seed(self):
         x, trace = interpolate_gamma(5, 1.0, 1.0, mode="direct", step=1e-2)
         assert np.array_equal(x.to_dense(), gamma_seed(5, 1.0).to_dense())

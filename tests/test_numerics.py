@@ -7,7 +7,6 @@ from spinforge.numerics import (
     LinearConstraintSet,
     SymTridiag,
     antisym_exp,
-    constrained_direction,
     eig_sym_tridiag,
     propagator,
     solve_affine,
@@ -126,54 +125,6 @@ class TestAntisymExp:
     def test_not_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
             antisym_exp(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-class TestConstrainedDirection:
-    def test_unconstrained_steepest_descent(self):
-        cs = LinearConstraintSet(np.zeros((0, 3)), np.zeros(0))
-        g = np.array([3.0, 0.0, 4.0])
-        res = constrained_direction(cs, g, delta=0.5)
-        assert not res.stationary
-        assert np.abs(res.direction + 0.5 * g / 5.0).max() < 1e-12
-
-    def test_orthogonal_objective_is_stationary(self):
-        cs = LinearConstraintSet(np.array([[1.0, 0.0]]), np.zeros(1))
-        res = constrained_direction(cs, np.array([1.0, 0.0]), delta=0.1)
-        assert res.stationary
-        assert np.linalg.norm(res.direction) == 0.0
-
-    def test_inhomogeneous_rows_rejected(self):
-        cs = LinearConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            constrained_direction(cs, np.array([1.0, 0.0]), delta=0.1)
-
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("mode", ["two_norm", "inf_norm"])
-    def test_constraints_and_descent(self, seed, mode):
-        rng = np.random.default_rng(seed)
-        n, r = 12, 5
-        cs = LinearConstraintSet(rng.normal(size=(r, n)), np.zeros(r))
-        g = rng.normal(size=n)
-        res = constrained_direction(cs, g, delta=0.3, norm_mode=mode)
-        assert not res.stationary
-        assert np.abs(cs.rows @ res.direction).max() < 1e-10
-        assert g @ res.direction < 0
-        if mode == "two_norm":
-            assert np.linalg.norm(res.direction) <= 0.3 + 1e-12
-        else:
-            assert np.abs(res.direction).max() <= 0.3 + 1e-12
-
-    def test_frobenius_scaling(self):
-        cs = LinearConstraintSet(np.zeros((0, 4)), np.zeros(0))
-        g = np.ones(4)
-        res = constrained_direction(cs, g, delta=1.0, param_norm_scale=np.sqrt(2))
-        assert abs(np.sqrt(2) * np.linalg.norm(res.direction) - 1.0) < 1e-12
-
-    def test_fully_constrained_space_is_stationary(self):
-        cs = LinearConstraintSet(np.eye(3), np.zeros(3))
-        res = constrained_direction(cs, np.ones(3), delta=1.0)
-        assert res.stationary
-        assert res.constraint_rank == 3
 
 
 class TestSolveAffine:
