@@ -553,18 +553,12 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
     if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
         raise ValueError("the exchange chain must carry no on-site fields")
 
-    helper = np.array([p.a, 1j * p.b], dtype=complex)
-    rotated = np.array([input_state[0], 1j * input_state[1]], dtype=complex)
+    factors = {k + 1: np.array([p.a, 1j * p.b], dtype=complex),
+               k + 2: np.array([input_state[0], 1j * input_state[1]], dtype=complex)}
     ground = np.array([1.0, 0.0], dtype=complex)
     vec = np.ones(1, dtype=complex)
     for q in range(1, m + 1):
-        if q == k + 1:
-            factor = helper
-        elif q == k + 2:
-            factor = rotated
-        else:
-            factor = ground
-        vec = np.kron(vec, factor)
+        vec = np.kron(vec, factors.get(q, ground))
 
     h_ghz = spin_hamiltonian(m, x=ghz_chain.fields, zz=ghz_chain.couplings)
     vec = expm_multiply(-1j * GHZ_TIME * h_ghz, vec)
@@ -727,11 +721,8 @@ def _candidate_spectra(m: int) -> list:
     half = (m - 1) // 2
     ladders = [3.0 + 2.0 * np.arange(half)]
     ladders += [float(base) ** np.arange(half) for base in (3, 5, 11, 21)]
-    spectra = []
-    for positives in ladders:
-        values = np.concatenate([-positives[::-1], [0.0], positives])
-        spectra.append(Spectrum(values))
-    return spectra
+    return [Spectrum(np.concatenate([-positives[::-1], [0.0], positives]))
+            for positives in ladders]
 
 
 def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,

@@ -114,12 +114,18 @@ def majorana_matrix(c: IsingChain) -> MajoranaMatrix:
     return MajoranaMatrix(s - s.T)
 
 
+class SimilarityCheckError(ValueError):
+    """Raised when the spectra in :func:`symmetric_form` disagree."""
+
+
 def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
     """Symmetric tridiagonal matrix similar to the quadratic form i*s.
 
     A diagonal phase similarity turns i*s into a real symmetric tridiagonal
     matrix whose off-diagonal holds the band magnitudes. The similarity is
-    verified by comparing both spectra to 1e-10.
+    verified by comparing both spectra to an absolute 1e-10; past that,
+    :class:`SimilarityCheckError` (a ``ValueError``, exit code 1 in the CLI)
+    is raised, as for fields and couplings of order 1e5.
     """
     band = m.superdiagonal()
     sym = SymTridiag(np.zeros(m.dim), np.abs(band))
@@ -127,7 +133,7 @@ def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
         w_sym, _ = eig_sym_tridiag(sym)
         w_quad = np.linalg.eigvalsh(1j * m.s)
         if np.abs(w_sym.values - w_quad).max() > 1e-10:
-            raise AssertionError("similarity check failed: spectra disagree")
+            raise SimilarityCheckError("similarity check failed: spectra disagree")
     return sym
 
 
@@ -258,11 +264,8 @@ def hopping_form(n: int) -> np.ndarray:
     structure of the all-zeros state in the Majorana description; it feeds
     the determinant overlap estimator.
     """
-    h0 = np.zeros((2 * n, 2 * n))
-    for m in range(1, n):
-        h0[2 * m - 1, 2 * m] = 1.0
-        h0[2 * m, 2 * m - 1] = -1.0
-    return h0
+    pairs = np.arange(2 * n - 1) % 2.0  # superdiagonal entries (2m-1, 2m)
+    return np.diag(pairs, 1) - np.diag(pairs, -1)
 
 
 def overlap_exact(c: IsingChain, t: float = GHZ_TIME) -> GhzReport:

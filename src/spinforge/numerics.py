@@ -1,10 +1,11 @@
-"""Shared dense linear algebra.
+"""Shared linear algebra.
 
 Everything here is plain numerics with no quantum semantics: symmetric
 tridiagonal eigensolves, eigendecomposition-based matrix exponentials, and
-the minimum-norm affine solve used by the flow engines. Matrices are
-small (dimension a few thousand at most), so dense eigendecomposition is
-the single primitive for every exponential.
+the affine solve used by the flow engines (sparse LU for square sparse
+systems, minimum-norm least squares otherwise). Matrices are small
+(dimension a few thousand at most), so dense eigendecomposition is the
+single primitive for every exponential.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GAP = 1e-9
@@ -86,7 +89,8 @@ class LinearConstraintSet:
 
     Rows with zero right-hand side express structure preservation; a nonzero
     right-hand side drives an inhomogeneous direction (for example advancing
-    an interpolation parameter at unit rate).
+    an interpolation parameter at unit rate).  ``rows`` is a dense array or
+    a scipy sparse matrix, which is kept sparse in CSC form.
     """
 
     rows: np.ndarray
@@ -94,7 +98,10 @@ class LinearConstraintSet:
     names: tuple | None = None
 
     def __post_init__(self):
-        self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        if scipy.sparse.issparse(self.rows):
+            self.rows = self.rows.tocsc().astype(float, copy=False)
+        else:
+            self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rows.shape[0] != self.rhs.size:
             raise ValueError("row count does not match right-hand side count")
@@ -170,20 +177,32 @@ def antisym_exp(g: np.ndarray) -> np.ndarray:
 
 
 def solve_affine(constraints: LinearConstraintSet, residual_tol: float = 1e-8):
-    """Minimum-norm solution of a (possibly redundant) linear system.
+    """Solution of a linear system: sparse LU when possible, else minimum norm.
 
-    Returns (solution, rank). Raises InfeasibleConstraints when the rows are
-    inconsistent beyond residual_tol, carrying the rank report.
+    A square sparse system is factored with SuperLU and reported at full
+    rank; dense rows, non-square sparse rows and an exactly singular factor
+    take the minimum-norm ``lstsq`` solution instead.  Returns (solution,
+    rank). Raises InfeasibleConstraints when the rows are inconsistent beyond
+    residual_tol, carrying the rank report.
     """
-    sol, _, rank, _ = np.linalg.lstsq(constraints.rows, constraints.rhs, rcond=None)
-    residual = constraints.rows @ sol - constraints.rhs
+    rows, rhs = constraints.rows, constraints.rhs
+    sol, rank = None, rows.shape[1]
+    if scipy.sparse.issparse(rows) and rows.shape[0] == rows.shape[1]:
+        try:
+            sol = scipy.sparse.linalg.splu(rows).solve(rhs)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            pass
+    if sol is None:
+        dense = rows.toarray() if scipy.sparse.issparse(rows) else rows
+        sol, _, rank, _ = np.linalg.lstsq(dense, rhs, rcond=None)
+    residual = rows @ sol - rhs
     worst = np.abs(residual).max() if residual.size else 0.0
-    scale = max(1.0, np.abs(constraints.rhs).max() if constraints.rhs.size else 0.0)
+    scale = max(1.0, np.abs(rhs).max() if rhs.size else 0.0)
     if worst > residual_tol * scale:
         raise InfeasibleConstraints(
             f"constraint system inconsistent (residual {worst:.3e}, rank {rank} "
-            f"of {constraints.rows.shape[0]} rows over {constraints.n_params} parameters)",
+            f"of {rows.shape[0]} rows over {constraints.n_params} parameters)",
             rank=rank,
-            rows=constraints.rows.shape[0],
+            rows=rows.shape[0],
         )
     return sol, rank

@@ -184,33 +184,28 @@ def _split_dims(n):
     return (n + 1) // 2, n // 2
 
 
+def _block_index(n: int):
+    """Block positions (even row, odd column) of the couplings j_1..j_{n-1}."""
+    k = np.arange(n - 1)
+    return k // 2, (k + 1) // 2
+
+
 def _couplings_to_block(couplings: np.ndarray) -> np.ndarray:
     """Even-by-odd block of the zero-diagonal chain Hamiltonian."""
     n = couplings.size + 1
     no, ne = _split_dims(n)
     x = np.zeros((ne, no))
-    for e in range(ne):
-        x[e, e] = couplings[2 * e]
-        if 2 * e + 1 < couplings.size:
-            x[e, e + 1] = couplings[2 * e + 1]
+    x[_block_index(n)] = couplings
     return x
 
+
 def _block_to_couplings(x: np.ndarray, n: int) -> np.ndarray:
-    j = np.zeros(n - 1)
-    ne = x.shape[0]
-    for e in range(ne):
-        j[2 * e] = x[e, e]
-        if 2 * e + 1 < n - 1:
-            j[2 * e + 1] = x[e, e + 1]
-    return j
+    return x[_block_index(n)]
 
 
 def _pattern_mask(ne: int, no: int) -> np.ndarray:
     mask = np.ones((ne, no), dtype=bool)
-    for e in range(ne):
-        mask[e, e] = False
-        if e + 1 < no:
-            mask[e, e + 1] = False
+    mask[_block_index(ne + no)] = False
     return mask
 
 
@@ -226,7 +221,6 @@ def _unpack_antisym(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def _hamiltonian_from_block(x: np.ndarray, n: int) -> np.ndarray:
-    no, ne = _split_dims(n)
     h = np.zeros((n, n))
     odd = np.arange(0, n, 2)
     even = np.arange(1, n, 2)
@@ -243,23 +237,17 @@ def _off_pattern_rows(x: np.ndarray):
     one column per parameter.
     """
     ne, no = x.shape
+    io, jo = np.triu_indices(no, 1)
+    ie, je = np.triu_indices(ne, 1)
+    deriv = np.zeros((ne, no, io.size + ie.size))
+    k = np.arange(io.size)
+    deriv[:, jo, k] += x[:, io]
+    deriv[:, io, k] -= x[:, jo]
+    k = io.size + np.arange(ie.size)
+    deriv[ie, :, k] -= x[je, :]
+    deriv[je, :, k] += x[ie, :]
     mask = _pattern_mask(ne, no)
-    n_off = int(mask.sum())
-    n_o, n_e = _pack_count(no), _pack_count(ne)
-    rows = np.zeros((n_off, n_o + n_e))
-    iu_o = np.triu_indices(no, 1)
-    for k, (i, j) in enumerate(zip(*iu_o)):
-        dx = np.zeros_like(x)
-        dx[:, j] += x[:, i]
-        dx[:, i] -= x[:, j]
-        rows[:, k] = dx[mask]
-    iu_e = np.triu_indices(ne, 1)
-    for k, (i, j) in enumerate(zip(*iu_e)):
-        dx = np.zeros_like(x)
-        dx[i, :] -= x[j, :]
-        dx[j, :] += x[i, :]
-        rows[:, n_o + k] = dx[mask]
-    return rows, mask
+    return deriv[mask], mask
 
 
 def _apply_generators(x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -848,25 +836,14 @@ def fold_couplings(couplings: np.ndarray) -> np.ndarray:
     if np.abs(couplings - couplings[::-1]).max() > 1e-10:
         raise ValueError("couplings are not mirror symmetric")
     m = (n - 1) // 2
-    half = np.empty(m)
-    half[0] = np.sqrt(2.0) * couplings[m - 1]
-    for k in range(2, m + 1):
-        half[k - 1] = couplings[m - k]
-    return half
+    return np.concatenate([[np.sqrt(2.0) * couplings[m - 1]], couplings[: m - 1][::-1]])
 
 
 def unfold_couplings(half: np.ndarray) -> np.ndarray:
     """Mirror-symmetric full chain whose symmetric sector is ``half``."""
     half = np.asarray(half, dtype=float)
-    m = half.size
-    n = 2 * m + 1
-    full = np.zeros(n - 1)
-    for k in range(1, m):
-        full[k - 1] = half[m - k]
-    full[m - 1] = full[m] = half[0] / np.sqrt(2.0)
-    for k in range(m + 2, n):
-        full[k - 1] = full[n - 1 - k]
-    return full
+    left = np.append(half[1:][::-1], half[0] / np.sqrt(2.0))
+    return np.concatenate([left, left[::-1]])
 
 
 def mirror_target_fold(target_state: np.ndarray) -> np.ndarray:
@@ -882,24 +859,14 @@ def mirror_target_fold(target_state: np.ndarray) -> np.ndarray:
     if np.abs(t - t[::-1]).max() > 1e-10:
         raise ValueError("state is not mirror symmetric")
     m = (n - 1) // 2
-    half = np.empty(m + 1)
-    half[0] = t[m]
-    for k in range(1, m + 1):
-        half[k] = np.sqrt(2.0) * t[m + k]
-    return half
+    return np.concatenate([[t[m]], np.sqrt(2.0) * t[m + 1:]])
 
 
 def mirror_state_unfold(half_state: np.ndarray) -> np.ndarray:
     """Lift a half-chain state back to the mirror-symmetric full chain."""
     h = np.asarray(half_state)
-    m = h.size - 1
-    n = 2 * m + 1
-    full = np.zeros(n, dtype=h.dtype)
-    full[m] = h[0]
-    for k in range(1, m + 1):
-        full[m + k] = h[k] / np.sqrt(2.0)
-        full[m - k] = h[k] / np.sqrt(2.0)
-    return full
+    side = h[1:] / np.sqrt(2.0)
+    return np.concatenate([side[::-1], h[:1], side])
 
 
 class FlowStallError(RuntimeError):

@@ -6,6 +6,7 @@ from spinforge.ghz_ising import (
     GhzReport,
     IsingChain,
     MajoranaMatrix,
+    SimilarityCheckError,
     basis_map,
     brute_force_evolve,
     dense_hamiltonian,
@@ -108,6 +109,16 @@ class TestSymmetricForm:
         m = majorana_matrix(chain)
         s, _ = eig_sym_tridiag(symmetric_form(m))
         assert np.abs(s.values - np.linalg.eigvalsh(1j * m.s)).max() < 1e-10
+
+    def test_large_scale_chain_raises_named_error(self):
+        # The spectral gate is an absolute 1e-10, which rounding at scale 1e5
+        # exceeds; the failure is a ValueError, so the CLI maps it to exit 1.
+        rng = np.random.default_rng(0)
+        chain = IsingChain(fields=1e5 * rng.uniform(0.5, 1.5, 8),
+                           couplings=1e5 * rng.uniform(0.5, 1.5, 7))
+        with pytest.raises(SimilarityCheckError, match="spectra disagree"):
+            symmetric_form(majorana_matrix(chain))
+        assert issubclass(SimilarityCheckError, ValueError)
 
 
 class TestGhzTarget:

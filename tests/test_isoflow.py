@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinforge import isoflow
 from spinforge.ghz_ising import dense_hamiltonian, ising_from_pst
 from spinforge.isoflow import (
     FlowConvergenceError,
@@ -33,6 +37,50 @@ def family_member(n, gamma, seed=0):
     return GammaMatrix(
         diag=diag, upper=j * (1 + gamma), lower=j * (1 - gamma), gamma=gamma
     )
+
+
+def oracle_system(xd, gamma, feedback):
+    """Dense reference for the direction system at ``xd``.
+
+    Loops over the unit generators, forms dX = X a - b X with numpy from the
+    band part of ``xd`` and reads off the off-band, mirror, ratio and
+    gamma-rate functionals; the right-hand side reads the full ``xd``.
+    """
+    n = xd.shape[0]
+    r = (1.0 - gamma) / (1.0 + gamma)
+
+    def functionals(dx):
+        off = [dx[i, j] for i in range(n) for j in range(n) if abs(i - j) >= 2]
+        mirror_diag = [dx[k, k] - dx[n - 1 - k, n - 1 - k] for k in range(n // 2)]
+        mirror_upper = [dx[k, k + 1] - dx[n - 2 - k, n - 1 - k] for k in range((n - 1) // 2)]
+        ratio = [dx[k + 1, k] - r * dx[k, k + 1] for k in range(n - 1)]
+        return np.array(off + mirror_diag + mirror_upper + ratio + [0.0])
+
+    bands = np.triu(np.tril(xd, 1), -1)
+    columns = []
+    for side in ("a", "b"):
+        for k, l in zip(*np.triu_indices(n, 1)):
+            g = np.zeros((n, n))
+            g[k, l], g[l, k] = 1.0, -1.0
+            columns.append(functionals(bands @ g if side == "a" else -g @ bands))
+    rate = np.zeros(columns[0].size)
+    rate[-n:-1] = np.diag(bands, 1) * (2.0 / (1.0 + gamma) ** 2)
+    rate[-1] = 1.0
+    rhs = -feedback * functionals(xd)
+    rhs[-1] = 1.0
+    return np.column_stack(columns + [rate]), rhs
+
+
+@st.composite
+def band_members(draw):
+    n = draw(st.integers(2, 9))
+    gamma = draw(st.floats(0.0, 1.0))
+    values = st.floats(0.5, 2.0)
+    diag = draw(st.lists(values, min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    j = draw(st.lists(values, min_size=n // 2, max_size=n // 2))
+    diag = np.array(diag + diag[: n // 2][::-1])
+    j = np.array(j + j[: (n - 1) // 2][::-1])
+    return GammaMatrix(diag=diag, upper=j * (1 + gamma), lower=j * (1 - gamma), gamma=gamma)
 
 
 class TestGammaMatrix:
@@ -123,6 +171,51 @@ class TestGammaConstraints:
             values.append(c.rhs[row])
         assert values[0] == pytest.approx(-1e-4, rel=1e-9)
         assert values[1] / values[0] == pytest.approx(2.0, rel=1e-9)
+
+
+class TestSparseAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(x=band_members(), feedback=st.floats(0.0, 1e3))
+    def test_constraints_match_the_dense_oracle(self, x, feedback):
+        c = gamma_constraints(x, feedback)
+        rows, rhs = oracle_system(x.to_dense(), x.gamma, feedback)
+        assert scipy.sparse.issparse(c.rows)
+        np.testing.assert_array_equal(c.rows.toarray(), rows)
+        np.testing.assert_array_equal(c.rhs, rhs)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_matrix_reads_bands_and_rhs_reads_the_full_iterate(self, n):
+        x = family_member(n, 0.4, seed=n)
+        xd = x.to_dense() + 1e-4 * np.random.default_rng(n).normal(size=(n, n))
+        got_rows, got_rhs, _ = isoflow._system(xd, 0.4, 50.0, 1.0)
+        rows, rhs = oracle_system(xd, 0.4, 50.0)
+        np.testing.assert_array_equal(got_rows.toarray(), rows)
+        np.testing.assert_array_equal(got_rhs, rhs)
+
+    @pytest.mark.parametrize("n", [3, 8, 21])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_lu_direction_matches_min_norm_lstsq(self, n, gamma):
+        # Members on the singular-value ladder: seeds at the endpoints and the
+        # flowed member between them.  Random band members can be far worse
+        # conditioned (1e7 at n = 21), where any two solvers part ways.
+        x = gamma_seed(n, gamma) if gamma in (0.0, 1.0) else interpolate_gamma(n, 0.0, gamma)[0]
+        c = gamma_constraints(x, feedback=1.0)
+        ref = np.linalg.lstsq(c.rows.toarray(), c.rhs, rcond=None)[0]
+        npair = n * (n - 1) // 2
+        ki, li = np.triu_indices(n, 1)
+        g = flow_direction(x, feedback=1.0)
+        assert np.abs(g.a[ki, li] - ref[:npair]).max() <= 1e-10
+        assert np.abs(g.b[ki, li] - ref[npair:-1]).max() <= 1e-10
+        assert abs(g.gamma_rate - ref[-1]) <= 1e-10
+
+    def test_singular_factor_falls_back_to_lstsq(self):
+        zero = GammaMatrix(diag=np.zeros(4), upper=np.zeros(3), lower=np.zeros(3), gamma=0.5)
+        with pytest.raises(RuntimeError, match="singular"):
+            scipy.sparse.linalg.splu(gamma_constraints(zero).rows)
+        g = flow_direction(zero)
+        assert np.array_equal(g.a, np.zeros((4, 4)))
+        assert np.array_equal(g.b, np.zeros((4, 4)))
+        assert g.gamma_rate == 1.0
 
 
 class TestFlowDirection:
@@ -271,6 +364,13 @@ class TestInterpolateGamma:
         drift = np.abs(x.singular_values() - target_ladder(5)).max()
         assert drift <= 10 * step
         assert structure_residual(x) <= 1e-6
+
+    def test_forty_one_sites_hold_ladder_and_structure(self):
+        x, trace = interpolate_gamma(41, 0.0, 0.2)
+        assert x.gamma == pytest.approx(0.2, abs=1e-9)
+        assert np.abs(x.singular_values() - target_ladder(41)).max() <= 1e-6
+        assert structure_residual(x) <= 1e-6
+        assert len(trace) >= 200
 
     def test_backward_flow_recovers_the_hopping_seed(self):
         x, _ = interpolate_gamma(5, 1.0, 0.0, mode="unitary", step=1e-3)
