@@ -34,6 +34,7 @@ from .numerics import SymTridiag, propagator
 from .pst import standard_couplings
 from .synthesis import (
     NullVectorTask,
+    _check_tol,
     apply_sign_gauge,
     five_site_couplings,
     produced_state,
@@ -737,6 +738,7 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     ladder spectrum.  The couplings are sign gauged at the end so the
     spread weights come out positive.
     """
+    tol = _check_tol(tol)
     m = p.m
     if k is None:
         k = default_offset(p.n_clones)

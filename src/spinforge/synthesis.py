@@ -134,8 +134,10 @@ class ConvergenceState:
     for the zero-mode flow, or the absolute target overlap for the
     commutator flow.  ``history`` keeps one row per recorded iteration as
     ``(iteration, chi, delta, off_band_residual)``, where ``delta`` is the
-    box size of that iteration's step.  ``small_couplings`` lists the
-    1-based bonds of the final chain whose couplings are below 1e-8.
+    box size of that iteration's step; an accepted root polish adds a row
+    for the polished iterate.  ``polishes`` keeps one ``(iteration,
+    accepted)`` pair per root-polish attempt.  ``small_couplings`` lists
+    the 1-based bonds of the final chain whose couplings are below 1e-8.
     """
 
     chi: float
@@ -143,6 +145,7 @@ class ConvergenceState:
     iterations: int
     status: str = "running"
     history: list = field(default_factory=list)
+    polishes: list = field(default_factory=list)
     small_couplings: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -298,10 +301,34 @@ def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
 
 
 _STALL_WINDOW = 100
+_HANDOVER_CHI = 0.99
+
+
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (np.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
+    return tol
+
+
+def _try_polish(polish, evaluate, x, merit, it, report):
+    """One root-polish attempt, logged in ``report.polishes``.
+
+    Returns the root's ``(x, merit, chi, aux)``, or None when the polish
+    finds no root or the root's merit is lower.
+    """
+    x_p = polish(x)
+    polished = None
+    if x_p is not None:
+        merit_p, chi_p, aux_p = evaluate(x_p)
+        if merit_p >= merit:
+            polished = x_p, merit_p, chi_p, aux_p
+    report.polishes.append((it, polished is not None))
+    return polished
 
 
 def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
-            window_slope):
+            window_slope, polish=None):
     """Accept/reject ascent shared by both synthesis flows.
 
     ``evaluate(x)`` returns ``(merit, chi, aux)``: the merit being ascended,
@@ -313,7 +340,13 @@ def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
     The flow stalls below ``min_step`` or when chi gains less than
     ``window_slope * (1 - chi)`` over 100 iterations.
 
-    Returns the final block, its raw chi, the working step and the report.
+    ``polish(x)``, when given, returns an exact root near ``x`` or None.
+    It is tried once in the loop, the first time chi reaches 0.99 short of
+    convergence, and once more after the loop if chi ends at 0.99 or above
+    with no root taken yet.  A root replaces the iterate only if its merit
+    does not drop, so a refused polish leaves the trajectory untouched.
+
+    Returns the final block and the report.
     """
     merit, chi, aux = evaluate(x)
     step_loc = step
@@ -324,6 +357,12 @@ def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
     status = "budget"
     it = 0
     while it < budget:
+        if (polish is not None and not report.polishes
+                and chi >= _HANDOVER_CHI and merit < 1.0 - tol):
+            polished = _try_polish(polish, evaluate, x, merit, it, report)
+            if polished is not None:
+                x, merit, chi, aux = polished
+                report.record(it, chi, box(step_loc, chi), 0.0)
         if merit >= 1.0 - tol:
             status = "converged"
             break
@@ -357,13 +396,19 @@ def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
                     and merit < 1.0 - tol):
                 status = "stalled"
                 break
+    if (polish is not None and chi >= _HANDOVER_CHI
+            and not any(accepted for _, accepted in report.polishes)):
+        polished = _try_polish(polish, evaluate, x, merit, it, report)
+        if polished is not None:
+            x, merit, chi, _ = polished
+            report.record(it, chi, box(step_loc, chi), 0.0)
     if merit >= 1.0 - tol:
         status = "converged"
     report.chi = min(max(chi, -1.0), 1.0)
     report.delta = max(box(step_loc, report.chi), 1e-300)
     report.iterations = it
     report.status = status
-    return x, chi, step_loc, report
+    return x, report
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +577,13 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
     rejected steps halve the working step and five consecutive accepts
     restore it.  Flows that approach without reaching the target report a
     stall (targets outside the reachable region land on its boundary).
-    When the overlap gets close enough, a root polish is attempted to
-    close the remaining gap to machine precision.
+    With ``polish_roots`` the flow hands over to a root polish once chi
+    reaches 0.99, closing the remaining gap to machine precision; a
+    refused handover is retried when the flow ends at chi >= 0.99.
 
     Returns the final chain and a ConvergenceState.
     """
+    tol = _check_tol(tol)
     vals = np.asarray(task.spectrum.values, dtype=float)
     n = task.n
     lam_t = task.odd_components()
@@ -565,45 +612,67 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
         return np.concatenate([-(lam_t[iu[0]] * lam_odd[iu[1]]
                                  - lam_t[iu[1]] * lam_odd[iu[0]]), even_zeros])
 
-    x, chi, eps_loc, report = _ascend(
+    def polish(block):
+        root = polish_null_vector_root(_block_to_couplings(block, n), vals,
+                                       lam_t_full)
+        return None if root is None else _couplings_to_block(root)
+
+    x, report = _ascend(
         _couplings_to_block(seed), n, evaluate, gradient, _saturating_box, eps,
-        budget, tol, min_step=1e-13, window_slope=2e-3)
+        budget, tol, min_step=1e-13, window_slope=2e-3,
+        polish=polish if polish_roots else None)
 
     couplings = _block_to_couplings(x, n)
-    if polish_roots and chi >= 0.99:
-        polished = polish_null_vector_root(couplings, vals, lam_t_full)
-        if polished is not None:
-            lam_p, _ = zero_mode(polished, lam_t_full)
-            chi_p = float(lam_t_full @ lam_p)
-            if chi_p >= chi:
-                couplings, chi = polished, chi_p
-                if chi >= 1.0 - tol:
-                    report.status = "converged"
-                report.chi = min(max(chi, -1.0), 1.0)
-                report.delta = max(step_size_rule(report, eps_loc), 1e-300)
-
     report.small_couplings = _flag_small(couplings)
     return SymTridiag(np.zeros(n), couplings), report
+
+
+def _null_vector_system(spectrum_values, target_null_vector):
+    """Residual of the null-vector root problem and its analytic Jacobian.
+
+    The residual stacks the block singular values minus the positive half
+    of the spectrum and the odd-site zero mode minus the target (even
+    sites read zero).  With X = U S V^T, a coupling at block entry (i, j)
+    moves singular value k by U[i, k] V[j, k] and the zero mode lam by
+    -X^+[:, i] lam[j], X^+ = V S^-1 U^T taken from the same SVD.
+    """
+    vals = np.asarray(spectrum_values, dtype=float)
+    target = np.asarray(target_null_vector, dtype=float)
+    positive = np.sort(vals[vals > 1e-12])[::-1]
+    rows, cols = _block_index(target.size)
+
+    def residual(j):
+        lam, svs = zero_mode(j, target)
+        return np.concatenate([svs[: positive.size] - positive, lam - target])
+
+    def jacobian(j):
+        u, svs, vt = np.linalg.svd(_couplings_to_block(j))
+        lam = vt[-1]
+        if float(lam @ target[0::2]) < 0:
+            lam = -lam
+        d_sv = u[rows].T * vt[: svs.size, cols]
+        pinv = (vt[: svs.size].T / svs) @ u.T
+        d_lam = np.zeros((target.size, rows.size))
+        d_lam[0::2] = -pinv[:, rows] * lam[cols]
+        return np.vstack([d_sv[: positive.size], d_lam])
+
+    return residual, jacobian
 
 
 def polish_null_vector_root(couplings, spectrum_values, target_null_vector):
     """Least-squares refinement onto an exact chain for the null-vector task.
 
     Solves for couplings whose block singular values match the positive
-    half of the spectrum and whose zero mode equals the target.  Returns
-    the refined couplings, or None when no nearby root exists.
+    half of the spectrum and whose zero mode equals the target, by
+    Levenberg-Marquardt with the analytic Jacobian.  Returns the refined
+    couplings, or None when no nearby root exists.
     """
     couplings = np.asarray(couplings, dtype=float)
-    vals = np.asarray(spectrum_values, dtype=float)
-    target = np.asarray(target_null_vector, dtype=float)
-    positive = np.sort(vals[vals > 1e-12])[::-1]
-
-    def residual(j):
-        lam, svs = zero_mode(j, target)
-        return np.concatenate([svs[: positive.size] - positive, lam - target])
-
-    sol = scipy.optimize.least_squares(residual, couplings, method="lm",
-                                       xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    residual, jacobian = _null_vector_system(spectrum_values,
+                                             target_null_vector)
+    sol = scipy.optimize.least_squares(residual, couplings, jac=jacobian,
+                                       method="lm", xtol=1e-15, ftol=1e-15,
+                                       gtol=1e-15)
     if np.abs(sol.fun).max() < 1e-10:
         return sol.x
     return None
@@ -717,7 +786,7 @@ def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
         return np.concatenate([g_o[iu_o] - g_o.T[iu_o],
                                g_e[iu_e] - g_e.T[iu_e]])
 
-    x, _, _, report = _ascend(
+    x, report = _ascend(
         _couplings_to_block(np.asarray(h0.offdiag, dtype=float)), n, evaluate,
         gradient, lambda step, chi: step, delta, budget, tol, min_step=1e-14,
         window_slope=1e-3)
@@ -914,6 +983,7 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     """
     if n % 4 != 1:
         raise ValueError("uniform odd-site revival needs n = 4k + 1 sites")
+    tol = _check_tol(tol)
     m = (n - 1) // 2
     n_odd = (n + 1) // 2
     centre = m + 1

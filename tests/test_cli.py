@@ -97,8 +97,21 @@ class TestDesignWstate:
         trace = (tmp_path / "xx5.trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,chi,delta,off_band_residual"
 
+    def test_trace_ends_at_reported_chi(self, tmp_path):
+        assert run(tmp_path, "design", "wstate", "--n", "9") == 0
+        rows = (tmp_path / "xx9.trace.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
+
     def test_size_must_fit_the_pattern(self, tmp_path):
         assert run(tmp_path, "design", "wstate", "--n", "7") == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
+        code = run(tmp_path, "design", "wstate", "--n", "9", "--tol", tol,
+                   "--budget", "50")
+        assert code == 1
+        assert not (tmp_path / "xx9.trace.csv").exists()
+        assert not (tmp_path / "xx9.json").exists()
 
     def test_source_must_be_centre(self, tmp_path):
         assert run(tmp_path, "design", "wstate", "--n", "5",
@@ -217,6 +230,16 @@ class TestSimulateClone:
                    "--stage-tol", "1e-20")
         assert code == 3
         assert "stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_clones, profile",
+                             [(2, "symmetric"), (6, "3,1,2,1,1,2")])
+    def test_bad_stage_tolerance_is_usage_error(self, tmp_path, capsys,
+                                                n_clones, profile):
+        code = run(tmp_path, "simulate", "clone", "--n-clones", str(n_clones),
+                   "--profile", profile, "--stage-tol", "-1")
+        assert code == 1
+        assert "tol" in capsys.readouterr().err
+        assert not (tmp_path / "clone_report.json").exists()
 
 
 class TestParsing:

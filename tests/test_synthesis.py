@@ -1,8 +1,16 @@
 """Tests for the isospectral synthesis flows."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from spinforge.cloning import (
+    _candidate_spectra,
+    clone_weight_state,
+    default_offset,
+    profile_from_betas,
+)
 from spinforge.numerics import Spectrum, SymTridiag
 from spinforge.synthesis import (
     SynthesisTask,
@@ -27,6 +35,7 @@ from spinforge.synthesis import (
     mirror_target_fold,
     mirror_state_unfold,
     wstate_chain,
+    _null_vector_system,
 )
 
 FIVE_SITE = Spectrum(values=(-5.0, -3.0, 0.0, 3.0, 5.0))
@@ -87,6 +96,14 @@ class TestConvergenceState:
         assert int(it) == 1
         assert float(chi) == pytest.approx(0.5)
         assert float(delta) == pytest.approx(0.09)
+
+    def test_polishes_is_a_declared_field(self):
+        declared = {f.name: f for f in dataclasses.fields(ConvergenceState)}
+        assert "polishes" in declared
+        first = ConvergenceState(chi=0.5, delta=0.1, iterations=0)
+        second = ConvergenceState(chi=0.5, delta=0.1, iterations=0)
+        first.polishes.append((3, False))
+        assert second.polishes == []
 
 
 class TestTaskValidation:
@@ -357,6 +374,74 @@ class TestNullVectorFlow:
         offs = [row[3] for row in report.history]
         assert max(offs) <= 1e-8
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf])
+    def test_rejects_tolerance_outside_unit_interval(self, tol):
+        v = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
+        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        with pytest.raises(ValueError, match="tol"):
+            synthesis_flow_nullvector(task, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            wstate_chain(9, tol=tol)
+
+
+def clone_task(weights, ladder):
+    """Null-vector task of a clone spread chain on one candidate ladder."""
+    p = profile_from_betas(weights)
+    source = default_offset(p.n_clones) + 1
+    target = reflection_target(source, clone_weight_state(p))
+    return NullVectorTask(spectrum=_candidate_spectra(p.m)[ladder],
+                          target_null_vector=target)
+
+
+class TestRootHandover:
+    """The flow hands over to the root polish once chi reaches 0.99."""
+
+    @pytest.mark.parametrize("task, attempts", [
+        # consecutive ladder at n = 11: stalls below 0.99, never polished
+        (clone_task([3, 1, 2, 1, 1, 2], 0), 0),
+        # base-3 ladder: the handover and the final polish are both refused
+        (clone_task([3, 1, 2, 1, 1, 2], 1), 2),
+        # the forbidden five-site target of criterion 10
+        (NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(
+            np.array([1.0, -1.0, 1.0]) / np.sqrt(3))), None),
+    ])
+    def test_stalls_are_untouched(self, task, attempts):
+        chain, report = synthesis_flow_nullvector(task)
+        bare_chain, bare = synthesis_flow_nullvector(task, polish_roots=False)
+        assert report.status == bare.status == "stalled"
+        assert report.iterations == bare.iterations
+        assert report.history == bare.history
+        assert np.array_equal(chain.offdiag, bare_chain.offdiag)
+        assert not any(accepted for _, accepted in report.polishes)
+        if attempts is not None:
+            assert len(report.polishes) == attempts
+
+    def test_forty_one_sites_converge_in_few_iterations(self):
+        design = wstate_chain(41)
+        assert design.flow.status == "converged"
+        assert design.flow.iterations < 100
+        assert design.overlap >= 1 - 1e-9
+
+
+class TestPolishJacobian:
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_matches_central_differences(self, n):
+        rng = np.random.default_rng(n)
+        j = rng.uniform(0.5, 2.0, size=n - 1)
+        lam, svs = zero_mode(j)
+        # a nearby target and spectrum keep the residual away from zero
+        target = lam.copy()
+        target[0::2] += rng.normal(scale=0.05, size=(n + 1) // 2)
+        target /= np.linalg.norm(target)
+        vals = 1.01 * np.concatenate([-svs, [0.0], svs])
+        residual, jacobian = _null_vector_system(vals, target)
+        h = 1e-6
+        numeric = np.column_stack([(residual(j + h * e) - residual(j - h * e))
+                                   / (2.0 * h) for e in np.eye(n - 1)])
+        analytic = jacobian(j)
+        assert analytic.shape == numeric.shape
+        assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(analytic).max()
+
 
 class TestCommutatorFlow:
     def test_trivial_target_zero_iterations(self):
@@ -515,6 +600,15 @@ class TestWstateChain:
         phase = np.vdot(lifted, psi_full)
         phase /= abs(phase)
         assert np.abs(psi_full - phase * lifted).max() < 1e-6
+
+    def test_flow_hands_over_to_the_polish(self, design):
+        flow = design.flow
+        assert flow.status == "converged"
+        assert flow.iterations < 100
+        assert flow.polishes == [(flow.iterations, True)]
+        # the record ends on the polished iterate, at the reported chi
+        assert flow.history[-1][0] == flow.iterations
+        assert flow.history[-1][1] == pytest.approx(flow.chi, abs=1e-12)
 
     def test_gauge_preserves_magnitudes(self, design):
         raw = np.abs(unfold_couplings(np.abs(design.half_couplings)))
