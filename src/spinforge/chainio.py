@@ -51,6 +51,9 @@ class ChainDocument:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.n < 2:
             raise ValueError("chains need at least two sites")
+        for name, values in (("couplings", couplings), ("fields", fields)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if couplings.shape != (self.n - 1,):
             raise ValueError("coupling count must be one less than the size")
         expected_fields = 0 if self.kind == "pst" else self.n
@@ -101,14 +104,19 @@ def document_from_json(text: str) -> ChainDocument:
     missing = {"schema_version", "kind", "n", "couplings", "fields"} - set(payload)
     if missing:
         raise ValueError(f"chain document is missing {sorted(missing)}")
+    try:
+        n, version = int(payload["n"]), int(payload["schema_version"])
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"chain document n and schema_version must be "
+                         f"integers: {err}") from err
     return ChainDocument(
         kind=payload["kind"],
-        n=int(payload["n"]),
+        n=n,
         couplings=np.asarray(payload["couplings"], dtype=float),
         fields=np.asarray(payload["fields"], dtype=float),
         gamma=payload.get("gamma"),
         provenance=payload.get("provenance", {}),
-        schema_version=int(payload["schema_version"]),
+        schema_version=version,
     )
 
 

@@ -178,9 +178,8 @@ def _design_gamma(args, argv) -> int:
 def _design_wstate(args, argv) -> int:
     centre = (args.n + 1) // 2
     if args.source is not None and args.source != centre:
-        print(f"spinforge design wstate: error: the uniform revival is driven "
-              f"from the centre site {centre}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"the uniform revival is driven from the centre site "
+                         f"{centre}")
     out = args.out or _default_out(args)
     try:
         design = wstate_chain(args.n, tol=args.tol, budget=args.budget)
@@ -229,21 +228,15 @@ def _simulate_ghz(args, argv) -> int:
                 return BREACH
     elif doc.kind == "zy":
         if args.check:
-            print("spinforge simulate ghz: error: --check applies to pst and "
-                  "ising documents", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--check applies to pst and ising documents")
         if doc.n > BRUTE_FORCE_MAX_QUBITS:
-            print(f"spinforge simulate ghz: error: zy documents are evaluated "
-                  f"densely and need n <= {BRUTE_FORCE_MAX_QUBITS}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"zy documents are evaluated densely and need "
+                             f"n <= {BRUTE_FORCE_MAX_QUBITS}")
         overlap = zy_ghz_overlap(chainio.gamma_matrix(doc))
         payload.update({"n": doc.n, "overlap": overlap,
                         "method": "brute_force", "time": GHZ_TIME})
     else:
-        print(f"spinforge simulate ghz: error: unsupported document kind "
-              f"{doc.kind}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unsupported document kind {doc.kind}")
     _write_json(args.out or _default_out(args), payload)
     return 0
 
@@ -287,9 +280,8 @@ def _parse_profile(text: str, n_clones: int):
 def _simulate_clone(args, argv) -> int:
     profile = _parse_profile(args.profile, args.n_clones)
     if args.method == "brute_force" and profile.m > BRUTE_FORCE_MAX_M:
-        print(f"spinforge simulate clone: error: brute_force needs a register "
-              f"of at most {BRUTE_FORCE_MAX_M} qubits", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"brute_force needs a register of at most "
+                         f"{BRUTE_FORCE_MAX_M} qubits")
     try:
         w, w_time = design_w_chain(profile, k=args.offset, tol=args.stage_tol)
     except RuntimeError as err:

@@ -30,21 +30,19 @@ from scipy.sparse.linalg import expm_multiply
 
 from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
                         spin_hamiltonian)
-from .numerics import SymTridiag, propagator
+from .numerics import Spectrum, SymTridiag, propagator
 from .pst import standard_couplings
 from .synthesis import (
-    NullVectorTask,
     _check_tol,
     apply_sign_gauge,
     five_site_couplings,
     produced_state,
     reflection_target,
     sign_gauge,
-    synthesis_flow_nullvector,
     three_site_couplings,
     wstate_chain,
+    zero_mode_chain,
 )
-from .numerics import Spectrum
 
 BRUTE_FORCE_MAX_M = 13
 
@@ -397,81 +395,42 @@ def _initial_sectors(p: AsymmetryProfile, input_state: np.ndarray, k: int) -> di
 
 
 def _to_compressed(amps: dict, m: int) -> CompressedState:
-    amp0 = 0.0 + 0.0j
-    amp1 = 0.0 + 0.0j
-    one = np.zeros(m, dtype=complex)
-    hole = np.zeros(m, dtype=complex)
+    extremal = np.zeros(2, dtype=complex)
+    flipped = np.zeros((2, m), dtype=complex)
     for (base, flips), amp in amps.items():
-        if not flips:
-            if base == 0:
-                amp0 = amp
-            else:
-                amp1 = amp
-        elif len(flips) == 1:
-            (site,) = flips
-            if base == 0:
-                one[site - 1] = amp
-            else:
-                hole[site - 1] = amp
-        else:
+        if len(flips) > 1:
             raise CloningStageError(
                 "gate stage", "register state left the compressed family")
-    return CompressedState(m=m, amp0=amp0, amp1=amp1,
-                           one_exc=one, m_minus_one_exc=hole)
+        if flips:
+            flipped[base, min(flips) - 1] = amp
+        else:
+            extremal[base] = amp
+    return CompressedState(m=m, amp0=extremal[0], amp1=extremal[1],
+                           one_exc=flipped[0], m_minus_one_exc=flipped[1])
 
 
 # ---------------------------------------------------------------------------
 # pipelines
 
 
-def _exchange_propagator(w_chain: SymTridiag, t: float) -> np.ndarray:
+def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
+                     p: AsymmetryProfile, k: int, w_time: float,
+                     stage_tol: Optional[float]) -> dict:
+    """Residual of each stage; the first one above ``stage_tol`` raises."""
     if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
         raise ValueError("the exchange chain must carry no on-site fields")
-    return propagator(w_chain.to_dense(), t).u
-
-
-def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
-                     p: AsymmetryProfile, k: int, w_time: float) -> dict:
-    u = _exchange_propagator(w_chain, w_time)
+    u = propagator(w_chain.to_dense(), w_time).u
     seed = np.zeros(ghz_chain.n)
     seed[k] = 1.0
-    return {
+    residuals = {
         "ghz stage": float(mirror_deviation(ghz_chain)),
         "w stage": float(np.abs(u @ seed - clone_weight_state(p)).max()),
     }
-
-
-def _pipeline_compressed(ghz_chain: IsingChain, w_chain: SymTridiag,
-                         p: AsymmetryProfile, input_state: np.ndarray, k: int,
-                         w_time: float, stage_tol: float,
-                         check_stages: bool) -> tuple[CompressedState, dict]:
-    m = ghz_chain.n
-    if w_chain.n != m or p.m != m:
-        raise ValueError("chain sizes and profile disagree")
-    _validate_offset(m, k)
-    input_state = np.asarray(input_state, dtype=complex)
-    if input_state.shape != (2,) or abs(np.linalg.norm(input_state) - 1.0) > 1e-10:
-        raise ValueError("input must be a normalized qubit state")
-
-    residuals = _stage_residuals(ghz_chain, w_chain, p, k, w_time)
-    if check_stages:
-        for stage in ("ghz stage", "w stage"):
-            if residuals[stage] > stage_tol:
-                raise CloningStageError(
-                    stage, f"residual {residuals[stage]:.3e} exceeds {stage_tol:.1e}")
-
-    amps = _initial_sectors(p, input_state, k)
-    amps = _half_period_rewrite(amps, m)
-    amps = _cz_rewrite(amps, m - k, m - k - 1)
-    amps = _half_period_rewrite(amps, m)
-    amps = _cnot_rewrite(amps, k + 1, k + 2)
-    state = _to_compressed(amps, m)
-
-    u = _exchange_propagator(w_chain, w_time)
-    out = CompressedState(m=m, amp0=state.amp0, amp1=state.amp1,
-                          one_exc=u @ state.one_exc,
-                          m_minus_one_exc=u @ state.m_minus_one_exc)
-    return out, residuals
+    for stage, value in residuals.items():
+        if stage_tol is not None and value > stage_tol:
+            raise CloningStageError(
+                stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
+    return residuals
 
 
 def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
@@ -486,11 +445,23 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile
     compared against ``stage_tol`` unless ``check_stages`` is off, which
     is useful when benchmarking arbitrary chains.
     """
+    m = ghz_chain.n
     if k is None:
         k = default_offset(p.n_clones)
-    out, _ = _pipeline_compressed(ghz_chain, w_chain, p, input_state, k,
-                                  w_time, stage_tol, check_stages)
-    return out
+    if w_chain.n != m or p.m != m:
+        raise ValueError("chain sizes and profile disagree")
+    _validate_offset(m, k)
+    input_state = np.asarray(input_state, dtype=complex)
+    if input_state.shape != (2,) or abs(np.linalg.norm(input_state) - 1.0) > 1e-10:
+        raise ValueError("input must be a normalized qubit state")
+    _stage_residuals(ghz_chain, w_chain, p, k, w_time,
+                     stage_tol if check_stages else None)
+    amps = _initial_sectors(p, input_state, k)
+    amps = _half_period_rewrite(amps, m)
+    amps = _cz_rewrite(amps, m - k, m - k - 1)
+    amps = _half_period_rewrite(amps, m)
+    amps = _cnot_rewrite(amps, k + 1, k + 2)
+    return compressed_evolve(_to_compressed(amps, m), w_chain.offdiag, w_time)
 
 
 def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
@@ -653,17 +624,13 @@ def clone_report(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile
         raise ValueError("method must be compressed or brute_force")
     if k is None:
         k = default_offset(p.n_clones)
-    residuals = _stage_residuals(ghz_chain, w_chain, p, k, w_time)
-    if check_stages:
-        for stage, value in residuals.items():
-            if value > stage_tol:
-                raise CloningStageError(
-                    stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
+    residuals = _stage_residuals(ghz_chain, w_chain, p, k, w_time,
+                                 stage_tol if check_stages else None)
     per_input = np.zeros((len(SIX_DESIGN_INPUTS), p.n_clones))
     for row, psi in enumerate(SIX_DESIGN_INPUTS):
         if method == "compressed":
-            out, _ = _pipeline_compressed(ghz_chain, w_chain, p, psi, k,
-                                          w_time, stage_tol, False)
+            out = pipeline_run(ghz_chain, w_chain, p, psi, k, w_time,
+                               check_stages=False)
         else:
             out = brute_force_pipeline(ghz_chain, w_chain, p, psi, k, w_time)
         for n in range(1, p.n_clones + 1):
@@ -710,7 +677,7 @@ def ghz_helper_chain(m: int) -> IsingChain:
 
 
 def _candidate_spectra(m: int) -> list:
-    """Symmetric odd-integer spectra to try for the exchange-chain flow.
+    """Symmetric odd-integer spectra to try for the exchange chain, in order.
 
     Any symmetric set of distinct odd integers around a single zero turns
     the time-pi propagator into a reflection, so the spectrum itself is a
@@ -734,9 +701,9 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     reflection about its zero mode, so the needed zero mode is read off
     the seed and weight states directly.  Three and five site registers
     use closed forms, the symmetric central task reduces to a half
-    chain, and anything else runs the null-vector flow on a reflective
-    ladder spectrum.  The couplings are sign gauged at the end so the
-    spread weights come out positive.
+    chain, and anything else takes the first ``_candidate_spectra``
+    ladder on which ``zero_mode_chain`` finds a root.  The couplings are
+    sign gauged at the end so the spread weights come out positive.
     """
     tol = _check_tol(tol)
     m = p.m
@@ -756,17 +723,17 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     elif symmetric and m % 4 == 1 and source == (m + 1) // 2:
         couplings = wstate_chain(m, tol=tol, budget=budget).couplings
     else:
-        couplings = None
         target = reflection_target(source, u_full)
-        for spectrum in _candidate_spectra(m):
-            task = NullVectorTask(spectrum=spectrum, target_null_vector=target)
-            chain, trace = synthesis_flow_nullvector(task, tol=tol, budget=budget)
-            if trace.status == "converged":
-                couplings = chain.offdiag
-                break
+        ladders = _candidate_spectra(m)
+        couplings = next((c for c in (zero_mode_chain(s, target) for s in ladders)
+                          if c is not None), None)
         if couplings is None:
-            raise RuntimeError("the null-vector flow stalled on every candidate "
-                               "spectrum; the weight pattern may be unreachable")
+            tried = "; ".join(" ".join(f"{v:g}" for v in s.values[m // 2 + 1:])
+                              for s in ladders)
+            raise RuntimeError(
+                "the direct zero-mode solve found no chain on any candidate "
+                f"ladder (positive halves tried: {tried}); the weight pattern "
+                "may be unreachable")
     couplings = np.asarray(couplings, dtype=float)
     produced = produced_state(couplings, source, np.pi)
     couplings = apply_sign_gauge(couplings, sign_gauge(produced, u_full))

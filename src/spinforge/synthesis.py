@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .numerics import SymTridiag, Spectrum, LinearConstraintSet, solve_affine
+from .numerics import (SymTridiag, Spectrum, LinearConstraintSet, eig_sym_tridiag,
+                       solve_affine)
 
 __all__ = [
     "SynthesisTask",
@@ -34,7 +35,6 @@ __all__ = [
     "synthesis_flow_commutator",
     "synthesis_flow_nullvector",
     "reflection_check",
-    "step_size_rule",
     "case_study_generator",
     "boundary_value",
     "chain_from_spectrum",
@@ -42,6 +42,7 @@ __all__ = [
     "reflection_target",
     "three_site_couplings",
     "five_site_couplings",
+    "zero_mode_chain",
     "polish_null_vector_root",
     "produced_state",
     "sign_gauge",
@@ -49,7 +50,6 @@ __all__ = [
     "fold_couplings",
     "unfold_couplings",
     "mirror_target_fold",
-    "mirror_state_unfold",
     "wstate_chain",
     "WstateDesign",
 ]
@@ -122,9 +122,6 @@ class NullVectorTask:
     def n(self) -> int:
         return len(self.spectrum.values)
 
-    def odd_components(self) -> np.ndarray:
-        return self.target_null_vector[0::2].copy()
-
 
 @dataclass
 class ConvergenceState:
@@ -164,17 +161,9 @@ class ConvergenceState:
         return "\n".join(lines) + "\n"
 
 
-def step_size_rule(state: ConvergenceState, eps: float) -> float:
-    """Step size that shrinks as the overlap saturates.
-
-    Returns eps * sqrt(1 - chi^2), which vanishes at |chi| = 1 so the
-    second-order error of a finite rotation never overwhelms the
-    first-order gain.
-    """
-    return _saturating_box(eps, state.chi)
-
-
 def _saturating_box(step: float, chi: float) -> float:
+    """Box size step * sqrt(1 - chi^2), which vanishes at |chi| = 1 so the
+    second-order error of a finite rotation never overwhelms the gain."""
     chi = min(max(chi, -1.0), 1.0)
     return step * np.sqrt(1.0 - chi * chi)
 
@@ -415,20 +404,17 @@ def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
 # chain construction and diagnostics
 
 
-def chain_from_spectrum(spectrum, start: np.ndarray | None = None) -> np.ndarray:
+def chain_from_spectrum(spectrum) -> np.ndarray:
     """Positive chain couplings realising ``spectrum`` with zero diagonal.
 
     Runs the Lanczos recursion on the diagonal matrix of eigenvalues from
-    a start vector (uniform by default), with full reorthogonalisation.
+    the uniform start vector, with full reorthogonalisation.
     A symmetric spectrum yields vanishing diagonal terms, so only the
     couplings are returned.
     """
     vals = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
     n = vals.size
-    if start is None:
-        start = np.ones(n)
-    q = np.asarray(start, dtype=float)
-    q = q / np.linalg.norm(q)
+    q = np.ones(n) / np.linalg.norm(np.ones(n))
     basis = np.zeros((n, n))
     basis[:, 0] = q
     alphas = np.zeros(n)
@@ -565,7 +551,6 @@ def _flag_small(couplings: np.ndarray) -> list:
 
 def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
                               budget: int = 100_000, tol: float = 1e-6,
-                              seed_couplings: np.ndarray | None = None,
                               polish_roots: bool = True):
     """Drive the chain's zero mode onto the task's target null vector.
 
@@ -586,17 +571,11 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
     tol = _check_tol(tol)
     vals = np.asarray(task.spectrum.values, dtype=float)
     n = task.n
-    lam_t = task.odd_components()
+    lam_t = task.target_null_vector[0::2].copy()
     lam_t_full = task.target_null_vector
 
-    if seed_couplings is None:
-        seed = chain_from_spectrum(vals)
-    else:
-        seed = np.asarray(seed_couplings, dtype=float)
-        if seed.size != n - 1:
-            raise ValueError("seed couplings have the wrong length")
-    seed_h = SymTridiag(np.zeros(n), np.abs(seed))
-    if reflection_check(seed_h, task.time) > 1e-8:
+    seed = chain_from_spectrum(vals)
+    if reflection_check(SymTridiag(np.zeros(n), seed), task.time) > 1e-8:
         raise ValueError("spectrum does not produce a reflection at the task time")
 
     no, ne = _split_dims(n)
@@ -887,6 +866,67 @@ def five_site_couplings(target_null_odd, s1: float = 3.0, s2: float = 5.0,
     return np.array([j1, j2, j3, j4])
 
 
+def zero_mode_chain(spectrum, target_null_vector):
+    """Positive chain with a symmetric spectrum and a prescribed zero mode.
+
+    Generalises ``five_site_couplings``: the zero mode fixes each ratio
+    J_2j / J_2j-1 = |lam_2j-1 / lam_2j+1|, leaving a square inverse
+    eigenvalue problem in the (n - 1) / 2 magnitudes J_2j-1.  It is solved
+    in log magnitudes by Levenberg-Marquardt on log(eigenvalues / spectrum)
+    with the Jacobian d(ev_k)/d(J_i) = 2 v_k[i] v_k[i+1].  The problem has
+    many roots, so three starts are tried in turn: the odd couplings and
+    the pair products of ``chain_from_spectrum``, then equal couplings.
+    The zero mode equals the target up to a diagonal sign gauge.
+
+    Returns the couplings once every eigenvalue matches to 1e-10 relative;
+    None when no start finds a root, an odd-site target component
+    vanishes, or the solve leaves the finite numbers.
+    """
+    vals = np.sort(np.asarray(getattr(spectrum, "values", spectrum), dtype=float))
+    target = np.asarray(target_null_vector, dtype=float)
+    n, half = vals.size, vals.size // 2
+    if n < 3 or n % 2 == 0 or target.shape != (n,):
+        raise ValueError("need an odd spectrum and a target of the same size")
+    lam = np.abs(target[0::2])
+    if lam.min() == 0.0:
+        return None
+    ratios = lam[:-1] / lam[1:]
+    gains = np.column_stack([np.ones(half), ratios]).ravel()
+    positive = vals[half + 1:]
+
+    def eig(a):
+        with np.errstate(over="ignore"):
+            j = np.repeat(np.exp(a), 2) * gains
+        spec, v = eig_sym_tridiag(SymTridiag(np.zeros(n), j))
+        if spec.values[half + 1] <= 0.0:
+            raise ValueError("lost the positive half of the spectrum")
+        return j, spec.values[half + 1:], v[:, half + 1:]
+
+    def jacobian(a):
+        j, ev, v = eig(a)
+        d = 2.0 * j[:, None] * v[:-1] * v[1:]
+        return ((d[0::2] + d[1::2]) / ev).T
+
+    def solve(start):
+        try:
+            a = scipy.optimize.least_squares(
+                lambda a: np.log(eig(a)[1] / positive), start, jac=jacobian,
+                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+            j, ev, _ = eig(a)
+        except ValueError:
+            return None
+        return j if np.abs(ev / positive - 1.0).max() < 1e-10 else None
+
+    # equal couplings carry the spectrum's trace: sum J^2 = sum positive^2
+    starts = [np.full(half, np.log((positive ** 2).sum() / (gains ** 2).sum()) / 2)]
+    try:
+        seed = np.log(chain_from_spectrum(vals))
+        starts[:0] = [seed[0::2], (seed[0::2] + seed[1::2] - np.log(ratios)) / 2]
+    except ValueError:  # the Lanczos chain breaks down on the widest ladders
+        pass
+    return next((j for j in map(solve, starts) if j is not None), None)
+
+
 # ---------------------------------------------------------------------------
 # mirror reduction
 
@@ -929,13 +969,6 @@ def mirror_target_fold(target_state: np.ndarray) -> np.ndarray:
         raise ValueError("state is not mirror symmetric")
     m = (n - 1) // 2
     return np.concatenate([[t[m]], np.sqrt(2.0) * t[m + 1:]])
-
-
-def mirror_state_unfold(half_state: np.ndarray) -> np.ndarray:
-    """Lift a half-chain state back to the mirror-symmetric full chain."""
-    h = np.asarray(half_state)
-    side = h[1:] / np.sqrt(2.0)
-    return np.concatenate([side[::-1], h[:1], side])
 
 
 class FlowStallError(RuntimeError):

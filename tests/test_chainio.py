@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinforge.chainio import (
     SCHEMA_VERSION,
@@ -124,3 +128,75 @@ class TestValidation:
             ising_chain(doc)
         with pytest.raises(ValueError):
             xx_chain(doc)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def documents(draw, kind):
+    n = draw(st.integers(2, 12))
+    couplings = draw(st.lists(finite, min_size=n - 1, max_size=n - 1))
+    fields = [] if kind == "pst" else draw(st.lists(finite, min_size=n, max_size=n))
+    gamma = draw(st.floats(0.0, 1.0)) if kind == "zy" else None
+    tolerances = draw(st.dictionaries(st.sampled_from(["mirror", "stage"]),
+                                      st.floats(1e-15, 1.0)))
+    return ChainDocument(kind=kind, n=n, couplings=np.array(couplings),
+                         fields=np.array(fields), gamma=gamma,
+                         provenance=make_provenance("cmd", seed=draw(st.integers(0, 99)),
+                                                    tolerances=tolerances))
+
+
+class TestRoundTripProperty:
+    @pytest.mark.parametrize("kind", ["pst", "ising", "zy", "xx"])
+    def test_write_then_read_is_exact(self, kind, tmp_path_factory):
+        path = tmp_path_factory.mktemp(kind) / "chain.json"
+
+        @settings(max_examples=40, deadline=None)
+        @given(doc=documents(kind))
+        def round_trip(doc):
+            write_document(doc, path)
+            back = read_document(path)
+            assert (back.kind, back.n, back.gamma) == (doc.kind, doc.n, doc.gamma)
+            np.testing.assert_array_equal(back.couplings, doc.couplings)
+            np.testing.assert_array_equal(back.fields, doc.fields)
+            assert back.provenance == doc.provenance
+            assert document_to_json(back) == path.read_text()
+
+        round_trip()
+
+
+class TestNonFinite:
+    """``json`` reads NaN and Infinity; the document must refuse them."""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("kind, field", [("pst", "couplings"),
+                                             ("ising", "couplings"),
+                                             ("ising", "fields"),
+                                             ("zy", "fields"),
+                                             ("xx", "couplings")])
+    def test_read_names_the_field(self, kind, field, value):
+        text = nonfinite_document(kind, field, value)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            document_from_json(text)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_integer_size_is_a_value_error(self, value):
+        text = document_to_json(document_from_pst(standard_couplings(4),
+                                                  provenance()))
+        with pytest.raises(ValueError, match="integers"):
+            document_from_json(text.replace('"n": 4', f'"n": {value}'))
+
+
+def nonfinite_document(kind, field, value):
+    """A valid document's JSON with the second entry of ``field`` replaced."""
+    chain = ising_from_pst(standard_couplings(8))
+    doc = {"pst": lambda: document_from_pst(standard_couplings(4), provenance()),
+           "ising": lambda: document_from_ising(chain, provenance()),
+           "zy": lambda: ChainDocument(kind="zy", n=4, couplings=np.ones(3),
+                                       fields=np.ones(4), gamma=0.5),
+           "xx": lambda: ChainDocument(kind="xx", n=4, couplings=np.ones(3),
+                                       fields=np.zeros(4))}[kind]()
+    payload = json.loads(document_to_json(doc))
+    payload[field][1] = float(value.replace("Infinity", "inf"))
+    return json.dumps(payload)

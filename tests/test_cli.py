@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,28 @@ class TestSimulateGhz:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(tmp_path, "simulate", "ghz", "--chain", "nope.json") == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("design, field", [
+        (("pst", "--n", "8"), "couplings"),
+        (("gamma", "--n", "4", "--from", "0", "--to", "0.1", "--step", "0.05"),
+         "fields"),
+        (("gamma", "--n", "4", "--from", "0", "--to", "0.1", "--step", "0.05"),
+         "couplings"),
+    ])
+    def test_non_finite_document_is_usage_error(self, tmp_path, capsys,
+                                                design, field, value):
+        chain = tmp_path / "chain.json"
+        assert run(tmp_path, "design", *design, "--out", str(chain)) == 0
+        payload = json.loads(chain.read_text())
+        payload[field][1] = value
+        chain.write_text(json.dumps(payload).replace(f'"{value}"', value))
+        out = tmp_path / "report.json"
+        code = run(tmp_path, "simulate", "ghz", "--chain", str(chain),
+                   "--out", str(out))
+        assert code == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateSweep:
     def test_csv_shape_and_exact_zero_point(self, tmp_path):
@@ -240,6 +263,18 @@ class TestSimulateClone:
         assert code == 1
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "clone_report.json").exists()
+
+    def test_unreachable_pattern_fails_fast(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "6",
+                   "--profile", "1,0,1,1,1,1")
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "direct zero-mode solve found no chain" in err
+        assert "3 5 7 9 11; 1 3 9 27 81" in err
+        assert not (tmp_path / "clone_report.json").exists()
+        assert elapsed < 2.0
 
 
 class TestParsing:

@@ -6,6 +6,7 @@ import pytest
 from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
+    _candidate_spectra,
     AsymmetryProfile,
     CloneReport,
     CloningStageError,
@@ -457,6 +458,34 @@ class TestDesignWChain:
         source = default_offset(4) + 1
         produced = produced_state(w.offdiag, source, w_time)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-6
+
+    @pytest.mark.parametrize("weights, ladder", [
+        ([1.0] * 4, 0),
+        ([2, 1, 1, 1, 1], 1),
+        ([3, 1, 2, 1, 1, 2], 2),
+        ([1, 2, 1, 3, 1, 2, 1], 1),
+    ])
+    def test_bench_profiles_take_the_first_ladder_with_a_root(self, weights,
+                                                               ladder):
+        p = profile_from_betas(weights)
+        w, w_time = design_w_chain(p)
+        produced = produced_state(w.offdiag, default_offset(p.n_clones) + 1, w_time)
+        assert np.abs(produced - clone_weight_state(p)).max() < 1e-12
+        spectrum = _candidate_spectra(p.m)[ladder].values
+        vals = np.linalg.eigvalsh(w.to_dense())
+        assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
+
+    @pytest.mark.parametrize("n_clones", range(4, 11))
+    def test_random_profiles_pass_the_residual_gate(self, n_clones):
+        rng = np.random.default_rng(900 + n_clones)
+        for _ in range(3):
+            p = profile_from_betas(rng.uniform(0.1, 1.0, size=n_clones))
+            w, w_time = design_w_chain(p)
+            produced = produced_state(w.offdiag, default_offset(n_clones) + 1,
+                                      w_time)
+            # the gate's floor, max(tol, 1e-8), with the default tol of 1e-6
+            assert np.abs(produced - clone_weight_state(p)).max() < 1e-8
+            assert np.abs(w.diag).max() == 0.0
 
     def test_even_seed_site_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from spinforge.synthesis import (
     synthesis_flow_commutator,
     synthesis_flow_nullvector,
     reflection_check,
-    step_size_rule,
     case_study_generator,
     boundary_value,
     chain_from_spectrum,
@@ -27,15 +26,16 @@ from spinforge.synthesis import (
     reflection_target,
     three_site_couplings,
     five_site_couplings,
+    zero_mode_chain,
     produced_state,
     sign_gauge,
     apply_sign_gauge,
     fold_couplings,
     unfold_couplings,
     mirror_target_fold,
-    mirror_state_unfold,
     wstate_chain,
     _null_vector_system,
+    _saturating_box,
 )
 
 FIVE_SITE = Spectrum(values=(-5.0, -3.0, 0.0, 3.0, 5.0))
@@ -51,6 +51,12 @@ def random_reachable_mode(rng, margin=0.05):
             return v * np.array([1.0, -1.0, 1.0])
 
 
+def mirror_state_unfold(half_state):
+    """Lift a half-chain state (centre first) to the mirror-symmetric chain."""
+    side = np.asarray(half_state)[1:] / np.sqrt(2.0)
+    return np.concatenate([side[::-1], np.asarray(half_state)[:1], side])
+
+
 def embed_odd(v):
     full = np.zeros(2 * v.size - 1)
     full[0::2] = v
@@ -58,6 +64,8 @@ def embed_odd(v):
 
 
 class TestStepSizeRule:
+    """The null-vector flow's box size eps * sqrt(1 - chi^2)."""
+
     @pytest.mark.parametrize("chi,eps,expected", [
         (0.0, 0.1, 0.1),
         (1.0, 0.1, 0.0),
@@ -65,14 +73,12 @@ class TestStepSizeRule:
         (0.8, 0.1, 0.06),
     ])
     def test_reference_values(self, chi, eps, expected):
-        state = ConvergenceState(chi=chi, delta=1.0, iterations=0)
-        assert step_size_rule(state, eps) == pytest.approx(expected, abs=1e-15)
+        assert _saturating_box(eps, chi) == pytest.approx(expected, abs=1e-15)
 
     def test_formula_everywhere(self):
         rng = np.random.default_rng(7)
         for chi in rng.uniform(-1, 1, size=25):
-            state = ConvergenceState(chi=chi, delta=0.5, iterations=3)
-            assert step_size_rule(state, 0.3) == pytest.approx(
+            assert _saturating_box(0.3, chi) == pytest.approx(
                 0.3 * np.sqrt(1 - chi ** 2), rel=1e-12)
 
 
@@ -316,6 +322,65 @@ class TestClosedForms:
         assert np.linalg.eigvalsh(h) == pytest.approx([-3.0, 0.0, 3.0], abs=1e-12)
         lam, _ = zero_mode(couplings, v)
         assert lam == pytest.approx(v, abs=1e-12)
+
+
+def spread_target(weights):
+    """Zero mode a clone spread chain needs, as ``design_w_chain`` reads it."""
+    p = profile_from_betas(weights)
+    return p.m, reflection_target(default_offset(p.n_clones) + 1,
+                                  clone_weight_state(p))
+
+
+def first_root(m, target):
+    for index, spectrum in enumerate(_candidate_spectra(m)):
+        couplings = zero_mode_chain(spectrum, target)
+        if couplings is not None:
+            return index, spectrum, couplings
+    return None, None, None
+
+
+class TestZeroModeChain:
+    """The direct ratio-fixed solve behind the clone spread chains."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_five_sites_land_on_a_closed_form_branch(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        for _ in range(5):
+            v = random_reachable_mode(rng)
+            couplings = zero_mode_chain(FIVE_SITE, embed_odd(v))
+            assert couplings is not None
+            gap = min(np.abs(couplings - five_site_couplings(v, branch=b)).max()
+                      for b in (1, -1))
+            assert gap < 1e-12
+
+    @pytest.mark.parametrize("n_clones", range(4, 11))
+    def test_random_profiles_reproduce_a_ladder(self, n_clones):
+        rng = np.random.default_rng(700 + n_clones)
+        for weights in [rng.uniform(0.1, 1.0, size=n_clones),
+                        rng.integers(1, 4, size=n_clones)]:
+            m, target = spread_target(weights)
+            index, spectrum, couplings = first_root(m, target)
+            assert index is not None, weights
+            assert (couplings > 0).all()
+            vals = np.linalg.eigvalsh(SymTridiag(np.zeros(m), couplings).to_dense())
+            top = np.abs(spectrum.values).max()
+            assert np.abs(vals - spectrum.values).max() <= 1e-10 * top
+            lam, _ = zero_mode(couplings, target)
+            assert np.abs(lam - target).max() < 1e-10
+
+    def test_forbidden_five_site_target_has_no_chain(self):
+        forbidden = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
+        assert zero_mode_chain(FIVE_SITE, forbidden) is None
+
+    def test_vanishing_odd_component_has_no_chain(self):
+        m, target = spread_target([1, 0, 1, 1, 1, 1])
+        assert target[2] == 0.0
+        assert all(zero_mode_chain(s, target) is None
+                   for s in _candidate_spectra(m))
+
+    def test_size_mismatch_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            zero_mode_chain(FIVE_SITE, np.ones(7) / np.sqrt(7.0))
 
 
 class TestNullVectorFlow:
