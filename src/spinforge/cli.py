@@ -52,6 +52,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def tolerance(text: str) -> float:
+    """Value of a tolerance flag: a finite number above zero."""
+    if not 0.0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text}")
+    return float(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spinforge")
     top = parser.add_subparsers(dest="family", required=True)
@@ -61,7 +69,7 @@ def _build_parser() -> _Parser:
 
     pst = dsub.add_parser("pst", help="mirror-transfer couplings")
     pst.add_argument("--n", type=int, required=True)
-    pst.add_argument("--tol", type=float, default=1e-9)
+    pst.add_argument("--tol", type=tolerance, default=1e-9)
 
     gamma = dsub.add_parser("gamma", help="deformed-family interpolation")
     gamma.add_argument("--n", type=int, required=True)
@@ -78,7 +86,7 @@ def _build_parser() -> _Parser:
     wstate.add_argument("--target", choices=("odd-uniform",),
                         default="odd-uniform")
     wstate.add_argument("--t0", default="auto")
-    wstate.add_argument("--tol", type=float, default=1e-6)
+    wstate.add_argument("--tol", type=tolerance, default=1e-6)
     wstate.add_argument("--budget", type=int, default=100_000)
 
     simulate = top.add_parser("simulate", help="run chains and write reports")
@@ -88,14 +96,13 @@ def _build_parser() -> _Parser:
     ghz.add_argument("--chain", required=True)
     ghz.add_argument("--check", action="store_true",
                      help="also verify the mirror transfer condition")
-    ghz.add_argument("--tol", type=float, default=1e-9)
+    ghz.add_argument("--tol", type=tolerance, default=1e-9)
 
     sweep = ssub.add_parser("sweep", help="disorder sweep of the GHZ overlap")
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--x", required=True,
                        help="perturbation percents, 'from:to:step' or one value")
     sweep.add_argument("--samples", type=int, required=True)
-    sweep.add_argument("--threads", type=int, default=None)
 
     clone = ssub.add_parser("clone", help="design and score a cloning pipeline")
     clone.add_argument("--n-clones", dest="n_clones", type=int, required=True)
@@ -104,7 +111,7 @@ def _build_parser() -> _Parser:
     clone.add_argument("--method", choices=("compressed", "brute_force"),
                        default="compressed")
     clone.add_argument("--offset", type=int, default=None)
-    clone.add_argument("--stage-tol", dest="stage_tol", type=float,
+    clone.add_argument("--stage-tol", dest="stage_tol", type=tolerance,
                        default=1e-6)
 
     for sub in (pst, gamma, wstate, ghz, sweep, clone):
@@ -180,6 +187,9 @@ def _design_wstate(args, argv) -> int:
     if args.source is not None and args.source != centre:
         raise ValueError(f"the uniform revival is driven from the centre site "
                          f"{centre}")
+    t0 = None if args.t0 == "auto" else float(args.t0)
+    if t0 is not None and not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {args.t0}")
     out = args.out or _default_out(args)
     try:
         design = wstate_chain(args.n, tol=args.tol, budget=args.budget)
@@ -188,8 +198,7 @@ def _design_wstate(args, argv) -> int:
         print(f"wstate flow: {err}", file=sys.stderr)
         return STALL
     _trace_path(args, out).write_text(design.flow.to_csv())
-    if args.t0 != "auto":
-        t0 = float(args.t0)
+    if t0 is not None:
         target = np.zeros(args.n)
         target[0::2] = 1.0 / np.sqrt((args.n + 1) // 2)
         miss = np.abs(produced_state(design.couplings, design.source, t0)
@@ -242,12 +251,14 @@ def _simulate_ghz(args, argv) -> int:
 
 
 def _parse_percent_range(text: str) -> list:
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    values = [float(part) for part in text.split(":")]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"perturbation percents must be finite, got {text}")
+    if len(values) == 1:
+        return values
+    if len(values) != 3:
         raise ValueError("expected 'from:to:step' or a single value")
-    lo, hi, step = (float(p) for p in parts)
+    lo, hi, step = values
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and to >= from")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -258,8 +269,7 @@ def _simulate_sweep(args, argv) -> int:
     xs = _parse_percent_range(args.x)
     lines = ["x_percent,mean,stddev,samples"]
     for x in xs:
-        point = perturb_sweep(args.n, x, args.samples, args.seed,
-                              threads=args.threads)
+        point = perturb_sweep(args.n, x, args.samples, args.seed)
         lines.append(f"{point.x_percent!r},{point.mean!r},"
                      f"{point.stddev!r},{args.samples}")
     out = Path(args.out or _default_out(args))

@@ -419,7 +419,7 @@ def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
     """Residual of each stage; the first one above ``stage_tol`` raises."""
     if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
         raise ValueError("the exchange chain must carry no on-site fields")
-    u = propagator(w_chain.to_dense(), w_time).u
+    u = propagator(w_chain, w_time)
     seed = np.zeros(ghz_chain.n)
     seed[k] = 1.0
     residuals = {
@@ -550,7 +550,7 @@ def compressed_evolve(state: CompressedState, couplings, t: float) -> Compressed
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (state.m - 1,):
         raise ValueError("coupling count must match the register")
-    u = propagator(SymTridiag(np.zeros(state.m), couplings).to_dense(), t).u
+    u = propagator(SymTridiag(np.zeros(state.m), couplings), t)
     return CompressedState(m=state.m, amp0=state.amp0, amp1=state.amp1,
                            one_exc=u @ state.one_exc,
                            m_minus_one_exc=u @ state.m_minus_one_exc)

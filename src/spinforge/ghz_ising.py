@@ -17,14 +17,12 @@ of two is applied internally and pinned by a brute-force unit test.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .numerics import SymTridiag, antisym_exp, eig_sym_tridiag
+from .numerics import SymTridiag, eig_sym_tridiag, propagator
 from .pst import PstChain, standard_couplings
 
 GHZ_TIME = np.pi / 4
@@ -118,6 +116,17 @@ class SimilarityCheckError(ValueError):
     """Raised when the spectra in :func:`symmetric_form` disagree."""
 
 
+def _phase_similarity(band: np.ndarray) -> tuple[np.ndarray, SymTridiag]:
+    """Phases d and the real tridiagonal T = SymTridiag(0, |band|) with i*s = D T D*.
+
+    s has ``band`` on its superdiagonal and D = diag(d), with d_0 = 1 and
+    d_k+1 = -i sign(b_k) d_k, where sign(0) = +1.
+    """
+    steps = -1j * np.copysign(1.0, band)
+    d = np.cumprod(np.concatenate([[1.0 + 0.0j], steps]))
+    return d, SymTridiag(np.zeros(d.size), np.abs(band))
+
+
 def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
     """Symmetric tridiagonal matrix similar to the quadratic form i*s.
 
@@ -127,8 +136,7 @@ def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
     :class:`SimilarityCheckError` (a ``ValueError``, exit code 1 in the CLI)
     is raised, as for fields and couplings of order 1e5.
     """
-    band = m.superdiagonal()
-    sym = SymTridiag(np.zeros(m.dim), np.abs(band))
+    _, sym = _phase_similarity(m.superdiagonal())
     if m.dim > 1:
         w_sym, _ = eig_sym_tridiag(sym)
         w_quad = np.linalg.eigvalsh(1j * m.s)
@@ -220,8 +228,12 @@ def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
 
 
 def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
-    """Real orthogonal map transporting Majorana operators over Hamiltonian time t."""
-    return antisym_exp(2.0 * t * majorana_matrix(c).s)
+    """Real orthogonal map transporting Majorana operators over Hamiltonian time t.
+
+    exp(2ts) = D e^{-2itT} D*, so the one eigensolve is of the tridiagonal T.
+    """
+    d, sym = _phase_similarity(c.band())
+    return (d[:, None] * propagator(sym, 2.0 * t) * d.conj()).real
 
 
 def mirror_deviation(c: IsingChain, t: float = GHZ_TIME) -> float:
@@ -315,42 +327,29 @@ class SweepPoint:
     samples: np.ndarray = field(repr=False)
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SPINFORGE_THREADS", "")
-    return max(1, int(env)) if env.isdigit() and env else 1
-
-
-def perturb_sweep(
-    n: int, x_percent: float, samples: int, seed: int, threads: int | None = None
-) -> SweepPoint:
+def perturb_sweep(n: int, x_percent: float, samples: int, seed: int) -> SweepPoint:
     """Overlap-estimate statistics under multiplicative parameter disorder.
 
     Every field and coupling of the engineered n-qubit chain is multiplied by
     an independent factor 1 + (x/100) u with u uniform on [-1, 1]. Each
     sample derives its own random stream from (seed, sample index), so the
-    result is bit-identical no matter how many worker threads run, and the
     same underlying draws are reused across different strengths x.
+
+    Samples run one after another in the calling thread: each is one
+    single-threaded tridiagonal eigensolve (LAPACK ``stemr``) and a few 2n x 2n
+    products, and two worker threads made the n = 21 sweep slower than one.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     base = ising_from_pst(standard_couplings(2 * n))
     band = base.band()
 
-    def one(index: int) -> float:
-        rng = np.random.default_rng([seed, index])
-        u = rng.uniform(-1.0, 1.0, band.size)
+    values = np.empty(samples)
+    for index in range(samples):
+        u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
         perturbed = band * (1.0 + (x_percent / 100.0) * u)
         chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-        return overlap_estimate(chain).overlap
-
-    workers = _resolve_threads(threads)
-    if workers == 1:
-        values = np.array([one(i) for i in range(samples)])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.array(list(pool.map(one, range(samples))))
+        values[index] = overlap_estimate(chain).overlap
     return SweepPoint(
         x_percent=float(x_percent),
         mean=float(values.mean()),

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .numerics import (SymTridiag, Spectrum, LinearConstraintSet, eig_sym_tridiag,
-                       solve_affine)
+                       propagator, solve_affine)
 
 __all__ = [
     "SynthesisTask",
@@ -464,11 +464,7 @@ def produced_state(couplings: np.ndarray, source: int, time: float) -> np.ndarra
     """State reached from ``source`` after evolving for ``time``."""
     couplings = np.asarray(couplings, dtype=float)
     n = couplings.size + 1
-    h = SymTridiag(np.zeros(n), couplings).to_dense()
-    w, v = np.linalg.eigh(h)
-    phi = np.zeros(n)
-    phi[source - 1] = 1.0
-    return (v * np.exp(-1j * w * time)) @ (v.T @ phi)
+    return propagator(SymTridiag(np.zeros(n), couplings), time)[:, source - 1]
 
 
 def reflection_check(h: SymTridiag, t0: float) -> float:
@@ -479,10 +475,9 @@ def reflection_check(h: SymTridiag, t0: float) -> float:
     onto the eigenspace nearest zero.  Small values certify that
     evolution for t0 acts as a reflection about the zero mode.
     """
-    dense = h.to_dense()
-    w, v = np.linalg.eigh(dense)
-    u = (v * np.exp(-1j * w * t0)) @ v.T
-    k = int(np.argmin(np.abs(w)))
+    spectrum, v = eig_sym_tridiag(h)
+    u = propagator(h, t0)
+    k = int(np.argmin(np.abs(spectrum.values)))
     p0 = np.outer(v[:, k], v[:, k])
     r = np.eye(h.n) - 2.0 * p0
     # the best phase aligns the two matrices in the trace inner product
@@ -667,11 +662,11 @@ def _polish_task_root(couplings, spectrum_values, source, target, time):
 
     def residual(p):
         j, theta = p[:-1], p[-1]
-        h = SymTridiag(np.zeros(n), j).to_dense()
-        ev = np.sort(np.linalg.eigvalsh(h))
-        psi = produced_state(j, source, time)
+        spectrum, v = eig_sym_tridiag(SymTridiag(np.zeros(n), j))
+        # the evolved source from the same eigensolve as the spectrum
+        psi = v @ (np.exp(-1j * spectrum.values * time) * v[source - 1])
         d = psi - np.exp(1j * theta) * target
-        return np.concatenate([ev - vals, d.real, d.imag])
+        return np.concatenate([spectrum.values - vals, d.real, d.imag])
 
     start = np.concatenate([np.asarray(couplings, dtype=float), [theta0]])
     sol = scipy.optimize.least_squares(residual, start, method="lm",
@@ -699,8 +694,8 @@ def synthesis_flow_commutator(h0: SymTridiag, task: SynthesisTask,
     holds the achieved overlap.
     """
     task_vals = np.asarray(task.spectrum.values, dtype=float)
-    h_vals = np.linalg.eigvalsh(h0.to_dense())
-    if np.abs(np.sort(h_vals) - np.sort(task_vals)).max() > 1e-8:
+    h_vals = eig_sym_tridiag(h0)[0].values
+    if np.abs(h_vals - np.sort(task_vals)).max() > 1e-8:
         raise ValueError("h0 spectrum does not match the task spectrum")
     if np.abs(h0.diag).max() > 1e-12:
         raise ValueError("commutator flow expects a zero-diagonal chain")

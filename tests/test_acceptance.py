@@ -95,7 +95,7 @@ def test_criterion_02_exact_ghz_and_cycle_closure():
         chain = ising_from_pst(standard_couplings(2 * n))
         worst_overlap_gap = max(worst_overlap_gap,
                                 1.0 - overlap_exact(chain).overlap)
-        u4 = propagator(dense_hamiltonian(chain), 4 * GHZ_TIME).u
+        u4 = propagator(dense_hamiltonian(chain), 4 * GHZ_TIME)
         closure = np.abs(u4 - (-1j) * np.eye(u4.shape[0])).max()
         worst_closure = max(worst_closure, closure)
     elapsed = time.perf_counter() - start

@@ -114,6 +114,12 @@ class TestDesignWstate:
         assert not (tmp_path / "xx9.trace.csv").exists()
         assert not (tmp_path / "xx9.json").exists()
 
+    @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
+    def test_non_finite_revival_time_is_usage_error(self, tmp_path, t0):
+        code = run(tmp_path, "design", "wstate", "--n", "5", "--t0", t0)
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_source_must_be_centre(self, tmp_path):
         assert run(tmp_path, "design", "wstate", "--n", "5",
                    "--source", "2") == 1
@@ -222,6 +228,14 @@ class TestSimulateSweep:
         assert run(tmp_path, "simulate", "sweep", "--n", "3", "--x", "5:1:1",
                    "--samples", "2") == 1
 
+    @pytest.mark.parametrize("x", ["0:inf:1", "nan", "0:1:nan"])
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys, x):
+        code = run(tmp_path, "simulate", "sweep", "--n", "3", "--x", x,
+                   "--samples", "2")
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateClone:
     def test_symmetric_pair(self, tmp_path):
@@ -275,6 +289,25 @@ class TestSimulateClone:
         assert "3 5 7 9 11; 1 3 9 27 81" in err
         assert not (tmp_path / "clone_report.json").exists()
         assert elapsed < 2.0
+
+
+class TestToleranceFlags:
+    """Every tolerance flag takes only finite positive values, checked
+    before any work; ``design wstate --tol`` is covered above."""
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("design", "pst", "--n", "8", "--tol"),
+        ("simulate", "ghz", "--chain", "chain.json", "--check", "--tol"),
+        ("simulate", "clone", "--n-clones", "3", "--stage-tol"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, tol):
+        assert run(tmp_path, "design", "pst", "--n", "8", "--out",
+                   "chain.json", "--trace", "chain.trace.csv") == 0
+        before = sorted(tmp_path.iterdir())
+        assert run(tmp_path, *argv, tol) == 1
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestParsing:

@@ -206,7 +206,7 @@ class TestExchangeEvolution:
         m = 5
         couplings = rng.uniform(0.3, 1.5, size=m - 1)
         t = float(rng.uniform(0.5, 3.0))
-        u = propagator(SymTridiag(np.zeros(m), couplings).to_dense(), t).u
+        u = propagator(SymTridiag(np.zeros(m), couplings).to_dense(), t)
         for j in range(m):
             vec = np.zeros(1 << m, dtype=complex)
             vec[1 << (m - 1 - j)] = 1.0

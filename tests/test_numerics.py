@@ -75,28 +75,42 @@ class TestEig:
 class TestPropagator:
     def test_zero_time_is_identity(self):
         h = np.array([[1.0, 2.0], [2.0, -1.0]])
-        assert np.abs(propagator(h, 0.0).u - np.eye(2)).max() < 1e-14
+        assert np.abs(propagator(h, 0.0) - np.eye(2)).max() < 1e-14
 
     def test_two_site_transfer(self):
         h = SymTridiag([0.0, 0.0], [1.0]).to_dense()
-        u = propagator(h, np.pi / 2).u
+        u = propagator(h, np.pi / 2)
         out = u @ np.array([1.0, 0.0])
         assert np.abs(out - np.array([0.0, -1.0j])).max() < 1e-12
 
     def test_pi_phase(self):
-        u = propagator(np.diag([1.0, -1.0]), np.pi).u
+        u = propagator(np.diag([1.0, -1.0]), np.pi)
         assert np.abs(u + np.eye(2)).max() < 1e-12
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize("m", [
+        SymTridiag([0.7], []),
+        # twofold-degenerate spectrum, as in TestEig
+        SymTridiag([0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
+        random_tridiag(np.random.default_rng(4), 2),
+        random_tridiag(np.random.default_rng(5), 17),
+        random_tridiag(np.random.default_rng(6), 42),
+    ])
+    @pytest.mark.parametrize("t", [0.0, 0.9, np.pi])
+    def test_tridiagonal_matches_dense(self, m, t):
+        u = propagator(m, t)
+        assert np.abs(u - propagator(m.to_dense(), t)).max() < 1e-12
+        assert np.abs(u.conj().T @ u - np.eye(m.n)).max() < 1e-12
+
     @pytest.mark.parametrize("seed", range(3))
     def test_unitarity(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         h = a + a.conj().T
-        u = propagator(h, rng.uniform(0.1, 5.0)).u
+        u = propagator(h, rng.uniform(0.1, 5.0))
         assert np.abs(u.conj().T @ u - np.eye(9)).max() < 1e-10
 
 
