@@ -22,11 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .numerics import SymTridiag, eig_sym_tridiag, propagator
+from .numerics import SymTridiag, eig_sym_tridiag
 from .pst import PstChain, standard_couplings
 
 GHZ_TIME = np.pi / 4
 BRUTE_FORCE_MAX_QUBITS = 12
+# Byte budget of one stacked 2n x 2n array in the disorder sweep: 18 samples
+# a block at n = 21, one sample from n = 91 up. Blocks of 9 to 148 samples
+# ran the n = 21 sweep equally fast, and budgets past this one raised the
+# sweep's peak RSS (by 3.3 MB at 1 MB).
+SWEEP_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -116,17 +121,6 @@ class SimilarityCheckError(ValueError):
     """Raised when the spectra in :func:`symmetric_form` disagree."""
 
 
-def _phase_similarity(band: np.ndarray) -> tuple[np.ndarray, SymTridiag]:
-    """Phases d and the real tridiagonal T = SymTridiag(0, |band|) with i*s = D T D*.
-
-    s has ``band`` on its superdiagonal and D = diag(d), with d_0 = 1 and
-    d_k+1 = -i sign(b_k) d_k, where sign(0) = +1.
-    """
-    steps = -1j * np.copysign(1.0, band)
-    d = np.cumprod(np.concatenate([[1.0 + 0.0j], steps]))
-    return d, SymTridiag(np.zeros(d.size), np.abs(band))
-
-
 def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
     """Symmetric tridiagonal matrix similar to the quadratic form i*s.
 
@@ -136,7 +130,7 @@ def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
     :class:`SimilarityCheckError` (a ``ValueError``, exit code 1 in the CLI)
     is raised, as for fields and couplings of order 1e5.
     """
-    _, sym = _phase_similarity(m.superdiagonal())
+    sym = SymTridiag(np.zeros(m.dim), np.abs(m.superdiagonal()))
     if m.dim > 1:
         w_sym, _ = eig_sym_tridiag(sym)
         w_quad = np.linalg.eigvalsh(1j * m.s)
@@ -227,13 +221,41 @@ def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
     return evolve_dense(dense_hamiltonian(c), t, psi0)
 
 
-def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
-    """Real orthogonal map transporting Majorana operators over Hamiltonian time t.
+def _one_particle_maps(bands: np.ndarray, t: float) -> np.ndarray:
+    """Maps exp(2ts) for a stack of bands of shape (k, 2n-1), as a (k, 2n, 2n) array.
 
-    exp(2ts) = D e^{-2itT} D*, so the one eigensolve is of the tridiagonal T.
+    s couples even modes only to odd ones: its even-odd block is the lower
+    bidiagonal C with C[k,k] = b_2k and C[k+1,k] = -b_2k+1, and its odd-even
+    block is -C^T.  With C = U S V^T the even-even block of exp(2ts) is
+    U cos(2tS) U^T, the odd-odd block V cos(2tS) V^T, the even-odd block
+    U sin(2tS) V^T and the odd-even block -V sin(2tS) U^T, so one real n x n
+    SVD per band gives the map.  Singular vectors orthonormal to 1e-10 make
+    it orthogonal to the same order; past that a ``ValueError`` is raised.
     """
-    d, sym = _phase_similarity(c.band())
-    return (d[:, None] * propagator(sym, 2.0 * t) * d.conj()).real
+    k, n = bands.shape[0], (bands.shape[1] + 1) // 2
+    c = np.zeros((k, n, n))
+    i = np.arange(n)
+    c[:, i, i] = bands[:, 0::2]
+    c[:, i[1:], i[:-1]] = -bands[:, 1::2]
+    u, sigma, vt = np.linalg.svd(c)
+    ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
+    dev = max(np.abs(ut @ u - np.eye(n)).max(), np.abs(vt @ v - np.eye(n)).max())
+    if dev > 1e-10:
+        raise ValueError(
+            f"one-particle map is not orthogonal (singular vector deviation {dev:.3e})")
+    cos = np.cos(2.0 * t * sigma)[:, None, :]
+    sin = np.sin(2.0 * t * sigma)[:, None, :]
+    w = np.empty((k, 2 * n, 2 * n))
+    w[:, 0::2, 0::2] = (u * cos) @ ut
+    w[:, 1::2, 1::2] = (v * cos) @ vt
+    w[:, 0::2, 1::2] = (u * sin) @ vt
+    w[:, 1::2, 0::2] = -((v * sin) @ ut)
+    return w
+
+
+def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
+    """Real orthogonal map exp(2ts) transporting Majorana operators over Hamiltonian time t."""
+    return _one_particle_maps(c.band()[None, :], t)[0]
 
 
 def mirror_deviation(c: IsingChain, t: float = GHZ_TIME) -> float:
@@ -289,31 +311,42 @@ def overlap_exact(c: IsingChain, t: float = GHZ_TIME) -> GhzReport:
     return GhzReport(overlap=overlap, method="exact", chain=c, time=t)
 
 
+def _overlap_estimates(bands: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap estimates and determinant signs for a stack of bands (k, 2n-1).
+
+    See :func:`overlap_estimate`; the determinant is taken in log space, so
+    chains of any length give a finite estimate.
+    """
+    n = (bands.shape[1] + 1) // 2
+    w = _one_particle_maps(bands, t)
+    f = w[:, 2 * n - 1, 0]
+    h0 = hopping_form(n)
+    sign, logdet = np.linalg.slogdet(w @ h0 @ w.transpose(0, 2, 1) @ h0 - np.eye(2 * n))
+    raw = (1.0 + np.abs(f)) * np.exp(0.5 * logdet - n * np.log(2.0))
+    overlap = np.minimum(np.maximum(raw, 0.0), 1.0)
+    overlap[1.0 - overlap < 1e-12] = 1.0
+    return overlap, sign
+
+
 def overlap_estimate(c: IsingChain, t: float = GHZ_TIME) -> GhzReport:
     """Determinant-based estimate of the GHZ overlap from the quadratic sector.
 
     Combines the end-to-end one-particle amplitude F with the determinant of
     W h0 W^T h0 - 1, where W is the one-particle map and h0 the pairing
-    generator: estimate = (1+|F|)/2^n * sqrt|det|. The determinant is taken
-    in magnitude (its sign is recorded in the report), and results within
-    1e-12 of the upper boundary are snapped to exactly 1 so that chains with
-    perfect mirror transfer report an overlap of 1.0.
+    generator: estimate = (1+|F|)/2^n * sqrt|det|, evaluated as
+    (1+|F|) exp(log|det|/2 - n log 2) so that the determinant cannot
+    overflow. The determinant is taken in magnitude (its sign is recorded in
+    the report), and results within 1e-12 of the upper boundary are snapped
+    to exactly 1 so that chains with perfect mirror transfer report an
+    overlap of 1.0.
     """
-    n = c.n
-    w = one_particle_map(c, t)
-    f = w[2 * n - 1, 0]
-    h0 = hopping_form(n)
-    det = np.linalg.det(w @ h0 @ w.T @ h0 - np.eye(2 * n))
-    raw = (1.0 + abs(f)) / 2.0**n * np.sqrt(abs(det))
-    overlap = min(max(raw, 0.0), 1.0)
-    if 1.0 - overlap < 1e-12:
-        overlap = 1.0
+    overlap, sign = _overlap_estimates(c.band()[None, :], t)
     return GhzReport(
-        overlap=overlap,
+        overlap=float(overlap[0]),
         method="estimator",
         chain=c,
         time=t,
-        det_sign=int(np.sign(det)) if det != 0 else 0,
+        det_sign=int(sign[0]),
     )
 
 
@@ -335,21 +368,29 @@ def perturb_sweep(n: int, x_percent: float, samples: int, seed: int) -> SweepPoi
     sample derives its own random stream from (seed, sample index), so the
     same underlying draws are reused across different strengths x.
 
-    Samples run one after another in the calling thread: each is one
-    single-threaded tridiagonal eigensolve (LAPACK ``stemr``) and a few 2n x 2n
-    products, and two worker threads made the n = 21 sweep slower than one.
+    Samples are drawn and estimated in consecutive blocks, one stack of real
+    n x n SVDs and 2n x 2n products per block, in the calling thread. A
+    block's 2n x 2n stack is kept near SWEEP_BLOCK_BYTES, so memory does not
+    grow with the sample count.
     """
+    if n < 1:
+        raise ValueError("need at least one qubit")
     if samples < 1:
         raise ValueError("need at least one sample")
-    base = ising_from_pst(standard_couplings(2 * n))
-    band = base.band()
+    band = ising_from_pst(standard_couplings(2 * n)).band()
+    block = max(1, SWEEP_BLOCK_BYTES // (8 * (2 * n) ** 2))
 
     values = np.empty(samples)
-    for index in range(samples):
-        u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
+    for start in range(0, samples, block):
+        stop = min(start + block, samples)
+        u = np.array([np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
+                      for index in range(start, stop)])
         perturbed = band * (1.0 + (x_percent / 100.0) * u)
-        chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-        values[index] = overlap_estimate(chain).overlap
+        if not np.all(np.isfinite(perturbed)):
+            raise ValueError("chain parameters must be finite")
+        values[start:stop] = _overlap_estimates(perturbed, GHZ_TIME)[0]
+    if not np.all((0.0 <= values) & (values <= 1.0)):
+        raise ValueError("overlap must lie in [0, 1]")
     return SweepPoint(
         x_percent=float(x_percent),
         mean=float(values.mean()),

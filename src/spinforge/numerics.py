@@ -125,15 +125,14 @@ def eig_sym_tridiag(m: SymTridiag) -> tuple[Spectrum, np.ndarray]:
 
 def _reorthonormalize_clusters(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """QR-orthonormalize eigenvector columns within each degenerate cluster."""
-    n = w.size
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > DEGENERACY_GAP:
-            if i - start > 1:
-                q, _ = np.linalg.qr(v[:, start:i])
-                v = v.copy()
-                v[:, start:i] = q
-            start = i
+    joined = np.flatnonzero(np.diff(w) <= DEGENERACY_GAP)
+    if not joined.size:
+        return v
+    v = v.copy()
+    # a run of consecutive small gaps j..j+r joins columns j..j+r+1
+    for run in np.split(joined, np.flatnonzero(np.diff(joined) > 1) + 1):
+        start, stop = run[0], run[-1] + 2
+        v[:, start:stop], _ = np.linalg.qr(v[:, start:stop])
     return v
 
 

@@ -236,6 +236,14 @@ class TestSimulateSweep:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_no_qubits_is_usage_error(self, tmp_path, capsys, n):
+        code = run(tmp_path, "simulate", "sweep", "--n", n, "--x", "1",
+                   "--samples", "2")
+        assert code == 1
+        assert "need at least one qubit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateClone:
     def test_symmetric_pair(self, tmp_path):

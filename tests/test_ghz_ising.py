@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -271,6 +273,29 @@ class TestOneParticleMap:
         expected = scipy.linalg.expm(2.0 * t * majorana_matrix(chain).s)
         assert np.abs(one_particle_map(chain, t) - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("band", [
+        [1.3], [-0.7], [0.0],
+        [0.0, 1.1, -0.4, 0.8, 1.9],
+        [1.2, -0.5, 0.0, 0.9, 0.7, 2.0, 0.0],
+    ])
+    def test_matches_expm_single_qubit_and_zero_field(self, band):
+        band = np.array(band)
+        chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+        for t in (0.0, 0.45, GHZ_TIME, 1.7):
+            expected = scipy.linalg.expm(2.0 * t * majorana_matrix(chain).s)
+            assert np.abs(one_particle_map(chain, t) - expected).max() < 1e-12
+
+    def test_non_orthonormal_singular_vectors_raise(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def sloppy_svd(a):
+            u, sigma, vt = svd(a)
+            return u * (1.0 + 1e-8), sigma, vt
+
+        monkeypatch.setattr(np.linalg, "svd", sloppy_svd)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            one_particle_map(ghz_chain(4), GHZ_TIME)
+
 
 class TestBasisMap:
     def test_reversal_rule(self):
@@ -355,6 +380,35 @@ class TestPerturbSweep:
         for point in (weak, strong):
             assert np.all((0.0 <= point.samples) & (point.samples <= 1.0))
         assert strong.mean < weak.mean
+
+    @pytest.mark.parametrize("n", [1, 6, 21])
+    @pytest.mark.parametrize("samples", [1, 63, 130])
+    def test_blocks_match_per_sample_estimates(self, n, samples):
+        x, seed = 4.0, 17
+        band = ghz_chain(n).band()
+        expected = np.empty(samples)
+        for index in range(samples):
+            u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
+            perturbed = band * (1.0 + (x / 100.0) * u)
+            chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
+            expected[index] = overlap_estimate(chain).overlap
+        point = perturb_sweep(n, x, samples, seed)
+        assert point.samples.shape == (samples,)
+        assert np.abs(point.samples - expected).max() < 1e-13
+
+    def test_long_chain_estimate_does_not_overflow(self):
+        # 2^n sqrt|det| overflows a double from n = 512; the estimate is
+        # taken in log space, so a slightly perturbed 520-qubit chain
+        # reports an overlap just below 1 rather than a clamped 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            point = perturb_sweep(520, 0.001, 2, seed=0)
+        assert np.all((0.999 < point.samples) & (point.samples < 1.0))
+
+    @pytest.mark.parametrize("x", [np.inf, np.nan])
+    def test_non_finite_disorder_rejected(self, x):
+        with pytest.raises(ValueError, match="chain parameters must be finite"):
+            perturb_sweep(3, x, 2, seed=0)
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -4,11 +4,13 @@ import scipy.linalg
 import scipy.sparse
 
 from spinforge.numerics import (
+    DEGENERACY_GAP,
     InfeasibleConstraints,
     LinearConstraintSet,
     SymTridiag,
     antisym_exp,
     eig_sym_tridiag,
+    _reorthonormalize_clusters,
     propagator,
     solve_affine,
 )
@@ -70,6 +72,31 @@ class TestEig:
         assert np.abs(v.T @ v - np.eye(4)).max() < 1e-10
         rebuilt = (v * s.values) @ v.T
         assert np.abs(rebuilt - m.to_dense()).max() < 1e-10
+
+    def test_three_fold_clusters_stay_orthonormal(self):
+        # three identical blocks and a lone site: two threefold clusters
+        m = SymTridiag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 5.0],
+                       [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        s, v = eig_sym_tridiag(m)
+        assert np.abs(v.T @ v - np.eye(7)).max() < 1e-10
+        assert np.abs((v * s.values) @ v.T - m.to_dense()).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cluster_search_matches_gap_walk(self, seed):
+        # reference: walk every gap and QR each run of gaps within
+        # DEGENERACY_GAP; the vectorized search must give the same bytes
+        rng = np.random.default_rng(seed)
+        w = np.sort(rng.choice([0.0, 1.0, 1.0 + 5e-10, 2.0, 3.0], 12)
+                    + rng.choice([0.0, 1e-12, 2e-9], 12))
+        v = rng.normal(size=(12, 12))
+        expected, start = v.copy(), 0
+        for i in range(1, w.size + 1):
+            if i == w.size or w[i] - w[i - 1] > DEGENERACY_GAP:
+                if i - start > 1:
+                    expected[:, start:i] = np.linalg.qr(v[:, start:i])[0]
+                start = i
+        got = _reorthonormalize_clusters(w, v.copy())
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPropagator:
