@@ -82,9 +82,6 @@ def _build_parser() -> _Parser:
 
     wstate = dsub.add_parser("wstate", help="uniform odd-site revival chain")
     wstate.add_argument("--n", type=int, required=True)
-    wstate.add_argument("--source", type=int, default=None)
-    wstate.add_argument("--target", choices=("odd-uniform",),
-                        default="odd-uniform")
     wstate.add_argument("--t0", default="auto")
     wstate.add_argument("--tol", type=tolerance, default=1e-6)
     wstate.add_argument("--budget", type=int, default=100_000)
@@ -183,10 +180,6 @@ def _design_gamma(args, argv) -> int:
 
 
 def _design_wstate(args, argv) -> int:
-    centre = (args.n + 1) // 2
-    if args.source is not None and args.source != centre:
-        raise ValueError(f"the uniform revival is driven from the centre site "
-                         f"{centre}")
     t0 = None if args.t0 == "auto" else float(args.t0)
     if t0 is not None and not np.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {args.t0}")

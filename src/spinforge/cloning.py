@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -35,7 +35,6 @@ from .pst import standard_couplings
 from .synthesis import (
     _check_tol,
     apply_sign_gauge,
-    five_site_couplings,
     produced_state,
     reflection_target,
     sign_gauge,
@@ -209,6 +208,8 @@ def profile_from_betas(raw) -> AsymmetryProfile:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size < 1:
         raise ValueError("need a one-dimensional weight list")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("weights must be finite")
     if raw.min() < 0:
         raise ValueError("weights must be non-negative")
     scale = raw.sum() ** 2 + (raw ** 2).sum()
@@ -413,12 +414,33 @@ def _to_compressed(amps: dict, m: int) -> CompressedState:
 # pipelines
 
 
+def _checked_offset(ghz_chain: IsingChain, w_chain: SymTridiag,
+                   p: AsymmetryProfile, k: Optional[int]) -> int:
+    """Resolved input offset, once the chains, profile and offset fit."""
+    m = ghz_chain.n
+    if w_chain.n != m or p.m != m:
+        raise ValueError("chain sizes and profile disagree")
+    if k is None:
+        k = default_offset(p.n_clones)
+    _validate_offset(m, k)
+    if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
+        raise ValueError("the exchange chain must carry no on-site fields")
+    return k
+
+
+def _checked_inputs(input_state, max_ndim: int) -> np.ndarray:
+    """Input qubit (shape (2,)) or block of input columns (shape (2, c))."""
+    psi = np.asarray(input_state, dtype=complex)
+    if (not 1 <= psi.ndim <= max_ndim or psi.shape[0] != 2
+            or np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() > 1e-10):
+        raise ValueError("input must be a normalized qubit state")
+    return psi
+
+
 def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
                      p: AsymmetryProfile, k: int, w_time: float,
                      stage_tol: Optional[float]) -> dict:
     """Residual of each stage; the first one above ``stage_tol`` raises."""
-    if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
-        raise ValueError("the exchange chain must carry no on-site fields")
     u = propagator(w_chain, w_time)
     seed = np.zeros(ghz_chain.n)
     seed[k] = 1.0
@@ -435,27 +457,21 @@ def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
 
 def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
                  input_state, k: Optional[int] = None, w_time: float = np.pi,
-                 stage_tol: float = 1e-6, check_stages: bool = True) -> CompressedState:
+                 stage_tol: Optional[float] = 1e-6) -> CompressedState:
     """Clone one input qubit through the gate-and-chain pipeline.
 
     The two GHZ evolutions and both entangling gates are applied as
     exact rewrite rules on a sparse string decomposition, so no 2^m
     vector is ever formed; the exchange stage acts through the m x m
     propagator on the excitation and hole sectors.  Stage residuals are
-    compared against ``stage_tol`` unless ``check_stages`` is off, which
-    is useful when benchmarking arbitrary chains.
+    compared against ``stage_tol``; None skips the stage checks, for
+    arbitrary chains or a caller that has already run them.
     """
     m = ghz_chain.n
-    if k is None:
-        k = default_offset(p.n_clones)
-    if w_chain.n != m or p.m != m:
-        raise ValueError("chain sizes and profile disagree")
-    _validate_offset(m, k)
-    input_state = np.asarray(input_state, dtype=complex)
-    if input_state.shape != (2,) or abs(np.linalg.norm(input_state) - 1.0) > 1e-10:
-        raise ValueError("input must be a normalized qubit state")
-    _stage_residuals(ghz_chain, w_chain, p, k, w_time,
-                     stage_tol if check_stages else None)
+    k = _checked_offset(ghz_chain, w_chain, p, k)
+    input_state = _checked_inputs(input_state, max_ndim=1)
+    if stage_tol is not None:
+        _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
     amps = _initial_sectors(p, input_state, k)
     amps = _half_period_rewrite(amps, m)
     amps = _cz_rewrite(amps, m - k, m - k - 1)
@@ -470,21 +486,21 @@ def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
     The Hamiltonian sum_n J_n (X_n X_n+1 + Y_n Y_n+1) / 2 hops excitations
     between neighbouring sites with amplitude J_n in every excitation
     sector at once; the matrix is kept sparse and applied with a Krylov
-    exponential.
+    exponential.  ``vec`` is one state or a block of states in columns.
     """
     couplings = np.asarray(couplings, dtype=float)
     m = couplings.size + 1
     if m > BRUTE_FORCE_MAX_M:
         raise ValueError(f"dense evolution is limited to {BRUTE_FORCE_MAX_M} qubits")
     vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (1 << m,):
+    if vec.ndim > 2 or vec.shape[0] != 1 << m:
         raise ValueError("state dimension does not match the coupling count")
     h = spin_hamiltonian(m, xx=couplings / 2.0, yy=couplings / 2.0)
     return expm_multiply(-1j * t * h, vec)
 
 
 def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
-    idx = np.arange(vec.size)
+    idx = np.arange(vec.shape[0])
     both = (((idx >> (m - qa)) & 1) & ((idx >> (m - qb)) & 1)) == 1
     out = vec.copy()
     out[both] *= -1.0
@@ -492,7 +508,7 @@ def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
 
 
 def _dense_cnot(vec: np.ndarray, m: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(vec.size)
+    idx = np.arange(vec.shape[0])
     on = ((idx >> (m - control)) & 1) == 1
     out = vec.copy()
     out[idx[on]] = vec[(idx ^ (1 << (m - target)))[on]]
@@ -507,28 +523,21 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
 
     Every stage acts on the full 2^m vector, including both chain
     evolutions, so the result validates the compressed bookkeeping.
-    Limited to m <= 13 qubits.
+    ``input_state`` is one qubit state, shape (2,), or a block of them in
+    columns, shape (2, c); the result holds one register state per
+    column, and all columns share each Krylov evolution.  Limited to
+    m <= 13 qubits.
     """
     m = ghz_chain.n
     if m > BRUTE_FORCE_MAX_M:
         raise ValueError(f"the dense oracle is limited to {BRUTE_FORCE_MAX_M} qubits")
-    if m % 2 == 0:
-        raise ValueError("the register must have an odd number of qubits")
-    if w_chain.n != m or p.m != m:
-        raise ValueError("chain sizes and profile disagree")
-    if k is None:
-        k = default_offset(p.n_clones)
-    _validate_offset(m, k)
-    input_state = np.asarray(input_state, dtype=complex)
-    if input_state.shape != (2,) or abs(np.linalg.norm(input_state) - 1.0) > 1e-10:
-        raise ValueError("input must be a normalized qubit state")
-    if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
-        raise ValueError("the exchange chain must carry no on-site fields")
+    k = _checked_offset(ghz_chain, w_chain, p, k)
+    psi = _checked_inputs(input_state, max_ndim=2)
 
-    factors = {k + 1: np.array([p.a, 1j * p.b], dtype=complex),
-               k + 2: np.array([input_state[0], 1j * input_state[1]], dtype=complex)}
-    ground = np.array([1.0, 0.0], dtype=complex)
-    vec = np.ones(1, dtype=complex)
+    factors = {k + 1: np.array([[p.a], [1j * p.b]]),
+               k + 2: psi.reshape(2, -1) * np.array([[1.0], [1j]])}
+    ground = np.array([[1.0], [0.0]], dtype=complex)
+    vec = np.ones((1, 1), dtype=complex)
     for q in range(1, m + 1):
         vec = np.kron(vec, factors.get(q, ground))
 
@@ -537,7 +546,8 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
     vec = _dense_cz(vec, m, m - k, m - k - 1)
     vec = expm_multiply(-1j * GHZ_TIME * h_ghz, vec)
     vec = _dense_cnot(vec, m, k + 1, k + 2)
-    return exchange_evolve_dense(w_chain.offdiag, w_time, vec)
+    vec = exchange_evolve_dense(w_chain.offdiag, w_time, vec)
+    return vec if psi.ndim == 2 else vec[:, 0]
 
 
 def compressed_evolve(state: CompressedState, couplings, t: float) -> CompressedState:
@@ -566,8 +576,7 @@ def reduced_qubit_state(state, site: int) -> np.ndarray:
     Compressed states use closed-form sector bookkeeping, which is valid
     once holes and excitations cannot interfere in the partial trace
     (m >= 5); a three-qubit register is routed through its dense
-    embedding instead.  Dense state vectors and ready-made 2x2 density
-    matrices are accepted directly.
+    embedding instead.  Dense state vectors are traced directly.
     """
     if isinstance(state, CompressedState):
         if not 1 <= site <= state.m:
@@ -586,10 +595,8 @@ def reduced_qubit_state(state, site: int) -> np.ndarray:
         return np.array([[pop0, coherence], [np.conj(coherence), pop1]])
 
     state = np.asarray(state, dtype=complex)
-    if state.shape == (2, 2):
-        return state
     if state.ndim != 1:
-        raise ValueError("expected a state vector or a 2x2 density matrix")
+        raise ValueError("expected a state vector")
     m = state.size.bit_length() - 1
     if 1 << m != state.size:
         raise ValueError("vector length must be a power of two")
@@ -599,40 +606,31 @@ def reduced_qubit_state(state, site: int) -> np.ndarray:
     return moved @ moved.conj().T
 
 
-def average_fidelity(state_builder: Callable, clone: int) -> float:
-    """Mean input-output overlap of one clone over the six axis states.
+def clone_report(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
+                 k: Optional[int] = None, w_time: float = np.pi,
+                 method: str = "compressed",
+                 stage_tol: Optional[float] = 1e-6) -> CloneReport:
+    """Fidelity report for a configured pipeline over the six axis inputs.
 
     The six eigenstates of the Pauli operators average any expression
     quadratic in the input exactly as the uniform measure does, so the
-    result equals the Haar-average fidelity of the clone.
+    mean overlap over them is the Haar-average fidelity of each clone.
+    The stages are checked once; the dense oracle takes all six inputs
+    as one block of columns.
     """
-    if clone < 1:
-        raise ValueError("clone index starts at 1")
-    total = 0.0
-    for psi in SIX_DESIGN_INPUTS:
-        rho = reduced_qubit_state(state_builder(psi), 2 * clone - 1)
-        total += float(np.real(psi.conj() @ rho @ psi))
-    return total / 6.0
-
-
-def clone_report(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
-                 k: Optional[int] = None, w_time: float = np.pi,
-                 method: str = "compressed", stage_tol: float = 1e-6,
-                 check_stages: bool = True) -> CloneReport:
-    """Fidelity report for a configured pipeline over the six axis inputs."""
     if method not in ("compressed", "brute_force"):
         raise ValueError("method must be compressed or brute_force")
-    if k is None:
-        k = default_offset(p.n_clones)
-    residuals = _stage_residuals(ghz_chain, w_chain, p, k, w_time,
-                                 stage_tol if check_stages else None)
+    k = _checked_offset(ghz_chain, w_chain, p, k)
+    residuals = _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
+    if method == "compressed":
+        outputs = [pipeline_run(ghz_chain, w_chain, p, psi, k, w_time,
+                                stage_tol=None) for psi in SIX_DESIGN_INPUTS]
+    else:
+        outputs = brute_force_pipeline(ghz_chain, w_chain, p,
+                                       np.column_stack(SIX_DESIGN_INPUTS),
+                                       k, w_time).T
     per_input = np.zeros((len(SIX_DESIGN_INPUTS), p.n_clones))
-    for row, psi in enumerate(SIX_DESIGN_INPUTS):
-        if method == "compressed":
-            out = pipeline_run(ghz_chain, w_chain, p, psi, k, w_time,
-                               check_stages=False)
-        else:
-            out = brute_force_pipeline(ghz_chain, w_chain, p, psi, k, w_time)
+    for row, (psi, out) in enumerate(zip(SIX_DESIGN_INPUTS, outputs)):
         for n in range(1, p.n_clones + 1):
             rho = reduced_qubit_state(out, 2 * n - 1)
             per_input[row, n - 1] = float(np.real(psi.conj() @ rho @ psi))
@@ -694,15 +692,15 @@ def _candidate_spectra(m: int) -> list:
 
 
 def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
-                   tol: float = 1e-6, budget: int = 100_000) -> tuple[SymTridiag, float]:
+                   tol: float = 1e-6) -> tuple[SymTridiag, float]:
     """Exchange chain spreading the seed site onto the clone weights.
 
     At time pi a chain with a symmetric odd-integer spectrum acts as a
     reflection about its zero mode, so the needed zero mode is read off
-    the seed and weight states directly.  Three and five site registers
-    use closed forms, the symmetric central task reduces to a half
-    chain, and anything else takes the first ``_candidate_spectra``
-    ladder on which ``zero_mode_chain`` finds a root.  The couplings are
+    the seed and weight states directly.  A three-site register uses a
+    closed form, the symmetric central task reduces to a half chain, and
+    anything else takes the first ``_candidate_spectra`` ladder on which
+    ``zero_mode_chain`` finds a root.  The couplings are
     sign gauged at the end so the spread weights come out positive.
     """
     tol = _check_tol(tol)
@@ -717,11 +715,8 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     symmetric = bool(np.all(np.abs(p.betas - p.betas[0]) < 1e-12))
     if m == 3:
         couplings = three_site_couplings(reflection_target(source, u_full), 3.0)
-    elif m == 5:
-        couplings = five_site_couplings(
-            reflection_target(source, u_full)[0::2], 3.0, 5.0)
     elif symmetric and m % 4 == 1 and source == (m + 1) // 2:
-        couplings = wstate_chain(m, tol=tol, budget=budget).couplings
+        couplings = wstate_chain(m, tol=tol).couplings
     else:
         target = reflection_target(source, u_full)
         ladders = _candidate_spectra(m)

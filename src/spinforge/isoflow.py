@@ -433,8 +433,10 @@ def interpolate_gamma(
     """
     if mode not in ("direct", "unitary"):
         raise ValueError("mode must be 'direct' or 'unitary'")
-    if step <= 0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step size must be finite and positive, got {step!r}")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     if not 0.0 <= gamma_to <= 1.0:
         raise ValueError("gamma_to must lie in [0, 1]")
     if n < 2:

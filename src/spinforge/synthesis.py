@@ -564,6 +564,8 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
     Returns the final chain and a ConvergenceState.
     """
     tol = _check_tol(tol)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget!r}")
     vals = np.asarray(task.spectrum.values, dtype=float)
     n = task.n
     lam_t = task.target_null_vector[0::2].copy()

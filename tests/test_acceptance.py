@@ -210,7 +210,7 @@ def test_criterion_09_compressed_equals_brute_force():
             t = float(rng.uniform(0.5, 3.0))
             psi = random_qubit(rng)
             out = pipeline_run(ghz, w, p, psi, k=k, w_time=t,
-                               check_stages=False)
+                               stage_tol=None)
             oracle = brute_force_pipeline(ghz, w, p, psi, k=k, w_time=t)
             worst = max(worst, float(np.abs(out.embed() - oracle).max()))
     record(9, worst <= 1e-8, f"worst deviation {worst:.3e}")

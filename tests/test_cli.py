@@ -77,6 +77,19 @@ class TestDesignGamma:
         assert len(trace) > 1
         assert "stall" in capsys.readouterr().err.lower() or True
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-steps", "0", "max_steps must be at least 1"),
+        ("--max-steps", "-1", "max_steps must be at least 1"),
+        ("--step", "nan", "step size must be finite and positive"),
+    ])
+    def test_bad_step_budget_is_usage_error(self, tmp_path, capsys, flag,
+                                            value, message):
+        code = run(tmp_path, "design", "gamma", "--n", "6", "--from", "0",
+                   "--to", "0.5", flag, value)
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_site_fails_before_integrating(self, tmp_path, capsys):
         code = run(tmp_path, "design", "gamma", "--n", "1", "--from", "0",
                    "--to", "0.5")
@@ -118,6 +131,13 @@ class TestDesignWstate:
     def test_non_finite_revival_time_is_usage_error(self, tmp_path, t0):
         code = run(tmp_path, "design", "wstate", "--n", "5", "--t0", t0)
         assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_bad_budget_is_usage_error(self, tmp_path, capsys, budget):
+        code = run(tmp_path, "design", "wstate", "--n", "9", "--budget", budget)
+        assert code == 1
+        assert "budget must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_source_must_be_centre(self, tmp_path):
@@ -285,6 +305,31 @@ class TestSimulateClone:
         assert code == 1
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "clone_report.json").exists()
+
+    def test_three_clones_off_centre_take_a_ladder(self, tmp_path):
+        out = tmp_path / "clone3.json"
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "3",
+                   "--offset", "0", "--out", str(out))
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["fidelities"] == pytest.approx([7 / 9] * 3, abs=1e-12)
+
+    def test_three_clones_with_a_zero_weight_exit_two(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "3",
+                   "--profile", "0,1,1")
+        assert code == 2
+        assert "no chain on any candidate ladder" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("profile", ["nan,1,1", "inf,1,1", "1,-inf,1"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_weights_are_usage_errors(self, tmp_path, capsys,
+                                                 profile):
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "3",
+                   "--profile", profile)
+        assert code == 1
+        assert "weights must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreachable_pattern_fails_fast(self, tmp_path, capsys):
         start = time.perf_counter()

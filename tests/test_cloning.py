@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spinforge import cloning
 from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
@@ -12,7 +13,6 @@ from spinforge.cloning import (
     CloningStageError,
     CompressedState,
     analytic_fidelity,
-    average_fidelity,
     brute_force_pipeline,
     clone_map_target,
     clone_report,
@@ -72,6 +72,12 @@ class TestAsymmetryProfile:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             profile_from_betas([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            profile_from_betas([bad, 1.0, 1.0])
 
     def test_inconsistent_sums_rejected(self):
         good = symmetric_profile(2)
@@ -263,7 +269,7 @@ class TestPipelineAgreement:
         k = int(rng.integers(0, m - 1))
         t = float(rng.uniform(0.5, 3.0))
         psi = random_input(rng)
-        out = pipeline_run(ghz, w, p, psi, k=k, w_time=t, check_stages=False)
+        out = pipeline_run(ghz, w, p, psi, k=k, w_time=t, stage_tol=None)
         oracle = brute_force_pipeline(ghz, w, p, psi, k=k, w_time=t)
         assert np.abs(out.embed() - oracle).max() < 1e-8
 
@@ -298,7 +304,54 @@ class TestPipelineAgreement:
         ghz = ghz_helper_chain(3)
         with pytest.raises(ValueError):
             pipeline_run(ghz, SymTridiag(np.ones(3), [1.0, 1.0]), p,
-                         np.array([1.0, 0.0]), check_stages=False)
+                         np.array([1.0, 0.0]), stage_tol=None)
+
+
+class TestOnePassPerReport:
+    @pytest.mark.parametrize("m,seed", [(3, 10), (5, 11), (7, 12), (9, 13)])
+    def test_oracle_block_matches_single_columns(self, m, seed):
+        rng = np.random.default_rng(seed)
+        p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
+        ghz = ghz_helper_chain(m)
+        w = SymTridiag(np.zeros(m), rng.uniform(0.3, 1.2, size=m - 1))
+        k = int(rng.integers(0, m - 1))
+        t = float(rng.uniform(0.5, 3.0))
+        block = np.column_stack([random_input(rng) for _ in range(6)])
+        out = brute_force_pipeline(ghz, w, p, block, k=k, w_time=t)
+        assert out.shape == (1 << m, 6)
+        for col in range(6):
+            single = brute_force_pipeline(ghz, w, p, block[:, col], k=k, w_time=t)
+            assert np.abs(out[:, col] - single).max() < 1e-12
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(cloning, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cloning, name, counted)
+        return calls
+
+    def test_brute_force_report_runs_three_krylov_evolutions(self, monkeypatch):
+        p = profile_from_betas([2.0, 1.0, 1.0])
+        w, w_time = design_w_chain(p)
+        calls = self.counting(monkeypatch, "expm_multiply")
+        clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time,
+                     method="brute_force")
+        assert len(calls) == 3
+
+    def test_compressed_report_checks_the_stages_once(self, monkeypatch):
+        p = profile_from_betas([3, 1, 2, 1, 1, 2])
+        w, w_time = design_w_chain(p)
+        deviations = self.counting(monkeypatch, "mirror_deviation")
+        propagators = self.counting(monkeypatch, "propagator")
+        clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time)
+        assert len(deviations) == 1
+        # one for the w stage check, one per input for the exchange stage
+        assert len(propagators) == 1 + len(SIX_DESIGN_INPUTS)
 
 
 class TestFrozenFidelities:
@@ -388,10 +441,6 @@ class TestReducedDensity:
         expected = np.einsum("aibc,ajbc->ij", tensor, tensor.conj())
         assert np.abs(rho - expected).max() < 1e-12
 
-    def test_density_matrix_passthrough(self):
-        rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
-        assert np.array_equal(reduced_qubit_state(rho, 1), rho)
-
     def test_site_bounds(self):
         state = random_compressed(5, np.random.default_rng(5))
         with pytest.raises(ValueError):
@@ -399,21 +448,6 @@ class TestReducedDensity:
 
 
 class TestAverageFidelity:
-    def test_perfect_channel(self):
-        value = average_fidelity(lambda psi: np.outer(psi, psi.conj()), 1)
-        assert value == pytest.approx(1.0, abs=1e-12)
-
-    def test_fully_mixed_channel(self):
-        value = average_fidelity(lambda psi: np.eye(2) / 2, 1)
-        assert value == pytest.approx(0.5, abs=1e-12)
-
-    def test_matches_report_row(self):
-        p = symmetric_profile(2)
-        ghz, (w, w_time) = ghz_helper_chain(3), design_w_chain(p)
-        value = average_fidelity(
-            lambda psi: pipeline_run(ghz, w, p, psi, w_time=w_time), 1)
-        assert value == pytest.approx(5 / 6, abs=1e-12)
-
     def test_design_inputs_are_normalized(self):
         for psi in SIX_DESIGN_INPUTS:
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
