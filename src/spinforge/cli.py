@@ -75,8 +75,6 @@ def _build_parser() -> _Parser:
     gamma.add_argument("--n", type=int, required=True)
     gamma.add_argument("--from", dest="gamma_from", type=float, required=True)
     gamma.add_argument("--to", dest="gamma_to", type=float, required=True)
-    gamma.add_argument("--mode", choices=("direct", "unitary"),
-                       default="unitary")
     gamma.add_argument("--step", type=float, default=1e-3)
     gamma.add_argument("--max-steps", type=int, default=None)
 
@@ -166,8 +164,7 @@ def _design_gamma(args, argv) -> int:
     out = args.out or _default_out(args)
     try:
         x, trace = interpolate_gamma(args.n, args.gamma_from, args.gamma_to,
-                                     mode=args.mode, step=args.step,
-                                     max_steps=args.max_steps)
+                                     step=args.step, max_steps=args.max_steps)
     except FlowConvergenceError as err:
         _trace_path(args, out).write_text(err.trace.to_csv())
         print(f"gamma flow: {err}", file=sys.stderr)

@@ -212,10 +212,11 @@ def profile_from_betas(raw) -> AsymmetryProfile:
         raise ValueError("weights must be finite")
     if raw.min() < 0:
         raise ValueError("weights must be non-negative")
-    scale = raw.sum() ** 2 + (raw ** 2).sum()
-    if scale <= 0:
+    if raw.max() == 0:
         raise ValueError("weights must not all vanish")
-    betas = raw / np.sqrt(scale)
+    # scaled to a largest weight of one first, so that squares cannot overflow
+    raw = raw / raw.max()
+    betas = raw / np.sqrt(raw.sum() ** 2 + (raw ** 2).sum())
     return AsymmetryProfile(n_clones=raw.size, betas=betas,
                             a=float(betas.sum()), b2=float((betas ** 2).sum()))
 
@@ -262,23 +263,17 @@ def profile_from_fidelity(n_clones: int, first_fidelity: float) -> AsymmetryProf
     return profile_from_betas(betas)
 
 
-def analytic_fidelity(p: AsymmetryProfile, clone: int,
-                      alternate_normalization: bool = False) -> float:
+def analytic_fidelity(p: AsymmetryProfile, clone: int) -> float:
     """Haar-average fidelity of one clone from the weight algebra.
 
-    The default form (1 + (beta_n + A)^2) / 3 is validated against the
-    dense pipeline oracle and evaluates to (2N+1)/(3N) for symmetric
-    weights.  Some statements of the same fidelity read
-    (2 + (beta_n + A)^2) / 6, which presumes weights normalized to
-    A^2 + B^2 = 2 instead; that variant is kept selectable for
-    cross-checks and the discrepancy is deliberate, not resolved here.
+    The form (1 + (beta_n + A)^2) / 3 is validated against the dense
+    pipeline oracle and evaluates to (2N+1)/(3N) for symmetric weights.
+    Some statements of the same fidelity read (2 + (beta_n + A)^2) / 6,
+    which presumes weights normalized to A^2 + B^2 = 2 instead.
     """
     if not 1 <= clone <= p.n_clones:
         raise ValueError("clone index out of range")
-    s = p.betas[clone - 1] + p.a
-    if alternate_normalization:
-        return (2.0 + s ** 2) / 6.0
-    return (1.0 + s ** 2) / 3.0
+    return (1.0 + (p.betas[clone - 1] + p.a) ** 2) / 3.0
 
 
 def clone_weight_state(p: AsymmetryProfile) -> np.ndarray:
@@ -704,6 +699,8 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     sign gauged at the end so the spread weights come out positive.
     """
     tol = _check_tol(tol)
+    if p.n_clones < 2:
+        raise ValueError("cloning needs at least two clones")
     m = p.m
     if k is None:
         k = default_offset(p.n_clones)
@@ -714,7 +711,7 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     u_full = clone_weight_state(p)
     symmetric = bool(np.all(np.abs(p.betas - p.betas[0]) < 1e-12))
     if m == 3:
-        couplings = three_site_couplings(reflection_target(source, u_full), 3.0)
+        couplings = three_site_couplings(reflection_target(source, u_full))
     elif symmetric and m % 4 == 1 and source == (m + 1) // 2:
         couplings = wstate_chain(m, tol=tol).couplings
     else:

@@ -2,7 +2,8 @@
 
 A chain of n qubits with transverse fields on X and nearest-neighbour ZZ
 couplings is quadratic in Majorana operators, so its evolution is captured
-exactly by a real antisymmetric 2n x 2n matrix. With couplings inherited
+exactly by a real antisymmetric 2n x 2n matrix s, which carries the band
+B1, J1, B2, ..., Bn on its superdiagonal. With couplings inherited
 from a mirror-transfer chain of length 2n, evolving the all-zeros state for
 a quarter period produces the n-qubit GHZ state. This module builds those
 chains, verifies the synthesis both by brute force and at the quadratic
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .numerics import SymTridiag, eig_sym_tridiag
 from .pst import PstChain, standard_couplings
 
 GHZ_TIME = np.pi / 4
@@ -65,26 +65,6 @@ class IsingChain:
         return band
 
 
-@dataclass(frozen=True)
-class MajoranaMatrix:
-    """Real antisymmetric one-particle matrix s; the quadratic form is i*s."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        object.__setattr__(self, "s", s)
-        if s.shape[0] != s.shape[1] or np.abs(s + s.T).max() != 0.0:
-            raise ValueError("matrix must be exactly antisymmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
-
-    def superdiagonal(self) -> np.ndarray:
-        return np.diagonal(self.s, 1).copy()
-
-
 @dataclass
 class GhzReport:
     """Overlap of the evolved all-zeros state with the GHZ target."""
@@ -109,34 +89,6 @@ def ising_from_pst(p: PstChain) -> IsingChain:
     if p.n % 2:
         raise ValueError("transfer chain must have an even number of sites")
     return IsingChain(fields=p.couplings[0::2], couplings=p.couplings[1::2])
-
-
-def majorana_matrix(c: IsingChain) -> MajoranaMatrix:
-    """Antisymmetric 2n x 2n matrix with band B1, J1, ..., Bn on the superdiagonal."""
-    s = np.diag(c.band(), 1)
-    return MajoranaMatrix(s - s.T)
-
-
-class SimilarityCheckError(ValueError):
-    """Raised when the spectra in :func:`symmetric_form` disagree."""
-
-
-def symmetric_form(m: MajoranaMatrix) -> SymTridiag:
-    """Symmetric tridiagonal matrix similar to the quadratic form i*s.
-
-    A diagonal phase similarity turns i*s into a real symmetric tridiagonal
-    matrix whose off-diagonal holds the band magnitudes. The similarity is
-    verified by comparing both spectra to an absolute 1e-10; past that,
-    :class:`SimilarityCheckError` (a ``ValueError``, exit code 1 in the CLI)
-    is raised, as for fields and couplings of order 1e5.
-    """
-    sym = SymTridiag(np.zeros(m.dim), np.abs(m.superdiagonal()))
-    if m.dim > 1:
-        w_sym, _ = eig_sym_tridiag(sym)
-        w_quad = np.linalg.eigvalsh(1j * m.s)
-        if np.abs(w_sym.values - w_quad).max() > 1e-10:
-            raise SimilarityCheckError("similarity check failed: spectra disagree")
-    return sym
 
 
 def ghz_target(n: int) -> np.ndarray:

@@ -346,33 +346,13 @@ def flow_direction(x: GammaMatrix, feedback: float = 0.0) -> FlowGenerators:
     return _direction(x.to_dense(), x.gamma, feedback)
 
 
-def _step_direct(xd: np.ndarray, g: FlowGenerators, dtau: float) -> np.ndarray:
-    return xd + dtau * (xd @ g.a - g.b @ xd)
-
-
 def _step_unitary(xd: np.ndarray, g: FlowGenerators, dtau: float) -> np.ndarray:
     return antisym_exp(-dtau * g.b) @ xd @ antisym_exp(dtau * g.a)
-
-
-_STEPS = {"direct": _step_direct, "unitary": _step_unitary}
 
 
 def _member(xd: np.ndarray, gamma: float) -> GammaMatrix:
     d, u, l = _bands(xd)
     return GammaMatrix(diag=d, upper=u, lower=l, gamma=gamma)
-
-
-def flow_step_direct(x: GammaMatrix, g: FlowGenerators, delta: float) -> GammaMatrix:
-    """First-order update X + delta (X a - b X).
-
-    The update is linear, so tridiagonality and mirror symmetry transfer from
-    the direction to the iterate exactly; the singular values pick up an
-    O(delta^2) error per step.
-    """
-    if delta <= 0:
-        raise ValueError("step size must be positive")
-    new = _step_direct(x.to_dense(), g, delta)
-    return _member(new, x.gamma + delta * g.gamma_rate)
 
 
 def flow_step_unitary(x: GammaMatrix, g: FlowGenerators) -> GammaMatrix:
@@ -412,27 +392,22 @@ def interpolate_gamma(
     n: int,
     gamma_from: float,
     gamma_to: float,
-    mode: str = "unitary",
     step: float = 1e-3,
     max_steps: int = None,
 ) -> tuple:
     """Integrate the structured flow between deformation endpoints.
 
     Starts from the validated seed at ``gamma_from`` (which must be 0 or 1)
-    and advances gamma by first-order steps of size ``step`` until it reaches
+    and advances gamma by orthogonal steps of size ``step`` until it reaches
     ``gamma_to``, halving the step whenever the structure residual grows
-    abnormally.  Direct mode keeps the band structure exact and lets singular
-    values drift O(step) over the run; unitary mode carries the full
-    conjugated matrix, preserving singular values to rounding, and finishes
-    with a few gamma-frozen correction steps that squeeze the off-band
-    leakage back below 1e-9 before projecting onto bands.
+    abnormally.  Each step conjugates the full matrix, so the singular values
+    hold to rounding; a few gamma-frozen correction steps at the end squeeze
+    the off-band leakage back below 1e-9 before projecting onto bands.
 
     Returns the final matrix and the integration trace; raises
     :class:`FlowConvergenceError` (with the trace attached) if the step
     budget is exhausted or the result never meets the structure tolerance.
     """
-    if mode not in ("direct", "unitary"):
-        raise ValueError("mode must be 'direct' or 'unitary'")
     if not 0.0 < step < np.inf:
         raise ValueError(f"step size must be finite and positive, got {step!r}")
     if max_steps is not None and max_steps < 1:
@@ -469,7 +444,7 @@ def interpolate_gamma(
         d_eff = min(delta, abs(gamma_to - gamma))
         dtau = d_eff if gamma_to >= gamma else -d_eff
         g = _direction(xd, gamma, 1.0 / dtau)
-        cand = _STEPS[mode](xd, g, dtau)
+        cand = _step_unitary(xd, g, dtau)
         cand_gamma = gamma + dtau * g.gamma_rate
         residual = _residual_dense(cand, cand_gamma)
         steps += 1
@@ -484,15 +459,14 @@ def interpolate_gamma(
         xd, gamma, prev_residual = cand, cand_gamma, residual
         record(residual, d_eff)
 
-    if mode == "unitary":
-        for _ in range(6):
-            residual = _residual_dense(xd, gamma)
-            if residual <= 1e-9:
-                break
-            g = _direction(xd, gamma, 1.0 / delta, gamma_rate_target=0.0)
-            xd = _step_unitary(xd, g, delta)
-            gamma += delta * g.gamma_rate
-            record(_residual_dense(xd, gamma), delta)
+    for _ in range(6):
+        residual = _residual_dense(xd, gamma)
+        if residual <= 1e-9:
+            break
+        g = _direction(xd, gamma, 1.0 / delta, gamma_rate_target=0.0)
+        xd = _step_unitary(xd, g, delta)
+        gamma += delta * g.gamma_rate
+        record(_residual_dense(xd, gamma), delta)
 
     final_residual = _residual_dense(xd, gamma)
     if final_residual > 1e-4:

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
-from .numerics import (SymTridiag, Spectrum, LinearConstraintSet, eig_sym_tridiag,
-                       propagator, solve_affine)
+from .numerics import (SymTridiag, Spectrum, LinearConstraintSet, antisym_exp,
+                       eig_sym_tridiag, propagator, solve_affine)
 
 __all__ = [
     "SynthesisTask",
@@ -247,7 +246,7 @@ def _apply_generators(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     ne, no = x.shape
     a_o = _unpack_antisym(params[: _pack_count(no)], no)
     a_e = _unpack_antisym(params[_pack_count(no):], ne)
-    return scipy.linalg.expm(-a_e) @ x @ scipy.linalg.expm(a_o)
+    return antisym_exp(-a_e) @ x @ antisym_exp(a_o)
 
 
 def _compensate(x: np.ndarray, n: int, gate: float = 1e-8, max_inner: int = 12):
@@ -291,6 +290,9 @@ def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
 
 _STALL_WINDOW = 100
 _HANDOVER_CHI = 0.99
+# Largest LP box of either flow: the null-vector flow scales it by
+# sqrt(1 - chi^2), the commutator flow uses it as it is.
+_BOX_STEP = 0.1
 
 
 def _check_tol(tol: float) -> float:
@@ -486,17 +488,16 @@ def reflection_check(h: SymTridiag, t0: float) -> float:
     return float(np.abs(u - phase * r).max())
 
 
-def reflection_target(source: int, target_state: np.ndarray,
-                      alternating: bool = True) -> np.ndarray:
+def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     """Null vector whose reflection carries ``source`` onto ``target_state``.
 
     A reflection 1 - 2|v><v| (up to phase) maps the source basis state
     onto the target exactly when v is proportional to the sum or the
-    difference of the two states; the sum branch is used here.  With
-    ``alternating`` the components are sign-flipped on alternate odd
-    sites, matching the zero-mode parity of positive-coupling chains, and
-    the produced state then carries the same alternation, removable by a
-    diagonal sign gauge on the couplings.
+    difference of the two states; the sum branch is used here.  Its
+    components are then sign-flipped on alternate odd sites, matching the
+    zero-mode parity of positive-coupling chains, and the produced state
+    carries the same alternation, removable by a diagonal sign gauge on
+    the couplings.
     """
     target_state = np.asarray(target_state, dtype=float)
     n = target_state.size
@@ -508,13 +509,11 @@ def reflection_target(source: int, target_state: np.ndarray,
     phi[source - 1] = 1.0
     lam = phi + target_state
     lam /= np.linalg.norm(lam)
-    if alternating:
-        signs = np.ones(n)
-        signs[0::2] = [(-1.0) ** k for k in range((n + 1) // 2)]
-        lam = lam * signs
-        src = lam[source - 1]
-        if src < 0:
-            lam = -lam
+    signs = np.ones(n)
+    signs[0::2] = [(-1.0) ** k for k in range((n + 1) // 2)]
+    lam = lam * signs
+    if lam[source - 1] < 0:
+        lam = -lam
     return lam
 
 
@@ -544,20 +543,19 @@ def _flag_small(couplings: np.ndarray) -> list:
             if abs(j) < _SMALL_COUPLING]
 
 
-def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
-                              budget: int = 100_000, tol: float = 1e-6,
-                              polish_roots: bool = True):
+def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
+                              tol: float = 1e-6):
     """Drive the chain's zero mode onto the task's target null vector.
 
     Starting from a positive chain with the task spectrum, repeatedly
     solves the box-constrained linear programme for the generator that
     most increases the overlap chi between the zero mode and the target,
     applies it as an exact isospectral rotation, and compensates the
-    off-pattern leakage.  Steps follow delta = eps * sqrt(1 - chi^2);
+    off-pattern leakage.  Steps follow delta = 0.1 * sqrt(1 - chi^2);
     rejected steps halve the working step and five consecutive accepts
     restore it.  Flows that approach without reaching the target report a
     stall (targets outside the reachable region land on its boundary).
-    With ``polish_roots`` the flow hands over to a root polish once chi
+    The flow hands over to :func:`polish_null_vector_root` once chi
     reaches 0.99, closing the remaining gap to machine precision; a
     refused handover is retried when the flow ends at chi >= 0.99.
 
@@ -594,9 +592,8 @@ def synthesis_flow_nullvector(task: NullVectorTask, eps: float = 0.1,
         return None if root is None else _couplings_to_block(root)
 
     x, report = _ascend(
-        _couplings_to_block(seed), n, evaluate, gradient, _saturating_box, eps,
-        budget, tol, min_step=1e-13, window_slope=2e-3,
-        polish=polish if polish_roots else None)
+        _couplings_to_block(seed), n, evaluate, gradient, _saturating_box,
+        _BOX_STEP, budget, tol, min_step=1e-13, window_slope=2e-3, polish=polish)
 
     couplings = _block_to_couplings(x, n)
     report.small_couplings = _flag_small(couplings)
@@ -679,8 +676,7 @@ def _polish_task_root(couplings, spectrum_values, source, target, time):
 
 
 def synthesis_flow_commutator(h0: SymTridiag, task: SynthesisTask,
-                              delta: float = 0.1, budget: int = 100_000,
-                              tol: float = 1e-6):
+                              budget: int = 100_000, tol: float = 1e-6):
     """Ascend the target overlap |<target| exp(-i H t0) |source>| directly.
 
     The gradient of the overlap with respect to the pattern-preserving
@@ -705,7 +701,7 @@ def synthesis_flow_commutator(h0: SymTridiag, task: SynthesisTask,
     best = None
     total_it = 0
     for phase_lock in (None, 1.0, -1.0):
-        result = _commutator_attempt(h0, task, delta, budget, tol, phase_lock)
+        result = _commutator_attempt(h0, task, budget, tol, phase_lock)
         total_it += result[1].iterations
         if best is None or result[1].chi > best[1].chi:
             best = result
@@ -729,7 +725,7 @@ def synthesis_flow_commutator(h0: SymTridiag, task: SynthesisTask,
     return chain, report
 
 
-def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
+def _commutator_attempt(h0, task, budget, tol, phase_lock):
     n = task.n
     no, ne = _split_dims(n)
     phi = np.zeros(n)
@@ -741,9 +737,8 @@ def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
     iu_e = np.triu_indices(ne, 1)
 
     def evaluate(block):
-        h = _hamiltonian_from_block(block, n)
-        w, v = np.linalg.eigh(h)
-        u = (v * np.exp(-1j * w * task.time)) @ v.T
+        # dense: the block carries off-pattern leakage between compensations
+        u = propagator(_hamiltonian_from_block(block, n), task.time)
         f = complex(target @ u @ phi)
         merit = abs(f) if phase_lock is None else float(np.real(phase_lock * f))
         return merit, abs(f), (u, f)
@@ -764,7 +759,7 @@ def _commutator_attempt(h0, task, delta, budget, tol, phase_lock):
 
     x, report = _ascend(
         _couplings_to_block(np.asarray(h0.offdiag, dtype=float)), n, evaluate,
-        gradient, lambda step, chi: step, delta, budget, tol, min_step=1e-14,
+        gradient, lambda step, chi: step, _BOX_STEP, budget, tol, min_step=1e-14,
         window_slope=1e-3)
     return SymTridiag(np.zeros(n), _block_to_couplings(x, n)), report
 
@@ -807,8 +802,8 @@ def boundary_value(gamma1: float, gamma2: float) -> float:
     return (1.0 + gamma1 ** 2) * (1.0 + gamma2 ** 2) - 289.0 / 64.0
 
 
-def three_site_couplings(target_null, s: float = 3.0) -> np.ndarray:
-    """Two couplings whose zero mode is ``target_null`` with spectrum {0, +-s}.
+def three_site_couplings(target_null) -> np.ndarray:
+    """Two couplings whose zero mode is ``target_null`` with spectrum {0, +-3}.
 
     The zero mode of a three-site chain is (J2, 0, -J1) up to norm, so the
     couplings are read off the target directly and scaled to the band.
@@ -817,7 +812,7 @@ def three_site_couplings(target_null, s: float = 3.0) -> np.ndarray:
     if v.shape != (3,) or abs(v[1]) > 1e-12:
         raise ValueError("target must be (v1, 0, v3)")
     v = v / np.linalg.norm(v)
-    j2, j1 = s * v[0], -s * v[2]
+    j2, j1 = 3.0 * v[0], -3.0 * v[2]
     if j1 < 0:
         j1, j2 = -j1, -j2
     if j2 < 0:
@@ -825,9 +820,8 @@ def three_site_couplings(target_null, s: float = 3.0) -> np.ndarray:
     return np.array([j1, j2])
 
 
-def five_site_couplings(target_null_odd, s1: float = 3.0, s2: float = 5.0,
-                        branch: int = 1) -> np.ndarray:
-    """Closed-form five-site chain with spectrum {0, +-s1, +-s2} and a
+def five_site_couplings(target_null_odd, branch: int = 1) -> np.ndarray:
+    """Closed-form five-site chain with spectrum {0, +-3, +-5} and a
     prescribed odd-site zero mode.
 
     The zero mode (v1, v2, v3) on the odd sites fixes the coupling ratios
@@ -849,8 +843,8 @@ def five_site_couplings(target_null_odd, s1: float = 3.0, s2: float = 5.0,
     if g1 <= 0:
         g1, g2 = -g1, -g2
     p = (1.0 + g1 ** 2) * (1.0 + g2 ** 2)
-    s_sum = s1 ** 2 + s2 ** 2
-    q = s1 ** 2 * s2 ** 2
+    s_sum = 3.0 ** 2 + 5.0 ** 2
+    q = 3.0 ** 2 * 5.0 ** 2
     disc = s_sum ** 2 / 4.0 - q * p / (p - 1.0)
     if disc < -1e-12:
         raise ValueError("forbidden target: no chain with this spectrum")

@@ -55,16 +55,23 @@ class TestDesignPst:
 
 
 class TestDesignGamma:
-    def test_direct_mode_writes_zy_document(self, tmp_path):
+    def test_writes_zy_document(self, tmp_path):
         out = tmp_path / "zy6.json"
         code = run(tmp_path, "design", "gamma", "--n", "6", "--from", "0",
-                   "--to", "0.3", "--mode", "direct", "--out", str(out))
+                   "--to", "0.3", "--out", str(out))
         assert code == 0
         doc = read_document(out)
         assert doc.kind == "zy"
         assert doc.gamma == pytest.approx(0.3)
         header = (tmp_path / "zy6.trace.csv").read_text().splitlines()[0]
         assert header == "step,gamma,sv_drift,structure_residual"
+
+    def test_mode_flag_is_unrecognised(self, tmp_path, capsys):
+        code = run(tmp_path, "design", "gamma", "--n", "6", "--from", "0",
+                   "--to", "0.3", "--mode", "unitary")
+        assert code == 1
+        assert "unrecognized arguments: --mode unitary" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_stall_exits_two_with_trace(self, tmp_path, capsys):
         out = tmp_path / "zy6.json"
@@ -329,6 +336,23 @@ class TestSimulateClone:
                    "--profile", profile)
         assert code == 1
         assert "weights must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_weight_matches_a_zero_weight(self, tmp_path):
+        fidelities = []
+        for profile in ("1,1e308", "0,1"):
+            out = tmp_path / f"clone_{profile}.json"
+            code = run(tmp_path, "simulate", "clone", "--n-clones", "2",
+                       "--profile", profile, "--out", str(out))
+            assert code == 0
+            fidelities.append(json.loads(out.read_text())["fidelities"])
+        assert fidelities[0] == fidelities[1]
+
+    def test_single_clone_is_usage_error(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "1")
+        assert code == 1
+        assert "cloning needs at least two clones" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unreachable_pattern_fails_fast(self, tmp_path, capsys):

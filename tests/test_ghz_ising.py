@@ -10,8 +10,6 @@ from spinforge.ghz_ising import (
     GHZ_TIME,
     GhzReport,
     IsingChain,
-    MajoranaMatrix,
-    SimilarityCheckError,
     basis_map,
     brute_force_evolve,
     dense_hamiltonian,
@@ -19,21 +17,25 @@ from spinforge.ghz_ising import (
     ghz_target,
     hopping_form,
     ising_from_pst,
-    majorana_matrix,
     mirror_deviation,
     one_particle_map,
     overlap_estimate,
     overlap_exact,
     perturb_sweep,
     spin_hamiltonian,
-    symmetric_form,
 )
-from spinforge.numerics import eig_sym_tridiag
 from spinforge.pst import PstChain, standard_couplings
 
 
 def ghz_chain(n):
     return ising_from_pst(standard_couplings(2 * n))
+
+
+def majorana(band):
+    """Antisymmetric one-particle matrix s with the band B1, J1, ..., Bn on its
+    superdiagonal, built here so that it does not depend on the package."""
+    s = np.diag(band, 1)
+    return s - s.T
 
 
 def zeros_state(n):
@@ -65,65 +67,23 @@ class TestIsingFromPst:
     @pytest.mark.parametrize("n", [1, 2, 4, 9])
     def test_round_trip_to_transfer_band(self, n):
         source = standard_couplings(2 * n)
-        sym = symmetric_form(majorana_matrix(ising_from_pst(source)))
-        assert np.abs(sym.offdiag - source.couplings).max() < 1e-14
+        assert np.array_equal(ising_from_pst(source).band(), source.couplings)
 
 
 class TestMajoranaMatrix:
     def test_single_qubit_band(self):
-        m = majorana_matrix(IsingChain(fields=[1.0], couplings=[]))
-        assert np.array_equal(m.s, [[0.0, 1.0], [-1.0, 0.0]])
+        s = majorana(IsingChain(fields=[1.0], couplings=[]).band())
+        assert np.array_equal(s, [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_two_qubit_band(self):
-        m = majorana_matrix(ghz_chain(2))
-        assert np.allclose(m.superdiagonal(), [np.sqrt(3), 2.0, np.sqrt(3)])
-
-    def test_exact_antisymmetry(self):
-        rng = np.random.default_rng(0)
-        chain = IsingChain(fields=rng.normal(size=5), couplings=rng.normal(size=4))
-        s = majorana_matrix(chain).s
-        assert np.abs(s + s.T).max() == 0.0
-
-    def test_non_antisymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            MajoranaMatrix(np.eye(2))
+        s = majorana(ghz_chain(2).band())
+        assert np.allclose(np.diagonal(s, 1), [np.sqrt(3), 2.0, np.sqrt(3)])
 
     @pytest.mark.parametrize("n", [2, 5, 21])
     def test_odd_integer_ladder_spectrum(self, n):
-        m = majorana_matrix(ghz_chain(n))
-        w = np.linalg.eigvalsh(1j * m.s)
+        w = np.linalg.eigvalsh(1j * majorana(standard_couplings(2 * n).couplings))
         expected = np.arange(-(2 * n - 1), 2 * n, 2)
         assert np.abs(w - expected).max() < 1e-9
-
-
-class TestSymmetricForm:
-    def test_transfer_band(self):
-        m = majorana_matrix(ghz_chain(2))
-        sym = symmetric_form(m)
-        assert np.allclose(sym.offdiag, [np.sqrt(3), 2.0, np.sqrt(3)])
-        assert np.abs(sym.diag).max() == 0.0
-
-    def test_zero_matrix(self):
-        sym = symmetric_form(MajoranaMatrix(np.zeros((4, 4))))
-        assert np.abs(sym.to_dense()).max() == 0.0
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_band_spectra_agree(self, seed):
-        rng = np.random.default_rng(seed)
-        chain = IsingChain(fields=rng.normal(size=6), couplings=rng.normal(size=5))
-        m = majorana_matrix(chain)
-        s, _ = eig_sym_tridiag(symmetric_form(m))
-        assert np.abs(s.values - np.linalg.eigvalsh(1j * m.s)).max() < 1e-10
-
-    def test_large_scale_chain_raises_named_error(self):
-        # The spectral gate is an absolute 1e-10, which rounding at scale 1e5
-        # exceeds; the failure is a ValueError, so the CLI maps it to exit 1.
-        rng = np.random.default_rng(0)
-        chain = IsingChain(fields=1e5 * rng.uniform(0.5, 1.5, 8),
-                           couplings=1e5 * rng.uniform(0.5, 1.5, 7))
-        with pytest.raises(SimilarityCheckError, match="spectra disagree"):
-            symmetric_form(majorana_matrix(chain))
-        assert issubclass(SimilarityCheckError, ValueError)
 
 
 class TestGhzTarget:
@@ -270,7 +230,7 @@ class TestOneParticleMap:
         band = np.array(data.draw(st.lists(entry, min_size=2 * n - 1,
                                            max_size=2 * n - 1)))
         chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-        expected = scipy.linalg.expm(2.0 * t * majorana_matrix(chain).s)
+        expected = scipy.linalg.expm(2.0 * t * majorana(band))
         assert np.abs(one_particle_map(chain, t) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("band", [
@@ -282,7 +242,7 @@ class TestOneParticleMap:
         band = np.array(band)
         chain = IsingChain(fields=band[0::2], couplings=band[1::2])
         for t in (0.0, 0.45, GHZ_TIME, 1.7):
-            expected = scipy.linalg.expm(2.0 * t * majorana_matrix(chain).s)
+            expected = scipy.linalg.expm(2.0 * t * majorana(band))
             assert np.abs(one_particle_map(chain, t) - expected).max() < 1e-12
 
     def test_non_orthonormal_singular_vectors_raise(self, monkeypatch):

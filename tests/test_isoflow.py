@@ -12,7 +12,6 @@ from spinforge.isoflow import (
     FlowRecord,
     GammaMatrix,
     flow_direction,
-    flow_step_direct,
     flow_step_unitary,
     gamma_constraints,
     gamma_seed,
@@ -234,39 +233,6 @@ class TestFlowDirection:
         assert np.abs(np.diag(dx) - np.diag(dx)[::-1]).max() < 1e-10
 
 
-class TestFlowStepDirect:
-    def test_zero_generators_leave_matrix_alone(self):
-        x = gamma_seed(4, 0.0)
-        out = flow_step_direct(x, FlowGenerators(np.zeros((4, 4)), np.zeros((4, 4))), 0.1)
-        assert np.array_equal(out.to_dense(), x.to_dense())
-        assert out.gamma == x.gamma
-
-    @pytest.mark.parametrize("n", [5, 21])
-    def test_small_step_keeps_singular_values(self, n):
-        x = gamma_seed(n, 0.0)
-        out = flow_step_direct(x, flow_direction(x), 1e-4)
-        drift = np.abs(out.singular_values() - target_ladder(n)).max()
-        assert drift <= 1e-7
-        assert out.gamma == pytest.approx(1e-4)
-
-    def test_two_half_steps_match_full_step_to_second_order(self):
-        x = gamma_seed(5, 0.0)
-        gaps = []
-        for delta in (1e-2, 1e-3):
-            full = flow_step_direct(x, flow_direction(x), delta)
-            half = flow_step_direct(x, flow_direction(x), delta / 2)
-            again = flow_step_direct(half, flow_direction(half), delta / 2)
-            gaps.append(np.abs(full.to_dense() - again.to_dense()).max())
-        assert gaps[0] < 2e-4
-        assert gaps[1] < 2e-6
-        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.2)
-
-    def test_nonpositive_step_rejected(self):
-        x = gamma_seed(3, 0.0)
-        with pytest.raises(ValueError):
-            flow_step_direct(x, flow_direction(x), 0.0)
-
-
 class TestFlowStepUnitary:
     def test_zero_generators_leave_matrix_alone(self):
         x = gamma_seed(4, 1.0)
@@ -278,6 +244,18 @@ class TestFlowStepUnitary:
         out = flow_step_unitary(x, flow_direction(x).scaled(1e-5))
         drift = np.abs(out.singular_values() - target_ladder(5)).max()
         assert drift <= 1e-10
+
+    def test_two_half_steps_match_full_step_to_second_order(self):
+        x = gamma_seed(5, 0.0)
+        gaps = []
+        for delta in (1e-2, 1e-3):
+            full = flow_step_unitary(x, flow_direction(x).scaled(delta))
+            half = flow_step_unitary(x, flow_direction(x).scaled(delta / 2))
+            again = flow_step_unitary(half, flow_direction(half).scaled(delta / 2))
+            gaps.append(np.abs(full.to_dense() - again.to_dense()).max())
+        assert gaps[0] < 2e-4
+        assert gaps[1] < 2e-6
+        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.2)
 
     def test_leakage_is_second_order(self):
         x = gamma_seed(5, 0.0)
@@ -347,23 +325,16 @@ class TestInterpolateGamma:
             interpolate_gamma(1, 0.0, 0.5)
 
     def test_equal_endpoints_return_seed(self):
-        x, trace = interpolate_gamma(5, 1.0, 1.0, mode="direct", step=1e-2)
+        x, trace = interpolate_gamma(5, 1.0, 1.0, step=1e-2)
         assert np.array_equal(x.to_dense(), gamma_seed(5, 1.0).to_dense())
         assert len(trace) == 0
 
     def test_unitary_mode_hits_ladder_and_structure(self):
-        x, trace = interpolate_gamma(5, 0.0, 0.7, mode="unitary", step=1e-3)
+        x, trace = interpolate_gamma(5, 0.0, 0.7, step=1e-3)
         assert x.gamma == pytest.approx(0.7, abs=1e-9)
         assert np.abs(x.singular_values() - target_ladder(5)).max() <= 1e-6
         assert structure_residual(x) <= 1e-6
         assert len(trace) >= 700
-
-    def test_direct_mode_is_first_order_accurate(self):
-        step = 1e-3
-        x, _ = interpolate_gamma(5, 0.0, 0.7, mode="direct", step=step)
-        drift = np.abs(x.singular_values() - target_ladder(5)).max()
-        assert drift <= 10 * step
-        assert structure_residual(x) <= 1e-6
 
     def test_forty_one_sites_hold_ladder_and_structure(self):
         x, trace = interpolate_gamma(41, 0.0, 0.2)
@@ -373,25 +344,25 @@ class TestInterpolateGamma:
         assert len(trace) >= 200
 
     def test_backward_flow_recovers_the_hopping_seed(self):
-        x, _ = interpolate_gamma(5, 1.0, 0.0, mode="unitary", step=1e-3)
+        x, _ = interpolate_gamma(5, 1.0, 0.0, step=1e-3)
         assert np.abs(x.to_dense() - gamma_seed(5, 0.0).to_dense()).max() <= 1e-5
 
     def test_flows_from_both_ends_meet_at_the_same_member(self):
-        a, _ = interpolate_gamma(4, 0.0, 0.5, mode="unitary", step=1e-3)
-        b, _ = interpolate_gamma(4, 1.0, 0.5, mode="unitary", step=1e-3)
+        a, _ = interpolate_gamma(4, 0.0, 0.5, step=1e-3)
+        b, _ = interpolate_gamma(4, 1.0, 0.5, step=1e-3)
         assert np.abs(a.to_dense() - b.to_dense()).max() <= 1e-6
 
     def test_endpoint_consistency_against_bidiagonal_seed(self):
-        x, _ = interpolate_gamma(5, 0.0, 1.0, mode="unitary", step=1e-3)
+        x, _ = interpolate_gamma(5, 0.0, 1.0, step=1e-3)
         target = gamma_seed(5, 1.0).singular_values()
         assert np.abs(x.singular_values() - target).max() <= 1e-5
 
     def test_interpolated_chain_builds_ghz(self):
-        x, _ = interpolate_gamma(6, 0.0, 0.5, mode="unitary", step=1e-3)
+        x, _ = interpolate_gamma(6, 0.0, 0.5, step=1e-3)
         assert zy_ghz_overlap(x) >= 0.999
 
     def test_trace_csv_layout(self):
-        _, trace = interpolate_gamma(3, 0.0, 0.02, mode="unitary", step=1e-2)
+        _, trace = interpolate_gamma(3, 0.0, 0.02, step=1e-2)
         lines = trace.to_csv().strip().split("\n")
         assert lines[0] == "step,gamma,sv_drift,structure_residual"
         assert len(lines) == len(trace) + 1
@@ -400,22 +371,18 @@ class TestInterpolateGamma:
         assert float(first[1]) == pytest.approx(0.01)
 
     def test_deterministic(self):
-        _, t1 = interpolate_gamma(4, 0.0, 0.1, mode="unitary", step=2e-3)
-        _, t2 = interpolate_gamma(4, 0.0, 0.1, mode="unitary", step=2e-3)
+        _, t1 = interpolate_gamma(4, 0.0, 0.1, step=2e-3)
+        _, t2 = interpolate_gamma(4, 0.0, 0.1, step=2e-3)
         assert t1.to_csv() == t2.to_csv()
 
     def test_step_budget_error_carries_trace(self):
         with pytest.raises(FlowConvergenceError) as excinfo:
-            interpolate_gamma(4, 0.0, 0.7, mode="unitary", step=1e-3, max_steps=5)
+            interpolate_gamma(4, 0.0, 0.7, step=1e-3, max_steps=5)
         assert len(excinfo.value.trace) == 5
 
     def test_seedless_start_rejected(self):
         with pytest.raises(ValueError):
-            interpolate_gamma(4, 0.3, 0.7, mode="unitary", step=1e-3)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_gamma(4, 0.0, 0.7, mode="rk4", step=1e-3)
+            interpolate_gamma(4, 0.3, 0.7, step=1e-3)
 
     def test_record_rejects_negative_drift(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spinforge import synthesis
 from spinforge.cloning import (
     _candidate_spectra,
     clone_weight_state,
@@ -317,7 +318,7 @@ class TestClosedForms:
 
     def test_three_site(self):
         v = np.array([0.8, 0.0, -0.6])
-        couplings = three_site_couplings(v, s=3.0)
+        couplings = three_site_couplings(v)
         h = SymTridiag(np.zeros(3), couplings).to_dense()
         assert np.linalg.eigvalsh(h) == pytest.approx([-3.0, 0.0, 3.0], abs=1e-12)
         lam, _ = zero_mode(couplings, v)
@@ -406,11 +407,14 @@ class TestNullVectorFlow:
         assert abs(landing) < 1e-3
         assert np.sum(j ** 2) == pytest.approx(34.0, abs=1e-6)
 
-    def test_chi_monotone_and_log_linear(self):
+    def test_chi_monotone_and_log_linear(self, monkeypatch):
         rng = np.random.default_rng(9)
         v = random_reachable_mode(rng)
         task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
-        _, report = synthesis_flow_nullvector(task, polish_roots=False)
+        # the bare flow, with every root handover refused
+        monkeypatch.setattr(synthesis, "polish_null_vector_root",
+                            lambda *args: None)
+        _, report = synthesis_flow_nullvector(task)
         chis = np.array([row[1] for row in report.history])
         assert (np.diff(chis) >= -1e-14).all()
         # exponential approach: log(1 - chi) falls roughly linearly
@@ -470,9 +474,11 @@ class TestRootHandover:
         (NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(
             np.array([1.0, -1.0, 1.0]) / np.sqrt(3))), None),
     ])
-    def test_stalls_are_untouched(self, task, attempts):
+    def test_stalls_are_untouched(self, task, attempts, monkeypatch):
         chain, report = synthesis_flow_nullvector(task)
-        bare_chain, bare = synthesis_flow_nullvector(task, polish_roots=False)
+        monkeypatch.setattr(synthesis, "polish_null_vector_root",
+                            lambda *args: None)
+        bare_chain, bare = synthesis_flow_nullvector(task)
         assert report.status == bare.status == "stalled"
         assert report.iterations == bare.iterations
         assert report.history == bare.history
@@ -709,19 +715,22 @@ class TestReflectionTarget:
         v = np.abs(rng.normal(size=3))
         target = np.zeros(5)
         target[0::2] = v / np.linalg.norm(v)
-        lam = reflection_target(3, target, alternating=False)
+        lam = reflection_target(3, target)
         reflector = np.eye(5) - 2.0 * np.outer(lam, lam)
         phi = np.zeros(5)
         phi[2] = 1.0
-        assert reflector @ phi == pytest.approx(-target) or \
-            reflector @ phi == pytest.approx(target)
+        # the reflection reaches the target up to the alternating sign gauge
+        gauged = target * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+        assert reflector @ phi == pytest.approx(-gauged) or \
+            reflector @ phi == pytest.approx(gauged)
 
     def test_alternating_gauge_relates_by_signs(self):
         target = np.zeros(5)
         target[0::2] = np.array([0.6, 0.64, 0.48])
-        plain = reflection_target(1, target, alternating=False)
-        alternating = reflection_target(1, target, alternating=True)
-        assert np.abs(np.abs(plain) - np.abs(alternating)).max() < 1e-12
+        plain = target + np.eye(5)[0]
+        plain /= np.linalg.norm(plain)
+        alternating = reflection_target(1, target)
+        assert alternating == pytest.approx(plain * [1, 1, -1, 1, 1], abs=1e-12)
         assert alternating[0] > 0
 
     def test_requires_odd_source(self):
