@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse.linalg import expm_multiply
 
 from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
                         spin_hamiltonian)
-from .numerics import Spectrum, SymTridiag, propagator
+from .numerics import Spectrum, SymTridiag, chebyshev_propagate, propagator
 from .pst import standard_couplings
 from .synthesis import (
     _check_tol,
@@ -226,41 +224,6 @@ def symmetric_profile(n_clones: int) -> AsymmetryProfile:
     if n_clones < 1:
         raise ValueError("need at least one clone")
     return profile_from_betas(np.ones(n_clones))
-
-
-def profile_from_fidelity(n_clones: int, first_fidelity: float) -> AsymmetryProfile:
-    """Profile whose first clone attains a requested average fidelity.
-
-    The remaining clones share a common weight fixed by the
-    normalization, leaving a single free weight along which the
-    first-clone fidelity grows monotonically from the equal-rest value
-    (2N-1)/(3N) up to the perfect-copy limit of 1.  Root-finding on that
-    weight pins the request.
-    """
-    if n_clones < 2:
-        raise ValueError("asymmetry needs at least two clones")
-    n_rest = n_clones - 1
-
-    def rest_weight(b1: float) -> float:
-        disc = n_rest * (n_clones - b1 ** 2 * (n_clones + 1))
-        return (-b1 * n_rest + np.sqrt(disc)) / (n_clones * n_rest)
-
-    def gap(b1: float) -> float:
-        c = rest_weight(b1)
-        a = b1 + n_rest * c
-        return (1.0 + (b1 + a) ** 2) / 3.0 - first_fidelity
-
-    lo, hi = 0.0, 1.0 / np.sqrt(2.0)
-    if gap(lo) > 1e-12 or gap(hi) < -1e-12:
-        raise ValueError("requested fidelity is outside the reachable range")
-    if gap(lo) >= 0.0:
-        b1 = lo
-    elif gap(hi) <= 0.0:
-        b1 = hi
-    else:
-        b1 = brentq(gap, lo, hi, xtol=1e-14)
-    betas = np.concatenate([[b1], np.full(n_rest, max(rest_weight(b1), 0.0))])
-    return profile_from_betas(betas)
 
 
 def analytic_fidelity(p: AsymmetryProfile, clone: int) -> float:
@@ -480,8 +443,9 @@ def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
 
     The Hamiltonian sum_n J_n (X_n X_n+1 + Y_n Y_n+1) / 2 hops excitations
     between neighbouring sites with amplitude J_n in every excitation
-    sector at once; the matrix is kept sparse and applied with a Krylov
-    exponential.  ``vec`` is one state or a block of states in columns.
+    sector at once; the matrix is kept sparse and applied through
+    :func:`chebyshev_propagate`.  ``vec`` is one state or a block of states
+    in columns.
     """
     couplings = np.asarray(couplings, dtype=float)
     m = couplings.size + 1
@@ -491,7 +455,7 @@ def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
     if vec.ndim > 2 or vec.shape[0] != 1 << m:
         raise ValueError("state dimension does not match the coupling count")
     h = spin_hamiltonian(m, xx=couplings / 2.0, yy=couplings / 2.0)
-    return expm_multiply(-1j * t * h, vec)
+    return chebyshev_propagate(h, t, vec)
 
 
 def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
@@ -520,7 +484,7 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
     evolutions, so the result validates the compressed bookkeeping.
     ``input_state`` is one qubit state, shape (2,), or a block of them in
     columns, shape (2, c); the result holds one register state per
-    column, and all columns share each Krylov evolution.  Limited to
+    column, and all columns share each Chebyshev evolution.  Limited to
     m <= 13 qubits.
     """
     m = ghz_chain.n
@@ -537,9 +501,9 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
         vec = np.kron(vec, factors.get(q, ground))
 
     h_ghz = spin_hamiltonian(m, x=ghz_chain.fields, zz=ghz_chain.couplings)
-    vec = expm_multiply(-1j * GHZ_TIME * h_ghz, vec)
+    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec)
     vec = _dense_cz(vec, m, m - k, m - k - 1)
-    vec = expm_multiply(-1j * GHZ_TIME * h_ghz, vec)
+    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec)
     vec = _dense_cnot(vec, m, k + 1, k + 2)
     vec = exchange_evolve_dense(w_chain.offdiag, w_time, vec)
     return vec if psi.ndim == 2 else vec[:, 0]

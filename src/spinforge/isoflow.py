@@ -135,11 +135,6 @@ class FlowGenerators:
         if a.shape != b.shape:
             raise ValueError("generator shapes must match")
 
-    def scaled(self, factor: float) -> "FlowGenerators":
-        return FlowGenerators(
-            a=factor * self.a, b=factor * self.b, gamma_rate=factor * self.gamma_rate
-        )
-
 
 @dataclass(frozen=True)
 class FlowRecord:
@@ -332,6 +327,7 @@ def gamma_constraints(x: GammaMatrix, feedback: float = 0.0) -> LinearConstraint
 
 
 def _direction(xd, gamma, feedback, gamma_rate_target=1.0):
+    """Flow direction at the dense member ``xd``, from the gamma constraint rows."""
     rows, rhs, _ = _system(xd, gamma, feedback, gamma_rate_target)
     sol, _ = solve_affine(LinearConstraintSet(rows=rows, rhs=rhs), residual_tol=np.inf)
     n = xd.shape[0]
@@ -341,28 +337,19 @@ def _direction(xd, gamma, feedback, gamma_rate_target=1.0):
     return FlowGenerators(a=a - a.T, b=b - b.T, gamma_rate=float(sol[-1]))
 
 
-def flow_direction(x: GammaMatrix, feedback: float = 0.0) -> FlowGenerators:
-    """Unit-rate flow direction at ``x`` solved from :func:`gamma_constraints`."""
-    return _direction(x.to_dense(), x.gamma, feedback)
-
-
 def _step_unitary(xd: np.ndarray, g: FlowGenerators, dtau: float) -> np.ndarray:
+    """Orthogonal update exp(-dtau b) X exp(dtau a), which keeps the singular values.
+
+    Projecting the result back onto the three bands discards an O(dtau^2)
+    leakage, which the integrator measures and feeds back into the next
+    direction solve.
+    """
     return antisym_exp(-dtau * g.b) @ xd @ antisym_exp(dtau * g.a)
 
 
 def _member(xd: np.ndarray, gamma: float) -> GammaMatrix:
     d, u, l = _bands(xd)
     return GammaMatrix(diag=d, upper=u, lower=l, gamma=gamma)
-
-
-def flow_step_unitary(x: GammaMatrix, g: FlowGenerators) -> GammaMatrix:
-    """Orthogonal update exp(-b) X exp(a) for pre-scaled generators.
-
-    The conjugated matrix keeps its singular values exactly; projecting back
-    onto the three bands discards an O(|g|^2) leakage, which the integrator
-    measures and feeds back into the next direction solve.
-    """
-    return _member(_step_unitary(x.to_dense(), g, 1.0), x.gamma + g.gamma_rate)
 
 
 def zy_hamiltonian(x: GammaMatrix) -> np.ndarray:

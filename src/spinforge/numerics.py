@@ -1,12 +1,14 @@
 """Shared linear algebra.
 
 Everything here is plain numerics with no quantum semantics: symmetric
-tridiagonal eigensolves, eigendecomposition-based matrix exponentials, and
-the affine solve used by the flow engines (sparse LU for square sparse
-systems, minimum-norm least squares otherwise). ``propagator`` is the
-single e^{-iHt} primitive: a chain given as a ``SymTridiag`` goes through
-the tridiagonal eigensolver, any other Hermitian matrix through a dense
-eigendecomposition.
+tridiagonal eigensolves, eigendecomposition-based matrix exponentials, the
+affine solve used by the flow engines (sparse LU for square sparse
+systems, minimum-norm least squares otherwise) and the Levenberg-Marquardt
+solver of the root problems. ``propagator`` is the single e^{-iHt}
+primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
+eigensolver, any other Hermitian matrix through a dense eigendecomposition.
+``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
+the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import scipy.sparse.linalg
 
 HERMITICITY_TOL = 1e-12
 DEGENERACY_GAP = 1e-9
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_LM_TOL = 1e-15  # lmder's ftol, xtol and gtol
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,65 @@ def propagator(h: SymTridiag | np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def chebyshev_propagate(h, t: float, vec: np.ndarray) -> np.ndarray:
+    """e^{-iHt} applied to a state, or to a block of states in columns.
+
+    ``h`` is a real symmetric scipy sparse matrix.  The Gershgorin interval
+    [c - r, c + r] bounds its spectrum, and with z = r t the exponential is
+    the Chebyshev series e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(z)
+    T_k((H - c) / r) (Tal-Ezer & Kosloff 1984), cut after the last Bessel
+    coefficient above 1e-16.  The degree is therefore fixed before the
+    first matrix product.  The real H multiplies the complex block viewed
+    as real columns.
+    """
+    vec = np.asarray(vec, dtype=complex)
+    block = np.ascontiguousarray(vec.reshape(vec.shape[0], -1))
+    diag = h.diagonal()
+    radii = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = (diag - radii).min(), (diag + radii).max()
+    center, half_width = (hi + lo) / 2.0, (hi - lo) / 2.0
+    phase = np.exp(-1j * center * t)
+    if half_width * t == 0.0:
+        return phase * vec
+    bessel = _bessel_j(abs(half_width * t))
+    # (-i sign t)^k from a table: complex pow drifts by ~k eps
+    turns = np.array([1.0, -1j, -1.0, 1j]) if t > 0 else np.array([1.0, 1j, -1.0, -1j])
+    coeffs = bessel * turns[np.arange(bessel.size) % 4]
+    coeffs[1:] *= 2.0
+
+    two_h = (h - center * scipy.sparse.identity(h.shape[0])) * (2.0 / half_width)
+    prev = block.view(float)
+    cur = 0.5 * (two_h @ prev)
+    out = coeffs[0] * block + coeffs[1] * cur.view(complex)
+    for c in coeffs[2:]:
+        nxt = two_h @ cur
+        nxt -= prev
+        prev, cur = cur, nxt
+        out += c * cur.view(complex)
+    return (phase * out).reshape(vec.shape)
+
+
+def _bessel_j(z: float) -> np.ndarray:
+    """J_k(z) for k = 0, 1, ... through the last order above 1e-16 (at least 1), z > 0.
+
+    Miller's downward recurrence J_k-1 = (2k / z) J_k - J_k+1, started
+    where J is negligible and normalized by J_0 + 2 sum_k J_2k = 1, gives
+    every order to about 1e-16 absolute.
+    """
+    top = int(z + 60.0 + 25.0 * np.cbrt(z))
+    j = np.zeros(top + 1)
+    above, here = 0.0, 1.0
+    for k in range(top, 0, -1):
+        j[k] = here
+        above, here = here, 2.0 * k / z * here - above
+        if abs(here) > 1e100:
+            j[k:] *= 1e-100
+            above, here = above * 1e-100, here * 1e-100
+    j[0] = here
+    j /= j[0] + 2.0 * j[2::2].sum()
+    return j[: max(np.flatnonzero(np.abs(j) > 1e-16)[-1] + 1, 2)]
+
+
 def antisym_exp(g: np.ndarray) -> np.ndarray:
     """Orthogonal exponential of a real antisymmetric matrix.
 
@@ -168,6 +232,133 @@ def antisym_exp(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     return propagator(1j * g, 1.0).real
+
+
+def levenberg_marquardt(fun, jac, x0):
+    """Least-squares solution of fun(x) = 0 by MINPACK's ``lmder`` (Moré 1978).
+
+    ``fun`` returns m >= n residuals and ``jac`` their (m, n) Jacobian.  The
+    rules are lmder's with mode 1 scaling: D holds the running maximum of
+    the Jacobian column norms, the first trust radius is 100 |D x0|, each
+    step takes the Levenberg-Marquardt parameter from Moré's search, and
+    the ratio of actual to predicted reduction updates the radius.  The run
+    stops on lmder's ftol, xtol or gtol tests, each at 1e-15, at machine
+    precision, or after 100 n residual evaluations.  lmder solves each
+    damped system by QR and Givens rotations; here one SVD of J D^-1 per
+    Jacobian serves every damping value, which agrees with it to rounding.
+    Exceptions raised by ``fun`` or ``jac`` propagate.  Returns the last
+    accepted point and its residuals.
+    """
+    x = np.array(x0, dtype=float)
+    n = x.size
+    f = np.asarray(fun(x), dtype=float)
+    if f.size < n:
+        raise ValueError("need at least as many residuals as unknowns")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the starting point")
+    fnorm, nfev, max_nfev = _norm(f), 1, 100 * n
+    par, first = 0.0, True
+    while True:
+        jacobian = np.asarray(jac(x), dtype=float)
+        col_norms = np.sqrt((jacobian ** 2).sum(axis=0))
+        if first:
+            scale = np.where(col_norms == 0.0, 1.0, col_norms)
+            xnorm = _norm(scale * x)
+            delta = 100.0 * xnorm if xnorm else 100.0
+        # largest cosine between a Jacobian column and the residual
+        gnorm, live = 0.0, col_norms != 0.0
+        if fnorm:
+            cosines = (jacobian.T @ f)[live] / col_norms[live] / fnorm
+            gnorm = float(np.abs(cosines).max(initial=0.0))
+        if gnorm <= _LM_TOL:
+            return x, f
+        scale = np.maximum(scale, col_norms)
+        u, sv, vt = np.linalg.svd(jacobian / scale, full_matrices=False)
+        proj = u.T @ f
+        while True:
+            # w = D p in the right singular basis, so |D p| = |w|, |J p| = |S w|
+            par, w = _lm_parameter(sv, proj, delta, par)
+            trial = x - (vt.T @ w) / scale
+            pnorm = _norm(w)
+            if first:
+                delta = min(delta, pnorm)
+            f_trial = np.asarray(fun(trial), dtype=float)
+            nfev += 1
+            fnorm1 = _norm(f_trial)
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            temp1 = _norm(sv * w) / fnorm
+            temp2 = np.sqrt(par) * pnorm / fnorm
+            prered = temp1 ** 2 + temp2 ** 2 / 0.5
+            dirder = -(temp1 ** 2 + temp2 ** 2)
+            ratio = actred / prered if prered else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            if ratio >= 1e-4:
+                x, f, fnorm, first = trial, f_trial, fnorm1, False
+                xnorm = _norm(scale * x)
+            small_reduction = 0.5 * ratio <= 1.0
+            if ((abs(actred) <= _LM_TOL and prered <= _LM_TOL and small_reduction)
+                    or delta <= _LM_TOL * xnorm or nfev >= max_nfev
+                    or (abs(actred) <= _EPS and prered <= _EPS and small_reduction)
+                    or delta <= _EPS * xnorm or gnorm <= _EPS):
+                return x, f
+            if ratio >= 1e-4:
+                break
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(v @ v))
+
+
+def _lm_parameter(sv, proj, delta, par):
+    """Moré's search for the Levenberg-Marquardt parameter (MINPACK ``lmpar``).
+
+    ``sv`` and ``proj`` are the singular values of J D^-1 and the residual
+    in its left singular basis.  The damped scaled step is
+    w = sv proj / (sv^2 + par) in the right singular basis.  Returns the
+    parameter and w: par = 0 and the Gauss-Newton step when that step lies
+    inside the trust region, else a par with |w| within 10 % of ``delta``.
+    """
+    w = np.divide(proj, sv, out=np.zeros_like(proj), where=sv > 0.0)
+    dxnorm = _norm(w)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+    # Newton steps on 1/|w| - 1/delta; parl, paru bracket the root
+    parl = 0.0
+    if sv[-1] > 0.0:
+        parl = fp / delta / (_norm(w / sv) / dxnorm) ** 2
+    gnorm = _norm(sv * proj)
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = _TINY / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0.0:
+        par = gnorm / dxnorm
+    for iteration in range(1, 11):
+        if par == 0.0:
+            par = max(_TINY, 0.001 * paru)
+        shifted = sv ** 2 + par
+        w = sv * proj / shifted
+        dxnorm = _norm(w)
+        previous, fp = fp, dxnorm - delta
+        if (abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0)
+                or iteration == 10):
+            break
+        parc = fp / delta / (_norm(w / np.sqrt(shifted)) / dxnorm) ** 2
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, w
 
 
 def solve_affine(constraints: LinearConstraintSet, residual_tol: float = 1e-8):

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .numerics import (SymTridiag, Spectrum, LinearConstraintSet, antisym_exp,
-                       eig_sym_tridiag, propagator, solve_affine)
+                       eig_sym_tridiag, levenberg_marquardt, propagator,
+                       solve_affine)
 
 __all__ = [
     "SynthesisTask",
@@ -279,8 +279,12 @@ def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
     Solves  max <gradient, p>  subject to  rows @ p = 0 and |p_i| <= box,
     the linear programme whose vertex solutions drive the flow.
     """
+    # imported here, not at module level: scipy.optimize is a large import
+    # that every command would pay for at start-up, and only the flows use it
+    from scipy.optimize import linprog
+
     m = rows.shape[0]
-    res = scipy.optimize.linprog(
+    res = linprog(
         -gradient, A_eq=rows, b_eq=np.zeros(m),
         bounds=[(-box, box)] * gradient.size, method="highs")
     if not res.success:
@@ -643,16 +647,16 @@ def polish_null_vector_root(couplings, spectrum_values, target_null_vector):
     couplings = np.asarray(couplings, dtype=float)
     residual, jacobian = _null_vector_system(spectrum_values,
                                              target_null_vector)
-    sol = scipy.optimize.least_squares(residual, couplings, jac=jacobian,
-                                       method="lm", xtol=1e-15, ftol=1e-15,
-                                       gtol=1e-15)
-    if np.abs(sol.fun).max() < 1e-10:
-        return sol.x
+    x, fun = levenberg_marquardt(residual, jacobian, couplings)
+    if np.abs(fun).max() < 1e-10:
+        return x
     return None
 
 
 def _polish_task_root(couplings, spectrum_values, source, target, time):
     """Refine couplings so the evolved source hits the target exactly."""
+    from scipy.optimize import least_squares  # only the commutator flow loads it
+
     vals = np.sort(np.asarray(spectrum_values, dtype=float))
     target = np.asarray(target, dtype=float)
     n = target.size
@@ -668,8 +672,8 @@ def _polish_task_root(couplings, spectrum_values, source, target, time):
         return np.concatenate([spectrum.values - vals, d.real, d.imag])
 
     start = np.concatenate([np.asarray(couplings, dtype=float), [theta0]])
-    sol = scipy.optimize.least_squares(residual, start, method="lm",
-                                       xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    sol = least_squares(residual, start, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
     if np.abs(sol.fun).max() < 1e-9:
         return sol.x[:-1]
     return None
@@ -900,9 +904,8 @@ def zero_mode_chain(spectrum, target_null_vector):
 
     def solve(start):
         try:
-            a = scipy.optimize.least_squares(
-                lambda a: np.log(eig(a)[1] / positive), start, jac=jacobian,
-                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+            a, _ = levenberg_marquardt(
+                lambda a: np.log(eig(a)[1] / positive), jacobian, start)
             j, ev, _ = eig(a)
         except ValueError:
             return None

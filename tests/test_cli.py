@@ -420,3 +420,34 @@ class TestModuleEntry:
         assert done.returncode == 1
         assert "error" in done.stderr
         assert not (tmp_path / "pst1.json").exists()
+
+
+class TestImportFloor:
+    """Only the commands that run a design flow load ``scipy.optimize``."""
+
+    LAUNCH = ("import sys; from spinforge.cli import main; code = main(sys.argv[1:]); "
+              "print('scipy.optimize' in sys.modules); sys.exit(code)")
+
+    def invoke(self, tmp_path, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run([sys.executable, "-c", self.LAUNCH, *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    @pytest.mark.parametrize("argv", [
+        ("design", "pst", "--n", "8"),
+        ("simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"),
+        ("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5"),
+        ("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2"),
+    ], ids=["design-pst", "simulate-sweep", "design-gamma", "simulate-clone"])
+    def test_command_leaves_scipy_optimize_unloaded(self, tmp_path, argv):
+        done = self.invoke(tmp_path, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_wstate_design_still_runs(self, tmp_path):
+        done = self.invoke(tmp_path, "design", "wstate", "--n", "5")
+        assert done.returncode == 0, done.stderr
+        assert read_document(tmp_path / "xx5.json").kind == "xx"

@@ -25,7 +25,6 @@ from spinforge.cloning import (
     odd_support_check,
     pipeline_run,
     profile_from_betas,
-    profile_from_fidelity,
     reduced_qubit_state,
     symmetric_profile,
 )
@@ -95,34 +94,6 @@ class TestAsymmetryProfile:
         with pytest.raises(ValueError):
             AsymmetryProfile(n_clones=2, betas=good.betas, a=good.a,
                              b2=good.b2 + 0.1)
-
-
-class TestProfileFromFidelity:
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_recovers_symmetric_profile(self, n):
-        p = profile_from_fidelity(n, (2 * n + 1) / (3 * n))
-        assert np.allclose(p.betas, symmetric_profile(n).betas, atol=1e-9)
-
-    def test_perfect_first_clone(self):
-        p = profile_from_fidelity(3, 1.0)
-        assert p.betas[0] == pytest.approx(1 / np.sqrt(2), abs=1e-9)
-        assert np.abs(p.betas[1:]).max() < 1e-9
-        assert analytic_fidelity(p, 2) == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
-    def test_requested_fidelity_is_met(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        lo = (2 * n - 1) / (3 * n)
-        f = float(rng.uniform(lo + 1e-6, 1.0 - 1e-6))
-        p = profile_from_fidelity(n, f)
-        assert analytic_fidelity(p, 1) == pytest.approx(f, abs=1e-10)
-
-    def test_unreachable_fidelity_rejected(self):
-        with pytest.raises(ValueError):
-            profile_from_fidelity(3, 0.5)
-        with pytest.raises(ValueError):
-            profile_from_fidelity(3, 1.01)
 
 
 class TestAnalyticFidelity:
@@ -339,7 +310,7 @@ class TestOnePassPerReport:
     def test_brute_force_report_runs_three_krylov_evolutions(self, monkeypatch):
         p = profile_from_betas([2.0, 1.0, 1.0])
         w, w_time = design_w_chain(p)
-        calls = self.counting(monkeypatch, "expm_multiply")
+        calls = self.counting(monkeypatch, "chebyshev_propagate")
         clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time,
                      method="brute_force")
         assert len(calls) == 3

@@ -11,8 +11,9 @@ from spinforge.isoflow import (
     FlowGenerators,
     FlowRecord,
     GammaMatrix,
-    flow_direction,
-    flow_step_unitary,
+    _direction,
+    _member,
+    _step_unitary,
     gamma_constraints,
     gamma_seed,
     interpolate_gamma,
@@ -202,7 +203,7 @@ class TestSparseAssembly:
         ref = np.linalg.lstsq(c.rows.toarray(), c.rhs, rcond=None)[0]
         npair = n * (n - 1) // 2
         ki, li = np.triu_indices(n, 1)
-        g = flow_direction(x, feedback=1.0)
+        g = _direction(x.to_dense(), x.gamma, 1.0)
         assert np.abs(g.a[ki, li] - ref[:npair]).max() <= 1e-10
         assert np.abs(g.b[ki, li] - ref[npair:-1]).max() <= 1e-10
         assert abs(g.gamma_rate - ref[-1]) <= 1e-10
@@ -211,7 +212,7 @@ class TestSparseAssembly:
         zero = GammaMatrix(diag=np.zeros(4), upper=np.zeros(3), lower=np.zeros(3), gamma=0.5)
         with pytest.raises(RuntimeError, match="singular"):
             scipy.sparse.linalg.splu(gamma_constraints(zero).rows)
-        g = flow_direction(zero)
+        g = _direction(zero.to_dense(), zero.gamma, 0.0)
         assert np.array_equal(g.a, np.zeros((4, 4)))
         assert np.array_equal(g.b, np.zeros((4, 4)))
         assert g.gamma_rate == 1.0
@@ -222,7 +223,7 @@ class TestFlowDirection:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_direction_is_structured(self, n, gamma):
         x = gamma_seed(n, gamma)
-        g = flow_direction(x)
+        g = _direction(x.to_dense(), x.gamma, 0.0)
         assert g.gamma_rate == pytest.approx(1.0, abs=1e-9)
         assert np.abs(g.a + g.a.T).max() == 0.0
         xd = x.to_dense()
@@ -233,15 +234,21 @@ class TestFlowDirection:
         assert np.abs(np.diag(dx) - np.diag(dx)[::-1]).max() < 1e-10
 
 
+def unit_rate_step(x, delta):
+    """One orthogonal step of length delta at x, projected onto the bands."""
+    xd = x.to_dense()
+    g = _direction(xd, x.gamma, 0.0)
+    return _member(_step_unitary(xd, g, delta), x.gamma + delta * g.gamma_rate)
+
+
 class TestFlowStepUnitary:
     def test_zero_generators_leave_matrix_alone(self):
-        x = gamma_seed(4, 1.0)
-        out = flow_step_unitary(x, FlowGenerators(np.zeros((4, 4)), np.zeros((4, 4))))
-        assert np.abs(out.to_dense() - x.to_dense()).max() < 1e-14
+        xd = gamma_seed(4, 1.0).to_dense()
+        out = _step_unitary(xd, FlowGenerators(np.zeros((4, 4)), np.zeros((4, 4))), 1.0)
+        assert np.abs(out - xd).max() < 1e-14
 
     def test_tiny_step_preserves_singular_values(self):
-        x = gamma_seed(5, 0.0)
-        out = flow_step_unitary(x, flow_direction(x).scaled(1e-5))
+        out = unit_rate_step(gamma_seed(5, 0.0), 1e-5)
         drift = np.abs(out.singular_values() - target_ladder(5)).max()
         assert drift <= 1e-10
 
@@ -249,9 +256,8 @@ class TestFlowStepUnitary:
         x = gamma_seed(5, 0.0)
         gaps = []
         for delta in (1e-2, 1e-3):
-            full = flow_step_unitary(x, flow_direction(x).scaled(delta))
-            half = flow_step_unitary(x, flow_direction(x).scaled(delta / 2))
-            again = flow_step_unitary(half, flow_direction(half).scaled(delta / 2))
+            full = unit_rate_step(x, delta)
+            again = unit_rate_step(unit_rate_step(x, delta / 2), delta / 2)
             gaps.append(np.abs(full.to_dense() - again.to_dense()).max())
         assert gaps[0] < 2e-4
         assert gaps[1] < 2e-6
@@ -260,8 +266,8 @@ class TestFlowStepUnitary:
     def test_leakage_is_second_order(self):
         x = gamma_seed(5, 0.0)
         delta = 1e-2
-        g = flow_direction(x).scaled(delta)
-        dense = antisym_exp(-g.b) @ x.to_dense() @ antisym_exp(g.a)
+        g = _direction(x.to_dense(), x.gamma, 0.0)
+        dense = antisym_exp(-delta * g.b) @ x.to_dense() @ antisym_exp(delta * g.a)
         off = dense.copy()
         for band in (-1, 0, 1):
             off -= np.diag(np.diag(dense, band), band)

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.optimize import least_squares
 
+from spinforge.ghz_ising import spin_hamiltonian
 from spinforge.numerics import (
     DEGENERACY_GAP,
     InfeasibleConstraints,
     LinearConstraintSet,
     SymTridiag,
     antisym_exp,
+    chebyshev_propagate,
     eig_sym_tridiag,
+    levenberg_marquardt,
     _reorthonormalize_clusters,
     propagator,
     solve_affine,
@@ -139,6 +143,94 @@ class TestPropagator:
         h = a + a.conj().T
         u = propagator(h, rng.uniform(0.1, 5.0))
         assert np.abs(u.conj().T @ u - np.eye(9)).max() < 1e-10
+
+
+def random_spin_hamiltonian(rng, m):
+    bonds = [rng.normal(size=m - 1) for _ in range(3)]
+    return spin_hamiltonian(m, x=rng.normal(size=m), zz=bonds[0], xx=bonds[1],
+                            yy=bonds[2])
+
+
+def random_states(rng, dim, columns):
+    block = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+    return block / np.linalg.norm(block, axis=0)
+
+
+class TestChebyshevPropagate:
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("t", [0.4, -1.7, 6.0])
+    def test_matches_dense_exponential(self, m, t):
+        rng = np.random.default_rng(10 * m)
+        h = random_spin_hamiltonian(rng, m)
+        exact = scipy.linalg.expm(-1j * t * h.toarray())
+        block = random_states(rng, 1 << m, 6)
+        assert np.abs(chebyshev_propagate(h, t, block) - exact @ block).max() < 1e-12
+        single = chebyshev_propagate(h, t, block[:, 0])
+        assert single.shape == (1 << m,)
+        assert np.abs(single - exact @ block[:, 0]).max() < 1e-12
+
+    def test_zero_time_is_the_identity(self):
+        rng = np.random.default_rng(5)
+        h = random_spin_hamiltonian(rng, 4)
+        block = random_states(rng, 16, 6)
+        assert np.abs(chebyshev_propagate(h, 0.0, block) - block).max() < 1e-12
+
+    def test_zero_hamiltonian_is_the_identity(self):
+        block = random_states(np.random.default_rng(6), 8, 6)
+        h = scipy.sparse.csr_matrix((8, 8))
+        assert np.abs(chebyshev_propagate(h, 2.5, block) - block).max() < 1e-12
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestLevenbergMarquardt:
+    def test_square_root_matches_minpack(self):
+        x, fun = levenberg_marquardt(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0])
+        ref = least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jacobian,
+                            method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                            x_scale="jac", max_nfev=200)
+        assert np.abs(x - ref.x).max() < 1e-12
+        assert np.abs(x - 1.0).max() < 1e-12
+        assert np.abs(fun).max() < 1e-12
+
+    def test_overdetermined_fit_matches_minpack(self):
+        # a two-exponential fit with a nonzero residual at the optimum
+        t = np.linspace(0.0, 3.0, 12)
+        data = 2.0 * np.exp(-1.3 * t) + 0.05 * np.cos(7.0 * t)
+
+        def fun(p):
+            return p[0] * np.exp(-p[1] * t) - data
+
+        def jac(p):
+            return np.column_stack([np.exp(-p[1] * t), -p[0] * t * np.exp(-p[1] * t)])
+
+        x, res = levenberg_marquardt(fun, jac, [1.0, 0.5])
+        ref = least_squares(fun, [1.0, 0.5], jac=jac, method="lm", ftol=1e-15,
+                            xtol=1e-15, gtol=1e-15, x_scale="jac", max_nfev=200)
+        assert np.abs(x - ref.x).max() < 1e-12
+        assert np.abs(res - ref.fun).max() < 1e-12
+
+    def test_residual_errors_propagate(self):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            if len(calls) > 1:
+                raise ValueError("left the domain")
+            return rosenbrock(x)
+
+        with pytest.raises(ValueError, match="left the domain"):
+            levenberg_marquardt(fun, rosenbrock_jacobian, [-1.2, 1.0])
+
+    def test_fewer_residuals_than_unknowns_rejected(self):
+        with pytest.raises(ValueError):
+            levenberg_marquardt(lambda x: x[:1], lambda x: np.eye(2)[:1], [1.0, 2.0])
 
 
 class TestAntisymExp:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from spinforge import synthesis
 from spinforge.cloning import (
@@ -382,6 +383,60 @@ class TestZeroModeChain:
     def test_size_mismatch_is_a_value_error(self):
         with pytest.raises(ValueError):
             zero_mode_chain(FIVE_SITE, np.ones(7) / np.sqrt(7.0))
+
+
+# The clone-asym bench profiles and the zero-mode survey of the
+# direct-solve change, as raw clone weights.
+SURVEY_PROFILES = (
+    "2,1,1", "1,1,1,1", "2,1,1,1,1", "3,1,2,1,1,2", "1,2,1,3,1,2,1",
+    "0.855,0.723,0.294,0.213", "0.438,0.778,0.762,0.472", "0.68,0.842,0.16,0.584",
+    "0.78,0.843,0.297,0.536", "0.43,0.339,0.818,0.604", "0.606,0.339,0.728,0.154",
+    "3,3,1,2", "2,1,3,2", "0.674,0.992,0.187,0.556,0.457",
+    "0.285,0.895,0.586,0.651,0.357", "0.6,0.76,0.279,0.338,0.393",
+    "0.563,0.51,0.545,0.641,0.808", "0.762,0.645,0.822,0.442,0.416",
+    "0.298,0.752,0.439,0.439,0.675", "3,2,1,3,2", "2,3,2,2,2",
+    "0.984,0.136,0.211,0.518,0.968,0.225", "0.393,0.273,0.389,0.15,0.672,0.162",
+    "0.978,0.236,0.366,0.147,0.742,0.459", "0.567,0.722,0.139,0.334,0.477,0.184",
+    "0.174,0.104,0.728,0.483,0.897,0.227", "0.452,0.982,0.276,0.391,0.994,0.9",
+    "1,3,3,1,3,3", "2,1,3,2,2,3",
+)
+
+
+def scipy_lm(fun, jac, x0):
+    """MINPACK lmder through SciPy, with the tolerances, scaling and budget the numpy port uses."""
+    sol = least_squares(fun, x0, jac=jac, method="lm", ftol=1e-15, xtol=1e-15,
+                        gtol=1e-15, x_scale="jac", max_nfev=100 * np.size(x0))
+    return sol.x, sol.fun
+
+
+class TestLevenbergMarquardtRoots:
+    """The numpy lmder port reaches the roots SciPy's MINPACK reaches."""
+
+    @pytest.mark.parametrize("profile", SURVEY_PROFILES)
+    def test_same_root_on_every_ladder(self, profile, monkeypatch):
+        m, target = spread_target([float(w) for w in profile.split(",")])
+        ladders = _candidate_spectra(m)
+        ours = [zero_mode_chain(s, target) for s in ladders]
+        monkeypatch.setattr(synthesis, "levenberg_marquardt", scipy_lm)
+        theirs = [zero_mode_chain(s, target) for s in ladders]
+        assert any(c is not None for c in theirs)
+        for mine, ref in zip(ours, theirs):
+            assert (mine is None) == (ref is None)
+            if ref is not None:
+                assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_rootless_ladder_is_refused_by_the_gate(self, monkeypatch):
+        m, target = spread_target([3, 1, 2, 1, 1, 2])
+        original, ends = synthesis.levenberg_marquardt, []
+
+        def recorded(*args, **kwargs):
+            x, fun = original(*args, **kwargs)
+            ends.append(np.abs(fun).max())
+            return x, fun
+
+        monkeypatch.setattr(synthesis, "levenberg_marquardt", recorded)
+        assert zero_mode_chain(_candidate_spectra(m)[0], target) is None
+        assert ends and min(ends) > 1e-10
 
 
 class TestNullVectorFlow:
