@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .pst import PstChain, standard_couplings
 
@@ -113,14 +112,14 @@ def ghz_global_phase(n: int) -> complex:
     return (-1.0) ** (n // 2) * np.exp(1j * np.pi / 4)
 
 
-def spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> sp.csr_matrix:
-    """Sparse 2^n x 2^n matrix of an n-qubit chain built from Pauli terms.
+def spin_terms(n: int, x=None, zz=None, xx=None, yy=None) -> tuple:
+    """COO triplets (rows, cols, values) of an n-qubit chain built from Pauli terms.
 
     H = sum_m x_m X_m + sum_m (zz_m Z_m Z_m+1 + xx_m X_m X_m+1 + yy_m Y_m Y_m+1),
     with n fields in ``x`` and n-1 bond coefficients in each of ``zz``,
     ``xx`` and ``yy``; an omitted term kind is absent.  Qubit m corresponds
     to bit n-m of the basis index, so |00...0> is index 0 and |11...1> the
-    last index.  Entries where XX and YY cancel are dropped, not stored.
+    last index.  Repeated positions (XX and YY on one bond) are to be summed.
     """
     for name, coeffs, size in (("x", x, n), ("zz", zz, n - 1), ("xx", xx, n - 1),
                                ("yy", yy, n - 1)):
@@ -143,15 +142,34 @@ def spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> sp.csr_matrix
             values.append(sign * float(bond[m]))
     rows = (np.array(flips, dtype=int)[:, None] ^ idx).ravel()
     cols = np.tile(idx, len(flips))
-    data = np.array(values, dtype=float).ravel()
-    h = sp.coo_matrix((data, (rows, cols)), shape=(idx.size, idx.size)).tocsr()
+    return rows, cols, np.array(values, dtype=float).ravel()
+
+
+def spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None):
+    """Sparse CSR matrix of :func:`spin_terms`, for the 2^n x 2^n oracle evolutions.
+
+    Entries where XX and YY cancel are dropped, not stored.  SciPy's sparse
+    module is imported here, by the callers that apply H to states.
+    """
+    import scipy.sparse
+
+    rows, cols, data = spin_terms(n, x=x, zz=zz, xx=xx, yy=yy)
+    dim = 1 << n
+    h = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
     h.eliminate_zeros()
     return h
 
 
+def dense_spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of :func:`spin_terms`, assembled in numpy."""
+    rows, cols, data = spin_terms(n, x=x, zz=zz, xx=xx, yy=yy)
+    dim = 1 << n
+    return np.bincount(rows * dim + cols, weights=data, minlength=dim * dim).reshape(dim, dim)
+
+
 def dense_hamiltonian(c: IsingChain) -> np.ndarray:
     """Full 2^n x 2^n matrix of the chain Hamiltonian (real symmetric)."""
-    return spin_hamiltonian(c.n, x=c.fields, zz=c.couplings).toarray()
+    return dense_spin_hamiltonian(c.n, x=c.fields, zz=c.couplings)
 
 
 def evolve_dense(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:

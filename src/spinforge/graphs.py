@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 MAX_POWER_VERTICES = 4096
 
@@ -154,6 +153,8 @@ def locate_revival_time(g: GraphSpec, source: int, target,
     root of machine epsilon near a quadratic maximum); useful for
     cross-checking quoted times.
     """
+    from scipy.optimize import minimize_scalar  # a large import, paid only here
+
     target = np.asarray(target, dtype=complex)
     target = target / np.linalg.norm(target)
     vals, vecs = np.linalg.eigh(g.adjacency)

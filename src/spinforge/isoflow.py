@@ -18,17 +18,19 @@ is unique wherever the system is nonsingular.
 
 The system is sparse and banded: a unit generator pair (k, l) moves dX only
 through rows and columns k and l of X, and the matrix reads X only from its
-three bands, so its pattern depends on n alone and is built once.  Each step
-gathers the band values into that pattern and solves it by sparse LU
+three bands, so its pattern depends on n alone and is built once, with its
+columns in the COLAMD order of its LU factor.  Each step gathers the band
+values into that pattern and solves it by sparse LU in that fixed order
 (``numerics.solve_affine``); the dense minimum-norm ``lstsq`` runs only when
-the factor is exactly singular.
+the factor is exactly singular.  SciPy's sparse modules are imported where
+the system is first built, so importing this module loads no SciPy, and
+the dense oracle (``zy_hamiltonian``) is assembled in numpy.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .ghz_ising import (
     BRUTE_FORCE_MAX_QUBITS,
@@ -36,7 +38,7 @@ from .ghz_ising import (
     evolve_dense,
     ghz_target,
     ising_from_pst,
-    spin_hamiltonian,
+    dense_spin_hamiltonian,
 )
 from .numerics import LinearConstraintSet, antisym_exp, solve_affine
 from .pst import standard_couplings
@@ -233,11 +235,13 @@ def _pattern(n: int):
     """The parts of the direction system that depend on n alone.
 
     Rows are functionals of dX = X a - b X (``terms``: row, flat dX entry,
-    sign, kind); columns are the strict upper triangles of a and b, then the
-    gamma rate.  A unit generator pair (k, l) moves dX only through rows and
-    columns k and l of X, so each matrix entry sums at most two band entries
-    ``src`` of X, each times ``sign`` and the weight ``kind`` picks (1, r or
-    2 / (1 + gamma)^2), into the CSC position ``slot`` of (indices, indptr).
+    sign, kind); the unknowns are the strict upper triangles of a and b, then
+    the gamma rate.  A unit generator pair (k, l) moves dX only through rows
+    and columns k and l of X, so each matrix entry sums at most two band
+    entries ``src`` of X, each times ``sign`` and the weight ``kind`` picks
+    (1, r or 2 / (1 + gamma)^2), into the CSC position ``slot`` of (indices,
+    indptr).  The columns come in the order the sparse LU factors them in:
+    column k holds unknown ``order[k]``.
     """
     terms, names = [], []
 
@@ -281,27 +285,51 @@ def _pattern(n: int):
                 for k in range(n - 1)] + [(len(names) - 1, 2 * npair, n * n, 1.0, 0)]
     row, col, src, sign, kind = (np.array(v) for v in zip(*entries))
     size = len(names)
-    keys, slot = np.unique(col * size + row, return_inverse=True)
-    indptr = np.searchsorted(keys // size, np.arange(size + 1))
+
+    def layout(columns):
+        keys, slot = np.unique(columns * size + row, return_inverse=True)
+        return keys % size, np.searchsorted(keys // size, np.arange(size + 1)), slot
+
+    order = _column_order(*layout(col)[:2])
+    # each unknown's column is its place in the factor's order
+    indices, indptr, slot = layout(np.argsort(order)[col])
     terms = tuple(np.array(v) for v in zip(*terms))
-    return tuple(names), keys % size, indptr, slot, src, sign, kind, terms
+    return tuple(names), indices, indptr, slot, src, sign, kind, terms, order
+
+
+def _column_order(indices, indptr):
+    """SuperLU's COLAMD column order for the square CSC pattern (indices, indptr).
+
+    COLAMD and SuperLU's elimination-tree postorder read the pattern only,
+    so one factor of the pattern, filled with values in general position,
+    yields the order every direction solve at this n factors in.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    size = indptr.size - 1
+    fill = np.random.default_rng(0).uniform(1.0, 2.0, indices.size)
+    return np.argsort(splu(csc_matrix((fill, indices, indptr), shape=(size, size))).perm_c)
 
 
 def _system(xd: np.ndarray, gamma: float, feedback: float, gamma_rate_target: float):
     """Sparse matrix, right-hand side and row names of the direction system at ``xd``.
 
     The matrix reads X only from its three bands, which keeps its LU factor
-    as sparse as the pattern; ``feedback`` folds the structure violations of
+    as sparse as the pattern, and its columns come in the factor's order
+    (see :func:`_pattern`); ``feedback`` folds the structure violations of
     the full iterate, off-band leakage included, into the right-hand sides so
     that one step of size 1/feedback cancels them to first order.
     """
-    names, indices, indptr, slot, src, sign, kind, terms = _pattern(xd.shape[0])
+    from scipy.sparse import csc_matrix
+
+    names, indices, indptr, slot, src, sign, kind, terms, _ = _pattern(xd.shape[0])
     flat = xd.ravel()
     r = (1.0 - gamma) / (1.0 + gamma)
     weights = np.array([1.0, r, 2.0 / (1.0 + gamma) ** 2])
     values = np.append(flat, 1.0)[src] * (sign * weights[kind])
     data = np.bincount(slot, weights=values, minlength=indices.size)
-    rows = scipy.sparse.csc_matrix((data, indices, indptr), shape=(len(names),) * 2)
+    rows = csc_matrix((data, indices, indptr), shape=(len(names),) * 2)
     t_row, t_entry, t_sign, t_kind = terms
     violation = flat[t_entry] * (t_sign * weights[t_kind])
     rhs = -feedback * np.bincount(t_row, weights=violation, minlength=len(names))
@@ -323,14 +351,18 @@ def gamma_constraints(x: GammaMatrix, feedback: float = 0.0) -> LinearConstraint
     structure violation at rate ``feedback``.
     """
     rows, rhs, names = _system(x.to_dense(), x.gamma, feedback, 1.0)
+    # from the factor's column order back to the parameter vector's
+    rows = rows[:, np.argsort(_pattern(x.n)[-1])]
     return LinearConstraintSet(rows=rows, rhs=rhs, names=names)
 
 
 def _direction(xd, gamma, feedback, gamma_rate_target=1.0):
     """Flow direction at the dense member ``xd``, from the gamma constraint rows."""
     rows, rhs, _ = _system(xd, gamma, feedback, gamma_rate_target)
-    sol, _ = solve_affine(LinearConstraintSet(rows=rows, rhs=rhs), residual_tol=np.inf)
     n = xd.shape[0]
+    sol = np.empty(rows.shape[1])
+    sol[_pattern(n)[-1]], _ = solve_affine(LinearConstraintSet(rows=rows, rhs=rhs),
+                                           residual_tol=np.inf)
     ki, li = np.triu_indices(n, 1)
     a, b = np.zeros((2, n, n))
     a[ki, li], b[ki, li] = np.split(sol[:-1], 2)
@@ -364,7 +396,7 @@ def zy_hamiltonian(x: GammaMatrix) -> np.ndarray:
         raise ValueError(
             f"dense construction is limited to {BRUTE_FORCE_MAX_QUBITS} qubits"
         )
-    return spin_hamiltonian(n, x=x.diag, zz=x.upper, yy=x.lower).toarray()
+    return dense_spin_hamiltonian(n, x=x.diag, zz=x.upper, yy=x.lower)
 
 
 def zy_ghz_overlap(x: GammaMatrix, t: float = GHZ_TIME) -> float:

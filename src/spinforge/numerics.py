@@ -9,6 +9,12 @@ primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
 eigensolver, any other Hermitian matrix through a dense eigendecomposition.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
 the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
+
+Only numpy is imported here.  The tridiagonal eigensolver is numpy's SVD
+of the bidiagonal block for zero-diagonal chains and dense ``eigh``
+otherwise; SciPy's SuperLU is imported by ``solve_affine`` when it meets a
+square sparse system, and sparse matrices are used through their own
+methods, so a command without a sparse system never loads SciPy.
 """
 
 from __future__ import annotations
@@ -16,12 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 HERMITICITY_TOL = 1e-12
-DEGENERACY_GAP = 1e-9
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LM_TOL = 1e-15  # lmder's ftol, xtol and gtol
@@ -89,7 +91,7 @@ class LinearConstraintSet:
     names: tuple | None = None
 
     def __post_init__(self):
-        if scipy.sparse.issparse(self.rows):
+        if _is_sparse(self.rows):
             self.rows = self.rows.tocsc().astype(float, copy=False)
         else:
             self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -100,6 +102,11 @@ class LinearConstraintSet:
     @property
     def n_params(self) -> int:
         return self.rows.shape[1]
+
+
+def _is_sparse(a) -> bool:
+    """Whether ``a`` is a scipy sparse matrix, told by its method, not by importing scipy."""
+    return hasattr(a, "tocsc")
 
 
 class InfeasibleConstraints(ValueError):
@@ -114,31 +121,38 @@ class InfeasibleConstraints(ValueError):
 def eig_sym_tridiag(m: SymTridiag) -> tuple[Spectrum, np.ndarray]:
     """Eigendecomposition of a symmetric tridiagonal matrix.
 
-    Returns the sorted spectrum and an orthonormal eigenvector matrix V with
-    M = V diag(w) V^T. Eigenvectors inside a near-degenerate cluster (gap
-    below 1e-9) are re-orthonormalized with a QR pass so downstream code can
-    rely on orthonormality even when the backend returns a sloppy cluster.
+    Returns the ascending spectrum and an orthonormal eigenvector matrix V
+    with M = V diag(w) V^T.  A chain with zero diagonal couples even sites
+    only to odd ones, so with the even-by-odd lower bidiagonal block
+    B = U S V^T its eigenvalues are +-sigma with vectors (u, +-v) / sqrt(2),
+    and for odd n a zero mode (u_last, 0) on the even (0-based) sites
+    (Golub & Kahan 1965).  One real SVD of B holds even the widest clone
+    ladders to rounding, where a tridiagonal eigensolver lost up to 1e-7
+    relative.  Any other matrix goes through dense ``eigh``.  Both paths
+    return orthonormal vectors, inside degenerate clusters too.
     """
-    if m.n == 0:
+    n = m.n
+    if n == 0:
         raise ValueError("empty matrix")
-    if m.n == 1:
+    if n == 1:
         return Spectrum(m.diag.copy()), np.ones((1, 1))
-    w, v = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag)
-    v = _reorthonormalize_clusters(w, v)
-    return Spectrum(w), v
-
-
-def _reorthonormalize_clusters(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """QR-orthonormalize eigenvector columns within each degenerate cluster."""
-    joined = np.flatnonzero(np.diff(w) <= DEGENERACY_GAP)
-    if not joined.size:
-        return v
-    v = v.copy()
-    # a run of consecutive small gaps j..j+r joins columns j..j+r+1
-    for run in np.split(joined, np.flatnonzero(np.diff(joined) > 1) + 1):
-        start, stop = run[0], run[-1] + 2
-        v[:, start:stop], _ = np.linalg.qr(v[:, start:stop])
-    return v
+    if m.diag.any():
+        w, v = np.linalg.eigh(m.to_dense())
+        return Spectrum(w), v
+    half = n // 2
+    block = np.zeros(((n + 1) // 2, half))
+    i = np.arange(half)
+    block[i, i] = m.offdiag[0::2]
+    block[i[: (n - 1) // 2] + 1, i[: (n - 1) // 2]] = m.offdiag[1::2]
+    u, sigma, vt = np.linalg.svd(block)
+    pair_u, pair_v = u[:, :half] * np.sqrt(0.5), vt.T * np.sqrt(0.5)
+    # columns: -sigma descending in magnitude, the zero mode, +sigma ascending
+    v = np.zeros((n, n))
+    v[0::2, :half], v[1::2, :half] = pair_u, -pair_v
+    v[0::2, n - half:], v[1::2, n - half:] = pair_u[:, ::-1], pair_v[:, ::-1]
+    if n % 2:
+        v[0::2, half] = u[:, half]
+    return Spectrum(np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]])), v
 
 
 def propagator(h: SymTridiag | np.ndarray, t: float) -> np.ndarray:
@@ -190,7 +204,12 @@ def chebyshev_propagate(h, t: float, vec: np.ndarray) -> np.ndarray:
     coeffs = bessel * turns[np.arange(bessel.size) % 4]
     coeffs[1:] *= 2.0
 
-    two_h = (h - center * scipy.sparse.identity(h.shape[0])) * (2.0 / half_width)
+    # 2 (H - c) / r through the matrix's own methods, so this module needs no
+    # scipy import; a zero shift would store explicit zeros on the diagonal
+    two_h = h.copy()
+    if center:
+        two_h.setdiag(diag - center)
+    two_h *= 2.0 / half_width
     prev = block.view(float)
     cur = 0.5 * (two_h @ prev)
     out = coeffs[0] * block + coeffs[1] * cur.view(complex)
@@ -366,19 +385,24 @@ def solve_affine(constraints: LinearConstraintSet, residual_tol: float = 1e-8):
 
     A square sparse system is factored with SuperLU and reported at full
     rank; dense rows, non-square sparse rows and an exactly singular factor
-    take the minimum-norm ``lstsq`` solution instead.  Returns (solution,
-    rank). Raises InfeasibleConstraints when the rows are inconsistent beyond
-    residual_tol, carrying the rank report.
+    take the minimum-norm ``lstsq`` solution instead.  SuperLU factors the
+    columns in the order they are stored ("NATURAL"): a sparse caller stores
+    them in a fill-reducing order, found once for its sparsity pattern, so
+    no factor pays for the ordering again.  Returns
+    (solution, rank). Raises InfeasibleConstraints when the rows are
+    inconsistent beyond residual_tol, carrying the rank report.
     """
     rows, rhs = constraints.rows, constraints.rhs
     sol, rank = None, rows.shape[1]
-    if scipy.sparse.issparse(rows) and rows.shape[0] == rows.shape[1]:
+    if _is_sparse(rows) and rows.shape[0] == rows.shape[1]:
+        from scipy.sparse.linalg import splu
+
         try:
-            sol = scipy.sparse.linalg.splu(rows).solve(rhs)
+            sol = splu(rows, permc_spec="NATURAL").solve(rhs)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             pass
     if sol is None:
-        dense = rows.toarray() if scipy.sparse.issparse(rows) else rows
+        dense = rows.toarray() if _is_sparse(rows) else rows
         sol, _, rank, _ = np.linalg.lstsq(dense, rhs, rcond=None)
     residual = rows @ sol - rhs
     worst = np.abs(residual).max() if residual.size else 0.0

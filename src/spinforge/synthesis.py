@@ -893,9 +893,12 @@ def zero_mode_chain(spectrum, target_null_vector):
         with np.errstate(over="ignore"):
             j = np.repeat(np.exp(a), 2) * gains
         spec, v = eig_sym_tridiag(SymTridiag(np.zeros(n), j))
-        if spec.values[half + 1] <= 0.0:
-            raise ValueError("lost the positive half of the spectrum")
         return j, spec.values[half + 1:], v[:, half + 1:]
+
+    def residual(a):
+        # a trial point whose smallest positive eigenvalue rounds to 0 gets a
+        # large finite residual, so LM rejects that step, not the whole start
+        return np.log(np.maximum(eig(a)[1], np.finfo(float).tiny) / positive)
 
     def jacobian(a):
         j, ev, v = eig(a)
@@ -904,8 +907,7 @@ def zero_mode_chain(spectrum, target_null_vector):
 
     def solve(start):
         try:
-            a, _ = levenberg_marquardt(
-                lambda a: np.log(eig(a)[1] / positive), jacobian, start)
+            a, _ = levenberg_marquardt(residual, jacobian, start)
             j, ev, _ = eig(a)
         except ValueError:
             return None

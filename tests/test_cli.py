@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from spinforge import cli
-from spinforge.chainio import document_from_ising, read_document, write_document
+from spinforge.chainio import (document_from_gamma, document_from_ising,
+                               document_from_pst, make_provenance, read_document,
+                               write_document)
 from spinforge.ghz_ising import ising_from_pst
+from spinforge.isoflow import gamma_seed
 from spinforge.pst import standard_couplings
 
 
@@ -423,29 +426,62 @@ class TestModuleEntry:
 
 
 class TestImportFloor:
-    """Only the commands that run a design flow load ``scipy.optimize``."""
+    """Commands load SciPy only where they use it.
 
-    LAUNCH = ("import sys; from spinforge.cli import main; code = main(sys.argv[1:]); "
-              "print('scipy.optimize' in sys.modules); sys.exit(code)")
+    ``scipy.optimize`` is loaded by the synthesis flows (``design wstate`` and
+    the symmetric-W clone branch) and ``scipy.sparse`` by the γ direction
+    solve and the brute-force oracle; every other command, and the import of
+    the CLI itself, loads no SciPy.
+    """
 
-    def invoke(self, tmp_path, *args):
+    LAUNCH = ("import json, sys; from spinforge.cli import main; code = main(sys.argv[1:]); "
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy')))); "
+              "sys.exit(code)")
+
+    def invoke(self, tmp_path, *args, launch=None):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run([sys.executable, "-c", self.LAUNCH, *args],
+        return subprocess.run([sys.executable, "-c", launch or self.LAUNCH, *args],
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=120)
 
-    @pytest.mark.parametrize("argv", [
-        ("design", "pst", "--n", "8"),
-        ("simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"),
-        ("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5"),
-        ("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2"),
-    ], ids=["design-pst", "simulate-sweep", "design-gamma", "simulate-clone"])
-    def test_command_leaves_scipy_optimize_unloaded(self, tmp_path, argv):
-        done = self.invoke(tmp_path, *argv)
+    def scipy_modules(self, tmp_path, *args):
+        done = self.invoke(tmp_path, *args)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        return json.loads(done.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv, sparse", [
+        (("design", "pst", "--n", "8"), False),
+        (("simulate", "ghz", "--chain", "pst8.json", "--check"), False),
+        (("simulate", "ghz", "--chain", "zy4.json"), False),
+        (("simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"), False),
+        (("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5"), True),
+        (("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2"), False),
+        (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
+          "--method", "brute_force"), True),
+    ], ids=["design-pst", "simulate-ghz-pst", "simulate-ghz-zy", "simulate-sweep",
+            "design-gamma", "simulate-clone", "simulate-clone-brute-force"])
+    def test_command_leaves_scipy_optimize_unloaded(self, tmp_path, argv, sparse):
+        # the γ solve and the brute-force oracle load scipy.sparse, the rest no SciPy
+        provenance = make_provenance("test")
+        write_document(document_from_pst(standard_couplings(8), provenance),
+                       tmp_path / "pst8.json")
+        write_document(document_from_gamma(gamma_seed(4, 0.0), provenance),
+                       tmp_path / "zy4.json")
+        loaded = self.scipy_modules(tmp_path, *argv)
+        assert "scipy.optimize" not in loaded
+        if sparse:
+            assert "scipy.sparse" in loaded
+        else:
+            assert loaded == []
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        launch = ("import json, sys, spinforge.cli; "
+                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+        done = self.invoke(tmp_path, launch=launch)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
 
     def test_wstate_design_still_runs(self, tmp_path):
         done = self.invoke(tmp_path, "design", "wstate", "--n", "5")

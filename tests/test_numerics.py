@@ -6,7 +6,6 @@ from scipy.optimize import least_squares
 
 from spinforge.ghz_ising import spin_hamiltonian
 from spinforge.numerics import (
-    DEGENERACY_GAP,
     InfeasibleConstraints,
     LinearConstraintSet,
     SymTridiag,
@@ -14,10 +13,10 @@ from spinforge.numerics import (
     chebyshev_propagate,
     eig_sym_tridiag,
     levenberg_marquardt,
-    _reorthonormalize_clusters,
     propagator,
     solve_affine,
 )
+from spinforge.pst import standard_couplings
 
 
 def random_tridiag(rng, n):
@@ -85,22 +84,53 @@ class TestEig:
         assert np.abs(v.T @ v - np.eye(7)).max() < 1e-10
         assert np.abs((v * s.values) @ v.T - m.to_dense()).max() < 1e-10
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_cluster_search_matches_gap_walk(self, seed):
-        # reference: walk every gap and QR each run of gaps within
-        # DEGENERACY_GAP; the vectorized search must give the same bytes
-        rng = np.random.default_rng(seed)
-        w = np.sort(rng.choice([0.0, 1.0, 1.0 + 5e-10, 2.0, 3.0], 12)
-                    + rng.choice([0.0, 1e-12, 2e-9], 12))
-        v = rng.normal(size=(12, 12))
-        expected, start = v.copy(), 0
-        for i in range(1, w.size + 1):
-            if i == w.size or w[i] - w[i - 1] > DEGENERACY_GAP:
-                if i - start > 1:
-                    expected[:, start:i] = np.linalg.qr(v[:, start:i])[0]
-                start = i
-        got = _reorthonormalize_clusters(w, v.copy())
-        assert got.tobytes() == expected.tobytes()
+
+def zero_diagonal_chain(rng, n):
+    return SymTridiag(np.zeros(n), rng.uniform(-2.0, 2.0, n - 1))
+
+
+class TestZeroDiagonalEig:
+    """The bidiagonal-SVD path against dense ``eigh`` and LAPACK ``stemr``."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_matches_dense_and_tridiagonal_solvers(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            m = zero_diagonal_chain(rng, n)
+            s, v = eig_sym_tridiag(m)
+            dense = np.linalg.eigvalsh(m.to_dense())
+            stemr = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
+            scale = np.abs(dense).max()
+            assert np.abs(s.values - dense).max() <= 1e-13 * scale
+            assert np.abs(s.values - stemr).max() <= 1e-13 * scale
+            assert np.all(np.diff(s.values) >= 0.0)
+            assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-14
+            assert np.abs((v * s.values) @ v.T - m.to_dense()).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", range(3, 41, 2))
+    def test_odd_chain_zero_mode_lives_on_odd_sites(self, n):
+        # 1-based odd sites are the even array positions
+        m = zero_diagonal_chain(np.random.default_rng(200 + n), n)
+        s, v = eig_sym_tridiag(m)
+        zero = v[:, n // 2]
+        assert s.values[n // 2] == 0.0
+        assert not zero[1::2].any()
+        assert np.abs(m.to_dense() @ zero).max() <= 1e-14
+
+    @pytest.mark.parametrize("couplings", [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
+    def test_split_chain_clusters_stay_orthonormal(self, couplings):
+        # zero couplings split the chain into identical blocks: every
+        # eigenvalue of a block is degenerate across the blocks
+        m = SymTridiag(np.zeros(len(couplings) + 1), couplings)
+        s, v = eig_sym_tridiag(m)
+        assert np.abs(v.T @ v - np.eye(m.n)).max() <= 1e-14
+        assert np.abs((v * s.values) @ v.T - m.to_dense()).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [42, 520, 1040])
+    def test_transfer_chain_spectrum_is_the_integer_ladder(self, n):
+        s, v = eig_sym_tridiag(standard_couplings(n).single_particle())
+        assert np.abs(s.values - np.arange(-(n - 1), n, 2)).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-14
 
 
 class TestPropagator:

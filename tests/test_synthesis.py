@@ -370,6 +370,18 @@ class TestZeroModeChain:
             lam, _ = zero_mode(couplings, target)
             assert np.abs(lam - target).max() < 1e-10
 
+    def test_degenerate_trial_point_only_rejects_the_step(self):
+        # LM tries a point on this base-21 ladder where the smallest positive
+        # eigenvalue comes out as exactly 0; the start must go on from there
+        m, target = spread_target([2, 3, 1, 1, 3, 3, 2, 3, 1])
+        spectrum = _candidate_spectra(m)[4]
+        couplings = zero_mode_chain(spectrum, target)
+        assert couplings is not None
+        vals = np.linalg.eigvalsh(SymTridiag(np.zeros(m), couplings).to_dense())
+        assert np.abs(vals - spectrum.values).max() <= 1e-10 * spectrum.values.max()
+        lam, _ = zero_mode(couplings, target)
+        assert np.abs(lam - target).max() < 1e-10
+
     def test_forbidden_five_site_target_has_no_chain(self):
         forbidden = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
         assert zero_mode_chain(FIVE_SITE, forbidden) is None
