@@ -187,16 +187,6 @@ class CloneReport:
         })
 
 
-@dataclass(frozen=True)
-class OddSupportReport:
-    """Validation outcome for a spread target and the chain fields."""
-
-    passed: bool
-    max_even_amplitude: float
-    max_field: float
-    note: str
-
-
 # ---------------------------------------------------------------------------
 # weight algebra
 
@@ -601,31 +591,7 @@ def clone_report(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile
 
 
 # ---------------------------------------------------------------------------
-# chain design and validation
-
-
-def odd_support_check(target, fields) -> OddSupportReport:
-    """Check that a spread target is odd-site only and the chain field free.
-
-    Transported amplitudes alternate in sign between the two sublattices,
-    so a faithful spread needs every even-site amplitude to vanish; with
-    a symmetric coupling spectrum that is achievable with all on-site
-    fields zero, which also keeps the extremal strings stationary.
-    """
-    target = np.asarray(target)
-    fields = np.asarray(fields, dtype=float)
-    max_even = float(np.abs(target[1::2]).max()) if target.size > 1 else 0.0
-    max_field = float(np.abs(fields).max()) if fields.size else 0.0
-    passed = max_even <= 1e-10 and max_field == 0.0
-    if passed:
-        note = "target confined to odd sites and fields absent"
-    elif max_field > 0:
-        note = ("nonzero fields are unnecessary for a symmetric target "
-                "spectrum and break the extremal-string invariance")
-    else:
-        note = "target leaks onto even sites"
-    return OddSupportReport(passed=passed, max_even_amplitude=max_even,
-                            max_field=max_field, note=note)
+# chain design
 
 
 def ghz_helper_chain(m: int) -> IsingChain:

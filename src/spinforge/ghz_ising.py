@@ -100,18 +100,6 @@ def ghz_target(n: int) -> np.ndarray:
     return psi
 
 
-def ghz_global_phase(n: int) -> complex:
-    """Exact phase of <GHZ|psi(t)> for the engineered chain at the quarter period.
-
-    The overlap magnitude is 1; the phase repeats with period four in the
-    qubit count: +1 for odd n, and (-1)^(n/2) e^{i pi/4} for even n. Pinned
-    by brute-force evolution for n up to 10.
-    """
-    if n % 2:
-        return 1.0 + 0.0j
-    return (-1.0) ** (n // 2) * np.exp(1j * np.pi / 4)
-
-
 def spin_terms(n: int, x=None, zz=None, xx=None, yy=None) -> tuple:
     """COO triplets (rows, cols, values) of an n-qubit chain built from Pauli terms.
 
@@ -241,24 +229,6 @@ def mirror_deviation(c: IsingChain, t: float = GHZ_TIME) -> float:
     k = np.arange(1, dim + 1)
     target[dim - k, k - 1] = (-1.0) ** k
     return float(np.abs(w - target).max())
-
-
-def basis_map(x: str) -> tuple[str, str]:
-    """Image of a computational basis state under the quarter-period evolution.
-
-    A basis state prepared by flipping qubits at the positions set in x is
-    carried to the same flips applied at mirrored positions on the GHZ state,
-    with no extra phase. Returns the reversed bit string together with a
-    human-readable statement of the rule.
-    """
-    if set(x) - {"0", "1"}:
-        raise ValueError("bit string may contain only 0 and 1")
-    reversed_x = x[::-1]
-    rule = (
-        f"apply X at the set positions of {reversed_x} to the {len(x)}-qubit "
-        "GHZ target; no additional phase"
-    )
-    return reversed_x, rule
 
 
 def hopping_form(n: int) -> np.ndarray:

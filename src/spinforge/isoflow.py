@@ -40,7 +40,7 @@ from .ghz_ising import (
     ising_from_pst,
     dense_spin_hamiltonian,
 )
-from .numerics import LinearConstraintSet, antisym_exp, solve_affine
+from .numerics import antisym_exp, solve_affine
 from .pst import standard_couplings
 
 STRUCTURE_GATE = 5e-3
@@ -313,12 +313,15 @@ def _column_order(indices, indptr):
 
 
 def _system(xd: np.ndarray, gamma: float, feedback: float, gamma_rate_target: float):
-    """Sparse matrix, right-hand side and row names of the direction system at ``xd``.
+    """Sparse CSC matrix and right-hand side of the direction system at ``xd``.
 
-    The matrix reads X only from its three bands, which keeps its LU factor
-    as sparse as the pattern, and its columns come in the factor's order
-    (see :func:`_pattern`); ``feedback`` folds the structure violations of
-    the full iterate, off-band leakage included, into the right-hand sides so
+    The unknowns are the strict upper triangles of the generators a and b
+    followed by the gamma rate, n(n-1) + 1 of them, with one row per
+    functional, so the direction is generically unique.  The matrix reads X
+    only from its three bands, which keeps its LU factor as sparse as the
+    pattern, and its columns come in the factor's order (see
+    :func:`_pattern`); ``feedback`` folds the structure violations of the
+    full iterate, off-band leakage included, into the right-hand sides so
     that one step of size 1/feedback cancels them to first order.
     """
     from scipy.sparse import csc_matrix
@@ -334,35 +337,15 @@ def _system(xd: np.ndarray, gamma: float, feedback: float, gamma_rate_target: fl
     violation = flat[t_entry] * (t_sign * weights[t_kind])
     rhs = -feedback * np.bincount(t_row, weights=violation, minlength=len(names))
     rhs[-1] = gamma_rate_target
-    return rows, rhs, names
-
-
-def gamma_constraints(x: GammaMatrix, feedback: float = 0.0) -> LinearConstraintSet:
-    """Constraint system whose solution is the flow direction at ``x``.
-
-    The parameter vector stacks the strict upper triangles of the generators
-    a and b followed by the gamma rate, giving n(n-1) + 1 unknowns; the row
-    count matches exactly, so the direction is generically unique.  The rows
-    form a sparse CSC matrix with a fixed banded pattern: each unknown touches
-    only the few rows that X's three bands reach, about 1.4 % of the entries at
-    n = 21.  :func:`solve_affine` factors it with sparse LU and falls back to
-    the dense minimum-norm ``lstsq`` only when the factor is exactly singular.
-    With a nonzero ``feedback`` the right-hand sides also cancel any existing
-    structure violation at rate ``feedback``.
-    """
-    rows, rhs, names = _system(x.to_dense(), x.gamma, feedback, 1.0)
-    # from the factor's column order back to the parameter vector's
-    rows = rows[:, np.argsort(_pattern(x.n)[-1])]
-    return LinearConstraintSet(rows=rows, rhs=rhs, names=names)
+    return rows, rhs
 
 
 def _direction(xd, gamma, feedback, gamma_rate_target=1.0):
     """Flow direction at the dense member ``xd``, from the gamma constraint rows."""
-    rows, rhs, _ = _system(xd, gamma, feedback, gamma_rate_target)
     n = xd.shape[0]
-    sol = np.empty(rows.shape[1])
-    sol[_pattern(n)[-1]], _ = solve_affine(LinearConstraintSet(rows=rows, rhs=rhs),
-                                           residual_tol=np.inf)
+    order = _pattern(n)[-1]
+    sol = np.empty(order.size)
+    sol[order] = solve_affine(*_system(xd, gamma, feedback, gamma_rate_target))
     ki, li = np.triu_indices(n, 1)
     a, b = np.zeros((2, n, n))
     a[ki, li], b[ki, li] = np.split(sol[:-1], 2)

@@ -2,8 +2,8 @@
 
 Everything here is plain numerics with no quantum semantics: symmetric
 tridiagonal eigensolves, eigendecomposition-based matrix exponentials, the
-affine solve used by the flow engines (sparse LU for square sparse
-systems, minimum-norm least squares otherwise) and the Levenberg-Marquardt
+affine solve of the flows (sparse LU for the square sparse gamma system,
+minimum-norm least squares for everything else) and the Levenberg-Marquardt
 solver of the root problems. ``propagator`` is the single e^{-iHt}
 primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
 eigensolver, any other Hermitian matrix through a dense eigendecomposition.
@@ -74,48 +74,6 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass
-class LinearConstraintSet:
-    """Linear rows over a shared parameter vector, with right-hand sides.
-
-    Rows with zero right-hand side express structure preservation; a nonzero
-    right-hand side drives an inhomogeneous direction (for example advancing
-    an interpolation parameter at unit rate).  ``rows`` is a dense array or
-    a scipy sparse matrix, which is kept sparse in CSC form.
-    """
-
-    rows: np.ndarray
-    rhs: np.ndarray
-    names: tuple | None = None
-
-    def __post_init__(self):
-        if _is_sparse(self.rows):
-            self.rows = self.rows.tocsc().astype(float, copy=False)
-        else:
-            self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.rows.shape[0] != self.rhs.size:
-            raise ValueError("row count does not match right-hand side count")
-
-    @property
-    def n_params(self) -> int:
-        return self.rows.shape[1]
-
-
-def _is_sparse(a) -> bool:
-    """Whether ``a`` is a scipy sparse matrix, told by its method, not by importing scipy."""
-    return hasattr(a, "tocsc")
-
-
-class InfeasibleConstraints(ValueError):
-    """Raised when a constraint system admits no solution; carries a rank report."""
-
-    def __init__(self, message, rank=None, rows=None):
-        super().__init__(message)
-        self.rank = rank
-        self.rows = rows
 
 
 def eig_sym_tridiag(m: SymTridiag) -> tuple[Spectrum, np.ndarray]:
@@ -380,38 +338,28 @@ def _lm_parameter(sv, proj, delta, par):
     return par, w
 
 
-def solve_affine(constraints: LinearConstraintSet, residual_tol: float = 1e-8):
-    """Solution of a linear system: sparse LU when possible, else minimum norm.
+def _is_sparse(a) -> bool:
+    """Whether ``a`` is a scipy sparse matrix, told by its method, not by importing scipy."""
+    return hasattr(a, "tocsc")
 
-    A square sparse system is factored with SuperLU and reported at full
-    rank; dense rows, non-square sparse rows and an exactly singular factor
-    take the minimum-norm ``lstsq`` solution instead.  SuperLU factors the
-    columns in the order they are stored ("NATURAL"): a sparse caller stores
-    them in a fill-reducing order, found once for its sparsity pattern, so
-    no factor pays for the ordering again.  Returns
-    (solution, rank). Raises InfeasibleConstraints when the rows are
-    inconsistent beyond residual_tol, carrying the rank report.
+
+def solve_affine(rows, rhs: np.ndarray) -> np.ndarray:
+    """Solution of rows @ x = rhs: sparse LU when possible, else minimum norm.
+
+    A square scipy sparse matrix in CSC form is factored with SuperLU; dense
+    rows, non-square sparse rows and an exactly singular factor take the
+    minimum-norm ``lstsq`` solution instead.  SuperLU factors the columns in
+    the order they are stored ("NATURAL"): a sparse caller stores them in a
+    fill-reducing order, found once for its sparsity pattern, so no factor
+    pays for the ordering again.  An inconsistent system gets its
+    least-squares solution; the callers measure what the step achieved.
     """
-    rows, rhs = constraints.rows, constraints.rhs
-    sol, rank = None, rows.shape[1]
     if _is_sparse(rows) and rows.shape[0] == rows.shape[1]:
         from scipy.sparse.linalg import splu
 
         try:
-            sol = splu(rows, permc_spec="NATURAL").solve(rhs)
+            return splu(rows, permc_spec="NATURAL").solve(rhs)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             pass
-    if sol is None:
-        dense = rows.toarray() if _is_sparse(rows) else rows
-        sol, _, rank, _ = np.linalg.lstsq(dense, rhs, rcond=None)
-    residual = rows @ sol - rhs
-    worst = np.abs(residual).max() if residual.size else 0.0
-    scale = max(1.0, np.abs(rhs).max() if rhs.size else 0.0)
-    if worst > residual_tol * scale:
-        raise InfeasibleConstraints(
-            f"constraint system inconsistent (residual {worst:.3e}, rank {rank} "
-            f"of {rows.shape[0]} rows over {constraints.n_params} parameters)",
-            rank=rank,
-            rows=rows.shape[0],
-        )
-    return sol, rank
+    dense = rows.toarray() if _is_sparse(rows) else rows
+    return np.linalg.lstsq(dense, rhs, rcond=None)[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Spectrum, SymTridiag, eig_sym_tridiag
+from .numerics import SymTridiag, eig_sym_tridiag
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,3 @@ def verify_mirror(chain: PstChain) -> float:
     phase = (-1j) ** (chain.n - 1)
     return float(np.abs(transfer - phase).max())
 
-
-def min_gap_bound(s: Spectrum) -> float:
-    """Minimum evolution time compatible with a spectrum, pi over its smallest gap.
-
-    Consecutive eigenvalues closer than 1e-12 (relative) are treated as
-    degenerate and skipped; a fully degenerate spectrum has no finite bound.
-    """
-    values = s.values
-    if values.size < 2:
-        raise ValueError("need at least two eigenvalues")
-    diffs = np.diff(values)
-    tol = 1e-12 * max(1.0, np.abs(values).max())
-    gaps = diffs[diffs > tol]
-    if gaps.size == 0:
-        raise ValueError("spectrum is fully degenerate; no finite time bound")
-    return float(np.pi / gaps.min())

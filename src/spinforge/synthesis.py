@@ -10,11 +10,12 @@ two sublattices.  Constraining the generators so the update preserves the
 nearest-neighbour pattern turns state synthesis into a constrained ascent
 on a fixed-spectrum manifold.
 
-Two ascent objectives are provided.  The null-vector flow steers the zero
-mode of the chain toward a prescribed vector, which fixes the evolution
-exactly when the spectrum makes the propagator a reflection.  The
-commutator flow maximises the overlap between the evolved source state
-and the target directly and applies to any spectrum and evolution time.
+The null-vector flow steers the zero mode of the chain toward a prescribed
+vector, which fixes the evolution exactly when the spectrum makes the
+propagator a reflection, and hands over to a Levenberg-Marquardt root
+polish near the target.  ``zero_mode_chain`` solves the same inverse
+problem directly on a ratio-fixed chain, and ``wstate_chain`` designs the
+uniform odd-site revival through the mirror-reduced half chain.
 """
 
 from __future__ import annotations
@@ -23,18 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (SymTridiag, Spectrum, LinearConstraintSet, antisym_exp,
-                       eig_sym_tridiag, levenberg_marquardt, propagator,
-                       solve_affine)
+from .numerics import (SymTridiag, Spectrum, antisym_exp, eig_sym_tridiag,
+                       levenberg_marquardt, propagator, solve_affine)
 
 __all__ = [
-    "SynthesisTask",
     "NullVectorTask",
     "ConvergenceState",
-    "synthesis_flow_commutator",
     "synthesis_flow_nullvector",
     "reflection_check",
-    "case_study_generator",
     "boundary_value",
     "chain_from_spectrum",
     "zero_mode",
@@ -46,7 +43,6 @@ __all__ = [
     "produced_state",
     "sign_gauge",
     "apply_sign_gauge",
-    "fold_couplings",
     "unfold_couplings",
     "mirror_target_fold",
     "wstate_chain",
@@ -58,31 +54,6 @@ _SMALL_COUPLING = 1e-8
 
 # ---------------------------------------------------------------------------
 # task containers
-
-
-@dataclass(frozen=True)
-class SynthesisTask:
-    """A request to evolve site ``source`` into ``target`` at time ``time``."""
-
-    spectrum: Spectrum
-    source: int
-    target: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        n = len(self.spectrum.values)
-        target = np.asarray(self.target, dtype=float)
-        if target.shape != (n,):
-            raise ValueError(f"target must have length {n}")
-        if abs(np.linalg.norm(target) - 1.0) > 1e-10:
-            raise ValueError("target state must be normalised")
-        if not 1 <= self.source <= n:
-            raise ValueError(f"source site must lie in [1, {n}]")
-        object.__setattr__(self, "target", target)
-
-    @property
-    def n(self) -> int:
-        return len(self.spectrum.values)
 
 
 @dataclass(frozen=True)
@@ -124,16 +95,16 @@ class NullVectorTask:
 
 @dataclass
 class ConvergenceState:
-    """Progress report for a synthesis flow.
+    """Progress report for the null-vector flow.
 
-    ``chi`` is the quantity being driven to one: the null-vector overlap
-    for the zero-mode flow, or the absolute target overlap for the
-    commutator flow.  ``history`` keeps one row per recorded iteration as
-    ``(iteration, chi, delta, off_band_residual)``, where ``delta`` is the
-    box size of that iteration's step; an accepted root polish adds a row
-    for the polished iterate.  ``polishes`` keeps one ``(iteration,
-    accepted)`` pair per root-polish attempt.  ``small_couplings`` lists
-    the 1-based bonds of the final chain whose couplings are below 1e-8.
+    ``chi`` is the quantity being driven to one, the overlap of the chain's
+    zero mode with the target null vector.  ``history`` keeps one row per
+    recorded iteration as ``(iteration, chi, delta, off_band_residual)``,
+    where ``delta`` is the box size of that iteration's step; an accepted
+    root polish adds a row for the polished iterate.  ``polishes`` keeps one
+    ``(iteration, accepted)`` pair per root-polish attempt.
+    ``small_couplings`` lists the 1-based bonds of the final chain whose
+    couplings are below 1e-8.
     """
 
     chi: float
@@ -211,15 +182,6 @@ def _unpack_antisym(params: np.ndarray, d: int) -> np.ndarray:
     return a - a.T
 
 
-def _hamiltonian_from_block(x: np.ndarray, n: int) -> np.ndarray:
-    h = np.zeros((n, n))
-    odd = np.arange(0, n, 2)
-    even = np.arange(1, n, 2)
-    h[np.ix_(even, odd)] = x
-    h[np.ix_(odd, even)] = x.T
-    return h
-
-
 def _off_pattern_rows(x: np.ndarray):
     """Rows of the first-order constraint that keeps the update tridiagonal.
 
@@ -263,8 +225,7 @@ def _compensate(x: np.ndarray, n: int, gate: float = 1e-8, max_inner: int = 12):
         if res <= gate:
             return x, res, True
         try:
-            p_fix, _ = solve_affine(LinearConstraintSet(rows, -leak),
-                                    residual_tol=np.inf)
+            p_fix = solve_affine(rows, -leak)
         except np.linalg.LinAlgError:
             return x, res, False
         x = _apply_generators(x, p_fix)
@@ -294,9 +255,10 @@ def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
 
 _STALL_WINDOW = 100
 _HANDOVER_CHI = 0.99
-# Largest LP box of either flow: the null-vector flow scales it by
-# sqrt(1 - chi^2), the commutator flow uses it as it is.
+# Largest LP box of the null-vector flow, which scales it by sqrt(1 - chi^2).
 _BOX_STEP = 0.1
+_MIN_STEP = 1e-13
+_WINDOW_SLOPE = 2e-3
 
 
 def _check_tol(tol: float) -> float:
@@ -306,101 +268,95 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _try_polish(polish, evaluate, x, merit, it, report):
+def _try_polish(polish, evaluate, x, chi, it, report):
     """One root-polish attempt, logged in ``report.polishes``.
 
-    Returns the root's ``(x, merit, chi, aux)``, or None when the polish
-    finds no root or the root's merit is lower.
+    Returns the root's ``(x, chi, aux)``, or None when the polish finds no
+    root or the root's chi is lower.
     """
     x_p = polish(x)
     polished = None
     if x_p is not None:
-        merit_p, chi_p, aux_p = evaluate(x_p)
-        if merit_p >= merit:
-            polished = x_p, merit_p, chi_p, aux_p
+        chi_p, aux_p = evaluate(x_p)
+        if chi_p >= chi:
+            polished = x_p, chi_p, aux_p
     report.polishes.append((it, polished is not None))
     return polished
 
 
-def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
-            window_slope, polish=None):
-    """Accept/reject ascent shared by both synthesis flows.
+def _ascend(x, n, evaluate, gradient, polish, budget, tol):
+    """Accept/reject ascent of the null-vector flow.
 
-    ``evaluate(x)`` returns ``(merit, chi, aux)``: the merit being ascended,
-    the overlap recorded in the history, and the input of ``gradient(aux)``,
-    the packed generator gradient.  ``box(step, chi)`` sizes the LP box.
-    Each iteration applies the LP direction plus the leakage fix ``p_fix``
-    as one exact rotation, then compensates.  Rejected steps halve the
-    working step; five consecutive accepts grow it by half, up to ``step``.
-    The flow stalls below ``min_step`` or when chi gains less than
-    ``window_slope * (1 - chi)`` over 100 iterations.
+    ``evaluate(x)`` returns ``(chi, aux)``: the overlap being ascended and
+    the input of ``gradient(aux)``, the packed generator gradient.  The LP
+    box is ``_saturating_box(step, chi)``.  Each iteration applies the LP
+    direction plus the leakage fix ``p_fix`` as one exact rotation, then
+    compensates.  Rejected steps halve the working step; five consecutive
+    accepts grow it by half, up to ``_BOX_STEP``.  The flow stalls below
+    ``_MIN_STEP`` or when chi gains less than ``_WINDOW_SLOPE * (1 - chi)``
+    over 100 iterations.
 
-    ``polish(x)``, when given, returns an exact root near ``x`` or None.
-    It is tried once in the loop, the first time chi reaches 0.99 short of
-    convergence, and once more after the loop if chi ends at 0.99 or above
-    with no root taken yet.  A root replaces the iterate only if its merit
-    does not drop, so a refused polish leaves the trajectory untouched.
+    ``polish(x)`` returns an exact root near ``x`` or None.  It is tried
+    once in the loop, the first time chi reaches 0.99 short of convergence,
+    and once more after the loop if chi ends at 0.99 or above with no root
+    taken yet.  A root replaces the iterate only if its chi does not drop,
+    so a refused polish leaves the trajectory untouched.
 
     Returns the final block and the report.
     """
-    merit, chi, aux = evaluate(x)
-    step_loc = step
-    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0),
-                              delta=max(step, 1e-300), iterations=0)
-    report.record(0, chi, box(step_loc, chi), 0.0)
+    chi, aux = evaluate(x)
+    step = _BOX_STEP
+    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0), delta=step, iterations=0)
+    report.record(0, chi, _saturating_box(step, chi), 0.0)
     consecutive = 0
     status = "budget"
     it = 0
     while it < budget:
-        if (polish is not None and not report.polishes
-                and chi >= _HANDOVER_CHI and merit < 1.0 - tol):
-            polished = _try_polish(polish, evaluate, x, merit, it, report)
+        if not report.polishes and chi >= _HANDOVER_CHI and chi < 1.0 - tol:
+            polished = _try_polish(polish, evaluate, x, chi, it, report)
             if polished is not None:
-                x, merit, chi, aux = polished
-                report.record(it, chi, box(step_loc, chi), 0.0)
-        if merit >= 1.0 - tol:
+                x, chi, aux = polished
+                report.record(it, chi, _saturating_box(step, chi), 0.0)
+        if chi >= 1.0 - tol:
             status = "converged"
             break
-        if step_loc < min_step:
+        if step < _MIN_STEP:
             status = "stalled"
             break
         it += 1
-        size = box(step_loc, chi)
+        size = _saturating_box(step, chi)
         rows, mask = _off_pattern_rows(x)
         direction, gain = _lp_direction(rows, gradient(aux), size)
         if direction is None or gain < 1e-15:
             status = "stalled"
             break
-        p_fix, _ = solve_affine(LinearConstraintSet(rows, -x[mask]),
-                                residual_tol=np.inf)
+        p_fix = solve_affine(rows, -x[mask])
         x_try = _apply_generators(x, p_fix + direction)
         x_try, off_res, ok = _compensate(x_try, n)
-        merit_try, chi_try, aux_try = evaluate(x_try)
-        if ok and merit_try >= merit - 1e-14:
-            x, merit, chi, aux = x_try, merit_try, chi_try, aux_try
+        chi_try, aux_try = evaluate(x_try)
+        if ok and chi_try >= chi - 1e-14:
+            x, chi, aux = x_try, chi_try, aux_try
             consecutive += 1
             if consecutive >= 5:
-                step_loc = min(step_loc * 1.5, step)
+                step = min(step * 1.5, _BOX_STEP)
         else:
             consecutive = 0
-            step_loc *= 0.5
+            step *= 0.5
         report.record(it, chi, size, off_res)
         if it % _STALL_WINDOW == 0 and len(report.history) > _STALL_WINDOW:
             gain_w = chi - report.history[-_STALL_WINDOW - 1][1]
-            if (gain_w < max(1e-12, window_slope * (1.0 - chi))
-                    and merit < 1.0 - tol):
+            if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < 1.0 - tol:
                 status = "stalled"
                 break
-    if (polish is not None and chi >= _HANDOVER_CHI
-            and not any(accepted for _, accepted in report.polishes)):
-        polished = _try_polish(polish, evaluate, x, merit, it, report)
+    if chi >= _HANDOVER_CHI and not any(accepted for _, accepted in report.polishes):
+        polished = _try_polish(polish, evaluate, x, chi, it, report)
         if polished is not None:
-            x, merit, chi, _ = polished
-            report.record(it, chi, box(step_loc, chi), 0.0)
-    if merit >= 1.0 - tol:
+            x, chi, _ = polished
+            report.record(it, chi, _saturating_box(step, chi), 0.0)
+    if chi >= 1.0 - tol:
         status = "converged"
     report.chi = min(max(chi, -1.0), 1.0)
-    report.delta = max(box(step_loc, report.chi), 1e-300)
+    report.delta = max(_saturating_box(step, report.chi), 1e-300)
     report.iterations = it
     report.status = status
     return x, report
@@ -411,37 +367,42 @@ def _ascend(x, n, evaluate, gradient, box, step, budget, tol, min_step,
 
 
 def chain_from_spectrum(spectrum) -> np.ndarray:
-    """Positive chain couplings realising ``spectrum`` with zero diagonal.
+    """Positive couplings of the zero-diagonal chain with ``spectrum``.
 
-    Runs the Lanczos recursion on the diagonal matrix of eigenvalues from
-    the uniform start vector, with full reorthogonalisation.
-    A symmetric spectrum yields vanishing diagonal terms, so only the
-    couplings are returned.
+    The chain is the Lanczos chain of diag(spectrum) from the uniform start
+    vector, built in bidiagonal form: Golub-Kahan bidiagonalization of
+    A = [diag(lambda_+); 0], the positive half over the zero modes, from
+    u_1 = (sqrt(2/n), ..., sqrt(2/n), sqrt(1/n)) (Golub & Kahan 1965).  Its
+    alternating norms alpha_1, beta_2, alpha_2, ... are the couplings from
+    site 1 on, with both bases fully reorthogonalised.  The diagonal is zero
+    by construction, so the widest clone ladders are rebuilt to rounding.
     """
-    vals = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
-    n = vals.size
-    q = np.ones(n) / np.linalg.norm(np.ones(n))
-    basis = np.zeros((n, n))
-    basis[:, 0] = q
-    alphas = np.zeros(n)
-    betas = np.zeros(n - 1)
-    for i in range(n):
-        w = vals * basis[:, i]
-        if i > 0:
-            w -= betas[i - 1] * basis[:, i - 1]
-        alphas[i] = basis[:, i] @ w
-        w -= alphas[i] * basis[:, i]
-        for _ in range(2):
-            w -= basis[:, : i + 1] @ (basis[:, : i + 1].T @ w)
-        if i < n - 1:
-            norm = np.linalg.norm(w)
-            if norm < 1e-12:
-                raise ValueError("spectrum produced a reducible chain")
-            betas[i] = norm
-            basis[:, i + 1] = w / norm
-    if np.abs(alphas).max() > 1e-8:
+    vals = np.sort(np.asarray(getattr(spectrum, "values", spectrum), dtype=float))
+    n, half = vals.size, vals.size // 2
+    if np.abs(vals + vals[::-1]).max() > 1e-8:
         raise ValueError("spectrum is not symmetric about zero")
-    return betas
+    a = np.zeros((n - half, half))
+    a[np.arange(half), np.arange(half)] = vals[n - half:]
+    # odd sites (1-based) span the left basis, even sites the right one
+    bases = [np.zeros((n - half, n - half)), np.zeros((half, half))]
+    bases[0][:, 0] = np.sqrt(2.0 / n)
+    if n % 2:
+        bases[0][-1, 0] = np.sqrt(1.0 / n)
+    couplings = np.zeros(n - 1)
+    for k in range(n - 1):
+        side = (k + 1) % 2
+        w = (a.T if side else a) @ bases[1 - side][:, k // 2]
+        done = bases[side][:, : (k + 1) // 2]
+        if k:
+            w -= couplings[k - 1] * done[:, -1]
+        for _ in range(2):
+            w -= done @ (done.T @ w)
+        norm = np.linalg.norm(w)
+        if norm < 1e-12:
+            raise ValueError("spectrum produced a reducible chain")
+        couplings[k] = norm
+        bases[side][:, (k + 1) // 2] = w / norm
+    return couplings
 
 
 def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None):
@@ -583,8 +544,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
 
     def evaluate(block):
         lam, _ = zero_mode(_block_to_couplings(block, n), lam_t_full)
-        chi = float(lam_t_full @ lam)
-        return chi, chi, lam[0::2]
+        return float(lam_t_full @ lam), lam[0::2]
 
     def gradient(lam_odd):
         return np.concatenate([-(lam_t[iu[0]] * lam_odd[iu[1]]
@@ -595,9 +555,8 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
                                        lam_t_full)
         return None if root is None else _couplings_to_block(root)
 
-    x, report = _ascend(
-        _couplings_to_block(seed), n, evaluate, gradient, _saturating_box,
-        _BOX_STEP, budget, tol, min_step=1e-13, window_slope=2e-3, polish=polish)
+    x, report = _ascend(_couplings_to_block(seed), n, evaluate, gradient, polish,
+                        budget, tol)
 
     couplings = _block_to_couplings(x, n)
     report.small_couplings = _flag_small(couplings)
@@ -653,144 +612,8 @@ def polish_null_vector_root(couplings, spectrum_values, target_null_vector):
     return None
 
 
-def _polish_task_root(couplings, spectrum_values, source, target, time):
-    """Refine couplings so the evolved source hits the target exactly."""
-    from scipy.optimize import least_squares  # only the commutator flow loads it
-
-    vals = np.sort(np.asarray(spectrum_values, dtype=float))
-    target = np.asarray(target, dtype=float)
-    n = target.size
-    psi0 = produced_state(couplings, source, time)
-    theta0 = np.angle(complex(target @ psi0))
-
-    def residual(p):
-        j, theta = p[:-1], p[-1]
-        spectrum, v = eig_sym_tridiag(SymTridiag(np.zeros(n), j))
-        # the evolved source from the same eigensolve as the spectrum
-        psi = v @ (np.exp(-1j * spectrum.values * time) * v[source - 1])
-        d = psi - np.exp(1j * theta) * target
-        return np.concatenate([spectrum.values - vals, d.real, d.imag])
-
-    start = np.concatenate([np.asarray(couplings, dtype=float), [theta0]])
-    sol = least_squares(residual, start, method="lm",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if np.abs(sol.fun).max() < 1e-9:
-        return sol.x[:-1]
-    return None
-
-
-def synthesis_flow_commutator(h0: SymTridiag, task: SynthesisTask,
-                              budget: int = 100_000, tol: float = 1e-6):
-    """Ascend the target overlap |<target| exp(-i H t0) |source>| directly.
-
-    The gradient of the overlap with respect to the pattern-preserving
-    generators is linear in the generator, so the best step inside a box
-    is again a linear programme.  Accepted steps never decrease the
-    overlap.  The flow chases whichever global phase the current overlap
-    suggests; if it stalls, it deterministically retries with each of the
-    two real phase branches locked, keeping the best outcome, since a
-    stall can mean the nearest phase branch is blocked while the other is
-    free.  A near-converged result is polished onto an exact root.
-
-    Returns the final chain and a ConvergenceState whose ``chi`` field
-    holds the achieved overlap.
-    """
-    task_vals = np.asarray(task.spectrum.values, dtype=float)
-    h_vals = eig_sym_tridiag(h0)[0].values
-    if np.abs(h_vals - np.sort(task_vals)).max() > 1e-8:
-        raise ValueError("h0 spectrum does not match the task spectrum")
-    if np.abs(h0.diag).max() > 1e-12:
-        raise ValueError("commutator flow expects a zero-diagonal chain")
-
-    best = None
-    total_it = 0
-    for phase_lock in (None, 1.0, -1.0):
-        result = _commutator_attempt(h0, task, budget, tol, phase_lock)
-        total_it += result[1].iterations
-        if best is None or result[1].chi > best[1].chi:
-            best = result
-        if best[1].status == "converged":
-            break
-    chain, report = best
-    report.iterations = total_it
-
-    if report.status != "converged" and report.chi >= 0.99:
-        polished = _polish_task_root(chain.offdiag, task_vals, task.source,
-                                     task.target, task.time)
-        if polished is not None:
-            psi = produced_state(polished, task.source, task.time)
-            overlap = abs(complex(task.target @ psi))
-            if overlap > report.chi:
-                chain = SymTridiag(np.zeros(task.n), polished)
-                report.chi = min(overlap, 1.0)
-                if overlap >= 1.0 - tol:
-                    report.status = "converged"
-    report.small_couplings = _flag_small(chain.offdiag)
-    return chain, report
-
-
-def _commutator_attempt(h0, task, budget, tol, phase_lock):
-    n = task.n
-    no, ne = _split_dims(n)
-    phi = np.zeros(n)
-    phi[task.source - 1] = 1.0
-    target = task.target
-    odd = np.arange(0, n, 2)
-    even = np.arange(1, n, 2)
-    iu_o = np.triu_indices(no, 1)
-    iu_e = np.triu_indices(ne, 1)
-
-    def evaluate(block):
-        # dense: the block carries off-pattern leakage between compensations
-        u = propagator(_hamiltonian_from_block(block, n), task.time)
-        f = complex(target @ u @ phi)
-        merit = abs(f) if phase_lock is None else float(np.real(phase_lock * f))
-        return merit, abs(f), (u, f)
-
-    def gradient(aux):
-        u, f = aux
-        if phase_lock is None:
-            w_phase = np.conj(f) / abs(f) if abs(f) > 1e-12 else 1.0
-        else:
-            w_phase = phase_lock
-        y = u.T @ target
-        z = u @ phi
-        g_full = np.real(w_phase * (np.outer(y, phi) - np.outer(target, z)))
-        g_o = g_full[np.ix_(odd, odd)]
-        g_e = g_full[np.ix_(even, even)]
-        return np.concatenate([g_o[iu_o] - g_o.T[iu_o],
-                               g_e[iu_e] - g_e.T[iu_e]])
-
-    x, report = _ascend(
-        _couplings_to_block(np.asarray(h0.offdiag, dtype=float)), n, evaluate,
-        gradient, lambda step, chi: step, _BOX_STEP, budget, tol, min_step=1e-14,
-        window_slope=1e-3)
-    return SymTridiag(np.zeros(n), _block_to_couplings(x, n)), report
-
-
 # ---------------------------------------------------------------------------
 # five-site case study
-
-
-def case_study_generator(j, a: float, b: float) -> np.ndarray:
-    """Tangent directions of the five-site zero mode under pattern flows.
-
-    For couplings (J1, J2, J3, J4) the reachable first-order motions of
-    the zero mode form a two-parameter family; this returns the motion
-    for weights (a, b).  Together the two generators span the orthogonal
-    complement of the zero mode in the odd-site space except on the
-    degenerate set J1^2 + J2^2 = J3^2 + J4^2.
-    """
-    j1, j2, j3, j4 = (float(v) for v in j)
-    if min(j1, j2, j3, j4) <= 0:
-        raise ValueError("couplings must be positive")
-    va = np.array([-j1 * j2 * (j3 ** 2 + j4 ** 2),
-                   j1 ** 2 * j3 ** 2 - j2 ** 2 * j4 ** 2,
-                   j3 * j4 * (j1 ** 2 + j2 ** 2)])
-    vb = np.array([j1 * (j3 ** 2 + j4 ** 2 - j1 ** 2),
-                   -j2 * (j1 ** 2 - j4 ** 2),
-                   -j2 * j3 * j4])
-    return a * va + b * vb
 
 
 def boundary_value(gamma1: float, gamma2: float) -> float:
@@ -875,7 +698,8 @@ def zero_mode_chain(spectrum, target_null_vector):
 
     Returns the couplings once every eigenvalue matches to 1e-10 relative;
     None when no start finds a root, an odd-site target component
-    vanishes, or the solve leaves the finite numbers.
+    vanishes, or the solve leaves the finite numbers.  A spectrum that
+    ``chain_from_spectrum`` refuses raises its ``ValueError``.
     """
     vals = np.sort(np.asarray(getattr(spectrum, "values", spectrum), dtype=float))
     target = np.asarray(target_null_vector, dtype=float)
@@ -914,34 +738,14 @@ def zero_mode_chain(spectrum, target_null_vector):
         return j if np.abs(ev / positive - 1.0).max() < 1e-10 else None
 
     # equal couplings carry the spectrum's trace: sum J^2 = sum positive^2
-    starts = [np.full(half, np.log((positive ** 2).sum() / (gains ** 2).sum()) / 2)]
-    try:
-        seed = np.log(chain_from_spectrum(vals))
-        starts[:0] = [seed[0::2], (seed[0::2] + seed[1::2] - np.log(ratios)) / 2]
-    except ValueError:  # the Lanczos chain breaks down on the widest ladders
-        pass
+    seed = np.log(chain_from_spectrum(vals))
+    starts = [seed[0::2], (seed[0::2] + seed[1::2] - np.log(ratios)) / 2,
+              np.full(half, np.log((positive ** 2).sum() / (gains ** 2).sum()) / 2)]
     return next((j for j in map(solve, starts) if j is not None), None)
 
 
 # ---------------------------------------------------------------------------
 # mirror reduction
-
-
-def fold_couplings(couplings: np.ndarray) -> np.ndarray:
-    """Half-chain couplings of a mirror-symmetric odd chain.
-
-    Sites are relabelled outward from the centre, so the first half-chain
-    coupling is the centre pair strengthened by sqrt(2) and the rest read
-    the full chain inward.
-    """
-    couplings = np.asarray(couplings, dtype=float)
-    n = couplings.size + 1
-    if n % 2 == 0:
-        raise ValueError("mirror reduction needs an odd number of sites")
-    if np.abs(couplings - couplings[::-1]).max() > 1e-10:
-        raise ValueError("couplings are not mirror symmetric")
-    m = (n - 1) // 2
-    return np.concatenate([[np.sqrt(2.0) * couplings[m - 1]], couplings[: m - 1][::-1]])
 
 
 def unfold_couplings(half: np.ndarray) -> np.ndarray:
@@ -1010,8 +814,9 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     the per-site signs whose application to the couplings makes the
     produced state uniform with positive amplitudes.
     """
-    if n % 4 != 1:
-        raise ValueError("uniform odd-site revival needs n = 4k + 1 sites")
+    if n < 5 or n % 4 != 1:
+        raise ValueError(
+            f"uniform odd-site revival needs n = 4k + 1 sites with k >= 1, got {n}")
     tol = _check_tol(tol)
     m = (n - 1) // 2
     n_odd = (n + 1) // 2

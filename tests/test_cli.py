@@ -126,8 +126,12 @@ class TestDesignWstate:
         rows = (tmp_path / "xx9.trace.csv").read_text().splitlines()
         assert float(rows[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_size_must_fit_the_pattern(self, tmp_path):
-        assert run(tmp_path, "design", "wstate", "--n", "7") == 1
+    def test_size_must_fit_the_pattern(self, tmp_path, capsys):
+        for n in ("7", "1", "-3"):
+            assert run(tmp_path, "design", "wstate", "--n", n) == 1
+            err = capsys.readouterr().err
+            assert f"needs n = 4k + 1 sites with k >= 1, got {n}" in err
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, tol):

@@ -22,7 +22,6 @@ from spinforge.cloning import (
     design_w_chain,
     exchange_evolve_dense,
     ghz_helper_chain,
-    odd_support_check,
     pipeline_run,
     profile_from_betas,
     reduced_qubit_state,
@@ -423,28 +422,6 @@ class TestAverageFidelity:
     def test_design_inputs_are_normalized(self):
         for psi in SIX_DESIGN_INPUTS:
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestOddSupportCheck:
-    def test_clone_weights_pass(self):
-        p = symmetric_profile(4)
-        report = odd_support_check(clone_weight_state(p), np.zeros(p.m))
-        assert report.passed
-        assert report.max_even_amplitude == 0.0
-
-    def test_even_site_leak_fails(self):
-        target = np.array([0.6, 0.1, 0.0, 0.0, 0.79])
-        report = odd_support_check(target, np.zeros(5))
-        assert not report.passed
-        assert report.max_even_amplitude == pytest.approx(0.1)
-
-    def test_nonzero_field_fails(self):
-        p = symmetric_profile(3)
-        fields = np.zeros(5)
-        fields[2] = 0.4
-        report = odd_support_check(clone_weight_state(p), fields)
-        assert not report.passed
-        assert "field" in report.note
 
 
 class TestDesignWChain:

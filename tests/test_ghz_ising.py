@@ -10,10 +10,8 @@ from spinforge.ghz_ising import (
     GHZ_TIME,
     GhzReport,
     IsingChain,
-    basis_map,
     brute_force_evolve,
     dense_hamiltonian,
-    ghz_global_phase,
     ghz_target,
     hopping_form,
     ising_from_pst,
@@ -165,9 +163,11 @@ class TestBruteForceEvolve:
 class TestGlobalPhase:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force(self, n):
+        # <GHZ|psi(t0)> is +1 for odd n and (-1)^(n/2) e^{i pi/4} for even n
         psi = brute_force_evolve(ghz_chain(n), GHZ_TIME, zeros_state(n))
         overlap = np.vdot(ghz_target(n), psi)
-        assert abs(overlap - ghz_global_phase(n)) < 1e-8
+        phase = 1.0 if n % 2 else (-1.0) ** (n // 2) * np.exp(1j * np.pi / 4)
+        assert abs(overlap - phase) < 1e-8
 
 
 class TestMirrorDeviation:
@@ -258,14 +258,8 @@ class TestOneParticleMap:
 
 
 class TestBasisMap:
-    def test_reversal_rule(self):
-        reversed_x, rule = basis_map("100")
-        assert reversed_x == "001"
-        assert "GHZ" in rule
-
-    def test_bad_string_rejected(self):
-        with pytest.raises(ValueError):
-            basis_map("10a")
+    """The quarter period carries the basis state flipped at the set positions
+    of x onto the GHZ state flipped at the mirrored positions, with no phase."""
 
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_all_basis_states_follow_rule(self, n):
@@ -277,7 +271,7 @@ class TestBasisMap:
             psi0 = np.zeros(1 << n, dtype=complex)
             psi0[code] = 1.0
             evolved = brute_force_evolve(chain, GHZ_TIME, psi0)
-            mask = int(basis_map(x)[0], 2)
+            mask = int(x[::-1], 2)
             dressed = ghz_image[idx ^ mask]
             assert np.abs(evolved - dressed).max() < 1e-8
 

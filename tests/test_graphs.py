@@ -1,26 +1,19 @@
-import json
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from spinforge.graphs import (
-    ConditionReport,
     GraphSpec,
     RevivalInstance,
-    bipartite_phase_guard,
     evolve_vertex,
-    graph_from_edge_list,
     graph_from_edges,
     hypercube_power,
-    instance_report,
-    locate_revival_time,
     path_graph,
     phase_aligned_deviation,
     power_vertex,
     revival_instance,
     standard_instances,
-    synthesis_condition_check,
 )
 
 
@@ -51,17 +44,6 @@ class TestGraphSpec:
     def test_adjacency_consistency_enforced(self):
         with pytest.raises(ValueError):
             GraphSpec(n=2, edges=((1, 2),), adjacency=np.zeros((2, 2)))
-
-    def test_edge_list_parsing(self):
-        doc = "3\n1 2\n2 3\n"
-        assert graph_from_edge_list(doc).edges == path_graph(3).edges
-
-    def test_edge_list_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            graph_from_edge_list("3\n1 2 3\n")
-        with pytest.raises(ValueError):
-            graph_from_edge_list("")
-
 
 class TestEvolveVertex:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -105,15 +87,6 @@ class TestStandardInstances:
     def test_deviation_within_tolerance(self, index):
         inst = standard_instances()[index]
         assert inst.deviation <= 1e-9
-
-    @pytest.mark.parametrize("index", range(6))
-    def test_quoted_time_is_a_true_revival(self, index):
-        """The independently located peak agrees with the stored time."""
-        inst = standard_instances()[index]
-        located = locate_revival_time(inst.graph, inst.source, inst.target,
-                                      t_max=2.0 * inst.time)
-        out = evolve_vertex(inst.graph, inst.source, located)
-        assert phase_aligned_deviation(out, inst.target) < 1e-8
 
     def test_grid_spread_is_uniform(self):
         grid = [inst for inst in standard_instances() if inst.graph.n == 9][0]
@@ -165,98 +138,7 @@ class TestHypercubePower:
             power_vertex(3, (1, 4))
 
 
-class TestSynthesisConditionCheck:
-    def test_centre_spread_passes(self):
-        report = synthesis_condition_check(
-            path_graph(3), 2, np.array([1.0, 0.0, 1.0]) / np.sqrt(2),
-            np.pi / np.sqrt(8.0))
-        assert report.passed
-        assert report.overlap_residuals.max() < 1e-10
-
-    def test_end_to_end_transfer_passes(self):
-        report = synthesis_condition_check(
-            path_graph(3), 1, np.array([0.0, 0.0, 1.0]), np.pi / np.sqrt(2.0))
-        assert report.passed
-
-    def test_uniform_four_path_fails_on_signs(self):
-        report = synthesis_condition_check(path_graph(4), 1, np.ones(4) / 2.0,
-                                           1.234)
-        assert not report.passed
-        assert report.overlap_residuals.max() > 1e-2
-
-    def test_wrong_time_fails_on_phases_only(self):
-        report = synthesis_condition_check(
-            path_graph(3), 2, np.array([1.0, 0.0, 1.0]) / np.sqrt(2), 0.3)
-        assert not report.passed
-        assert report.overlap_residuals.max() < 1e-10
-        assert report.phase_residuals.max() > 1e-2
-
-    def test_degenerate_spectrum_grouped(self):
-        """Corner-to-corner transfer on the grid exercises repeated eigenvalues."""
-        grid = hypercube_power(path_graph(3), 2)
-        target = np.zeros(9)
-        target[power_vertex(3, (3, 3)) - 1] = 1.0
-        report = synthesis_condition_check(grid, power_vertex(3, (1, 1)),
-                                           target, np.pi / np.sqrt(2.0))
-        assert report.passed
-        assert report.eigenvalues.size < 9
-
-    def test_unconstrained_eigenspaces_marked(self):
-        report = synthesis_condition_check(
-            path_graph(3), 2, np.array([1.0, 0.0, 1.0]) / np.sqrt(2),
-            np.pi / np.sqrt(8.0))
-        assert np.count_nonzero(report.signs == 0) == 1
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            synthesis_condition_check(path_graph(3), 1, np.ones(3), 1.0)
-
-
-class TestBipartitePhaseGuard:
-    def test_same_class_support_passes(self):
-        assert bipartite_phase_guard(path_graph(3),
-                                     np.array([1.0, 0.0, 1.0]) / np.sqrt(2))
-
-    def test_equal_phase_across_classes_fails(self):
-        assert not bipartite_phase_guard(path_graph(2),
-                                         np.array([1.0, 1.0]) / np.sqrt(2))
-
-    def test_phase_difference_across_classes_passes(self):
-        assert bipartite_phase_guard(path_graph(2),
-                                     np.array([1.0, -1.0j]) / np.sqrt(2))
-
-    def test_non_bipartite_graph_unconstrained(self):
-        triangle = graph_from_edges(3, [(1, 2), (2, 3), (1, 3)])
-        assert bipartite_phase_guard(triangle, np.ones(3) / np.sqrt(3))
-
-    def test_empty_support_passes(self):
-        assert bipartite_phase_guard(path_graph(2), np.zeros(2))
-
-
-class TestLocateRevivalTime:
-    def test_recovers_quarter_period(self):
-        t = locate_revival_time(path_graph(2), 1,
-                                np.array([1.0, -1.0j]) / np.sqrt(2), t_max=2.0)
-        assert t == pytest.approx(np.pi / 4, abs=1e-9)
-
-    def test_refines_beyond_grid_spacing(self):
-        g = path_graph(5)
-        nominal = 2.0 * np.pi / np.sqrt(27.0)
-        target = np.array([1.0, 1.0j, 0.0, 1.0j, 1.0]) / 2.0
-        t = locate_revival_time(g, 3, target, t_max=2.0 * nominal, samples=301)
-        assert t == pytest.approx(nominal, abs=1e-8)
-
-
 class TestInstanceReport:
-    def test_json_payload(self):
-        inst = standard_instances()[1]
-        payload = json.loads(instance_report(inst))
-        assert payload["vertices"] == 3
-        assert payload["source"] == 2
-        assert payload["deviation"] <= 1e-9
-        assert payload["located_time"] == pytest.approx(payload["time"], abs=1e-6)
-        assert len(payload["target"]) == 3
-
     def test_instance_validation(self):
         with pytest.raises(ValueError):
             RevivalInstance(graph=path_graph(2), source=3,

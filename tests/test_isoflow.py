@@ -14,7 +14,6 @@ from spinforge.isoflow import (
     _direction,
     _member,
     _step_unitary,
-    gamma_constraints,
     gamma_seed,
     interpolate_gamma,
     structure_residual,
@@ -23,8 +22,19 @@ from spinforge.isoflow import (
     zy_ghz_overlap,
     zy_hamiltonian,
 )
-from spinforge.numerics import LinearConstraintSet, antisym_exp, solve_affine
+from spinforge.numerics import antisym_exp, solve_affine
 from spinforge.pst import standard_couplings
+
+
+def parameter_system(x, feedback=0.0):
+    """The direction system at ``x`` with its columns in the parameter layout.
+
+    ``isoflow._system`` stores the columns in its LU factor's order; this
+    puts them back in the order of the unknowns: the strict upper triangles
+    of a and b, then the gamma rate.
+    """
+    rows, rhs = isoflow._system(x.to_dense(), x.gamma, feedback, 1.0)
+    return rows[:, np.argsort(isoflow._pattern(x.n)[-1])], rhs
 
 
 def family_member(n, gamma, seed=0):
@@ -145,19 +155,21 @@ class TestSeeds:
 class TestGammaConstraints:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 21])
     def test_square_system(self, n):
-        c = gamma_constraints(gamma_seed(n, 0.0))
-        assert c.rows.shape[0] == c.n_params == n * (n - 1) + 1
+        rows, rhs = parameter_system(gamma_seed(n, 0.0))
+        assert rows.shape == (n * (n - 1) + 1,) * 2
+        assert rhs.shape == (n * (n - 1) + 1,)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_unique_direction_for_two_sites(self, gamma):
-        sol, rank = solve_affine(gamma_constraints(gamma_seed(2, gamma)))
-        assert rank == 3
+        rows, rhs = parameter_system(gamma_seed(2, gamma))
+        assert np.linalg.matrix_rank(rows.toarray()) == 3
+        sol = solve_affine(rows, rhs)
         assert sol[-1] == pytest.approx(1.0, abs=1e-10)
 
     def test_structured_point_has_homogeneous_structure_rows(self):
-        c = gamma_constraints(family_member(5, 0.3), feedback=1.0)
-        assert np.abs(c.rhs[:-1]).max() < 1e-12
-        assert c.rhs[-1] == 1.0
+        _, rhs = parameter_system(family_member(5, 0.3), feedback=1.0)
+        assert np.abs(rhs[:-1]).max() < 1e-12
+        assert rhs[-1] == 1.0
 
     def test_mirror_violation_feeds_back_linearly(self):
         x = gamma_seed(4, 0.0)
@@ -166,9 +178,8 @@ class TestGammaConstraints:
             diag = x.diag.copy()
             diag[0] += eps
             bent = GammaMatrix(diag=diag, upper=x.upper, lower=x.lower, gamma=0.0)
-            c = gamma_constraints(bent, feedback=1.0)
-            row = c.names.index("mirror_diag[0]")
-            values.append(c.rhs[row])
+            _, rhs = parameter_system(bent, feedback=1.0)
+            values.append(rhs[isoflow._pattern(4)[0].index("mirror_diag[0]")])
         assert values[0] == pytest.approx(-1e-4, rel=1e-9)
         assert values[1] / values[0] == pytest.approx(2.0, rel=1e-9)
 
@@ -177,17 +188,17 @@ class TestSparseAssembly:
     @settings(max_examples=60, deadline=None)
     @given(x=band_members(), feedback=st.floats(0.0, 1e3))
     def test_constraints_match_the_dense_oracle(self, x, feedback):
-        c = gamma_constraints(x, feedback)
+        got_rows, got_rhs = parameter_system(x, feedback)
         rows, rhs = oracle_system(x.to_dense(), x.gamma, feedback)
-        assert scipy.sparse.issparse(c.rows)
-        np.testing.assert_array_equal(c.rows.toarray(), rows)
-        np.testing.assert_array_equal(c.rhs, rhs)
+        assert scipy.sparse.issparse(got_rows)
+        np.testing.assert_array_equal(got_rows.toarray(), rows)
+        np.testing.assert_array_equal(got_rhs, rhs)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_matrix_reads_bands_and_rhs_reads_the_full_iterate(self, n):
         x = family_member(n, 0.4, seed=n)
         xd = x.to_dense() + 1e-4 * np.random.default_rng(n).normal(size=(n, n))
-        got_rows, got_rhs, _ = isoflow._system(xd, 0.4, 50.0, 1.0)
+        got_rows, got_rhs = isoflow._system(xd, 0.4, 50.0, 1.0)
         rows, rhs = oracle_system(xd, 0.4, 50.0)
         np.testing.assert_array_equal(got_rows.toarray(), rows[:, isoflow._pattern(n)[-1]])
         np.testing.assert_array_equal(got_rhs, rhs)
@@ -199,8 +210,8 @@ class TestSparseAssembly:
         # flowed member between them.  Random band members can be far worse
         # conditioned (1e7 at n = 21), where any two solvers part ways.
         x = gamma_seed(n, gamma) if gamma in (0.0, 1.0) else interpolate_gamma(n, 0.0, gamma)[0]
-        c = gamma_constraints(x, feedback=1.0)
-        ref = np.linalg.lstsq(c.rows.toarray(), c.rhs, rcond=None)[0]
+        rows, rhs = parameter_system(x, feedback=1.0)
+        ref = np.linalg.lstsq(rows.toarray(), rhs, rcond=None)[0]
         npair = n * (n - 1) // 2
         ki, li = np.triu_indices(n, 1)
         g = _direction(x.to_dense(), x.gamma, 1.0)
@@ -214,16 +225,15 @@ class TestSparseAssembly:
         # COLAMD reads the pattern only, so the order found once per n is the
         # order SuperLU would find at every step
         x = gamma_seed(n, gamma) if gamma in (0.0, 1.0) else interpolate_gamma(n, 0.0, gamma)[0]
-        c = gamma_constraints(x, feedback=1.0)
-        colamd = scipy.sparse.linalg.splu(c.rows).solve(c.rhs)
-        rows, rhs, _ = isoflow._system(x.to_dense(), x.gamma, 1.0, 1.0)
-        fixed, _ = solve_affine(LinearConstraintSet(rows, rhs), residual_tol=np.inf)
+        rows, rhs = parameter_system(x, feedback=1.0)
+        colamd = scipy.sparse.linalg.splu(rows).solve(rhs)
+        fixed = solve_affine(*isoflow._system(x.to_dense(), x.gamma, 1.0, 1.0))
         assert fixed.tobytes() == colamd[isoflow._pattern(n)[-1]].tobytes()
 
     def test_singular_factor_falls_back_to_lstsq(self):
         zero = GammaMatrix(diag=np.zeros(4), upper=np.zeros(3), lower=np.zeros(3), gamma=0.5)
         with pytest.raises(RuntimeError, match="singular"):
-            scipy.sparse.linalg.splu(gamma_constraints(zero).rows)
+            scipy.sparse.linalg.splu(parameter_system(zero)[0])
         g = _direction(zero.to_dense(), zero.gamma, 0.0)
         assert np.array_equal(g.a, np.zeros((4, 4)))
         assert np.array_equal(g.b, np.zeros((4, 4)))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinforge.numerics import Spectrum, eig_sym_tridiag
-from spinforge.pst import PstChain, min_gap_bound, standard_couplings, verify_mirror
+from spinforge.numerics import eig_sym_tridiag
+from spinforge.pst import PstChain, standard_couplings, verify_mirror
 
 
 class TestStandardCouplings:
@@ -53,26 +53,3 @@ class TestVerifyMirror:
         assert verify_mirror(scaled) < 1e-9
         s, _ = eig_sym_tridiag(scaled.single_particle())
         assert np.abs(s.values - scale * np.arange(-6, 7, 2)).max() < 1e-9
-
-
-class TestMinGapBound:
-    def test_two_levels(self):
-        assert min_gap_bound(Spectrum([-1.0, 1.0])) == pytest.approx(np.pi / 2)
-
-    def test_odd_integer_ladder(self):
-        values = np.concatenate([np.arange(-9, 0, 2), np.arange(1, 10, 2)])
-        assert min_gap_bound(Spectrum(values)) == pytest.approx(np.pi / 2)
-
-    def test_uneven_spacing(self):
-        assert min_gap_bound(Spectrum([0.0, 3.0, 5.0])) == pytest.approx(np.pi / 2)
-
-    def test_degenerate_values_skipped(self):
-        assert min_gap_bound(Spectrum([0.0, 0.0, 4.0])) == pytest.approx(np.pi / 4)
-
-    def test_fully_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            min_gap_bound(Spectrum([2.0, 2.0, 2.0]))
-
-    def test_single_value_rejected(self):
-        with pytest.raises(ValueError):
-            min_gap_bound(Spectrum([1.0]))
