@@ -13,6 +13,7 @@ bytes.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -28,6 +29,18 @@ SCHEMA_VERSION = 1
 KINDS = ("pst", "ising", "zy", "xx")
 
 
+def _is_number(value) -> bool:
+    """A real number that JSON writes as one: not a bool, not a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _float_array(name: str, values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}") from err
+
+
 @dataclass(frozen=True)
 class ChainDocument:
     """A chain artifact: kind, arrays, optional deformation, provenance."""
@@ -41,8 +54,8 @@ class ChainDocument:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        couplings = np.asarray(self.couplings, dtype=float)
-        fields = np.asarray(self.fields, dtype=float)
+        couplings = _float_array("couplings", self.couplings)
+        fields = _float_array("fields", self.fields)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "fields", fields)
         if self.schema_version != SCHEMA_VERSION:
@@ -61,15 +74,21 @@ class ChainDocument:
             raise ValueError(f"a {self.kind} document needs {expected_fields} "
                              "field entries")
         if self.kind == "zy":
-            if self.gamma is None or not 0.0 <= self.gamma <= 1.0:
-                raise ValueError("zy documents need gamma in [0, 1]")
+            if not (_is_number(self.gamma) and 0.0 <= self.gamma <= 1.0):
+                raise ValueError(
+                    f"zy documents need gamma in [0, 1], got {self.gamma!r}")
         elif self.gamma is not None:
             raise ValueError(f"{self.kind} documents carry no gamma")
         if not isinstance(self.provenance, dict):
             raise ValueError("provenance must be a mapping")
-        for value in self.provenance.get("tolerances", {}).values():
-            if not value > 0:
-                raise ValueError("tolerances must be positive")
+        tolerances = self.provenance.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ValueError(f"provenance tolerances must be a mapping, "
+                             f"got {tolerances!r}")
+        for name, value in tolerances.items():
+            if not (_is_number(value) and value > 0):
+                raise ValueError(f"tolerance {name!r} must be a positive "
+                                 f"number, got {value!r}")
 
 
 def make_provenance(command: str, seed: Optional[int] = None,
@@ -104,19 +123,18 @@ def document_from_json(text: str) -> ChainDocument:
     missing = {"schema_version", "kind", "n", "couplings", "fields"} - set(payload)
     if missing:
         raise ValueError(f"chain document is missing {sorted(missing)}")
-    try:
-        n, version = int(payload["n"]), int(payload["schema_version"])
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"chain document n and schema_version must be "
-                         f"integers: {err}") from err
+    for name in ("n", "schema_version"):
+        if isinstance(payload[name], bool) or not isinstance(payload[name], int):
+            raise ValueError(f"chain document n and schema_version must be "
+                             f"integers, got {name} = {payload[name]!r}")
     return ChainDocument(
         kind=payload["kind"],
-        n=n,
-        couplings=np.asarray(payload["couplings"], dtype=float),
-        fields=np.asarray(payload["fields"], dtype=float),
+        n=payload["n"],
+        couplings=payload["couplings"],
+        fields=payload["fields"],
         gamma=payload.get("gamma"),
         provenance=payload.get("provenance", {}),
-        schema_version=version,
+        schema_version=payload["schema_version"],
     )
 
 

@@ -216,7 +216,7 @@ def _simulate_ghz(args, argv) -> int:
                  else ising_from_pst(chainio.pst_chain(doc)))
         report = overlap_estimate(chain)
         payload.update({"n": chain.n, "overlap": report.overlap,
-                        "method": report.method, "time": report.time})
+                        "method": report.method, "time": GHZ_TIME})
         if args.check:
             deviation = mirror_deviation(chain)
             payload["mirror_deviation"] = deviation
@@ -251,8 +251,10 @@ def _parse_percent_range(text: str) -> list:
     lo, hi, step = values
     if step <= 0 or hi < lo:
         raise ValueError("need step > 0 and to >= from")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + step * i for i in range(count)]
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    if not np.isfinite(count):
+        raise ValueError(f"the range {text} has no finite number of points")
+    return [lo + step * i for i in range(int(count))]
 
 
 def _simulate_sweep(args, argv) -> int:

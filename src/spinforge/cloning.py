@@ -277,88 +277,6 @@ def clone_map_target(p: AsymmetryProfile,
 
 
 # ---------------------------------------------------------------------------
-# symbolic gate stages
-
-# The register state between the gates is a superposition of a handful of
-# basis strings.  Each string is stored as (base, flips): the string equal
-# to ``base`` on every qubit except the 1-based positions in ``flips``.
-
-
-def _accumulate(amps: dict, key, value: complex) -> None:
-    amps[key] = amps.get(key, 0.0) + value
-
-
-def _half_period_rewrite(amps: dict, m: int) -> dict:
-    """One GHZ half period as an exact rewrite on basis strings.
-
-    A basis string maps onto the equal superposition of its positional
-    reversal and the flipped reversal, with the relative phase -i fixed
-    by the engineered chain (no extra global phase appears for odd m).
-    """
-    out: dict = {}
-    root_half = 1.0 / np.sqrt(2.0)
-    for (base, flips), amp in amps.items():
-        mirrored = frozenset(m + 1 - a for a in flips)
-        _accumulate(out, (base, mirrored), amp * root_half)
-        _accumulate(out, (1 - base, mirrored), amp * (-1j * root_half))
-    return {key: val for key, val in out.items() if abs(val) > 1e-12}
-
-
-def _bit_of(key, position: int) -> int:
-    base, flips = key
-    return base ^ (1 if position in flips else 0)
-
-
-def _cz_rewrite(amps: dict, qa: int, qb: int) -> dict:
-    out = {}
-    for key, amp in amps.items():
-        both = _bit_of(key, qa) and _bit_of(key, qb)
-        out[key] = -amp if both else amp
-    return out
-
-
-def _cnot_rewrite(amps: dict, control: int, target: int) -> dict:
-    out: dict = {}
-    for (base, flips), amp in amps.items():
-        if _bit_of((base, flips), control):
-            flips = flips ^ {target}
-        _accumulate(out, (base, flips), amp)
-    return out
-
-
-def _initial_sectors(p: AsymmetryProfile, input_state: np.ndarray, k: int) -> dict:
-    """Sparse decomposition of the prepared register.
-
-    The helper qubit k+1 carries A|0> + iB|1> and the input at k+2 is
-    pre-rotated by the phase gate diag(1, i); the imaginary weights are
-    what cancels the stray phases of the gate stages.
-    """
-    alpha, gamma = complex(input_state[0]), complex(input_state[1])
-    qa, qb = k + 1, k + 2
-    return {
-        (0, frozenset()): p.a * alpha,
-        (0, frozenset({qb})): p.a * 1j * gamma,
-        (0, frozenset({qa})): 1j * p.b * alpha,
-        (0, frozenset({qa, qb})): -p.b * gamma,
-    }
-
-
-def _to_compressed(amps: dict, m: int) -> CompressedState:
-    extremal = np.zeros(2, dtype=complex)
-    flipped = np.zeros((2, m), dtype=complex)
-    for (base, flips), amp in amps.items():
-        if len(flips) > 1:
-            raise CloningStageError(
-                "gate stage", "register state left the compressed family")
-        if flips:
-            flipped[base, min(flips) - 1] = amp
-        else:
-            extremal[base] = amp
-    return CompressedState(m=m, amp0=extremal[0], amp1=extremal[1],
-                           one_exc=flipped[0], m_minus_one_exc=flipped[1])
-
-
-# ---------------------------------------------------------------------------
 # pipelines
 
 
@@ -403,29 +321,47 @@ def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
     return residuals
 
 
+def _gate_output(p: AsymmetryProfile, input_state: np.ndarray,
+                 k: int) -> CompressedState:
+    """Register state after the two GHZ half periods, the CZ and the CNOT.
+
+    The helper at site k+1 starts in A|0> + iB|1> and the input at k+2,
+    pre-rotated by diag(1, i), in alpha|0> + i gamma|1>.  A half period
+    maps a string onto its mirror image plus -i times the flipped mirror
+    image, over sqrt 2, and the CZ acts on the mirror images of the two
+    sites.  Over both half periods a string with one of the two bits set
+    keeps only its flipped branch, whose -i cancels the i of iB or of the
+    pre-rotation; the string with both bits set keeps only its unflipped
+    branch, whose CZ sign cancels the i * i.  The CNOT then leaves
+    alpha (A|0...0> + B|hole at k+1>) + gamma (A|1...1> + B|excitation
+    at k+1>).
+    """
+    alpha, gamma = complex(input_state[0]), complex(input_state[1])
+    seed = np.zeros(p.m, dtype=complex)
+    seed[k] = p.b
+    return CompressedState(m=p.m, amp0=p.a * alpha, amp1=p.a * gamma,
+                           one_exc=gamma * seed, m_minus_one_exc=alpha * seed)
+
+
 def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
                  input_state, k: Optional[int] = None, w_time: float = np.pi,
                  stage_tol: Optional[float] = 1e-6) -> CompressedState:
     """Clone one input qubit through the gate-and-chain pipeline.
 
-    The two GHZ evolutions and both entangling gates are applied as
-    exact rewrite rules on a sparse string decomposition, so no 2^m
-    vector is ever formed; the exchange stage acts through the m x m
-    propagator on the excitation and hole sectors.  Stage residuals are
-    compared against ``stage_tol``; None skips the stage checks, for
-    arbitrary chains or a caller that has already run them.
+    The two GHZ evolutions and both entangling gates are not simulated:
+    for a chain that passes the GHZ stage check they leave the closed
+    form of :func:`_gate_output`, so no 2^m vector is ever formed.  The
+    exchange stage acts through the m x m propagator on the excitation
+    and hole sectors.  Stage residuals are compared against
+    ``stage_tol``; None skips the stage checks, for arbitrary chains or
+    a caller that has already run them.
     """
-    m = ghz_chain.n
     k = _checked_offset(ghz_chain, w_chain, p, k)
     input_state = _checked_inputs(input_state, max_ndim=1)
     if stage_tol is not None:
         _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
-    amps = _initial_sectors(p, input_state, k)
-    amps = _half_period_rewrite(amps, m)
-    amps = _cz_rewrite(amps, m - k, m - k - 1)
-    amps = _half_period_rewrite(amps, m)
-    amps = _cnot_rewrite(amps, k + 1, k + 2)
-    return compressed_evolve(_to_compressed(amps, m), w_chain.offdiag, w_time)
+    return compressed_evolve(_gate_output(p, input_state, k),
+                             w_chain.offdiag, w_time)
 
 
 def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:

@@ -66,12 +66,11 @@ class IsingChain:
 
 @dataclass
 class GhzReport:
-    """Overlap of the evolved all-zeros state with the GHZ target."""
+    """Overlap of the all-zeros state evolved over GHZ_TIME with the GHZ target."""
 
     overlap: float
     method: str
     chain: IsingChain
-    time: float
     det_sign: int = 1
 
     def __post_init__(self):
@@ -216,14 +215,14 @@ def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
     return _one_particle_maps(c.band()[None, :], t)[0]
 
 
-def mirror_deviation(c: IsingChain, t: float = GHZ_TIME) -> float:
+def mirror_deviation(c: IsingChain) -> float:
     """Deviation of the one-particle map from the signed mirror permutation.
 
     At the quarter period the engineered chain sends mode k to mode 2n+1-k
     with alternating sign (-1)^k. Returns the worst absolute deviation from
     that rule; diagnostic, large for perturbed chains.
     """
-    w = one_particle_map(c, t)
+    w = one_particle_map(c, GHZ_TIME)
     dim = 2 * c.n
     target = np.zeros((dim, dim))
     k = np.arange(1, dim + 1)
@@ -242,23 +241,23 @@ def hopping_form(n: int) -> np.ndarray:
     return np.diag(pairs, 1) - np.diag(pairs, -1)
 
 
-def overlap_exact(c: IsingChain, t: float = GHZ_TIME) -> GhzReport:
+def overlap_exact(c: IsingChain) -> GhzReport:
     """GHZ overlap by dense evolution of the all-zeros state (n <= 12)."""
     psi0 = np.zeros(1 << c.n, dtype=complex)
     psi0[0] = 1.0
-    psi = brute_force_evolve(c, t, psi0)
+    psi = brute_force_evolve(c, GHZ_TIME, psi0)
     overlap = min(abs(np.vdot(ghz_target(c.n), psi)), 1.0)
-    return GhzReport(overlap=overlap, method="exact", chain=c, time=t)
+    return GhzReport(overlap=overlap, method="exact", chain=c)
 
 
-def _overlap_estimates(bands: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _overlap_estimates(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Overlap estimates and determinant signs for a stack of bands (k, 2n-1).
 
     See :func:`overlap_estimate`; the determinant is taken in log space, so
     chains of any length give a finite estimate.
     """
     n = (bands.shape[1] + 1) // 2
-    w = _one_particle_maps(bands, t)
+    w = _one_particle_maps(bands, GHZ_TIME)
     f = w[:, 2 * n - 1, 0]
     h0 = hopping_form(n)
     sign, logdet = np.linalg.slogdet(w @ h0 @ w.transpose(0, 2, 1) @ h0 - np.eye(2 * n))
@@ -268,7 +267,7 @@ def _overlap_estimates(bands: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
     return overlap, sign
 
 
-def overlap_estimate(c: IsingChain, t: float = GHZ_TIME) -> GhzReport:
+def overlap_estimate(c: IsingChain) -> GhzReport:
     """Determinant-based estimate of the GHZ overlap from the quadratic sector.
 
     Combines the end-to-end one-particle amplitude F with the determinant of
@@ -280,12 +279,11 @@ def overlap_estimate(c: IsingChain, t: float = GHZ_TIME) -> GhzReport:
     to exactly 1 so that chains with perfect mirror transfer report an
     overlap of 1.0.
     """
-    overlap, sign = _overlap_estimates(c.band()[None, :], t)
+    overlap, sign = _overlap_estimates(c.band()[None, :])
     return GhzReport(
         overlap=float(overlap[0]),
         method="estimator",
         chain=c,
-        time=t,
         det_sign=int(sign[0]),
     )
 
@@ -328,7 +326,7 @@ def perturb_sweep(n: int, x_percent: float, samples: int, seed: int) -> SweepPoi
         perturbed = band * (1.0 + (x_percent / 100.0) * u)
         if not np.all(np.isfinite(perturbed)):
             raise ValueError("chain parameters must be finite")
-        values[start:stop] = _overlap_estimates(perturbed, GHZ_TIME)[0]
+        values[start:stop] = _overlap_estimates(perturbed)[0]
     if not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("overlap must lie in [0, 1]")
     return SweepPoint(

@@ -24,7 +24,6 @@ class GraphSpec:
     """Simple undirected graph with its 0/1 adjacency matrix."""
 
     n: int
-    edges: tuple
     adjacency: np.ndarray
 
     def __post_init__(self):
@@ -40,27 +39,19 @@ class GraphSpec:
             raise ValueError("self-loops are not allowed")
         if not np.all(np.isin(adjacency, (0.0, 1.0))):
             raise ValueError("adjacency entries must be 0 or 1")
-        rebuilt = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            rebuilt[u - 1, v - 1] = rebuilt[v - 1, u - 1] = 1.0
-        if not np.array_equal(rebuilt, adjacency):
-            raise ValueError("edge list and adjacency disagree")
 
 
 def graph_from_edges(n: int, pairs) -> GraphSpec:
     """Build a graph from 1-indexed unordered vertex pairs."""
-    edges = set()
+    adjacency = np.zeros((n, n))
     for u, v in pairs:
         u, v = int(u), int(v)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u}, {v}) leaves the vertex range 1..{n}")
         if u == v:
             raise ValueError("self-loops are not allowed")
-        edges.add((min(u, v), max(u, v)))
-    adjacency = np.zeros((n, n))
-    for u, v in edges:
         adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = 1.0
-    return GraphSpec(n=n, edges=tuple(sorted(edges)), adjacency=adjacency)
+    return GraphSpec(n=n, adjacency=adjacency)
 
 
 def path_graph(n: int) -> GraphSpec:
@@ -146,8 +137,7 @@ def hypercube_power(g: GraphSpec, k: int) -> GraphSpec:
     total = adjacency
     for _ in range(k - 1):
         total = np.kron(total, eye) + np.kron(np.eye(total.shape[0]), adjacency)
-    pairs = [(int(u) + 1, int(v) + 1) for u, v in zip(*np.nonzero(np.triu(total)))]
-    return graph_from_edges(g.n ** k, pairs)
+    return GraphSpec(n=g.n ** k, adjacency=total)
 
 
 def power_vertex(n: int, coords) -> int:

@@ -94,11 +94,6 @@ class GammaMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    @property
-    def ratio(self) -> float:
-        """Target lower/upper band ratio (1 - gamma) / (1 + gamma)."""
-        return (1.0 - self.gamma) / (1.0 + self.gamma)
-
     def to_dense(self) -> np.ndarray:
         m = np.diag(self.diag)
         if self.upper.size:
@@ -146,7 +141,6 @@ class FlowRecord:
     gamma: float
     sv_drift: float
     structure_residual: float
-    step_size: float
 
     def __post_init__(self):
         if self.sv_drift < 0 or self.structure_residual < 0:
@@ -382,11 +376,12 @@ def zy_hamiltonian(x: GammaMatrix) -> np.ndarray:
     return dense_spin_hamiltonian(n, x=x.diag, zz=x.upper, yy=x.lower)
 
 
-def zy_ghz_overlap(x: GammaMatrix, t: float = GHZ_TIME) -> float:
-    """|<GHZ| e^{-iHt} |0...0>| for the spin Hamiltonian of ``x``, clamped to 1."""
+def zy_ghz_overlap(x: GammaMatrix) -> float:
+    """|<GHZ| e^{-iHt} |0...0>| at t = GHZ_TIME for the spin Hamiltonian of
+    ``x``, clamped to 1."""
     psi0 = np.zeros(1 << x.n, dtype=complex)
     psi0[0] = 1.0
-    psi = evolve_dense(zy_hamiltonian(x), t, psi0)
+    psi = evolve_dense(zy_hamiltonian(x), GHZ_TIME, psi0)
     return float(min(abs(np.vdot(ghz_target(x.n), psi)), 1.0))
 
 
@@ -433,9 +428,9 @@ def interpolate_gamma(
     prev_residual = 0.0
     steps = 0
 
-    def record(residual, size):
+    def record(residual):
         drift = float(np.abs(np.sort(np.linalg.svd(xd, compute_uv=False)) - ladder).max())
-        trace.append(FlowRecord(len(trace) + 1, gamma, drift, residual, size))
+        trace.append(FlowRecord(len(trace) + 1, gamma, drift, residual))
 
     while abs(gamma_to - gamma) > 1e-12:
         if steps >= max_steps:
@@ -459,7 +454,7 @@ def interpolate_gamma(
             delta /= 2.0
             continue
         xd, gamma, prev_residual = cand, cand_gamma, residual
-        record(residual, d_eff)
+        record(residual)
 
     for _ in range(6):
         residual = _residual_dense(xd, gamma)
@@ -468,7 +463,7 @@ def interpolate_gamma(
         g = _direction(xd, gamma, 1.0 / delta, gamma_rate_target=0.0)
         xd = _step_unitary(xd, g, delta)
         gamma += delta * g.gamma_rate
-        record(_residual_dense(xd, gamma), delta)
+        record(_residual_dense(xd, gamma))
 
     final_residual = _residual_dense(xd, gamma)
     if final_residual > 1e-4:

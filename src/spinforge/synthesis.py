@@ -49,8 +49,6 @@ __all__ = [
     "WstateDesign",
 ]
 
-_SMALL_COUPLING = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # task containers
@@ -67,7 +65,6 @@ class NullVectorTask:
 
     spectrum: Spectrum
     target_null_vector: np.ndarray
-    time: float = np.pi
 
     def __post_init__(self):
         vals = np.asarray(self.spectrum.values, dtype=float)
@@ -103,8 +100,6 @@ class ConvergenceState:
     where ``delta`` is the box size of that iteration's step; an accepted
     root polish adds a row for the polished iterate.  ``polishes`` keeps one
     ``(iteration, accepted)`` pair per root-polish attempt.
-    ``small_couplings`` lists the 1-based bonds of the final chain whose
-    couplings are below 1e-8.
     """
 
     chi: float
@@ -113,7 +108,6 @@ class ConvergenceState:
     status: str = "running"
     history: list = field(default_factory=list)
     polishes: list = field(default_factory=list)
-    small_couplings: list = field(default_factory=list)
 
     def __post_init__(self):
         if not -1.0 - 1e-12 <= self.chi <= 1.0 + 1e-12:
@@ -211,18 +205,24 @@ def _apply_generators(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     return antisym_exp(-a_e) @ x @ antisym_exp(a_o)
 
 
-def _compensate(x: np.ndarray, n: int, gate: float = 1e-8, max_inner: int = 12):
+_LEAK_GATE = 1e-8
+_COMPENSATE_PASSES = 12
+
+
+def _compensate(x: np.ndarray):
     """Squash off-pattern leakage with small corrective rotations.
 
     Each pass solves the linearised constraint for a generator that cancels
     the current leakage, then applies it exactly, so the iterate stays on
     the fixed-spectrum manifold while the leakage shrinks quadratically.
+    The leakage passes once it is at most ``_LEAK_GATE``; after
+    ``_COMPENSATE_PASSES`` passes it fails.
     """
-    for inner in range(max_inner):
+    for _ in range(_COMPENSATE_PASSES):
         rows, mask = _off_pattern_rows(x)
         leak = x[mask]
         res = float(np.abs(leak).max()) if leak.size else 0.0
-        if res <= gate:
+        if res <= _LEAK_GATE:
             return x, res, True
         try:
             p_fix = solve_affine(rows, -leak)
@@ -231,7 +231,7 @@ def _compensate(x: np.ndarray, n: int, gate: float = 1e-8, max_inner: int = 12):
         x = _apply_generators(x, p_fix)
     rows, mask = _off_pattern_rows(x)
     res = float(np.abs(x[mask]).max())
-    return x, res, res <= gate
+    return x, res, res <= _LEAK_GATE
 
 
 def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
@@ -284,7 +284,7 @@ def _try_polish(polish, evaluate, x, chi, it, report):
     return polished
 
 
-def _ascend(x, n, evaluate, gradient, polish, budget, tol):
+def _ascend(x, evaluate, gradient, polish, budget, tol):
     """Accept/reject ascent of the null-vector flow.
 
     ``evaluate(x)`` returns ``(chi, aux)``: the overlap being ascended and
@@ -332,7 +332,7 @@ def _ascend(x, n, evaluate, gradient, polish, budget, tol):
             break
         p_fix = solve_affine(rows, -x[mask])
         x_try = _apply_generators(x, p_fix + direction)
-        x_try, off_res, ok = _compensate(x_try, n)
+        x_try, off_res, ok = _compensate(x_try)
         chi_try, aux_try = evaluate(x_try)
         if ok and chi_try >= chi - 1e-14:
             x, chi, aux = x_try, chi_try, aux_try
@@ -503,11 +503,6 @@ def apply_sign_gauge(couplings: np.ndarray, signs: np.ndarray) -> np.ndarray:
 # flows
 
 
-def _flag_small(couplings: np.ndarray) -> list:
-    return [int(i + 1) for i, j in enumerate(couplings)
-            if abs(j) < _SMALL_COUPLING]
-
-
 def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
                               tol: float = 1e-6):
     """Drive the chain's zero mode onto the task's target null vector.
@@ -535,8 +530,8 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     lam_t_full = task.target_null_vector
 
     seed = chain_from_spectrum(vals)
-    if reflection_check(SymTridiag(np.zeros(n), seed), task.time) > 1e-8:
-        raise ValueError("spectrum does not produce a reflection at the task time")
+    if reflection_check(SymTridiag(np.zeros(n), seed), np.pi) > 1e-8:
+        raise ValueError("spectrum does not produce a reflection at time pi")
 
     no, ne = _split_dims(n)
     iu = np.triu_indices(no, 1)
@@ -555,12 +550,9 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
                                        lam_t_full)
         return None if root is None else _couplings_to_block(root)
 
-    x, report = _ascend(_couplings_to_block(seed), n, evaluate, gradient, polish,
+    x, report = _ascend(_couplings_to_block(seed), evaluate, gradient, polish,
                         budget, tol)
-
-    couplings = _block_to_couplings(x, n)
-    report.small_couplings = _flag_small(couplings)
-    return SymTridiag(np.zeros(n), couplings), report
+    return SymTridiag(np.zeros(n), _block_to_couplings(x, n)), report
 
 
 def _null_vector_system(spectrum_values, target_null_vector):

@@ -159,6 +159,10 @@ class TestDesignWstate:
                    "--source", "2") == 1
 
 
+PST_DESIGN = ("pst", "--n", "8")
+GAMMA_DESIGN = ("gamma", "--n", "4", "--from", "0", "--to", "0.1", "--step", "0.05")
+
+
 class TestSimulateGhz:
     def make_pst_doc(self, tmp_path, n=8):
         path = tmp_path / "chain.json"
@@ -207,11 +211,9 @@ class TestSimulateGhz:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("design, field", [
-        (("pst", "--n", "8"), "couplings"),
-        (("gamma", "--n", "4", "--from", "0", "--to", "0.1", "--step", "0.05"),
-         "fields"),
-        (("gamma", "--n", "4", "--from", "0", "--to", "0.1", "--step", "0.05"),
-         "couplings"),
+        (PST_DESIGN, "couplings"),
+        (GAMMA_DESIGN, "fields"),
+        (GAMMA_DESIGN, "couplings"),
     ])
     def test_non_finite_document_is_usage_error(self, tmp_path, capsys,
                                                 design, field, value):
@@ -225,6 +227,30 @@ class TestSimulateGhz:
                    "--out", str(out))
         assert code == 1
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("design, change, field", [
+        (GAMMA_DESIGN, {"gamma": "0.5"}, "gamma"),
+        (PST_DESIGN, {"provenance": {"tolerances": {"mirror": "x"}}}, "mirror"),
+        (PST_DESIGN, {"provenance": {"tolerances": [1]}}, "tolerances"),
+        (PST_DESIGN, {"provenance": {"tolerances": None}}, "tolerances"),
+        (PST_DESIGN, {"fields": {"a": 1}}, "fields"),
+        (PST_DESIGN, {"n": 8.7}, "n"),
+    ])
+    def test_malformed_document_is_usage_error(self, tmp_path, capsys,
+                                               design, change, field):
+        chain = tmp_path / "chain.json"
+        assert run(tmp_path, "design", *design, "--out", str(chain)) == 0
+        payload = json.loads(chain.read_text())
+        payload.update(change)
+        chain.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        code = run(tmp_path, "simulate", "ghz", "--chain", str(chain),
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and field in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -262,7 +288,7 @@ class TestSimulateSweep:
         assert run(tmp_path, "simulate", "sweep", "--n", "3", "--x", "5:1:1",
                    "--samples", "2") == 1
 
-    @pytest.mark.parametrize("x", ["0:inf:1", "nan", "0:1:nan"])
+    @pytest.mark.parametrize("x", ["0:inf:1", "nan", "0:1:nan", "0:1e308:1e-308"])
     def test_non_finite_range_is_usage_error(self, tmp_path, capsys, x):
         code = run(tmp_path, "simulate", "sweep", "--n", "3", "--x", x,
                    "--samples", "2")

@@ -244,6 +244,22 @@ class TestPipelineAgreement:
         oracle = brute_force_pipeline(ghz, w, p, psi, k=k, w_time=t)
         assert np.abs(out.embed() - oracle).max() < 1e-8
 
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
+    def test_gate_stages_at_every_offset(self, m):
+        """With the exchange stage off, the closed-form gate output is the
+        dense gate-by-gate state at every offset, for both basis inputs."""
+        rng = np.random.default_rng(m)
+        p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
+        ghz = ghz_helper_chain(m)
+        w = SymTridiag(np.zeros(m), np.ones(m - 1))
+        basis = np.eye(2, dtype=complex)
+        for k in range(m - 1):
+            oracle = brute_force_pipeline(ghz, w, p, basis, k=k, w_time=0.0)
+            for col in range(2):
+                out = pipeline_run(ghz, w, p, basis[:, col], k=k, w_time=0.0,
+                                   stage_tol=None)
+                assert np.abs(out.embed() - oracle[:, col]).max() < 1e-12
+
     def test_output_hits_clone_map(self):
         """End to end the pipeline realizes the cloning map on both basis states."""
         p = symmetric_profile(3)

@@ -313,7 +313,7 @@ class TestOverlapEstimate:
 
     def test_report_rejects_out_of_range_overlap(self):
         with pytest.raises(ValueError):
-            GhzReport(overlap=1.5, method="exact", chain=ghz_chain(2), time=GHZ_TIME)
+            GhzReport(overlap=1.5, method="exact", chain=ghz_chain(2))
 
 
 class TestPerturbSweep:
