@@ -36,10 +36,10 @@ from .ghz_ising import (
     overlap_estimate,
     perturb_sweep,
 )
-from .isoflow import FlowConvergenceError, interpolate_gamma, zy_ghz_overlap
-from .numerics import SymTridiag
+from .isoflow import interpolate_gamma, zy_ghz_overlap
+from .numerics import FlowStallError, SymTridiag
 from .pst import standard_couplings, verify_mirror
-from .synthesis import FlowStallError, produced_state, wstate_chain
+from .synthesis import wstate_chain
 
 USAGE_ERROR, STALL, BREACH = 1, 2, 3
 
@@ -80,7 +80,6 @@ def _build_parser() -> _Parser:
 
     wstate = dsub.add_parser("wstate", help="uniform odd-site revival chain")
     wstate.add_argument("--n", type=int, required=True)
-    wstate.add_argument("--t0", default="auto")
     wstate.add_argument("--tol", type=tolerance, default=1e-6)
     wstate.add_argument("--budget", type=int, default=100_000)
 
@@ -165,7 +164,7 @@ def _design_gamma(args, argv) -> int:
     try:
         x, trace = interpolate_gamma(args.n, args.gamma_from, args.gamma_to,
                                      step=args.step, max_steps=args.max_steps)
-    except FlowConvergenceError as err:
+    except FlowStallError as err:
         _trace_path(args, out).write_text(err.trace.to_csv())
         print(f"gamma flow: {err}", file=sys.stderr)
         return STALL
@@ -177,26 +176,14 @@ def _design_gamma(args, argv) -> int:
 
 
 def _design_wstate(args, argv) -> int:
-    t0 = None if args.t0 == "auto" else float(args.t0)
-    if t0 is not None and not np.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {args.t0}")
     out = args.out or _default_out(args)
     try:
         design = wstate_chain(args.n, tol=args.tol, budget=args.budget)
     except FlowStallError as err:
-        _trace_path(args, out).write_text(err.state.to_csv())
+        _trace_path(args, out).write_text(err.trace.to_csv())
         print(f"wstate flow: {err}", file=sys.stderr)
         return STALL
-    _trace_path(args, out).write_text(design.flow.to_csv())
-    if t0 is not None:
-        target = np.zeros(args.n)
-        target[0::2] = 1.0 / np.sqrt((args.n + 1) // 2)
-        miss = np.abs(produced_state(design.couplings, design.source, t0)
-                      - target).max()
-        if miss > args.tol:
-            print(f"revival time check: deviation {miss:.3e} at t0={t0} "
-                  f"exceeds {args.tol:.1e}", file=sys.stderr)
-            return STALL
+    _trace_path(args, out).write_text(design.flow.trace.to_csv())
     chain = SymTridiag(np.zeros(args.n), design.couplings)
     doc = chainio.document_from_xx(
         chain, _provenance(argv, args, {"revival": args.tol}))

@@ -70,8 +70,6 @@ class GhzReport:
 
     overlap: float
     method: str
-    chain: IsingChain
-    det_sign: int = 1
 
     def __post_init__(self):
         if not 0.0 <= self.overlap <= 1.0:
@@ -247,11 +245,11 @@ def overlap_exact(c: IsingChain) -> GhzReport:
     psi0[0] = 1.0
     psi = brute_force_evolve(c, GHZ_TIME, psi0)
     overlap = min(abs(np.vdot(ghz_target(c.n), psi)), 1.0)
-    return GhzReport(overlap=overlap, method="exact", chain=c)
+    return GhzReport(overlap=overlap, method="exact")
 
 
-def _overlap_estimates(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap estimates and determinant signs for a stack of bands (k, 2n-1).
+def _overlap_estimates(bands: np.ndarray) -> np.ndarray:
+    """Overlap estimates for a stack of bands (k, 2n-1).
 
     See :func:`overlap_estimate`; the determinant is taken in log space, so
     chains of any length give a finite estimate.
@@ -260,11 +258,11 @@ def _overlap_estimates(bands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = _one_particle_maps(bands, GHZ_TIME)
     f = w[:, 2 * n - 1, 0]
     h0 = hopping_form(n)
-    sign, logdet = np.linalg.slogdet(w @ h0 @ w.transpose(0, 2, 1) @ h0 - np.eye(2 * n))
+    _, logdet = np.linalg.slogdet(w @ h0 @ w.transpose(0, 2, 1) @ h0 - np.eye(2 * n))
     raw = (1.0 + np.abs(f)) * np.exp(0.5 * logdet - n * np.log(2.0))
     overlap = np.minimum(np.maximum(raw, 0.0), 1.0)
     overlap[1.0 - overlap < 1e-12] = 1.0
-    return overlap, sign
+    return overlap
 
 
 def overlap_estimate(c: IsingChain) -> GhzReport:
@@ -274,18 +272,12 @@ def overlap_estimate(c: IsingChain) -> GhzReport:
     W h0 W^T h0 - 1, where W is the one-particle map and h0 the pairing
     generator: estimate = (1+|F|)/2^n * sqrt|det|, evaluated as
     (1+|F|) exp(log|det|/2 - n log 2) so that the determinant cannot
-    overflow. The determinant is taken in magnitude (its sign is recorded in
-    the report), and results within 1e-12 of the upper boundary are snapped
-    to exactly 1 so that chains with perfect mirror transfer report an
-    overlap of 1.0.
+    overflow. The determinant is taken in magnitude, and results within
+    1e-12 of the upper boundary are snapped to exactly 1 so that chains with
+    perfect mirror transfer report an overlap of 1.0.
     """
-    overlap, sign = _overlap_estimates(c.band()[None, :])
-    return GhzReport(
-        overlap=float(overlap[0]),
-        method="estimator",
-        chain=c,
-        det_sign=int(sign[0]),
-    )
+    overlap = _overlap_estimates(c.band()[None, :])
+    return GhzReport(overlap=float(overlap[0]), method="estimator")
 
 
 @dataclass
@@ -326,7 +318,7 @@ def perturb_sweep(n: int, x_percent: float, samples: int, seed: int) -> SweepPoi
         perturbed = band * (1.0 + (x_percent / 100.0) * u)
         if not np.all(np.isfinite(perturbed)):
             raise ValueError("chain parameters must be finite")
-        values[start:stop] = _overlap_estimates(perturbed)[0]
+        values[start:stop] = _overlap_estimates(perturbed)
     if not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("overlap must lie in [0, 1]")
     return SweepPoint(

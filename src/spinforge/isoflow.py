@@ -14,7 +14,11 @@ cannot change its singular values.  The generators are fixed at each point by
 linear constraints: the derivative must keep the matrix tridiagonal and
 mirror-symmetric, the band ratio must track gamma, and gamma itself advances
 at unit rate.  These conditions form a square linear system, so the direction
-is unique wherever the system is nonsingular.
+is unique wherever the system is nonsingular.  A step of length dtau applies
+the solved generators as ``numerics.isospectral_step``, the orthogonal
+update exp(-B) X exp(A) that the null-vector flow of ``synthesis`` takes too;
+both flows record into a ``numerics.FlowTrace`` and stall with
+``numerics.FlowStallError``.
 
 The system is sparse and banded: a unit generator pair (k, l) moves dX only
 through rows and columns k and l of X, and the matrix reads X only from its
@@ -27,7 +31,7 @@ the system is first built, so importing this module loads no SciPy, and
 the dense oracle (``zy_hamiltonian``) is assembled in numpy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,22 +44,11 @@ from .ghz_ising import (
     ising_from_pst,
     dense_spin_hamiltonian,
 )
-from .numerics import antisym_exp, solve_affine
+from .numerics import FlowStallError, FlowTrace, isospectral_step, solve_affine
 from .pst import standard_couplings
 
 STRUCTURE_GATE = 5e-3
 SEED_TOL = 1e-8
-
-
-class FlowConvergenceError(RuntimeError):
-    """Raised when gamma interpolation exhausts its step budget.
-
-    The partial integration history is attached as ``trace``.
-    """
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -107,63 +100,6 @@ class GammaMatrix:
     def couplings(self) -> np.ndarray:
         """Underlying coupling strengths J with upper = J(1+gamma)."""
         return self.upper / (1.0 + self.gamma)
-
-
-@dataclass(frozen=True)
-class FlowGenerators:
-    """Antisymmetric generator pair (a, b) plus the gamma advance they carry.
-
-    ``gamma_rate`` is the rate dgamma/dt solved alongside the generators; it
-    defaults to zero so that zero generators leave a matrix untouched.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    gamma_rate: float = 0.0
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        for g in (a, b):
-            if g.ndim != 2 or g.shape[0] != g.shape[1] or np.abs(g + g.T).max() != 0.0:
-                raise ValueError("generators must be exactly antisymmetric")
-        if a.shape != b.shape:
-            raise ValueError("generator shapes must match")
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One accepted integration step."""
-
-    step: int
-    gamma: float
-    sv_drift: float
-    structure_residual: float
-
-    def __post_init__(self):
-        if self.sv_drift < 0 or self.structure_residual < 0:
-            raise ValueError("drift and residual are non-negative")
-
-
-@dataclass
-class FlowTrace:
-    """Integration history with one record per accepted step."""
-
-    records: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    def append(self, record: FlowRecord):
-        self.records.append(record)
-
-    def to_csv(self) -> str:
-        lines = ["step,gamma,sv_drift,structure_residual"]
-        for r in self.records:
-            lines.append(f"{r.step},{r.gamma!r},{r.sv_drift!r},{r.structure_residual!r}")
-        return "\n".join(lines) + "\n"
 
 
 def target_ladder(n: int) -> np.ndarray:
@@ -335,25 +271,15 @@ def _system(xd: np.ndarray, gamma: float, feedback: float, gamma_rate_target: fl
 
 
 def _direction(xd, gamma, feedback, gamma_rate_target=1.0):
-    """Flow direction at the dense member ``xd``, from the gamma constraint rows."""
-    n = xd.shape[0]
-    order = _pattern(n)[-1]
+    """Flow direction at the dense member ``xd``, from the gamma constraint rows.
+
+    Returns the solution in the order of the unknowns: the generators packed
+    as :func:`numerics.isospectral_step` reads them, then the gamma rate.
+    """
+    order = _pattern(xd.shape[0])[-1]
     sol = np.empty(order.size)
     sol[order] = solve_affine(*_system(xd, gamma, feedback, gamma_rate_target))
-    ki, li = np.triu_indices(n, 1)
-    a, b = np.zeros((2, n, n))
-    a[ki, li], b[ki, li] = np.split(sol[:-1], 2)
-    return FlowGenerators(a=a - a.T, b=b - b.T, gamma_rate=float(sol[-1]))
-
-
-def _step_unitary(xd: np.ndarray, g: FlowGenerators, dtau: float) -> np.ndarray:
-    """Orthogonal update exp(-dtau b) X exp(dtau a), which keeps the singular values.
-
-    Projecting the result back onto the three bands discards an O(dtau^2)
-    leakage, which the integrator measures and feeds back into the next
-    direction solve.
-    """
-    return antisym_exp(-dtau * g.b) @ xd @ antisym_exp(dtau * g.a)
+    return sol
 
 
 def _member(xd: np.ndarray, gamma: float) -> GammaMatrix:
@@ -401,9 +327,10 @@ def interpolate_gamma(
     hold to rounding; a few gamma-frozen correction steps at the end squeeze
     the off-band leakage back below 1e-9 before projecting onto bands.
 
-    Returns the final matrix and the integration trace; raises
-    :class:`FlowConvergenceError` (with the trace attached) if the step
-    budget is exhausted or the result never meets the structure tolerance.
+    Returns the final matrix and the integration trace, one row per accepted
+    or correction step; raises :class:`numerics.FlowStallError` (with the
+    trace attached) if the step budget is exhausted or the result never
+    meets the structure tolerance.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step size must be finite and positive, got {step!r}")
@@ -415,7 +342,7 @@ def interpolate_gamma(
         raise ValueError("chains need at least two sites")
     seed = gamma_seed(n, gamma_from)
     validate_seed(seed)
-    trace = FlowTrace()
+    trace = FlowTrace("step,gamma,sv_drift,structure_residual", "{},{!r},{!r},{!r}")
     if abs(gamma_to - gamma_from) <= 1e-12:
         return seed, trace
 
@@ -430,24 +357,24 @@ def interpolate_gamma(
 
     def record(residual):
         drift = float(np.abs(np.sort(np.linalg.svd(xd, compute_uv=False)) - ladder).max())
-        trace.append(FlowRecord(len(trace) + 1, gamma, drift, residual))
+        trace.rows.append((len(trace.rows) + 1, gamma, drift, residual))
 
     while abs(gamma_to - gamma) > 1e-12:
         if steps >= max_steps:
-            raise FlowConvergenceError(
+            raise FlowStallError(
                 f"no convergence within {max_steps} steps (gamma = {gamma:.6f})",
                 trace,
             )
         d_eff = min(delta, abs(gamma_to - gamma))
         dtau = d_eff if gamma_to >= gamma else -d_eff
-        g = _direction(xd, gamma, 1.0 / dtau)
-        cand = _step_unitary(xd, g, dtau)
-        cand_gamma = gamma + dtau * g.gamma_rate
+        sol = _direction(xd, gamma, 1.0 / dtau)
+        cand = isospectral_step(xd, dtau * sol[:-1])
+        cand_gamma = gamma + dtau * float(sol[-1])
         residual = _residual_dense(cand, cand_gamma)
         steps += 1
         if residual > max(4.0 * prev_residual, 25.0 * dtau * dtau, 1e-10):
             if delta <= step / 2**20:
-                raise FlowConvergenceError(
+                raise FlowStallError(
                     f"step size collapsed below {delta:.2e} without acceptance",
                     trace,
                 )
@@ -460,14 +387,14 @@ def interpolate_gamma(
         residual = _residual_dense(xd, gamma)
         if residual <= 1e-9:
             break
-        g = _direction(xd, gamma, 1.0 / delta, gamma_rate_target=0.0)
-        xd = _step_unitary(xd, g, delta)
-        gamma += delta * g.gamma_rate
+        sol = _direction(xd, gamma, 1.0 / delta, gamma_rate_target=0.0)
+        xd = isospectral_step(xd, delta * sol[:-1])
+        gamma += delta * float(sol[-1])
         record(_residual_dense(xd, gamma))
 
     final_residual = _residual_dense(xd, gamma)
     if final_residual > 1e-4:
-        raise FlowConvergenceError(
+        raise FlowStallError(
             f"structure residual {final_residual:.2e} never met tolerance", trace
         )
     return _member(xd, float(np.clip(gamma, 0, 1))), trace

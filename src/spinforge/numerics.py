@@ -9,6 +9,9 @@ primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
 eigensolver, any other Hermitian matrix through a dense eigendecomposition.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
 the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
+Both Toda-like flows share ``isospectral_step`` (the orthogonal update from
+one packed generator vector), ``FlowTrace`` (their progress CSV) and
+``FlowStallError``.
 
 Only numpy is imported here.  The tridiagonal eigensolver is numpy's SVD
 of the bidiagonal block for zero-diagonal chains and dense ``eigh``
@@ -19,7 +22,7 @@ methods, so a command without a sparse system never loads SciPy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,6 +212,49 @@ def antisym_exp(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     return propagator(1j * g, 1.0).real
+
+
+def isospectral_step(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Orthogonal update exp(-B) x exp(A), which keeps the singular values of x.
+
+    ``params`` packs both antisymmetric generators: first the strict upper
+    triangle of A, row by row, with A of size ``x.shape[1]``, then that of
+    B, of size ``x.shape[0]``.  Both Toda-like flows step through this one
+    layout: the gamma deformation and the null-vector flow.
+    """
+    rows, cols = x.shape
+    split = cols * (cols - 1) // 2
+    a = _antisym(params[:split], cols)
+    b = _antisym(params[split:], rows)
+    return antisym_exp(-b) @ x @ antisym_exp(a)
+
+
+def _antisym(upper: np.ndarray, d: int) -> np.ndarray:
+    g = np.zeros((d, d))
+    g[np.triu_indices(d, 1)] = upper
+    return g - g.T
+
+
+@dataclass
+class FlowTrace:
+    """A flow's progress: a CSV ``header``, a ``str.format`` pattern ``row``
+    and one tuple of values per recorded step in ``rows``."""
+
+    header: str
+    row: str
+    rows: list = field(default_factory=list)
+
+    def to_csv(self) -> str:
+        return "\n".join([self.header] + [self.row.format(*r) for r in self.rows]) + "\n"
+
+
+class FlowStallError(RuntimeError):
+    """Raised when a flow stops short of its target; the partial
+    :class:`FlowTrace` is attached as ``trace``."""
+
+    def __init__(self, message, trace: FlowTrace):
+        super().__init__(message)
+        self.trace = trace
 
 
 def levenberg_marquardt(fun, jac, x0):

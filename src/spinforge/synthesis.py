@@ -8,7 +8,11 @@ singular values of ``X`` is reachable through updates
 ``X -> exp(-A_e) X exp(A_o)`` with antisymmetric generators acting on the
 two sublattices.  Constraining the generators so the update preserves the
 nearest-neighbour pattern turns state synthesis into a constrained ascent
-on a fixed-spectrum manifold.
+on a fixed-spectrum manifold.  The update is ``numerics.isospectral_step``,
+which the gamma deformation of ``isoflow`` takes too, and the generators
+are packed in its layout; the flow's progress is a ``numerics.FlowTrace``,
+and ``wstate_chain`` raises ``numerics.FlowStallError`` with that trace
+when the flow stops short.
 
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
@@ -24,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (SymTridiag, Spectrum, antisym_exp, eig_sym_tridiag,
-                       levenberg_marquardt, propagator, solve_affine)
+from .numerics import (FlowStallError, FlowTrace, SymTridiag, Spectrum,
+                       eig_sym_tridiag, isospectral_step, levenberg_marquardt,
+                       propagator, solve_affine)
 
 __all__ = [
     "NullVectorTask",
@@ -90,12 +95,17 @@ class NullVectorTask:
         return len(self.spectrum.values)
 
 
+def _null_vector_trace() -> FlowTrace:
+    return FlowTrace("iteration,chi,delta,off_band_residual",
+                     "{},{:.16e},{:.16e},{:.6e}")
+
+
 @dataclass
 class ConvergenceState:
     """Progress report for the null-vector flow.
 
     ``chi`` is the quantity being driven to one, the overlap of the chain's
-    zero mode with the target null vector.  ``history`` keeps one row per
+    zero mode with the target null vector.  ``trace`` keeps one row per
     recorded iteration as ``(iteration, chi, delta, off_band_residual)``,
     where ``delta`` is the box size of that iteration's step; an accepted
     root polish adds a row for the polished iterate.  ``polishes`` keeps one
@@ -103,26 +113,14 @@ class ConvergenceState:
     """
 
     chi: float
-    delta: float
     iterations: int
     status: str = "running"
-    history: list = field(default_factory=list)
+    trace: FlowTrace = field(default_factory=_null_vector_trace)
     polishes: list = field(default_factory=list)
 
     def __post_init__(self):
         if not -1.0 - 1e-12 <= self.chi <= 1.0 + 1e-12:
             raise ValueError("chi must lie in [-1, 1]")
-        if self.delta <= 0:
-            raise ValueError("step size must be positive")
-
-    def record(self, iteration: int, chi: float, delta: float, off_band: float):
-        self.history.append((iteration, chi, delta, off_band))
-
-    def to_csv(self) -> str:
-        lines = ["iteration,chi,delta,off_band_residual"]
-        for it, chi, delta, off in self.history:
-            lines.append(f"{it},{chi:.16e},{delta:.16e},{off:.6e}")
-        return "\n".join(lines) + "\n"
 
 
 def _saturating_box(step: float, chi: float) -> float:
@@ -165,23 +163,13 @@ def _pattern_mask(ne: int, no: int) -> np.ndarray:
     return mask
 
 
-def _pack_count(d: int) -> int:
-    return d * (d - 1) // 2
-
-
-def _unpack_antisym(params: np.ndarray, d: int) -> np.ndarray:
-    a = np.zeros((d, d))
-    iu = np.triu_indices(d, 1)
-    a[iu] = params
-    return a - a.T
-
-
 def _off_pattern_rows(x: np.ndarray):
     """Rows of the first-order constraint that keeps the update tridiagonal.
 
-    Each packed generator parameter moves the block by d(X) = X A_o - A_e X;
-    the returned matrix collects the off-pattern entries of that derivative,
-    one column per parameter.
+    Each generator parameter, packed as :func:`numerics.isospectral_step`
+    reads it (A_o on the odd columns, then A_e on the even rows), moves the
+    block by d(X) = X A_o - A_e X; the returned matrix collects the
+    off-pattern entries of that derivative, one column per parameter.
     """
     ne, no = x.shape
     io, jo = np.triu_indices(no, 1)
@@ -195,14 +183,6 @@ def _off_pattern_rows(x: np.ndarray):
     deriv[je, :, k] += x[ie, :]
     mask = _pattern_mask(ne, no)
     return deriv[mask], mask
-
-
-def _apply_generators(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Exact isospectral update of the block from packed generator params."""
-    ne, no = x.shape
-    a_o = _unpack_antisym(params[: _pack_count(no)], no)
-    a_e = _unpack_antisym(params[_pack_count(no):], ne)
-    return antisym_exp(-a_e) @ x @ antisym_exp(a_o)
 
 
 _LEAK_GATE = 1e-8
@@ -228,7 +208,7 @@ def _compensate(x: np.ndarray):
             p_fix = solve_affine(rows, -leak)
         except np.linalg.LinAlgError:
             return x, res, False
-        x = _apply_generators(x, p_fix)
+        x = isospectral_step(x, p_fix)
     rows, mask = _off_pattern_rows(x)
     res = float(np.abs(x[mask]).max())
     return x, res, res <= _LEAK_GATE
@@ -306,8 +286,9 @@ def _ascend(x, evaluate, gradient, polish, budget, tol):
     """
     chi, aux = evaluate(x)
     step = _BOX_STEP
-    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0), delta=step, iterations=0)
-    report.record(0, chi, _saturating_box(step, chi), 0.0)
+    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0), iterations=0)
+    recorded = report.trace.rows
+    recorded.append((0, chi, _saturating_box(step, chi), 0.0))
     consecutive = 0
     status = "budget"
     it = 0
@@ -316,7 +297,7 @@ def _ascend(x, evaluate, gradient, polish, budget, tol):
             polished = _try_polish(polish, evaluate, x, chi, it, report)
             if polished is not None:
                 x, chi, aux = polished
-                report.record(it, chi, _saturating_box(step, chi), 0.0)
+                recorded.append((it, chi, _saturating_box(step, chi), 0.0))
         if chi >= 1.0 - tol:
             status = "converged"
             break
@@ -331,7 +312,7 @@ def _ascend(x, evaluate, gradient, polish, budget, tol):
             status = "stalled"
             break
         p_fix = solve_affine(rows, -x[mask])
-        x_try = _apply_generators(x, p_fix + direction)
+        x_try = isospectral_step(x, p_fix + direction)
         x_try, off_res, ok = _compensate(x_try)
         chi_try, aux_try = evaluate(x_try)
         if ok and chi_try >= chi - 1e-14:
@@ -342,9 +323,9 @@ def _ascend(x, evaluate, gradient, polish, budget, tol):
         else:
             consecutive = 0
             step *= 0.5
-        report.record(it, chi, size, off_res)
-        if it % _STALL_WINDOW == 0 and len(report.history) > _STALL_WINDOW:
-            gain_w = chi - report.history[-_STALL_WINDOW - 1][1]
+        recorded.append((it, chi, size, off_res))
+        if it % _STALL_WINDOW == 0 and len(recorded) > _STALL_WINDOW:
+            gain_w = chi - recorded[-_STALL_WINDOW - 1][1]
             if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < 1.0 - tol:
                 status = "stalled"
                 break
@@ -352,11 +333,10 @@ def _ascend(x, evaluate, gradient, polish, budget, tol):
         polished = _try_polish(polish, evaluate, x, chi, it, report)
         if polished is not None:
             x, chi, _ = polished
-            report.record(it, chi, _saturating_box(step, chi), 0.0)
+            recorded.append((it, chi, _saturating_box(step, chi), 0.0))
     if chi >= 1.0 - tol:
         status = "converged"
     report.chi = min(max(chi, -1.0), 1.0)
-    report.delta = max(_saturating_box(step, report.chi), 1e-300)
     report.iterations = it
     report.status = status
     return x, report
@@ -535,7 +515,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
 
     no, ne = _split_dims(n)
     iu = np.triu_indices(no, 1)
-    even_zeros = np.zeros(_pack_count(ne))
+    even_zeros = np.zeros(ne * (ne - 1) // 2)
 
     def evaluate(block):
         lam, _ = zero_mode(_block_to_couplings(block, n), lam_t_full)
@@ -763,33 +743,20 @@ def mirror_target_fold(target_state: np.ndarray) -> np.ndarray:
     return np.concatenate([[t[m]], np.sqrt(2.0) * t[m + 1:]])
 
 
-class FlowStallError(RuntimeError):
-    """Raised when a synthesis flow stops short of its target.
-
-    The final :class:`ConvergenceState` is attached as ``state`` so the
-    caller can persist or inspect the partial progress.
-    """
-
-    def __init__(self, message, state):
-        super().__init__(message)
-        self.state = state
-
-
 @dataclass(frozen=True)
 class WstateDesign:
     """Chains produced for a uniform odd-site revival task.
 
-    Both coupling sets are sign-gauged so their revivals carry uniform
-    positive amplitudes; the underlying flows work with the positive
-    magnitudes, recoverable through ``np.abs``.  ``flow`` keeps the
-    half-chain convergence record.
+    Both coupling sets are sign-gauged so their revivals at time pi carry
+    uniform positive amplitudes; the underlying flows work with the positive
+    magnitudes, recoverable through ``np.abs``.  ``half_couplings`` is the
+    mirror-reduced half chain whose revival ``half_overlap`` reports, and
+    ``flow`` keeps its convergence record.
     """
 
     couplings: np.ndarray
     half_couplings: np.ndarray
-    gauge: np.ndarray
     source: int
-    time: float
     overlap: float
     half_overlap: float
     flow: ConvergenceState = None
@@ -802,9 +769,11 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     The target is mirror symmetric, so the task is reduced to a half
     chain driven from its first site, solved with the null-vector flow,
     refined onto an exact root, and unfolded.  Positive chains revive
-    with alternating signs across the odd sites; the returned gauge holds
-    the per-site signs whose application to the couplings makes the
-    produced state uniform with positive amplitudes.
+    with alternating signs across the odd sites; the returned couplings
+    carry the per-site sign gauge that makes the state produced at time pi
+    uniform with positive amplitudes.  Raises
+    :class:`numerics.FlowStallError` with the flow's trace when the half
+    chain does not converge.
     """
     if n < 5 or n % 4 != 1:
         raise ValueError(
@@ -832,7 +801,7 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     half_chain, report = synthesis_flow_nullvector(task, budget=budget, tol=tol)
     if report.status != "converged":
         raise FlowStallError(
-            f"half-chain flow did not converge: {report.status}", report)
+            f"half-chain flow did not converge: {report.status}", report.trace)
 
     full = np.abs(unfold_couplings(half_chain.offdiag))
     psi = produced_state(full, centre, np.pi)
@@ -846,6 +815,5 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     half_overlap = abs(complex(half_target @ produced_state(half_gauged, 1, np.pi)))
 
     return WstateDesign(couplings=gauged, half_couplings=half_gauged,
-                        gauge=gauge, source=centre, time=np.pi,
-                        overlap=float(overlap), half_overlap=float(half_overlap),
-                        flow=report)
+                        source=centre, overlap=float(overlap),
+                        half_overlap=float(half_overlap), flow=report)

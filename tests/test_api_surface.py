@@ -1,4 +1,4 @@
-"""No function, class or class member of the package exists for its tests alone.
+"""No function, class, class member or field of the package exists for its tests alone.
 
 Every top-level ``def`` and ``class`` in ``src/spinforge``, and every method
 and property of a top-level class (dunder methods aside), must be referenced
@@ -8,6 +8,13 @@ reference is a name, an attribute, an import or a dotted part of a string
 constant (so the benchmark tracer's metric names count).  A member counts
 only as an attribute or a part of a string with a dot in it, never as a bare
 name or a one-word string.  A module's ``__all__`` listing does not count.
+
+Every field of a top-level dataclass must be read in the same scope: as an
+attribute that is loaded, or as part of a dotted string, anywhere outside
+its own class's ``__post_init__`` (which only validates it).  Passing a
+field to the constructor is no read.  The guard matches names, so a read of
+a same-named attribute of another object keeps a field too.
+
 Names kept on purpose are listed in ``KEEP`` with their reason.
 """
 
@@ -30,7 +37,22 @@ KEEP = {
         "writes the ising documents simulate ghz reads, so the format is two-way",
     "cloning.CompressedState.inner":
         "tests compare the pipeline's output to clone_map_target through it",
+    "synthesis.WstateDesign.half_couplings":
+        "the mirror-reduced half chain whose revival half_overlap reports",
+    "synthesis.WstateDesign.source":
+        "the centre site the designed chain revives from, which tests evolve; "
+        "a same-named RevivalInstance field would hide it from the guard",
+    "graphs.RevivalInstance.source":
+        "a revival fixture names the seed vertex its deviation certifies",
+    "graphs.RevivalInstance.graph":
+        "a revival fixture names the graph its deviation certifies",
+    "graphs.RevivalInstance.target":
+        "a revival fixture names the target state its deviation certifies",
+    "graphs.RevivalInstance.time":
+        "a revival fixture names the revival time its deviation certifies",
 }
+SCOPE = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+         + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def _members(node):
@@ -83,10 +105,42 @@ def _references(path: Path) -> set:
     return names
 
 
+def _fields():
+    """Fields of the top-level dataclasses, each as (path, class, field)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign):
+                        yield path, node.name, member.target.id
+
+
+def _field_reads(path: Path) -> set:
+    """Loaded attributes and parts of dotted strings in a file, each as
+    (name, owner): owner is the (path, class) whose ``__post_init__`` holds
+    the read, or None."""
+    tree = ast.parse(path.read_text())
+    owner_of = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__post_init__":
+                    owner_of.update({id(sub): (path, node.name) for sub in ast.walk(member)})
+    reads = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found = {sub.attr}
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and "." in sub.value:
+            found = set(sub.value.split("."))
+        else:
+            continue
+        reads |= {(name, owner_of.get(id(sub))) for name in found}
+    return reads
+
+
 def test_every_top_level_name_has_a_caller():
-    scope = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-             + [ROOT / "tests" / "test_acceptance.py"])
-    referenced = set().union(*map(_references, scope))
+    referenced = set().union(*map(_references, SCOPE))
     unused = sorted(
         f"{path.stem}.{name}" for path, name, node in _definitions()
         if ("attr", node.name) not in referenced
@@ -95,6 +149,16 @@ def test_every_top_level_name_has_a_caller():
     assert unused == [], f"no caller outside tests: {unused}"
 
 
+def test_every_dataclass_field_is_read():
+    reads = set().union(*map(_field_reads, SCOPE))
+    unused = sorted(
+        f"{path.stem}.{cls}.{name}" for path, cls, name in _fields()
+        if not any(read == name and owner != (path, cls) for read, owner in reads)
+        and f"{path.stem}.{cls}.{name}" not in KEEP)
+    assert unused == [], f"no reader outside tests: {unused}"
+
+
 def test_kept_names_still_exist():
     defined = {f"{path.stem}.{name}" for path, name, _ in _definitions()}
+    defined |= {f"{path.stem}.{cls}.{name}" for path, cls, name in _fields()}
     assert sorted(set(KEEP) - defined) == []

@@ -282,7 +282,6 @@ class TestOverlapEstimate:
         report = overlap_estimate(chain)
         assert report.overlap == pytest.approx(1.0, abs=1e-9)
         assert report.method == "estimator"
-        assert report.det_sign == 1
         w = one_particle_map(chain, GHZ_TIME)
         h0 = hopping_form(2)
         det = np.linalg.det(w @ h0 @ w.T @ h0 - np.eye(4))
@@ -313,7 +312,7 @@ class TestOverlapEstimate:
 
     def test_report_rejects_out_of_range_overlap(self):
         with pytest.raises(ValueError):
-            GhzReport(overlap=1.5, method="exact", chain=ghz_chain(2))
+            GhzReport(overlap=1.5, method="exact")
 
 
 class TestPerturbSweep:

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from spinforge import isoflow
 from spinforge.ghz_ising import dense_hamiltonian, ising_from_pst
 from spinforge.isoflow import (
-    FlowConvergenceError,
-    FlowGenerators,
-    FlowRecord,
     GammaMatrix,
     _direction,
     _member,
-    _step_unitary,
     gamma_seed,
     interpolate_gamma,
     structure_residual,
@@ -22,7 +18,7 @@ from spinforge.isoflow import (
     zy_ghz_overlap,
     zy_hamiltonian,
 )
-from spinforge.numerics import antisym_exp, solve_affine
+from spinforge.numerics import FlowStallError, isospectral_step, solve_affine
 from spinforge.pst import standard_couplings
 
 
@@ -211,12 +207,7 @@ class TestSparseAssembly:
         x = gamma_seed(n, gamma) if gamma in (0.0, 1.0) else interpolate_gamma(n, 0.0, gamma)[0]
         rows, rhs = parameter_system(x, feedback=1.0)
         ref = np.linalg.lstsq(rows.toarray(), rhs, rcond=None)[0]
-        npair = n * (n - 1) // 2
-        ki, li = np.triu_indices(n, 1)
-        g = _direction(x.to_dense(), x.gamma, 1.0)
-        assert np.abs(g.a[ki, li] - ref[:npair]).max() <= 1e-10
-        assert np.abs(g.b[ki, li] - ref[npair:-1]).max() <= 1e-10
-        assert abs(g.gamma_rate - ref[-1]) <= 1e-10
+        assert np.abs(_direction(x.to_dense(), x.gamma, 1.0) - ref).max() <= 1e-10
 
     @pytest.mark.parametrize("n", [3, 8, 21])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
@@ -233,10 +224,16 @@ class TestSparseAssembly:
         zero = GammaMatrix(diag=np.zeros(4), upper=np.zeros(3), lower=np.zeros(3), gamma=0.5)
         with pytest.raises(RuntimeError, match="singular"):
             scipy.sparse.linalg.splu(parameter_system(zero)[0])
-        g = _direction(zero.to_dense(), zero.gamma, 0.0)
-        assert np.array_equal(g.a, np.zeros((4, 4)))
-        assert np.array_equal(g.b, np.zeros((4, 4)))
-        assert g.gamma_rate == 1.0
+        sol = _direction(zero.to_dense(), zero.gamma, 0.0)
+        assert np.array_equal(sol, np.append(np.zeros(12), 1.0))
+
+
+def generators(sol, n):
+    """The antisymmetric a and b packed in a direction, and its gamma rate."""
+    a, b = np.zeros((2, n, n))
+    ki, li = np.triu_indices(n, 1)
+    a[ki, li], b[ki, li] = np.split(sol[:-1], 2)
+    return a - a.T, b - b.T, sol[-1]
 
 
 class TestFlowDirection:
@@ -244,11 +241,10 @@ class TestFlowDirection:
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     def test_direction_is_structured(self, n, gamma):
         x = gamma_seed(n, gamma)
-        g = _direction(x.to_dense(), x.gamma, 0.0)
-        assert g.gamma_rate == pytest.approx(1.0, abs=1e-9)
-        assert np.abs(g.a + g.a.T).max() == 0.0
+        a, b, rate = generators(_direction(x.to_dense(), x.gamma, 0.0), n)
+        assert rate == pytest.approx(1.0, abs=1e-9)
         xd = x.to_dense()
-        dx = xd @ g.a - g.b @ xd
+        dx = xd @ a - b @ xd
         off = dx - np.diag(np.diag(dx)) - np.diag(np.diag(dx, 1), 1)
         off -= np.diag(np.diag(dx, -1), -1)
         assert np.abs(off).max() < 1e-10
@@ -258,15 +254,27 @@ class TestFlowDirection:
 def unit_rate_step(x, delta):
     """One orthogonal step of length delta at x, projected onto the bands."""
     xd = x.to_dense()
-    g = _direction(xd, x.gamma, 0.0)
-    return _member(_step_unitary(xd, g, delta), x.gamma + delta * g.gamma_rate)
+    sol = _direction(xd, x.gamma, 0.0)
+    return _member(isospectral_step(xd, delta * sol[:-1]), x.gamma + delta * sol[-1])
 
 
 class TestFlowStepUnitary:
     def test_zero_generators_leave_matrix_alone(self):
         xd = gamma_seed(4, 1.0).to_dense()
-        out = _step_unitary(xd, FlowGenerators(np.zeros((4, 4)), np.zeros((4, 4))), 1.0)
+        out = isospectral_step(xd, np.zeros(12))
         assert np.abs(out - xd).max() < 1e-14
+
+    def test_offband_rows_are_the_step_derivative(self):
+        # the direction system's unknowns use isospectral_step's packing
+        x = family_member(5, 0.3, seed=4)
+        p = np.random.default_rng(5).normal(size=20)
+        h = 1e-4
+        xd = x.to_dense()
+        diff = (isospectral_step(xd, h * p) - isospectral_step(xd, -h * p)) / (2 * h)
+        rows, _ = parameter_system(x)
+        offband = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) >= 2
+        linear = rows[: offband.sum()] @ np.append(p, 0.0)
+        assert np.abs(diff[offband] - linear).max() <= 1e-6
 
     def test_tiny_step_preserves_singular_values(self):
         out = unit_rate_step(gamma_seed(5, 0.0), 1e-5)
@@ -287,8 +295,8 @@ class TestFlowStepUnitary:
     def test_leakage_is_second_order(self):
         x = gamma_seed(5, 0.0)
         delta = 1e-2
-        g = _direction(x.to_dense(), x.gamma, 0.0)
-        dense = antisym_exp(-delta * g.b) @ x.to_dense() @ antisym_exp(delta * g.a)
+        sol = _direction(x.to_dense(), x.gamma, 0.0)
+        dense = isospectral_step(x.to_dense(), delta * sol[:-1])
         off = dense.copy()
         for band in (-1, 0, 1):
             off -= np.diag(np.diag(dense, band), band)
@@ -354,21 +362,21 @@ class TestInterpolateGamma:
     def test_equal_endpoints_return_seed(self):
         x, trace = interpolate_gamma(5, 1.0, 1.0, step=1e-2)
         assert np.array_equal(x.to_dense(), gamma_seed(5, 1.0).to_dense())
-        assert len(trace) == 0
+        assert trace.rows == []
 
     def test_unitary_mode_hits_ladder_and_structure(self):
         x, trace = interpolate_gamma(5, 0.0, 0.7, step=1e-3)
         assert x.gamma == pytest.approx(0.7, abs=1e-9)
         assert np.abs(x.singular_values() - target_ladder(5)).max() <= 1e-6
         assert structure_residual(x) <= 1e-6
-        assert len(trace) >= 700
+        assert len(trace.rows) >= 700
 
     def test_forty_one_sites_hold_ladder_and_structure(self):
         x, trace = interpolate_gamma(41, 0.0, 0.2)
         assert x.gamma == pytest.approx(0.2, abs=1e-9)
         assert np.abs(x.singular_values() - target_ladder(41)).max() <= 1e-6
         assert structure_residual(x) <= 1e-6
-        assert len(trace) >= 200
+        assert len(trace.rows) >= 200
 
     def test_backward_flow_recovers_the_hopping_seed(self):
         x, _ = interpolate_gamma(5, 1.0, 0.0, step=1e-3)
@@ -392,7 +400,7 @@ class TestInterpolateGamma:
         _, trace = interpolate_gamma(3, 0.0, 0.02, step=1e-2)
         lines = trace.to_csv().strip().split("\n")
         assert lines[0] == "step,gamma,sv_drift,structure_residual"
-        assert len(lines) == len(trace) + 1
+        assert len(lines) == len(trace.rows) + 1
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(0.01)
@@ -403,14 +411,10 @@ class TestInterpolateGamma:
         assert t1.to_csv() == t2.to_csv()
 
     def test_step_budget_error_carries_trace(self):
-        with pytest.raises(FlowConvergenceError) as excinfo:
+        with pytest.raises(FlowStallError) as excinfo:
             interpolate_gamma(4, 0.0, 0.7, step=1e-3, max_steps=5)
-        assert len(excinfo.value.trace) == 5
+        assert len(excinfo.value.trace.rows) == 5
 
     def test_seedless_start_rejected(self):
         with pytest.raises(ValueError):
             interpolate_gamma(4, 0.3, 0.7, step=1e-3)
-
-    def test_record_rejects_negative_drift(self):
-        with pytest.raises(ValueError):
-            FlowRecord(step=1, gamma=0.1, sv_drift=-1e-3, structure_residual=0.0)

@@ -83,17 +83,13 @@ class TestStepSizeRule:
 class TestConvergenceState:
     def test_chi_range_enforced(self):
         with pytest.raises(ValueError):
-            ConvergenceState(chi=1.5, delta=0.1, iterations=0)
-
-    def test_delta_positive(self):
-        with pytest.raises(ValueError):
-            ConvergenceState(chi=0.0, delta=0.0, iterations=0)
+            ConvergenceState(chi=1.5, iterations=0)
 
     def test_csv_round_trip(self):
-        state = ConvergenceState(chi=0.5, delta=0.1, iterations=2)
-        state.record(0, 0.25, 0.1, 1e-12)
-        state.record(1, 0.5, 0.09, 2e-12)
-        lines = state.to_csv().strip().splitlines()
+        state = ConvergenceState(chi=0.5, iterations=2)
+        state.trace.rows.append((0, 0.25, 0.1, 1e-12))
+        state.trace.rows.append((1, 0.5, 0.09, 2e-12))
+        lines = state.trace.to_csv().strip().splitlines()
         assert lines[0] == "iteration,chi,delta,off_band_residual"
         assert len(lines) == 3
         it, chi, delta, off = lines[2].split(",")
@@ -104,10 +100,12 @@ class TestConvergenceState:
     def test_polishes_is_a_declared_field(self):
         declared = {f.name: f for f in dataclasses.fields(ConvergenceState)}
         assert "polishes" in declared
-        first = ConvergenceState(chi=0.5, delta=0.1, iterations=0)
-        second = ConvergenceState(chi=0.5, delta=0.1, iterations=0)
+        first = ConvergenceState(chi=0.5, iterations=0)
+        second = ConvergenceState(chi=0.5, iterations=0)
         first.polishes.append((3, False))
+        first.trace.rows.append((0, 0.5, 0.1, 0.0))
         assert second.polishes == []
+        assert second.trace.rows == []
 
 
 class TestTaskValidation:
@@ -405,7 +403,7 @@ class TestNullVectorFlow:
         monkeypatch.setattr(synthesis, "polish_null_vector_root",
                             lambda *args: None)
         _, report = synthesis_flow_nullvector(task)
-        chis = np.array([row[1] for row in report.history])
+        chis = np.array([row[1] for row in report.trace.rows])
         assert (np.diff(chis) >= -1e-14).all()
         # exponential approach: log(1 - chi) falls roughly linearly
         gap = 1.0 - chis
@@ -430,7 +428,7 @@ class TestNullVectorFlow:
         v = random_reachable_mode(rng)
         task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
         _, report = synthesis_flow_nullvector(task)
-        offs = [row[3] for row in report.history]
+        offs = [row[3] for row in report.trace.rows]
         assert max(offs) <= 1e-8
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf])
@@ -471,7 +469,7 @@ class TestRootHandover:
         bare_chain, bare = synthesis_flow_nullvector(task)
         assert report.status == bare.status == "stalled"
         assert report.iterations == bare.iterations
-        assert report.history == bare.history
+        assert report.trace.rows == bare.trace.rows
         assert np.array_equal(chain.offdiag, bare_chain.offdiag)
         assert not any(accepted for _, accepted in report.polishes)
         if attempts is not None:
@@ -608,15 +606,15 @@ class TestWstateChain:
     def test_full_chain_revival(self, design):
         target = np.zeros(21)
         target[0::2] = 1.0 / np.sqrt(11)
-        psi = produced_state(design.couplings, design.source, design.time)
+        psi = produced_state(design.couplings, design.source, np.pi)
         assert abs(np.vdot(target, psi)) >= 0.999
 
     def test_half_chain_revival(self, design):
         assert design.half_overlap >= 0.999
 
     def test_full_and_half_solutions_agree(self, design):
-        psi_full = produced_state(design.couplings, design.source, design.time)
-        psi_half = produced_state(design.half_couplings, 1, design.time)
+        psi_full = produced_state(design.couplings, design.source, np.pi)
+        psi_half = produced_state(design.half_couplings, 1, np.pi)
         lifted = mirror_state_unfold(psi_half)
         phase = np.vdot(lifted, psi_full)
         phase /= abs(phase)
@@ -628,8 +626,8 @@ class TestWstateChain:
         assert flow.iterations < 100
         assert flow.polishes == [(flow.iterations, True)]
         # the record ends on the polished iterate, at the reported chi
-        assert flow.history[-1][0] == flow.iterations
-        assert flow.history[-1][1] == pytest.approx(flow.chi, abs=1e-12)
+        assert flow.trace.rows[-1][0] == flow.iterations
+        assert flow.trace.rows[-1][1] == pytest.approx(flow.chi, abs=1e-12)
 
     def test_gauge_preserves_magnitudes(self, design):
         raw = np.abs(unfold_couplings(np.abs(design.half_couplings)))
