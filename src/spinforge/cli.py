@@ -75,8 +75,7 @@ def _build_parser() -> _Parser:
     gamma.add_argument("--n", type=int, required=True)
     gamma.add_argument("--from", dest="gamma_from", type=float, required=True)
     gamma.add_argument("--to", dest="gamma_to", type=float, required=True)
-    gamma.add_argument("--step", type=float, default=1e-3)
-    gamma.add_argument("--max-steps", type=int, default=None)
+    gamma.add_argument("--max-steps", type=int, default=1000)
 
     wstate = dsub.add_parser("wstate", help="uniform odd-site revival chain")
     wstate.add_argument("--n", type=int, required=True)
@@ -163,10 +162,10 @@ def _design_gamma(args, argv) -> int:
     out = args.out or _default_out(args)
     try:
         x, trace = interpolate_gamma(args.n, args.gamma_from, args.gamma_to,
-                                     step=args.step, max_steps=args.max_steps)
+                                     max_steps=args.max_steps)
     except FlowStallError as err:
         _trace_path(args, out).write_text(err.trace.to_csv())
-        print(f"gamma flow: {err}", file=sys.stderr)
+        print(f"gamma continuation: {err}", file=sys.stderr)
         return STALL
     _trace_path(args, out).write_text(trace.to_csv())
     doc = chainio.document_from_gamma(

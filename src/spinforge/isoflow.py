@@ -1,38 +1,29 @@
-"""Constrained isospectral flows over a one-parameter family of band matrices.
+"""The gamma family of band matrices, found by continuation in the band values.
 
 The family is indexed by a deformation parameter gamma in [0, 1].  Each member
 is a real tridiagonal matrix whose lower and upper bands share the common
-ratio (1 - gamma) / (1 + gamma), which is mirror-symmetric about its
+ratio r = (1 - gamma) / (1 + gamma), which is mirror-symmetric about its
 antidiagonal, and whose singular values sit on the odd ladder
 {1, 3, ..., 2n - 1}.  At gamma = 1 the lower band vanishes and the matrix is
 the bidiagonal form of a transverse-field chain; at gamma = 0 it is a
 symmetric hopping matrix shifted by n along the diagonal.
 
-Flowing in gamma means moving along dX = X A - B X with antisymmetric
-generators A and B, which conjugates X by orthogonal matrices and therefore
-cannot change its singular values.  The generators are fixed at each point by
-linear constraints: the derivative must keep the matrix tridiagonal and
-mirror-symmetric, the band ratio must track gamma, and gamma itself advances
-at unit rate.  These conditions form a square linear system, so the direction
-is unique wherever the system is nonsingular.  A step of length dtau applies
-the solved generators as ``numerics.isospectral_step``, the orthogonal
-update exp(-B) X exp(A) that the null-vector flow of ``synthesis`` takes too;
-both flows record into a ``numerics.FlowTrace`` and stall with
-``numerics.FlowStallError``.
-
-The system is sparse and banded: a unit generator pair (k, l) moves dX only
-through rows and columns k and l of X, and the matrix reads X only from its
-three bands, so its pattern depends on n alone and is built once, with its
-columns in the COLAMD order of its LU factor.  Each step gathers the band
-values into that pattern and solves it by sparse LU in that fixed order
-(``numerics.solve_affine``); the dense minimum-norm ``lstsq`` runs only when
-the factor is exactly singular.  SciPy's sparse modules are imported where
-the system is first built, so importing this module loads no SciPy, and
-the dense oracle (``zy_hamiltonian``) is assembled in numpy.
+Mirror symmetry leaves n free values, the mirror classes theta of the
+diagonal and of the upper band; the lower band is r times the upper one, so
+every theta gives a matrix with the family's structure exactly.  A member is
+then a root of the n equations sigma(X(theta)) = ladder, a structured inverse
+singular-value problem that Newton's method solves with the analytic
+Jacobian d sigma_a = u_a^T dX v_a from one SVD (Friedland, Nocedal & Overton
+1987).  :func:`interpolate_gamma` walks gamma from a seed endpoint by a
+secant predictor and that Newton corrector (Allgower & Georg 1990), so it
+stays on the branch that the paper's Toda-like flow traces, which the
+null-vector flow of ``synthesis`` still integrates.  Progress goes to a
+``numerics.FlowTrace`` and a stall raises ``numerics.FlowStallError``.
+Only numpy is used; the dense oracle (``zy_hamiltonian``) is assembled in
+numpy too.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +35,7 @@ from .ghz_ising import (
     ising_from_pst,
     dense_spin_hamiltonian,
 )
-from .numerics import FlowStallError, FlowTrace, isospectral_step, solve_affine
+from .numerics import FlowStallError, FlowTrace
 from .pst import standard_couplings
 
 STRUCTURE_GATE = 5e-3
@@ -146,145 +137,14 @@ def structure_residual(x) -> float:
     raise TypeError("expected a GammaMatrix")
 
 
-def _bands(xd: np.ndarray):
-    return np.diag(xd).copy(), np.diag(xd, 1).copy(), np.diag(xd, -1).copy()
-
-
 def _residual_dense(xd: np.ndarray, gamma: float) -> float:
-    d, u, l = _bands(xd)
+    d, u, l = np.diag(xd), np.diag(xd, 1), np.diag(xd, -1)
     r = (1.0 - gamma) / (1.0 + gamma)
     safe = np.abs(u) > 1e-9
     quotient = np.where(safe, l / np.where(safe, u, 1.0) - r, l - r * u)
     off = xd - np.triu(np.tril(xd, 1), -1)
     parts = (off, d - d[::-1], u - u[::-1], l - l[::-1], quotient)
     return max(float(np.abs(p).max(initial=0.0)) for p in parts)
-
-
-@lru_cache(maxsize=8)
-def _pattern(n: int):
-    """The parts of the direction system that depend on n alone.
-
-    Rows are functionals of dX = X a - b X (``terms``: row, flat dX entry,
-    sign, kind); the unknowns are the strict upper triangles of a and b, then
-    the gamma rate.  A unit generator pair (k, l) moves dX only through rows
-    and columns k and l of X, so each matrix entry sums at most two band
-    entries ``src`` of X, each times ``sign`` and the weight ``kind`` picks
-    (1, r or 2 / (1 + gamma)^2), into the CSC position ``slot`` of (indices,
-    indptr).  The columns come in the order the sparse LU factors them in:
-    column k holds unknown ``order[k]``.
-    """
-    terms, names = [], []
-
-    def functional(name, *entries):
-        terms.extend((len(names), i * n + j, sign, kind) for i, j, sign, kind in entries)
-        names.append(name)
-
-    ar = np.arange(n)
-    for i, j in zip(*np.nonzero(np.abs(np.subtract.outer(ar, ar)) >= 2)):
-        functional(f"offband[{i},{j}]", (i, j, 1.0, 0))
-    for k in range(n // 2):
-        functional(f"mirror_diag[{k}]", (k, k, 1.0, 0), (n - 1 - k, n - 1 - k, -1.0, 0))
-    for k in range((n - 1) // 2):
-        m = n - 2 - k
-        functional(f"mirror_upper[{k}]", (k, k + 1, 1.0, 0), (m, m + 1, -1.0, 0))
-    for k in range(n - 1):
-        functional(f"ratio[{k}]", (k + 1, k, 1.0, 0), (k, k + 1, -1.0, 1))
-    names.append("gamma_rate")
-
-    idx = ar[:, None] * n + ar
-    ki, li = np.triu_indices(n, 1)
-    npair = ki.size
-    parts = []  # (dX entry, column, X entry, sign) of the unit generators
-    for offset in (-1, 0, 1):
-        for k, l, s in ((ki, li, 1.0), (li, ki, -1.0)):
-            m = k + offset
-            ok = (m >= 0) & (m < n)
-            m, k, l, col = m[ok], k[ok], l[ok], np.flatnonzero(ok)
-            parts.append(zip(idx[m, l], col, idx[m, k], [s] * m.size))  # X a
-            parts.append(zip(idx[l, m], npair + col, idx[k, m], [s] * m.size))  # -b X
-    rows_of = {}
-    for row, entry, sign, kind in terms:
-        rows_of.setdefault(entry, []).append((row, sign, kind))
-    entries = [
-        (row, col, src, s * sign, kind)
-        for part in parts
-        for entry, col, src, s in part
-        for row, sign, kind in rows_of.get(entry, ())
-    ]
-    entries += [(names.index(f"ratio[{k}]"), 2 * npair, idx[k, k + 1], 1.0, 2)
-                for k in range(n - 1)] + [(len(names) - 1, 2 * npair, n * n, 1.0, 0)]
-    row, col, src, sign, kind = (np.array(v) for v in zip(*entries))
-    size = len(names)
-
-    def layout(columns):
-        keys, slot = np.unique(columns * size + row, return_inverse=True)
-        return keys % size, np.searchsorted(keys // size, np.arange(size + 1)), slot
-
-    order = _column_order(*layout(col)[:2])
-    # each unknown's column is its place in the factor's order
-    indices, indptr, slot = layout(np.argsort(order)[col])
-    terms = tuple(np.array(v) for v in zip(*terms))
-    return tuple(names), indices, indptr, slot, src, sign, kind, terms, order
-
-
-def _column_order(indices, indptr):
-    """SuperLU's COLAMD column order for the square CSC pattern (indices, indptr).
-
-    COLAMD and SuperLU's elimination-tree postorder read the pattern only,
-    so one factor of the pattern, filled with values in general position,
-    yields the order every direction solve at this n factors in.
-    """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
-    size = indptr.size - 1
-    fill = np.random.default_rng(0).uniform(1.0, 2.0, indices.size)
-    return np.argsort(splu(csc_matrix((fill, indices, indptr), shape=(size, size))).perm_c)
-
-
-def _system(xd: np.ndarray, gamma: float, feedback: float, gamma_rate_target: float):
-    """Sparse CSC matrix and right-hand side of the direction system at ``xd``.
-
-    The unknowns are the strict upper triangles of the generators a and b
-    followed by the gamma rate, n(n-1) + 1 of them, with one row per
-    functional, so the direction is generically unique.  The matrix reads X
-    only from its three bands, which keeps its LU factor as sparse as the
-    pattern, and its columns come in the factor's order (see
-    :func:`_pattern`); ``feedback`` folds the structure violations of the
-    full iterate, off-band leakage included, into the right-hand sides so
-    that one step of size 1/feedback cancels them to first order.
-    """
-    from scipy.sparse import csc_matrix
-
-    names, indices, indptr, slot, src, sign, kind, terms, _ = _pattern(xd.shape[0])
-    flat = xd.ravel()
-    r = (1.0 - gamma) / (1.0 + gamma)
-    weights = np.array([1.0, r, 2.0 / (1.0 + gamma) ** 2])
-    values = np.append(flat, 1.0)[src] * (sign * weights[kind])
-    data = np.bincount(slot, weights=values, minlength=indices.size)
-    rows = csc_matrix((data, indices, indptr), shape=(len(names),) * 2)
-    t_row, t_entry, t_sign, t_kind = terms
-    violation = flat[t_entry] * (t_sign * weights[t_kind])
-    rhs = -feedback * np.bincount(t_row, weights=violation, minlength=len(names))
-    rhs[-1] = gamma_rate_target
-    return rows, rhs
-
-
-def _direction(xd, gamma, feedback, gamma_rate_target=1.0):
-    """Flow direction at the dense member ``xd``, from the gamma constraint rows.
-
-    Returns the solution in the order of the unknowns: the generators packed
-    as :func:`numerics.isospectral_step` reads them, then the gamma rate.
-    """
-    order = _pattern(xd.shape[0])[-1]
-    sol = np.empty(order.size)
-    sol[order] = solve_affine(*_system(xd, gamma, feedback, gamma_rate_target))
-    return sol
-
-
-def _member(xd: np.ndarray, gamma: float) -> GammaMatrix:
-    d, u, l = _bands(xd)
-    return GammaMatrix(diag=d, upper=u, lower=l, gamma=gamma)
 
 
 def zy_hamiltonian(x: GammaMatrix) -> np.ndarray:
@@ -311,30 +171,59 @@ def zy_ghz_overlap(x: GammaMatrix) -> float:
     return float(min(abs(np.vdot(ghz_target(x.n), psi)), 1.0))
 
 
-def interpolate_gamma(
-    n: int,
-    gamma_from: float,
-    gamma_to: float,
-    step: float = 1e-3,
-    max_steps: int = None,
-) -> tuple:
-    """Integrate the structured flow between deformation endpoints.
+def _mirror_classes(n: int) -> np.ndarray:
+    """0/1 matrix taking the n mirror classes to the band entries.
+
+    Rows are the diagonal, then the upper band; columns are the classes of
+    the diagonal (ceil(n/2) of them), then those of the upper band
+    (ceil((n-1)/2)).  Entry i and entry n-1-i of the diagonal share a class,
+    as do entries k and n-2-k of the upper band.
+    """
+    i, k = np.arange(n), np.arange(n - 1)
+    cls = np.concatenate([np.minimum(i, n - 1 - i),
+                          (n + 1) // 2 + np.minimum(k, n - 2 - k)])
+    return (cls[:, None] == np.arange(n)).astype(float)
+
+
+def _ladder_system(theta: np.ndarray, expand: np.ndarray, r: float):
+    """The member at the mirror classes ``theta`` and its Newton system.
+
+    Returns the dense matrix, sigma - ladder with sigma ascending, and the
+    Jacobian of sigma in theta: d sigma_a / d diag_i = U_ia V_ia and
+    d sigma_a / d upper_k = U_ka V_k+1,a + r U_k+1,a V_ka, summed over each
+    mirror class.
+    """
+    n = theta.size
+    bands = expand @ theta
+    xd = np.diag(bands[:n]) + np.diag(bands[n:], 1) + np.diag(r * bands[n:], -1)
+    u, sigma, vt = np.linalg.svd(xd)
+    u, v = u[:, ::-1], vt[::-1].T
+    d_bands = np.vstack([u * v, u[:-1] * v[1:] + r * u[1:] * v[:-1]])
+    return xd, sigma[::-1] - target_ladder(n), d_bands.T @ expand
+
+
+def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
+                      max_steps: int = 1000) -> tuple:
+    """The family member at ``gamma_to``, continued from the seed at ``gamma_from``.
 
     Starts from the validated seed at ``gamma_from`` (which must be 0 or 1)
-    and advances gamma by orthogonal steps of size ``step`` until it reaches
-    ``gamma_to``, halving the step whenever the structure residual grows
-    abnormally.  Each step conjugates the full matrix, so the singular values
-    hold to rounding; a few gamma-frozen correction steps at the end squeeze
-    the off-band leakage back below 1e-9 before projecting onto bands.
+    and walks gamma to ``gamma_to`` over the mirror classes of the bands.
+    Each step predicts the classes by the secant through the last two
+    accepted members (the seed alone for the first step) and corrects them
+    by Newton's method on sigma = ladder, one SVD per iteration, until
+    max |sigma - ladder| <= 8 n eps (2n - 1).  The first step spans 1/8 of
+    the range; a step is accepted when the corrector converges and then
+    grows 1.5 times, and is rejected and halved when an iteration fails to
+    halve the residual or meets a singular Jacobian.  The last step lands
+    on ``gamma_to`` exactly.  The band ratio and the mirror symmetry hold by
+    construction.
 
-    Returns the final matrix and the integration trace, one row per accepted
-    or correction step; raises :class:`numerics.FlowStallError` (with the
-    trace attached) if the step budget is exhausted or the result never
-    meets the structure tolerance.
+    ``max_steps`` bounds the corrector iterations over the whole walk.
+    Returns the member and the trace, one row per accepted step; raises
+    :class:`numerics.FlowStallError` (with the trace attached) when the
+    budget is spent or the step collapses.
     """
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step size must be finite and positive, got {step!r}")
-    if max_steps is not None and max_steps < 1:
+    if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     if not 0.0 <= gamma_to <= 1.0:
         raise ValueError("gamma_to must lie in [0, 1]")
@@ -346,55 +235,47 @@ def interpolate_gamma(
     if abs(gamma_to - gamma_from) <= 1e-12:
         return seed, trace
 
-    if max_steps is None:
-        max_steps = max(1000, 20 * int(np.ceil(abs(gamma_to - gamma_from) / step)))
-    ladder = target_ladder(n)
-    xd = seed.to_dense()
-    gamma = float(seed.gamma)
-    delta = float(step)
-    prev_residual = 0.0
-    steps = 0
-
-    def record(residual):
-        drift = float(np.abs(np.sort(np.linalg.svd(xd, compute_uv=False)) - ladder).max())
-        trace.rows.append((len(trace.rows) + 1, gamma, drift, residual))
-
-    while abs(gamma_to - gamma) > 1e-12:
-        if steps >= max_steps:
-            raise FlowStallError(
-                f"no convergence within {max_steps} steps (gamma = {gamma:.6f})",
-                trace,
-            )
-        d_eff = min(delta, abs(gamma_to - gamma))
-        dtau = d_eff if gamma_to >= gamma else -d_eff
-        sol = _direction(xd, gamma, 1.0 / dtau)
-        cand = isospectral_step(xd, dtau * sol[:-1])
-        cand_gamma = gamma + dtau * float(sol[-1])
-        residual = _residual_dense(cand, cand_gamma)
-        steps += 1
-        if residual > max(4.0 * prev_residual, 25.0 * dtau * dtau, 1e-10):
-            if delta <= step / 2**20:
+    expand = _mirror_classes(n)
+    tol = 8 * n * np.finfo(float).eps * target_ladder(n)[-1]
+    bands = np.concatenate([seed.diag, seed.upper])
+    accepted = [(float(seed.gamma), expand.T @ bands / expand.sum(axis=0))]
+    span = gamma_to - accepted[0][0]
+    h, iterations = span / 8.0, 0
+    while accepted[-1][0] != gamma_to:
+        g1, theta1 = accepted[-1]
+        gamma = gamma_to if abs(h) >= abs(gamma_to - g1) else g1 + h
+        theta = theta1
+        if len(accepted) > 1:
+            g0, theta0 = accepted[-2]
+            theta = theta1 + (theta1 - theta0) * ((gamma - g1) / (g1 - g0))
+        r = (1.0 - gamma) / (1.0 + gamma)
+        previous = np.inf
+        while True:
+            xd, miss, jacobian = _ladder_system(theta, expand, r)
+            residual = float(np.abs(miss).max())
+            if residual <= tol or not residual <= 0.5 * previous:
+                break
+            if iterations >= max_steps:
                 raise FlowStallError(
-                    f"step size collapsed below {delta:.2e} without acceptance",
-                    trace,
-                )
-            delta /= 2.0
+                    f"corrector budget of {max_steps} iterations spent "
+                    f"(gamma = {g1:.6f}, residual {residual:.2e})", trace)
+            iterations += 1
+            try:
+                theta = theta - np.linalg.solve(jacobian, miss)
+            except np.linalg.LinAlgError:
+                residual = np.inf
+                break
+            previous = residual
+        if not residual <= tol:
+            h /= 2.0
+            if abs(h) < abs(span) * 2.0**-30:
+                raise FlowStallError(
+                    f"continuation step collapsed below {abs(h):.2e} "
+                    f"(gamma = {g1:.6f})", trace)
             continue
-        xd, gamma, prev_residual = cand, cand_gamma, residual
-        record(residual)
-
-    for _ in range(6):
-        residual = _residual_dense(xd, gamma)
-        if residual <= 1e-9:
-            break
-        sol = _direction(xd, gamma, 1.0 / delta, gamma_rate_target=0.0)
-        xd = isospectral_step(xd, delta * sol[:-1])
-        gamma += delta * float(sol[-1])
-        record(_residual_dense(xd, gamma))
-
-    final_residual = _residual_dense(xd, gamma)
-    if final_residual > 1e-4:
-        raise FlowStallError(
-            f"structure residual {final_residual:.2e} never met tolerance", trace
-        )
-    return _member(xd, float(np.clip(gamma, 0, 1))), trace
+        accepted = [accepted[-1], (gamma, theta)]
+        trace.rows.append((len(trace.rows) + 1, gamma, residual,
+                           _residual_dense(xd, gamma)))
+        h *= 1.5
+    return GammaMatrix(diag=np.diag(xd), upper=np.diag(xd, 1),
+                       lower=np.diag(xd, -1), gamma=gamma_to), trace

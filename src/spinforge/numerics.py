@@ -2,22 +2,20 @@
 
 Everything here is plain numerics with no quantum semantics: symmetric
 tridiagonal eigensolves, eigendecomposition-based matrix exponentials, the
-affine solve of the flows (sparse LU for the square sparse gamma system,
-minimum-norm least squares for everything else) and the Levenberg-Marquardt
+minimum-norm affine solve of the null-vector flow and the Levenberg-Marquardt
 solver of the root problems. ``propagator`` is the single e^{-iHt}
 primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
 eigensolver, any other Hermitian matrix through a dense eigendecomposition.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
 the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
-Both Toda-like flows share ``isospectral_step`` (the orthogonal update from
-one packed generator vector), ``FlowTrace`` (their progress CSV) and
-``FlowStallError``.
+The null-vector flow steps by ``isospectral_step`` (the orthogonal update
+from one packed generator vector); it and the gamma continuation record
+into ``FlowTrace`` (their progress CSV) and stall with ``FlowStallError``.
 
 Only numpy is imported here.  The tridiagonal eigensolver is numpy's SVD
 of the bidiagonal block for zero-diagonal chains and dense ``eigh``
-otherwise; SciPy's SuperLU is imported by ``solve_affine`` when it meets a
-square sparse system, and sparse matrices are used through their own
-methods, so a command without a sparse system never loads SciPy.
+otherwise, and sparse matrices are used through their own methods, so
+nothing in this module loads SciPy.
 """
 
 from __future__ import annotations
@@ -219,8 +217,8 @@ def isospectral_step(x: np.ndarray, params: np.ndarray) -> np.ndarray:
 
     ``params`` packs both antisymmetric generators: first the strict upper
     triangle of A, row by row, with A of size ``x.shape[1]``, then that of
-    B, of size ``x.shape[0]``.  Both Toda-like flows step through this one
-    layout: the gamma deformation and the null-vector flow.
+    B, of size ``x.shape[0]``.  The null-vector flow steps through this
+    layout.
     """
     rows, cols = x.shape
     split = cols * (cols - 1) // 2
@@ -384,28 +382,10 @@ def _lm_parameter(sv, proj, delta, par):
     return par, w
 
 
-def _is_sparse(a) -> bool:
-    """Whether ``a`` is a scipy sparse matrix, told by its method, not by importing scipy."""
-    return hasattr(a, "tocsc")
+def solve_affine(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of rows @ x = rhs.
 
-
-def solve_affine(rows, rhs: np.ndarray) -> np.ndarray:
-    """Solution of rows @ x = rhs: sparse LU when possible, else minimum norm.
-
-    A square scipy sparse matrix in CSC form is factored with SuperLU; dense
-    rows, non-square sparse rows and an exactly singular factor take the
-    minimum-norm ``lstsq`` solution instead.  SuperLU factors the columns in
-    the order they are stored ("NATURAL"): a sparse caller stores them in a
-    fill-reducing order, found once for its sparsity pattern, so no factor
-    pays for the ordering again.  An inconsistent system gets its
-    least-squares solution; the callers measure what the step achieved.
+    An inconsistent system gets its least-squares solution; the callers
+    measure what the step achieved.
     """
-    if _is_sparse(rows) and rows.shape[0] == rows.shape[1]:
-        from scipy.sparse.linalg import splu
-
-        try:
-            return splu(rows, permc_spec="NATURAL").solve(rhs)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            pass
-    dense = rows.toarray() if _is_sparse(rows) else rows
-    return np.linalg.lstsq(dense, rhs, rcond=None)[0]
+    return np.linalg.lstsq(rows, rhs, rcond=None)[0]

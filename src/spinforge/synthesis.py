@@ -9,10 +9,9 @@ singular values of ``X`` is reachable through updates
 two sublattices.  Constraining the generators so the update preserves the
 nearest-neighbour pattern turns state synthesis into a constrained ascent
 on a fixed-spectrum manifold.  The update is ``numerics.isospectral_step``,
-which the gamma deformation of ``isoflow`` takes too, and the generators
-are packed in its layout; the flow's progress is a ``numerics.FlowTrace``,
-and ``wstate_chain`` raises ``numerics.FlowStallError`` with that trace
-when the flow stops short.
+and the generators are packed in its layout; the flow's progress is a
+``numerics.FlowTrace``, and ``wstate_chain`` raises
+``numerics.FlowStallError`` with that trace when the flow stops short.
 
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.optimize import least_squares
 
 from spinforge.ghz_ising import spin_hamiltonian
@@ -338,17 +337,3 @@ class TestSolveAffine:
         sol = solve_affine(rows, rhs)
         ref = np.linalg.lstsq(rows, rhs, rcond=None)[0]
         assert np.array_equal(sol, ref)
-
-    def test_square_sparse_rows_take_the_lu_solve(self):
-        rng = np.random.default_rng(3)
-        rows = np.diag(rng.uniform(1, 2, 6)) + np.diag(rng.uniform(0, 0.5, 5), 1)
-        rhs = rng.normal(size=6)
-        sol = solve_affine(scipy.sparse.csc_matrix(rows), rhs)
-        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(rows), permc_spec="NATURAL")
-        assert np.array_equal(sol, lu.solve(rhs))
-        assert np.abs(sol - np.linalg.solve(rows, rhs)).max() < 1e-14
-
-    def test_singular_sparse_rows_fall_back_to_min_norm(self):
-        rows = scipy.sparse.csc_matrix(np.array([[1.0, 1.0], [2.0, 2.0]]))
-        sol = solve_affine(rows, np.array([2.0, 4.0]))
-        assert np.abs(sol - [1.0, 1.0]).max() < 1e-12
