@@ -156,11 +156,11 @@ def document_from_pst(chain: PstChain, provenance: dict) -> ChainDocument:
 
 
 def pst_chain(doc: ChainDocument) -> PstChain:
-    """Rebuild the mirror-transfer chain; its half period is pi/2 by the
-    standard spectrum convention."""
+    """Rebuild the mirror-transfer chain; it transfers at
+    ``pst.TRANSFER_TIME`` by the standard spectrum convention."""
     if doc.kind != "pst":
         raise ValueError(f"expected a pst document, got {doc.kind}")
-    return PstChain(couplings=doc.couplings, transfer_time=np.pi / 2)
+    return PstChain(couplings=doc.couplings)
 
 
 def document_from_ising(chain: IsingChain, provenance: dict) -> ChainDocument:

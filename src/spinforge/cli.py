@@ -282,10 +282,15 @@ def _simulate_clone(args, argv) -> int:
     except CloningStageError as err:
         print(f"{err.stage}: {err}", file=sys.stderr)
         return BREACH
-    payload = json.loads(report.to_json())
-    payload["spread"] = report.spread
-    payload["provenance"] = _provenance(argv, args,
-                                        {"stage": args.stage_tol})
+    payload = {
+        "n_clones": report.n_clones,
+        "betas": [float(b) for b in report.betas],
+        "fidelities": [float(f) for f in report.fidelities],
+        "spread": report.spread,
+        "method": report.method,
+        "max_stage_residual": float(report.max_stage_residual),
+        "provenance": _provenance(argv, args, {"stage": args.stage_tol}),
+    }
     _write_json(args.out or _default_out(args), payload)
     return 0
 

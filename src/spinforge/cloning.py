@@ -20,7 +20,6 @@ small registers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -176,15 +175,6 @@ class CloneReport:
             raise ValueError("need one fidelity per clone")
         if fids.min() < 0.5 - 1e-9 or fids.max() > 1.0 + 1e-9:
             raise ValueError("average fidelities must lie in [1/2, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_clones": self.n_clones,
-            "betas": [float(b) for b in self.betas],
-            "fidelities": [float(f) for f in self.fidelities],
-            "method": self.method,
-            "max_stage_residual": float(self.max_stage_residual),
-        })
 
 
 # ---------------------------------------------------------------------------

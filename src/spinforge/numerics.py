@@ -8,8 +8,8 @@ primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
 eigensolver, any other Hermitian matrix through a dense eigendecomposition.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
 the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
-The null-vector flow steps by ``isospectral_step`` (the orthogonal update
-from one packed generator vector); it and the gamma continuation record
+``antisym_exp`` is the orthogonal exponential that the null-vector flow's
+isospectral step applies.  That flow and the gamma continuation record
 into ``FlowTrace`` (their progress CSV) and stall with ``FlowStallError``.
 
 Only numpy is imported here.  The tridiagonal eigensolver is numpy's SVD
@@ -210,27 +210,6 @@ def antisym_exp(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     return propagator(1j * g, 1.0).real
-
-
-def isospectral_step(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Orthogonal update exp(-B) x exp(A), which keeps the singular values of x.
-
-    ``params`` packs both antisymmetric generators: first the strict upper
-    triangle of A, row by row, with A of size ``x.shape[1]``, then that of
-    B, of size ``x.shape[0]``.  The null-vector flow steps through this
-    layout.
-    """
-    rows, cols = x.shape
-    split = cols * (cols - 1) // 2
-    a = _antisym(params[:split], cols)
-    b = _antisym(params[split:], rows)
-    return antisym_exp(-b) @ x @ antisym_exp(a)
-
-
-def _antisym(upper: np.ndarray, d: int) -> np.ndarray:
-    g = np.zeros((d, d))
-    g[np.triu_indices(d, 1)] = upper
-    return g - g.T
 
 
 @dataclass

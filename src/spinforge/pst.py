@@ -14,13 +14,17 @@ import numpy as np
 
 from .numerics import SymTridiag, eig_sym_tridiag
 
+# Half period of the ladder spectrum {-(n-1), -(n-3), ..., n-1}: the time at
+# which every chain built here transfers site k to its mirror site.
+TRANSFER_TIME = np.pi / 2
+
 
 @dataclass(frozen=True)
 class PstChain:
-    """Mirror-transfer chain: n-1 positive couplings and the transfer time."""
+    """Mirror-transfer chain: n-1 positive couplings, transferring at
+    ``TRANSFER_TIME``."""
 
     couplings: np.ndarray
-    transfer_time: float
 
     def __post_init__(self):
         couplings = np.asarray(self.couplings, dtype=float)
@@ -49,7 +53,7 @@ def standard_couplings(n: int) -> PstChain:
     if n < 2:
         raise ValueError("need n >= 2 sites")
     k = np.arange(1, n)
-    return PstChain(np.sqrt(k * (n - k)), np.pi / 2)
+    return PstChain(np.sqrt(k * (n - k)))
 
 
 def verify_mirror(chain: PstChain) -> float:
@@ -61,7 +65,7 @@ def verify_mirror(chain: PstChain) -> float:
     only; small for engineered chains, order one for generic ones.
     """
     w, v = eig_sym_tridiag(chain.single_particle())
-    transfer = (v[::-1, :] * v) @ np.exp(-1j * w.values * chain.transfer_time)
+    transfer = (v[::-1, :] * v) @ np.exp(-1j * w.values * TRANSFER_TIME)
     phase = (-1j) ** (chain.n - 1)
     return float(np.abs(transfer - phase).max())
 

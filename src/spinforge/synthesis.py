@@ -8,8 +8,9 @@ singular values of ``X`` is reachable through updates
 ``X -> exp(-A_e) X exp(A_o)`` with antisymmetric generators acting on the
 two sublattices.  Constraining the generators so the update preserves the
 nearest-neighbour pattern turns state synthesis into a constrained ascent
-on a fixed-spectrum manifold.  The update is ``numerics.isospectral_step``,
-and the generators are packed in its layout; the flow's progress is a
+on a fixed-spectrum manifold.  The update is ``isospectral_step``, and
+``_off_pattern_rows`` differentiates it in the same packed generator
+layout, so this module alone defines that layout; the flow's progress is a
 ``numerics.FlowTrace``, and ``wstate_chain`` raises
 ``numerics.FlowStallError`` with that trace when the flow stops short.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (FlowStallError, FlowTrace, SymTridiag, Spectrum,
-                       eig_sym_tridiag, isospectral_step, levenberg_marquardt,
+                       antisym_exp, eig_sym_tridiag, levenberg_marquardt,
                        propagator, solve_affine)
 
 __all__ = [
@@ -162,13 +163,34 @@ def _pattern_mask(ne: int, no: int) -> np.ndarray:
     return mask
 
 
+def isospectral_step(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Orthogonal update exp(-B) x exp(A), which keeps the singular values of x.
+
+    ``params`` packs both antisymmetric generators: first the strict upper
+    triangle of A, row by row, with A of size ``x.shape[1]``, then that of
+    B, of size ``x.shape[0]``.  :func:`_off_pattern_rows` differentiates
+    the update in this layout.
+    """
+    rows, cols = x.shape
+    split = cols * (cols - 1) // 2
+    a = _antisym(params[:split], cols)
+    b = _antisym(params[split:], rows)
+    return antisym_exp(-b) @ x @ antisym_exp(a)
+
+
+def _antisym(upper: np.ndarray, d: int) -> np.ndarray:
+    g = np.zeros((d, d))
+    g[np.triu_indices(d, 1)] = upper
+    return g - g.T
+
+
 def _off_pattern_rows(x: np.ndarray):
     """Rows of the first-order constraint that keeps the update tridiagonal.
 
-    Each generator parameter, packed as :func:`numerics.isospectral_step`
-    reads it (A_o on the odd columns, then A_e on the even rows), moves the
-    block by d(X) = X A_o - A_e X; the returned matrix collects the
-    off-pattern entries of that derivative, one column per parameter.
+    Each generator parameter, packed as :func:`isospectral_step` reads it
+    (A_o on the odd columns, then A_e on the even rows), moves the block by
+    d(X) = X A_o - A_e X; the returned matrix collects the off-pattern
+    entries of that derivative, one column per parameter.
     """
     ne, no = x.shape
     io, jo = np.triu_indices(no, 1)
@@ -245,100 +267,6 @@ def _check_tol(tol: float) -> float:
     if not (np.isfinite(tol) and 0.0 < tol < 1.0):
         raise ValueError(f"tol must be a finite number in (0, 1), got {tol!r}")
     return tol
-
-
-def _try_polish(polish, evaluate, x, chi, it, report):
-    """One root-polish attempt, logged in ``report.polishes``.
-
-    Returns the root's ``(x, chi, aux)``, or None when the polish finds no
-    root or the root's chi is lower.
-    """
-    x_p = polish(x)
-    polished = None
-    if x_p is not None:
-        chi_p, aux_p = evaluate(x_p)
-        if chi_p >= chi:
-            polished = x_p, chi_p, aux_p
-    report.polishes.append((it, polished is not None))
-    return polished
-
-
-def _ascend(x, evaluate, gradient, polish, budget, tol):
-    """Accept/reject ascent of the null-vector flow.
-
-    ``evaluate(x)`` returns ``(chi, aux)``: the overlap being ascended and
-    the input of ``gradient(aux)``, the packed generator gradient.  The LP
-    box is ``_saturating_box(step, chi)``.  Each iteration applies the LP
-    direction plus the leakage fix ``p_fix`` as one exact rotation, then
-    compensates.  Rejected steps halve the working step; five consecutive
-    accepts grow it by half, up to ``_BOX_STEP``.  The flow stalls below
-    ``_MIN_STEP`` or when chi gains less than ``_WINDOW_SLOPE * (1 - chi)``
-    over 100 iterations.
-
-    ``polish(x)`` returns an exact root near ``x`` or None.  It is tried
-    once in the loop, the first time chi reaches 0.99 short of convergence,
-    and once more after the loop if chi ends at 0.99 or above with no root
-    taken yet.  A root replaces the iterate only if its chi does not drop,
-    so a refused polish leaves the trajectory untouched.
-
-    Returns the final block and the report.
-    """
-    chi, aux = evaluate(x)
-    step = _BOX_STEP
-    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0), iterations=0)
-    recorded = report.trace.rows
-    recorded.append((0, chi, _saturating_box(step, chi), 0.0))
-    consecutive = 0
-    status = "budget"
-    it = 0
-    while it < budget:
-        if not report.polishes and chi >= _HANDOVER_CHI and chi < 1.0 - tol:
-            polished = _try_polish(polish, evaluate, x, chi, it, report)
-            if polished is not None:
-                x, chi, aux = polished
-                recorded.append((it, chi, _saturating_box(step, chi), 0.0))
-        if chi >= 1.0 - tol:
-            status = "converged"
-            break
-        if step < _MIN_STEP:
-            status = "stalled"
-            break
-        it += 1
-        size = _saturating_box(step, chi)
-        rows, mask = _off_pattern_rows(x)
-        direction, gain = _lp_direction(rows, gradient(aux), size)
-        if direction is None or gain < 1e-15:
-            status = "stalled"
-            break
-        p_fix = solve_affine(rows, -x[mask])
-        x_try = isospectral_step(x, p_fix + direction)
-        x_try, off_res, ok = _compensate(x_try)
-        chi_try, aux_try = evaluate(x_try)
-        if ok and chi_try >= chi - 1e-14:
-            x, chi, aux = x_try, chi_try, aux_try
-            consecutive += 1
-            if consecutive >= 5:
-                step = min(step * 1.5, _BOX_STEP)
-        else:
-            consecutive = 0
-            step *= 0.5
-        recorded.append((it, chi, size, off_res))
-        if it % _STALL_WINDOW == 0 and len(recorded) > _STALL_WINDOW:
-            gain_w = chi - recorded[-_STALL_WINDOW - 1][1]
-            if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < 1.0 - tol:
-                status = "stalled"
-                break
-    if chi >= _HANDOVER_CHI and not any(accepted for _, accepted in report.polishes):
-        polished = _try_polish(polish, evaluate, x, chi, it, report)
-        if polished is not None:
-            x, chi, _ = polished
-            recorded.append((it, chi, _saturating_box(step, chi), 0.0))
-    if chi >= 1.0 - tol:
-        status = "converged"
-    report.chi = min(max(chi, -1.0), 1.0)
-    report.iterations = it
-    report.status = status
-    return x, report
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +414,27 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
                               tol: float = 1e-6):
     """Drive the chain's zero mode onto the task's target null vector.
 
-    Starting from a positive chain with the task spectrum, repeatedly
-    solves the box-constrained linear programme for the generator that
-    most increases the overlap chi between the zero mode and the target,
-    applies it as an exact isospectral rotation, and compensates the
-    off-pattern leakage.  Steps follow delta = 0.1 * sqrt(1 - chi^2);
-    rejected steps halve the working step and five consecutive accepts
-    restore it.  Flows that approach without reaching the target report a
-    stall (targets outside the reachable region land on its boundary).
-    The flow hands over to :func:`polish_null_vector_root` once chi
-    reaches 0.99, closing the remaining gap to machine precision; a
-    refused handover is retried when the flow ends at chi >= 0.99.
+    Starting from the positive chain ``chain_from_spectrum`` builds for the
+    task spectrum, each iteration solves the linear programme for the
+    generator that most increases chi, the overlap of the zero mode with
+    the target, inside the box ``_saturating_box(step, chi)``
+    (0.1 * sqrt(1 - chi^2) at full step).  It applies that direction plus
+    the fix ``p_fix`` of the current off-pattern leakage as one exact
+    isospectral rotation, then compensates the leakage that remains.
+
+    A step is accepted when compensation passes and chi does not drop by
+    more than 1e-14.  Rejected steps halve the working step; five
+    consecutive accepts grow it by half, up to 0.1.  The flow stalls when
+    the LP finds no ascent, when the step falls below ``_MIN_STEP``, or
+    when chi gains less than ``_WINDOW_SLOPE * (1 - chi)`` over a window
+    of 100 iterations; ``budget`` bounds the iterations.  Targets outside
+    the reachable region stall on its boundary.
+
+    :func:`polish_null_vector_root` is tried once in the loop, the first
+    time chi reaches 0.99 short of convergence, and once more after the
+    loop if chi ends at 0.99 or above with no root taken yet.  A root
+    replaces the iterate only if its chi does not drop, so a refused
+    polish leaves the trajectory untouched.
 
     Returns the final chain and a ConvergenceState.
     """
@@ -505,32 +443,84 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         raise ValueError(f"budget must be at least 1, got {budget!r}")
     vals = np.asarray(task.spectrum.values, dtype=float)
     n = task.n
-    lam_t = task.target_null_vector[0::2].copy()
-    lam_t_full = task.target_null_vector
+    target = task.target_null_vector
 
     seed = chain_from_spectrum(vals)
     if reflection_check(SymTridiag(np.zeros(n), seed), np.pi) > 1e-8:
         raise ValueError("spectrum does not produce a reflection at time pi")
 
     no, ne = _split_dims(n)
-    iu = np.triu_indices(no, 1)
+    # odd-generator pairs (i, j), i < j, as full-chain sites 2i and 2j; the
+    # even generator does not move the zero mode
+    io, jo = 2 * np.array(np.triu_indices(no, 1))
     even_zeros = np.zeros(ne * (ne - 1) // 2)
 
-    def evaluate(block):
-        lam, _ = zero_mode(_block_to_couplings(block, n), lam_t_full)
-        return float(lam_t_full @ lam), lam[0::2]
-
-    def gradient(lam_odd):
-        return np.concatenate([-(lam_t[iu[0]] * lam_odd[iu[1]]
-                                 - lam_t[iu[1]] * lam_odd[iu[0]]), even_zeros])
-
-    def polish(block):
-        root = polish_null_vector_root(_block_to_couplings(block, n), vals,
-                                       lam_t_full)
-        return None if root is None else _couplings_to_block(root)
-
-    x, report = _ascend(_couplings_to_block(seed), evaluate, gradient, polish,
-                        budget, tol)
+    x = _couplings_to_block(seed)
+    lam = zero_mode(seed, target)[0]
+    chi = float(target @ lam)
+    step = _BOX_STEP
+    report = ConvergenceState(chi=min(max(chi, -1.0), 1.0), iterations=0)
+    recorded = report.trace.rows
+    recorded.append((0, chi, _saturating_box(step, chi), 0.0))
+    consecutive = 0
+    status = "budget"
+    it = 0
+    while it < budget:
+        if not report.polishes and chi >= _HANDOVER_CHI and chi < 1.0 - tol:
+            root = polish_null_vector_root(_block_to_couplings(x, n), vals, target)
+            lam_p = None if root is None else zero_mode(root, target)[0]
+            accepted = lam_p is not None and float(target @ lam_p) >= chi
+            report.polishes.append((it, accepted))
+            if accepted:
+                x, chi, lam = _couplings_to_block(root), float(target @ lam_p), lam_p
+                recorded.append((it, chi, _saturating_box(step, chi), 0.0))
+        if chi >= 1.0 - tol:
+            status = "converged"
+            break
+        if step < _MIN_STEP:
+            status = "stalled"
+            break
+        it += 1
+        size = _saturating_box(step, chi)
+        rows, mask = _off_pattern_rows(x)
+        gradient = np.concatenate([-(target[io] * lam[jo] - target[jo] * lam[io]),
+                                   even_zeros])
+        direction, gain = _lp_direction(rows, gradient, size)
+        if direction is None or gain < 1e-15:
+            status = "stalled"
+            break
+        p_fix = solve_affine(rows, -x[mask])
+        x_try = isospectral_step(x, p_fix + direction)
+        x_try, off_res, ok = _compensate(x_try)
+        lam_try = zero_mode(_block_to_couplings(x_try, n), target)[0]
+        chi_try = float(target @ lam_try)
+        if ok and chi_try >= chi - 1e-14:
+            x, chi, lam = x_try, chi_try, lam_try
+            consecutive += 1
+            if consecutive >= 5:
+                step = min(step * 1.5, _BOX_STEP)
+        else:
+            consecutive = 0
+            step *= 0.5
+        recorded.append((it, chi, size, off_res))
+        if it % _STALL_WINDOW == 0 and len(recorded) > _STALL_WINDOW:
+            gain_w = chi - recorded[-_STALL_WINDOW - 1][1]
+            if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < 1.0 - tol:
+                status = "stalled"
+                break
+    if chi >= _HANDOVER_CHI and not any(accepted for _, accepted in report.polishes):
+        root = polish_null_vector_root(_block_to_couplings(x, n), vals, target)
+        lam_p = None if root is None else zero_mode(root, target)[0]
+        accepted = lam_p is not None and float(target @ lam_p) >= chi
+        report.polishes.append((it, accepted))
+        if accepted:
+            x, chi = _couplings_to_block(root), float(target @ lam_p)
+            recorded.append((it, chi, _saturating_box(step, chi), 0.0))
+    if chi >= 1.0 - tol:
+        status = "converged"
+    report.chi = min(max(chi, -1.0), 1.0)
+    report.iterations = it
+    report.status = status
     return SymTridiag(np.zeros(n), _block_to_couplings(x, n)), report
 
 
@@ -755,7 +745,6 @@ class WstateDesign:
 
     couplings: np.ndarray
     half_couplings: np.ndarray
-    source: int
     overlap: float
     half_overlap: float
     flow: ConvergenceState = None
@@ -814,5 +803,5 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     half_overlap = abs(complex(half_target @ produced_state(half_gauged, 1, np.pi)))
 
     return WstateDesign(couplings=gauged, half_couplings=half_gauged,
-                        source=centre, overlap=float(overlap),
-                        half_overlap=float(half_overlap), flow=report)
+                        overlap=float(overlap), half_overlap=float(half_overlap),
+                        flow=report)

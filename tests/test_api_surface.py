@@ -39,9 +39,6 @@ KEEP = {
         "tests compare the pipeline's output to clone_map_target through it",
     "synthesis.WstateDesign.half_couplings":
         "the mirror-reduced half chain whose revival half_overlap reports",
-    "synthesis.WstateDesign.source":
-        "the centre site the designed chain revives from, which tests evolve; "
-        "a same-named RevivalInstance field would hide it from the guard",
     "graphs.RevivalInstance.source":
         "a revival fixture names the seed vertex its deviation certifies",
     "graphs.RevivalInstance.graph":

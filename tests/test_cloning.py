@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinforge import cloning
+from spinforge.cli import main
 from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
@@ -380,15 +381,18 @@ class TestFrozenFidelities:
         assert np.abs(report.fidelities - 23 / 33).max() < 1e-6
         assert report.max_stage_residual < 1e-6
 
-    def test_report_json_fields(self):
-        p = symmetric_profile(2)
-        report = clone_report(ghz_helper_chain(3), design_w_chain(p)[0], p)
-        payload = json.loads(report.to_json())
-        assert set(payload) == {"n_clones", "betas", "fidelities", "method",
-                                "max_stage_residual"}
+    def test_report_json_fields(self, tmp_path):
+        # the report document ``simulate clone`` writes: every report field
+        out = tmp_path / "clone2.json"
+        assert main(["simulate", "clone", "--n-clones", "2", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"n_clones", "betas", "fidelities", "spread",
+                                "method", "max_stage_residual", "provenance"}
         assert payload["n_clones"] == 2
+        assert payload["betas"] == pytest.approx([1 / np.sqrt(6)] * 2)
         assert payload["method"] == "compressed"
         assert payload["fidelities"] == pytest.approx([5 / 6, 5 / 6])
+        assert 0.0 <= payload["max_stage_residual"] < 1e-6
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -473,6 +477,22 @@ class TestDesignWChain:
         spectrum = _candidate_spectra(p.m)[ladder].values
         vals = np.linalg.eigvalsh(w.to_dense())
         assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
+
+    @pytest.mark.parametrize("weights, ladder", [
+        # the only ladder with a root is base 21
+        ([0.673, 0.655, 0.006, 0.512], 4),
+        # the first ladder with a root is base 11
+        ([0.135, 0.021, 0.513, 0.023, 0.502], 3),
+    ])
+    def test_profiles_whose_root_is_on_a_fallback_ladder(self, weights, ladder):
+        p = profile_from_betas(weights)
+        w, w_time = design_w_chain(p)
+        spectrum = _candidate_spectra(p.m)[ladder].values
+        vals = np.linalg.eigvalsh(w.to_dense())
+        assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
+        report = clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time)
+        analytic = [analytic_fidelity(p, c) for c in range(1, p.n_clones + 1)]
+        assert np.abs(report.fidelities - analytic).max() < 1e-9
 
     @pytest.mark.parametrize("n_clones", range(4, 11))
     def test_random_profiles_pass_the_residual_gate(self, n_clones):

@@ -16,7 +16,7 @@ from spinforge.isoflow import (
     zy_ghz_overlap,
     zy_hamiltonian,
 )
-from spinforge.numerics import FlowStallError, isospectral_step
+from spinforge.numerics import FlowStallError
 from spinforge.pst import standard_couplings
 
 
@@ -64,40 +64,6 @@ def band_rate(x):
     upper = np.diag(x.to_dense(), 1)
     lower = -2.0 / (1.0 + x.gamma) ** 2 * upper + ratio(x.gamma) * bands[n:]
     return np.diag(bands[:n]) + np.diag(bands[n:], 1) + np.diag(lower, -1)
-
-
-def generators(params, n):
-    """The antisymmetric a and b packed in ``isospectral_step``'s layout."""
-    a, b = np.zeros((2, n, n))
-    ki, li = np.triu_indices(n, 1)
-    a[ki, li], b[ki, li] = np.split(params, 2)
-    return a - a.T, b - b.T
-
-
-def generators_for(xd, dx):
-    """Packed generators with xd a - b xd = dx, for a dx that keeps sigma.
-
-    In the singular bases, (U^T dx V)_ij = s_i A_ij - B_ij s_j, a 2 x 2
-    system per pair i < j that distinct singular values make solvable.
-    """
-    u, s, vt = np.linalg.svd(xd)
-    m = u.T @ dx @ vt.T
-    si, sj = np.meshgrid(s, s, indexing="ij")
-    det = si**2 - sj**2
-    np.fill_diagonal(det, 1.0)
-    a = vt.T @ ((si * m + sj * m.T) / det * (1 - np.eye(s.size))) @ vt
-    b = u @ ((sj * m + si * m.T) / det * (1 - np.eye(s.size))) @ u.T
-    ki, li = np.triu_indices(s.size, 1)
-    return np.concatenate([a[ki, li], b[ki, li]])
-
-
-def unit_rate_step(x, delta):
-    """One orthogonal step of length delta along the family, projected onto
-    the bands."""
-    xd = x.to_dense()
-    out = isospectral_step(xd, delta * generators_for(xd, band_rate(x)))
-    return GammaMatrix(diag=np.diag(out), upper=np.diag(out, 1),
-                       lower=np.diag(out, -1), gamma=x.gamma + delta)
 
 
 def oracle_system(x):
@@ -318,57 +284,6 @@ class TestFlowDirection:
                   for h in (delta, delta / 2)]
         assert misses[0] <= 1e-6
         assert misses[0] / misses[1] == pytest.approx(4.0, rel=0.05)
-
-
-class TestFlowStepUnitary:
-    def test_zero_generators_leave_matrix_alone(self):
-        xd = gamma_seed(4, 1.0).to_dense()
-        out = isospectral_step(xd, np.zeros(12))
-        assert np.abs(out - xd).max() < 1e-14
-
-    def test_offband_rows_are_the_step_derivative(self):
-        # the step's linearisation is x a - b x in the packing generators() reads
-        x = family_member(5, 0.3, seed=4)
-        p = np.random.default_rng(5).normal(size=20)
-        h = 1e-4
-        xd = x.to_dense()
-        diff = (isospectral_step(xd, h * p) - isospectral_step(xd, -h * p)) / (2 * h)
-        a, b = generators(p, 5)
-        offband = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) >= 2
-        linear = xd @ a - b @ xd
-        assert np.abs(diff[offband] - linear[offband]).max() <= 1e-6
-
-    def test_tiny_step_preserves_singular_values(self):
-        out = unit_rate_step(gamma_seed(5, 0.0), 1e-5)
-        drift = np.abs(out.singular_values() - target_ladder(5)).max()
-        assert drift <= 1e-10
-
-    def test_two_half_steps_match_full_step_to_second_order(self):
-        x = gamma_seed(5, 0.0)
-        gaps = []
-        for delta in (1e-2, 1e-3):
-            full = unit_rate_step(x, delta)
-            again = unit_rate_step(unit_rate_step(x, delta / 2), delta / 2)
-            gaps.append(np.abs(full.to_dense() - again.to_dense()).max())
-        assert gaps[0] < 2e-4
-        assert gaps[1] < 2e-6
-        assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.2)
-
-    def test_leakage_is_second_order(self):
-        x = gamma_seed(5, 0.0)
-        delta = 1e-2
-        xd = x.to_dense()
-        params = generators_for(xd, band_rate(x))
-        a, b = generators(params, 5)
-        assert np.abs(xd @ a - b @ xd - band_rate(x)).max() < 1e-12
-        dense = isospectral_step(xd, delta * params)
-        off = dense.copy()
-        for band in (-1, 0, 1):
-            off -= np.diag(np.diag(dense, band), band)
-        leak = np.abs(off).max()
-        assert leak <= 1e-4
-        sv = np.sort(np.linalg.svd(dense, compute_uv=False))
-        assert np.abs(sv - target_ladder(5)).max() < 1e-12
 
 
 class TestStructureResidual:

@@ -10,13 +10,11 @@ from spinforge.numerics import (
     antisym_exp,
     chebyshev_propagate,
     eig_sym_tridiag,
-    isospectral_step,
     levenberg_marquardt,
     propagator,
     solve_affine,
 )
 from spinforge.pst import standard_couplings
-from spinforge.synthesis import _off_pattern_rows
 
 
 def random_tridiag(rng, n):
@@ -289,37 +287,6 @@ class TestAntisymExp:
     def test_not_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
             antisym_exp(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-class TestIsospectralStep:
-    @pytest.mark.parametrize("shape", [(3, 4), (3, 3), (5, 2)])
-    def test_a_acts_on_columns_then_b_on_rows(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        rows, cols = shape
-        x = rng.normal(size=shape)
-        a, b = np.zeros((cols, cols)), np.zeros((rows, rows))
-        a[np.triu_indices(cols, 1)] = upper_a = rng.uniform(-0.5, 0.5, cols * (cols - 1) // 2)
-        b[np.triu_indices(rows, 1)] = upper_b = rng.uniform(-0.5, 0.5, rows * (rows - 1) // 2)
-        expected = scipy.linalg.expm(b.T - b) @ x @ scipy.linalg.expm(a - a.T)
-        out = isospectral_step(x, np.concatenate([upper_a, upper_b]))
-        assert np.abs(out - expected).max() < 1e-12
-        assert np.linalg.svd(out, compute_uv=False) == pytest.approx(
-            np.linalg.svd(x, compute_uv=False), abs=1e-12)
-
-    @pytest.mark.parametrize("shape", [(3, 4), (3, 3)])
-    def test_central_difference_matches_off_pattern_rows(self, shape):
-        # the null-vector flow's linearised pattern constraint reads the
-        # generators in the step's packing: the blocks of 7 and 6 sites
-        rng = np.random.default_rng(shape[1])
-        x = rng.normal(size=shape)
-        rows, mask = _off_pattern_rows(x)
-        p = rng.normal(size=rows.shape[1])
-        errors = []
-        for h in (1e-3, 5e-4):
-            diff = (isospectral_step(x, h * p) - isospectral_step(x, -h * p)) / (2 * h)
-            errors.append(np.abs(diff[mask] - rows @ p).max())
-        assert errors[1] <= 1e-5
-        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
 
 
 class TestSolveAffine:

@@ -9,7 +9,6 @@ class TestStandardCouplings:
     def test_two_sites(self):
         chain = standard_couplings(2)
         assert chain.couplings.tolist() == [1.0]
-        assert chain.transfer_time == np.pi / 2
 
     def test_four_sites(self):
         chain = standard_couplings(4)
@@ -43,13 +42,5 @@ class TestVerifyMirror:
         assert verify_mirror(standard_couplings(n)) < 1e-9
 
     def test_uniform_chain_does_not_transfer(self):
-        chain = PstChain(np.ones(3), np.pi / 2)
+        chain = PstChain(np.ones(3))
         assert verify_mirror(chain) > 0.1
-
-    @pytest.mark.parametrize("scale", [0.5, 3.0])
-    def test_coupling_scaling_rescales_time(self, scale):
-        base = standard_couplings(7)
-        scaled = PstChain(scale * base.couplings, base.transfer_time / scale)
-        assert verify_mirror(scaled) < 1e-9
-        s, _ = eig_sym_tridiag(scaled.single_particle())
-        assert np.abs(s.values - scale * np.arange(-6, 7, 2)).max() < 1e-9

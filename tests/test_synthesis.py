@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import least_squares
 
 from spinforge import synthesis
@@ -32,7 +33,9 @@ from spinforge.synthesis import (
     unfold_couplings,
     mirror_target_fold,
     wstate_chain,
+    isospectral_step,
     _null_vector_system,
+    _off_pattern_rows,
     _saturating_box,
 )
 
@@ -372,6 +375,39 @@ class TestLevenbergMarquardtRoots:
         assert ends and min(ends) > 1e-10
 
 
+class TestIsospectralStep:
+    # a zero bound gives zero generators, which leave the matrix alone
+    @pytest.mark.parametrize("shape, bound", [((3, 4), 0.5), ((3, 3), 0.5),
+                                              ((5, 2), 0.5), ((3, 4), 0.0)])
+    def test_a_acts_on_columns_then_b_on_rows(self, shape, bound):
+        rng = np.random.default_rng(sum(shape))
+        rows, cols = shape
+        x = rng.normal(size=shape)
+        a, b = np.zeros((cols, cols)), np.zeros((rows, rows))
+        a[np.triu_indices(cols, 1)] = upper_a = rng.uniform(-bound, bound, cols * (cols - 1) // 2)
+        b[np.triu_indices(rows, 1)] = upper_b = rng.uniform(-bound, bound, rows * (rows - 1) // 2)
+        expected = scipy.linalg.expm(b.T - b) @ x @ scipy.linalg.expm(a - a.T)
+        out = isospectral_step(x, np.concatenate([upper_a, upper_b]))
+        assert np.abs(out - expected).max() < 1e-12
+        assert np.linalg.svd(out, compute_uv=False) == pytest.approx(
+            np.linalg.svd(x, compute_uv=False), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 3)])
+    def test_central_difference_matches_off_pattern_rows(self, shape):
+        # the null-vector flow's linearised pattern constraint reads the
+        # generators in the step's packing: the blocks of 7 and 6 sites
+        rng = np.random.default_rng(shape[1])
+        x = rng.normal(size=shape)
+        rows, mask = _off_pattern_rows(x)
+        p = rng.normal(size=rows.shape[1])
+        errors = []
+        for h in (1e-3, 5e-4):
+            diff = (isospectral_step(x, h * p) - isospectral_step(x, -h * p)) / (2 * h)
+            errors.append(np.abs(diff[mask] - rows @ p).max())
+        assert errors[1] <= 1e-5
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
+
+
 class TestNullVectorFlow:
     @pytest.mark.parametrize("seed", range(3))
     def test_reachable_targets_converge(self, seed):
@@ -606,14 +642,14 @@ class TestWstateChain:
     def test_full_chain_revival(self, design):
         target = np.zeros(21)
         target[0::2] = 1.0 / np.sqrt(11)
-        psi = produced_state(design.couplings, design.source, np.pi)
+        psi = produced_state(design.couplings, (21 + 1) // 2, np.pi)
         assert abs(np.vdot(target, psi)) >= 0.999
 
     def test_half_chain_revival(self, design):
         assert design.half_overlap >= 0.999
 
     def test_full_and_half_solutions_agree(self, design):
-        psi_full = produced_state(design.couplings, design.source, np.pi)
+        psi_full = produced_state(design.couplings, (21 + 1) // 2, np.pi)
         psi_half = produced_state(design.half_couplings, 1, np.pi)
         lifted = mirror_state_unfold(psi_half)
         phase = np.vdot(lifted, psi_full)
