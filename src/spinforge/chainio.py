@@ -4,8 +4,9 @@ One schema covers the four chain kinds the tools exchange: ``pst``
 (mirror-transfer couplings), ``ising`` (transverse fields plus ZZ
 couplings), ``zy`` (the deformed family, stored as underlying couplings,
 on-site terms, and the deformation parameter), and ``xx`` (exchange
-chains).  Every document embeds provenance, the command line, seed, and
-tolerances that produced it, so any artifact can be regenerated.
+chains, whose field entries are all zero).  Every document embeds
+provenance, the command line, seed, and tolerances that produced it, so
+any artifact can be regenerated.
 Serialization is deterministic: identical documents produce identical
 bytes.
 """
@@ -22,8 +23,7 @@ import numpy as np
 
 from .ghz_ising import IsingChain
 from .isoflow import GammaMatrix
-from .numerics import SymTridiag
-from .pst import PstChain
+from .numerics import Chain
 
 SCHEMA_VERSION = 1
 KINDS = ("pst", "ising", "zy", "xx")
@@ -150,17 +150,21 @@ def read_document(path) -> ChainDocument:
 # conversions between documents and the module objects
 
 
-def document_from_pst(chain: PstChain, provenance: dict) -> ChainDocument:
+def document_from_pst(chain: Chain, provenance: dict) -> ChainDocument:
     return ChainDocument(kind="pst", n=chain.n, couplings=chain.couplings,
                          fields=np.zeros(0), provenance=provenance)
 
 
-def pst_chain(doc: ChainDocument) -> PstChain:
+def pst_chain(doc: ChainDocument) -> Chain:
     """Rebuild the mirror-transfer chain; it transfers at
-    ``pst.TRANSFER_TIME`` by the standard spectrum convention."""
+    ``pst.TRANSFER_TIME`` by the standard spectrum convention, and every
+    coupling must be positive."""
     if doc.kind != "pst":
         raise ValueError(f"expected a pst document, got {doc.kind}")
-    return PstChain(couplings=doc.couplings)
+    if not np.all(doc.couplings > 0):
+        raise ValueError(f"pst couplings must be strictly positive, "
+                         f"got {doc.couplings.tolist()}")
+    return Chain(doc.couplings)
 
 
 def document_from_ising(chain: IsingChain, provenance: dict) -> ChainDocument:
@@ -189,12 +193,16 @@ def gamma_matrix(doc: ChainDocument) -> GammaMatrix:
                        gamma=doc.gamma)
 
 
-def document_from_xx(chain: SymTridiag, provenance: dict) -> ChainDocument:
-    return ChainDocument(kind="xx", n=chain.n, couplings=chain.offdiag,
-                         fields=chain.diag, provenance=provenance)
+def document_from_xx(chain: Chain, provenance: dict) -> ChainDocument:
+    return ChainDocument(kind="xx", n=chain.n, couplings=chain.couplings,
+                         fields=np.zeros(chain.n), provenance=provenance)
 
 
-def xx_chain(doc: ChainDocument) -> SymTridiag:
+def xx_chain(doc: ChainDocument) -> Chain:
+    """Rebuild the exchange chain; its on-site fields must all be zero."""
     if doc.kind != "xx":
         raise ValueError(f"expected an xx document, got {doc.kind}")
-    return SymTridiag(doc.fields, doc.couplings)
+    if doc.fields.any():
+        raise ValueError(f"xx chains carry no on-site fields, "
+                         f"got {doc.fields.tolist()}")
+    return Chain(doc.couplings)

@@ -37,11 +37,13 @@ from .ghz_ising import (
     perturb_sweep,
 )
 from .isoflow import interpolate_gamma, zy_ghz_overlap
-from .numerics import FlowStallError, SymTridiag
+from .numerics import Chain, FlowStallError
 from .pst import standard_couplings, verify_mirror
 from .synthesis import wstate_chain
 
 USAGE_ERROR, STALL, BREACH = 1, 2, 3
+# Most rows one sweep writes; a longer range is refused before it is listed.
+SWEEP_MAX_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,9 +185,9 @@ def _design_wstate(args, argv) -> int:
         print(f"wstate flow: {err}", file=sys.stderr)
         return STALL
     _trace_path(args, out).write_text(design.flow.trace.to_csv())
-    chain = SymTridiag(np.zeros(args.n), design.couplings)
     doc = chainio.document_from_xx(
-        chain, _provenance(argv, args, {"revival": args.tol}))
+        Chain(design.couplings),
+        _provenance(argv, args, {"revival": args.tol}))
     chainio.write_document(doc, out)
     return 0
 
@@ -240,6 +242,9 @@ def _parse_percent_range(text: str) -> list:
     count = np.floor((hi - lo) / step + 1e-9) + 1
     if not np.isfinite(count):
         raise ValueError(f"the range {text} has no finite number of points")
+    if count > SWEEP_MAX_POINTS:
+        raise ValueError(f"the range {text} has {count:.0f} points, more than "
+                         f"the {SWEEP_MAX_POINTS} a sweep may write")
     return [lo + step * i for i in range(int(count))]
 
 
@@ -271,14 +276,14 @@ def _simulate_clone(args, argv) -> int:
         raise ValueError(f"brute_force needs a register of at most "
                          f"{BRUTE_FORCE_MAX_M} qubits")
     try:
-        w, w_time = design_w_chain(profile, k=args.offset, tol=args.stage_tol)
+        w = design_w_chain(profile, k=args.offset, tol=args.stage_tol)
     except RuntimeError as err:
         print(f"spread-chain design: {err}", file=sys.stderr)
         return STALL
     try:
         report = clone_report(ghz_helper_chain(profile.m), w, profile,
-                              k=args.offset, w_time=w_time,
-                              method=args.method, stage_tol=args.stage_tol)
+                              k=args.offset, method=args.method,
+                              stage_tol=args.stage_tol)
     except CloningStageError as err:
         print(f"{err.stage}: {err}", file=sys.stderr)
         return BREACH

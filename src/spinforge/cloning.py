@@ -27,7 +27,7 @@ import numpy as np
 
 from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
                         spin_hamiltonian)
-from .numerics import Spectrum, SymTridiag, chebyshev_propagate, propagator
+from .numerics import Chain, chebyshev_propagate, propagator
 from .pst import standard_couplings
 from .synthesis import (
     _check_tol,
@@ -41,6 +41,10 @@ from .synthesis import (
 )
 
 BRUTE_FORCE_MAX_M = 13
+# Time at which every chain ``design_w_chain`` returns spreads the seed onto
+# the clone weights: there a symmetric odd-integer spectrum makes the
+# propagator a reflection about the zero mode.
+SPREAD_TIME = np.pi
 
 SIX_DESIGN_INPUTS = (
     np.array([1.0, 0.0], dtype=complex),
@@ -270,7 +274,7 @@ def clone_map_target(p: AsymmetryProfile,
 # pipelines
 
 
-def _checked_offset(ghz_chain: IsingChain, w_chain: SymTridiag,
+def _checked_offset(ghz_chain: IsingChain, w_chain: Chain,
                    p: AsymmetryProfile, k: Optional[int]) -> int:
     """Resolved input offset, once the chains, profile and offset fit."""
     m = ghz_chain.n
@@ -279,8 +283,6 @@ def _checked_offset(ghz_chain: IsingChain, w_chain: SymTridiag,
     if k is None:
         k = default_offset(p.n_clones)
     _validate_offset(m, k)
-    if np.abs(w_chain.diag).max(initial=0.0) > 1e-12:
-        raise ValueError("the exchange chain must carry no on-site fields")
     return k
 
 
@@ -293,7 +295,7 @@ def _checked_inputs(input_state, max_ndim: int) -> np.ndarray:
     return psi
 
 
-def _stage_residuals(ghz_chain: IsingChain, w_chain: SymTridiag,
+def _stage_residuals(ghz_chain: IsingChain, w_chain: Chain,
                      p: AsymmetryProfile, k: int, w_time: float,
                      stage_tol: Optional[float]) -> dict:
     """Residual of each stage; the first one above ``stage_tol`` raises."""
@@ -333,8 +335,9 @@ def _gate_output(p: AsymmetryProfile, input_state: np.ndarray,
                            one_exc=gamma * seed, m_minus_one_exc=alpha * seed)
 
 
-def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
-                 input_state, k: Optional[int] = None, w_time: float = np.pi,
+def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
+                 input_state, k: Optional[int] = None,
+                 w_time: float = SPREAD_TIME,
                  stage_tol: Optional[float] = 1e-6) -> CompressedState:
     """Clone one input qubit through the gate-and-chain pipeline.
 
@@ -351,7 +354,7 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile
     if stage_tol is not None:
         _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
     return compressed_evolve(_gate_output(p, input_state, k),
-                             w_chain.offdiag, w_time)
+                             w_chain.couplings, w_time)
 
 
 def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
@@ -390,10 +393,10 @@ def _dense_cnot(vec: np.ndarray, m: int, control: int, target: int) -> np.ndarra
     return out
 
 
-def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
+def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
                          p: AsymmetryProfile, input_state,
                          k: Optional[int] = None,
-                         w_time: float = np.pi) -> np.ndarray:
+                         w_time: float = SPREAD_TIME) -> np.ndarray:
     """Dense-register oracle for the pipeline, exact gate by gate.
 
     Every stage acts on the full 2^m vector, including both chain
@@ -421,7 +424,7 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: SymTridiag,
     vec = _dense_cz(vec, m, m - k, m - k - 1)
     vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec)
     vec = _dense_cnot(vec, m, k + 1, k + 2)
-    vec = exchange_evolve_dense(w_chain.offdiag, w_time, vec)
+    vec = exchange_evolve_dense(w_chain.couplings, w_time, vec)
     return vec if psi.ndim == 2 else vec[:, 0]
 
 
@@ -435,7 +438,7 @@ def compressed_evolve(state: CompressedState, couplings, t: float) -> Compressed
     couplings = np.asarray(couplings, dtype=float)
     if couplings.shape != (state.m - 1,):
         raise ValueError("coupling count must match the register")
-    u = propagator(SymTridiag(np.zeros(state.m), couplings), t)
+    u = propagator(Chain(couplings), t)
     return CompressedState(m=state.m, amp0=state.amp0, amp1=state.amp1,
                            one_exc=u @ state.one_exc,
                            m_minus_one_exc=u @ state.m_minus_one_exc)
@@ -481,29 +484,28 @@ def reduced_qubit_state(state, site: int) -> np.ndarray:
     return moved @ moved.conj().T
 
 
-def clone_report(ghz_chain: IsingChain, w_chain: SymTridiag, p: AsymmetryProfile,
-                 k: Optional[int] = None, w_time: float = np.pi,
-                 method: str = "compressed",
+def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
+                 k: Optional[int] = None, method: str = "compressed",
                  stage_tol: Optional[float] = 1e-6) -> CloneReport:
     """Fidelity report for a configured pipeline over the six axis inputs.
 
     The six eigenstates of the Pauli operators average any expression
     quadratic in the input exactly as the uniform measure does, so the
     mean overlap over them is the Haar-average fidelity of each clone.
-    The stages are checked once; the dense oracle takes all six inputs
-    as one block of columns.
+    The exchange stage runs for ``SPREAD_TIME``.  The stages are checked
+    once; the dense oracle takes all six inputs as one block of columns.
     """
     if method not in ("compressed", "brute_force"):
         raise ValueError("method must be compressed or brute_force")
     k = _checked_offset(ghz_chain, w_chain, p, k)
-    residuals = _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
+    residuals = _stage_residuals(ghz_chain, w_chain, p, k, SPREAD_TIME,
+                                 stage_tol)
     if method == "compressed":
-        outputs = [pipeline_run(ghz_chain, w_chain, p, psi, k, w_time,
-                                stage_tol=None) for psi in SIX_DESIGN_INPUTS]
+        outputs = [pipeline_run(ghz_chain, w_chain, p, psi, k, stage_tol=None)
+                   for psi in SIX_DESIGN_INPUTS]
     else:
         outputs = brute_force_pipeline(ghz_chain, w_chain, p,
-                                       np.column_stack(SIX_DESIGN_INPUTS),
-                                       k, w_time).T
+                                       np.column_stack(SIX_DESIGN_INPUTS), k).T
     per_input = np.zeros((len(SIX_DESIGN_INPUTS), p.n_clones))
     for row, (psi, out) in enumerate(zip(SIX_DESIGN_INPUTS, outputs)):
         for n in range(1, p.n_clones + 1):
@@ -538,17 +540,17 @@ def _candidate_spectra(m: int) -> list:
     half = (m - 1) // 2
     ladders = [3.0 + 2.0 * np.arange(half)]
     ladders += [float(base) ** np.arange(half) for base in (3, 5, 11, 21)]
-    return [Spectrum(np.concatenate([-positives[::-1], [0.0], positives]))
+    return [np.concatenate([-positives[::-1], [0.0], positives])
             for positives in ladders]
 
 
 def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
-                   tol: float = 1e-6) -> tuple[SymTridiag, float]:
+                   tol: float = 1e-6) -> Chain:
     """Exchange chain spreading the seed site onto the clone weights.
 
-    At time pi a chain with a symmetric odd-integer spectrum acts as a
-    reflection about its zero mode, so the needed zero mode is read off
-    the seed and weight states directly.  A three-site register uses a
+    At ``SPREAD_TIME`` a chain with a symmetric odd-integer spectrum acts
+    as a reflection about its zero mode, so the needed zero mode is read
+    off the seed and weight states directly.  A three-site register uses a
     closed form, the symmetric central task reduces to a half chain, and
     anything else takes the first ``_candidate_spectra`` ladder on which
     ``zero_mode_chain`` finds a root.  The couplings are
@@ -576,16 +578,17 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
         couplings = next((c for c in (zero_mode_chain(s, target) for s in ladders)
                           if c is not None), None)
         if couplings is None:
-            tried = "; ".join(" ".join(f"{v:g}" for v in s.values[m // 2 + 1:])
+            tried = "; ".join(" ".join(f"{v:g}" for v in s[m // 2 + 1:])
                               for s in ladders)
             raise RuntimeError(
                 "the direct zero-mode solve found no chain on any candidate "
                 f"ladder (positive halves tried: {tried}); the weight pattern "
                 "may be unreachable")
     couplings = np.asarray(couplings, dtype=float)
-    produced = produced_state(couplings, source, np.pi)
+    produced = produced_state(couplings, source, SPREAD_TIME)
     couplings = apply_sign_gauge(couplings, sign_gauge(produced, u_full))
-    residual = np.abs(produced_state(couplings, source, np.pi) - u_full).max()
+    produced = produced_state(couplings, source, SPREAD_TIME)
+    residual = np.abs(produced - u_full).max()
     if residual > max(tol, 1e-8):
         raise RuntimeError("designed chain misses the clone weights")
-    return SymTridiag(np.zeros(m), couplings), float(np.pi)
+    return Chain(couplings)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pst import PstChain, standard_couplings
+from .numerics import Chain
+from .pst import standard_couplings
 
 GHZ_TIME = np.pi / 4
 BRUTE_FORCE_MAX_QUBITS = 12
@@ -76,7 +77,7 @@ class GhzReport:
             raise ValueError("overlap must lie in [0, 1]")
 
 
-def ising_from_pst(p: PstChain) -> IsingChain:
+def ising_from_pst(p: Chain) -> IsingChain:
     """Split an even-length transfer chain into Ising fields and couplings.
 
     The 2n-site coupling sequence is read alternately: odd positions become

@@ -1,21 +1,22 @@
 """Shared linear algebra.
 
-Everything here is plain numerics with no quantum semantics: symmetric
-tridiagonal eigensolves, eigendecomposition-based matrix exponentials, the
+Everything here is plain numerics with no quantum semantics: the chain
+type and its eigensolve, eigendecomposition-based matrix exponentials, the
 minimum-norm affine solve of the null-vector flow and the Levenberg-Marquardt
-solver of the root problems. ``propagator`` is the single e^{-iHt}
-primitive: a chain given as a ``SymTridiag`` goes through the tridiagonal
-eigensolver, any other Hermitian matrix through a dense eigendecomposition.
+solver of the root problems.  Every exchange chain the package designs is a
+``Chain``: its couplings, with no on-site field, and spectra are plain
+sorted arrays.  ``propagator`` is the single e^{-iHt} primitive: a
+``Chain`` goes through the chain eigensolver, any other Hermitian matrix
+through a dense eigendecomposition.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
 the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
 ``antisym_exp`` is the orthogonal exponential that the null-vector flow's
 isospectral step applies.  That flow and the gamma continuation record
 into ``FlowTrace`` (their progress CSV) and stall with ``FlowStallError``.
 
-Only numpy is imported here.  The tridiagonal eigensolver is numpy's SVD
-of the bidiagonal block for zero-diagonal chains and dense ``eigh``
-otherwise, and sparse matrices are used through their own methods, so
-nothing in this module loads SciPy.
+Only numpy is imported here.  The chain eigensolver is numpy's SVD of
+the chain's bidiagonal block, and sparse matrices are used through their
+own methods, so nothing in this module loads SciPy.
 """
 
 from __future__ import annotations
@@ -31,78 +32,49 @@ _LM_TOL = 1e-15  # lmder's ftol, xtol and gtol
 
 
 @dataclass(frozen=True)
-class SymTridiag:
-    """Real symmetric tridiagonal matrix stored as diagonal and off-diagonal bands."""
+class Chain:
+    """XX exchange chain with no on-site field, given by its n - 1 couplings.
 
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        offdiag = np.asarray(self.offdiag, dtype=float)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
-        if offdiag.shape != (max(diag.size - 1, 0),):
-            raise ValueError(
-                f"off-diagonal length {offdiag.size} does not match dimension {diag.size}"
-            )
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
-            raise ValueError("tridiagonal entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.offdiag.size:
-            m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return m
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted real eigenvalues."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.sort(np.asarray(self.values, dtype=float))
-        if values.size and not np.all(np.isfinite(values)):
-            raise ValueError("spectrum must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-def eig_sym_tridiag(m: SymTridiag) -> tuple[Spectrum, np.ndarray]:
-    """Eigendecomposition of a symmetric tridiagonal matrix.
-
-    Returns the ascending spectrum and an orthonormal eigenvector matrix V
-    with M = V diag(w) V^T.  A chain with zero diagonal couples even sites
-    only to odd ones, so with the even-by-odd lower bidiagonal block
-    B = U S V^T its eigenvalues are +-sigma with vectors (u, +-v) / sqrt(2),
-    and for odd n a zero mode (u_last, 0) on the even (0-based) sites
-    (Golub & Kahan 1965).  One real SVD of B holds even the widest clone
-    ladders to rounding, where a tridiagonal eigensolver lost up to 1e-7
-    relative.  Any other matrix goes through dense ``eigh``.  Both paths
-    return orthonormal vectors, inside degenerate clusters too.
+    Its single-excitation Hamiltonian is the symmetric tridiagonal matrix
+    with zero diagonal and the couplings on both off-diagonals.  A chain of
+    one site has no couplings.
     """
-    n = m.n
-    if n == 0:
-        raise ValueError("empty matrix")
+
+    couplings: np.ndarray
+
+    def __post_init__(self):
+        couplings = np.asarray(self.couplings, dtype=float)
+        object.__setattr__(self, "couplings", couplings)
+        if couplings.ndim != 1:
+            raise ValueError("couplings must be a one-dimensional list")
+        if not np.all(np.isfinite(couplings)):
+            raise ValueError("couplings must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.couplings.size + 1
+
+
+def eig_sym_tridiag(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a chain's single-excitation Hamiltonian.
+
+    Returns the ascending eigenvalues and an orthonormal eigenvector matrix V
+    with H = V diag(w) V^T.  The zero diagonal couples even sites only to
+    odd ones, so with the even-by-odd lower bidiagonal block B = U S V^T the
+    eigenvalues are +-sigma with vectors (u, +-v) / sqrt(2), and for odd n a
+    zero mode (u_last, 0) on the even (0-based) sites (Golub & Kahan 1965).
+    One real SVD of B holds even the widest clone ladders to rounding, where
+    a tridiagonal eigensolver lost up to 1e-7 relative.  The vectors are
+    orthonormal inside degenerate clusters too.
+    """
+    n, couplings = chain.n, chain.couplings
     if n == 1:
-        return Spectrum(m.diag.copy()), np.ones((1, 1))
-    if m.diag.any():
-        w, v = np.linalg.eigh(m.to_dense())
-        return Spectrum(w), v
+        return np.zeros(1), np.ones((1, 1))
     half = n // 2
     block = np.zeros(((n + 1) // 2, half))
     i = np.arange(half)
-    block[i, i] = m.offdiag[0::2]
-    block[i[: (n - 1) // 2] + 1, i[: (n - 1) // 2]] = m.offdiag[1::2]
+    block[i, i] = couplings[0::2]
+    block[i[: (n - 1) // 2] + 1, i[: (n - 1) // 2]] = couplings[1::2]
     u, sigma, vt = np.linalg.svd(block)
     pair_u, pair_v = u[:, :half] * np.sqrt(0.5), vt.T * np.sqrt(0.5)
     # columns: -sigma descending in magnitude, the zero mode, +sigma ascending
@@ -111,19 +83,18 @@ def eig_sym_tridiag(m: SymTridiag) -> tuple[Spectrum, np.ndarray]:
     v[0::2, n - half:], v[1::2, n - half:] = pair_u[:, ::-1], pair_v[:, ::-1]
     if n % 2:
         v[0::2, half] = u[:, half]
-    return Spectrum(np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]])), v
+    return np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]]), v
 
 
-def propagator(h: SymTridiag | np.ndarray, t: float) -> np.ndarray:
+def propagator(h: Chain | np.ndarray, t: float) -> np.ndarray:
     """Evolution operator e^{-iHt}, via eigendecomposition.
 
-    A ``SymTridiag`` goes through :func:`eig_sym_tridiag`, any other (Hermitian)
-    matrix through dense ``eigh``.  Orthonormal eigenvectors to 1e-10 make the
+    A ``Chain`` goes through :func:`eig_sym_tridiag`, a Hermitian matrix
+    through dense ``eigh``.  Orthonormal eigenvectors to 1e-10 make the
     result unitary to the same order; past that a ``ValueError`` is raised.
     """
-    if isinstance(h, SymTridiag):
-        spectrum, v = eig_sym_tridiag(h)
-        w = spectrum.values
+    if isinstance(h, Chain):
+        w, v = eig_sym_tridiag(h)
     else:
         h = np.asarray(h)
         dev = np.abs(h - h.conj().T).max() if h.size else 0.0

@@ -8,42 +8,16 @@ routine in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import SymTridiag, eig_sym_tridiag
+from .numerics import Chain, eig_sym_tridiag
 
 # Half period of the ladder spectrum {-(n-1), -(n-3), ..., n-1}: the time at
 # which every chain built here transfers site k to its mirror site.
 TRANSFER_TIME = np.pi / 2
 
 
-@dataclass(frozen=True)
-class PstChain:
-    """Mirror-transfer chain: n-1 positive couplings, transferring at
-    ``TRANSFER_TIME``."""
-
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        couplings = np.asarray(self.couplings, dtype=float)
-        object.__setattr__(self, "couplings", couplings)
-        if couplings.size < 1:
-            raise ValueError("a chain needs at least two sites")
-        if not np.all(couplings > 0):
-            raise ValueError("couplings must be strictly positive")
-
-    @property
-    def n(self) -> int:
-        return self.couplings.size + 1
-
-    def single_particle(self) -> SymTridiag:
-        """The chain's single-excitation Hamiltonian (zero on-site terms)."""
-        return SymTridiag(np.zeros(self.n), self.couplings)
-
-
-def standard_couplings(n: int) -> PstChain:
+def standard_couplings(n: int) -> Chain:
     """The engineered mirror-transfer solution on n sites.
 
     Couplings are J_k = sqrt(k(n-k)) for k = 1..n-1, transfer time pi/2.
@@ -53,10 +27,10 @@ def standard_couplings(n: int) -> PstChain:
     if n < 2:
         raise ValueError("need n >= 2 sites")
     k = np.arange(1, n)
-    return PstChain(np.sqrt(k * (n - k)))
+    return Chain(np.sqrt(k * (n - k)))
 
 
-def verify_mirror(chain: PstChain) -> float:
+def verify_mirror(chain: Chain) -> float:
     """Worst-case deviation of the chain's evolution from exact mirror transfer.
 
     Compares every mirrored amplitude <n+1-k|e^{-iht0}|k> with the expected
@@ -64,8 +38,7 @@ def verify_mirror(chain: PstChain) -> float:
     tridiagonal eigendecomposition, never the full propagator. Diagnostic
     only; small for engineered chains, order one for generic ones.
     """
-    w, v = eig_sym_tridiag(chain.single_particle())
-    transfer = (v[::-1, :] * v) @ np.exp(-1j * w.values * TRANSFER_TIME)
+    w, v = eig_sym_tridiag(chain)
+    transfer = (v[::-1, :] * v) @ np.exp(-1j * w * TRANSFER_TIME)
     phase = (-1j) ** (chain.n - 1)
     return float(np.abs(transfer - phase).max())
-

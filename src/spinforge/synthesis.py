@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (FlowStallError, FlowTrace, SymTridiag, Spectrum,
-                       antisym_exp, eig_sym_tridiag, levenberg_marquardt,
-                       propagator, solve_affine)
+from .numerics import (Chain, FlowStallError, FlowTrace, antisym_exp,
+                       eig_sym_tridiag, levenberg_marquardt, propagator,
+                       solve_affine)
 
 __all__ = [
     "NullVectorTask",
@@ -63,23 +63,27 @@ __all__ = [
 class NullVectorTask:
     """A request to steer the chain's zero mode onto ``target_null_vector``.
 
-    Requires a spectrum consisting of symmetric pairs around a unique zero
-    eigenvalue, so the chain supports a zero mode confined to odd sites.
-    The target must share that support: unit norm, even components zero.
+    Requires a finite spectrum consisting of symmetric pairs around a
+    unique zero eigenvalue, so the chain supports a zero mode confined to
+    odd sites; it is kept as a sorted array.  The target must share that
+    support: unit norm, even components zero.
     """
 
-    spectrum: Spectrum
+    spectrum: np.ndarray
     target_null_vector: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.spectrum.values, dtype=float)
+        vals = np.sort(np.asarray(self.spectrum, dtype=float))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("spectrum must be finite")
+        object.__setattr__(self, "spectrum", vals)
         n = vals.size
         if n % 2 == 0:
             raise ValueError("null-vector tasks need an odd number of sites")
         zeros = np.abs(vals) < 1e-12
         if zeros.sum() != 1:
             raise ValueError("spectrum must contain exactly one zero eigenvalue")
-        if np.abs(np.sort(vals) + np.sort(vals)[::-1]).max() > 1e-9:
+        if np.abs(vals + vals[::-1]).max() > 1e-9:
             raise ValueError("spectrum must be symmetric about zero")
         target = np.asarray(self.target_null_vector, dtype=float)
         if target.shape != (n,):
@@ -92,7 +96,7 @@ class NullVectorTask:
 
     @property
     def n(self) -> int:
-        return len(self.spectrum.values)
+        return self.spectrum.size
 
 
 def _null_vector_trace() -> FlowTrace:
@@ -284,7 +288,7 @@ def chain_from_spectrum(spectrum) -> np.ndarray:
     site 1 on, with both bases fully reorthogonalised.  The diagonal is zero
     by construction, so the widest clone ladders are rebuilt to rounding.
     """
-    vals = np.sort(np.asarray(getattr(spectrum, "values", spectrum), dtype=float))
+    vals = np.sort(np.asarray(spectrum, dtype=float))
     n, half = vals.size, vals.size // 2
     if np.abs(vals + vals[::-1]).max() > 1e-8:
         raise ValueError("spectrum is not symmetric about zero")
@@ -336,12 +340,10 @@ def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None):
 
 def produced_state(couplings: np.ndarray, source: int, time: float) -> np.ndarray:
     """State reached from ``source`` after evolving for ``time``."""
-    couplings = np.asarray(couplings, dtype=float)
-    n = couplings.size + 1
-    return propagator(SymTridiag(np.zeros(n), couplings), time)[:, source - 1]
+    return propagator(Chain(couplings), time)[:, source - 1]
 
 
-def reflection_check(h: SymTridiag, t0: float) -> float:
+def reflection_check(h: Chain, t0: float) -> float:
     """How far the propagator at ``t0`` is from a zero-mode reflection.
 
     Returns the minimum over a global phase of the entrywise deviation
@@ -351,7 +353,7 @@ def reflection_check(h: SymTridiag, t0: float) -> float:
     """
     spectrum, v = eig_sym_tridiag(h)
     u = propagator(h, t0)
-    k = int(np.argmin(np.abs(spectrum.values)))
+    k = int(np.argmin(np.abs(spectrum)))
     p0 = np.outer(v[:, k], v[:, k])
     r = np.eye(h.n) - 2.0 * p0
     # the best phase aligns the two matrices in the trace inner product
@@ -441,12 +443,12 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     tol = _check_tol(tol)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
-    vals = np.asarray(task.spectrum.values, dtype=float)
+    vals = task.spectrum
     n = task.n
     target = task.target_null_vector
 
     seed = chain_from_spectrum(vals)
-    if reflection_check(SymTridiag(np.zeros(n), seed), np.pi) > 1e-8:
+    if reflection_check(Chain(seed), np.pi) > 1e-8:
         raise ValueError("spectrum does not produce a reflection at time pi")
 
     no, ne = _split_dims(n)
@@ -521,7 +523,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     report.chi = min(max(chi, -1.0), 1.0)
     report.iterations = it
     report.status = status
-    return SymTridiag(np.zeros(n), _block_to_couplings(x, n)), report
+    return Chain(_block_to_couplings(x, n)), report
 
 
 def _null_vector_system(spectrum_values, target_null_vector):
@@ -662,7 +664,7 @@ def zero_mode_chain(spectrum, target_null_vector):
     vanishes, or the solve leaves the finite numbers.  A spectrum that
     ``chain_from_spectrum`` refuses raises its ``ValueError``.
     """
-    vals = np.sort(np.asarray(getattr(spectrum, "values", spectrum), dtype=float))
+    vals = np.sort(np.asarray(spectrum, dtype=float))
     target = np.asarray(target_null_vector, dtype=float)
     n, half = vals.size, vals.size // 2
     if n < 3 or n % 2 == 0 or target.shape != (n,):
@@ -677,8 +679,8 @@ def zero_mode_chain(spectrum, target_null_vector):
     def eig(a):
         with np.errstate(over="ignore"):
             j = np.repeat(np.exp(a), 2) * gains
-        spec, v = eig_sym_tridiag(SymTridiag(np.zeros(n), j))
-        return j, spec.values[half + 1:], v[:, half + 1:]
+        spec, v = eig_sym_tridiag(Chain(j))
+        return j, spec[half + 1:], v[:, half + 1:]
 
     def residual(a):
         # a trial point whose smallest positive eigenvalue rounds to 0 gets a
@@ -781,8 +783,7 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     # ladder with every other odd integer keeps the half spectrum reflective
     top = 2 * (n_odd - 1) - 1
     positive = np.arange(top, 0, -4.0)
-    half_vals = np.concatenate([-positive, [0.0], positive[::-1]])
-    half_spec = Spectrum(values=tuple(np.sort(half_vals)))
+    half_spec = np.concatenate([-positive, [0.0], positive[::-1]])
 
     lam = reflection_target(1, half_target)
     task = NullVectorTask(spectrum=half_spec, target_null_vector=lam)
@@ -791,15 +792,15 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
         raise FlowStallError(
             f"half-chain flow did not converge: {report.status}", report.trace)
 
-    full = np.abs(unfold_couplings(half_chain.offdiag))
+    full = np.abs(unfold_couplings(half_chain.couplings))
     psi = produced_state(full, centre, np.pi)
     gauge = sign_gauge(psi, target)
     gauged = apply_sign_gauge(full, gauge)
     overlap = abs(complex(target @ produced_state(gauged, centre, np.pi)))
 
-    psi_half = produced_state(half_chain.offdiag, 1, np.pi)
+    psi_half = produced_state(half_chain.couplings, 1, np.pi)
     half_gauge = sign_gauge(psi_half, half_target)
-    half_gauged = apply_sign_gauge(half_chain.offdiag, half_gauge)
+    half_gauged = apply_sign_gauge(half_chain.couplings, half_gauge)
     half_overlap = abs(complex(half_target @ produced_state(half_gauged, 1, np.pi)))
 
     return WstateDesign(couplings=gauged, half_couplings=half_gauged,

@@ -44,7 +44,7 @@ from spinforge.isoflow import (
     target_ladder,
     zy_ghz_overlap,
 )
-from spinforge.numerics import Spectrum, SymTridiag, propagator
+from spinforge.numerics import Chain, propagator
 from spinforge.pst import standard_couplings, verify_mirror
 from spinforge.synthesis import (
     NullVectorTask,
@@ -172,14 +172,13 @@ def test_criterion_08_cloning_fidelities():
 
     for n_clones, expected in ((2, 5.0 / 6.0), (3, 7.0 / 9.0)):
         p = symmetric_profile(n_clones)
-        w, w_time = design_w_chain(p)
-        report = clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time,
-                              method="brute_force")
+        w = design_w_chain(p)
+        report = clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
         checks.append(np.abs(report.fidelities - expected).max() <= 1e-9)
 
     p11 = symmetric_profile(11)
-    w11, t11 = design_w_chain(p11)
-    compressed = clone_report(ghz_helper_chain(p11.m), w11, p11, w_time=t11)
+    w11 = design_w_chain(p11)
+    compressed = clone_report(ghz_helper_chain(p11.m), w11, p11)
     checks.append(np.abs(compressed.fidelities - 23.0 / 33.0).max() <= 1e-6)
 
     rng = np.random.default_rng(808)
@@ -187,9 +186,8 @@ def test_criterion_08_cloning_fidelities():
     profiles += [rng.uniform(0.3, 1.0, size=3) for _ in range(2)]
     for raw in profiles:
         p = profile_from_betas(raw)
-        w, w_time = design_w_chain(p)
-        report = clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time,
-                              method="brute_force")
+        w = design_w_chain(p)
+        report = clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
         analytic = np.array([analytic_fidelity(p, c) for c in (1, 2, 3)])
         checks.append(np.abs(report.fidelities - analytic).max() <= 1e-9)
 
@@ -205,7 +203,7 @@ def test_criterion_09_compressed_equals_brute_force():
             rng = np.random.default_rng([9, m, case])
             p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
             ghz = ghz_helper_chain(m)
-            w = SymTridiag(np.zeros(m), rng.uniform(0.3, 1.2, size=m - 1))
+            w = Chain(rng.uniform(0.3, 1.2, size=m - 1))
             k = int(rng.integers(0, m - 1))
             t = float(rng.uniform(0.5, 3.0))
             psi = random_qubit(rng)
@@ -218,7 +216,7 @@ def test_criterion_09_compressed_equals_brute_force():
 
 def test_criterion_10_five_site_case_study():
     start = time.perf_counter()
-    spectrum = Spectrum(values=(-5.0, -3.0, 0.0, 3.0, 5.0))
+    spectrum = np.array([-5.0, -3.0, 0.0, 3.0, 5.0])
     checks = []
 
     def embed_odd(v):
@@ -238,12 +236,12 @@ def test_criterion_10_five_site_case_study():
         chain, report = synthesis_flow_nullvector(
             NullVectorTask(spectrum=spectrum, target_null_vector=target))
         checks.append(report.status == "converged" and report.chi >= 1 - 1e-6)
-        checks.append(abs(np.sum(chain.offdiag ** 2) - 34.0) <= 1e-6)
+        checks.append(abs(np.sum(chain.couplings ** 2) - 34.0) <= 1e-6)
 
     forbidden = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
     chain, report = synthesis_flow_nullvector(
         NullVectorTask(spectrum=spectrum, target_null_vector=forbidden))
-    j = chain.offdiag
+    j = chain.couplings
     landing = boundary_value(abs(j[0] / j[1]), abs(j[3] / j[2]))
     checks.append(report.status == "stalled")
     checks.append(abs(landing) <= 1e-3)

@@ -32,7 +32,8 @@ KEEP = {
         "closed-form chains of the five-site case study, the reference for "
         "zero_mode_chain and the null-vector flow",
     "chainio.xx_chain":
-        "reads the xx documents design wstate writes, so the format is two-way",
+        "reads the xx documents design wstate writes back into a Chain, "
+        "refusing on-site fields, so the format is two-way",
     "chainio.document_from_ising":
         "writes the ising documents simulate ghz reads, so the format is two-way",
     "cloning.CompressedState.inner":

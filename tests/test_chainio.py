@@ -24,7 +24,7 @@ from spinforge.chainio import (
 )
 from spinforge.ghz_ising import ising_from_pst
 from spinforge.isoflow import GammaMatrix
-from spinforge.numerics import SymTridiag
+from spinforge.numerics import Chain
 from spinforge.pst import standard_couplings
 
 
@@ -58,10 +58,11 @@ class TestChainDocument:
         assert np.allclose(back.lower, x.lower)
 
     def test_xx_round_trip(self):
-        chain = SymTridiag(np.zeros(5), np.array([1.0, -2.0, 2.0, 1.5]))
+        chain = Chain(np.array([1.0, -2.0, 2.0, 1.5]))
         doc = document_from_xx(chain, provenance())
+        assert doc.fields.tolist() == [0.0] * 5
         back = xx_chain(document_from_json(document_to_json(doc)))
-        assert np.allclose(back.offdiag, chain.offdiag)
+        assert np.array_equal(back.couplings, chain.couplings)
 
     def test_serialization_is_deterministic(self):
         doc = document_from_pst(standard_couplings(6), provenance())
@@ -120,6 +121,19 @@ class TestValidation:
             document_from_json("not json")
         with pytest.raises(ValueError):
             document_from_json('{"kind": "pst"}')
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_pst_couplings_must_be_positive(self, bad):
+        doc = ChainDocument(kind="pst", n=4, couplings=[1.0, bad, 1.0],
+                            fields=np.zeros(0))
+        with pytest.raises(ValueError, match="pst couplings must be strictly positive"):
+            pst_chain(document_from_json(document_to_json(doc)))
+
+    def test_xx_fields_rejected(self):
+        doc = ChainDocument(kind="xx", n=3, couplings=np.ones(2),
+                            fields=[0.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match="xx chains carry no on-site fields"):
+            xx_chain(document_from_json(document_to_json(doc)))
 
     def test_kind_mismatch_on_conversion(self):
         doc = document_from_pst(standard_couplings(4), provenance())

@@ -307,6 +307,28 @@ class TestSimulateSweep:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_over_long_range_is_refused_before_listing(self, tmp_path, capsys):
+        # read first, so a build without the limit fails here instead of
+        # listing 1e18 points
+        limit = cli.SWEEP_MAX_POINTS
+        code = run(tmp_path, "simulate", "sweep", "--n", "3", "--x", "0:1e9:1e-9",
+                   "--samples", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "has 1000000000000000000 points" in err
+        assert f"more than the {limit}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_range_at_the_row_limit_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 3)
+        assert run(tmp_path, "simulate", "sweep", "--n", "3", "--x", "0:3:1",
+                   "--samples", "1") == 1
+        assert "has 4 points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(tmp_path, "simulate", "sweep", "--n", "3", "--x", "0:2:1",
+                   "--samples", "1") == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_no_qubits_is_usage_error(self, tmp_path, capsys, n):
         code = run(tmp_path, "simulate", "sweep", "--n", n, "--x", "1",

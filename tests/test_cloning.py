@@ -8,6 +8,7 @@ from spinforge.cli import main
 from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
+    SPREAD_TIME,
     _candidate_spectra,
     AsymmetryProfile,
     CloneReport,
@@ -29,8 +30,14 @@ from spinforge.cloning import (
     symmetric_profile,
 )
 from spinforge.ghz_ising import IsingChain
-from spinforge.numerics import SymTridiag, propagator
+from spinforge.chainio import document_from_xx, make_provenance, xx_chain
+from spinforge.numerics import Chain, propagator
 from spinforge.synthesis import produced_state
+
+
+def dense(chain):
+    """The chain's single-excitation Hamiltonian as a dense matrix."""
+    return np.diag(chain.couplings, 1) + np.diag(chain.couplings, -1)
 
 
 def random_input(rng):
@@ -184,7 +191,7 @@ class TestExchangeEvolution:
         m = 5
         couplings = rng.uniform(0.3, 1.5, size=m - 1)
         t = float(rng.uniform(0.5, 3.0))
-        u = propagator(SymTridiag(np.zeros(m), couplings).to_dense(), t)
+        u = propagator(dense(Chain(couplings)), t)
         for j in range(m):
             vec = np.zeros(1 << m, dtype=complex)
             vec[1 << (m - 1 - j)] = 1.0
@@ -225,10 +232,10 @@ class TestPipelineAgreement:
         rng = np.random.default_rng(seed)
         p = profile_from_betas(rng.uniform(0.2, 1.0, size=n_clones))
         ghz = ghz_helper_chain(p.m)
-        w, w_time = design_w_chain(p)
+        w = design_w_chain(p)
         psi = random_input(rng)
-        out = pipeline_run(ghz, w, p, psi, w_time=w_time)
-        oracle = brute_force_pipeline(ghz, w, p, psi, w_time=w_time)
+        out = pipeline_run(ghz, w, p, psi)
+        oracle = brute_force_pipeline(ghz, w, p, psi)
         assert np.abs(out.embed() - oracle).max() < 1e-8
 
     @pytest.mark.parametrize("m,seed", [(3, 5), (5, 6), (7, 7), (9, 8)])
@@ -237,7 +244,7 @@ class TestPipelineAgreement:
         rng = np.random.default_rng(seed)
         p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
         ghz = ghz_helper_chain(m)
-        w = SymTridiag(np.zeros(m), rng.uniform(0.3, 1.2, size=m - 1))
+        w = Chain(rng.uniform(0.3, 1.2, size=m - 1))
         k = int(rng.integers(0, m - 1))
         t = float(rng.uniform(0.5, 3.0))
         psi = random_input(rng)
@@ -252,7 +259,7 @@ class TestPipelineAgreement:
         rng = np.random.default_rng(m)
         p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
         ghz = ghz_helper_chain(m)
-        w = SymTridiag(np.zeros(m), np.ones(m - 1))
+        w = Chain(np.ones(m - 1))
         basis = np.eye(2, dtype=complex)
         for k in range(m - 1):
             oracle = brute_force_pipeline(ghz, w, p, basis, k=k, w_time=0.0)
@@ -265,16 +272,16 @@ class TestPipelineAgreement:
         """End to end the pipeline realizes the cloning map on both basis states."""
         p = symmetric_profile(3)
         ghz = ghz_helper_chain(p.m)
-        w, w_time = design_w_chain(p)
+        w = design_w_chain(p)
         image0, image1 = clone_map_target(p)
         for psi, image in [(np.array([1.0, 0.0]), image0),
                            (np.array([0.0, 1.0]), image1)]:
-            out = pipeline_run(ghz, w, p, psi, w_time=w_time)
+            out = pipeline_run(ghz, w, p, psi)
             assert abs(abs(out.inner(image)) - 1.0) < 1e-9
 
     def test_ghz_stage_failure_is_named(self):
         p = symmetric_profile(2)
-        w, _ = design_w_chain(p)
+        w = design_w_chain(p)
         good = ghz_helper_chain(3)
         broken = IsingChain(good.fields * 1.5, good.couplings)
         with pytest.raises(CloningStageError, match="ghz stage"):
@@ -284,15 +291,8 @@ class TestPipelineAgreement:
         p = symmetric_profile(2)
         ghz = ghz_helper_chain(3)
         with pytest.raises(CloningStageError, match="w stage"):
-            pipeline_run(ghz, SymTridiag(np.zeros(3), [1.0, 1.0]), p,
+            pipeline_run(ghz, Chain([1.0, 1.0]), p,
                          np.array([1.0, 0.0]))
-
-    def test_fielded_exchange_chain_rejected(self):
-        p = symmetric_profile(2)
-        ghz = ghz_helper_chain(3)
-        with pytest.raises(ValueError):
-            pipeline_run(ghz, SymTridiag(np.ones(3), [1.0, 1.0]), p,
-                         np.array([1.0, 0.0]), stage_tol=None)
 
 
 class TestOnePassPerReport:
@@ -301,7 +301,7 @@ class TestOnePassPerReport:
         rng = np.random.default_rng(seed)
         p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
         ghz = ghz_helper_chain(m)
-        w = SymTridiag(np.zeros(m), rng.uniform(0.3, 1.2, size=m - 1))
+        w = Chain(rng.uniform(0.3, 1.2, size=m - 1))
         k = int(rng.integers(0, m - 1))
         t = float(rng.uniform(0.5, 3.0))
         block = np.column_stack([random_input(rng) for _ in range(6)])
@@ -325,18 +325,17 @@ class TestOnePassPerReport:
 
     def test_brute_force_report_runs_three_krylov_evolutions(self, monkeypatch):
         p = profile_from_betas([2.0, 1.0, 1.0])
-        w, w_time = design_w_chain(p)
+        w = design_w_chain(p)
         calls = self.counting(monkeypatch, "chebyshev_propagate")
-        clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time,
-                     method="brute_force")
+        clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
         assert len(calls) == 3
 
     def test_compressed_report_checks_the_stages_once(self, monkeypatch):
         p = profile_from_betas([3, 1, 2, 1, 1, 2])
-        w, w_time = design_w_chain(p)
+        w = design_w_chain(p)
         deviations = self.counting(monkeypatch, "mirror_deviation")
         propagators = self.counting(monkeypatch, "propagator")
-        clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time)
+        clone_report(ghz_helper_chain(p.m), w, p)
         assert len(deviations) == 1
         # one for the w stage check, one per input for the exchange stage
         assert len(propagators) == 1 + len(SIX_DESIGN_INPUTS)
@@ -345,14 +344,14 @@ class TestOnePassPerReport:
 class TestFrozenFidelities:
     def test_two_clones_five_sixths(self):
         p = symmetric_profile(2)
-        report = clone_report(ghz_helper_chain(3), design_w_chain(p)[0], p,
+        report = clone_report(ghz_helper_chain(3), design_w_chain(p), p,
                               method="brute_force")
         assert np.abs(report.fidelities - 5 / 6).max() < 1e-12
         assert report.spread < 1e-12
 
     def test_three_clones_seven_ninths(self):
         p = symmetric_profile(3)
-        w, _ = design_w_chain(p)
+        w = design_w_chain(p)
         ghz = ghz_helper_chain(5)
         for method in ("brute_force", "compressed"):
             report = clone_report(ghz, w, p, method=method)
@@ -361,12 +360,12 @@ class TestFrozenFidelities:
     def test_three_clone_input_spread(self):
         """Beyond two clones the fidelity depends on the input axis."""
         p = symmetric_profile(3)
-        report = clone_report(ghz_helper_chain(5), design_w_chain(p)[0], p)
+        report = clone_report(ghz_helper_chain(5), design_w_chain(p), p)
         assert report.spread == pytest.approx(1 / 12, abs=1e-10)
 
     def test_asymmetric_three_clones(self):
         p = profile_from_betas([2.0, 1.0, 1.0])
-        w, _ = design_w_chain(p)
+        w = design_w_chain(p)
         report = clone_report(ghz_helper_chain(5), w, p, method="brute_force")
         expected = np.array([29 / 33, 47 / 66, 47 / 66])
         assert np.abs(report.fidelities - expected).max() < 1e-12
@@ -376,7 +375,7 @@ class TestFrozenFidelities:
 
     def test_eleven_clones_compressed(self):
         p = symmetric_profile(11)
-        w, _ = design_w_chain(p)
+        w = design_w_chain(p)
         report = clone_report(ghz_helper_chain(21), w, p, method="compressed")
         assert np.abs(report.fidelities - 23 / 33).max() < 1e-6
         assert report.max_stage_residual < 1e-6
@@ -448,18 +447,18 @@ class TestDesignWChain:
     @pytest.mark.parametrize("n_clones", [2, 3, 4, 5])
     def test_designed_chain_spreads_the_seed(self, n_clones):
         p = symmetric_profile(n_clones)
-        w, w_time = design_w_chain(p)
+        w = design_w_chain(p)
         source = default_offset(n_clones) + 1
-        produced = produced_state(w.offdiag, source, w_time)
+        produced = produced_state(w.couplings, source, SPREAD_TIME)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-8
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_asymmetric_profiles(self, seed):
         rng = np.random.default_rng(seed)
         p = profile_from_betas(rng.uniform(0.1, 1.0, size=4))
-        w, w_time = design_w_chain(p)
+        w = design_w_chain(p)
         source = default_offset(4) + 1
-        produced = produced_state(w.offdiag, source, w_time)
+        produced = produced_state(w.couplings, source, SPREAD_TIME)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-6
 
     @pytest.mark.parametrize("weights, ladder", [
@@ -471,11 +470,12 @@ class TestDesignWChain:
     def test_bench_profiles_take_the_first_ladder_with_a_root(self, weights,
                                                                ladder):
         p = profile_from_betas(weights)
-        w, w_time = design_w_chain(p)
-        produced = produced_state(w.offdiag, default_offset(p.n_clones) + 1, w_time)
+        w = design_w_chain(p)
+        produced = produced_state(w.couplings, default_offset(p.n_clones) + 1,
+                                  SPREAD_TIME)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-12
-        spectrum = _candidate_spectra(p.m)[ladder].values
-        vals = np.linalg.eigvalsh(w.to_dense())
+        spectrum = _candidate_spectra(p.m)[ladder]
+        vals = np.linalg.eigvalsh(dense(w))
         assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
 
     @pytest.mark.parametrize("weights, ladder", [
@@ -486,11 +486,11 @@ class TestDesignWChain:
     ])
     def test_profiles_whose_root_is_on_a_fallback_ladder(self, weights, ladder):
         p = profile_from_betas(weights)
-        w, w_time = design_w_chain(p)
-        spectrum = _candidate_spectra(p.m)[ladder].values
-        vals = np.linalg.eigvalsh(w.to_dense())
+        w = design_w_chain(p)
+        spectrum = _candidate_spectra(p.m)[ladder]
+        vals = np.linalg.eigvalsh(dense(w))
         assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
-        report = clone_report(ghz_helper_chain(p.m), w, p, w_time=w_time)
+        report = clone_report(ghz_helper_chain(p.m), w, p)
         analytic = [analytic_fidelity(p, c) for c in range(1, p.n_clones + 1)]
         assert np.abs(report.fidelities - analytic).max() < 1e-9
 
@@ -499,17 +499,19 @@ class TestDesignWChain:
         rng = np.random.default_rng(900 + n_clones)
         for _ in range(3):
             p = profile_from_betas(rng.uniform(0.1, 1.0, size=n_clones))
-            w, w_time = design_w_chain(p)
-            produced = produced_state(w.offdiag, default_offset(n_clones) + 1,
-                                      w_time)
+            w = design_w_chain(p)
+            produced = produced_state(w.couplings, default_offset(n_clones) + 1,
+                                      SPREAD_TIME)
             # the gate's floor, max(tol, 1e-8), with the default tol of 1e-6
             assert np.abs(produced - clone_weight_state(p)).max() < 1e-8
-            assert np.abs(w.diag).max() == 0.0
 
     def test_even_seed_site_rejected(self):
         with pytest.raises(ValueError):
             design_w_chain(symmetric_profile(3), k=1)
 
     def test_chain_is_field_free(self):
-        w, _ = design_w_chain(symmetric_profile(2))
-        assert np.abs(w.diag).max() == 0.0
+        # a Chain holds couplings only, so its xx document has zero fields
+        w = design_w_chain(symmetric_profile(2))
+        doc = document_from_xx(w, make_provenance("test"))
+        assert doc.fields.tolist() == [0.0] * 3
+        assert np.array_equal(xx_chain(doc).couplings, w.couplings)

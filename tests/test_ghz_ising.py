@@ -22,7 +22,7 @@ from spinforge.ghz_ising import (
     perturb_sweep,
     spin_hamiltonian,
 )
-from spinforge.pst import PstChain, standard_couplings
+from spinforge.pst import standard_couplings
 
 
 def ghz_chain(n):

@@ -6,7 +6,7 @@ from scipy.optimize import least_squares
 
 from spinforge.ghz_ising import spin_hamiltonian
 from spinforge.numerics import (
-    SymTridiag,
+    Chain,
     antisym_exp,
     chebyshev_propagate,
     eig_sym_tridiag,
@@ -17,74 +17,73 @@ from spinforge.numerics import (
 from spinforge.pst import standard_couplings
 
 
-def random_tridiag(rng, n):
-    return SymTridiag(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n - 1))
+def dense(chain):
+    """The chain's single-excitation Hamiltonian as a dense matrix."""
+    return np.diag(chain.couplings, 1) + np.diag(chain.couplings, -1)
 
 
-class TestSymTridiag:
-    def test_band_length_mismatch_rejected(self):
+def random_chain(rng, n):
+    return Chain(rng.uniform(-2.0, 2.0, n - 1))
+
+
+class TestChain:
+    def test_couplings_must_be_a_list(self):
         with pytest.raises(ValueError):
-            SymTridiag(np.zeros(3), np.zeros(3))
+            Chain(np.zeros((2, 2)))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SymTridiag(np.array([0.0, np.nan]), np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Chain(np.array([1.0, np.nan]))
 
-    def test_to_dense_roundtrip(self):
-        m = SymTridiag([1.0, 2.0, 3.0], [4.0, 5.0])
-        dense = m.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert dense[0, 1] == 4.0 and dense[2, 2] == 3.0
+    def test_one_site_chain_has_no_couplings(self):
+        assert Chain([]).n == 1 and Chain([2.0, 1.0]).n == 3
 
 
 class TestEig:
     def test_two_by_two(self):
-        s, v = eig_sym_tridiag(SymTridiag([0.0, 0.0], [1.0]))
-        assert np.allclose(s.values, [-1.0, 1.0], atol=1e-12)
+        s, v = eig_sym_tridiag(Chain([1.0]))
+        assert np.allclose(s, [-1.0, 1.0], atol=1e-12)
         assert np.abs(v.T @ v - np.eye(2)).max() < 1e-12
 
     def test_four_site_transfer_band(self):
         # independent oracle: dense symmetric eigensolve of the same matrix
-        m = SymTridiag(np.zeros(4), [np.sqrt(3), 2.0, np.sqrt(3)])
+        m = Chain([np.sqrt(3), 2.0, np.sqrt(3)])
         s, _ = eig_sym_tridiag(m)
-        dense = np.linalg.eigvalsh(m.to_dense())
-        assert np.abs(s.values - dense).max() < 1e-10
-        assert np.allclose(s.values, [-3.0, -1.0, 1.0, 3.0], atol=1e-9)
+        assert np.abs(s - np.linalg.eigvalsh(dense(m))).max() < 1e-10
+        assert np.allclose(s, [-3.0, -1.0, 1.0, 3.0], atol=1e-9)
 
     def test_single_site(self):
-        s, v = eig_sym_tridiag(SymTridiag([5.0], []))
-        assert s.values.tolist() == [5.0]
+        s, v = eig_sym_tridiag(Chain([]))
+        assert s.tolist() == [0.0]
         assert v.shape == (1, 1)
 
     @pytest.mark.parametrize("seed,n", [(0, 3), (1, 17), (2, 64), (3, 128)])
     def test_reconstruction_and_orthonormality(self, seed, n):
         rng = np.random.default_rng(seed)
-        m = random_tridiag(rng, n)
+        m = random_chain(rng, n)
         s, v = eig_sym_tridiag(m)
-        rebuilt = (v * s.values) @ v.T
-        assert np.abs(rebuilt - m.to_dense()).max() < 1e-10
+        rebuilt = (v * s) @ v.T
+        assert np.abs(rebuilt - dense(m)).max() < 1e-10
         assert np.abs(v.T @ v - np.eye(n)).max() < 1e-10
 
     def test_degenerate_cluster_stays_orthonormal(self):
-        # a zero coupling splits the chain into two identical blocks, so every
-        # eigenvalue is exactly twofold degenerate
-        m = SymTridiag([0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+        # a zero coupling splits the chain into two identical three-site
+        # blocks, so every eigenvalue, the zero mode too, is twofold
+        m = Chain([1.0, 1.0, 0.0, 1.0, 1.0])
         s, v = eig_sym_tridiag(m)
-        assert np.abs(v.T @ v - np.eye(4)).max() < 1e-10
-        rebuilt = (v * s.values) @ v.T
-        assert np.abs(rebuilt - m.to_dense()).max() < 1e-10
+        assert np.abs(v.T @ v - np.eye(6)).max() < 1e-10
+        assert np.abs(s - np.linalg.eigvalsh(dense(m))).max() < 1e-10
+        rebuilt = (v * s) @ v.T
+        assert np.abs(rebuilt - dense(m)).max() < 1e-10
 
     def test_three_fold_clusters_stay_orthonormal(self):
-        # three identical blocks and a lone site: two threefold clusters
-        m = SymTridiag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 5.0],
-                       [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        # three identical three-site blocks: three threefold clusters, one
+        # of them at zero
+        m = Chain([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
         s, v = eig_sym_tridiag(m)
-        assert np.abs(v.T @ v - np.eye(7)).max() < 1e-10
-        assert np.abs((v * s.values) @ v.T - m.to_dense()).max() < 1e-10
-
-
-def zero_diagonal_chain(rng, n):
-    return SymTridiag(np.zeros(n), rng.uniform(-2.0, 2.0, n - 1))
+        assert np.abs(v.T @ v - np.eye(9)).max() < 1e-10
+        assert np.abs(s - np.linalg.eigvalsh(dense(m))).max() < 1e-10
+        assert np.abs((v * s) @ v.T - dense(m)).max() < 1e-10
 
 
 class TestZeroDiagonalEig:
@@ -94,40 +93,41 @@ class TestZeroDiagonalEig:
     def test_matches_dense_and_tridiagonal_solvers(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
-            m = zero_diagonal_chain(rng, n)
+            m = random_chain(rng, n)
             s, v = eig_sym_tridiag(m)
-            dense = np.linalg.eigvalsh(m.to_dense())
-            stemr = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag, eigvals_only=True)
-            scale = np.abs(dense).max()
-            assert np.abs(s.values - dense).max() <= 1e-13 * scale
-            assert np.abs(s.values - stemr).max() <= 1e-13 * scale
-            assert np.all(np.diff(s.values) >= 0.0)
+            eigh = np.linalg.eigvalsh(dense(m))
+            stemr = scipy.linalg.eigh_tridiagonal(np.zeros(n), m.couplings,
+                                                  eigvals_only=True)
+            scale = np.abs(eigh).max()
+            assert np.abs(s - eigh).max() <= 1e-13 * scale
+            assert np.abs(s - stemr).max() <= 1e-13 * scale
+            assert np.all(np.diff(s) >= 0.0)
             assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-14
-            assert np.abs((v * s.values) @ v.T - m.to_dense()).max() <= 1e-13 * scale
+            assert np.abs((v * s) @ v.T - dense(m)).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", range(3, 41, 2))
     def test_odd_chain_zero_mode_lives_on_odd_sites(self, n):
         # 1-based odd sites are the even array positions
-        m = zero_diagonal_chain(np.random.default_rng(200 + n), n)
+        m = random_chain(np.random.default_rng(200 + n), n)
         s, v = eig_sym_tridiag(m)
         zero = v[:, n // 2]
-        assert s.values[n // 2] == 0.0
+        assert s[n // 2] == 0.0
         assert not zero[1::2].any()
-        assert np.abs(m.to_dense() @ zero).max() <= 1e-14
+        assert np.abs(dense(m) @ zero).max() <= 1e-14
 
     @pytest.mark.parametrize("couplings", [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
     def test_split_chain_clusters_stay_orthonormal(self, couplings):
         # zero couplings split the chain into identical blocks: every
         # eigenvalue of a block is degenerate across the blocks
-        m = SymTridiag(np.zeros(len(couplings) + 1), couplings)
+        m = Chain(couplings)
         s, v = eig_sym_tridiag(m)
         assert np.abs(v.T @ v - np.eye(m.n)).max() <= 1e-14
-        assert np.abs((v * s.values) @ v.T - m.to_dense()).max() <= 1e-14
+        assert np.abs((v * s) @ v.T - dense(m)).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [42, 520, 1040])
     def test_transfer_chain_spectrum_is_the_integer_ladder(self, n):
-        s, v = eig_sym_tridiag(standard_couplings(n).single_particle())
-        assert np.abs(s.values - np.arange(-(n - 1), n, 2)).max() <= 1e-12
+        s, v = eig_sym_tridiag(standard_couplings(n))
+        assert np.abs(s - np.arange(-(n - 1), n, 2)).max() <= 1e-12
         assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-14
 
 
@@ -137,8 +137,7 @@ class TestPropagator:
         assert np.abs(propagator(h, 0.0) - np.eye(2)).max() < 1e-14
 
     def test_two_site_transfer(self):
-        h = SymTridiag([0.0, 0.0], [1.0]).to_dense()
-        u = propagator(h, np.pi / 2)
+        u = propagator(dense(Chain([1.0])), np.pi / 2)
         out = u @ np.array([1.0, 0.0])
         assert np.abs(out - np.array([0.0, -1.0j])).max() < 1e-12
 
@@ -151,17 +150,17 @@ class TestPropagator:
             propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
     @pytest.mark.parametrize("m", [
-        SymTridiag([0.7], []),
+        Chain([]),
         # twofold-degenerate spectrum, as in TestEig
-        SymTridiag([0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
-        random_tridiag(np.random.default_rng(4), 2),
-        random_tridiag(np.random.default_rng(5), 17),
-        random_tridiag(np.random.default_rng(6), 42),
+        Chain([1.0, 0.0, 1.0]),
+        random_chain(np.random.default_rng(4), 2),
+        random_chain(np.random.default_rng(5), 17),
+        random_chain(np.random.default_rng(6), 42),
     ])
     @pytest.mark.parametrize("t", [0.0, 0.9, np.pi])
     def test_tridiagonal_matches_dense(self, m, t):
         u = propagator(m, t)
-        assert np.abs(u - propagator(m.to_dense(), t)).max() < 1e-12
+        assert np.abs(u - propagator(dense(m), t)).max() < 1e-12
         assert np.abs(u.conj().T @ u - np.eye(m.n)).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinforge.numerics import eig_sym_tridiag
-from spinforge.pst import PstChain, standard_couplings, verify_mirror
+from spinforge.numerics import Chain, eig_sym_tridiag
+from spinforge.pst import standard_couplings, verify_mirror
 
 
 class TestStandardCouplings:
@@ -28,9 +28,9 @@ class TestStandardCouplings:
     @pytest.mark.parametrize("n", [2, 5, 12, 33])
     def test_ladder_spectrum(self, n):
         chain = standard_couplings(n)
-        s, _ = eig_sym_tridiag(chain.single_particle())
+        s, _ = eig_sym_tridiag(chain)
         expected = np.arange(-(n - 1), n, 2)
-        assert np.abs(s.values - expected).max() < 1e-9
+        assert np.abs(s - expected).max() < 1e-9
 
 
 class TestVerifyMirror:
@@ -42,5 +42,5 @@ class TestVerifyMirror:
         assert verify_mirror(standard_couplings(n)) < 1e-9
 
     def test_uniform_chain_does_not_transfer(self):
-        chain = PstChain(np.ones(3))
+        chain = Chain(np.ones(3))
         assert verify_mirror(chain) > 0.1

@@ -14,7 +14,7 @@ from spinforge.cloning import (
     default_offset,
     profile_from_betas,
 )
-from spinforge.numerics import Spectrum, SymTridiag
+from spinforge.numerics import Chain
 from spinforge.synthesis import (
     NullVectorTask,
     ConvergenceState,
@@ -39,7 +39,13 @@ from spinforge.synthesis import (
     _saturating_box,
 )
 
-FIVE_SITE = Spectrum(values=(-5.0, -3.0, 0.0, 3.0, 5.0))
+FIVE_SITE = np.array([-5.0, -3.0, 0.0, 3.0, 5.0])
+
+
+def dense(couplings):
+    """Zero-diagonal tridiagonal matrix with ``couplings`` off the diagonal."""
+    couplings = np.asarray(couplings, dtype=float)
+    return np.diag(couplings, 1) + np.diag(couplings, -1)
 
 
 def random_reachable_mode(rng, margin=0.05):
@@ -113,14 +119,14 @@ class TestConvergenceState:
 
 class TestTaskValidation:
     def test_null_vector_needs_unique_zero(self):
-        bad = Spectrum(values=(-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0))
+        bad = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
         lam = np.zeros(7)
         lam[0] = 1.0
         with pytest.raises(ValueError):
             NullVectorTask(spectrum=bad, target_null_vector=lam)
 
     def test_null_vector_needs_symmetry(self):
-        bad = Spectrum(values=(-4.0, -3.0, 0.0, 3.0, 5.0))
+        bad = np.array([-4.0, -3.0, 0.0, 3.0, 5.0])
         lam = np.zeros(5)
         lam[0] = 1.0
         with pytest.raises(ValueError):
@@ -132,7 +138,7 @@ class TestTaskValidation:
             NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam)
 
     def test_reflectionless_spectrum_rejected(self):
-        evens = Spectrum(values=(-4.0, -2.0, 0.0, 2.0, 4.0))
+        evens = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
         lam = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3))
         task = NullVectorTask(spectrum=evens, target_null_vector=lam)
         with pytest.raises(ValueError, match="reflection"):
@@ -146,7 +152,7 @@ class TestChainConstruction:
         values = np.concatenate([-positive[::-1], [0.0], positive])
         couplings = chain_from_spectrum(values)
         assert (couplings > 0).all()
-        h = SymTridiag(np.zeros(9), couplings).to_dense()
+        h = dense(couplings)
         assert np.linalg.eigvalsh(h) == pytest.approx(values, abs=1e-8)
 
     @pytest.mark.parametrize("m, ladder", [(m, ladder) for m in range(5, 20, 2)
@@ -157,18 +163,18 @@ class TestChainConstruction:
         spectrum = _candidate_spectra(m)[ladder]
         couplings = chain_from_spectrum(spectrum)
         assert (couplings > 0).all()
-        values = np.linalg.eigvalsh(SymTridiag(np.zeros(m), couplings).to_dense())
-        top = np.abs(spectrum.values).max()
-        assert np.abs(values - spectrum.values).max() <= 1e-14 * top
+        values = np.linalg.eigvalsh(dense(couplings))
+        top = np.abs(spectrum).max()
+        assert np.abs(values - spectrum).max() <= 1e-14 * top
 
     def test_asymmetric_spectrum_rejected(self):
         with pytest.raises(ValueError):
             chain_from_spectrum([-2.0, 0.0, 1.0])
 
     def test_zero_mode_annihilated(self):
-        couplings = chain_from_spectrum(FIVE_SITE.values)
+        couplings = chain_from_spectrum(FIVE_SITE)
         lam, svs = zero_mode(couplings)
-        h = SymTridiag(np.zeros(5), couplings).to_dense()
+        h = dense(couplings)
         assert np.abs(h @ lam).max() < 1e-12
         assert np.sort(svs) == pytest.approx([3.0, 5.0], abs=1e-9)
 
@@ -184,18 +190,18 @@ class TestChainConstruction:
 
 class TestReflectionCheck:
     def test_odd_integer_spectrum_reflects(self):
-        chain = SymTridiag(np.zeros(5), chain_from_spectrum(FIVE_SITE.values))
+        chain = Chain(chain_from_spectrum(FIVE_SITE))
         assert reflection_check(chain, np.pi) <= 1e-9
 
     def test_even_spectrum_does_not_reflect(self):
-        chain = SymTridiag(np.zeros(5), chain_from_spectrum([-4.0, -2.0, 0.0, 2.0, 4.0]))
+        chain = Chain(chain_from_spectrum([-4.0, -2.0, 0.0, 2.0, 4.0]))
         assert reflection_check(chain, np.pi) > 0.5
 
     def test_zero_time_deviation(self):
         # at t = 0 the propagator is the identity, whose best-phase distance
         # from the reflection is twice the largest squared mode amplitude
-        couplings = chain_from_spectrum(FIVE_SITE.values)
-        chain = SymTridiag(np.zeros(5), couplings)
+        couplings = chain_from_spectrum(FIVE_SITE)
+        chain = Chain(couplings)
         lam, _ = zero_mode(couplings)
         expected = 2.0 * np.max(lam ** 2)
         value = reflection_check(chain, 0.0)
@@ -225,7 +231,7 @@ class TestClosedForms:
             v = random_reachable_mode(rng)
             couplings = five_site_couplings(v, branch=branch)
             assert (couplings > 0).all()
-            h = SymTridiag(np.zeros(5), couplings).to_dense()
+            h = dense(couplings)
             assert np.linalg.eigvalsh(h) == pytest.approx(
                 [-5.0, -3.0, 0.0, 3.0, 5.0], abs=1e-9)
             lam, _ = zero_mode(couplings, v)
@@ -244,7 +250,7 @@ class TestClosedForms:
     def test_three_site(self):
         v = np.array([0.8, 0.0, -0.6])
         couplings = three_site_couplings(v)
-        h = SymTridiag(np.zeros(3), couplings).to_dense()
+        h = dense(couplings)
         assert np.linalg.eigvalsh(h) == pytest.approx([-3.0, 0.0, 3.0], abs=1e-12)
         lam, _ = zero_mode(couplings, v)
         assert lam == pytest.approx(v, abs=1e-12)
@@ -288,9 +294,9 @@ class TestZeroModeChain:
             index, spectrum, couplings = first_root(m, target)
             assert index is not None, weights
             assert (couplings > 0).all()
-            vals = np.linalg.eigvalsh(SymTridiag(np.zeros(m), couplings).to_dense())
-            top = np.abs(spectrum.values).max()
-            assert np.abs(vals - spectrum.values).max() <= 1e-10 * top
+            vals = np.linalg.eigvalsh(dense(couplings))
+            top = np.abs(spectrum).max()
+            assert np.abs(vals - spectrum).max() <= 1e-10 * top
             lam, _ = zero_mode(couplings, target)
             assert np.abs(lam - target).max() < 1e-10
 
@@ -301,8 +307,8 @@ class TestZeroModeChain:
         spectrum = _candidate_spectra(m)[4]
         couplings = zero_mode_chain(spectrum, target)
         assert couplings is not None
-        vals = np.linalg.eigvalsh(SymTridiag(np.zeros(m), couplings).to_dense())
-        assert np.abs(vals - spectrum.values).max() <= 1e-10 * spectrum.values.max()
+        vals = np.linalg.eigvalsh(dense(couplings))
+        assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
         lam, _ = zero_mode(couplings, target)
         assert np.abs(lam - target).max() < 1e-10
 
@@ -417,16 +423,16 @@ class TestNullVectorFlow:
         chain, report = synthesis_flow_nullvector(task)
         assert report.status == "converged"
         assert report.chi >= 1 - 1e-6
-        assert np.sum(chain.offdiag ** 2) == pytest.approx(34.0, abs=1e-6)
-        h = chain.to_dense()
-        assert np.linalg.eigvalsh(h) == pytest.approx(FIVE_SITE.values, abs=1e-8)
+        assert np.sum(chain.couplings ** 2) == pytest.approx(34.0, abs=1e-6)
+        h = dense(chain.couplings)
+        assert np.linalg.eigvalsh(h) == pytest.approx(FIVE_SITE, abs=1e-8)
 
     def test_forbidden_target_stalls_on_boundary(self):
         v = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
         task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
         chain, report = synthesis_flow_nullvector(task)
         assert report.status == "stalled"
-        j = chain.offdiag
+        j = chain.couplings
         landing = boundary_value(abs(j[0] / j[1]), abs(j[3] / j[2]))
         assert abs(landing) < 1e-3
         assert np.sum(j ** 2) == pytest.approx(34.0, abs=1e-6)
@@ -452,12 +458,17 @@ class TestNullVectorFlow:
         assert corr < -0.9
 
     def test_trivial_target_zero_iterations(self):
-        couplings = chain_from_spectrum(FIVE_SITE.values)
+        couplings = chain_from_spectrum(FIVE_SITE)
         lam, _ = zero_mode(couplings)
         task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam)
         _, report = synthesis_flow_nullvector(task)
         assert report.status == "converged"
         assert report.iterations == 0
+
+    def test_one_site_task_converges_at_once(self):
+        task = NullVectorTask(spectrum=[0.0], target_null_vector=[1.0])
+        chain, report = synthesis_flow_nullvector(task)
+        assert (chain.n, report.status, report.iterations) == (1, "converged", 0)
 
     def test_off_band_residuals_recorded_small(self):
         rng = np.random.default_rng(21)
@@ -506,7 +517,7 @@ class TestRootHandover:
         assert report.status == bare.status == "stalled"
         assert report.iterations == bare.iterations
         assert report.trace.rows == bare.trace.rows
-        assert np.array_equal(chain.offdiag, bare_chain.offdiag)
+        assert np.array_equal(chain.couplings, bare_chain.couplings)
         assert not any(accepted for _, accepted in report.polishes)
         if attempts is not None:
             assert len(report.polishes) == attempts
@@ -550,7 +561,7 @@ class TestReflectorCrossCheck:
         nv_task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam_full)
         chain_n, report_n = synthesis_flow_nullvector(nv_task)
         assert report_n.status == "converged"
-        psi_n = produced_state(chain_n.offdiag, 3, np.pi)
+        psi_n = produced_state(chain_n.couplings, 3, np.pi)
         assert abs(np.vdot(reflector[:, 2], psi_n)) >= 1 - 1e-6
 
 
@@ -568,8 +579,8 @@ class TestMirrorReduction:
         rng = np.random.default_rng(17)
         half = rng.uniform(1.0, 5.0, size=5)
         full = unfold_couplings(half)
-        h_full = SymTridiag(np.zeros(11), full).to_dense()
-        h_half = SymTridiag(np.zeros(6), half).to_dense()
+        h_full = dense(full)
+        h_half = dense(half)
         full_eigs = np.linalg.eigvalsh(h_full)
         for value in np.linalg.eigvalsh(h_half):
             assert np.min(np.abs(full_eigs - value)) < 1e-9
@@ -598,9 +609,7 @@ class TestMirrorReduction:
 
 
 def produced_state_vector(couplings, state, time):
-    n = len(state)
-    h = SymTridiag(np.zeros(n), np.asarray(couplings, dtype=float)).to_dense()
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(dense(couplings))
     return (v * np.exp(-1j * w * time)) @ (v.T @ state)
 
 
