@@ -17,7 +17,11 @@ layout, so this module alone defines that layout; the flow's progress is a
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
 propagator a reflection, and hands over to a Levenberg-Marquardt root
-polish near the target.  ``zero_mode_chain`` solves the same inverse
+polish near the target.  Each ascent step is the vertex of a small linear
+programme, found by a primal simplex in the null space of the pattern
+constraint (``_lp_direction``) and returned exactly: its bound coordinates
+at the box, the rest solving the constraint, so the module needs numpy
+alone.  ``zero_mode_chain`` solves the same inverse
 problem directly on a ratio-fixed chain, and ``wstate_chain`` designs the
 uniform odd-site revival through the mirror-reduced half chain.
 """
@@ -239,23 +243,97 @@ def _compensate(x: np.ndarray):
     return x, res, res <= _LEAK_GATE
 
 
+_EPS = np.finfo(float).eps
+
+
+def _null_basis(rows: np.ndarray):
+    """Full-row-rank rows with the null space of ``rows``, and an orthonormal
+    basis of that null space, one column per dimension.
+
+    A complete QR of rows.T gives the basis when every pivot of its triangle
+    is above sqrt(eps) of the largest, so the rows have full rank, and the
+    rows stay as they are.  An unpivoted QR does not reveal a rank below
+    that, so an SVD then finds it, and the rows become the scaled right
+    singular vectors of their row space, which have the same null space.
+    """
+    m, n = rows.shape
+    q, t = np.linalg.qr(rows.T, mode="complete")
+    pivots = np.abs(np.diagonal(t))
+    if m == 0 or (m <= n and pivots.min() > np.sqrt(_EPS) * pivots.max()):
+        return rows, q[:, m:]
+    _, s, vt = np.linalg.svd(rows)
+    rank = int(np.count_nonzero(s > max(m, n) * _EPS * s[0]))
+    return s[:rank, None] * vt[:rank], vt[rank:].T
+
+
 def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
     """Best first-order ascent step inside the box, staying on the pattern.
 
     Solves  max <gradient, p>  subject to  rows @ p = 0 and |p_i| <= box,
-    the linear programme whose vertex solutions drive the flow.
-    """
-    # imported here, not at module level: scipy.optimize is a large import
-    # that every command would pay for at start-up, and only the flows use it
-    from scipy.optimize import linprog
+    the linear programme whose vertex solutions drive the flow, by the
+    primal simplex method in the null space of ``rows``: p = Z q with Z an
+    orthonormal basis of k = columns - rank dimensions.  From q = 0 the walk
+    follows the gradient projected off the active bounds and adds each bound
+    it meets, until k bounds are active.  At that vertex the multipliers of
+    the active bounds come from the inverse of their k-by-k rows; while one
+    is negative, the most negative (the lowest index after a degenerate
+    step, Bland's rule) leaves and the first bound met enters.
 
-    m = rows.shape[0]
-    res = linprog(
-        -gradient, A_eq=rows, b_eq=np.zeros(m),
-        bounds=[(-box, box)] * gradient.size, method="highs")
-    if not res.success:
-        return None, 0.0
-    return res.x, float(gradient @ res.x)
+    The vertex is returned exactly: its k active coordinates are +-box and
+    the others solve rows_B p_B = -rows_N p_N, so rows @ p vanishes to
+    rounding and every bound holds.  A gradient with no component in the
+    null space, zero included, gives p = 0 and gain 0.
+    """
+    rows, z = _null_basis(rows)
+    n, k = z.shape
+    # relative size below which a projection is rounding noise
+    noise = 10 * n * _EPS
+    c = z.T @ gradient
+    p = np.zeros(n)
+    if np.linalg.norm(c) <= noise * np.linalg.norm(gradient):
+        return p, 0.0
+    # active[i] is the coordinate held at signs[i] * box; a vertex fills all k
+    active = np.zeros(k, dtype=int)
+    signs = np.zeros(k)
+    filled = 0
+    q = np.zeros(k)
+    degenerate = False
+    while True:
+        bounds = signs[:filled, None] * z[active[:filled]]
+        if filled < k:
+            rest = np.linalg.qr(bounds.T, mode="complete")[0][:, filled:]
+            d = rest @ (rest.T @ c)
+            if np.linalg.norm(d) <= noise * np.linalg.norm(c):
+                d = rest[:, 0]
+            held, slot = active[:filled], filled
+            filled += 1
+        else:
+            inverse = np.linalg.inv(bounds)
+            q = box * inverse.sum(axis=1)
+            mu = inverse.T @ c
+            negative = np.flatnonzero(mu < -1e-12 * np.abs(mu).max())
+            if not negative.size:
+                break
+            slot = (negative[np.argmin(active[negative])] if degenerate
+                    else int(np.argmin(mu)))
+            # moves off bound `slot` at unit rate, keeping the others
+            d = -inverse[:, slot]
+            held = np.delete(active, slot)
+        zq, zd = z @ q, z @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.maximum((np.sign(zd) * box - zq) / zd, 0.0)
+        steps[np.abs(zd) <= 1e-12 * np.abs(zd).max()] = np.inf
+        steps[held] = np.inf
+        enter = int(np.argmin(steps))
+        degenerate = steps[enter] <= 1e-12 * box
+        q = q + steps[enter] * d
+        active[slot], signs[slot] = enter, np.sign(zd[enter])
+    basic = np.ones(n, dtype=bool)
+    basic[active] = False
+    p[active] = signs * box
+    p[basic] = np.clip(np.linalg.solve(rows[:, basic], -rows[:, active] @ p[active]),
+                       -box, box)
+    return p, float(gradient @ p)
 
 
 _STALL_WINDOW = 100
@@ -488,7 +566,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         gradient = np.concatenate([-(target[io] * lam[jo] - target[jo] * lam[io]),
                                    even_zeros])
         direction, gain = _lp_direction(rows, gradient, size)
-        if direction is None or gain < 1e-15:
+        if gain < 1e-15:
             status = "stalled"
             break
         p_fix = solve_affine(rows, -x[mask])

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -491,10 +492,10 @@ class TestModuleEntry:
 class TestImportFloor:
     """Commands load SciPy only where they use it.
 
-    ``scipy.optimize`` is loaded by the synthesis flows (``design wstate`` and
-    the symmetric-W clone branch) and ``scipy.sparse`` by the brute-force
-    oracle; every other command, ``design gamma`` included, and the import
-    of the CLI itself, load no SciPy.
+    Only the brute-force clone oracle loads SciPy, ``scipy.sparse`` for its
+    spin matvecs.  Every other command, the design flows included, and the
+    import of the CLI itself load none, and no module of the package
+    imports ``scipy.optimize`` or ``scipy.linalg``.
     """
 
     LAUNCH = ("import json, sys; from spinforge.cli import main; code = main(sys.argv[1:]); "
@@ -520,11 +521,15 @@ class TestImportFloor:
         (("simulate", "ghz", "--chain", "zy4.json"), False),
         (("simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"), False),
         (("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5"), False),
+        (("design", "wstate", "--n", "9"), False),
         (("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2"), False),
+        # the symmetric-W branch runs the null-vector flow
+        (("simulate", "clone", "--n-clones", "3", "--profile", "symmetric"), False),
         (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
           "--method", "brute_force"), True),
     ], ids=["design-pst", "simulate-ghz-pst", "simulate-ghz-zy", "simulate-sweep",
-            "design-gamma", "simulate-clone", "simulate-clone-brute-force"])
+            "design-gamma", "design-wstate", "simulate-clone",
+            "simulate-clone-symmetric", "simulate-clone-brute-force"])
     def test_command_leaves_scipy_optimize_unloaded(self, tmp_path, argv, sparse):
         # the brute-force oracle loads scipy.sparse, the rest no SciPy
         provenance = make_provenance("test")
@@ -545,6 +550,24 @@ class TestImportFloor:
         done = self.invoke(tmp_path, launch=launch)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == []
+
+    def test_no_module_imports_scipy_optimize_or_linalg(self):
+        # a static check: it catches an import on a path no command runs
+        package = Path(cli.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{alias.name}"
+                                             for alias in node.names]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[:2] in (["scipy", "optimize"],
+                                                     ["scipy", "linalg"])]
+        assert found == []
 
     def test_wstate_design_still_runs(self, tmp_path):
         done = self.invoke(tmp_path, "design", "wstate", "--n", "5")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, linprog
 
 from spinforge import synthesis
 from spinforge.cloning import (
@@ -34,6 +34,7 @@ from spinforge.synthesis import (
     mirror_target_fold,
     wstate_chain,
     isospectral_step,
+    _lp_direction,
     _null_vector_system,
     _off_pattern_rows,
     _saturating_box,
@@ -412,6 +413,101 @@ class TestIsospectralStep:
             errors.append(np.abs(diff[mask] - rows @ p).max())
         assert errors[1] <= 1e-5
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
+
+
+def lp_problem(shape, seed, rank=None):
+    """Random LP of the flow's shape: rows (m, h^2), zero even-generator gradient.
+
+    The flow's generator vector holds h(h+1)/2 odd parameters, then the
+    h(h-1)/2 even ones, whose gradient entries are zero.  With ``rank``,
+    the rows are a product of rank ``rank``.
+    """
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        rows = rng.normal(size=shape)
+    else:
+        rows = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+    h = int(round(np.sqrt(n)))
+    gradient = rng.normal(size=n)
+    gradient[n - h * (h - 1) // 2:] = 0.0
+    return rows, gradient, 0.1 * rng.uniform(0.01, 1.0)
+
+
+def highs_vertex(rows, gradient, box):
+    """The vertex HiGHS picks, solved exactly: its coordinates at a bound
+    kept, the others from the equality constraints."""
+    n = gradient.size
+    res = linprog(-gradient, A_eq=rows, b_eq=np.zeros(rows.shape[0]),
+                  bounds=[(-box, box)] * n, method="highs")
+    assert res.success
+    at = np.abs(res.x) == box
+    p = np.where(at, res.x, 0.0)
+    p[~at] = np.linalg.lstsq(rows[:, ~at], -rows[:, at] @ p[at], rcond=None)[0]
+    return p
+
+
+class TestLpDirection:
+    """The numpy simplex returns the vertex HiGHS finds, exactly.
+
+    HiGHS's own objective carries its feasibility tolerances (up to 1e-10
+    relative at 210 x 225), so the value is compared with HiGHS's vertex
+    solved exactly.
+    """
+
+    @pytest.mark.parametrize("shape, rank, seed", [
+        ((2, 4), None, 0), ((2, 4), None, 1), ((2, 4), None, 2),
+        ((20, 25), None, 0), ((20, 25), None, 1), ((20, 25), None, 2),
+        ((90, 100), None, 0), ((90, 100), None, 1),
+        ((210, 225), None, 0), ((210, 225), None, 1),
+        ((20, 25), 12, 0), ((90, 100), 70, 0),
+    ])
+    def test_matches_highs(self, shape, rank, seed):
+        rows, gradient, box = lp_problem(shape, seed, rank)
+        p, gain = _lp_direction(rows, gradient, box)
+        reference = highs_vertex(rows, gradient, box)
+        assert gain == float(gradient @ p)
+        assert gain == pytest.approx(float(gradient @ reference), rel=1e-12)
+        at = np.abs(reference) == box
+        assert np.array_equal(np.abs(p) == box, at)
+        assert np.array_equal(p[at], reference[at])
+        assert np.abs(rows @ p).max() <= 1e-13 * box * np.linalg.norm(rows, np.inf)
+        assert np.abs(p).max() <= box
+        free = gradient.size - np.linalg.matrix_rank(rows)
+        assert np.count_nonzero(np.abs(p) == box) >= free
+
+    @pytest.mark.parametrize("shape", [(2, 4), (20, 25), (210, 225)])
+    def test_row_space_gradient_gains_nothing(self, shape):
+        rows, _, box = lp_problem(shape, 3)
+        y = np.random.default_rng(4).normal(size=shape[0])
+        for gradient in (rows.T @ y, np.zeros(shape[1])):
+            p, gain = _lp_direction(rows, gradient, box)
+            assert gain == 0.0
+            assert not p.any()
+
+    def test_without_rows_every_coordinate_rides_its_bound(self):
+        # the three-site half chain of the symmetric 3-clone design has no
+        # off-pattern entry, so its LP has no rows; a zero gradient entry
+        # leaves its coordinate free, and the vertex still puts it at a bound
+        gradient = np.array([0.5, 0.0, -2.0, 1.0])
+        p, gain = _lp_direction(np.zeros((0, 4)), gradient, 0.1)
+        assert np.array_equal(np.abs(p), np.full(4, 0.1))
+        assert np.array_equal(p[gradient != 0], 0.1 * np.sign(gradient[gradient != 0]))
+        assert gain == pytest.approx(0.35, rel=1e-15)
+
+    def test_row_space_gradient_stalls_the_flow(self, monkeypatch):
+        # the flow's gradient projected onto the row space of its constraint
+        solve = synthesis._lp_direction
+
+        def row_space_only(rows, gradient, box):
+            y = np.linalg.lstsq(rows.T, gradient, rcond=None)[0]
+            return solve(rows, rows.T @ y, box)
+
+        monkeypatch.setattr(synthesis, "_lp_direction", row_space_only)
+        v = random_reachable_mode(np.random.default_rng(0))
+        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        _, report = synthesis_flow_nullvector(task)
+        assert (report.status, report.iterations) == ("stalled", 1)
 
 
 class TestNullVectorFlow:
