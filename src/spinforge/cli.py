@@ -251,8 +251,7 @@ def _parse_percent_range(text: str) -> list:
 def _simulate_sweep(args, argv) -> int:
     xs = _parse_percent_range(args.x)
     lines = ["x_percent,mean,stddev,samples"]
-    for x in xs:
-        point = perturb_sweep(args.n, x, args.samples, args.seed)
+    for point in perturb_sweep(args.n, xs, args.samples, args.seed):
         lines.append(f"{point.x_percent!r},{point.mean!r},"
                      f"{point.stddev!r},{args.samples}")
     out = Path(args.out or _default_out(args))

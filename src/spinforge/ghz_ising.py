@@ -229,17 +229,6 @@ def mirror_deviation(c: IsingChain) -> float:
     return float(np.abs(w - target).max())
 
 
-def hopping_form(n: int) -> np.ndarray:
-    """Antisymmetric generator pairing modes 2m and 2m+1 for m = 1..n-1.
-
-    This is the quadratic form whose exponential reconstructs the projector
-    structure of the all-zeros state in the Majorana description; it feeds
-    the determinant overlap estimator.
-    """
-    pairs = np.arange(2 * n - 1) % 2.0  # superdiagonal entries (2m-1, 2m)
-    return np.diag(pairs, 1) - np.diag(pairs, -1)
-
-
 def overlap_exact(c: IsingChain) -> GhzReport:
     """GHZ overlap by dense evolution of the all-zeros state (n <= 12)."""
     psi0 = np.zeros(1 << c.n, dtype=complex)
@@ -258,8 +247,15 @@ def _overlap_estimates(bands: np.ndarray) -> np.ndarray:
     n = (bands.shape[1] + 1) // 2
     w = _one_particle_maps(bands, GHZ_TIME)
     f = w[:, 2 * n - 1, 0]
-    h0 = hopping_form(n)
-    _, logdet = np.linalg.slogdet(w @ h0 @ w.transpose(0, 2, 1) @ h0 - np.eye(2 * n))
+    # det W = 1 turns |det(W h0 W^T h0 - 1)| into |det(h0 W h0 - W)|, and
+    # h0 W h0 is W with the paired modes' rows and columns swapped and signed
+    lo, hi = slice(1, 2 * n - 2, 2), slice(2, 2 * n - 1, 2)
+    m = -w
+    m[:, lo, lo] -= w[:, hi, hi]
+    m[:, lo, hi] += w[:, hi, lo]
+    m[:, hi, lo] += w[:, lo, hi]
+    m[:, hi, hi] -= w[:, lo, lo]
+    _, logdet = np.linalg.slogdet(m)
     raw = (1.0 + np.abs(f)) * np.exp(0.5 * logdet - n * np.log(2.0))
     overlap = np.minimum(np.maximum(raw, 0.0), 1.0)
     overlap[1.0 - overlap < 1e-12] = 1.0
@@ -271,7 +267,8 @@ def overlap_estimate(c: IsingChain) -> GhzReport:
 
     Combines the end-to-end one-particle amplitude F with the determinant of
     W h0 W^T h0 - 1, where W is the one-particle map and h0 the pairing
-    generator: estimate = (1+|F|)/2^n * sqrt|det|, evaluated as
+    generator, h0[2m-1, 2m] = -h0[2m, 2m-1] = 1 for m = 1..n-1 (modes
+    counted from 0): estimate = (1+|F|)/2^n * sqrt|det|, evaluated as
     (1+|F|) exp(log|det|/2 - n log 2) so that the determinant cannot
     overflow. The determinant is taken in magnitude, and results within
     1e-12 of the upper boundary are snapped to exactly 1 so that chains with
@@ -291,18 +288,19 @@ class SweepPoint:
     samples: np.ndarray = field(repr=False)
 
 
-def perturb_sweep(n: int, x_percent: float, samples: int, seed: int) -> SweepPoint:
-    """Overlap-estimate statistics under multiplicative parameter disorder.
+def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoint]:
+    """Overlap-estimate statistics under parameter disorder, one point per strength.
 
     Every field and coupling of the engineered n-qubit chain is multiplied by
     an independent factor 1 + (x/100) u with u uniform on [-1, 1]. Each
     sample derives its own random stream from (seed, sample index), so the
     same underlying draws are reused across different strengths x.
 
-    Samples are drawn and estimated in consecutive blocks, one stack of real
-    n x n SVDs and 2n x 2n products per block, in the calling thread. A
-    block's 2n x 2n stack is kept near SWEEP_BLOCK_BYTES, so memory does not
-    grow with the sample count.
+    Samples are drawn in consecutive blocks, once for all strengths, and each
+    nonzero x estimates a block with one stack of n x n SVDs and 2n x 2n
+    determinants, in the calling thread; one estimate fills the x = 0 row. A
+    block's 2n x 2n stack stays near SWEEP_BLOCK_BYTES; the strengths x
+    samples table of estimates grows with both counts.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -310,21 +308,24 @@ def perturb_sweep(n: int, x_percent: float, samples: int, seed: int) -> SweepPoi
         raise ValueError("need at least one sample")
     band = ising_from_pst(standard_couplings(2 * n)).band()
     block = max(1, SWEEP_BLOCK_BYTES // (8 * (2 * n) ** 2))
-
-    values = np.empty(samples)
-    for start in range(0, samples, block):
+    xs = [float(x) for x in x_percents]
+    try:
+        values = np.empty((len(xs), samples))
+    except MemoryError:
+        raise ValueError(f"no memory for {len(xs)} strengths x {samples} samples") from None
+    zero = np.array(xs) == 0.0
+    if zero.any():
+        values[zero] = _overlap_estimates(band[None, :])
+    for start in range(0, 0 if zero.all() else samples, block):
         stop = min(start + block, samples)
         u = np.array([np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
                       for index in range(start, stop)])
-        perturbed = band * (1.0 + (x_percent / 100.0) * u)
-        if not np.all(np.isfinite(perturbed)):
-            raise ValueError("chain parameters must be finite")
-        values[start:stop] = _overlap_estimates(perturbed)
+        for row in np.flatnonzero(~zero):
+            bands = band * (1.0 + (xs[row] / 100.0) * u)
+            if not np.all(np.isfinite(bands)):
+                raise ValueError("chain parameters must be finite")
+            values[row, start:stop] = _overlap_estimates(bands)
     if not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("overlap must lie in [0, 1]")
-    return SweepPoint(
-        x_percent=float(x_percent),
-        mean=float(values.mean()),
-        stddev=float(values.std()),
-        samples=values,
-    )
+    return [SweepPoint(x_percent=x, mean=float(row.mean()), stddev=float(row.std()),
+                       samples=row) for x, row in zip(xs, values)]

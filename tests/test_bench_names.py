@@ -14,15 +14,31 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def _traced_names():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
 
 
-@pytest.mark.parametrize("name", _traced_names())
+@pytest.mark.parametrize("name", _load_tracing().TRACED)
 def test_traced_name_resolves(name):
     module_name, func_name = name.split(".")
     module = importlib.import_module(f"spinforge.{module_name}")
     assert callable(getattr(module, func_name, None)), name
+
+
+def test_traced_sweep_records_its_samples(tmp_path, monkeypatch):
+    # the tracer reads the sample count from the third positional argument,
+    # so a signature that moved it would fail every traced sweep
+    from spinforge import cli, ghz_ising
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    monkeypatch.setattr(cli, "perturb_sweep",
+                        tracer.wrap("ghz_ising.perturb_sweep", ghz_ising.perturb_sweep))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"]) == 0
+    spans = [s for s in tracer.spans if s[0] == "ghz_ising.perturb_sweep"]
+    assert [s[5] for s in spans] == [{"samples": 5}]
+    assert tracing.derive_metrics(tracer.spans, 0)["ghz_ising.samples_per_s"] > 0

@@ -338,6 +338,17 @@ class TestSimulateSweep:
         assert "need at least one qubit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unallocatable_table_is_usage_error(self, tmp_path, capsys):
+        # 8 PB of estimates lies beyond the address space, so the request
+        # fails at once without touching memory
+        code = run(tmp_path, "simulate", "sweep", "--n", "3", "--x", "1",
+                   "--samples", "1000000000000000")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinforge simulate sweep: error: ")
+        assert "1 strengths x 1000000000000000 samples" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateClone:
     def test_symmetric_pair(self, tmp_path):

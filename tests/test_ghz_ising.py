@@ -13,7 +13,6 @@ from spinforge.ghz_ising import (
     brute_force_evolve,
     dense_hamiltonian,
     ghz_target,
-    hopping_form,
     ising_from_pst,
     mirror_deviation,
     one_particle_map,
@@ -283,7 +282,8 @@ class TestOverlapEstimate:
         assert report.overlap == pytest.approx(1.0, abs=1e-9)
         assert report.method == "estimator"
         w = one_particle_map(chain, GHZ_TIME)
-        h0 = hopping_form(2)
+        h0 = np.zeros((4, 4))
+        h0[1, 2], h0[2, 1] = 1.0, -1.0
         det = np.linalg.det(w @ h0 @ w.T @ h0 - np.eye(4))
         assert det == pytest.approx(4.0, abs=1e-9)
         assert abs(w[3, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -310,6 +310,23 @@ class TestOverlapEstimate:
             close += gap <= 0.05
         assert close >= 0.9 * trials
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_explicit_product_estimator(self, n):
+        # (1+|F|) sqrt|det(W h0 W^T h0 - 1)| / 2^n with the products formed,
+        # h0 pairing modes 2m-1 and 2m for m = 1..n-1
+        h0 = np.zeros((2 * n, 2 * n))
+        m = np.arange(1, n)
+        h0[2 * m - 1, 2 * m], h0[2 * m, 2 * m - 1] = 1.0, -1.0
+        rng = np.random.default_rng(70 + n)
+        base = ghz_chain(n).band()
+        for scale in (0.0, 0.01, 0.05, 0.3):
+            band = base * (1 + rng.uniform(-scale, scale, base.size))
+            chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+            w = one_particle_map(chain, GHZ_TIME)
+            det = np.linalg.det(w @ h0 @ w.T @ h0 - np.eye(2 * n))
+            explicit = (1 + abs(w[-1, 0])) * np.sqrt(abs(det)) / 2.0 ** n
+            assert abs(overlap_estimate(chain).overlap - min(explicit, 1.0)) < 1e-13
+
     def test_report_rejects_out_of_range_overlap(self):
         with pytest.raises(ValueError):
             GhzReport(overlap=1.5, method="exact")
@@ -317,19 +334,19 @@ class TestOverlapEstimate:
 
 class TestPerturbSweep:
     def test_zero_strength_is_exactly_one(self):
-        point = perturb_sweep(6, 0.0, samples=12, seed=5)
+        (point,) = perturb_sweep(6, [0.0], samples=12, seed=5)
         assert point.mean == 1.0
         assert point.stddev == 0.0
         assert np.all(point.samples == 1.0)
 
     def test_deterministic_under_seed(self):
-        a = perturb_sweep(5, 3.0, samples=20, seed=42)
-        b = perturb_sweep(5, 3.0, samples=20, seed=42)
-        assert np.array_equal(a.samples, b.samples)
+        a = perturb_sweep(5, [3.0, 0.0, 1.0], samples=20, seed=42)
+        b = perturb_sweep(5, [3.0, 0.0, 1.0], samples=20, seed=42)
+        for p, q in zip(a, b):
+            assert np.array_equal(p.samples, q.samples)
 
     def test_values_in_range_and_disorder_hurts(self):
-        weak = perturb_sweep(8, 1.0, samples=40, seed=2)
-        strong = perturb_sweep(8, 8.0, samples=40, seed=2)
+        weak, strong = perturb_sweep(8, [1.0, 8.0], samples=40, seed=2)
         for point in (weak, strong):
             assert np.all((0.0 <= point.samples) & (point.samples <= 1.0))
         assert strong.mean < weak.mean
@@ -337,17 +354,23 @@ class TestPerturbSweep:
     @pytest.mark.parametrize("n", [1, 6, 21])
     @pytest.mark.parametrize("samples", [1, 63, 130])
     def test_blocks_match_per_sample_estimates(self, n, samples):
-        x, seed = 4.0, 17
+        xs, seed = [4.0, 0.0, 1.0, 4.0, -0.0], 17
         band = ghz_chain(n).band()
-        expected = np.empty(samples)
-        for index in range(samples):
-            u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
-            perturbed = band * (1.0 + (x / 100.0) * u)
-            chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-            expected[index] = overlap_estimate(chain).overlap
-        point = perturb_sweep(n, x, samples, seed)
-        assert point.samples.shape == (samples,)
-        assert np.abs(point.samples - expected).max() < 1e-13
+        unperturbed = overlap_estimate(ghz_chain(n)).overlap
+        points = perturb_sweep(n, xs, samples, seed)
+        assert [p.x_percent for p in points] == xs
+        for x, point in zip(xs, points):
+            assert point.samples.shape == (samples,)
+            if x == 0.0:
+                assert np.all(point.samples == unperturbed)
+                continue
+            expected = np.empty(samples)
+            for index in range(samples):
+                u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
+                perturbed = band * (1.0 + (x / 100.0) * u)
+                chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
+                expected[index] = overlap_estimate(chain).overlap
+            assert np.abs(point.samples - expected).max() < 1e-13
 
     def test_long_chain_estimate_does_not_overflow(self):
         # 2^n sqrt|det| overflows a double from n = 512; the estimate is
@@ -355,13 +378,14 @@ class TestPerturbSweep:
         # reports an overlap just below 1 rather than a clamped 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            point = perturb_sweep(520, 0.001, 2, seed=0)
+            (point,) = perturb_sweep(520, [0.001], 2, seed=0)
         assert np.all((0.999 < point.samples) & (point.samples < 1.0))
 
     @pytest.mark.parametrize("x", [np.inf, np.nan])
     def test_non_finite_disorder_rejected(self, x):
-        with pytest.raises(ValueError, match="chain parameters must be finite"):
-            perturb_sweep(3, x, 2, seed=0)
+        for xs in ([x], [x, 1.0], [0.0, 2.0, x], [1.0, x, 0.0]):
+            with pytest.raises(ValueError, match="chain parameters must be finite"):
+                perturb_sweep(3, xs, 2, seed=0)
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
