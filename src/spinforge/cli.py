@@ -29,7 +29,6 @@ from .cloning import (
     symmetric_profile,
 )
 from .ghz_ising import (
-    BRUTE_FORCE_MAX_QUBITS,
     GHZ_TIME,
     ising_from_pst,
     mirror_deviation,
@@ -198,13 +197,12 @@ def _design_wstate(args, argv) -> int:
 
 def _simulate_ghz(args, argv) -> int:
     doc = chainio.read_document(args.chain)
-    payload = {"provenance": _provenance(argv, args, {"mirror": args.tol})}
+    payload = {"provenance": _provenance(argv, args, {"mirror": args.tol}),
+               "method": "exact", "time": GHZ_TIME}
     if doc.kind in ("pst", "ising"):
         chain = (chainio.ising_chain(doc) if doc.kind == "ising"
                  else ising_from_pst(chainio.pst_chain(doc)))
-        report = overlap_estimate(chain)
-        payload.update({"n": chain.n, "overlap": report.overlap,
-                        "method": report.method, "time": GHZ_TIME})
+        payload.update({"n": chain.n, "overlap": overlap_estimate(chain)})
         if args.check:
             deviation = mirror_deviation(chain)
             payload["mirror_deviation"] = deviation
@@ -216,12 +214,8 @@ def _simulate_ghz(args, argv) -> int:
     elif doc.kind == "zy":
         if args.check:
             raise ValueError("--check applies to pst and ising documents")
-        if doc.n > BRUTE_FORCE_MAX_QUBITS:
-            raise ValueError(f"zy documents are evaluated densely and need "
-                             f"n <= {BRUTE_FORCE_MAX_QUBITS}")
-        overlap = zy_ghz_overlap(chainio.gamma_matrix(doc))
-        payload.update({"n": doc.n, "overlap": overlap,
-                        "method": "brute_force", "time": GHZ_TIME})
+        payload.update({"n": doc.n,
+                        "overlap": zy_ghz_overlap(chainio.gamma_matrix(doc))})
     else:
         raise ValueError(f"unsupported document kind {doc.kind}")
     _write_json(args.out or _default_out(args), payload)

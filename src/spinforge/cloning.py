@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
-                        spin_hamiltonian)
-from .numerics import Chain, chebyshev_propagate, propagator
+from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, majorana_blocks,
+                        mirror_deviation, spin_hamiltonian)
+from .numerics import Chain, chebyshev_propagate, eig_sym_tridiag, propagator
 from .pst import standard_couplings
 from .synthesis import (
     _check_tol,
@@ -357,6 +357,22 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
                              w_chain.couplings, w_time)
 
 
+def _ising_interval(chain: IsingChain) -> tuple:
+    """(lowest, highest) energy of the Ising chain: its energies are the
+    signed sums of the singular values of its Majorana block."""
+    c = majorana_blocks(chain.fields[None], chain.couplings[None])
+    top = float(np.linalg.svd(c, compute_uv=False).sum())
+    return -top, top
+
+
+def _exchange_interval(couplings) -> tuple:
+    """(lowest, highest) energy of the exchange chain: its energies are sums
+    of hopping eigenvalues, which a bipartite chain has in +- pairs."""
+    hop = eig_sym_tridiag(Chain(couplings))[0]
+    top = float(hop[hop > 0].sum())
+    return -top, top
+
+
 def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
     """Evolve a dense register state under the exchange chain (m <= 13).
 
@@ -374,7 +390,7 @@ def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
     if vec.ndim > 2 or vec.shape[0] != 1 << m:
         raise ValueError("state dimension does not match the coupling count")
     h = spin_hamiltonian(m, xx=couplings / 2.0, yy=couplings / 2.0)
-    return chebyshev_propagate(h, t, vec)
+    return chebyshev_propagate(h, t, vec, _exchange_interval(couplings))
 
 
 def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
@@ -420,9 +436,10 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
         vec = np.kron(vec, factors.get(q, ground))
 
     h_ghz = spin_hamiltonian(m, x=ghz_chain.fields, zz=ghz_chain.couplings)
-    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec)
+    interval = _ising_interval(ghz_chain)
+    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec, interval)
     vec = _dense_cz(vec, m, m - k, m - k - 1)
-    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec)
+    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec, interval)
     vec = _dense_cnot(vec, m, k + 1, k + 2)
     vec = exchange_evolve_dense(w_chain.couplings, w_time, vec)
     return vec if psi.ndim == 2 else vec[:, 0]

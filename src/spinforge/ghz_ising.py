@@ -7,8 +7,9 @@ B1, J1, B2, ..., Bn on its superdiagonal. With couplings inherited
 from a mirror-transfer chain of length 2n, evolving the all-zeros state for
 a quarter period produces the n-qubit GHZ state. This module builds those
 chains, verifies the synthesis both by brute force and at the quadratic
-level, and implements a determinant-based overlap estimator cheap enough
-for large disorder sweeps.
+level, and computes the GHZ overlap exactly from one Gaussian-trace
+determinant, for Ising chains and for the YY-coupled chains of ``isoflow``
+alike, fast enough for large disorder sweeps.
 
 Time convention: all public functions take Hamiltonian evolution time. The
 quadratic (Majorana) sector evolves through twice the angle, i.e. the
@@ -27,7 +28,7 @@ from .pst import standard_couplings
 
 GHZ_TIME = np.pi / 4
 BRUTE_FORCE_MAX_QUBITS = 12
-# Byte budget of one stacked 2n x 2n array in the disorder sweep: 18 samples
+# Byte budget of one stacked 2n x 2n map array in the disorder sweep: 18 samples
 # a block at n = 21, one sample from n = 91 up. Blocks of 9 to 148 samples
 # ran the n = 21 sweep equally fast, and budgets past this one raised the
 # sweep's peak RSS (by 3.3 MB at 1 MB).
@@ -63,18 +64,6 @@ class IsingChain:
         band[0::2] = self.fields
         band[1::2] = self.couplings
         return band
-
-
-@dataclass
-class GhzReport:
-    """Overlap of the all-zeros state evolved over GHZ_TIME with the GHZ target."""
-
-    overlap: float
-    method: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
 
 
 def ising_from_pst(p: Chain) -> IsingChain:
@@ -158,12 +147,6 @@ def dense_hamiltonian(c: IsingChain) -> np.ndarray:
     return dense_spin_hamiltonian(c.n, x=c.fields, zz=c.couplings)
 
 
-def evolve_dense(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
-    """Exact evolution e^{-iHt} psi0 under a dense real symmetric Hamiltonian."""
-    w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * w * t) * (v.T @ psi0))
-
-
 def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
     """Exact dense evolution of an n-qubit state under the chain Hamiltonian."""
     if c.n > BRUTE_FORCE_MAX_QUBITS:
@@ -174,33 +157,51 @@ def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (1 << c.n,):
         raise ValueError("state dimension does not match qubit count")
-    return evolve_dense(dense_hamiltonian(c), t, psi0)
+    w, v = np.linalg.eigh(dense_hamiltonian(c))
+    return v @ (np.exp(-1j * w * t) * (v.T @ psi0))
 
 
-def _one_particle_maps(bands: np.ndarray, t: float) -> np.ndarray:
-    """Maps exp(2ts) for a stack of bands of shape (k, 2n-1), as a (k, 2n, 2n) array.
+def majorana_blocks(fields, zz, yy=None) -> np.ndarray:
+    """Even-odd blocks C of the Majorana matrices s, stacked as (k, n, n).
 
-    s couples even modes only to odd ones: its even-odd block is the lower
-    bidiagonal C with C[k,k] = b_2k and C[k+1,k] = -b_2k+1, and its odd-even
-    block is -C^T.  With C = U S V^T the even-even block of exp(2ts) is
-    U cos(2tS) U^T, the odd-odd block V cos(2tS) V^T, the even-odd block
-    U sin(2tS) V^T and the odd-even block -V sin(2tS) U^T, so one real n x n
-    SVD per band gives the map.  Singular vectors orthonormal to 1e-10 make
-    it orthogonal to the same order; past that a ``ValueError`` is raised.
+    X fields ``fields`` (k, n) go on the diagonal, ZZ couplings ``zz``
+    (k, n-1) as -zz on the subdiagonal and YY couplings ``yy`` (k, n-1) as
+    -yy on the superdiagonal; Ising chains have no YY, so C is bidiagonal.
     """
-    k, n = bands.shape[0], (bands.shape[1] + 1) // 2
+    fields = np.asarray(fields, dtype=float)
+    k, n = fields.shape
     c = np.zeros((k, n, n))
     i = np.arange(n)
-    c[:, i, i] = bands[:, 0::2]
-    c[:, i[1:], i[:-1]] = -bands[:, 1::2]
+    c[:, i, i] = fields
+    c[:, i[1:], i[:-1]] = -np.asarray(zz, dtype=float)
+    if yy is not None:
+        c[:, i[:-1], i[1:]] = -np.asarray(yy, dtype=float)
+    return c
+
+
+def _one_particle_maps(c: np.ndarray, t: float) -> np.ndarray:
+    """Maps exp(2ts) for a stack of blocks ``c`` of shape (k, n, n), as (k, 2n, 2n).
+
+    s couples even modes only to odd ones: its even-odd block is C (see
+    :func:`majorana_blocks`) and its odd-even block -C^T.  With
+    C = U S V^T the even-even block of exp(2ts) is U cos(2tS) U^T, the
+    odd-odd block V cos(2tS) V^T, the even-odd block U sin(2tS) V^T and
+    the odd-even block -V sin(2tS) U^T, so one real n x n SVD per block
+    gives the map.  Singular vectors orthonormal to 1e-10 make it
+    orthogonal to the same order; past that, or when a phase 2t sigma
+    overflows, a ``ValueError`` is raised.
+    """
+    k, n = c.shape[0], c.shape[1]
     u, sigma, vt = np.linalg.svd(c)
     ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
     dev = max(np.abs(ut @ u - np.eye(n)).max(), np.abs(vt @ v - np.eye(n)).max())
     if dev > 1e-10:
         raise ValueError(
             f"one-particle map is not orthogonal (singular vector deviation {dev:.3e})")
-    cos = np.cos(2.0 * t * sigma)[:, None, :]
-    sin = np.sin(2.0 * t * sigma)[:, None, :]
+    angle = 2.0 * t * sigma
+    if not np.isfinite(angle).all():
+        raise ValueError("one-particle map overflows: chain parameters are too large")
+    cos, sin = np.cos(angle)[:, None, :], np.sin(angle)[:, None, :]
     w = np.empty((k, 2 * n, 2 * n))
     w[:, 0::2, 0::2] = (u * cos) @ ut
     w[:, 1::2, 1::2] = (v * cos) @ vt
@@ -211,7 +212,7 @@ def _one_particle_maps(bands: np.ndarray, t: float) -> np.ndarray:
 
 def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
     """Real orthogonal map exp(2ts) transporting Majorana operators over Hamiltonian time t."""
-    return _one_particle_maps(c.band()[None, :], t)[0]
+    return _one_particle_maps(majorana_blocks(c.fields[None], c.couplings[None]), t)[0]
 
 
 def mirror_deviation(c: IsingChain) -> float:
@@ -229,53 +230,58 @@ def mirror_deviation(c: IsingChain) -> float:
     return float(np.abs(w - target).max())
 
 
-def overlap_exact(c: IsingChain) -> GhzReport:
+def overlap_exact(c: IsingChain) -> float:
     """GHZ overlap by dense evolution of the all-zeros state (n <= 12)."""
     psi0 = np.zeros(1 << c.n, dtype=complex)
     psi0[0] = 1.0
     psi = brute_force_evolve(c, GHZ_TIME, psi0)
-    overlap = min(abs(np.vdot(ghz_target(c.n), psi)), 1.0)
-    return GhzReport(overlap=overlap, method="exact")
+    return min(abs(np.vdot(ghz_target(c.n), psi)), 1.0)
 
 
-def _overlap_estimates(bands: np.ndarray) -> np.ndarray:
-    """Overlap estimates for a stack of bands (k, 2n-1).
+def ghz_overlaps(c: np.ndarray) -> np.ndarray:
+    """Exact overlaps |<GHZ| e^{-iH GHZ_TIME} |0...0>| for a stack of blocks C (k, n, n).
 
-    See :func:`overlap_estimate`; the determinant is taken in log space, so
-    chains of any length give a finite estimate.
+    By the Gaussian-trace identity (Bravyi 2005; Fagotti & Calabrese 2010)
+    with one ancilla Majorana mode eta = 2n, overlap^4 = 2^-2n
+    |det(W~ - G_A W~ G_B)|, where W~ = W + 1 is the map padded with eta.
+    A pair (a, b) with sign s sets G[a, b] = -G[b, a] = s.  G_B, the
+    all-zeros side, pairs (2m-1, 2m) for m = 1..n-1 with sign +1 and
+    (0, eta) with sign -1; G_A, the GHZ side, pairs the same modes and
+    (2n-1, eta), all with sign +1.  The matrix is formed by index moves and
+    its determinant taken in log space, so chains of any length give a
+    finite overlap.  Overlaps are clamped to at most 1 and snapped to 1
+    within 1e-12, so chains with perfect mirror transfer report 1.0.
     """
-    n = (bands.shape[1] + 1) // 2
-    w = _one_particle_maps(bands, GHZ_TIME)
-    f = w[:, 2 * n - 1, 0]
-    # det W = 1 turns |det(W h0 W^T h0 - 1)| into |det(h0 W h0 - W)|, and
-    # h0 W h0 is W with the paired modes' rows and columns swapped and signed
-    lo, hi = slice(1, 2 * n - 2, 2), slice(2, 2 * n - 1, 2)
-    m = -w
-    m[:, lo, lo] -= w[:, hi, hi]
-    m[:, lo, hi] += w[:, hi, lo]
-    m[:, hi, lo] += w[:, lo, hi]
-    m[:, hi, hi] -= w[:, lo, lo]
+    n = c.shape[1]
+    w = _one_particle_maps(c, GHZ_TIME)
+    eta = 2 * n
+    m = np.zeros((c.shape[0], eta + 1, eta + 1))
+    m[:, :eta, :eta] = w
+    m[:, eta, eta] = 1.0
+    # G_A moves rows 2m -> 2m-1 and -(2m-1) -> 2m for m = 1..n; G_B moves
+    # columns -2m -> 2m-1 and 2m-1 -> 2m for m < n, -0 -> eta and eta -> 0
+    lo, hi = slice(1, eta - 2, 2), slice(2, eta - 1, 2)
+    odd, even = slice(1, eta, 2), slice(2, eta + 1, 2)
+    m[:, lo, lo] += w[:, hi, hi]
+    m[:, lo, hi] -= w[:, hi, lo]
+    m[:, even, lo] -= w[:, odd, hi]
+    m[:, even, hi] += w[:, odd, lo]
+    m[:, lo, eta] += w[:, hi, 0]
+    m[:, even, eta] -= w[:, odd, 0]
+    m[:, eta - 1, 0] -= 1.0
     _, logdet = np.linalg.slogdet(m)
-    raw = (1.0 + np.abs(f)) * np.exp(0.5 * logdet - n * np.log(2.0))
-    overlap = np.minimum(np.maximum(raw, 0.0), 1.0)
+    overlap = np.minimum(np.exp(0.25 * logdet - 0.5 * n * np.log(2.0)), 1.0)
     overlap[1.0 - overlap < 1e-12] = 1.0
     return overlap
 
 
-def overlap_estimate(c: IsingChain) -> GhzReport:
-    """Determinant-based estimate of the GHZ overlap from the quadratic sector.
+def overlap_estimate(c: IsingChain) -> float:
+    """Exact GHZ overlap of an Ising chain, by :func:`ghz_overlaps`.
 
-    Combines the end-to-end one-particle amplitude F with the determinant of
-    W h0 W^T h0 - 1, where W is the one-particle map and h0 the pairing
-    generator, h0[2m-1, 2m] = -h0[2m, 2m-1] = 1 for m = 1..n-1 (modes
-    counted from 0): estimate = (1+|F|)/2^n * sqrt|det|, evaluated as
-    (1+|F|) exp(log|det|/2 - n log 2) so that the determinant cannot
-    overflow. The determinant is taken in magnitude, and results within
-    1e-12 of the upper boundary are snapped to exactly 1 so that chains with
-    perfect mirror transfer report an overlap of 1.0.
+    The name is kept from the estimator this replaced, because the
+    benchmark's tracer times the function under it.
     """
-    overlap = _overlap_estimates(c.band()[None, :])
-    return GhzReport(overlap=float(overlap[0]), method="estimator")
+    return float(ghz_overlaps(majorana_blocks(c.fields[None], c.couplings[None]))[0])
 
 
 @dataclass
@@ -289,7 +295,7 @@ class SweepPoint:
 
 
 def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoint]:
-    """Overlap-estimate statistics under parameter disorder, one point per strength.
+    """GHZ-overlap statistics under parameter disorder, one point per strength.
 
     Every field and coupling of the engineered n-qubit chain is multiplied by
     an independent factor 1 + (x/100) u with u uniform on [-1, 1]. Each
@@ -297,10 +303,10 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
     same underlying draws are reused across different strengths x.
 
     Samples are drawn in consecutive blocks, once for all strengths, and each
-    nonzero x estimates a block with one stack of n x n SVDs and 2n x 2n
-    determinants, in the calling thread; one estimate fills the x = 0 row. A
-    block's 2n x 2n stack stays near SWEEP_BLOCK_BYTES; the strengths x
-    samples table of estimates grows with both counts.
+    nonzero x evaluates a block with one stack of n x n SVDs and
+    (2n+1)-square determinants, in the calling thread; one overlap fills the
+    x = 0 row. A block's 2n x 2n map stack stays near SWEEP_BLOCK_BYTES; the
+    strengths x samples table of overlaps grows with both counts.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -315,7 +321,7 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
         raise ValueError(f"no memory for {len(xs)} strengths x {samples} samples") from None
     zero = np.array(xs) == 0.0
     if zero.any():
-        values[zero] = _overlap_estimates(band[None, :])
+        values[zero] = ghz_overlaps(majorana_blocks(band[None, 0::2], band[None, 1::2]))
     for start in range(0, 0 if zero.all() else samples, block):
         stop = min(start + block, samples)
         u = np.array([np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
@@ -324,7 +330,8 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
             bands = band * (1.0 + (xs[row] / 100.0) * u)
             if not np.all(np.isfinite(bands)):
                 raise ValueError("chain parameters must be finite")
-            values[row, start:stop] = _overlap_estimates(bands)
+            values[row, start:stop] = ghz_overlaps(
+                majorana_blocks(bands[:, 0::2], bands[:, 1::2]))
     if not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("overlap must lie in [0, 1]")
     return [SweepPoint(x_percent=x, mean=float(row.mean()), stddev=float(row.std()),

@@ -19,22 +19,18 @@ secant predictor and that Newton corrector (Allgower & Georg 1990), so it
 stays on the branch that the paper's Toda-like flow traces, which the
 null-vector flow of ``synthesis`` still integrates.  Progress goes to a
 ``numerics.FlowTrace`` and a stall raises ``numerics.FlowStallError``.
-Only numpy is used; the dense oracle (``zy_hamiltonian``) is assembled in
-numpy too.
+A member is also the one-particle content of a spin chain with X fields
+(the diagonal), ZZ couplings (the upper band) and YY couplings (the lower
+band); :func:`zy_ghz_overlap` gives that chain's exact GHZ overlap from
+``ghz_ising``'s Gaussian-trace determinant, at any size.  Only numpy is
+used.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ghz_ising import (
-    BRUTE_FORCE_MAX_QUBITS,
-    GHZ_TIME,
-    evolve_dense,
-    ghz_target,
-    ising_from_pst,
-    dense_spin_hamiltonian,
-)
+from .ghz_ising import ghz_overlaps, ising_from_pst, majorana_blocks
 from .numerics import FlowStallError, FlowTrace
 from .pst import standard_couplings
 
@@ -62,6 +58,8 @@ class GammaMatrix:
         lower = np.asarray(self.lower, dtype=float)
         for name, band in (("diag", diag), ("upper", upper), ("lower", lower)):
             object.__setattr__(self, name, band)
+            if not np.isfinite(band).all():
+                raise ValueError(f"the {name} band must be finite, got {band.tolist()}")
         if diag.size < 1:
             raise ValueError("need at least one site")
         if upper.shape != (diag.size - 1,) or lower.shape != (diag.size - 1,):
@@ -130,11 +128,9 @@ def validate_seed(x: GammaMatrix) -> float:
     return drift
 
 
-def structure_residual(x) -> float:
+def structure_residual(x: GammaMatrix) -> float:
     """Worst violation of the family structure for a band matrix."""
-    if isinstance(x, GammaMatrix):
-        return _residual_dense(x.to_dense(), x.gamma)
-    raise TypeError("expected a GammaMatrix")
+    return _residual_dense(x.to_dense(), x.gamma)
 
 
 def _residual_dense(xd: np.ndarray, gamma: float) -> float:
@@ -147,28 +143,10 @@ def _residual_dense(xd: np.ndarray, gamma: float) -> float:
     return max(float(np.abs(p).max(initial=0.0)) for p in parts)
 
 
-def zy_hamiltonian(x: GammaMatrix) -> np.ndarray:
-    """Dense spin Hamiltonian whose one-particle content is ``x``.
-
-    Diagonal band entries become transverse X fields, the upper band sets the
-    ZZ couplings and the lower band the YY couplings.  The many-body spectrum
-    is then every signed sum of the singular values of ``x``.
-    """
-    n = x.n
-    if n > BRUTE_FORCE_MAX_QUBITS:
-        raise ValueError(
-            f"dense construction is limited to {BRUTE_FORCE_MAX_QUBITS} qubits"
-        )
-    return dense_spin_hamiltonian(n, x=x.diag, zz=x.upper, yy=x.lower)
-
-
 def zy_ghz_overlap(x: GammaMatrix) -> float:
-    """|<GHZ| e^{-iHt} |0...0>| at t = GHZ_TIME for the spin Hamiltonian of
-    ``x``, clamped to 1."""
-    psi0 = np.zeros(1 << x.n, dtype=complex)
-    psi0[0] = 1.0
-    psi = evolve_dense(zy_hamiltonian(x), GHZ_TIME, psi0)
-    return float(min(abs(np.vdot(ghz_target(x.n), psi)), 1.0))
+    """Exact |<GHZ| e^{-iHt} |0...0>| at t = GHZ_TIME for the spin chain of ``x``:
+    X fields on the diagonal, ZZ couplings on the upper band, YY on the lower."""
+    return float(ghz_overlaps(majorana_blocks(x.diag[None], x.upper[None], x.lower[None]))[0])
 
 
 def _mirror_classes(n: int) -> np.ndarray:

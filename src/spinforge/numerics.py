@@ -9,7 +9,8 @@ sorted arrays.  ``propagator`` is the single e^{-iHt} primitive: a
 ``Chain`` goes through the chain eigensolver, any other Hermitian matrix
 through a dense eigendecomposition.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
-the sparse 2^m x 2^m spin Hamiltonians of the dense cloning oracle.
+the sparse spin Hamiltonians of the dense cloning oracle, whose exact
+spectral interval the oracle supplies.
 ``antisym_exp`` is the orthogonal exponential that the null-vector flow's
 isospectral step applies.  That flow and the gamma continuation record
 into ``FlowTrace`` (their progress CSV) and stall with ``FlowStallError``.
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+SPECTRUM_MARGIN = 1e-9  # relative padding of a Chebyshev interval against rounding
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LM_TOL = 1e-15  # lmder's ftol, xtol and gtol
@@ -108,23 +110,24 @@ def propagator(h: Chain | np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def chebyshev_propagate(h, t: float, vec: np.ndarray) -> np.ndarray:
+def chebyshev_propagate(h, t: float, vec: np.ndarray, interval) -> np.ndarray:
     """e^{-iHt} applied to a state, or to a block of states in columns.
 
-    ``h`` is a real symmetric scipy sparse matrix.  The Gershgorin interval
-    [c - r, c + r] bounds its spectrum, and with z = r t the exponential is
-    the Chebyshev series e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(z)
-    T_k((H - c) / r) (Tal-Ezer & Kosloff 1984), cut after the last Bessel
-    coefficient above 1e-16.  The degree is therefore fixed before the
-    first matrix product.  The real H multiplies the complex block viewed
-    as real columns.
+    ``h`` is a real symmetric scipy sparse matrix and ``interval`` the
+    (lowest, highest) eigenvalue of ``h``, which the caller knows exactly
+    (the oracles' Hamiltonians are free-fermion).  Padded at both ends by
+    SPECTRUM_MARGIN times its largest magnitude, it is [c - r, c + r], and
+    with z = r t the exponential is the Chebyshev series e^{-ict} sum_k
+    (2 - delta_k0) (-i)^k J_k(z) T_k((H - c) / r) (Tal-Ezer & Kosloff
+    1984), cut after the last Bessel coefficient above 1e-16.  The degree
+    is therefore fixed before the first matrix product.  The real H
+    multiplies the complex block viewed as real columns.
     """
     vec = np.asarray(vec, dtype=complex)
     block = np.ascontiguousarray(vec.reshape(vec.shape[0], -1))
-    diag = h.diagonal()
-    radii = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-    lo, hi = (diag - radii).min(), (diag + radii).max()
-    center, half_width = (hi + lo) / 2.0, (hi - lo) / 2.0
+    lo, hi = interval
+    center = (hi + lo) / 2.0
+    half_width = (hi - lo) / 2.0 + SPECTRUM_MARGIN * max(abs(lo), abs(hi))
     phase = np.exp(-1j * center * t)
     if half_width * t == 0.0:
         return phase * vec
@@ -138,7 +141,7 @@ def chebyshev_propagate(h, t: float, vec: np.ndarray) -> np.ndarray:
     # scipy import; a zero shift would store explicit zeros on the diagonal
     two_h = h.copy()
     if center:
-        two_h.setdiag(diag - center)
+        two_h.setdiag(h.diagonal() - center)
     two_h *= 2.0 / half_width
     prev = block.view(float)
     cur = 0.5 * (two_h @ prev)

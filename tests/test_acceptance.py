@@ -79,7 +79,7 @@ def test_criterion_02_exact_overlap_component():
     """The attainable half of criterion 2, kept green on its own."""
     for n in range(3, 11):
         chain = ising_from_pst(standard_couplings(2 * n))
-        assert overlap_exact(chain).overlap >= 1 - 1e-8
+        assert overlap_exact(chain) >= 1 - 1e-8
 
 
 @pytest.mark.xfail(
@@ -94,7 +94,7 @@ def test_criterion_02_exact_ghz_and_cycle_closure():
     for n in range(3, 11):
         chain = ising_from_pst(standard_couplings(2 * n))
         worst_overlap_gap = max(worst_overlap_gap,
-                                1.0 - overlap_exact(chain).overlap)
+                                1.0 - overlap_exact(chain))
         u4 = propagator(dense_hamiltonian(chain), 4 * GHZ_TIME)
         closure = np.abs(u4 - (-1j) * np.eye(u4.shape[0])).max()
         worst_closure = max(worst_closure, closure)
@@ -109,7 +109,7 @@ def test_criterion_03_ghz_at_scale():
     start = time.perf_counter()
     chain = ising_from_pst(standard_couplings(42))
     deviation = mirror_deviation(chain)
-    overlap = overlap_estimate(chain).overlap
+    overlap = overlap_estimate(chain)
     elapsed = time.perf_counter() - start
     record(3, deviation <= 1e-9 and abs(overlap - 1.0) <= 1e-6
            and elapsed < 1.0,
@@ -137,7 +137,7 @@ def test_criterion_05_estimator_tracks_brute_force():
         u = rng.uniform(-1.0, 1.0, band.size)
         perturbed = band * (1.0 + (x / 100.0) * u)
         chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-        gap = abs(overlap_estimate(chain).overlap - overlap_exact(chain).overlap)
+        gap = abs(overlap_estimate(chain) - overlap_exact(chain))
         hits += gap <= 0.05
     record(5, hits >= 90, f"{hits}/100 within 0.05")
 

@@ -189,7 +189,40 @@ class TestSimulateGhz:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["overlap"] == pytest.approx(1.0)
+        assert payload["method"] == "exact"
         assert "mirror_deviation" not in payload
+
+    def test_twenty_one_site_zy_document(self, tmp_path):
+        # past the reach of a dense evolution; the overlap is exact at any n
+        chain, out = tmp_path / "zy21.json", tmp_path / "report.json"
+        assert run(tmp_path, "design", "gamma", "--n", "21", "--from", "0",
+                   "--to", "0.7", "--out", str(chain)) == 0
+        assert run(tmp_path, "simulate", "ghz", "--chain", str(chain),
+                   "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["n"] == 21 and payload["method"] == "exact"
+        assert 1 - 1e-11 <= payload["overlap"] <= 1.0
+
+    @pytest.mark.parametrize("gamma, message", [
+        (0.5, "one-particle map overflows"),
+        (1.0, "the upper band must be finite"),
+    ])
+    def test_overflowing_zy_document_is_usage_error(self, tmp_path, capsys,
+                                                    gamma, message):
+        # finite entries whose bands or phases overflow end in a named
+        # error, never in a report holding "overlap": NaN, which is not JSON
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "schema_version": 1, "kind": "zy", "n": 2, "couplings": [1e308],
+            "fields": [1e308, 1e308], "gamma": gamma, "provenance": {}}))
+        out = tmp_path / "report.json"
+        code = run(tmp_path, "simulate", "ghz", "--chain", str(chain),
+                   "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"spinforge simulate ghz: error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_check_adds_mirror_deviation(self, tmp_path):
         chain = self.make_pst_doc(tmp_path)

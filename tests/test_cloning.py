@@ -10,6 +10,8 @@ from spinforge.cloning import (
     SIX_DESIGN_INPUTS,
     SPREAD_TIME,
     _candidate_spectra,
+    _exchange_interval,
+    _ising_interval,
     AsymmetryProfile,
     CloneReport,
     CloningStageError,
@@ -29,7 +31,7 @@ from spinforge.cloning import (
     reduced_qubit_state,
     symmetric_profile,
 )
-from spinforge.ghz_ising import IsingChain
+from spinforge.ghz_ising import IsingChain, spin_hamiltonian
 from spinforge.chainio import document_from_xx, make_provenance, xx_chain
 from spinforge.numerics import Chain, propagator
 from spinforge.synthesis import produced_state
@@ -216,6 +218,21 @@ class TestExchangeEvolution:
         evolved = compressed_evolve(state, couplings, t)
         dense = exchange_evolve_dense(couplings, t, state.embed())
         assert np.abs(evolved.embed() - dense).max() < 1e-10
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_oracle_intervals_are_the_spectra(self, m):
+        # the Chebyshev interval of each oracle Hamiltonian is its exact
+        # lowest and highest energy, from its one-particle spectrum
+        rng = np.random.default_rng(30 + m)
+        for _ in range(3):
+            fields, zz, hop = (rng.uniform(-2.0, 2.0, size) for size in (m, m - 1, m - 1))
+            for h, interval in (
+                    (spin_hamiltonian(m, x=fields, zz=zz),
+                     _ising_interval(IsingChain(fields=fields, couplings=zz))),
+                    (spin_hamiltonian(m, xx=hop / 2.0, yy=hop / 2.0),
+                     _exchange_interval(hop))):
+                energies = np.linalg.eigvalsh(h.toarray())
+                assert np.abs(np.array(interval) - energies[[0, -1]]).max() < 1e-12
 
     def test_size_cap(self):
         couplings = np.ones(BRUTE_FORCE_MAX_M)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from spinforge.ghz_ising import (
     GHZ_TIME,
-    GhzReport,
     IsingChain,
     brute_force_evolve,
     dense_hamiltonian,
+    dense_spin_hamiltonian,
+    ghz_overlaps,
     ghz_target,
     ising_from_pst,
+    majorana_blocks,
     mirror_deviation,
     one_particle_map,
     overlap_estimate,
@@ -275,27 +277,53 @@ class TestBasisMap:
             assert np.abs(evolved - dressed).max() < 1e-8
 
 
+def pairing(n, extra):
+    """(2n+1)-square antisymmetric matrix pairing modes 2m-1, 2m for
+    m = 1..n-1 with sign +1, plus the pairs in ``extra`` as (a, b, sign)."""
+    g = np.zeros((2 * n + 1, 2 * n + 1))
+    for a, b, sign in [(2 * m - 1, 2 * m, 1.0) for m in range(1, n)] + extra:
+        g[a, b], g[b, a] = sign, -sign
+    return g
+
+
+def gaussian_trace_overlap(w):
+    """2^-n/2 |det(W~ - G_A W~ G_B)|^1/4 with the products formed, W~ = W + 1
+    on one ancilla mode eta = 2n."""
+    n = w.shape[0] // 2
+    padded = np.eye(2 * n + 1)
+    padded[:2 * n, :2 * n] = w
+    g_a = pairing(n, [(2 * n - 1, 2 * n, 1.0)])
+    g_b = pairing(n, [(0, 2 * n, -1.0)])
+    det = np.linalg.det(padded - g_a @ padded @ g_b)
+    return abs(det) ** 0.25 / 2.0 ** (n / 2)
+
+
+def zeros_evolved_overlap(n, x, zz, yy):
+    """|<GHZ| e^{-iHt} |0...0>| by dense evolution of the spin chain."""
+    w, v = np.linalg.eigh(dense_spin_hamiltonian(n, x=x, zz=zz, yy=yy))
+    psi = v @ (np.exp(-1j * w * GHZ_TIME) * v[0])
+    return abs(np.vdot(ghz_target(n), psi))
+
+
 class TestOverlapEstimate:
     def test_perfect_two_qubit_chain(self):
         chain = ghz_chain(2)
-        report = overlap_estimate(chain)
-        assert report.overlap == pytest.approx(1.0, abs=1e-9)
-        assert report.method == "estimator"
+        assert overlap_estimate(chain) == pytest.approx(1.0, abs=1e-9)
         w = one_particle_map(chain, GHZ_TIME)
-        h0 = np.zeros((4, 4))
-        h0[1, 2], h0[2, 1] = 1.0, -1.0
-        det = np.linalg.det(w @ h0 @ w.T @ h0 - np.eye(4))
-        assert det == pytest.approx(4.0, abs=1e-9)
+        padded = np.eye(5)
+        padded[:4, :4] = w
+        product = pairing(2, [(3, 4, 1.0)]) @ padded @ pairing(2, [(0, 4, -1.0)])
+        assert abs(np.linalg.det(padded - product)) == pytest.approx(16.0, abs=1e-9)
         assert abs(w[3, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_twenty_one_qubit_chain_snaps_to_one(self):
-        assert overlap_estimate(ghz_chain(21)).overlap == 1.0
+        assert overlap_estimate(ghz_chain(21)) == 1.0
 
     @pytest.mark.parametrize("n", [1, 3, 8, 21])
     def test_mirror_chains_estimate_one(self, n):
         chain = ghz_chain(n)
         assert mirror_deviation(chain) < 1e-9
-        assert overlap_estimate(chain).overlap == pytest.approx(1.0, abs=1e-6)
+        assert overlap_estimate(chain) == pytest.approx(1.0, abs=1e-6)
 
     def test_tracks_brute_force_under_perturbation(self):
         n = 5
@@ -306,30 +334,51 @@ class TestOverlapEstimate:
         for _ in range(trials):
             band = base * (1 + rng.uniform(-0.04, 0.04, base.size))
             chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-            gap = abs(overlap_estimate(chain).overlap - overlap_exact(chain).overlap)
+            gap = abs(overlap_estimate(chain) - overlap_exact(chain))
             close += gap <= 0.05
         assert close >= 0.9 * trials
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ising_chains_match_dense_evolution(self, n):
+        rng = np.random.default_rng(90 + n)
+        base = ghz_chain(n).band()
+        for scale in (0.0, 0.01, 0.1, 0.3, 0.6):
+            band = base * (1 + rng.uniform(-scale, scale, base.size))
+            chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+            assert abs(overlap_estimate(chain) - overlap_exact(chain)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zy_chains_match_dense_evolution(self, n):
+        # X fields, ZZ and YY couplings: the engineered bands split between
+        # ZZ and YY, disordered, and fully random signed bands
+        rng = np.random.default_rng(110 + n)
+        base = ghz_chain(n)
+        for scale in (0.0, 0.1, 0.6):
+            share = rng.uniform(0.0, 1.0, n - 1)
+            engineered = (base.fields * (1 + rng.uniform(-scale, scale, n)),
+                          base.couplings * share * (1 + rng.uniform(-scale, scale, n - 1)),
+                          base.couplings * (1 - share) * (1 + rng.uniform(-scale, scale, n - 1)))
+            signed = (rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n - 1))
+            for x, zz, yy in (engineered, signed):
+                got = ghz_overlaps(majorana_blocks(x[None], zz[None], yy[None]))[0]
+                assert abs(got - zeros_evolved_overlap(n, x, zz, yy)) < 1e-12
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_explicit_product_estimator(self, n):
-        # (1+|F|) sqrt|det(W h0 W^T h0 - 1)| / 2^n with the products formed,
-        # h0 pairing modes 2m-1 and 2m for m = 1..n-1
-        h0 = np.zeros((2 * n, 2 * n))
-        m = np.arange(1, n)
-        h0[2 * m - 1, 2 * m], h0[2 * m, 2 * m - 1] = 1.0, -1.0
+        # 2^-n/2 |det(W~ - G_A W~ G_B)|^1/4 with dense pairing matrices and
+        # the products formed, against the index moves of ghz_overlaps
         rng = np.random.default_rng(70 + n)
         base = ghz_chain(n).band()
         for scale in (0.0, 0.01, 0.05, 0.3):
             band = base * (1 + rng.uniform(-scale, scale, base.size))
             chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-            w = one_particle_map(chain, GHZ_TIME)
-            det = np.linalg.det(w @ h0 @ w.T @ h0 - np.eye(2 * n))
-            explicit = (1 + abs(w[-1, 0])) * np.sqrt(abs(det)) / 2.0 ** n
-            assert abs(overlap_estimate(chain).overlap - min(explicit, 1.0)) < 1e-13
+            explicit = gaussian_trace_overlap(one_particle_map(chain, GHZ_TIME))
+            assert abs(overlap_estimate(chain) - min(explicit, 1.0)) < 1e-13
 
-    def test_report_rejects_out_of_range_overlap(self):
-        with pytest.raises(ValueError):
-            GhzReport(overlap=1.5, method="exact")
+    def test_overflowing_phases_raise(self):
+        chain = IsingChain(fields=[1e308, 1e308], couplings=[1e308])
+        with pytest.raises(ValueError, match="overflows"):
+            overlap_estimate(chain)
 
 
 class TestPerturbSweep:
@@ -356,7 +405,7 @@ class TestPerturbSweep:
     def test_blocks_match_per_sample_estimates(self, n, samples):
         xs, seed = [4.0, 0.0, 1.0, 4.0, -0.0], 17
         band = ghz_chain(n).band()
-        unperturbed = overlap_estimate(ghz_chain(n)).overlap
+        unperturbed = overlap_estimate(ghz_chain(n))
         points = perturb_sweep(n, xs, samples, seed)
         assert [p.x_percent for p in points] == xs
         for x, point in zip(xs, points):
@@ -369,7 +418,7 @@ class TestPerturbSweep:
                 u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
                 perturbed = band * (1.0 + (x / 100.0) * u)
                 chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-                expected[index] = overlap_estimate(chain).overlap
+                expected[index] = overlap_estimate(chain)
             assert np.abs(point.samples - expected).max() < 1e-13
 
     def test_long_chain_estimate_does_not_overflow(self):

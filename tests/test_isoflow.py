@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinforge.ghz_ising import dense_hamiltonian, ising_from_pst
+from spinforge.ghz_ising import (GHZ_TIME, dense_hamiltonian, dense_spin_hamiltonian,
+                                 ghz_target, ising_from_pst, overlap_estimate)
 from spinforge.isoflow import (
     GammaMatrix,
     _ladder_system,
@@ -14,7 +15,6 @@ from spinforge.isoflow import (
     target_ladder,
     validate_seed,
     zy_ghz_overlap,
-    zy_hamiltonian,
 )
 from spinforge.numerics import FlowStallError
 from spinforge.pst import standard_couplings
@@ -131,6 +131,16 @@ class TestGammaMatrix:
     def test_broken_ratio_rejected(self):
         with pytest.raises(ValueError, match="structure"):
             GammaMatrix(diag=np.ones(3), upper=[1.0, 1.0], lower=[0.2, 0.2], gamma=0.0)
+
+    @pytest.mark.parametrize("band", ["diag", "upper", "lower"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_band_rejected(self, band, value):
+        # the structure gate cannot catch these: inf - inf makes its
+        # residual NaN, and NaN > STRUCTURE_GATE is false
+        bands = {"diag": np.ones(3), "upper": np.ones(2), "lower": np.ones(2)}
+        bands[band][1] = value
+        with pytest.raises(ValueError, match=f"the {band} band must be finite"):
+            GammaMatrix(**bands, gamma=0.0)
 
 
 class TestSeeds:
@@ -305,12 +315,19 @@ class TestStructureResidual:
         assert structure_residual(bent) == pytest.approx(2e-4 / x.upper[1], rel=1e-6)
 
 
+def zy_dense(x):
+    """The spin Hamiltonian of ``x``: X fields, ZZ on the upper band, YY on
+    the lower."""
+    return dense_spin_hamiltonian(x.n, x=x.diag, zz=x.upper, yy=x.lower)
+
+
 class TestZyHamiltonian:
     def test_matches_ising_limit(self):
         for n in (2, 4):
-            h_zy = zy_hamiltonian(gamma_seed(n, 1.0))
-            h_ising = dense_hamiltonian(ising_from_pst(standard_couplings(2 * n)))
-            assert np.abs(h_zy - h_ising).max() < 1e-12
+            seed = gamma_seed(n, 1.0)
+            chain = ising_from_pst(standard_couplings(2 * n))
+            assert np.abs(zy_dense(seed) - dense_hamiltonian(chain)).max() < 1e-12
+            assert zy_ghz_overlap(seed) == overlap_estimate(chain)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_many_body_spectrum_is_signed_sums(self, seed):
@@ -319,12 +336,21 @@ class TestZyHamiltonian:
         sv = np.linalg.svd(x.to_dense(), compute_uv=False)
         signs = np.array(np.meshgrid(*[[-1, 1]] * n)).reshape(n, -1).T
         expected = np.sort(signs @ sv)
-        got = np.linalg.eigvalsh(zy_hamiltonian(x))
+        got = np.linalg.eigvalsh(zy_dense(x))
         assert np.abs(expected - got).max() < 1e-10
 
-    def test_size_gate(self):
-        with pytest.raises(ValueError):
-            zy_hamiltonian(gamma_seed(13, 0.0))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_overlap_matches_dense_evolution(self, n):
+        for gamma, seed in ((0.0, n), (0.3, n + 10), (0.8, n + 20)):
+            x = family_member(n, gamma, seed=seed)
+            w, v = np.linalg.eigh(zy_dense(x))
+            psi = v @ (np.exp(-1j * w * GHZ_TIME) * v[0])
+            assert abs(zy_ghz_overlap(x) - abs(np.vdot(ghz_target(n), psi))) < 1e-12
+
+    def test_twenty_one_site_member_makes_ghz(self):
+        # the member design gamma writes at n = 21, past any dense evolution
+        x, _ = interpolate_gamma(21, 0.0, 0.7)
+        assert 1 - 1e-11 <= zy_ghz_overlap(x) <= 1.0
 
     def test_ising_endpoint_makes_ghz(self):
         assert zy_ghz_overlap(gamma_seed(3, 1.0)) >= 1 - 1e-9

@@ -190,9 +190,11 @@ class TestChebyshevPropagate:
         rng = np.random.default_rng(10 * m)
         h = random_spin_hamiltonian(rng, m)
         exact = scipy.linalg.expm(-1j * t * h.toarray())
+        energies = np.linalg.eigvalsh(h.toarray())
+        interval = (energies[0], energies[-1])
         block = random_states(rng, 1 << m, 6)
-        assert np.abs(chebyshev_propagate(h, t, block) - exact @ block).max() < 1e-12
-        single = chebyshev_propagate(h, t, block[:, 0])
+        assert np.abs(chebyshev_propagate(h, t, block, interval) - exact @ block).max() < 1e-12
+        single = chebyshev_propagate(h, t, block[:, 0], interval)
         assert single.shape == (1 << m,)
         assert np.abs(single - exact @ block[:, 0]).max() < 1e-12
 
@@ -200,12 +202,14 @@ class TestChebyshevPropagate:
         rng = np.random.default_rng(5)
         h = random_spin_hamiltonian(rng, 4)
         block = random_states(rng, 16, 6)
-        assert np.abs(chebyshev_propagate(h, 0.0, block) - block).max() < 1e-12
+        energies = np.linalg.eigvalsh(h.toarray())
+        interval = (energies[0], energies[-1])
+        assert np.abs(chebyshev_propagate(h, 0.0, block, interval) - block).max() < 1e-12
 
     def test_zero_hamiltonian_is_the_identity(self):
         block = random_states(np.random.default_rng(6), 8, 6)
         h = scipy.sparse.csr_matrix((8, 8))
-        assert np.abs(chebyshev_propagate(h, 2.5, block) - block).max() < 1e-12
+        assert np.abs(chebyshev_propagate(h, 2.5, block, (0.0, 0.0)) - block).max() < 1e-12
 
 
 def rosenbrock(x):
