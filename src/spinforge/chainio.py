@@ -6,7 +6,8 @@ couplings), ``zy`` (the deformed family, stored as underlying couplings,
 on-site terms, and the deformation parameter), and ``xx`` (exchange
 chains, whose field entries are all zero).  Every document embeds
 provenance, the command line, seed, and tolerances that produced it, so
-any artifact can be regenerated.
+any artifact can be regenerated, and the numpy, BLAS and thread settings
+it ran under.
 Serialization is deterministic: identical documents produce identical
 bytes.
 """
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import THREAD_VARIABLES
 from .ghz_ising import IsingChain
 from .isoflow import GammaMatrix
 from .numerics import Chain
@@ -93,10 +96,16 @@ class ChainDocument:
 
 def make_provenance(command: str, seed: Optional[int] = None,
                     tolerances: Optional[dict] = None) -> dict:
+    """Command, seed and tolerances, plus the numpy version, the BLAS it was
+    built against and the thread variables the process saw (null if unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "command": command,
         "seed": seed,
         "tolerances": dict(tolerances or {}),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }
 
 
@@ -187,10 +196,11 @@ def document_from_gamma(x: GammaMatrix, provenance: dict) -> ChainDocument:
 def gamma_matrix(doc: ChainDocument) -> GammaMatrix:
     if doc.kind != "zy":
         raise ValueError(f"expected a zy document, got {doc.kind}")
-    return GammaMatrix(diag=doc.fields,
-                       upper=doc.couplings * (1.0 + doc.gamma),
-                       lower=doc.couplings * (1.0 - doc.gamma),
-                       gamma=doc.gamma)
+    # an overflowing band is refused by GammaMatrix, so numpy need not warn
+    with np.errstate(over="ignore"):
+        upper = doc.couplings * (1.0 + doc.gamma)
+        lower = doc.couplings * (1.0 - doc.gamma)
+    return GammaMatrix(diag=doc.fields, upper=upper, lower=lower, gamma=doc.gamma)
 
 
 def document_from_xx(chain: Chain, provenance: dict) -> ChainDocument:

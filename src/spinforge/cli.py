@@ -13,8 +13,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+from . import THREAD_VARIABLES
+
+# One BLAS thread unless the caller chose a count, and only when this import
+# loads numpy.  Every matrix a command factors is small (at most 43 x 43 on
+# the benchmark's paths, 520 x 520 for `design pst --n 1040`), so a second
+# OpenBLAS thread only spin-waits: on 2 cores it added about a third to each
+# command's CPU time (clone-asym cpu_s 1.6 s -> 1.0 s at one thread) and
+# saved no wall time.
+if "numpy" not in sys.modules and not any(v in os.environ for v in THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -198,7 +198,8 @@ def _one_particle_maps(c: np.ndarray, t: float) -> np.ndarray:
     if dev > 1e-10:
         raise ValueError(
             f"one-particle map is not orthogonal (singular vector deviation {dev:.3e})")
-    angle = 2.0 * t * sigma
+    with np.errstate(over="ignore"):  # refused just below
+        angle = 2.0 * t * sigma
     if not np.isfinite(angle).all():
         raise ValueError("one-particle map overflows: chain parameters are too large")
     cos, sin = np.cos(angle)[:, None, :], np.sin(angle)[:, None, :]

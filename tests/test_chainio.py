@@ -33,6 +33,19 @@ def provenance():
                            tolerances={"mirror": 1e-9})
 
 
+class TestProvenance:
+    def test_records_numpy_blas_and_threads(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        record = make_provenance("cmd", seed=3)
+        assert record["numpy"] == np.__version__
+        assert set(record["blas"]) == {"name", "version"}
+        assert record["threads"] == {"OPENBLAS_NUM_THREADS": None,
+                                     "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": None}
+        assert json.loads(json.dumps(record)) == record
+
+
 class TestChainDocument:
     def test_pst_round_trip(self):
         chain = standard_couplings(6)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinforge import cli
+from spinforge import THREAD_VARIABLES, cli
 from spinforge.chainio import (document_from_gamma, document_from_ising,
                                document_from_pst, make_provenance, read_document,
                                write_document)
@@ -532,6 +532,19 @@ class TestModuleEntry:
         assert "error" in done.stderr
         assert not (tmp_path / "pst1.json").exists()
 
+    @pytest.mark.parametrize("gamma, message", [
+        (0.5, "one-particle map overflows: chain parameters are too large"),
+        (1.0, "the upper band must be finite, got [inf]"),
+    ])
+    def test_overflowing_zy_document_prints_one_line(self, tmp_path, gamma, message):
+        # the named error alone: no numpy overflow warning printed before it
+        (tmp_path / "zy2.json").write_text(json.dumps({
+            "schema_version": 1, "kind": "zy", "n": 2, "couplings": [1e308],
+            "fields": [0.0, 0.0], "gamma": gamma, "provenance": {}}))
+        done = self.invoke(tmp_path, "simulate", "ghz", "--chain", "zy2.json")
+        assert done.returncode == 1
+        assert done.stderr == f"spinforge simulate ghz: error: {message}\n"
+
 
 class TestImportFloor:
     """Commands load SciPy only where they use it.
@@ -617,3 +630,64 @@ class TestImportFloor:
         done = self.invoke(tmp_path, "design", "wstate", "--n", "5")
         assert done.returncode == 0, done.stderr
         assert read_document(tmp_path / "xx5.json").kind == "xx"
+
+
+class TestThreadPolicy:
+    """A CLI process runs one BLAS thread unless its caller chose a count.
+
+    Each case starts an interpreter with the three thread variables removed
+    from its environment, then sets the ones the case names.
+    """
+
+    REPORT = ("import json, os; "
+              "tasks = '/proc/self/task'; "
+              "print(json.dumps({'threads': {v: os.environ.get(v) for v in %r}, "
+              "'tasks': len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))"
+              % (THREAD_VARIABLES,))
+
+    def invoke(self, tmp_path, argv, **threads):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        env.update(threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done
+
+    def report(self, tmp_path, imports, **threads):
+        done = self.invoke(tmp_path, ["-c", f"{imports}; {self.REPORT}"], **threads)
+        return json.loads(done.stdout)
+
+    def test_cli_import_pins_one_thread(self, tmp_path):
+        seen = self.report(tmp_path, "import spinforge.cli")
+        assert seen["threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                   "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        if seen["tasks"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert seen["tasks"] == 1
+
+    @pytest.mark.parametrize("name, value", [("OPENBLAS_NUM_THREADS", "2"),
+                                             ("OMP_NUM_THREADS", "3")])
+    def test_caller_setting_wins(self, tmp_path, name, value):
+        seen = self.report(tmp_path, "import spinforge.cli", **{name: value})
+        expected = dict.fromkeys(THREAD_VARIABLES)
+        expected[name] = value
+        assert seen["threads"] == expected
+
+    def test_numpy_loaded_first_is_left_alone(self, tmp_path):
+        # numpy has already read the environment, so a setting would be a lie
+        seen = self.report(tmp_path, "import numpy, spinforge.cli")
+        assert seen["threads"] == dict.fromkeys(THREAD_VARIABLES)
+
+    def test_library_import_is_left_alone(self, tmp_path):
+        seen = self.report(tmp_path, "import spinforge.chainio, spinforge.synthesis")
+        assert seen["threads"] == dict.fromkeys(THREAD_VARIABLES)
+
+    def test_document_records_the_thread_setting(self, tmp_path):
+        self.invoke(tmp_path, ["-m", "spinforge.cli", "design", "pst", "--n", "8"])
+        provenance = read_document(tmp_path / "pst8.json").provenance
+        assert provenance["threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                         "OMP_NUM_THREADS": None,
+                                         "MKL_NUM_THREADS": None}
+        assert provenance["numpy"] == np.__version__
