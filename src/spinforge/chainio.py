@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -97,13 +98,17 @@ class ChainDocument:
 def make_provenance(command: str, seed: Optional[int] = None,
                     tolerances: Optional[dict] = None) -> dict:
     """Command, seed and tolerances, plus the numpy version, the BLAS it was
-    built against and the thread variables the process saw (null if unset)."""
+    built against, the SciPy version if the process loaded SciPy (null if
+    not; it is never imported here) and the thread variables the process
+    saw (null if unset)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    scipy = sys.modules.get("scipy")
     return {
         "command": command,
         "seed": seed,
         "tolerances": dict(tolerances or {}),
         "numpy": np.__version__,
+        "scipy": None if scipy is None else scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
     }

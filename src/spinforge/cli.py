@@ -259,7 +259,7 @@ def _simulate_sweep(args, argv) -> int:
     lines = ["x_percent,mean,stddev,samples"]
     for point in perturb_sweep(args.n, xs, args.samples, args.seed):
         lines.append(f"{point.x_percent!r},{point.mean!r},"
-                     f"{point.stddev!r},{args.samples}")
+                     f"{point.stddev!r},{point.samples.size}")
     out = Path(args.out or _default_out(args))
     out.write_text("\n".join(lines) + "\n")
     return 0
@@ -290,7 +290,7 @@ def _simulate_clone(args, argv) -> int:
                               k=args.offset, method=args.method,
                               stage_tol=args.stage_tol)
     except CloningStageError as err:
-        print(f"{err.stage}: {err}", file=sys.stderr)
+        print(err, file=sys.stderr)
         return BREACH
     payload = {
         "n_clones": report.n_clones,

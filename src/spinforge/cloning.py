@@ -13,8 +13,9 @@ superposition of the extremal strings and single-defect strings.  An
 exchange-coupled chain then spreads the defect over the odd sites.
 Both halves commute with the global spin flip, so after the gate stages
 the register state stays inside a four-sector family (all zeros, all
-ones, one excitation, one hole) that is simulated exactly with M x M
-propagators.  A dense oracle replays the same stages gate by gate for
+ones, one excitation, one hole).  The gates leave the defect on one site,
+so the exchange stage is exactly one column of the M x M exchange
+propagator.  A dense oracle replays the same stages gate by gate for
 small registers.
 """
 
@@ -25,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, majorana_blocks,
-                        mirror_deviation, spin_hamiltonian)
+from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
+                        spin_hamiltonian)
 from .numerics import Chain, chebyshev_propagate, eig_sym_tridiag, propagator
 from .pst import standard_couplings
 from .synthesis import (
@@ -66,26 +67,33 @@ class CloningStageError(RuntimeError):
 
 @dataclass(frozen=True)
 class AsymmetryProfile:
-    """Cloning weights beta_1..beta_N with their linear and quadratic sums."""
+    """Cloning weights beta_1..beta_N; the sums A and B^2 derive from them."""
 
-    n_clones: int
     betas: np.ndarray
-    a: float
-    b2: float
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
         object.__setattr__(self, "betas", betas)
-        if self.n_clones < 1 or betas.shape != (self.n_clones,):
+        if betas.ndim != 1 or betas.size < 1:
             raise ValueError("need one weight per clone")
         if betas.min() < 0:
             raise ValueError("weights must be non-negative")
-        if abs(self.a - betas.sum()) > 1e-10:
-            raise ValueError("linear sum does not match the weights")
-        if abs(self.b2 - (betas ** 2).sum()) > 1e-10:
-            raise ValueError("quadratic sum does not match the weights")
-        if abs(self.a ** 2 + self.b2 - 1.0) > 1e-10:
+        # a NaN weight fails this test; A^2 + B^2 = 1 implies no weight
+        # above one, which is tested first so that no square can overflow
+        if not (betas.max() <= 1.0 and abs(self.a ** 2 + self.b2 - 1.0) <= 1e-10):
             raise ValueError("weights must satisfy A^2 + B^2 = 1")
+
+    @property
+    def n_clones(self) -> int:
+        return self.betas.size
+
+    @property
+    def a(self) -> float:
+        return float(self.betas.sum())
+
+    @property
+    def b2(self) -> float:
+        return float((self.betas ** 2).sum())
 
     @property
     def b(self) -> float:
@@ -107,25 +115,29 @@ class CompressedState:
     description of every state the pipeline visits after its gates.
     """
 
-    m: int
     amp0: complex
     amp1: complex
     one_exc: np.ndarray
     m_minus_one_exc: np.ndarray
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("need at least three qubits to separate the sectors")
         one = np.asarray(self.one_exc, dtype=complex)
         hole = np.asarray(self.m_minus_one_exc, dtype=complex)
         object.__setattr__(self, "one_exc", one)
         object.__setattr__(self, "m_minus_one_exc", hole)
         object.__setattr__(self, "amp0", complex(self.amp0))
         object.__setattr__(self, "amp1", complex(self.amp1))
-        if one.shape != (self.m,) or hole.shape != (self.m,):
+        if one.ndim != 1 or hole.shape != one.shape:
             raise ValueError("sector vectors need one amplitude per site")
+        if one.size < 3:
+            raise ValueError("need at least three qubits to separate the sectors")
         if abs(self.norm() - 1.0) > 1e-10:
             raise ValueError("state must be normalized")
+
+    @property
+    def m(self) -> int:
+        """Register length: one sector amplitude per site."""
+        return self.one_exc.size
 
     def norm(self) -> float:
         total = (abs(self.amp0) ** 2 + abs(self.amp1) ** 2
@@ -161,7 +173,6 @@ class CompressedState:
 class CloneReport:
     """Per-clone average fidelities with their input dependence."""
 
-    n_clones: int
     betas: np.ndarray
     fidelities: np.ndarray
     spread: float
@@ -175,10 +186,14 @@ class CloneReport:
         object.__setattr__(self, "fidelities", fids)
         if self.method not in ("compressed", "brute_force"):
             raise ValueError("method must be compressed or brute_force")
-        if fids.shape != (self.n_clones,):
+        if betas.ndim != 1 or fids.shape != betas.shape:
             raise ValueError("need one fidelity per clone")
         if fids.min() < 0.5 - 1e-9 or fids.max() > 1.0 + 1e-9:
             raise ValueError("average fidelities must lie in [1/2, 1]")
+
+    @property
+    def n_clones(self) -> int:
+        return self.betas.size
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +214,7 @@ def profile_from_betas(raw) -> AsymmetryProfile:
     # scaled to a largest weight of one first, so that squares cannot overflow
     raw = raw / raw.max()
     betas = raw / np.sqrt(raw.sum() ** 2 + (raw ** 2).sum())
-    return AsymmetryProfile(n_clones=raw.size, betas=betas,
-                            a=float(betas.sum()), b2=float((betas ** 2).sum()))
+    return AsymmetryProfile(betas)
 
 
 def symmetric_profile(n_clones: int) -> AsymmetryProfile:
@@ -240,9 +254,14 @@ def default_offset(n_clones: int) -> int:
     return n_clones - 1 if n_clones % 2 == 1 else n_clones - 2
 
 
-def _validate_offset(m: int, k: int) -> None:
-    if not 0 <= k <= m - 2:
+def _offset(p: AsymmetryProfile, k: Optional[int]) -> int:
+    """Input offset k, :func:`default_offset` when None, once the helper
+    (site k+1) and the input (site k+2) fit inside the register."""
+    if k is None:
+        k = default_offset(p.n_clones)
+    if not 0 <= k <= p.m - 2:
         raise ValueError("offset must leave the helper and input inside the register")
+    return k
 
 
 def clone_map_target(p: AsymmetryProfile,
@@ -254,19 +273,12 @@ def clone_map_target(p: AsymmetryProfile,
     flip.  The pair is exactly orthonormal because the sectors are
     disjoint.
     """
-    m = p.m
-    if m < 3:
-        raise ValueError("cloning onto odd sites needs at least three qubits")
-    if k is None:
-        k = default_offset(p.n_clones)
-    _validate_offset(m, k)
-    holes = np.zeros(m, dtype=complex)
+    _offset(p, k)
+    holes = np.zeros(p.m, dtype=complex)
     holes[0::2] = p.betas
-    zero = np.zeros(m, dtype=complex)
-    image0 = CompressedState(m=m, amp0=p.a, amp1=0.0,
-                             one_exc=zero, m_minus_one_exc=holes)
-    image1 = CompressedState(m=m, amp0=0.0, amp1=p.a,
-                             one_exc=holes, m_minus_one_exc=zero)
+    zero = np.zeros(p.m, dtype=complex)
+    image0 = CompressedState(amp0=p.a, amp1=0.0, one_exc=zero, m_minus_one_exc=holes)
+    image1 = CompressedState(amp0=0.0, amp1=p.a, one_exc=holes, m_minus_one_exc=zero)
     return image0, image1
 
 
@@ -277,19 +289,15 @@ def clone_map_target(p: AsymmetryProfile,
 def _checked_offset(ghz_chain: IsingChain, w_chain: Chain,
                    p: AsymmetryProfile, k: Optional[int]) -> int:
     """Resolved input offset, once the chains, profile and offset fit."""
-    m = ghz_chain.n
-    if w_chain.n != m or p.m != m:
+    if ghz_chain.n != p.m or w_chain.n != p.m:
         raise ValueError("chain sizes and profile disagree")
-    if k is None:
-        k = default_offset(p.n_clones)
-    _validate_offset(m, k)
-    return k
+    return _offset(p, k)
 
 
-def _checked_inputs(input_state, max_ndim: int) -> np.ndarray:
+def _checked_inputs(input_state) -> np.ndarray:
     """Input qubit (shape (2,)) or block of input columns (shape (2, c))."""
     psi = np.asarray(input_state, dtype=complex)
-    if (not 1 <= psi.ndim <= max_ndim or psi.shape[0] != 2
+    if (not 1 <= psi.ndim <= 2 or psi.shape[0] != 2
             or np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() > 1e-10):
         raise ValueError("input must be a normalized qubit state")
     return psi
@@ -313,10 +321,13 @@ def _stage_residuals(ghz_chain: IsingChain, w_chain: Chain,
     return residuals
 
 
-def _gate_output(p: AsymmetryProfile, input_state: np.ndarray,
-                 k: int) -> CompressedState:
-    """Register state after the two GHZ half periods, the CZ and the CNOT.
+def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
+                 input_state, k: Optional[int] = None,
+                 w_time: float = SPREAD_TIME,
+                 stage_tol: Optional[float] = 1e-6):
+    """Clone input qubits through the gate-and-chain pipeline.
 
+    The two GHZ evolutions and both entangling gates are not simulated.
     The helper at site k+1 starts in A|0> + iB|1> and the input at k+2,
     pre-rotated by diag(1, i), in alpha|0> + i gamma|1>.  A half period
     maps a string onto its mirror image plus -i times the flipped mirror
@@ -324,45 +335,30 @@ def _gate_output(p: AsymmetryProfile, input_state: np.ndarray,
     sites.  Over both half periods a string with one of the two bits set
     keeps only its flipped branch, whose -i cancels the i of iB or of the
     pre-rotation; the string with both bits set keeps only its unflipped
-    branch, whose CZ sign cancels the i * i.  The CNOT then leaves
-    alpha (A|0...0> + B|hole at k+1>) + gamma (A|1...1> + B|excitation
-    at k+1>).
-    """
-    alpha, gamma = complex(input_state[0]), complex(input_state[1])
-    seed = np.zeros(p.m, dtype=complex)
-    seed[k] = p.b
-    return CompressedState(m=p.m, amp0=p.a * alpha, amp1=p.a * gamma,
-                           one_exc=gamma * seed, m_minus_one_exc=alpha * seed)
+    branch, whose CZ sign cancels the i * i.  For a chain that passes the
+    GHZ stage check the CNOT then leaves alpha (A|0...0> + B|hole at k+1>)
+    + gamma (A|1...1> + B|excitation at k+1>).
 
-
-def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
-                 input_state, k: Optional[int] = None,
-                 w_time: float = SPREAD_TIME,
-                 stage_tol: Optional[float] = 1e-6) -> CompressedState:
-    """Clone one input qubit through the gate-and-chain pipeline.
-
-    The two GHZ evolutions and both entangling gates are not simulated:
-    for a chain that passes the GHZ stage check they leave the closed
-    form of :func:`_gate_output`, so no 2^m vector is ever formed.  The
-    exchange stage acts through the m x m propagator on the excitation
-    and hole sectors.  Stage residuals are compared against
-    ``stage_tol``; None skips the stage checks, for arbitrary chains or
-    a caller that has already run them.
+    The exchange chain leaves the extremal strings alone and, commuting
+    with the global spin flip, carries the hole and the excitation alike,
+    so the whole exchange stage is spread = B U[:, k] for the m x m
+    propagator U: the result holds A alpha, A gamma, the excitation
+    gamma spread and the hole alpha spread, and no 2^m vector is ever
+    formed.  ``input_state`` is one qubit state, shape (2,), or a block of
+    them in columns, shape (2, c), which gives one state per column.
+    Stage residuals are compared against ``stage_tol``; None skips the
+    stage checks, for arbitrary chains or a caller that has already run
+    them.
     """
     k = _checked_offset(ghz_chain, w_chain, p, k)
-    input_state = _checked_inputs(input_state, max_ndim=1)
+    psi = _checked_inputs(input_state)
     if stage_tol is not None:
         _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
-    return compressed_evolve(_gate_output(p, input_state, k),
-                             w_chain.couplings, w_time)
-
-
-def _ising_interval(chain: IsingChain) -> tuple:
-    """(lowest, highest) energy of the Ising chain: its energies are the
-    signed sums of the singular values of its Majorana block."""
-    c = majorana_blocks(chain.fields[None], chain.couplings[None])
-    top = float(np.linalg.svd(c, compute_uv=False).sum())
-    return -top, top
+    spread = p.b * propagator(w_chain, w_time)[:, k]
+    states = [CompressedState(amp0=p.a * alpha, amp1=p.a * gamma,
+                              one_exc=gamma * spread, m_minus_one_exc=alpha * spread)
+              for alpha, gamma in psi.reshape(2, -1).T]
+    return states if psi.ndim == 2 else states[0]
 
 
 def _exchange_interval(couplings) -> tuple:
@@ -426,7 +422,7 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
     if m > BRUTE_FORCE_MAX_M:
         raise ValueError(f"the dense oracle is limited to {BRUTE_FORCE_MAX_M} qubits")
     k = _checked_offset(ghz_chain, w_chain, p, k)
-    psi = _checked_inputs(input_state, max_ndim=2)
+    psi = _checked_inputs(input_state)
 
     factors = {k + 1: np.array([[p.a], [1j * p.b]]),
                k + 2: psi.reshape(2, -1) * np.array([[1.0], [1j]])}
@@ -436,29 +432,15 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
         vec = np.kron(vec, factors.get(q, ground))
 
     h_ghz = spin_hamiltonian(m, x=ghz_chain.fields, zz=ghz_chain.couplings)
-    interval = _ising_interval(ghz_chain)
+    # the Ising Majorana block is the exchange chain's bidiagonal block on
+    # the band B1, J1, ..., Bn up to signs, so the two share one spectrum
+    interval = _exchange_interval(ghz_chain.band())
     vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec, interval)
     vec = _dense_cz(vec, m, m - k, m - k - 1)
     vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec, interval)
     vec = _dense_cnot(vec, m, k + 1, k + 2)
     vec = exchange_evolve_dense(w_chain.couplings, w_time, vec)
     return vec if psi.ndim == 2 else vec[:, 0]
-
-
-def compressed_evolve(state: CompressedState, couplings, t: float) -> CompressedState:
-    """Exchange-chain evolution of a compressed state.
-
-    The extremal strings are annihilated by the chain, and the hole
-    sector is carried by the same m x m propagator as the excitation
-    sector because the dynamics commutes with the global spin flip.
-    """
-    couplings = np.asarray(couplings, dtype=float)
-    if couplings.shape != (state.m - 1,):
-        raise ValueError("coupling count must match the register")
-    u = propagator(Chain(couplings), t)
-    return CompressedState(m=state.m, amp0=state.amp0, amp1=state.amp1,
-                           one_exc=u @ state.one_exc,
-                           m_minus_one_exc=u @ state.m_minus_one_exc)
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +492,18 @@ def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
     quadratic in the input exactly as the uniform measure does, so the
     mean overlap over them is the Haar-average fidelity of each clone.
     The exchange stage runs for ``SPREAD_TIME``.  The stages are checked
-    once; the dense oracle takes all six inputs as one block of columns.
+    once, and either method takes all six inputs as one block of columns.
     """
     if method not in ("compressed", "brute_force"):
         raise ValueError("method must be compressed or brute_force")
     k = _checked_offset(ghz_chain, w_chain, p, k)
     residuals = _stage_residuals(ghz_chain, w_chain, p, k, SPREAD_TIME,
                                  stage_tol)
+    block = np.column_stack(SIX_DESIGN_INPUTS)
     if method == "compressed":
-        outputs = [pipeline_run(ghz_chain, w_chain, p, psi, k, stage_tol=None)
-                   for psi in SIX_DESIGN_INPUTS]
+        outputs = pipeline_run(ghz_chain, w_chain, p, block, k, stage_tol=None)
     else:
-        outputs = brute_force_pipeline(ghz_chain, w_chain, p,
-                                       np.column_stack(SIX_DESIGN_INPUTS), k).T
+        outputs = brute_force_pipeline(ghz_chain, w_chain, p, block, k).T
     per_input = np.zeros((len(SIX_DESIGN_INPUTS), p.n_clones))
     for row, (psi, out) in enumerate(zip(SIX_DESIGN_INPUTS, outputs)):
         for n in range(1, p.n_clones + 1):
@@ -530,7 +511,7 @@ def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
             per_input[row, n - 1] = float(np.real(psi.conj() @ rho @ psi))
     fidelities = per_input.mean(axis=0)
     spread = float(np.ptp(per_input, axis=0).max())
-    return CloneReport(n_clones=p.n_clones, betas=p.betas, fidelities=fidelities,
+    return CloneReport(betas=p.betas, fidelities=fidelities,
                        spread=spread, method=method,
                        max_stage_residual=float(max(residuals.values())))
 
@@ -577,10 +558,7 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     if p.n_clones < 2:
         raise ValueError("cloning needs at least two clones")
     m = p.m
-    if k is None:
-        k = default_offset(p.n_clones)
-    _validate_offset(m, k)
-    source = k + 1
+    source = _offset(p, k) + 1
     if source % 2 == 0:
         raise ValueError("the seed site must be odd to spread with a real pattern")
     u_full = clone_weight_state(p)

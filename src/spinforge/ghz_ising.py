@@ -287,12 +287,18 @@ def overlap_estimate(c: IsingChain) -> float:
 
 @dataclass
 class SweepPoint:
-    """Disorder-sweep summary at one perturbation strength."""
+    """Disorder-sweep overlaps at one perturbation strength, with their statistics."""
 
     x_percent: float
-    mean: float
-    stddev: float
     samples: np.ndarray = field(repr=False)
+
+    @property
+    def mean(self) -> float:
+        return float(self.samples.mean())
+
+    @property
+    def stddev(self) -> float:
+        return float(self.samples.std())
 
 
 def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoint]:
@@ -335,5 +341,4 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
                 majorana_blocks(bands[:, 0::2], bands[:, 1::2]))
     if not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("overlap must lie in [0, 1]")
-    return [SweepPoint(x_percent=x, mean=float(row.mean()), stddev=float(row.std()),
-                       samples=row) for x, row in zip(xs, values)]
+    return [SweepPoint(x_percent=x, samples=row) for x, row in zip(xs, values)]

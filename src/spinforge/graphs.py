@@ -23,22 +23,26 @@ MAX_POWER_VERTICES = 4096
 class GraphSpec:
     """Simple undirected graph with its 0/1 adjacency matrix."""
 
-    n: int
     adjacency: np.ndarray
 
     def __post_init__(self):
         adjacency = np.asarray(self.adjacency, dtype=float)
         object.__setattr__(self, "adjacency", adjacency)
+        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise ValueError("adjacency must be square")
         if self.n < 1:
             raise ValueError("need at least one vertex")
-        if adjacency.shape != (self.n, self.n):
-            raise ValueError("adjacency shape must match the vertex count")
         if not np.array_equal(adjacency, adjacency.T):
             raise ValueError("adjacency must be exactly symmetric")
         if np.trace(adjacency) != 0.0:
             raise ValueError("self-loops are not allowed")
         if not np.all(np.isin(adjacency, (0.0, 1.0))):
             raise ValueError("adjacency entries must be 0 or 1")
+
+    @property
+    def n(self) -> int:
+        """Vertex count."""
+        return self.adjacency.shape[0]
 
 
 def graph_from_edges(n: int, pairs) -> GraphSpec:
@@ -51,7 +55,7 @@ def graph_from_edges(n: int, pairs) -> GraphSpec:
         if u == v:
             raise ValueError("self-loops are not allowed")
         adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = 1.0
-    return GraphSpec(n=n, adjacency=adjacency)
+    return GraphSpec(adjacency)
 
 
 def path_graph(n: int) -> GraphSpec:
@@ -137,7 +141,7 @@ def hypercube_power(g: GraphSpec, k: int) -> GraphSpec:
     total = adjacency
     for _ in range(k - 1):
         total = np.kron(total, eye) + np.kron(np.eye(total.shape[0]), adjacency)
-    return GraphSpec(n=g.n ** k, adjacency=total)
+    return GraphSpec(total)
 
 
 def power_vertex(n: int, coords) -> int:

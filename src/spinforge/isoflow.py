@@ -138,8 +138,7 @@ def _residual_dense(xd: np.ndarray, gamma: float) -> float:
     r = (1.0 - gamma) / (1.0 + gamma)
     safe = np.abs(u) > 1e-9
     quotient = np.where(safe, l / np.where(safe, u, 1.0) - r, l - r * u)
-    off = xd - np.triu(np.tril(xd, 1), -1)
-    parts = (off, d - d[::-1], u - u[::-1], l - l[::-1], quotient)
+    parts = (d - d[::-1], u - u[::-1], l - l[::-1], quotient)
     return max(float(np.abs(p).max(initial=0.0)) for p in parts)
 
 

@@ -545,15 +545,24 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     consecutive = 0
     status = "budget"
     it = 0
+
+    def polish(x, chi, lam):
+        """One polish attempt, recorded at the current iteration and step;
+        returns the root's block, chi and zero mode if accepted, else the
+        arguments."""
+        root = polish_null_vector_root(_block_to_couplings(x, n), vals, target)
+        lam_p = None if root is None else zero_mode(root, target)[0]
+        accepted = lam_p is not None and float(target @ lam_p) >= chi
+        report.polishes.append((it, accepted))
+        if not accepted:
+            return x, chi, lam
+        chi = float(target @ lam_p)
+        recorded.append((it, chi, _saturating_box(step, chi), 0.0))
+        return _couplings_to_block(root), chi, lam_p
+
     while it < budget:
         if not report.polishes and chi >= _HANDOVER_CHI and chi < 1.0 - tol:
-            root = polish_null_vector_root(_block_to_couplings(x, n), vals, target)
-            lam_p = None if root is None else zero_mode(root, target)[0]
-            accepted = lam_p is not None and float(target @ lam_p) >= chi
-            report.polishes.append((it, accepted))
-            if accepted:
-                x, chi, lam = _couplings_to_block(root), float(target @ lam_p), lam_p
-                recorded.append((it, chi, _saturating_box(step, chi), 0.0))
+            x, chi, lam = polish(x, chi, lam)
         if chi >= 1.0 - tol:
             status = "converged"
             break
@@ -589,13 +598,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
                 status = "stalled"
                 break
     if chi >= _HANDOVER_CHI and not any(accepted for _, accepted in report.polishes):
-        root = polish_null_vector_root(_block_to_couplings(x, n), vals, target)
-        lam_p = None if root is None else zero_mode(root, target)[0]
-        accepted = lam_p is not None and float(target @ lam_p) >= chi
-        report.polishes.append((it, accepted))
-        if accepted:
-            x, chi = _couplings_to_block(root), float(target @ lam_p)
-            recorded.append((it, chi, _saturating_box(step, chi), 0.0))
+        x, chi, lam = polish(x, chi, lam)
     if chi >= 1.0 - tol:
         status = "converged"
     report.chi = min(max(chi, -1.0), 1.0)

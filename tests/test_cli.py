@@ -479,6 +479,36 @@ class TestSimulateClone:
         assert elapsed < 2.0
 
 
+class TestStallAndBreachMessages:
+    """Every exit-2 and exit-3 path prints one line naming its stage or flow once."""
+
+    @pytest.mark.parametrize("argv, code, name", [
+        (("design", "pst", "--n", "8", "--tol", "1e-30"), 2, "mirror check"),
+        (("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5",
+          "--max-steps", "5"), 2, "gamma continuation"),
+        (("design", "wstate", "--n", "9", "--budget", "3"), 2, "wstate flow"),
+        (("simulate", "clone", "--n-clones", "3", "--profile", "0,1,1"), 2,
+         "spread-chain design"),
+        (("simulate", "clone", "--n-clones", "4", "--stage-tol", "1e-17"), 3,
+         "ghz stage"),
+        # the ghz stage passes at 8.0e-15 and the w stage misses at 1.5e-14
+        (("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2",
+          "--stage-tol", "1e-14"), 3, "w stage"),
+        (("simulate", "ghz", "--chain", "detuned.json", "--check"), 3,
+         "mirror check"),
+    ], ids=["pst-mirror", "gamma-stall", "wstate-stall", "clone-design-stall",
+            "clone-ghz-stage", "clone-w-stage", "ghz-mirror"])
+    def test_one_line_names_the_stage_once(self, tmp_path, capsys, argv, code, name):
+        chain = ising_from_pst(standard_couplings(8))
+        write_document(document_from_ising(
+            type(chain)(fields=chain.fields * 1.05, couplings=chain.couplings),
+            make_provenance("test")), tmp_path / "detuned.json")
+        assert run(tmp_path, *argv) == code
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert err.startswith(f"{name}: ") and err.count(name) == 1, err
+
+
 class TestToleranceFlags:
     """Every tolerance flag takes only finite positive values, checked
     before any work; ``design wstate --tol`` is covered above."""
@@ -633,7 +663,8 @@ class TestImportFloor:
 
 
 class TestThreadPolicy:
-    """A CLI process runs one BLAS thread unless its caller chose a count.
+    """A CLI process runs one BLAS thread unless its caller chose a count,
+    and its artifacts record the library settings it ran under.
 
     Each case starts an interpreter with the three thread variables removed
     from its environment, then sets the ones the case names.
@@ -683,6 +714,24 @@ class TestThreadPolicy:
     def test_library_import_is_left_alone(self, tmp_path):
         seen = self.report(tmp_path, "import spinforge.chainio, spinforge.synthesis")
         assert seen["threads"] == dict.fromkeys(THREAD_VARIABLES)
+
+    @pytest.mark.parametrize("argv, records_scipy", [
+        (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
+          "--method", "brute_force", "--out", "out.json"), True),
+        (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
+          "--out", "out.json"), False),
+        (("design", "pst", "--n", "8", "--out", "out.json"), False),
+    ], ids=["clone-brute-force", "clone-compressed", "design-pst"])
+    def test_artifact_records_scipy_only_when_loaded(self, tmp_path, argv,
+                                                     records_scipy):
+        # only the brute-force oracle loads SciPy; provenance never imports it
+        self.invoke(tmp_path, ["-m", "spinforge.cli", *argv])
+        provenance = json.loads((tmp_path / "out.json").read_text())["provenance"]
+        if records_scipy:
+            import scipy
+            assert provenance["scipy"] == scipy.__version__
+        else:
+            assert provenance["scipy"] is None
 
     def test_document_records_the_thread_setting(self, tmp_path):
         self.invoke(tmp_path, ["-m", "spinforge.cli", "design", "pst", "--n", "8"])

@@ -11,7 +11,6 @@ from spinforge.cloning import (
     SPREAD_TIME,
     _candidate_spectra,
     _exchange_interval,
-    _ising_interval,
     AsymmetryProfile,
     CloneReport,
     CloningStageError,
@@ -21,7 +20,6 @@ from spinforge.cloning import (
     clone_map_target,
     clone_report,
     clone_weight_state,
-    compressed_evolve,
     default_offset,
     design_w_chain,
     exchange_evolve_dense,
@@ -50,7 +48,7 @@ def random_input(rng):
 def random_compressed(m, rng):
     amps = rng.normal(size=4 * m + 4).view(complex)
     amps /= np.linalg.norm(amps)
-    return CompressedState(m=m, amp0=amps[0], amp1=amps[1],
+    return CompressedState(amp0=amps[0], amp1=amps[1],
                            one_exc=amps[2:m + 2], m_minus_one_exc=amps[m + 2:])
 
 
@@ -95,14 +93,22 @@ class TestAsymmetryProfile:
         assert np.array_equal(profile_from_betas([1e300, 2e300]).betas,
                               profile_from_betas([1.0, 2.0]).betas)
 
-    def test_inconsistent_sums_rejected(self):
-        good = symmetric_profile(2)
-        with pytest.raises(ValueError):
-            AsymmetryProfile(n_clones=2, betas=good.betas, a=good.a + 0.1,
-                             b2=good.b2)
-        with pytest.raises(ValueError):
-            AsymmetryProfile(n_clones=2, betas=good.betas, a=good.a,
-                             b2=good.b2 + 0.1)
+    def test_sums_derive_from_the_weights(self):
+        p = AsymmetryProfile(symmetric_profile(3).betas)
+        assert p.n_clones == 3
+        assert p.a == float(p.betas.sum())
+        assert p.b2 == float((p.betas ** 2).sum())
+
+    @pytest.mark.parametrize("betas", [[np.nan, 0.5], [np.nan, np.nan],
+                                       [np.inf, 0.5], [1e200, 0.5]])
+    def test_non_finite_or_unnormalized_weights_rejected(self, betas):
+        with pytest.raises(ValueError, match="A\\^2 \\+ B\\^2 = 1"):
+            AsymmetryProfile(betas=np.array(betas))
+
+    @pytest.mark.parametrize("betas", [[], [[0.5, 0.5]]])
+    def test_weights_are_one_non_empty_list(self, betas):
+        with pytest.raises(ValueError, match="one weight per clone"):
+            AsymmetryProfile(betas=np.array(betas))
 
 
 class TestAnalyticFidelity:
@@ -153,6 +159,11 @@ class TestCloneMapTarget:
         assert image1.norm() == pytest.approx(1.0, abs=1e-12)
         assert abs(image0.inner(image1)) < 1e-12
 
+    def test_one_clone_has_no_register_to_fit(self):
+        # no offset leaves a helper and an input inside a one-site register
+        with pytest.raises(ValueError, match="offset"):
+            clone_map_target(symmetric_profile(1))
+
     def test_images_are_global_flips(self):
         image0, image1 = clone_map_target(profile_from_betas([3.0, 1.0, 2.0]))
         assert image1.amp1 == image0.amp0
@@ -163,8 +174,14 @@ class TestCloneMapTarget:
 class TestCompressedState:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
-            CompressedState(m=3, amp0=1.0, amp1=1.0,
+            CompressedState(amp0=1.0, amp1=1.0,
                             one_exc=np.zeros(3), m_minus_one_exc=np.zeros(3))
+
+    @pytest.mark.parametrize("one, hole", [(np.zeros(3), np.zeros(4)),
+                                           (np.zeros((3, 1)), np.zeros((3, 1)))])
+    def test_sectors_are_equal_length_vectors(self, one, hole):
+        with pytest.raises(ValueError, match="one amplitude per site"):
+            CompressedState(amp0=1.0, amp1=0.0, one_exc=one, m_minus_one_exc=hole)
 
     @pytest.mark.parametrize("m,seed", [(3, 0), (5, 1), (7, 2)])
     def test_embed_places_sectors(self, m, seed):
@@ -209,16 +226,6 @@ class TestExchangeEvolution:
             out = exchange_evolve_dense(couplings, 1.7, vec)
             assert abs(out[index] - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("m,seed", [(5, 3), (7, 4)])
-    def test_compressed_evolve_matches_dense(self, m, seed):
-        rng = np.random.default_rng(seed)
-        state = random_compressed(m, rng)
-        couplings = rng.uniform(0.3, 1.5, size=m - 1)
-        t = float(rng.uniform(0.5, 3.0))
-        evolved = compressed_evolve(state, couplings, t)
-        dense = exchange_evolve_dense(couplings, t, state.embed())
-        assert np.abs(evolved.embed() - dense).max() < 1e-10
-
     @pytest.mark.parametrize("m", range(2, 9))
     def test_oracle_intervals_are_the_spectra(self, m):
         # the Chebyshev interval of each oracle Hamiltonian is its exact
@@ -228,7 +235,7 @@ class TestExchangeEvolution:
             fields, zz, hop = (rng.uniform(-2.0, 2.0, size) for size in (m, m - 1, m - 1))
             for h, interval in (
                     (spin_hamiltonian(m, x=fields, zz=zz),
-                     _ising_interval(IsingChain(fields=fields, couplings=zz))),
+                     _exchange_interval(IsingChain(fields=fields, couplings=zz).band())),
                     (spin_hamiltonian(m, xx=hop / 2.0, yy=hop / 2.0),
                      _exchange_interval(hop))):
                 energies = np.linalg.eigvalsh(h.toarray())
@@ -354,8 +361,26 @@ class TestOnePassPerReport:
         propagators = self.counting(monkeypatch, "propagator")
         clone_report(ghz_helper_chain(p.m), w, p)
         assert len(deviations) == 1
-        # one for the w stage check, one per input for the exchange stage
-        assert len(propagators) == 1 + len(SIX_DESIGN_INPUTS)
+        # one for the w stage check, one for the exchange stage of all inputs
+        assert len(propagators) == 2
+
+    @pytest.mark.parametrize("m,seed", [(3, 20), (5, 21), (9, 22), (21, 23)])
+    def test_compressed_block_matches_single_inputs(self, m, seed):
+        rng = np.random.default_rng(seed)
+        p = profile_from_betas(rng.uniform(0.2, 1.0, size=(m + 1) // 2))
+        ghz = ghz_helper_chain(m)
+        w = Chain(rng.uniform(0.3, 1.2, size=m - 1))
+        k = int(rng.integers(0, m - 1))
+        t = float(rng.uniform(0.5, 3.0))
+        block = np.column_stack(SIX_DESIGN_INPUTS)
+        states = pipeline_run(ghz, w, p, block, k=k, w_time=t, stage_tol=None)
+        assert len(states) == len(SIX_DESIGN_INPUTS)
+        for col, state in enumerate(states):
+            single = pipeline_run(ghz, w, p, block[:, col], k=k, w_time=t,
+                                  stage_tol=None)
+            assert state.amp0 == single.amp0 and state.amp1 == single.amp1
+            assert np.array_equal(state.one_exc, single.one_exc)
+            assert np.array_equal(state.m_minus_one_exc, single.m_minus_one_exc)
 
 
 class TestFrozenFidelities:
@@ -412,13 +437,17 @@ class TestFrozenFidelities:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            CloneReport(n_clones=1, betas=np.array([1.0]),
+            CloneReport(betas=np.array([1.0]),
                         fidelities=np.array([0.2]), spread=0.0,
                         method="compressed", max_stage_residual=0.0)
         with pytest.raises(ValueError):
-            CloneReport(n_clones=1, betas=np.array([1.0]),
+            CloneReport(betas=np.array([1.0]),
                         fidelities=np.array([0.9]), spread=0.0,
                         method="guess", max_stage_residual=0.0)
+        with pytest.raises(ValueError, match="one fidelity per clone"):
+            CloneReport(betas=np.array([0.5, 0.5]),
+                        fidelities=np.array([0.9]), spread=0.0,
+                        method="compressed", max_stage_residual=0.0)
 
 
 class TestReducedDensity:

@@ -41,10 +41,12 @@ class TestGraphSpec:
             graph_from_edges(3, [(1, 4)])
 
     def test_adjacency_consistency_enforced(self):
-        with pytest.raises(ValueError, match="shape"):
-            GraphSpec(n=3, adjacency=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="square"):
+            GraphSpec(adjacency=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            GraphSpec(adjacency=np.zeros(3))
         with pytest.raises(ValueError, match="symmetric"):
-            GraphSpec(n=2, adjacency=[[0.0, 1.0], [0.0, 0.0]])
+            GraphSpec(adjacency=[[0.0, 1.0], [0.0, 0.0]])
 
 class TestEvolveVertex:
     @pytest.mark.parametrize("seed", [0, 1, 2])
