@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import THREAD_VARIABLES
+from . import THREAD_VARIABLES, __version__
 from .ghz_ising import IsingChain
 from .isoflow import GammaMatrix
 from .numerics import Chain
@@ -97,16 +97,17 @@ class ChainDocument:
 
 def make_provenance(command: str, seed: Optional[int] = None,
                     tolerances: Optional[dict] = None) -> dict:
-    """Command, seed and tolerances, plus the numpy version, the BLAS it was
-    built against, the SciPy version if the process loaded SciPy (null if
-    not; it is never imported here) and the thread variables the process
-    saw (null if unset)."""
+    """Command, seed and tolerances, plus the package version, the numpy
+    version, the BLAS it was built against, the SciPy version if the
+    process loaded SciPy (null if not; it is never imported here) and the
+    thread variables the process saw (null if unset)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     scipy = sys.modules.get("scipy")
     return {
         "command": command,
         "seed": seed,
         "tolerances": dict(tolerances or {}),
+        "spinforge": __version__,
         "numpy": np.__version__,
         "scipy": None if scipy is None else scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},

@@ -5,8 +5,8 @@ convergence trace CSV) and ``simulate`` consumes them to produce report
 JSON and sweep CSV files.  All randomness derives from one ``--seed``
 through counter-based splitting, so any command re-run with identical
 flags produces byte-identical outputs.  Exit codes: 0 success, 1 usage
-error, 2 design stall (trace still written), 3 tolerance breach (the
-message names the failing stage).
+error (an input too large to allocate included), 2 design stall (trace
+still written), 3 tolerance breach (the message names the failing stage).
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[(args.family, args.command)]
     try:
         return handler(args, argv)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"spinforge {args.family} {args.command}: error: {err}",
               file=sys.stderr)
         return USAGE_ERROR

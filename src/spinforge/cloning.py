@@ -15,8 +15,10 @@ Both halves commute with the global spin flip, so after the gate stages
 the register state stays inside a four-sector family (all zeros, all
 ones, one excitation, one hole).  The gates leave the defect on one site,
 so the exchange stage is exactly one column of the M x M exchange
-propagator.  A dense oracle replays the same stages gate by gate for
-small registers.
+propagator.  A fidelity report forms that propagator once, at
+``synthesis.REFLECTION_TIME``, and reads both the exchange-stage check
+and every output from the same column.  A dense oracle replays the same
+stages gate by gate for small registers.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
 from .numerics import Chain, chebyshev_propagate, eig_sym_tridiag, propagator
 from .pst import standard_couplings
 from .synthesis import (
+    REFLECTION_TIME,
     _check_tol,
-    apply_sign_gauge,
-    produced_state,
     reflection_target,
     sign_gauge,
     three_site_couplings,
@@ -42,10 +43,6 @@ from .synthesis import (
 )
 
 BRUTE_FORCE_MAX_M = 13
-# Time at which every chain ``design_w_chain`` returns spreads the seed onto
-# the clone weights: there a symmetric odd-integer spectrum makes the
-# propagator a reflection about the zero mode.
-SPREAD_TIME = np.pi
 
 SIX_DESIGN_INPUTS = (
     np.array([1.0, 0.0], dtype=complex),
@@ -303,28 +300,18 @@ def _checked_inputs(input_state) -> np.ndarray:
     return psi
 
 
-def _stage_residuals(ghz_chain: IsingChain, w_chain: Chain,
-                     p: AsymmetryProfile, k: int, w_time: float,
-                     stage_tol: Optional[float]) -> dict:
-    """Residual of each stage; the first one above ``stage_tol`` raises."""
-    u = propagator(w_chain, w_time)
-    seed = np.zeros(ghz_chain.n)
-    seed[k] = 1.0
-    residuals = {
-        "ghz stage": float(mirror_deviation(ghz_chain)),
-        "w stage": float(np.abs(u @ seed - clone_weight_state(p)).max()),
-    }
-    for stage, value in residuals.items():
-        if stage_tol is not None and value > stage_tol:
-            raise CloningStageError(
-                stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
-    return residuals
+def _compressed_states(p: AsymmetryProfile, column: np.ndarray, psi: np.ndarray):
+    """Pipeline outputs for the inputs ``psi`` from the exchange column U[:, k]."""
+    spread = p.b * column
+    states = [CompressedState(amp0=p.a * alpha, amp1=p.a * gamma,
+                              one_exc=gamma * spread, m_minus_one_exc=alpha * spread)
+              for alpha, gamma in psi.reshape(2, -1).T]
+    return states if psi.ndim == 2 else states[0]
 
 
 def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
                  input_state, k: Optional[int] = None,
-                 w_time: float = SPREAD_TIME,
-                 stage_tol: Optional[float] = 1e-6):
+                 w_time: float = REFLECTION_TIME):
     """Clone input qubits through the gate-and-chain pipeline.
 
     The two GHZ evolutions and both entangling gates are not simulated.
@@ -345,20 +332,13 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
     propagator U: the result holds A alpha, A gamma, the excitation
     gamma spread and the hole alpha spread, and no 2^m vector is ever
     formed.  ``input_state`` is one qubit state, shape (2,), or a block of
-    them in columns, shape (2, c), which gives one state per column.
-    Stage residuals are compared against ``stage_tol``; None skips the
-    stage checks, for arbitrary chains or a caller that has already run
-    them.
+    them in columns, shape (2, c), which gives one state per column.  The
+    stages are not checked: any chains evolve, and :func:`clone_report`
+    checks a designed pair.
     """
     k = _checked_offset(ghz_chain, w_chain, p, k)
     psi = _checked_inputs(input_state)
-    if stage_tol is not None:
-        _stage_residuals(ghz_chain, w_chain, p, k, w_time, stage_tol)
-    spread = p.b * propagator(w_chain, w_time)[:, k]
-    states = [CompressedState(amp0=p.a * alpha, amp1=p.a * gamma,
-                              one_exc=gamma * spread, m_minus_one_exc=alpha * spread)
-              for alpha, gamma in psi.reshape(2, -1).T]
-    return states if psi.ndim == 2 else states[0]
+    return _compressed_states(p, propagator(w_chain, w_time)[:, k], psi)
 
 
 def _exchange_interval(couplings) -> tuple:
@@ -408,7 +388,7 @@ def _dense_cnot(vec: np.ndarray, m: int, control: int, target: int) -> np.ndarra
 def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
                          p: AsymmetryProfile, input_state,
                          k: Optional[int] = None,
-                         w_time: float = SPREAD_TIME) -> np.ndarray:
+                         w_time: float = REFLECTION_TIME) -> np.ndarray:
     """Dense-register oracle for the pipeline, exact gate by gate.
 
     Every stage acts on the full 2^m vector, including both chain
@@ -485,23 +465,33 @@ def reduced_qubit_state(state, site: int) -> np.ndarray:
 
 def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
                  k: Optional[int] = None, method: str = "compressed",
-                 stage_tol: Optional[float] = 1e-6) -> CloneReport:
+                 stage_tol: float = 1e-6) -> CloneReport:
     """Fidelity report for a configured pipeline over the six axis inputs.
 
     The six eigenstates of the Pauli operators average any expression
     quadratic in the input exactly as the uniform measure does, so the
     mean overlap over them is the Haar-average fidelity of each clone.
-    The exchange stage runs for ``SPREAD_TIME``.  The stages are checked
-    once, and either method takes all six inputs as one block of columns.
+    The exchange stage runs for ``REFLECTION_TIME``; its propagator is
+    formed once, and column k of it is both the w-stage check and, for
+    the compressed method, the spread of every output.  The first stage
+    whose residual exceeds ``stage_tol`` raises :class:`CloningStageError`.
+    Either method takes all six inputs as one block of columns.
     """
     if method not in ("compressed", "brute_force"):
         raise ValueError("method must be compressed or brute_force")
     k = _checked_offset(ghz_chain, w_chain, p, k)
-    residuals = _stage_residuals(ghz_chain, w_chain, p, k, SPREAD_TIME,
-                                 stage_tol)
+    column = propagator(w_chain, REFLECTION_TIME)[:, k]
+    residuals = {
+        "ghz stage": float(mirror_deviation(ghz_chain)),
+        "w stage": float(np.abs(column - clone_weight_state(p)).max()),
+    }
+    for stage, value in residuals.items():
+        if value > stage_tol:
+            raise CloningStageError(
+                stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
     block = np.column_stack(SIX_DESIGN_INPUTS)
     if method == "compressed":
-        outputs = pipeline_run(ghz_chain, w_chain, p, block, k, stage_tol=None)
+        outputs = _compressed_states(p, column, block)
     else:
         outputs = brute_force_pipeline(ghz_chain, w_chain, p, block, k).T
     per_input = np.zeros((len(SIX_DESIGN_INPUTS), p.n_clones))
@@ -546,13 +536,14 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
                    tol: float = 1e-6) -> Chain:
     """Exchange chain spreading the seed site onto the clone weights.
 
-    At ``SPREAD_TIME`` a chain with a symmetric odd-integer spectrum acts
+    At ``REFLECTION_TIME`` a chain with a symmetric odd-integer spectrum acts
     as a reflection about its zero mode, so the needed zero mode is read
     off the seed and weight states directly.  A three-site register uses a
     closed form, the symmetric central task reduces to a half chain, and
     anything else takes the first ``_candidate_spectra`` ladder on which
     ``zero_mode_chain`` finds a root.  The couplings are
-    sign gauged at the end so the spread weights come out positive.
+    sign gauged at the end so the spread weights come out positive; the
+    chain is evolved once, for the gauge and the final check together.
     """
     tol = _check_tol(tol)
     if p.n_clones < 2:
@@ -579,10 +570,7 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
                 "the direct zero-mode solve found no chain on any candidate "
                 f"ladder (positive halves tried: {tried}); the weight pattern "
                 "may be unreachable")
-    couplings = np.asarray(couplings, dtype=float)
-    produced = produced_state(couplings, source, SPREAD_TIME)
-    couplings = apply_sign_gauge(couplings, sign_gauge(produced, u_full))
-    produced = produced_state(couplings, source, SPREAD_TIME)
+    couplings, produced = sign_gauge(couplings, source, u_full)
     residual = np.abs(produced - u_full).max()
     if residual > max(tol, 1e-8):
         raise RuntimeError("designed chain misses the clone weights")

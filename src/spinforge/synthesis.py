@@ -16,14 +16,16 @@ layout, so this module alone defines that layout; the flow's progress is a
 
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
-propagator a reflection, and hands over to a Levenberg-Marquardt root
-polish near the target.  Each ascent step is the vertex of a small linear
-programme, found by a primal simplex in the null space of the pattern
-constraint (``_lp_direction``) and returned exactly: its bound coordinates
-at the box, the rest solving the constraint, so the module needs numpy
-alone.  ``zero_mode_chain`` solves the same inverse
+propagator at ``REFLECTION_TIME`` a reflection, and hands over to a
+Levenberg-Marquardt root polish near the target.  Each ascent step is the
+vertex of a small linear programme, found by a primal simplex in the null
+space of the pattern constraint (``_lp_direction``) and returned exactly:
+its bound coordinates at the box, the rest solving the constraint, so the
+module needs numpy alone.  ``zero_mode_chain`` solves the same inverse
 problem directly on a ratio-fixed chain, and ``wstate_chain`` designs the
-uniform odd-site revival through the mirror-reduced half chain.
+uniform odd-site revival through the mirror-reduced half chain.  A
+designed chain is evolved once, by ``sign_gauge``, which returns the
+sign-gauged couplings together with the state they produce.
 """
 
 from __future__ import annotations
@@ -51,12 +53,17 @@ __all__ = [
     "polish_null_vector_root",
     "produced_state",
     "sign_gauge",
-    "apply_sign_gauge",
     "unfold_couplings",
     "mirror_target_fold",
     "wstate_chain",
     "WstateDesign",
+    "REFLECTION_TIME",
 ]
+
+# Time at which every chain this module designs acts as a reflection about
+# its zero mode: with a spectrum of zero and odd integers, exp(-i lambda t)
+# is -1 on every mode but the zero mode.
+REFLECTION_TIME = np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +423,9 @@ def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None):
     return full, svs
 
 
-def produced_state(couplings: np.ndarray, source: int, time: float) -> np.ndarray:
-    """State reached from ``source`` after evolving for ``time``."""
-    return propagator(Chain(couplings), time)[:, source - 1]
+def produced_state(couplings: np.ndarray, source: int) -> np.ndarray:
+    """State reached from ``source`` after evolving for ``REFLECTION_TIME``."""
+    return propagator(Chain(couplings), REFLECTION_TIME)[:, source - 1]
 
 
 def reflection_check(h: Chain, t0: float) -> float:
@@ -469,21 +476,22 @@ def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     return lam
 
 
-def sign_gauge(produced: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per-site signs that rotate ``produced`` onto the sign pattern of ``target``."""
-    produced = np.asarray(produced)
-    target = np.asarray(target, dtype=float)
-    signs = np.ones(produced.size)
-    support = (np.abs(produced) > 1e-9) & (np.abs(target) > 1e-9)
-    signs[support] = np.sign(np.real(produced[support])) * np.sign(target[support])
-    return signs
+def sign_gauge(couplings: np.ndarray, source: int, target: np.ndarray):
+    """Sign-gauged chain whose state produced from ``source`` carries the
+    signs of ``target``, and that state.
 
-
-def apply_sign_gauge(couplings: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Conjugate the chain by a diagonal of signs, flipping couplings."""
+    The chain is evolved once.  With S the diagonal of per-site signs that
+    rotate its produced state psi onto the sign pattern of ``target``, the
+    gauged Hamiltonian is S H S, so its propagator is S U S and its produced
+    state S psi s_source: returns the gauged couplings and that state.
+    """
     couplings = np.asarray(couplings, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    return couplings * signs[:-1] * signs[1:]
+    target = np.asarray(target, dtype=float)
+    psi = produced_state(couplings, source)
+    signs = np.ones(psi.size)
+    support = (np.abs(psi) > 1e-9) & (np.abs(target) > 1e-9)
+    signs[support] = np.sign(np.real(psi[support])) * np.sign(target[support])
+    return couplings * signs[:-1] * signs[1:], signs * psi * signs[source - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +534,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     target = task.target_null_vector
 
     seed = chain_from_spectrum(vals)
-    if reflection_check(Chain(seed), np.pi) > 1e-8:
+    if reflection_check(Chain(seed), REFLECTION_TIME) > 1e-8:
         raise ValueError("spectrum does not produce a reflection at time pi")
 
     no, ne = _split_dims(n)
@@ -874,15 +882,10 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
             f"half-chain flow did not converge: {report.status}", report.trace)
 
     full = np.abs(unfold_couplings(half_chain.couplings))
-    psi = produced_state(full, centre, np.pi)
-    gauge = sign_gauge(psi, target)
-    gauged = apply_sign_gauge(full, gauge)
-    overlap = abs(complex(target @ produced_state(gauged, centre, np.pi)))
-
-    psi_half = produced_state(half_chain.couplings, 1, np.pi)
-    half_gauge = sign_gauge(psi_half, half_target)
-    half_gauged = apply_sign_gauge(half_chain.couplings, half_gauge)
-    half_overlap = abs(complex(half_target @ produced_state(half_gauged, 1, np.pi)))
+    gauged, psi = sign_gauge(full, centre, target)
+    half_gauged, psi_half = sign_gauge(half_chain.couplings, 1, half_target)
+    overlap = abs(complex(target @ psi))
+    half_overlap = abs(complex(half_target @ psi_half))
 
     return WstateDesign(couplings=gauged, half_couplings=half_gauged,
                         overlap=float(overlap), half_overlap=float(half_overlap),

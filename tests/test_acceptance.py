@@ -207,8 +207,7 @@ def test_criterion_09_compressed_equals_brute_force():
             k = int(rng.integers(0, m - 1))
             t = float(rng.uniform(0.5, 3.0))
             psi = random_qubit(rng)
-            out = pipeline_run(ghz, w, p, psi, k=k, w_time=t,
-                               stage_tol=None)
+            out = pipeline_run(ghz, w, p, psi, k=k, w_time=t)
             oracle = brute_force_pipeline(ghz, w, p, psi, k=k, w_time=t)
             worst = max(worst, float(np.abs(out.embed() - oracle).max()))
     record(9, worst <= 1e-8, f"worst deviation {worst:.3e}")

@@ -13,12 +13,14 @@ Every field of a top-level dataclass must be read in the same scope: as an
 attribute that is loaded, or as part of a dotted string, anywhere outside
 its own class's ``__post_init__`` (which only validates it).  Passing a
 field to the constructor is no read.  The guard matches names, so a read of
-a same-named attribute of another object keeps a field too.
+a same-named attribute of another object keeps a field too, except that a
+``self.<name>`` read inside a class's methods keeps only that class's field.
 
 Names kept on purpose are listed in ``KEEP`` with their reason.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,7 +51,8 @@ KEEP = {
     "graphs.RevivalInstance.time":
         "a revival fixture names the revival time its deviation certifies",
 }
-SCOPE = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+MODULES = sorted(PACKAGE.glob("*.py"))
+SCOPE = (MODULES + sorted((ROOT / "bench").glob("*.py"))
          + [ROOT / "tests" / "test_acceptance.py"])
 
 
@@ -65,7 +68,7 @@ def _members(node):
 
 
 def _definitions():
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in MODULES:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield from ((path, name, member) for name, member in _members(node))
@@ -103,9 +106,9 @@ def _references(path: Path) -> set:
     return names
 
 
-def _fields():
+def _fields(paths):
     """Fields of the top-level dataclasses, each as (path, class, field)."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in paths:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and any(
                     "dataclass" in ast.unparse(d) for d in node.decorator_list):
@@ -116,15 +119,22 @@ def _fields():
 
 def _field_reads(path: Path) -> set:
     """Loaded attributes and parts of dotted strings in a file, each as
-    (name, owner): owner is the (path, class) whose ``__post_init__`` holds
-    the read, or None."""
+    (name, owner, holder): owner is the (path, class) whose ``__post_init__``
+    holds the read, or None; holder is the (path, class) whose method reads
+    the name as ``self.<name>``, or None."""
     tree = ast.parse(path.read_text())
-    owner_of = {}
+    owner_of, holder_of = {}, {}
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and member.name == "__post_init__":
-                    owner_of.update({id(sub): (path, node.name) for sub in ast.walk(member)})
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                subs = list(ast.walk(member))
+                holder_of.update({id(sub): (path, node.name) for sub in subs
+                                  if isinstance(sub, ast.Attribute)
+                                  and getattr(sub.value, "id", None) == "self"})
+                if member.name == "__post_init__":
+                    owner_of.update({id(sub): (path, node.name) for sub in subs})
     reads = set()
     for sub in ast.walk(tree):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
@@ -133,8 +143,16 @@ def _field_reads(path: Path) -> set:
             found = set(sub.value.split("."))
         else:
             continue
-        reads |= {(name, owner_of.get(id(sub))) for name in found}
+        reads |= {(name, owner_of.get(id(sub)), holder_of.get(id(sub))) for name in found}
     return reads
+
+
+def _unread_fields(fields, reads) -> list:
+    """Fields, as "module.Class.field", that no read in ``reads`` keeps."""
+    return sorted(
+        f"{path.stem}.{cls}.{name}" for path, cls, name in fields
+        if not any(read == name and owner != (path, cls) and holder in (None, (path, cls))
+                   for read, owner, holder in reads))
 
 
 def test_every_top_level_name_has_a_caller():
@@ -149,14 +167,35 @@ def test_every_top_level_name_has_a_caller():
 
 def test_every_dataclass_field_is_read():
     reads = set().union(*map(_field_reads, SCOPE))
-    unused = sorted(
-        f"{path.stem}.{cls}.{name}" for path, cls, name in _fields()
-        if not any(read == name and owner != (path, cls) for read, owner in reads)
-        and f"{path.stem}.{cls}.{name}" not in KEEP)
+    unused = [name for name in _unread_fields(_fields(MODULES), reads) if name not in KEEP]
     assert unused == [], f"no reader outside tests: {unused}"
+
+
+def test_self_read_keeps_only_its_own_class_field(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(textwrap.dedent("""
+        from dataclasses import dataclass
+
+        @dataclass
+        class Kept:
+            n: int
+
+            def twice(self):
+                return 2 * self.n
+
+        @dataclass
+        class Orphan:
+            n: int
+            m: int
+
+        def size(other):
+            return other.m
+    """))
+    # Kept's self.n keeps Kept.n alone; other.m still keeps Orphan.m
+    assert _unread_fields(_fields([module]), _field_reads(module)) == ["sample.Orphan.n"]
 
 
 def test_kept_names_still_exist():
     defined = {f"{path.stem}.{name}" for path, name, _ in _definitions()}
-    defined |= {f"{path.stem}.{cls}.{name}" for path, cls, name in _fields()}
+    defined |= {f"{path.stem}.{cls}.{name}" for path, cls, name in _fields(MODULES)}
     assert sorted(set(KEEP) - defined) == []

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinforge
 from spinforge.chainio import (
     SCHEMA_VERSION,
     ChainDocument,
@@ -27,6 +29,8 @@ from spinforge.isoflow import GammaMatrix
 from spinforge.numerics import Chain
 from spinforge.pst import standard_couplings
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def provenance():
     return make_provenance("spinforge design pst --n 6", seed=0,
@@ -44,6 +48,14 @@ class TestProvenance:
         assert record["threads"] == {"OPENBLAS_NUM_THREADS": None,
                                      "OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": None}
         assert json.loads(json.dumps(record)) == record
+
+    def test_records_the_package_version(self):
+        assert make_provenance("cmd")["spinforge"] == spinforge.__version__
+        # the build reads the same attribute; there is no second literal
+        lines = (ROOT / "pyproject.toml").read_text().splitlines()
+        assert 'dynamic = ["version"]' in lines
+        assert 'version = {attr = "spinforge.__version__"}' in lines
+        assert not [line for line in lines if line.startswith('version = "')]
 
 
 class TestChainDocument:

@@ -57,6 +57,19 @@ class TestDesignPst:
         assert run(tmp_path, "design", "pst", "--n", "1") == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unallocatable_size_is_usage_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        # numpy refuses the 728 TiB eigen-block of --n 20000000 with a
+        # MemoryError, raised here without allocating anything
+        def refuse(n):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr(cli, "standard_couplings", refuse)
+        assert run(tmp_path, "design", "pst", "--n", "20000000") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "spinforge design pst: error: Unable to allocate 728. TiB for an array"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDesignGamma:
     def test_writes_zy_document(self, tmp_path):
@@ -380,6 +393,21 @@ class TestSimulateSweep:
         err = capsys.readouterr().err
         assert err.startswith("spinforge simulate sweep: error: ")
         assert "1 strengths x 1000000000000000 samples" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unallocatable_majorana_stack_is_usage_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # a 100 000-qubit sweep's Majorana stack (74.5 GiB) is refused by
+        # numpy with a MemoryError, raised here without allocating anything
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli, "perturb_sweep", refuse)
+        code = run(tmp_path, "simulate", "sweep", "--n", "100000", "--x", "1",
+                   "--samples", "1")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "spinforge simulate sweep: error: Unable to allocate 74.5 GiB for an array"]
         assert list(tmp_path.iterdir()) == []
 
 

@@ -8,7 +8,6 @@ from spinforge.cli import main
 from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
-    SPREAD_TIME,
     _candidate_spectra,
     _exchange_interval,
     AsymmetryProfile,
@@ -272,7 +271,7 @@ class TestPipelineAgreement:
         k = int(rng.integers(0, m - 1))
         t = float(rng.uniform(0.5, 3.0))
         psi = random_input(rng)
-        out = pipeline_run(ghz, w, p, psi, k=k, w_time=t, stage_tol=None)
+        out = pipeline_run(ghz, w, p, psi, k=k, w_time=t)
         oracle = brute_force_pipeline(ghz, w, p, psi, k=k, w_time=t)
         assert np.abs(out.embed() - oracle).max() < 1e-8
 
@@ -288,8 +287,7 @@ class TestPipelineAgreement:
         for k in range(m - 1):
             oracle = brute_force_pipeline(ghz, w, p, basis, k=k, w_time=0.0)
             for col in range(2):
-                out = pipeline_run(ghz, w, p, basis[:, col], k=k, w_time=0.0,
-                                   stage_tol=None)
+                out = pipeline_run(ghz, w, p, basis[:, col], k=k, w_time=0.0)
                 assert np.abs(out.embed() - oracle[:, col]).max() < 1e-12
 
     def test_output_hits_clone_map(self):
@@ -309,14 +307,13 @@ class TestPipelineAgreement:
         good = ghz_helper_chain(3)
         broken = IsingChain(good.fields * 1.5, good.couplings)
         with pytest.raises(CloningStageError, match="ghz stage"):
-            pipeline_run(broken, w, p, np.array([1.0, 0.0]))
+            clone_report(broken, w, p)
 
     def test_w_stage_failure_is_named(self):
         p = symmetric_profile(2)
         ghz = ghz_helper_chain(3)
         with pytest.raises(CloningStageError, match="w stage"):
-            pipeline_run(ghz, Chain([1.0, 1.0]), p,
-                         np.array([1.0, 0.0]))
+            clone_report(ghz, Chain([1.0, 1.0]), p, method="brute_force")
 
 
 class TestOnePassPerReport:
@@ -361,8 +358,17 @@ class TestOnePassPerReport:
         propagators = self.counting(monkeypatch, "propagator")
         clone_report(ghz_helper_chain(p.m), w, p)
         assert len(deviations) == 1
-        # one for the w stage check, one for the exchange stage of all inputs
-        assert len(propagators) == 2
+        # one column serves the w stage check and the spread of all inputs
+        assert len(propagators) == 1
+
+    def test_brute_force_report_checks_the_stages_once(self, monkeypatch):
+        p = profile_from_betas([2.0, 1.0, 1.0])
+        w = design_w_chain(p)
+        deviations = self.counting(monkeypatch, "mirror_deviation")
+        propagators = self.counting(monkeypatch, "propagator")
+        clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
+        assert len(deviations) == 1
+        assert len(propagators) == 1
 
     @pytest.mark.parametrize("m,seed", [(3, 20), (5, 21), (9, 22), (21, 23)])
     def test_compressed_block_matches_single_inputs(self, m, seed):
@@ -373,11 +379,10 @@ class TestOnePassPerReport:
         k = int(rng.integers(0, m - 1))
         t = float(rng.uniform(0.5, 3.0))
         block = np.column_stack(SIX_DESIGN_INPUTS)
-        states = pipeline_run(ghz, w, p, block, k=k, w_time=t, stage_tol=None)
+        states = pipeline_run(ghz, w, p, block, k=k, w_time=t)
         assert len(states) == len(SIX_DESIGN_INPUTS)
         for col, state in enumerate(states):
-            single = pipeline_run(ghz, w, p, block[:, col], k=k, w_time=t,
-                                  stage_tol=None)
+            single = pipeline_run(ghz, w, p, block[:, col], k=k, w_time=t)
             assert state.amp0 == single.amp0 and state.amp1 == single.amp1
             assert np.array_equal(state.one_exc, single.one_exc)
             assert np.array_equal(state.m_minus_one_exc, single.m_minus_one_exc)
@@ -495,7 +500,7 @@ class TestDesignWChain:
         p = symmetric_profile(n_clones)
         w = design_w_chain(p)
         source = default_offset(n_clones) + 1
-        produced = produced_state(w.couplings, source, SPREAD_TIME)
+        produced = produced_state(w.couplings, source)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-8
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -504,7 +509,7 @@ class TestDesignWChain:
         p = profile_from_betas(rng.uniform(0.1, 1.0, size=4))
         w = design_w_chain(p)
         source = default_offset(4) + 1
-        produced = produced_state(w.couplings, source, SPREAD_TIME)
+        produced = produced_state(w.couplings, source)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-6
 
     @pytest.mark.parametrize("weights, ladder", [
@@ -517,8 +522,7 @@ class TestDesignWChain:
                                                                ladder):
         p = profile_from_betas(weights)
         w = design_w_chain(p)
-        produced = produced_state(w.couplings, default_offset(p.n_clones) + 1,
-                                  SPREAD_TIME)
+        produced = produced_state(w.couplings, default_offset(p.n_clones) + 1)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-12
         spectrum = _candidate_spectra(p.m)[ladder]
         vals = np.linalg.eigvalsh(dense(w))
@@ -546,8 +550,7 @@ class TestDesignWChain:
         for _ in range(3):
             p = profile_from_betas(rng.uniform(0.1, 1.0, size=n_clones))
             w = design_w_chain(p)
-            produced = produced_state(w.couplings, default_offset(n_clones) + 1,
-                                      SPREAD_TIME)
+            produced = produced_state(w.couplings, default_offset(n_clones) + 1)
             # the gate's floor, max(tol, 1e-8), with the default tol of 1e-6
             assert np.abs(produced - clone_weight_state(p)).max() < 1e-8
 

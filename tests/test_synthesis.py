@@ -7,12 +7,14 @@ import pytest
 import scipy.linalg
 from scipy.optimize import least_squares, linprog
 
-from spinforge import synthesis
+from spinforge import cloning, synthesis
 from spinforge.cloning import (
     _candidate_spectra,
     clone_weight_state,
     default_offset,
+    design_w_chain,
     profile_from_betas,
+    symmetric_profile,
 )
 from spinforge.numerics import Chain
 from spinforge.synthesis import (
@@ -29,7 +31,6 @@ from spinforge.synthesis import (
     zero_mode_chain,
     produced_state,
     sign_gauge,
-    apply_sign_gauge,
     unfold_couplings,
     mirror_target_fold,
     wstate_chain,
@@ -657,7 +658,7 @@ class TestReflectorCrossCheck:
         nv_task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam_full)
         chain_n, report_n = synthesis_flow_nullvector(nv_task)
         assert report_n.status == "converged"
-        psi_n = produced_state(chain_n.couplings, 3, np.pi)
+        psi_n = produced_state(chain_n.couplings, 3)
         assert abs(np.vdot(reflector[:, 2], psi_n)) >= 1 - 1e-6
 
 
@@ -715,26 +716,58 @@ def mirror_target_fold_complex(state):
     return re + 1j * im
 
 
+UNIFORM_NINE = np.where(np.arange(9) % 2 == 0, 1.0 / np.sqrt(5), 0.0)
+
+# Every design that gauges its chain: the W chains (full and half chain) and
+# the clone-asym benchmark profiles with the symmetric 5- and 11-clone ones.
+GAUGED_DESIGNS = {
+    "W9": lambda: wstate_chain(9),
+    "W13": lambda: wstate_chain(13),
+    "W21": lambda: wstate_chain(21),
+    "clone 2,1,1": lambda: design_w_chain(profile_from_betas([2, 1, 1])),
+    "clone symmetric 4": lambda: design_w_chain(symmetric_profile(4)),
+    "clone 2,1,1,1,1": lambda: design_w_chain(profile_from_betas([2, 1, 1, 1, 1])),
+    "clone 3,1,2,1,1,2": lambda: design_w_chain(profile_from_betas([3, 1, 2, 1, 1, 2])),
+    "clone 1,2,1,3,1,2,1": lambda: design_w_chain(
+        profile_from_betas([1, 2, 1, 3, 1, 2, 1])),
+    "clone symmetric 5": lambda: design_w_chain(symmetric_profile(5)),
+    "clone symmetric 11": lambda: design_w_chain(symmetric_profile(11)),
+}
+
+
 class TestSignGauge:
     def test_gauge_preserves_magnitudes(self):
         rng = np.random.default_rng(37)
         couplings = rng.uniform(1.0, 4.0, size=8)
-        signs = rng.choice([-1.0, 1.0], size=9)
-        gauged = apply_sign_gauge(couplings, signs)
+        gauged, _ = sign_gauge(couplings, 5, UNIFORM_NINE)
         assert np.abs(gauged) == pytest.approx(couplings)
 
     def test_gauge_fixes_produced_signs(self):
-        design_target = np.zeros(9)
-        design_target[0::2] = 1.0 / np.sqrt(5)
         couplings = chain_from_spectrum([-7.0, -5.0, -3.0, -1.0, 0.0,
                                          1.0, 3.0, 5.0, 7.0])
-        psi = produced_state(couplings, 5, np.pi)
-        signs = sign_gauge(psi, design_target)
-        gauged = apply_sign_gauge(couplings, signs)
-        psi_g = produced_state(gauged, 5, np.pi)
+        gauged, psi_g = sign_gauge(couplings, 5, UNIFORM_NINE)
+        assert np.abs(psi_g - produced_state(gauged, 5)).max() <= 1e-15
         support = np.abs(psi_g) > 1e-9
-        aligned = np.real(psi_g[support]) * design_target[support]
+        aligned = np.real(psi_g[support]) * UNIFORM_NINE[support]
         assert (aligned > 0).all() or (aligned < 0).all()
+
+    @pytest.mark.parametrize("design", GAUGED_DESIGNS)
+    def test_returned_state_is_the_gauged_chains_state(self, monkeypatch, design):
+        """S psi s_source, formed without a second evolution, is the state a
+        fresh evolution of the gauged couplings produces."""
+        calls = []
+
+        def recorded(couplings, source, target):
+            gauged, state = sign_gauge(couplings, source, target)
+            calls.append((gauged, source, state))
+            return gauged, state
+
+        monkeypatch.setattr(synthesis, "sign_gauge", recorded)
+        monkeypatch.setattr(cloning, "sign_gauge", recorded)
+        GAUGED_DESIGNS[design]()
+        assert calls
+        for gauged, source, state in calls:
+            assert np.abs(state - produced_state(gauged, source)).max() <= 1e-15
 
 
 @pytest.fixture(scope="module")
@@ -747,15 +780,15 @@ class TestWstateChain:
     def test_full_chain_revival(self, design):
         target = np.zeros(21)
         target[0::2] = 1.0 / np.sqrt(11)
-        psi = produced_state(design.couplings, (21 + 1) // 2, np.pi)
+        psi = produced_state(design.couplings, (21 + 1) // 2)
         assert abs(np.vdot(target, psi)) >= 0.999
 
     def test_half_chain_revival(self, design):
         assert design.half_overlap >= 0.999
 
     def test_full_and_half_solutions_agree(self, design):
-        psi_full = produced_state(design.couplings, (21 + 1) // 2, np.pi)
-        psi_half = produced_state(design.half_couplings, 1, np.pi)
+        psi_full = produced_state(design.couplings, (21 + 1) // 2)
+        psi_half = produced_state(design.half_couplings, 1)
         lifted = mirror_state_unfold(psi_half)
         phase = np.vdot(lifted, psi_full)
         phase /= abs(phase)
