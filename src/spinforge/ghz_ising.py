@@ -19,6 +19,7 @@ of two is applied internally and pinned by a brute-force unit test.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +29,15 @@ from .pst import standard_couplings
 
 GHZ_TIME = np.pi / 4
 BRUTE_FORCE_MAX_QUBITS = 12
-# Byte budget of one stacked 2n x 2n map array in the disorder sweep: 18 samples
-# a block at n = 21, one sample from n = 91 up. Blocks of 9 to 148 samples
-# ran the n = 21 sweep equally fast, and budgets past this one raised the
-# sweep's peak RSS (by 3.3 MB at 1 MB).
-SWEEP_BLOCK_BYTES = 1 << 18
+# Byte budget of one stacked 2n x 2n map array in the disorder sweep: 9 samples
+# a block at n = 21 (a 127 KB map stack), one sample from n = 46 up. The
+# sweep's worker threads allocate from their own malloc arenas, which trim and
+# re-fault every block's stacks once these pass glibc's 128 KiB mmap threshold.
+# `simulate sweep --n 21 --x 0:10:1 --samples 1000`, fresh processes on 2
+# cores, medians of 10 (wall, CPU, minor faults, peak RSS): this budget 0.50 s,
+# 0.87 s, 5.9k, 39.8 MB; 1 << 18 0.53 s, 0.92 s, 92.9k, 40.5 MB; 1 << 16
+# 0.58 s, 1.00 s, 5.9k, 39.7 MB.
+SWEEP_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -301,6 +306,13 @@ class SweepPoint:
         return float(self.samples.std())
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoint]:
     """GHZ-overlap statistics under parameter disorder, one point per strength.
 
@@ -311,10 +323,17 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
 
     Samples are drawn in consecutive blocks, once for all strengths, and each
     nonzero x evaluates a block with one stack of n x n SVDs and
-    (2n+1)-square determinants, in the calling thread; one overlap fills the
-    x = 0 row. A block's 2n x 2n map stack stays near SWEEP_BLOCK_BYTES; the
-    strengths x samples table of overlaps grows with both counts.
+    (2n+1)-square determinants; one overlap fills the x = 0 row. The blocks
+    run on a pool of worker threads, one per usable core up to the block
+    count, and each writes only its own columns, so the result does not
+    depend on the worker count. The pool is shut down before the call
+    returns; the error of the first failing block, in block order, is
+    raised unchanged, and blocks not yet started are cancelled. A block's
+    2n x 2n map stack stays near SWEEP_BLOCK_BYTES; the strengths x samples
+    table of overlaps grows with both counts.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if n < 1:
         raise ValueError("need at least one qubit")
     if samples < 1:
@@ -329,16 +348,27 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
     zero = np.array(xs) == 0.0
     if zero.any():
         values[zero] = ghz_overlaps(majorana_blocks(band[None, 0::2], band[None, 1::2]))
-    for start in range(0, 0 if zero.all() else samples, block):
+    rows = np.flatnonzero(~zero)
+
+    def evaluate(start: int) -> None:
         stop = min(start + block, samples)
         u = np.array([np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
                       for index in range(start, stop)])
-        for row in np.flatnonzero(~zero):
+        for row in rows:
             bands = band * (1.0 + (xs[row] / 100.0) * u)
             if not np.all(np.isfinite(bands)):
                 raise ValueError("chain parameters must be finite")
             values[row, start:stop] = ghz_overlaps(
                 majorana_blocks(bands[:, 0::2], bands[:, 1::2]))
+
+    starts = range(0, samples if rows.size else 0, block)
+    # threads start on the first submit, so an all-zero sweep starts none
+    pool = ThreadPoolExecutor(max(1, min(_usable_cores(), len(starts))))
+    try:
+        for future in [pool.submit(evaluate, start) for start in starts]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     if not np.all((0.0 <= values) & (values <= 1.0)):
         raise ValueError("overlap must lie in [0, 1]")
     return [SweepPoint(x_percent=x, samples=row) for x, row in zip(xs, values)]

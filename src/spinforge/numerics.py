@@ -7,7 +7,8 @@ solver of the root problems.  Every exchange chain the package designs is a
 ``Chain``: its couplings, with no on-site field, and spectra are plain
 sorted arrays.  ``propagator`` is the single e^{-iHt} primitive: a
 ``Chain`` goes through the chain eigensolver, any other Hermitian matrix
-through a dense eigendecomposition.
+through a dense eigendecomposition, and ``spectral_propagator`` evolves a
+decomposition a caller already holds.
 ``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
 the sparse spin Hamiltonians of the dense cloning oracle, whose exact
 spectral interval the oracle supplies.
@@ -92,18 +93,24 @@ def propagator(h: Chain | np.ndarray, t: float) -> np.ndarray:
     """Evolution operator e^{-iHt}, via eigendecomposition.
 
     A ``Chain`` goes through :func:`eig_sym_tridiag`, a Hermitian matrix
-    through dense ``eigh``.  Orthonormal eigenvectors to 1e-10 make the
-    result unitary to the same order; past that a ``ValueError`` is raised.
+    through dense ``eigh``; :func:`spectral_propagator` evolves the result.
     """
     if isinstance(h, Chain):
-        w, v = eig_sym_tridiag(h)
-    else:
-        h = np.asarray(h)
-        dev = np.abs(h - h.conj().T).max() if h.size else 0.0
-        scale = max(1.0, np.abs(h).max()) if h.size else 1.0
-        if dev > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-        w, v = np.linalg.eigh(h)
+        return spectral_propagator(*eig_sym_tridiag(h), t)
+    h = np.asarray(h)
+    dev = np.abs(h - h.conj().T).max() if h.size else 0.0
+    scale = max(1.0, np.abs(h).max()) if h.size else 1.0
+    if dev > HERMITICITY_TOL * scale:
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    return spectral_propagator(*np.linalg.eigh(h), t)
+
+
+def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} for H = V diag(w) V^H, from an eigendecomposition in hand.
+
+    Orthonormal eigenvectors to 1e-10 make the result unitary to the same
+    order; past that a ``ValueError`` is raised.
+    """
     dev = np.abs(v.conj().T @ v - np.eye(w.size)).max()
     if dev > 1e-10:
         raise ValueError(f"propagator is not unitary (eigenvector deviation {dev:.3e})")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .numerics import (Chain, FlowStallError, FlowTrace, antisym_exp,
                        eig_sym_tridiag, levenberg_marquardt, propagator,
-                       solve_affine)
+                       solve_affine, spectral_propagator)
 
 __all__ = [
     "NullVectorTask",
@@ -434,10 +434,11 @@ def reflection_check(h: Chain, t0: float) -> float:
     Returns the minimum over a global phase of the entrywise deviation
     between exp(-i h t0) and phase * (1 - 2 P0), with P0 the projector
     onto the eigenspace nearest zero.  Small values certify that
-    evolution for t0 acts as a reflection about the zero mode.
+    evolution for t0 acts as a reflection about the zero mode.  The
+    propagator and the zero mode come from one eigendecomposition.
     """
     spectrum, v = eig_sym_tridiag(h)
-    u = propagator(h, t0)
+    u = spectral_propagator(spectrum, v, t0)
     k = int(np.argmin(np.abs(spectrum)))
     p0 = np.outer(v[:, k], v[:, k])
     r = np.eye(h.n) - 2.0 * p0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinforge import THREAD_VARIABLES, cli
+from spinforge import THREAD_VARIABLES, cli, ghz_ising
 from spinforge.chainio import (document_from_gamma, document_from_ising,
                                document_from_pst, make_provenance, read_document,
                                write_document)
@@ -410,6 +410,20 @@ class TestSimulateSweep:
             "spinforge simulate sweep: error: Unable to allocate 74.5 GiB for an array"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_memory_error_in_a_worker_is_usage_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the sample blocks run on worker threads; their error reaches main
+        def refuse(c):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(ghz_ising, "ghz_overlaps", refuse)
+        code = run(tmp_path, "simulate", "sweep", "--n", "21", "--x", "1:3:1",
+                   "--samples", "100")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "spinforge simulate sweep: error: Unable to allocate 1.00 TiB for an array"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateClone:
     def test_symmetric_pair(self, tmp_path):
@@ -605,16 +619,18 @@ class TestModuleEntry:
 
 
 class TestImportFloor:
-    """Commands load SciPy only where they use it.
+    """Commands load SciPy and the thread pool only where they use them.
 
     Only the brute-force clone oracle loads SciPy, ``scipy.sparse`` for its
     spin matvecs.  Every other command, the design flows included, and the
     import of the CLI itself load none, and no module of the package
-    imports ``scipy.optimize`` or ``scipy.linalg``.
+    imports ``scipy.optimize`` or ``scipy.linalg``.  Of the package, only
+    the disorder sweep loads ``concurrent.futures``, for its worker threads.
     """
 
     LAUNCH = ("import json, sys; from spinforge.cli import main; code = main(sys.argv[1:]); "
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy')))); "
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith(('scipy', 'concurrent'))))); "
               "sys.exit(code)")
 
     def invoke(self, tmp_path, *args, launch=None):
@@ -625,7 +641,7 @@ class TestImportFloor:
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=120)
 
-    def scipy_modules(self, tmp_path, *args):
+    def loaded_modules(self, tmp_path, *args):
         done = self.invoke(tmp_path, *args)
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
@@ -652,7 +668,11 @@ class TestImportFloor:
                        tmp_path / "pst8.json")
         write_document(document_from_gamma(gamma_seed(4, 0.0), provenance),
                        tmp_path / "zy4.json")
-        loaded = self.scipy_modules(tmp_path, *argv)
+        modules = self.loaded_modules(tmp_path, *argv)
+        # scipy.sparse imports concurrent.futures itself
+        sweep = argv[:2] == ("simulate", "sweep")
+        assert ("concurrent.futures" in modules) == (sweep or sparse)
+        loaded = [m for m in modules if m.startswith("scipy")]
         assert "scipy.optimize" not in loaded
         if sparse:
             assert "scipy.sparse" in loaded
@@ -660,8 +680,10 @@ class TestImportFloor:
             assert loaded == []
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
+        # nor the sweep's thread pool
         launch = ("import json, sys, spinforge.cli; "
-                  "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+                  "print(json.dumps([m for m in sys.modules "
+                  "if m.startswith(('scipy', 'concurrent'))]))")
         done = self.invoke(tmp_path, launch=launch)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == []

@@ -1,3 +1,6 @@
+import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinforge import ghz_ising
 from spinforge.ghz_ising import (
     GHZ_TIME,
     IsingChain,
@@ -435,6 +439,79 @@ class TestPerturbSweep:
         for xs in ([x], [x, 1.0], [0.0, 2.0, x], [1.0, x, 0.0]):
             with pytest.raises(ValueError, match="chain parameters must be finite"):
                 perturb_sweep(3, xs, 2, seed=0)
+
+    @staticmethod
+    def on_workers(monkeypatch, workers, overlaps=None):
+        """Give the sweep ``workers`` usable cores and record the thread of
+        every block's overlap call; ``overlaps`` replaces ghz_overlaps."""
+        monkeypatch.setattr(ghz_ising, "_usable_cores", lambda: workers)
+        evaluate = overlaps or ghz_ising.ghz_overlaps
+        calls = []
+
+        def recorded(c):
+            calls.append((threading.get_ident(), c.shape[0]))
+            return evaluate(c)
+
+        monkeypatch.setattr(ghz_ising, "ghz_overlaps", recorded)
+        return calls
+
+    def test_samples_do_not_depend_on_worker_count(self, monkeypatch):
+        n, xs, seed = 21, [2.0, 0.0, 10.0], 3
+        calls = self.on_workers(monkeypatch, 1)
+        perturb_sweep(n, [1.0], 100, seed)
+        block = max(size for _, size in calls)
+        assert block > 2
+        interval = sys.getswitchinterval()
+        for samples in (1, block - 1, block + 1, 1000):
+            runs = []
+            for workers in (1, 2, 3):
+                calls = self.on_workers(monkeypatch, workers)
+                # frequent interpreter-lock handovers between the workers
+                sys.setswitchinterval(1e-5)
+                try:
+                    points = perturb_sweep(n, xs, samples, seed)
+                finally:
+                    sys.setswitchinterval(interval)
+                runs.append(np.array([p.samples for p in points]))
+                # the x = 0 row is one call in this thread; no block runs here
+                threads = {thread for thread, _ in calls[1:]}
+                assert calls[0][0] == threading.get_ident()
+                assert threading.get_ident() not in threads
+                assert 1 <= len(threads) <= min(workers, -(-samples // block))
+            assert np.array_equal(runs[0], runs[1])
+            assert np.array_equal(runs[0], runs[2])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_error_is_raised_unchanged(self, monkeypatch, workers):
+        # every block fails at the x = inf row, in a worker; block 0's error
+        # reaches the caller
+        self.on_workers(monkeypatch, workers)
+        with pytest.raises(ValueError, match=r"\Achain parameters must be finite\Z"):
+            perturb_sweep(21, [10.0, np.inf], 1000, seed=0)
+
+    def test_failing_block_cancels_the_queue(self, monkeypatch):
+        original, order = ghz_ising.ghz_overlaps, itertools.count()
+
+        def fail_first(c):
+            if next(order) == 0:
+                raise MemoryError("Unable to allocate 1 TiB for an array")
+            return original(c)
+
+        calls = self.on_workers(monkeypatch, 2, fail_first)
+        with pytest.raises(MemoryError, match="1 TiB"):
+            perturb_sweep(21, [1.0], 1000, seed=0)
+        blocks = -(-1000 // max(size for _, size in calls))
+        assert blocks > 100
+        assert len(calls) < blocks // 4
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        before = set(threading.enumerate())
+        monkeypatch.setattr(ghz_ising, "_usable_cores", lambda: 3)
+        perturb_sweep(21, [1.0, 0.0], 100, seed=0)
+        assert set(threading.enumerate()) == before
+        with pytest.raises(ValueError, match="must be finite"):
+            perturb_sweep(21, [1.0, np.nan], 100, seed=0)
+        assert set(threading.enumerate()) == before
 
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -13,6 +13,7 @@ from spinforge.numerics import (
     levenberg_marquardt,
     propagator,
     solve_affine,
+    spectral_propagator,
 )
 from spinforge.pst import standard_couplings
 
@@ -148,6 +149,16 @@ class TestPropagator:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_non_orthonormal_eigenvectors_rejected(self):
+        v = np.array([[1.0, 0.0], [1e-9, 1.0]])
+        with pytest.raises(ValueError, match="not unitary"):
+            spectral_propagator(np.array([-1.0, 1.0]), v, 1.0)
+
+    def test_chain_propagator_is_its_decomposition_evolved(self):
+        m = random_chain(np.random.default_rng(7), 13)
+        assert np.array_equal(propagator(m, 0.9),
+                              spectral_propagator(*eig_sym_tridiag(m), 0.9))
 
     @pytest.mark.parametrize("m", [
         Chain([]),

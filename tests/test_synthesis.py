@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import least_squares, linprog
 
-from spinforge import cloning, synthesis
+from spinforge import cloning, numerics, synthesis
 from spinforge.cloning import (
     _candidate_spectra,
     clone_weight_state,
@@ -209,6 +209,20 @@ class TestReflectionCheck:
         value = reflection_check(chain, 0.0)
         assert value == pytest.approx(expected, rel=1e-10)
         assert value > 0.3
+
+    def test_one_decomposition_per_check(self, monkeypatch):
+        chain = Chain(chain_from_spectrum(FIVE_SITE))
+        calls = []
+        original = numerics.eig_sym_tridiag
+
+        def counted(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(numerics, "eig_sym_tridiag", counted)
+        monkeypatch.setattr(synthesis, "eig_sym_tridiag", counted)
+        assert reflection_check(chain, np.pi) <= 1e-9
+        assert calls == [chain]
 
 
 class TestBoundaryValue:
