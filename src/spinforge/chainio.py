@@ -98,8 +98,8 @@ class ChainDocument:
 def make_provenance(command: str, seed: Optional[int] = None,
                     tolerances: Optional[dict] = None) -> dict:
     """Command, seed and tolerances, plus the package version, the numpy
-    version, the BLAS it was built against, the SciPy version if the
-    process loaded SciPy (null if not; it is never imported here) and the
+    version, the BLAS it was built against, the SciPy version if a caller
+    loaded SciPy (null if not; no module of the package imports it) and the
     thread variables the process saw (null if unset)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     scipy = sys.modules.get("scipy")

@@ -17,8 +17,10 @@ ones, one excitation, one hole).  The gates leave the defect on one site,
 so the exchange stage is exactly one column of the M x M exchange
 propagator.  A fidelity report forms that propagator once, at
 ``synthesis.REFLECTION_TIME``, and reads both the exchange-stage check
-and every output from the same column.  A dense oracle replays the same
-stages gate by gate for small registers.
+and every compressed output from the same column.  A dense oracle replays
+the same stages on the full 2^M register for M <= 13.  Both chains are
+free-fermion, so each chain evolution there is an exact circuit of
+nearest-neighbour gates read off its one-particle map.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
-                        spin_hamiltonian)
-from .numerics import Chain, chebyshev_propagate, eig_sym_tridiag, propagator
+                        one_particle_map)
+from .numerics import Chain, givens_factors, propagator
 from .pst import standard_couplings
 from .synthesis import (
     REFLECTION_TIME,
@@ -341,32 +343,78 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
     return _compressed_states(p, propagator(w_chain, w_time)[:, k], psi)
 
 
-def _exchange_interval(couplings) -> tuple:
-    """(lowest, highest) energy of the exchange chain: its energies are sums
-    of hopping eigenvalues, which a bipartite chain has in +- pairs."""
-    hop = eig_sym_tridiag(Chain(couplings))[0]
-    top = float(hop[hop > 0].sum())
-    return -top, top
+def _register(m: int, vec) -> np.ndarray:
+    """A complex copy of a dense m-qubit state, or block of states in columns."""
+    if m > BRUTE_FORCE_MAX_M:
+        raise ValueError(f"dense evolution is limited to {BRUTE_FORCE_MAX_M} qubits")
+    vec = np.array(vec, dtype=complex)
+    if vec.ndim > 2 or vec.shape[0] != 1 << m:
+        raise ValueError("state dimension does not match the chain length")
+    return vec
 
 
-def exchange_evolve_dense(couplings, t: float, vec: np.ndarray) -> np.ndarray:
+def ising_evolve_dense(chain: IsingChain, t: float, vec) -> np.ndarray:
+    """Evolve a dense register state under a transverse Ising chain (m <= 13),
+    up to a global sign.
+
+    The one-particle map W = exp(2ts) lies in SO(2m), so :func:`givens_factors`
+    writes it as m(2m - 1) rotations of adjacent Majorana planes and nothing
+    else.  A rotation [[cos phi, sin phi], [-sin phi, cos phi]] in the plane
+    (2j, 2j+1) is the gate exp(-i phi/2 X_j), and in the plane (2j+1, 2j+2)
+    the gate exp(-i phi/2 Z_j Z_j+1) (Terhal & DiVincenzo 2002); the gates
+    act in the order of the rotations.  W fixes the evolution only up to
+    +-1, which the pipeline's two GHZ stages cancel.  ``vec`` is one state
+    or a block of states in columns.
+    """
+    out = _register(chain.n, vec)
+    block = out.reshape(out.shape[0], -1)
+    _, planes, rotations = givens_factors(one_particle_map(chain, t))
+    halves = 0.5 * np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0])
+    for plane, half in zip(planes, halves):
+        j = plane // 2
+        if plane % 2:
+            # Z_j Z_j+1 is +1 on |00>, |11> and -1 on |01>, |10>
+            phase = np.exp(-1j * half)
+            pair = block.reshape(1 << j, 4, -1)
+            pair *= np.array([phase, phase.conjugate(), phase.conjugate(), phase])[:, None]
+        else:
+            site = block.reshape(1 << j, 2, -1)
+            low, high = site[:, 0], site[:, 1]
+            cos, sin = np.cos(half), -1j * np.sin(half)
+            new_low = cos * low + sin * high
+            high *= cos
+            high += sin * low
+            low[...] = new_low
+    return out
+
+
+def exchange_evolve_dense(couplings, t: float, vec) -> np.ndarray:
     """Evolve a dense register state under the exchange chain (m <= 13).
 
     The Hamiltonian sum_n J_n (X_n X_n+1 + Y_n Y_n+1) / 2 hops excitations
     between neighbouring sites with amplitude J_n in every excitation
-    sector at once; the matrix is kept sparse and applied through
-    :func:`chebyshev_propagate`.  ``vec`` is one state or a block of states
-    in columns.
+    sector at once, so its evolution is fixed by the m x m propagator U.
+    :func:`givens_factors` writes U as one phase per site and m(m - 1) / 2
+    rotations G of adjacent sites (Jiang et al. 2018).  Each phase
+    multiplies the strings with that site occupied; each G acts on the
+    pair's {|10>, |01>} as on the two sites' amplitudes and, of determinant
+    1, leaves |00> and |11> alone, the Jordan-Wigner strings of neighbours
+    cancelling.  ``vec`` is one state or a block of states in columns.
     """
-    couplings = np.asarray(couplings, dtype=float)
-    m = couplings.size + 1
-    if m > BRUTE_FORCE_MAX_M:
-        raise ValueError(f"dense evolution is limited to {BRUTE_FORCE_MAX_M} qubits")
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim > 2 or vec.shape[0] != 1 << m:
-        raise ValueError("state dimension does not match the coupling count")
-    h = spin_hamiltonian(m, xx=couplings / 2.0, yy=couplings / 2.0)
-    return chebyshev_propagate(h, t, vec, _exchange_interval(couplings))
+    chain = Chain(couplings)
+    out = _register(chain.n, vec)
+    block = out.reshape(out.shape[0], -1)
+    phases, planes, rotations = givens_factors(propagator(chain, t))
+    for j, phase in enumerate(phases):
+        block.reshape(1 << j, 2, -1)[:, 1] *= phase
+    for j, g in zip(planes, rotations):
+        pair = block.reshape(1 << j, 2, 2, -1)
+        first, second = pair[:, 1, 0], pair[:, 0, 1]
+        new_first = g[0, 0] * first + g[0, 1] * second
+        second *= g[1, 1]
+        second += g[1, 0] * first
+        first[...] = new_first
+    return out
 
 
 def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
@@ -392,11 +440,12 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
     """Dense-register oracle for the pipeline, exact gate by gate.
 
     Every stage acts on the full 2^m vector, including both chain
-    evolutions, so the result validates the compressed bookkeeping.
+    evolutions, which run as the gate circuits of :func:`ising_evolve_dense`
+    and :func:`exchange_evolve_dense`, so the result validates the
+    compressed bookkeeping.
     ``input_state`` is one qubit state, shape (2,), or a block of them in
     columns, shape (2, c); the result holds one register state per
-    column, and all columns share each Chebyshev evolution.  Limited to
-    m <= 13 qubits.
+    column, and all columns share each gate.  Limited to m <= 13 qubits.
     """
     m = ghz_chain.n
     if m > BRUTE_FORCE_MAX_M:
@@ -411,13 +460,9 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
     for q in range(1, m + 1):
         vec = np.kron(vec, factors.get(q, ground))
 
-    h_ghz = spin_hamiltonian(m, x=ghz_chain.fields, zz=ghz_chain.couplings)
-    # the Ising Majorana block is the exchange chain's bidiagonal block on
-    # the band B1, J1, ..., Bn up to signs, so the two share one spectrum
-    interval = _exchange_interval(ghz_chain.band())
-    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec, interval)
+    vec = ising_evolve_dense(ghz_chain, GHZ_TIME, vec)
     vec = _dense_cz(vec, m, m - k, m - k - 1)
-    vec = chebyshev_propagate(h_ghz, GHZ_TIME, vec, interval)
+    vec = ising_evolve_dense(ghz_chain, GHZ_TIME, vec)
     vec = _dense_cnot(vec, m, k + 1, k + 2)
     vec = exchange_evolve_dense(w_chain.couplings, w_time, vec)
     return vec if psi.ndim == 2 else vec[:, 0]

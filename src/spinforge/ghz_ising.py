@@ -9,7 +9,10 @@ a quarter period produces the n-qubit GHZ state. This module builds those
 chains, verifies the synthesis both by brute force and at the quadratic
 level, and computes the GHZ overlap exactly from one Gaussian-trace
 determinant, for Ising chains and for the YY-coupled chains of ``isoflow``
-alike, fast enough for large disorder sweeps.
+alike, fast enough for large disorder sweeps. The brute-force check is
+dense ``eigh`` of the Pauli-string matrix from ``dense_spin_hamiltonian``,
+the package's one spin-Hamiltonian builder; the dense cloning oracle
+evolves the same chains as gate circuits built from ``one_particle_map``.
 
 Time convention: all public functions take Hamiltonian evolution time. The
 quadratic (Majorana) sector evolves through twice the angle, i.e. the
@@ -92,14 +95,15 @@ def ghz_target(n: int) -> np.ndarray:
     return psi
 
 
-def spin_terms(n: int, x=None, zz=None, xx=None, yy=None) -> tuple:
-    """COO triplets (rows, cols, values) of an n-qubit chain built from Pauli terms.
+def dense_spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of an n-qubit chain built from Pauli terms.
 
     H = sum_m x_m X_m + sum_m (zz_m Z_m Z_m+1 + xx_m X_m X_m+1 + yy_m Y_m Y_m+1),
     with n fields in ``x`` and n-1 bond coefficients in each of ``zz``,
     ``xx`` and ``yy``; an omitted term kind is absent.  Qubit m corresponds
     to bit n-m of the basis index, so |00...0> is index 0 and |11...1> the
-    last index.  Repeated positions (XX and YY on one bond) are to be summed.
+    last index.  Each term flips a fixed set of bits, so it fills the
+    entries (index ^ flips, index) with one sign-dressed value per index.
     """
     for name, coeffs, size in (("x", x, n), ("zz", zz, n - 1), ("xx", xx, n - 1),
                                ("yy", yy, n - 1)):
@@ -107,44 +111,17 @@ def spin_terms(n: int, x=None, zz=None, xx=None, yy=None) -> tuple:
             raise ValueError(f"{name} needs {size} coefficients")
     idx = np.arange(1 << n)
     bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    flips, values = [], []
+    h = np.zeros((idx.size, idx.size))
     if zz is not None:
         z = 1.0 - 2.0 * bits
-        flips.append(0)
-        values.append((z[:, :-1] * z[:, 1:]) @ np.asarray(zz, dtype=float))
+        h[idx, idx] = (z[:, :-1] * z[:, 1:]) @ np.asarray(zz, dtype=float)
     for m in range(n if x is not None else 0):
-        flips.append(1 << (n - 1 - m))
-        values.append(np.full(idx.size, float(x[m])))
+        h[idx ^ (1 << (n - 1 - m)), idx] += float(x[m])
     for bond, equal_sign in ((xx, 1.0), (yy, -1.0)):
         for m in range(n - 1 if bond is not None else 0):
-            flips.append(3 << (n - 2 - m))
             sign = np.where(bits[:, m] == bits[:, m + 1], equal_sign, 1.0)
-            values.append(sign * float(bond[m]))
-    rows = (np.array(flips, dtype=int)[:, None] ^ idx).ravel()
-    cols = np.tile(idx, len(flips))
-    return rows, cols, np.array(values, dtype=float).ravel()
-
-
-def spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None):
-    """Sparse CSR matrix of :func:`spin_terms`, for the 2^n x 2^n oracle evolutions.
-
-    Entries where XX and YY cancel are dropped, not stored.  SciPy's sparse
-    module is imported here, by the callers that apply H to states.
-    """
-    import scipy.sparse
-
-    rows, cols, data = spin_terms(n, x=x, zz=zz, xx=xx, yy=yy)
-    dim = 1 << n
-    h = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-    h.eliminate_zeros()
+            h[idx ^ (3 << (n - 2 - m)), idx] += sign * float(bond[m])
     return h
-
-
-def dense_spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of :func:`spin_terms`, assembled in numpy."""
-    rows, cols, data = spin_terms(n, x=x, zz=zz, xx=xx, yy=yy)
-    dim = 1 << n
-    return np.bincount(rows * dim + cols, weights=data, minlength=dim * dim).reshape(dim, dim)
 
 
 def dense_hamiltonian(c: IsingChain) -> np.ndarray:

@@ -9,16 +9,15 @@ sorted arrays.  ``propagator`` is the single e^{-iHt} primitive: a
 ``Chain`` goes through the chain eigensolver, any other Hermitian matrix
 through a dense eigendecomposition, and ``spectral_propagator`` evolves a
 decomposition a caller already holds.
-``chebyshev_propagate`` applies e^{-iHt} to states without forming it, for
-the sparse spin Hamiltonians of the dense cloning oracle, whose exact
-spectral interval the oracle supplies.
+``givens_factors`` writes a unitary or real orthogonal matrix as phases
+and adjacent-plane rotations, from which the dense cloning oracle builds
+its nearest-neighbour gate circuits.
 ``antisym_exp`` is the orthogonal exponential that the null-vector flow's
 isospectral step applies.  That flow and the gamma continuation record
 into ``FlowTrace`` (their progress CSV) and stall with ``FlowStallError``.
 
-Only numpy is imported here.  The chain eigensolver is numpy's SVD of
-the chain's bidiagonal block, and sparse matrices are used through their
-own methods, so nothing in this module loads SciPy.
+Only numpy is imported here, as in every module of the package.  The
+chain eigensolver is numpy's SVD of the chain's bidiagonal block.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-SPECTRUM_MARGIN = 1e-9  # relative padding of a Chebyshev interval against rounding
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _LM_TOL = 1e-15  # lmder's ftol, xtol and gtol
@@ -117,69 +115,32 @@ def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def chebyshev_propagate(h, t: float, vec: np.ndarray, interval) -> np.ndarray:
-    """e^{-iHt} applied to a state, or to a block of states in columns.
+def givens_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor a unitary or real orthogonal n x n matrix into adjacent-plane rotations.
 
-    ``h`` is a real symmetric scipy sparse matrix and ``interval`` the
-    (lowest, highest) eigenvalue of ``h``, which the caller knows exactly
-    (the oracles' Hamiltonians are free-fermion).  Padded at both ends by
-    SPECTRUM_MARGIN times its largest magnitude, it is [c - r, c + r], and
-    with z = r t the exponential is the Chebyshev series e^{-ict} sum_k
-    (2 - delta_k0) (-i)^k J_k(z) T_k((H - c) / r) (Tal-Ezer & Kosloff
-    1984), cut after the last Bessel coefficient above 1e-16.  The degree
-    is therefore fixed before the first matrix product.  The real H
-    multiplies the complex block viewed as real columns.
+    Returns (d, planes, rotations) with u = G_K ... G_1 diag(d), where G_i
+    acts as the 2 x 2 ``rotations[i]`` on the plane (planes[i], planes[i] + 1)
+    and as the identity elsewhere; the list is in the order the factors act
+    on a vector, after the diagonal.  The lower triangle is nulled column by
+    column with bottom-up row rotations [[x*, y*], [-y, x]] / |(x, y)|, each
+    of determinant 1, which leave every pivot real and positive.  So d holds
+    one phase per mode: ones to rounding but the last, which is det u.
+    There are always n(n - 1) / 2 rotations, real for a real u.
     """
-    vec = np.asarray(vec, dtype=complex)
-    block = np.ascontiguousarray(vec.reshape(vec.shape[0], -1))
-    lo, hi = interval
-    center = (hi + lo) / 2.0
-    half_width = (hi - lo) / 2.0 + SPECTRUM_MARGIN * max(abs(lo), abs(hi))
-    phase = np.exp(-1j * center * t)
-    if half_width * t == 0.0:
-        return phase * vec
-    bessel = _bessel_j(abs(half_width * t))
-    # (-i sign t)^k from a table: complex pow drifts by ~k eps
-    turns = np.array([1.0, -1j, -1.0, 1j]) if t > 0 else np.array([1.0, 1j, -1.0, -1j])
-    coeffs = bessel * turns[np.arange(bessel.size) % 4]
-    coeffs[1:] *= 2.0
-
-    # 2 (H - c) / r through the matrix's own methods, so this module needs no
-    # scipy import; a zero shift would store explicit zeros on the diagonal
-    two_h = h.copy()
-    if center:
-        two_h.setdiag(h.diagonal() - center)
-    two_h *= 2.0 / half_width
-    prev = block.view(float)
-    cur = 0.5 * (two_h @ prev)
-    out = coeffs[0] * block + coeffs[1] * cur.view(complex)
-    for c in coeffs[2:]:
-        nxt = two_h @ cur
-        nxt -= prev
-        prev, cur = cur, nxt
-        out += c * cur.view(complex)
-    return (phase * out).reshape(vec.shape)
-
-
-def _bessel_j(z: float) -> np.ndarray:
-    """J_k(z) for k = 0, 1, ... through the last order above 1e-16 (at least 1), z > 0.
-
-    Miller's downward recurrence J_k-1 = (2k / z) J_k - J_k+1, started
-    where J is negligible and normalized by J_0 + 2 sum_k J_2k = 1, gives
-    every order to about 1e-16 absolute.
-    """
-    top = int(z + 60.0 + 25.0 * np.cbrt(z))
-    j = np.zeros(top + 1)
-    above, here = 0.0, 1.0
-    for k in range(top, 0, -1):
-        j[k] = here
-        above, here = here, 2.0 * k / z * here - above
-        if abs(here) > 1e100:
-            j[k:] *= 1e-100
-            above, here = above * 1e-100, here * 1e-100
-    j[0] = here
-    j /= j[0] + 2.0 * j[2::2].sum()
-    return j[: max(np.flatnonzero(np.abs(j) > 1e-16)[-1] + 1, 2)]
+    a = np.array(u, dtype=np.result_type(u, float))
+    n = a.shape[0]
+    planes, rotations = [], []
+    for col in range(n - 1):
+        for row in range(n - 1, col, -1):
+            x, y = a[row - 1, col], a[row, col]
+            rho = np.hypot(abs(x), abs(y))
+            g = (np.array([[np.conj(x), np.conj(y)], [-y, x]]) / rho if rho
+                 else np.eye(2, dtype=a.dtype))
+            a[row - 1:row + 1, col:] = g @ a[row - 1:row + 1, col:]
+            planes.append(row - 1)
+            rotations.append(g.conj().T)
+    return (a.diagonal().copy(), np.array(planes[::-1], dtype=int),
+            np.array(rotations[::-1], dtype=a.dtype).reshape(-1, 2, 2))
 
 
 def antisym_exp(g: np.ndarray) -> np.ndarray:

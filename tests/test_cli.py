@@ -619,13 +619,12 @@ class TestModuleEntry:
 
 
 class TestImportFloor:
-    """Commands load SciPy and the thread pool only where they use them.
+    """Commands load no SciPy, and the thread pool only where they use it.
 
-    Only the brute-force clone oracle loads SciPy, ``scipy.sparse`` for its
-    spin matvecs.  Every other command, the design flows included, and the
-    import of the CLI itself load none, and no module of the package
-    imports ``scipy.optimize`` or ``scipy.linalg``.  Of the package, only
-    the disorder sweep loads ``concurrent.futures``, for its worker threads.
+    No command, the design flows and the brute-force clone oracle included,
+    and not the import of the CLI itself, loads a SciPy module, and no
+    module of the package imports one.  Of the package, only the disorder
+    sweep loads ``concurrent.futures``, for its worker threads.
     """
 
     LAUNCH = ("import json, sys; from spinforge.cli import main; code = main(sys.argv[1:]); "
@@ -646,38 +645,32 @@ class TestImportFloor:
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
 
-    @pytest.mark.parametrize("argv, sparse", [
-        (("design", "pst", "--n", "8"), False),
-        (("simulate", "ghz", "--chain", "pst8.json", "--check"), False),
-        (("simulate", "ghz", "--chain", "zy4.json"), False),
-        (("simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"), False),
-        (("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5"), False),
-        (("design", "wstate", "--n", "9"), False),
-        (("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2"), False),
+    @pytest.mark.parametrize("argv", [
+        ("design", "pst", "--n", "8"),
+        ("simulate", "ghz", "--chain", "pst8.json", "--check"),
+        ("simulate", "ghz", "--chain", "zy4.json"),
+        ("simulate", "sweep", "--n", "3", "--x", "0:2:1", "--samples", "5"),
+        ("design", "gamma", "--n", "6", "--from", "0", "--to", "0.5"),
+        ("design", "wstate", "--n", "9"),
+        ("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2"),
         # the symmetric-W branch runs the null-vector flow
-        (("simulate", "clone", "--n-clones", "3", "--profile", "symmetric"), False),
-        (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
-          "--method", "brute_force"), True),
+        ("simulate", "clone", "--n-clones", "3", "--profile", "symmetric"),
+        ("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
+         "--method", "brute_force"),
     ], ids=["design-pst", "simulate-ghz-pst", "simulate-ghz-zy", "simulate-sweep",
             "design-gamma", "design-wstate", "simulate-clone",
             "simulate-clone-symmetric", "simulate-clone-brute-force"])
-    def test_command_leaves_scipy_optimize_unloaded(self, tmp_path, argv, sparse):
-        # the brute-force oracle loads scipy.sparse, the rest no SciPy
+    def test_command_leaves_scipy_optimize_unloaded(self, tmp_path, argv):
+        # nor any other SciPy module
         provenance = make_provenance("test")
         write_document(document_from_pst(standard_couplings(8), provenance),
                        tmp_path / "pst8.json")
         write_document(document_from_gamma(gamma_seed(4, 0.0), provenance),
                        tmp_path / "zy4.json")
         modules = self.loaded_modules(tmp_path, *argv)
-        # scipy.sparse imports concurrent.futures itself
         sweep = argv[:2] == ("simulate", "sweep")
-        assert ("concurrent.futures" in modules) == (sweep or sparse)
-        loaded = [m for m in modules if m.startswith("scipy")]
-        assert "scipy.optimize" not in loaded
-        if sparse:
-            assert "scipy.sparse" in loaded
-        else:
-            assert loaded == []
+        assert ("concurrent.futures" in modules) == sweep
+        assert [m for m in modules if m.startswith("scipy")] == []
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         # nor the sweep's thread pool
@@ -688,7 +681,7 @@ class TestImportFloor:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == []
 
-    def test_no_module_imports_scipy_optimize_or_linalg(self):
+    def test_no_module_imports_scipy(self):
         # a static check: it catches an import on a path no command runs
         package = Path(cli.__file__).resolve().parent
         found = []
@@ -702,8 +695,7 @@ class TestImportFloor:
                 else:
                     continue
                 found += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if name.split(".")[:2] in (["scipy", "optimize"],
-                                                     ["scipy", "linalg"])]
+                          if name.split(".")[0] == "scipy"]
         assert found == []
 
     def test_wstate_design_still_runs(self, tmp_path):
@@ -765,23 +757,26 @@ class TestThreadPolicy:
         seen = self.report(tmp_path, "import spinforge.chainio, spinforge.synthesis")
         assert seen["threads"] == dict.fromkeys(THREAD_VARIABLES)
 
-    @pytest.mark.parametrize("argv, records_scipy", [
-        (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
-          "--method", "brute_force", "--out", "out.json"), True),
-        (("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
-          "--out", "out.json"), False),
-        (("design", "pst", "--n", "8", "--out", "out.json"), False),
-    ], ids=["clone-brute-force", "clone-compressed", "design-pst"])
-    def test_artifact_records_scipy_only_when_loaded(self, tmp_path, argv,
-                                                     records_scipy):
-        # only the brute-force oracle loads SciPy; provenance never imports it
-        self.invoke(tmp_path, ["-m", "spinforge.cli", *argv])
+    @pytest.mark.parametrize("preload, argv", [
+        ("", ("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
+              "--method", "brute_force", "--out", "out.json")),
+        ("", ("simulate", "clone", "--n-clones", "3", "--profile", "2,1,1",
+              "--out", "out.json")),
+        ("", ("design", "pst", "--n", "8", "--out", "out.json")),
+        ("import scipy; ", ("design", "pst", "--n", "8", "--out", "out.json")),
+    ], ids=["clone-brute-force", "clone-compressed", "design-pst", "scipy-preloaded"])
+    def test_artifact_records_scipy_only_when_loaded(self, tmp_path, preload, argv):
+        # no command loads SciPy and provenance never imports it, so only a
+        # caller that loaded it first sees its version recorded
+        launch = preload + "import sys; from spinforge.cli import main; sys.exit(main(sys.argv[1:]))"
+        command = ["-c", launch] if preload else ["-m", "spinforge.cli"]
+        self.invoke(tmp_path, [*command, *argv])
         provenance = json.loads((tmp_path / "out.json").read_text())["provenance"]
-        if records_scipy:
+        if preload:
             import scipy
             assert provenance["scipy"] == scipy.__version__
         else:
-            assert provenance["scipy"] is None
+            assert "scipy" in provenance and provenance["scipy"] is None
 
     def test_document_records_the_thread_setting(self, tmp_path):
         self.invoke(tmp_path, ["-m", "spinforge.cli", "design", "pst", "--n", "8"])

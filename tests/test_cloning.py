@@ -9,7 +9,6 @@ from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
     _candidate_spectra,
-    _exchange_interval,
     AsymmetryProfile,
     CloneReport,
     CloningStageError,
@@ -23,12 +22,14 @@ from spinforge.cloning import (
     design_w_chain,
     exchange_evolve_dense,
     ghz_helper_chain,
+    ising_evolve_dense,
     pipeline_run,
     profile_from_betas,
     reduced_qubit_state,
     symmetric_profile,
 )
-from spinforge.ghz_ising import IsingChain, spin_hamiltonian
+from spinforge import numerics
+from spinforge.ghz_ising import IsingChain, dense_spin_hamiltonian
 from spinforge.chainio import document_from_xx, make_provenance, xx_chain
 from spinforge.numerics import Chain, propagator
 from spinforge.synthesis import produced_state
@@ -225,27 +226,70 @@ class TestExchangeEvolution:
             out = exchange_evolve_dense(couplings, 1.7, vec)
             assert abs(out[index] - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("m", range(2, 9))
-    def test_oracle_intervals_are_the_spectra(self, m):
-        # the Chebyshev interval of each oracle Hamiltonian is its exact
-        # lowest and highest energy, from its one-particle spectrum
-        rng = np.random.default_rng(30 + m)
-        for _ in range(3):
-            fields, zz, hop = (rng.uniform(-2.0, 2.0, size) for size in (m, m - 1, m - 1))
-            for h, interval in (
-                    (spin_hamiltonian(m, x=fields, zz=zz),
-                     _exchange_interval(IsingChain(fields=fields, couplings=zz).band())),
-                    (spin_hamiltonian(m, xx=hop / 2.0, yy=hop / 2.0),
-                     _exchange_interval(hop))):
-                energies = np.linalg.eigvalsh(h.toarray())
-                assert np.abs(np.array(interval) - energies[[0, -1]]).max() < 1e-12
-
     def test_size_cap(self):
         couplings = np.ones(BRUTE_FORCE_MAX_M)
         vec = np.zeros(1 << (BRUTE_FORCE_MAX_M + 1), dtype=complex)
         vec[0] = 1.0
         with pytest.raises(ValueError):
             exchange_evolve_dense(couplings, 1.0, vec)
+
+
+def dense_evolution(h, t):
+    """e^{-iHt} of a real symmetric matrix, by its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.T
+
+
+class TestOracleCircuits:
+    """Both gate circuits against dense evolution under the Pauli-string
+    Hamiltonian, on random chains and a block of six random columns."""
+
+    TIMES = (0.37, np.pi / 4, 1.3)
+
+    @staticmethod
+    def block(rng, m):
+        cols = rng.normal(size=(1 << m, 6)) + 1j * rng.normal(size=(1 << m, 6))
+        return cols / np.linalg.norm(cols, axis=0)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_ising_circuit_is_the_evolution_up_to_one_sign(self, m):
+        rng = np.random.default_rng(70 + m)
+        for t in self.TIMES:
+            chain = IsingChain(rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, m - 1))
+            block = self.block(rng, m)
+            exact = dense_evolution(dense_spin_hamiltonian(
+                m, x=chain.fields, zz=chain.couplings), t) @ block
+            out = ising_evolve_dense(chain, t, block)
+            # one sign for the whole block, not one per column
+            sign = np.sign(np.vdot(exact[:, 0], out[:, 0]).real)
+            assert np.abs(out - sign * exact).max() < 1e-12
+            single = ising_evolve_dense(chain, t, block[:, 0])
+            assert single.shape == (1 << m,)
+            assert np.abs(single - out[:, 0]).max() < 1e-12
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_exchange_circuit_is_the_evolution(self, m):
+        rng = np.random.default_rng(80 + m)
+        for t in self.TIMES:
+            hop = rng.uniform(-2.0, 2.0, m - 1)
+            block = self.block(rng, m)
+            exact = dense_evolution(dense_spin_hamiltonian(
+                m, xx=hop / 2.0, yy=hop / 2.0), t) @ block
+            assert np.abs(exchange_evolve_dense(hop, t, block) - exact).max() < 1e-12
+
+    def test_inputs_are_left_alone(self):
+        rng = np.random.default_rng(90)
+        block = self.block(rng, 4)
+        kept = block.copy()
+        ising_evolve_dense(IsingChain(np.ones(4), np.ones(3)), 0.5, block)
+        exchange_evolve_dense(np.ones(3), 0.5, block)
+        assert np.array_equal(block, kept)
+
+    def test_ising_size_cap(self):
+        m = BRUTE_FORCE_MAX_M + 1
+        with pytest.raises(ValueError, match="limited to"):
+            ising_evolve_dense(IsingChain(np.ones(m), np.ones(m - 1)), 1.0,
+                               np.zeros(1 << m))
 
 
 class TestPipelineAgreement:
@@ -333,23 +377,33 @@ class TestOnePassPerReport:
             assert np.abs(out[:, col] - single).max() < 1e-12
 
     @staticmethod
-    def counting(monkeypatch, name):
+    def counting(monkeypatch, name, module=cloning):
         calls = []
-        original = getattr(cloning, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cloning, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_brute_force_report_runs_three_krylov_evolutions(self, monkeypatch):
+    def test_brute_force_report_runs_three_gate_circuits(self, monkeypatch):
         p = profile_from_betas([2.0, 1.0, 1.0])
         w = design_w_chain(p)
-        calls = self.counting(monkeypatch, "chebyshev_propagate")
+        ising = self.counting(monkeypatch, "ising_evolve_dense")
+        exchange = self.counting(monkeypatch, "exchange_evolve_dense")
         clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
-        assert len(calls) == 3
+        assert len(ising) == 2
+        assert len(exchange) == 1
+
+    def test_brute_force_report_solves_each_exchange_chain_twice(self, monkeypatch):
+        # once for the w-stage check, once for the oracle's exchange circuit
+        p = profile_from_betas([2.0, 1.0, 1.0])
+        w = design_w_chain(p)
+        solves = self.counting(monkeypatch, "eig_sym_tridiag", numerics)
+        clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
+        assert [np.array_equal(chain.couplings, w.couplings) for chain, in solves] == [True, True]
 
     def test_compressed_report_checks_the_stages_once(self, monkeypatch):
         p = profile_from_betas([3, 1, 2, 1, 1, 2])
@@ -368,7 +422,8 @@ class TestOnePassPerReport:
         propagators = self.counting(monkeypatch, "propagator")
         clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
         assert len(deviations) == 1
-        assert len(propagators) == 1
+        # the w-stage check, and the exchange circuit of the oracle
+        assert len(propagators) == 2
 
     @pytest.mark.parametrize("m,seed", [(3, 20), (5, 21), (9, 22), (21, 23)])
     def test_compressed_block_matches_single_inputs(self, m, seed):

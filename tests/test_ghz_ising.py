@@ -25,7 +25,6 @@ from spinforge.ghz_ising import (
     overlap_estimate,
     overlap_exact,
     perturb_sweep,
-    spin_hamiltonian,
 )
 from spinforge.pst import standard_couplings
 
@@ -536,7 +535,7 @@ class TestSpinHamiltonian:
         for m in range(n - 1):
             for coeff, op in ((zz, PAULI_Z), (xx, PAULI_X), (yy, PAULI_Y)):
                 expected = expected + coeff[m] * site_operator(n, {m + 1: op, m + 2: op})
-        got = spin_hamiltonian(n, x=x, zz=zz, xx=xx, yy=yy).toarray()
+        got = dense_spin_hamiltonian(n, x=x, zz=zz, xx=xx, yy=yy)
         assert got.shape == (1 << n, 1 << n)
         assert np.abs(got - expected).max() < 1e-12
 
@@ -550,11 +549,8 @@ class TestSpinHamiltonian:
         for m in range(n - 1):
             hop = site_operator(n, {m + 1: lower, m + 2: lower.T}).real
             expected += j[m] * (hop + hop.T)
-        h = spin_hamiltonian(n, xx=j / 2, yy=j / 2)
-        assert np.array_equal(h.toarray(), expected)
-        # the entries where XX and YY cancel are not stored
-        assert h.nnz == np.count_nonzero(expected)
+        assert np.array_equal(dense_spin_hamiltonian(n, xx=j / 2, yy=j / 2), expected)
 
     def test_coefficient_count_checked(self):
         with pytest.raises(ValueError):
-            spin_hamiltonian(3, zz=np.ones(3))
+            dense_spin_hamiltonian(3, zz=np.ones(3))

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from scipy.optimize import least_squares
 
-from spinforge.ghz_ising import spin_hamiltonian
 from spinforge.numerics import (
     Chain,
     antisym_exp,
-    chebyshev_propagate,
     eig_sym_tridiag,
+    givens_factors,
     levenberg_marquardt,
     propagator,
     solve_affine,
@@ -183,44 +181,51 @@ class TestPropagator:
         assert np.abs(u.conj().T @ u - np.eye(9)).max() < 1e-10
 
 
-def random_spin_hamiltonian(rng, m):
-    bonds = [rng.normal(size=m - 1) for _ in range(3)]
-    return spin_hamiltonian(m, x=rng.normal(size=m), zz=bonds[0], xx=bonds[1],
-                            yy=bonds[2])
+def expand(n, plane, g):
+    """The n x n identity with ``g`` on the plane (plane, plane + 1)."""
+    out = np.eye(n, dtype=g.dtype)
+    out[plane:plane + 2, plane:plane + 2] = g
+    return out
 
 
-def random_states(rng, dim, columns):
-    block = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
-    return block / np.linalg.norm(block, axis=0)
+class TestGivensFactors:
+    @staticmethod
+    def rebuild(d, planes, rotations):
+        out = np.diag(d)
+        for plane, g in zip(planes, rotations):
+            out = expand(d.size, plane, g) @ out
+        return out
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+    def test_unitary_is_phases_then_rotations(self, n):
+        rng = np.random.default_rng(100 + n)
+        u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        d, planes, rotations = givens_factors(u)
+        assert planes.size == n * (n - 1) // 2
+        assert rotations.shape == (planes.size, 2, 2)
+        assert np.abs(np.abs(d) - 1.0).max() < 1e-14
+        assert np.abs(np.linalg.det(rotations) - 1.0).max(initial=0.0) < 1e-14
+        assert np.abs(self.rebuild(d, planes, rotations) - u).max() < 1e-13
 
-class TestChebyshevPropagate:
-    @pytest.mark.parametrize("m", range(1, 7))
-    @pytest.mark.parametrize("t", [0.4, -1.7, 6.0])
-    def test_matches_dense_exponential(self, m, t):
-        rng = np.random.default_rng(10 * m)
-        h = random_spin_hamiltonian(rng, m)
-        exact = scipy.linalg.expm(-1j * t * h.toarray())
-        energies = np.linalg.eigvalsh(h.toarray())
-        interval = (energies[0], energies[-1])
-        block = random_states(rng, 1 << m, 6)
-        assert np.abs(chebyshev_propagate(h, t, block, interval) - exact @ block).max() < 1e-12
-        single = chebyshev_propagate(h, t, block[:, 0], interval)
-        assert single.shape == (1 << m,)
-        assert np.abs(single - exact @ block[:, 0]).max() < 1e-12
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_orthogonal_leaves_ones_and_the_determinant(self, n):
+        rng = np.random.default_rng(110 + n)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        d, planes, rotations = givens_factors(q)
+        assert d.dtype == rotations.dtype == float
+        assert np.abs(d[:-1] - 1.0).max(initial=0.0) < 1e-14
+        assert d[-1] == pytest.approx(np.linalg.det(q), abs=1e-14)
+        # each factor is a plane rotation [[c, s], [-s, c]]
+        assert np.array_equal(rotations[:, 0, 0], rotations[:, 1, 1])
+        assert np.array_equal(rotations[:, 0, 1], -rotations[:, 1, 0])
+        assert np.abs(self.rebuild(d, planes, rotations) - q).max() < 1e-13
 
-    def test_zero_time_is_the_identity(self):
-        rng = np.random.default_rng(5)
-        h = random_spin_hamiltonian(rng, 4)
-        block = random_states(rng, 16, 6)
-        energies = np.linalg.eigvalsh(h.toarray())
-        interval = (energies[0], energies[-1])
-        assert np.abs(chebyshev_propagate(h, 0.0, block, interval) - block).max() < 1e-12
-
-    def test_zero_hamiltonian_is_the_identity(self):
-        block = random_states(np.random.default_rng(6), 8, 6)
-        h = scipy.sparse.csr_matrix((8, 8))
-        assert np.abs(chebyshev_propagate(h, 2.5, block, (0.0, 0.0)) - block).max() < 1e-12
+    def test_signed_permutation(self):
+        # exact zeros below the diagonal still get a rotation each
+        q = np.eye(4)[::-1] * np.array([1.0, -1.0, 1.0, -1.0])
+        d, planes, rotations = givens_factors(q)
+        assert planes.size == 6
+        assert np.abs(self.rebuild(d, planes, rotations) - q).max() < 1e-15
 
 
 def rosenbrock(x):
