@@ -45,7 +45,7 @@ def _float_array(name: str, values) -> np.ndarray:
         raise ValueError(f"{name} must be a list of numbers, got {values!r}") from err
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainDocument:
     """A chain artifact: kind, arrays, optional deformation, provenance."""
 

@@ -64,7 +64,7 @@ class CloningStageError(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymmetryProfile:
     """Cloning weights beta_1..beta_N; the sums A and B^2 derive from them."""
 
@@ -104,7 +104,7 @@ class AsymmetryProfile:
         return 2 * self.n_clones - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressedState:
     """Four-sector register state closed under the exchange dynamics.
 
@@ -168,7 +168,7 @@ class CompressedState:
         return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CloneReport:
     """Per-clone average fidelities with their input dependence."""
 

@@ -43,7 +43,7 @@ BRUTE_FORCE_MAX_QUBITS = 12
 SWEEP_BLOCK_BYTES = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsingChain:
     """Transverse-field Ising chain: n fields on X, n-1 couplings on ZZ."""
 
@@ -170,8 +170,9 @@ def _one_particle_maps(c: np.ndarray, t: float) -> np.ndarray:
     odd-odd block V cos(2tS) V^T, the even-odd block U sin(2tS) V^T and
     the odd-even block -V sin(2tS) U^T, so one real n x n SVD per block
     gives the map.  Singular vectors orthonormal to 1e-10 make it
-    orthogonal to the same order; past that, or when a phase 2t sigma
-    overflows, a ``ValueError`` is raised.
+    orthogonal to the same order; past that a ``ValueError`` is raised, and
+    so it is when a phase 2t sigma is so large that its rounding, eps times
+    the phase, exceeds the same 1e-10 (or the phase overflows).
     """
     k, n = c.shape[0], c.shape[1]
     u, sigma, vt = np.linalg.svd(c)
@@ -182,7 +183,7 @@ def _one_particle_maps(c: np.ndarray, t: float) -> np.ndarray:
             f"one-particle map is not orthogonal (singular vector deviation {dev:.3e})")
     with np.errstate(over="ignore"):  # refused just below
         angle = 2.0 * t * sigma
-    if not np.isfinite(angle).all():
+    if not np.finfo(float).eps * np.abs(angle).max() <= 1e-10:
         raise ValueError("one-particle map overflows: chain parameters are too large")
     cos, sin = np.cos(angle)[:, None, :], np.sin(angle)[:, None, :]
     w = np.empty((k, 2 * n, 2 * n))
@@ -267,7 +268,7 @@ def overlap_estimate(c: IsingChain) -> float:
     return float(ghz_overlaps(majorana_blocks(c.fields[None], c.couplings[None]))[0])
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepPoint:
     """Disorder-sweep overlaps at one perturbation strength, with their statistics."""
 

@@ -19,7 +19,7 @@ import numpy as np
 MAX_POWER_VERTICES = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSpec:
     """Simple undirected graph with its 0/1 adjacency matrix."""
 
@@ -62,7 +62,7 @@ def path_graph(n: int) -> GraphSpec:
     return graph_from_edges(n, [(i, i + 1) for i in range(1, n)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RevivalInstance:
     """A verified single-seed synthesis: graph, seed vertex, target, time."""
 

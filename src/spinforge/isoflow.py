@@ -38,7 +38,7 @@ STRUCTURE_GATE = 5e-3
 SEED_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaMatrix:
     """Tridiagonal member of the gamma family, stored by bands.
 

@@ -3,12 +3,14 @@
 Everything here is plain numerics with no quantum semantics: the chain
 type and its eigensolve, eigendecomposition-based matrix exponentials, the
 minimum-norm affine solve of the null-vector flow and the Levenberg-Marquardt
-solver of the root problems.  Every exchange chain the package designs is a
-``Chain``: its couplings, with no on-site field, and spectra are plain
-sorted arrays.  ``propagator`` is the single e^{-iHt} primitive: a
-``Chain`` goes through the chain eigensolver, any other Hermitian matrix
-through a dense eigendecomposition, and ``spectral_propagator`` evolves a
-decomposition a caller already holds.
+solver of the root problems, whose one ``system`` callable factors each
+point once and returns the residuals with a closure for their Jacobian.
+Every exchange chain the package designs is a ``Chain``: its couplings,
+with no on-site field, and spectra are plain sorted arrays.
+``propagator`` is the single e^{-iHt} primitive: a ``Chain`` goes
+through the chain eigensolver, any other Hermitian matrix through a dense
+eigendecomposition, and ``spectral_propagator`` evolves a decomposition a
+caller already holds.
 ``givens_factors`` writes a unitary or real orthogonal matrix as phases
 and adjacent-plane rotations, from which the dense cloning oracle builds
 its nearest-neighbour gate circuits.
@@ -32,7 +34,7 @@ _TINY = np.finfo(float).tiny
 _LM_TOL = 1e-15  # lmder's ftol, xtol and gtol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """XX exchange chain with no on-site field, given by its n - 1 couplings.
 
@@ -176,24 +178,27 @@ class FlowStallError(RuntimeError):
         self.trace = trace
 
 
-def levenberg_marquardt(fun, jac, x0):
-    """Least-squares solution of fun(x) = 0 by MINPACK's ``lmder`` (Moré 1978).
+def levenberg_marquardt(system, x0):
+    """Least-squares zero of ``system``'s residuals by MINPACK's ``lmder`` (Moré 1978).
 
-    ``fun`` returns m >= n residuals and ``jac`` their (m, n) Jacobian.  The
-    rules are lmder's with mode 1 scaling: D holds the running maximum of
-    the Jacobian column norms, the first trust radius is 100 |D x0|, each
-    step takes the Levenberg-Marquardt parameter from Moré's search, and
-    the ratio of actual to predicted reduction updates the radius.  The run
-    stops on lmder's ftol, xtol or gtol tests, each at 1e-15, at machine
-    precision, or after 100 n residual evaluations.  lmder solves each
-    damped system by QR and Givens rotations; here one SVD of J D^-1 per
-    Jacobian serves every damping value, which agrees with it to rounding.
-    Exceptions raised by ``fun`` or ``jac`` propagate.  Returns the last
-    accepted point and its residuals.
+    ``system(x)`` factors the point x once and returns its m >= n residuals
+    with a zero-argument closure over that factorization for their (m, n)
+    Jacobian, both as float arrays.  The closure runs only at accepted
+    points, where lmder evaluates the Jacobian, so a rejected trial forms
+    none.  The rules are lmder's with mode 1 scaling: D holds the running
+    maximum of the Jacobian column norms, the first trust radius is
+    100 |D x0|, each step takes the Levenberg-Marquardt parameter from
+    Moré's search, and the ratio of actual to predicted reduction updates
+    the radius.  The run stops on lmder's ftol, xtol or gtol tests, each at
+    1e-15, at machine precision, or after 100 n residual evaluations.
+    lmder solves each damped system by QR and Givens rotations; here one
+    SVD of J D^-1 per Jacobian serves every damping value, agreeing to rounding.
+    Exceptions raised by ``system`` or its closure propagate.  Returns the
+    last accepted point and its residuals.
     """
     x = np.array(x0, dtype=float)
     n = x.size
-    f = np.asarray(fun(x), dtype=float)
+    f, jac = system(x)
     if f.size < n:
         raise ValueError("need at least as many residuals as unknowns")
     if not np.all(np.isfinite(f)):
@@ -201,7 +206,7 @@ def levenberg_marquardt(fun, jac, x0):
     fnorm, nfev, max_nfev = _norm(f), 1, 100 * n
     par, first = 0.0, True
     while True:
-        jacobian = np.asarray(jac(x), dtype=float)
+        jacobian = jac()
         col_norms = np.sqrt((jacobian ** 2).sum(axis=0))
         if first:
             scale = np.where(col_norms == 0.0, 1.0, col_norms)
@@ -224,7 +229,7 @@ def levenberg_marquardt(fun, jac, x0):
             pnorm = _norm(w)
             if first:
                 delta = min(delta, pnorm)
-            f_trial = np.asarray(fun(trial), dtype=float)
+            f_trial, jac_trial = system(trial)
             nfev += 1
             fnorm1 = _norm(f_trial)
             actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
@@ -243,7 +248,7 @@ def levenberg_marquardt(fun, jac, x0):
                 delta = pnorm / 0.5
                 par *= 0.5
             if ratio >= 1e-4:
-                x, f, fnorm, first = trial, f_trial, fnorm1, False
+                x, f, jac, fnorm, first = trial, f_trial, jac_trial, fnorm1, False
                 xnorm = _norm(scale * x)
             small_reduction = 0.5 * ratio <= 1.0
             if ((abs(actred) <= _LM_TOL and prered <= _LM_TOL and small_reduction)

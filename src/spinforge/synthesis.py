@@ -70,7 +70,7 @@ REFLECTION_TIME = np.pi
 # task containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullVectorTask:
     """A request to steer the chain's zero mode onto ``target_null_vector``.
 
@@ -617,35 +617,35 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
 
 
 def _null_vector_system(spectrum_values, target_null_vector):
-    """Residual of the null-vector root problem and its analytic Jacobian.
+    """The null-vector root problem as a ``levenberg_marquardt`` system.
 
     The residual stacks the block singular values minus the positive half
     of the spectrum and the odd-site zero mode minus the target (even
     sites read zero).  With X = U S V^T, a coupling at block entry (i, j)
     moves singular value k by U[i, k] V[j, k] and the zero mode lam by
-    -X^+[:, i] lam[j], X^+ = V S^-1 U^T taken from the same SVD.
+    -X^+[:, i] lam[j], X^+ = V S^-1 U^T, so one SVD gives both.
     """
     vals = np.asarray(spectrum_values, dtype=float)
     target = np.asarray(target_null_vector, dtype=float)
     positive = np.sort(vals[vals > 1e-12])[::-1]
     rows, cols = _block_index(target.size)
 
-    def residual(j):
-        lam, svs = zero_mode(j, target)
-        return np.concatenate([svs[: positive.size] - positive, lam - target])
-
-    def jacobian(j):
+    def system(j):
         u, svs, vt = np.linalg.svd(_couplings_to_block(j))
-        lam = vt[-1]
-        if float(lam @ target[0::2]) < 0:
-            lam = -lam
-        d_sv = u[rows].T * vt[: svs.size, cols]
-        pinv = (vt[: svs.size].T / svs) @ u.T
-        d_lam = np.zeros((target.size, rows.size))
-        d_lam[0::2] = -pinv[:, rows] * lam[cols]
-        return np.vstack([d_sv[: positive.size], d_lam])
+        lam = vt[-1] if float(vt[-1] @ target[0::2]) >= 0 else -vt[-1]
+        full = np.zeros(target.size)
+        full[0::2] = lam
 
-    return residual, jacobian
+        def jacobian():
+            d_sv = u[rows].T * vt[: svs.size, cols]
+            pinv = (vt[: svs.size].T / svs) @ u.T
+            d_lam = np.zeros((target.size, rows.size))
+            d_lam[0::2] = -pinv[:, rows] * lam[cols]
+            return np.vstack([d_sv[: positive.size], d_lam])
+
+        return np.concatenate([svs[: positive.size] - positive, full - target]), jacobian
+
+    return system
 
 
 def polish_null_vector_root(couplings, spectrum_values, target_null_vector):
@@ -656,10 +656,8 @@ def polish_null_vector_root(couplings, spectrum_values, target_null_vector):
     Levenberg-Marquardt with the analytic Jacobian.  Returns the refined
     couplings, or None when no nearby root exists.
     """
-    couplings = np.asarray(couplings, dtype=float)
-    residual, jacobian = _null_vector_system(spectrum_values,
-                                             target_null_vector)
-    x, fun = levenberg_marquardt(residual, jacobian, couplings)
+    system = _null_vector_system(spectrum_values, target_null_vector)
+    x, fun = levenberg_marquardt(system, couplings)
     if np.abs(fun).max() < 1e-10:
         return x
     return None
@@ -772,19 +770,20 @@ def zero_mode_chain(spectrum, target_null_vector):
         spec, v = eig_sym_tridiag(Chain(j))
         return j, spec[half + 1:], v[:, half + 1:]
 
-    def residual(a):
+    def system(a):
+        j, ev, v = eig(a)
+
+        def jacobian():
+            d = 2.0 * j[:, None] * v[:-1] * v[1:]
+            return ((d[0::2] + d[1::2]) / ev).T
+
         # a trial point whose smallest positive eigenvalue rounds to 0 gets a
         # large finite residual, so LM rejects that step, not the whole start
-        return np.log(np.maximum(eig(a)[1], np.finfo(float).tiny) / positive)
-
-    def jacobian(a):
-        j, ev, v = eig(a)
-        d = 2.0 * j[:, None] * v[:-1] * v[1:]
-        return ((d[0::2] + d[1::2]) / ev).T
+        return np.log(np.maximum(ev, np.finfo(float).tiny) / positive), jacobian
 
     def solve(start):
         try:
-            a, _ = levenberg_marquardt(residual, jacobian, start)
+            a, _ = levenberg_marquardt(system, start)
             j, ev, _ = eig(a)
         except ValueError:
             return None
@@ -824,7 +823,7 @@ def mirror_target_fold(target_state: np.ndarray) -> np.ndarray:
     return np.concatenate([[t[m]], np.sqrt(2.0) * t[m + 1:]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WstateDesign:
     """Chains produced for a uniform odd-site revival task.
 

@@ -23,6 +23,11 @@ import ast
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from spinforge import chainio, cloning, ghz_ising, graphs, isoflow, numerics, synthesis
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinforge"
 
@@ -199,3 +204,36 @@ def test_kept_names_still_exist():
     defined = {f"{path.stem}.{name}" for path, name, _ in _definitions()}
     defined |= {f"{path.stem}.{cls}.{name}" for path, cls, name in _fields(MODULES)}
     assert sorted(set(KEEP) - defined) == []
+
+
+def _array_dataclasses():
+    """One constructor per dataclass that holds an array, each giving equal values."""
+    lam = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
+    return {
+        "numerics.Chain": lambda: numerics.Chain([1.0, 2.0]),
+        "ghz_ising.IsingChain": lambda: ghz_ising.IsingChain(fields=[1.0, 1.0], couplings=[1.0]),
+        "ghz_ising.SweepPoint": lambda: ghz_ising.SweepPoint(1.0, np.ones(3)),
+        "isoflow.GammaMatrix": lambda: isoflow.GammaMatrix([0.0, 0.0], [1.0], [1.0], 0.0),
+        "chainio.ChainDocument": lambda: chainio.ChainDocument("pst", 3, [1.0, 1.0], []),
+        "synthesis.NullVectorTask": lambda: synthesis.NullVectorTask([-1.0, 0.0, 1.0], lam),
+        "synthesis.WstateDesign": lambda: synthesis.WstateDesign(
+            np.ones(2), np.ones(1), 1.0, 1.0),
+        "cloning.AsymmetryProfile": lambda: cloning.symmetric_profile(2),
+        "cloning.CompressedState": lambda: cloning.CompressedState(
+            1.0, 0.0, np.zeros(3), np.zeros(3)),
+        "cloning.CloneReport": lambda: cloning.CloneReport(
+            np.full(2, 0.5), np.full(2, 0.75), 0.0, "compressed", 0.0),
+        "graphs.GraphSpec": lambda: graphs.path_graph(2),
+        "graphs.RevivalInstance": lambda: graphs.RevivalInstance(
+            graphs.path_graph(2), 1, np.array([0.0, 1.0]), 1.0, 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_dataclasses()))
+def test_array_dataclasses_compare_by_identity(name):
+    # a field-tuple __eq__ would ask numpy for the truth value of an array,
+    # and a field-tuple __hash__ cannot hash one
+    make = _array_dataclasses()[name]
+    first, second = make(), make()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2

@@ -2,11 +2,17 @@
 
 ``bench/tracing.py`` wraps the spinforge functions named in ``TRACED`` by
 looking them up with ``getattr``; a rename in the package would break a
-traced benchmark run without failing any other test.
+traced benchmark run without failing any other test.  Nor would a lazy
+import: the tracer patches only the spinforge modules already loaded when
+it installs, so every module it times must load with ``spinforge.cli``.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +32,19 @@ def test_traced_name_resolves(name):
     module_name, func_name = name.split(".")
     module = importlib.import_module(f"spinforge.{module_name}")
     assert callable(getattr(module, func_name, None)), name
+
+
+def test_cli_import_loads_every_traced_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys; import spinforge.cli; "
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('spinforge.'))))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(json.loads(done.stdout))
+    traced = {f"spinforge.{name.split('.')[0]}" for name in _load_tracing().TRACED}
+    assert sorted(traced - loaded) == []
 
 
 def test_traced_sweep_records_its_samples(tmp_path, monkeypatch):

@@ -264,6 +264,23 @@ class TestSimulateGhz:
         assert out.exists()
         assert "mirror" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e12, 1e200])
+    def test_phases_without_digits_are_usage_error(self, tmp_path, capsys, scale):
+        # finite phases past eps * phase = 1e-10 would give an overlap of
+        # rounding noise; the named error is printed and nothing written
+        chain = ising_from_pst(standard_couplings(8))
+        huge = tmp_path / "huge.json"
+        write_document(document_from_ising(
+            type(chain)(fields=chain.fields * scale, couplings=chain.couplings * scale),
+            {"command": "handmade", "seed": None, "tolerances": {}}), huge)
+        out = tmp_path / "report.json"
+        code = run(tmp_path, "simulate", "ghz", "--chain", str(huge), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "spinforge simulate ghz: error: one-particle map overflows: "
+            "chain parameters are too large"]
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(tmp_path, "simulate", "ghz", "--chain", "nope.json") == 1
 
@@ -408,6 +425,18 @@ class TestSimulateSweep:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "spinforge simulate sweep: error: Unable to allocate 74.5 GiB for an array"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("x", ["1e12", "1e308"])
+    def test_phases_without_digits_are_usage_error(self, tmp_path, capsys, x):
+        # the perturbed chains' phases carry no digits; a worker's error
+        # reaches main as the named error, and no CSV is written
+        code = run(tmp_path, "simulate", "sweep", "--n", "5", "--x", x,
+                   "--samples", "3")
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "spinforge simulate sweep: error: one-particle map overflows: "
+            "chain parameters are too large"]
         assert list(tmp_path.iterdir()) == []
 
     def test_memory_error_in_a_worker_is_usage_error(self, tmp_path, capsys,

@@ -383,6 +383,21 @@ class TestOverlapEstimate:
         with pytest.raises(ValueError, match="overflows"):
             overlap_estimate(chain)
 
+    @pytest.mark.parametrize("factor, refused", [(0.5, False), (2.0, True)])
+    def test_phases_without_digits_raise(self, factor, refused):
+        # past eps * 2t sigma = 1e-10 the rounding of a phase outgrows the
+        # map's orthonormality gate, so its cosines and sines are refused
+        chain = ghz_chain(5)
+        block = majorana_blocks(chain.fields[None], chain.couplings[None])[0]
+        sigma = np.linalg.svd(block, compute_uv=False).max()
+        t = factor * 1e-10 / np.finfo(float).eps / (2.0 * sigma)
+        if refused:
+            with pytest.raises(ValueError, match="chain parameters are too large"):
+                one_particle_map(chain, t)
+        else:
+            w = one_particle_map(chain, t)
+            assert np.abs(w.T @ w - np.eye(10)).max() < 1e-10
+
 
 class TestPerturbSweep:
     def test_zero_strength_is_exactly_one(self):

@@ -236,9 +236,13 @@ def rosenbrock_jacobian(x):
     return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
+def rosenbrock_system(x):
+    return rosenbrock(x), lambda: rosenbrock_jacobian(x)
+
+
 class TestLevenbergMarquardt:
     def test_square_root_matches_minpack(self):
-        x, fun = levenberg_marquardt(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0])
+        x, fun = levenberg_marquardt(rosenbrock_system, [-1.2, 1.0])
         ref = least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jacobian,
                             method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15,
                             x_scale="jac", max_nfev=200)
@@ -257,7 +261,7 @@ class TestLevenbergMarquardt:
         def jac(p):
             return np.column_stack([np.exp(-p[1] * t), -p[0] * t * np.exp(-p[1] * t)])
 
-        x, res = levenberg_marquardt(fun, jac, [1.0, 0.5])
+        x, res = levenberg_marquardt(lambda p: (fun(p), lambda: jac(p)), [1.0, 0.5])
         ref = least_squares(fun, [1.0, 0.5], jac=jac, method="lm", ftol=1e-15,
                             xtol=1e-15, gtol=1e-15, x_scale="jac", max_nfev=200)
         assert np.abs(x - ref.x).max() < 1e-12
@@ -273,11 +277,33 @@ class TestLevenbergMarquardt:
             return rosenbrock(x)
 
         with pytest.raises(ValueError, match="left the domain"):
-            levenberg_marquardt(fun, rosenbrock_jacobian, [-1.2, 1.0])
+            levenberg_marquardt(lambda x: (fun(x), lambda: rosenbrock_jacobian(x)),
+                                [-1.2, 1.0])
 
     def test_fewer_residuals_than_unknowns_rejected(self):
         with pytest.raises(ValueError):
-            levenberg_marquardt(lambda x: x[:1], lambda x: np.eye(2)[:1], [1.0, 2.0])
+            levenberg_marquardt(lambda x: (x[:1], lambda: np.eye(2)[:1]), [1.0, 2.0])
+
+    def test_jacobian_is_formed_only_at_accepted_points(self):
+        # lmder evaluates the Jacobian once per accepted point, x0 first;
+        # a rejected trial costs its residuals alone
+        evaluated, formed = [], []
+
+        def system(x):
+            evaluated.append(x.copy())
+
+            def jacobian():
+                formed.append(x.copy())
+                return rosenbrock_jacobian(x)
+
+            return rosenbrock(x), jacobian
+
+        x, fun = levenberg_marquardt(system, [-1.2, 1.0])
+        norms = [np.linalg.norm(rosenbrock(p)) for p in formed]
+        assert np.array_equal(formed[0], [-1.2, 1.0])
+        assert all(b < a for a, b in zip(norms, norms[1:]))
+        assert len(formed) < len(evaluated)
+        assert any(np.array_equal(p, x) for p in evaluated)
 
 
 class TestAntisymExp:

@@ -360,10 +360,11 @@ SURVEY_PROFILES = (
 )
 
 
-def scipy_lm(fun, jac, x0):
+def scipy_lm(system, x0):
     """MINPACK lmder through SciPy, with the tolerances, scaling and budget the numpy port uses."""
-    sol = least_squares(fun, x0, jac=jac, method="lm", ftol=1e-15, xtol=1e-15,
-                        gtol=1e-15, x_scale="jac", max_nfev=100 * np.size(x0))
+    sol = least_squares(lambda x: system(x)[0], x0, jac=lambda x: system(x)[1](),
+                        method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                        x_scale="jac", max_nfev=100 * np.size(x0))
     return sol.x, sol.fun
 
 
@@ -395,6 +396,68 @@ class TestLevenbergMarquardtRoots:
         monkeypatch.setattr(synthesis, "levenberg_marquardt", recorded)
         assert zero_mode_chain(_candidate_spectra(m)[0], target) is None
         assert ends and min(ends) > 1e-10
+
+
+class TestEachPointFactoredOnce:
+    """Each point Levenberg-Marquardt evaluates is factored once.
+
+    The solver's first argument is wrapped to count evaluations, so at a
+    split residual/Jacobian convention the separate Jacobian's
+    factorizations show up as a surplus.
+    """
+
+    @staticmethod
+    def count_evaluations(monkeypatch, evaluations, returns):
+        original = synthesis.levenberg_marquardt
+
+        def counted(system, *rest):
+            def evaluate(*args):
+                evaluations.append(1)
+                return system(*args)
+
+            result = original(evaluate, *rest)
+            returns.append(1)
+            return result
+
+        monkeypatch.setattr(synthesis, "levenberg_marquardt", counted)
+
+    def test_spread_chain_solves_each_point_once(self, monkeypatch):
+        # one eigensolve per evaluation, plus the gate's on each start
+        # that returns; every ladder of the profile is tried
+        m, target = spread_target([3, 1, 2, 1, 1, 2])
+        evaluations, returns, solves = [], [], []
+        original = synthesis.eig_sym_tridiag
+        monkeypatch.setattr(synthesis, "eig_sym_tridiag",
+                            lambda chain: solves.append(1) or original(chain))
+        self.count_evaluations(monkeypatch, evaluations, returns)
+        for spectrum in _candidate_spectra(m):
+            zero_mode_chain(spectrum, target)
+        assert len(returns) >= 3
+        assert len(solves) == len(evaluations) + len(returns)
+
+    def test_w21_polish_takes_one_block_svd_per_point(self, monkeypatch):
+        calls = []
+        with monkeypatch.context() as patch:
+            original = synthesis.polish_null_vector_root
+            patch.setattr(synthesis, "polish_null_vector_root",
+                          lambda *args: calls.append(args) or original(*args))
+            wstate_chain(21)
+        assert calls
+        couplings, vals, target = calls[0]
+        block = synthesis._couplings_to_block(np.asarray(couplings, dtype=float)).shape
+        evaluations, returns, svds = [], [], []
+        svd = np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            if np.shape(a) == block:
+                svds.append(1)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        self.count_evaluations(monkeypatch, evaluations, returns)
+        synthesis.polish_null_vector_root(couplings, vals, target)
+        assert len(returns) == 1 and len(evaluations) > 1
+        assert len(svds) == len(evaluations)
 
 
 class TestIsospectralStep:
@@ -651,11 +714,11 @@ class TestPolishJacobian:
         target[0::2] += rng.normal(scale=0.05, size=(n + 1) // 2)
         target /= np.linalg.norm(target)
         vals = 1.01 * np.concatenate([-svs, [0.0], svs])
-        residual, jacobian = _null_vector_system(vals, target)
+        system = _null_vector_system(vals, target)
         h = 1e-6
-        numeric = np.column_stack([(residual(j + h * e) - residual(j - h * e))
+        numeric = np.column_stack([(system(j + h * e)[0] - system(j - h * e)[0])
                                    / (2.0 * h) for e in np.eye(n - 1)])
-        analytic = jacobian(j)
+        analytic = system(j)[1]()
         assert analytic.shape == numeric.shape
         assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(analytic).max()
 
