@@ -58,27 +58,35 @@ class Chain:
         return self.couplings.size + 1
 
 
+def block_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in its block X of an n-site chain's n - 1 couplings, in order.
+
+    The zero diagonal couples even sites (1-based) only to odd ones, so H is
+    X, n // 2 even rows by (n + 1) // 2 odd columns, and its transpose.
+    """
+    k = np.arange(n - 1)
+    return k // 2, (k + 1) // 2
+
+
 def eig_sym_tridiag(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a chain's single-excitation Hamiltonian.
 
     Returns the ascending eigenvalues and an orthonormal eigenvector matrix V
-    with H = V diag(w) V^T.  The zero diagonal couples even sites only to
-    odd ones, so with the even-by-odd lower bidiagonal block B = U S V^T the
-    eigenvalues are +-sigma with vectors (u, +-v) / sqrt(2), and for odd n a
-    zero mode (u_last, 0) on the even (0-based) sites (Golub & Kahan 1965).
-    One real SVD of B holds even the widest clone ladders to rounding, where
-    a tridiagonal eigensolver lost up to 1e-7 relative.  The vectors are
-    orthonormal inside degenerate clusters too.
+    with H = V diag(w) V^T.  With the lower bidiagonal block B = X^T = U S V^T
+    of :func:`block_index` the eigenvalues are +-sigma with vectors
+    (u, +-v) / sqrt(2), and for odd n the zero mode V[:, n // 2] = (u_last, 0)
+    on the odd (1-based) sites (Golub & Kahan 1965).  One real SVD of B
+    holds even the widest clone ladders to rounding, where a tridiagonal
+    eigensolver lost up to 1e-7 relative.  The vectors are orthonormal
+    inside degenerate clusters too.
     """
     n, couplings = chain.n, chain.couplings
     if n == 1:
         return np.zeros(1), np.ones((1, 1))
     half = n // 2
-    block = np.zeros(((n + 1) // 2, half))
-    i = np.arange(half)
-    block[i, i] = couplings[0::2]
-    block[i[: (n - 1) // 2] + 1, i[: (n - 1) // 2]] = couplings[1::2]
-    u, sigma, vt = np.linalg.svd(block)
+    block = np.zeros((half, n - half))
+    block[block_index(n)] = couplings
+    u, sigma, vt = np.linalg.svd(block.T)
     pair_u, pair_v = u[:, :half] * np.sqrt(0.5), vt.T * np.sqrt(0.5)
     # columns: -sigma descending in magnitude, the zero mode, +sigma ascending
     v = np.zeros((n, n))

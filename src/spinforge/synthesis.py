@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (Chain, FlowStallError, FlowTrace, antisym_exp,
-                       eig_sym_tridiag, levenberg_marquardt, propagator,
-                       solve_affine, spectral_propagator)
+                       block_index, eig_sym_tridiag, levenberg_marquardt,
+                       propagator, solve_affine, spectral_propagator)
 
 __all__ = [
     "NullVectorTask",
@@ -149,33 +149,16 @@ def _saturating_box(step: float, chi: float) -> float:
 # block-structure plumbing
 
 
-def _split_dims(n):
-    return (n + 1) // 2, n // 2
-
-
-def _block_index(n: int):
-    """Block positions (even row, odd column) of the couplings j_1..j_{n-1}."""
-    k = np.arange(n - 1)
-    return k // 2, (k + 1) // 2
-
-
 def _couplings_to_block(couplings: np.ndarray) -> np.ndarray:
     """Even-by-odd block of the zero-diagonal chain Hamiltonian."""
     n = couplings.size + 1
-    no, ne = _split_dims(n)
-    x = np.zeros((ne, no))
-    x[_block_index(n)] = couplings
+    x = np.zeros((n // 2, (n + 1) // 2))
+    x[block_index(n)] = couplings
     return x
 
 
 def _block_to_couplings(x: np.ndarray, n: int) -> np.ndarray:
-    return x[_block_index(n)]
-
-
-def _pattern_mask(ne: int, no: int) -> np.ndarray:
-    mask = np.ones((ne, no), dtype=bool)
-    mask[_block_index(ne + no)] = False
-    return mask
+    return x[block_index(n)]
 
 
 def isospectral_step(x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -217,7 +200,8 @@ def _off_pattern_rows(x: np.ndarray):
     k = io.size + np.arange(ie.size)
     deriv[ie, :, k] -= x[je, :]
     deriv[je, :, k] += x[ie, :]
-    mask = _pattern_mask(ne, no)
+    mask = np.ones((ne, no), dtype=bool)
+    mask[block_index(ne + no)] = False
     return deriv[mask], mask
 
 
@@ -402,25 +386,25 @@ def chain_from_spectrum(spectrum) -> np.ndarray:
 
 
 def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None):
-    """Odd-site zero mode of the chain and the block singular values.
+    """Odd-site zero mode of an odd chain and its positive eigenvalues.
 
-    The sign of the returned vector is fixed so its overlap with
-    ``sign_ref`` is non-negative when a reference is supplied.
+    Both come from one :func:`numerics.eig_sym_tridiag`; the eigenvalues,
+    the block's singular values, are in descending order.  The sign of the
+    returned vector is fixed so its overlap with ``sign_ref`` (a full-length
+    vector or its odd-site part) is non-negative when a reference is
+    supplied.  An even chain raises ``ValueError``.
     """
-    couplings = np.asarray(couplings, dtype=float)
-    n = couplings.size + 1
-    x = _couplings_to_block(couplings)
-    _, svs, vt = np.linalg.svd(x)
-    lam = vt[-1]
+    chain = Chain(couplings)
+    if chain.n % 2 == 0:
+        raise ValueError(f"a zero mode needs an odd number of sites, got {chain.n}")
+    half = chain.n // 2
+    spectrum, v = eig_sym_tridiag(chain)
+    lam = v[:, half]
     if sign_ref is not None:
         ref = np.asarray(sign_ref, dtype=float)
-        if ref.size == n:
-            ref = ref[0::2]
-        if float(lam @ ref) < 0:
+        if float(lam[0::2] @ (ref[0::2] if ref.size == chain.n else ref)) < 0:
             lam = -lam
-    full = np.zeros(n)
-    full[0::2] = lam
-    return full, svs
+    return lam, spectrum[:half:-1]
 
 
 def produced_state(couplings: np.ndarray, source: int) -> np.ndarray:
@@ -538,7 +522,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     if reflection_check(Chain(seed), REFLECTION_TIME) > 1e-8:
         raise ValueError("spectrum does not produce a reflection at time pi")
 
-    no, ne = _split_dims(n)
+    no, ne = (n + 1) // 2, n // 2
     # odd-generator pairs (i, j), i < j, as full-chain sites 2i and 2j; the
     # even generator does not move the zero mode
     io, jo = 2 * np.array(np.triu_indices(no, 1))
@@ -619,31 +603,34 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
 def _null_vector_system(spectrum_values, target_null_vector):
     """The null-vector root problem as a ``levenberg_marquardt`` system.
 
-    The residual stacks the block singular values minus the positive half
-    of the spectrum and the odd-site zero mode minus the target (even
-    sites read zero).  With X = U S V^T, a coupling at block entry (i, j)
-    moves singular value k by U[i, k] V[j, k] and the zero mode lam by
-    -X^+[:, i] lam[j], X^+ = V S^-1 U^T, so one SVD gives both.
+    The residual stacks the largest eigenvalues minus the positive half of
+    the spectrum, in descending order, and the zero mode minus the target;
+    both come from one :func:`numerics.eig_sym_tridiag` of the point.  By
+    Hellmann-Feynman J_i moves eigenvalue k by 2 v_k[i] v_k[i+1], and it
+    moves the zero mode lam by -H^+ (dH/dJ_i) lam, with the pseudo-inverse
+    H^+ built from the same eigenpairs.  An even target raises
+    ``ValueError``.
     """
     vals = np.asarray(spectrum_values, dtype=float)
     target = np.asarray(target_null_vector, dtype=float)
     positive = np.sort(vals[vals > 1e-12])[::-1]
-    rows, cols = _block_index(target.size)
+    if target.size % 2 == 0:
+        raise ValueError(f"a zero mode needs an odd number of sites, got {target.size}")
+    half = target.size // 2
 
     def system(j):
-        u, svs, vt = np.linalg.svd(_couplings_to_block(j))
-        lam = vt[-1] if float(vt[-1] @ target[0::2]) >= 0 else -vt[-1]
-        full = np.zeros(target.size)
-        full[0::2] = lam
+        spectrum, v = eig_sym_tridiag(Chain(j))
+        lam = v[:, half] if float(v[:, half] @ target) >= 0 else -v[:, half]
 
         def jacobian():
-            d_sv = u[rows].T * vt[: svs.size, cols]
-            pinv = (vt[: svs.size].T / svs) @ u.T
-            d_lam = np.zeros((target.size, rows.size))
-            d_lam[0::2] = -pinv[:, rows] * lam[cols]
-            return np.vstack([d_sv[: positive.size], d_lam])
+            top = v[:, ::-1][:, : positive.size]
+            pairs = np.delete(v, half, axis=1)
+            pinv = (pairs / np.delete(spectrum, half)) @ pairs.T
+            d_lam = -(pinv[:, :-1] * lam[1:] + pinv[:, 1:] * lam[:-1])
+            return np.vstack([(2.0 * top[:-1] * top[1:]).T, d_lam])
 
-        return np.concatenate([svs[: positive.size] - positive, full - target]), jacobian
+        return np.concatenate([spectrum[::-1][: positive.size] - positive,
+                               lam - target]), jacobian
 
     return system
 
@@ -764,14 +751,14 @@ def zero_mode_chain(spectrum, target_null_vector):
     gains = np.column_stack([np.ones(half), ratios]).ravel()
     positive = vals[half + 1:]
 
-    def eig(a):
+    def couplings(a):
         with np.errstate(over="ignore"):
-            j = np.repeat(np.exp(a), 2) * gains
-        spec, v = eig_sym_tridiag(Chain(j))
-        return j, spec[half + 1:], v[:, half + 1:]
+            return np.repeat(np.exp(a), 2) * gains
 
     def system(a):
-        j, ev, v = eig(a)
+        j = couplings(a)
+        spec, v = eig_sym_tridiag(Chain(j))
+        ev, v = spec[half + 1:], v[:, half + 1:]
 
         def jacobian():
             d = 2.0 * j[:, None] * v[:-1] * v[1:]
@@ -783,11 +770,11 @@ def zero_mode_chain(spectrum, target_null_vector):
 
     def solve(start):
         try:
-            a, _ = levenberg_marquardt(system, start)
-            j, ev, _ = eig(a)
+            a, f = levenberg_marquardt(system, start)
         except ValueError:
             return None
-        return j if np.abs(ev / positive - 1.0).max() < 1e-10 else None
+        # f is log(eigenvalues / spectrum) at a
+        return couplings(a) if np.abs(np.expm1(f)).max() < 1e-10 else None
 
     # equal couplings carry the spectrum's trace: sum J^2 = sum positive^2
     seed = np.log(chain_from_spectrum(vals))

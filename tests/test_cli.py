@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinforge import THREAD_VARIABLES, cli, ghz_ising
+from spinforge import THREAD_VARIABLES, cli, ghz_ising, synthesis
 from spinforge.chainio import (document_from_gamma, document_from_ising,
                                document_from_pst, make_provenance, read_document,
                                write_document)
@@ -725,6 +725,21 @@ class TestImportFloor:
                     continue
                 found += [f"{path.name}:{node.lineno} {name}" for name in names
                           if name.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_synthesis_factors_chains_only_through_eig_sym_tridiag(self):
+        # a static check: every chain spectrum synthesis reads comes from
+        # numerics.eig_sym_tridiag; only the LP's null-space basis, which
+        # factors constraint rows, takes an SVD of its own
+        path = Path(synthesis.__file__)
+        tree = ast.parse(path.read_text(), str(path))
+        tree.body = [node for node in tree.body
+                     if getattr(node, "name", None) != "_null_basis"]
+        found = [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).startswith(
+                     ("np.linalg.svd", "np.linalg.eig",
+                      "numpy.linalg.svd", "numpy.linalg.eig"))]
         assert found == []
 
     def test_wstate_design_still_runs(self, tmp_path):

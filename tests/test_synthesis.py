@@ -180,6 +180,14 @@ class TestChainConstruction:
         assert np.abs(h @ lam).max() < 1e-12
         assert np.sort(svs) == pytest.approx([3.0, 5.0], abs=1e-9)
 
+    def test_even_chain_is_refused(self):
+        # an even chain's block is square and, with nonzero couplings, invertible
+        with pytest.raises(ValueError, match="odd number of sites"):
+            zero_mode(np.ones(3))
+        with pytest.raises(ValueError, match="odd number of sites"):
+            synthesis.polish_null_vector_root(np.ones(3), [-2.0, -1.0, 1.0, 2.0],
+                                              [1.0, 0.0, 0.0, 0.0])
+
     def test_positive_chain_mode_alternates(self):
         rng = np.random.default_rng(11)
         positive = np.sort(rng.uniform(0.5, 9.0, size=5))
@@ -422,8 +430,8 @@ class TestEachPointFactoredOnce:
         monkeypatch.setattr(synthesis, "levenberg_marquardt", counted)
 
     def test_spread_chain_solves_each_point_once(self, monkeypatch):
-        # one eigensolve per evaluation, plus the gate's on each start
-        # that returns; every ladder of the profile is tried
+        # one eigensolve per evaluation: each start's gate reads the
+        # residuals the solver returns; every ladder of the profile is tried
         m, target = spread_target([3, 1, 2, 1, 1, 2])
         evaluations, returns, solves = [], [], []
         original = synthesis.eig_sym_tridiag
@@ -433,9 +441,10 @@ class TestEachPointFactoredOnce:
         for spectrum in _candidate_spectra(m):
             zero_mode_chain(spectrum, target)
         assert len(returns) >= 3
-        assert len(solves) == len(evaluations) + len(returns)
+        assert len(solves) == len(evaluations)
 
-    def test_w21_polish_takes_one_block_svd_per_point(self, monkeypatch):
+    def test_w21_polish_takes_one_eigensolve_per_point(self, monkeypatch):
+        # the chain eigensolve is the only SVD of the block, either way round
         calls = []
         with monkeypatch.context() as patch:
             original = synthesis.polish_null_vector_root
@@ -445,19 +454,22 @@ class TestEachPointFactoredOnce:
         assert calls
         couplings, vals, target = calls[0]
         block = synthesis._couplings_to_block(np.asarray(couplings, dtype=float)).shape
-        evaluations, returns, svds = [], [], []
+        evaluations, returns, svds, solves = [], [], [], []
         svd = np.linalg.svd
 
         def counted_svd(a, *args, **kwargs):
-            if np.shape(a) == block:
+            if np.shape(a) in (block, block[::-1]):
                 svds.append(1)
             return svd(a, *args, **kwargs)
 
+        original = synthesis.eig_sym_tridiag
+        monkeypatch.setattr(synthesis, "eig_sym_tridiag",
+                            lambda chain: solves.append(1) or original(chain))
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         self.count_evaluations(monkeypatch, evaluations, returns)
         synthesis.polish_null_vector_root(couplings, vals, target)
         assert len(returns) == 1 and len(evaluations) > 1
-        assert len(svds) == len(evaluations)
+        assert len(solves) == len(svds) == len(evaluations)
 
 
 class TestIsospectralStep:
