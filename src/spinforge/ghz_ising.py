@@ -7,9 +7,11 @@ B1, J1, B2, ..., Bn on its superdiagonal. With couplings inherited
 from a mirror-transfer chain of length 2n, evolving the all-zeros state for
 a quarter period produces the n-qubit GHZ state. This module builds those
 chains, verifies the synthesis both by brute force and at the quadratic
-level, and computes the GHZ overlap exactly from one Gaussian-trace
-determinant, for Ising chains and for the YY-coupled chains of ``isoflow``
-alike, fast enough for large disorder sweeps. The brute-force check is
+level, and computes the GHZ overlap exactly from one (n+1)-square complex
+determinant, the Bogoliubov matrix between two complete Majorana pairings
+(Onishi & Yoshida 1966; Bravyi 2005), for Ising chains and for the
+YY-coupled chains of ``isoflow`` alike, fast enough for large disorder
+sweeps. The brute-force check is
 dense ``eigh`` of the Pauli-string matrix from ``dense_spin_hamiltonian``,
 the package's one spin-Hamiltonian builder; the dense cloning oracle
 evolves the same chains as gate circuits built from ``one_particle_map``.
@@ -32,15 +34,18 @@ from .pst import standard_couplings
 
 GHZ_TIME = np.pi / 4
 BRUTE_FORCE_MAX_QUBITS = 12
-# Byte budget of one stacked 2n x 2n map array in the disorder sweep: 9 samples
-# a block at n = 21 (a 127 KB map stack), one sample from n = 46 up. The
-# sweep's worker threads allocate from their own malloc arenas, which trim and
-# re-fault every block's stacks once these pass glibc's 128 KiB mmap threshold.
-# `simulate sweep --n 21 --x 0:10:1 --samples 1000`, fresh processes on 2
-# cores, medians of 10 (wall, CPU, minor faults, peak RSS): this budget 0.50 s,
-# 0.87 s, 5.9k, 39.8 MB; 1 << 18 0.53 s, 0.92 s, 92.9k, 40.5 MB; 1 << 16
-# 0.58 s, 1.00 s, 5.9k, 39.7 MB.
-SWEEP_BLOCK_BYTES = 1 << 17
+# Byte budget of one sample block in the disorder sweep, counted over its
+# largest stacks: the (n+1)-square complex determinant matrices and the three
+# n x n map blocks they are read from, 16(n+1)^2 + 24n^2 bytes a sample (14
+# samples at n = 21, 7 at n = 30, one from n = 57 up). One sample more and a
+# worker frees more than glibc's 128 KiB trim threshold at the top of its
+# malloc arena, which is then trimmed and re-faulted every block (~55k more
+# minor faults a sweep). `perturb_sweep(21, range(11), 1000, 1)` on 2 cores,
+# one BLAS thread, medians of 10 fresh processes (wall, CPU): 14 samples
+# 0.310 s, 0.600 s; 16 samples 0.344 s, 0.656 s; 7 samples, the budget split
+# across the two workers, 0.337 s, 0.651 s. So each worker takes the whole
+# budget for its own block.
+SWEEP_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,22 +166,24 @@ def majorana_blocks(fields, zz, yy=None) -> np.ndarray:
     return c
 
 
-def _one_particle_maps(c: np.ndarray, t: float) -> np.ndarray:
-    """Maps exp(2ts) for a stack of blocks ``c`` of shape (k, n, n), as (k, 2n, 2n).
+def _map_blocks(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks of exp(2ts) for a stack of blocks ``c`` (k, n, n): even-even, odd-odd, even-odd.
 
     s couples even modes only to odd ones: its even-odd block is C (see
     :func:`majorana_blocks`) and its odd-even block -C^T.  With
     C = U S V^T the even-even block of exp(2ts) is U cos(2tS) U^T, the
-    odd-odd block V cos(2tS) V^T, the even-odd block U sin(2tS) V^T and
-    the odd-even block -V sin(2tS) U^T, so one real n x n SVD per block
-    gives the map.  Singular vectors orthonormal to 1e-10 make it
-    orthogonal to the same order; past that a ``ValueError`` is raised, and
-    so it is when a phase 2t sigma is so large that its rounding, eps times
-    the phase, exceeds the same 1e-10 (or the phase overflows).
+    odd-odd block V cos(2tS) V^T and the even-odd block U sin(2tS) V^T;
+    the odd-even block is minus the transpose of the last.  The factors
+    come from one real n x n SVD of C^T per block, which is upper
+    bidiagonal for Ising chains.  Singular vectors orthonormal to 1e-10
+    make the map orthogonal to the same order; past that a ``ValueError``
+    is raised, and so it is when a phase 2t sigma is so large that its
+    rounding, eps times the phase, exceeds the same 1e-10 (or the phase
+    overflows).
     """
-    k, n = c.shape[0], c.shape[1]
-    u, sigma, vt = np.linalg.svd(c)
-    ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
+    n = c.shape[1]
+    v, sigma, ut = np.linalg.svd(c.transpose(0, 2, 1))
+    u, vt = ut.transpose(0, 2, 1), v.transpose(0, 2, 1)
     dev = max(np.abs(ut @ u - np.eye(n)).max(), np.abs(vt @ v - np.eye(n)).max())
     if dev > 1e-10:
         raise ValueError(
@@ -186,17 +193,16 @@ def _one_particle_maps(c: np.ndarray, t: float) -> np.ndarray:
     if not np.finfo(float).eps * np.abs(angle).max() <= 1e-10:
         raise ValueError("one-particle map overflows: chain parameters are too large")
     cos, sin = np.cos(angle)[:, None, :], np.sin(angle)[:, None, :]
-    w = np.empty((k, 2 * n, 2 * n))
-    w[:, 0::2, 0::2] = (u * cos) @ ut
-    w[:, 1::2, 1::2] = (v * cos) @ vt
-    w[:, 0::2, 1::2] = (u * sin) @ vt
-    w[:, 1::2, 0::2] = -((v * sin) @ ut)
-    return w
+    return (u * cos) @ ut, (v * cos) @ vt, (u * sin) @ vt
 
 
 def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
     """Real orthogonal map exp(2ts) transporting Majorana operators over Hamiltonian time t."""
-    return _one_particle_maps(majorana_blocks(c.fields[None], c.couplings[None]), t)[0]
+    ee, oo, eo = (b[0] for b in _map_blocks(
+        majorana_blocks(c.fields[None], c.couplings[None]), t))
+    w = np.empty((2 * c.n, 2 * c.n))
+    w[0::2, 0::2], w[1::2, 1::2], w[0::2, 1::2], w[1::2, 0::2] = ee, oo, eo, -eo.T
+    return w
 
 
 def mirror_deviation(c: IsingChain) -> float:
@@ -225,36 +231,41 @@ def overlap_exact(c: IsingChain) -> float:
 def ghz_overlaps(c: np.ndarray) -> np.ndarray:
     """Exact overlaps |<GHZ| e^{-iH GHZ_TIME} |0...0>| for a stack of blocks C (k, n, n).
 
-    By the Gaussian-trace identity (Bravyi 2005; Fagotti & Calabrese 2010)
-    with one ancilla Majorana mode eta = 2n, overlap^4 = 2^-2n
-    |det(W~ - G_A W~ G_B)|, where W~ = W + 1 is the map padded with eta.
-    A pair (a, b) with sign s sets G[a, b] = -G[b, a] = s.  G_B, the
-    all-zeros side, pairs (2m-1, 2m) for m = 1..n-1 with sign +1 and
-    (0, eta) with sign -1; G_A, the GHZ side, pairs the same modes and
-    (2n-1, eta), all with sign +1.  The matrix is formed by index moves and
-    its determinant taken in log space, so chains of any length give a
-    finite overlap.  Overlaps are clamped to at most 1 and snapped to 1
+    The GHZ target becomes a Gaussian state once one ancilla Majorana mode
+    eta = 2n is added, and a second one, eta' = 2n + 1, completes both
+    pairings.  A pair (a, b) with sign s sets G[a, b] = -G[b, a] = s.  G_A,
+    the GHZ side, pairs (2m-1, 2m) for m = 1..n-1, (2n-1, eta) and
+    (0, eta'); G_B, the all-zeros side, pairs the same (2m-1, 2m),
+    (2n-1, eta') and (eta, 0); every sign is +1, eta' on both sides (with
+    opposite signs there the identity fails).  With W^ = W + 1 + 1 the
+    map padded on both ancillas, overlap^4 = 2^-2(n+1)
+    |det(G_A + W^ G_B W^T)| (Bravyi 2005), and by the overlap formula of
+    Onishi & Yoshida (1966) overlap = |det alpha|^1/2, where the
+    (n+1)-square complex Bogoliubov matrix between the two pairings has
+    2 alpha_jk = W^_pp' + W^_qq' + i (W^_pq' - W^_qp') for the j-th pair
+    (p, q) of G_A and the k-th pair (p', q') of G_B, in the order listed.
+    So alpha is read from slices of the three blocks of :func:`_map_blocks`,
+    and its determinant is taken in log space, so chains of any length give
+    a finite overlap.  Overlaps are clamped to at most 1 and snapped to 1
     within 1e-12, so chains with perfect mirror transfer report 1.0.
     """
-    n = c.shape[1]
-    w = _one_particle_maps(c, GHZ_TIME)
-    eta = 2 * n
-    m = np.zeros((c.shape[0], eta + 1, eta + 1))
-    m[:, :eta, :eta] = w
-    m[:, eta, eta] = 1.0
-    # G_A moves rows 2m -> 2m-1 and -(2m-1) -> 2m for m = 1..n; G_B moves
-    # columns -2m -> 2m-1 and 2m-1 -> 2m for m < n, -0 -> eta and eta -> 0
-    lo, hi = slice(1, eta - 2, 2), slice(2, eta - 1, 2)
-    odd, even = slice(1, eta, 2), slice(2, eta + 1, 2)
-    m[:, lo, lo] += w[:, hi, hi]
-    m[:, lo, hi] -= w[:, hi, lo]
-    m[:, even, lo] -= w[:, odd, hi]
-    m[:, even, hi] += w[:, odd, lo]
-    m[:, lo, eta] += w[:, hi, 0]
-    m[:, even, eta] -= w[:, odd, 0]
-    m[:, eta - 1, 0] -= 1.0
-    _, logdet = np.linalg.slogdet(m)
-    overlap = np.minimum(np.exp(0.25 * logdet - 0.5 * n * np.log(2.0)), 1.0)
+    k, n = c.shape[0], c.shape[1]
+    ee, oo, eo = _map_blocks(c, GHZ_TIME)
+    a = np.zeros((k, n + 1, n + 1), dtype=complex)
+    re, im = a.real, a.imag
+    re[:, :n, :n] = oo
+    re[:, :n - 1, :n - 1] += ee[:, 1:, 1:]
+    re[:, :n - 1, n] = ee[:, 1:, 0]
+    re[:, n, :n] = eo[:, 0]
+    re[:, n, n - 1] += 1.0
+    im[:, :n, :n - 1] = -eo[:, 1:].transpose(0, 2, 1)
+    im[:, :n - 1, :n] -= eo[:, 1:]
+    im[:, :n, n] = -eo[:, 0]
+    im[:, n - 1, n] -= 1.0
+    im[:, n, :n - 1] = ee[:, 0, 1:]
+    im[:, n, n] = ee[:, 0, 0]
+    _, logdet = np.linalg.slogdet(a)
+    overlap = np.minimum(np.exp(0.5 * logdet - 0.5 * (n + 1) * np.log(2.0)), 1.0)
     overlap[1.0 - overlap < 1e-12] = 1.0
     return overlap
 
@@ -301,14 +312,15 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
 
     Samples are drawn in consecutive blocks, once for all strengths, and each
     nonzero x evaluates a block with one stack of n x n SVDs and
-    (2n+1)-square determinants; one overlap fills the x = 0 row. The blocks
+    (n+1)-square complex determinants; one overlap fills the x = 0 row. The blocks
     run on a pool of worker threads, one per usable core up to the block
     count, and each writes only its own columns, so the result does not
     depend on the worker count. The pool is shut down before the call
     returns; the error of the first failing block, in block order, is
     raised unchanged, and blocks not yet started are cancelled. A block's
-    2n x 2n map stack stays near SWEEP_BLOCK_BYTES; the strengths x samples
-    table of overlaps grows with both counts.
+    determinant matrices and map blocks stay near SWEEP_BLOCK_BYTES, one
+    block per worker; the strengths x samples table of overlaps grows with
+    both counts.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -317,7 +329,7 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
     if samples < 1:
         raise ValueError("need at least one sample")
     band = ising_from_pst(standard_couplings(2 * n)).band()
-    block = max(1, SWEEP_BLOCK_BYTES // (8 * (2 * n) ** 2))
+    block = max(1, SWEEP_BLOCK_BYTES // (16 * (n + 1) ** 2 + 24 * n ** 2))
     xs = [float(x) for x in x_percents]
     try:
         values = np.empty((len(xs), samples))

@@ -22,7 +22,7 @@ null-vector flow of ``synthesis`` still integrates.  Progress goes to a
 A member is also the one-particle content of a spin chain with X fields
 (the diagonal), ZZ couplings (the upper band) and YY couplings (the lower
 band); :func:`zy_ghz_overlap` gives that chain's exact GHZ overlap from
-``ghz_ising``'s Gaussian-trace determinant, at any size.  Only numpy is
+``ghz_ising``'s (n+1)-square complex determinant, at any size.  Only numpy is
 used.
 """
 

@@ -10,7 +10,8 @@ with no on-site field, and spectra are plain sorted arrays.
 ``propagator`` is the single e^{-iHt} primitive: a ``Chain`` goes
 through the chain eigensolver, any other Hermitian matrix through a dense
 eigendecomposition, and ``spectral_propagator`` evolves a decomposition a
-caller already holds.
+caller already holds.  Both gate the eigenvectors with ``check_orthonormal``,
+as does a graph walk that evolves one column of e^{-iAt} alone.
 ``givens_factors`` writes a unitary or real orthogonal matrix as phases
 and adjacent-plane rotations, from which the dense cloning oracle builds
 its nearest-neighbour gate circuits.
@@ -116,13 +117,21 @@ def propagator(h: Chain | np.ndarray, t: float) -> np.ndarray:
 def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """e^{-iHt} for H = V diag(w) V^H, from an eigendecomposition in hand.
 
-    Orthonormal eigenvectors to 1e-10 make the result unitary to the same
-    order; past that a ``ValueError`` is raised.
+    The eigenvectors pass :func:`check_orthonormal` first.
     """
-    dev = np.abs(v.conj().T @ v - np.eye(w.size)).max()
+    check_orthonormal(v)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def check_orthonormal(v: np.ndarray) -> None:
+    """Refuse eigenvectors whose columns are not orthonormal to 1e-10.
+
+    Eigenvectors that pass make an evolution e^{-iHt} built from them
+    unitary to the same order; past that a ``ValueError`` is raised.
+    """
+    dev = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
     if dev > 1e-10:
         raise ValueError(f"propagator is not unitary (eigenvector deviation {dev:.3e})")
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def givens_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -280,10 +280,10 @@ class TestBasisMap:
             assert np.abs(evolved - dressed).max() < 1e-8
 
 
-def pairing(n, extra):
-    """(2n+1)-square antisymmetric matrix pairing modes 2m-1, 2m for
+def pairing(n, extra, ancillas=1):
+    """(2n + ancillas)-square antisymmetric matrix pairing modes 2m-1, 2m for
     m = 1..n-1 with sign +1, plus the pairs in ``extra`` as (a, b, sign)."""
-    g = np.zeros((2 * n + 1, 2 * n + 1))
+    g = np.zeros((2 * n + ancillas, 2 * n + ancillas))
     for a, b, sign in [(2 * m - 1, 2 * m, 1.0) for m in range(1, n)] + extra:
         g[a, b], g[b, a] = sign, -sign
     return g
@@ -299,6 +299,16 @@ def gaussian_trace_overlap(w):
     g_b = pairing(n, [(0, 2 * n, -1.0)])
     det = np.linalg.det(padded - g_a @ padded @ g_b)
     return abs(det) ** 0.25 / 2.0 ** (n / 2)
+
+
+def block_map(c, t):
+    """exp(2ts) for the Majorana matrix s with even-odd block ``c``, from
+    dense ``eigh`` of the Hermitian i s."""
+    n = c.shape[0]
+    s = np.zeros((2 * n, 2 * n))
+    s[0::2, 1::2], s[1::2, 0::2] = c, -c.T
+    lam, v = np.linalg.eigh(1j * s)
+    return ((v * np.exp(-2j * t * lam)) @ v.conj().T).real
 
 
 def zeros_evolved_overlap(n, x, zz, yy):
@@ -366,17 +376,47 @@ class TestOverlapEstimate:
                 got = ghz_overlaps(majorana_blocks(x[None], zz[None], yy[None]))[0]
                 assert abs(got - zeros_evolved_overlap(n, x, zz, yy)) < 1e-12
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 21, 60])
     def test_matches_explicit_product_estimator(self, n):
         # 2^-n/2 |det(W~ - G_A W~ G_B)|^1/4 with dense pairing matrices and
-        # the products formed, against the index moves of ghz_overlaps
+        # the products formed, against the (n+1)-square determinant of
+        # ghz_overlaps; the zy blocks are the gamma = 0 chain (field n, ZZ and
+        # YY both the n-site transfer couplings, overlap 1) under disorder
         rng = np.random.default_rng(70 + n)
         base = ghz_chain(n).band()
+        transfer = standard_couplings(n).couplings if n > 1 else np.zeros(0)
         for scale in (0.0, 0.01, 0.05, 0.3):
             band = base * (1 + rng.uniform(-scale, scale, base.size))
             chain = IsingChain(fields=band[0::2], couplings=band[1::2])
             explicit = gaussian_trace_overlap(one_particle_map(chain, GHZ_TIME))
             assert abs(overlap_estimate(chain) - min(explicit, 1.0)) < 1e-13
+            x, zz, yy = (v * (1 + rng.uniform(-scale, scale, v.size))
+                         for v in (np.full(n, float(n)), transfer, transfer))
+            c = majorana_blocks(x[None], zz[None], yy[None])
+            explicit = gaussian_trace_overlap(block_map(c[0], GHZ_TIME))
+            assert abs(ghz_overlaps(c)[0] - min(explicit, 1.0)) < 1e-13
+
+    def test_second_ancilla_pairs_with_the_same_sign_on_both_sides(self):
+        # overlap^4 = 2^-2(n+1) |det(G_A + W^ G_B W^T)| with W^ = W + 1 + 1 once
+        # eta' = 2n + 1 pairs mode 0 on the GHZ side and mode 2n - 1 on the
+        # all-zeros side, both with sign +1; with opposite signs it fails
+        n, eta, eta2 = 5, 10, 11
+        rng = np.random.default_rng(29)
+        band = ghz_chain(n).band() * (1 + rng.uniform(-0.3, 0.3, 2 * n - 1))
+        chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+        padded = np.eye(2 * n + 2)
+        padded[:2 * n, :2 * n] = one_particle_map(chain, GHZ_TIME)
+        g_a = pairing(n, [(2 * n - 1, eta, 1.0), (0, eta2, 1.0)], ancillas=2)
+        explicit = {}
+        for sign in (1.0, -1.0):
+            g_b = pairing(n, [(eta, 0, 1.0), (2 * n - 1, eta2, sign)], ancillas=2)
+            det = np.linalg.det(g_a + padded @ g_b @ padded.T)
+            explicit[sign] = abs(det) ** 0.25 / 2.0 ** ((n + 1) / 2)
+        got = overlap_estimate(chain)
+        assert 0.1 < got < 0.99
+        assert abs(got - overlap_exact(chain)) < 1e-12
+        assert abs(got - explicit[1.0]) < 1e-13
+        assert abs(got - explicit[-1.0]) > 0.1
 
     def test_overflowing_phases_raise(self):
         chain = IsingChain(fields=[1e308, 1e308], couplings=[1e308])
@@ -513,8 +553,8 @@ class TestPerturbSweep:
 
         calls = self.on_workers(monkeypatch, 2, fail_first)
         with pytest.raises(MemoryError, match="1 TiB"):
-            perturb_sweep(21, [1.0], 1000, seed=0)
-        blocks = -(-1000 // max(size for _, size in calls))
+            perturb_sweep(21, [1.0], 2000, seed=0)
+        blocks = -(-2000 // max(size for _, size in calls))
         assert blocks > 100
         assert len(calls) < blocks // 4
 

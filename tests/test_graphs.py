@@ -68,6 +68,19 @@ class TestEvolveVertex:
         u = expm(-1j * t * g.adjacency)
         assert np.abs(evolve_vertex(g, 2, t) - u[:, 1]).max() < 1e-12
 
+    def test_non_orthonormal_eigenvectors_refused(self, monkeypatch):
+        # the column is evolved from the eigenvectors alone, so they pass the
+        # propagator's 1e-10 orthonormality gate first
+        eigh = np.linalg.eigh
+
+        def skewed(a):
+            vals, vecs = eigh(a)
+            return vals, vecs + 1e-9 * np.eye(len(vals))
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(ValueError, match="not unitary"):
+            evolve_vertex(path_graph(3), 1, 0.5)
+
 
 class TestPhaseAlignment:
     def test_global_phase_ignored(self):
