@@ -15,9 +15,9 @@ Both halves commute with the global spin flip, so after the gate stages
 the register state stays inside a four-sector family (all zeros, all
 ones, one excitation, one hole).  The gates leave the defect on one site,
 so the exchange stage is exactly one column of the M x M exchange
-propagator.  A fidelity report forms that propagator once, at
+propagator, formed alone.  A fidelity report evolves that column once, at
 ``synthesis.REFLECTION_TIME``, and reads both the exchange-stage check
-and every compressed output from the same column.  A dense oracle replays
+and every compressed output from it.  A dense oracle replays
 the same stages on the full 2^M register for M <= 13.  Both chains are
 free-fermion, so each chain evolution there is an exact circuit of
 nearest-neighbour gates read off its one-particle map.
@@ -130,7 +130,7 @@ class CompressedState:
             raise ValueError("sector vectors need one amplitude per site")
         if one.size < 3:
             raise ValueError("need at least three qubits to separate the sectors")
-        if abs(self.norm() - 1.0) > 1e-10:
+        if not abs(self.norm() - 1.0) <= 1e-10:  # a NaN amplitude fails
             raise ValueError("state must be normalized")
 
     @property
@@ -187,7 +187,7 @@ class CloneReport:
             raise ValueError("method must be compressed or brute_force")
         if betas.ndim != 1 or fids.shape != betas.shape:
             raise ValueError("need one fidelity per clone")
-        if fids.min() < 0.5 - 1e-9 or fids.max() > 1.0 + 1e-9:
+        if not (0.5 - 1e-9 <= fids.min() and fids.max() <= 1.0 + 1e-9):
             raise ValueError("average fidelities must lie in [1/2, 1]")
 
     @property
@@ -331,16 +331,16 @@ def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
     The exchange chain leaves the extremal strings alone and, commuting
     with the global spin flip, carries the hole and the excitation alike,
     so the whole exchange stage is spread = B U[:, k] for the m x m
-    propagator U: the result holds A alpha, A gamma, the excitation
-    gamma spread and the hole alpha spread, and no 2^m vector is ever
-    formed.  ``input_state`` is one qubit state, shape (2,), or a block of
+    propagator U, and only that column is formed: the result holds A alpha,
+    A gamma, the excitation gamma spread and the hole alpha spread, and no
+    2^m vector is ever formed.  ``input_state`` is one qubit state, shape (2,), or a block of
     them in columns, shape (2, c), which gives one state per column.  The
     stages are not checked: any chains evolve, and :func:`clone_report`
     checks a designed pair.
     """
     k = _checked_offset(ghz_chain, w_chain, p, k)
     psi = _checked_inputs(input_state)
-    return _compressed_states(p, propagator(w_chain, w_time)[:, k], psi)
+    return _compressed_states(p, propagator(w_chain, w_time, k), psi)
 
 
 def _register(m: int, vec) -> np.ndarray:
@@ -516,22 +516,22 @@ def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
     The six eigenstates of the Pauli operators average any expression
     quadratic in the input exactly as the uniform measure does, so the
     mean overlap over them is the Haar-average fidelity of each clone.
-    The exchange stage runs for ``REFLECTION_TIME``; its propagator is
-    formed once, and column k of it is both the w-stage check and, for
+    The exchange stage runs for ``REFLECTION_TIME``; column k of its
+    propagator is formed once, and is both the w-stage check and, for
     the compressed method, the spread of every output.  The first stage
-    whose residual exceeds ``stage_tol`` raises :class:`CloningStageError`.
-    Either method takes all six inputs as one block of columns.
+    whose residual is not within ``stage_tol`` (NaN never is) raises
+    :class:`CloningStageError`; either method takes the six inputs as one block.
     """
     if method not in ("compressed", "brute_force"):
         raise ValueError("method must be compressed or brute_force")
     k = _checked_offset(ghz_chain, w_chain, p, k)
-    column = propagator(w_chain, REFLECTION_TIME)[:, k]
+    column = propagator(w_chain, REFLECTION_TIME, k)
     residuals = {
         "ghz stage": float(mirror_deviation(ghz_chain)),
         "w stage": float(np.abs(column - clone_weight_state(p)).max()),
     }
     for stage, value in residuals.items():
-        if value > stage_tol:
+        if not value <= stage_tol:
             raise CloningStageError(
                 stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
     block = np.column_stack(SIX_DESIGN_INPUTS)

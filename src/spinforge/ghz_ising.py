@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Chain
+from .numerics import Chain, check_orthonormal
 from .pst import standard_couplings
 
 GHZ_TIME = np.pi / 4
@@ -144,6 +144,8 @@ def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (1 << c.n,):
         raise ValueError("state dimension does not match qubit count")
+    if not np.isfinite(t):
+        raise ValueError("evolution time must be finite")
     w, v = np.linalg.eigh(dense_hamiltonian(c))
     return v @ (np.exp(-1j * w * t) * (v.T @ psi0))
 
@@ -175,19 +177,18 @@ def _map_blocks(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.nda
     odd-odd block V cos(2tS) V^T and the even-odd block U sin(2tS) V^T;
     the odd-even block is minus the transpose of the last.  The factors
     come from one real n x n SVD of C^T per block, which is upper
-    bidiagonal for Ising chains.  Singular vectors orthonormal to 1e-10
-    make the map orthogonal to the same order; past that a ``ValueError``
-    is raised, and so it is when a phase 2t sigma is so large that its
-    rounding, eps times the phase, exceeds the same 1e-10 (or the phase
-    overflows).
+    bidiagonal for Ising chains.  Both stacks of singular vectors pass
+    ``numerics.check_orthonormal``, so the map is orthogonal to 1e-10.  A
+    ``ValueError`` is raised for a non-finite time, and when a phase
+    2t sigma is so large that its rounding, eps times the phase, exceeds
+    the same 1e-10 (or the phase overflows).
     """
-    n = c.shape[1]
+    if not np.isfinite(t):
+        raise ValueError("evolution time must be finite")
     v, sigma, ut = np.linalg.svd(c.transpose(0, 2, 1))
     u, vt = ut.transpose(0, 2, 1), v.transpose(0, 2, 1)
-    dev = max(np.abs(ut @ u - np.eye(n)).max(), np.abs(vt @ v - np.eye(n)).max())
-    if dev > 1e-10:
-        raise ValueError(
-            f"one-particle map is not orthogonal (singular vector deviation {dev:.3e})")
+    check_orthonormal(u)
+    check_orthonormal(v)
     with np.errstate(over="ignore"):  # refused just below
         angle = 2.0 * t * sigma
     if not np.finfo(float).eps * np.abs(angle).max() <= 1e-10:
@@ -210,14 +211,13 @@ def mirror_deviation(c: IsingChain) -> float:
 
     At the quarter period the engineered chain sends mode k to mode 2n+1-k
     with alternating sign (-1)^k. Returns the worst absolute deviation from
-    that rule; diagnostic, large for perturbed chains.
+    that rule; diagnostic, large for perturbed chains.  In the blocks of
+    :func:`_map_blocks` the rule reads ee = oo = 0 and eo = anti-identity.
     """
-    w = one_particle_map(c, GHZ_TIME)
-    dim = 2 * c.n
-    target = np.zeros((dim, dim))
-    k = np.arange(1, dim + 1)
-    target[dim - k, k - 1] = (-1.0) ** k
-    return float(np.abs(w - target).max())
+    ee, oo, eo = (b[0] for b in _map_blocks(
+        majorana_blocks(c.fields[None], c.couplings[None]), GHZ_TIME))
+    return float(max(np.abs(ee).max(), np.abs(oo).max(),
+                     np.abs(eo[::-1] - np.eye(c.n)).max()))
 
 
 def overlap_exact(c: IsingChain) -> float:

@@ -7,11 +7,13 @@ solver of the root problems, whose one ``system`` callable factors each
 point once and returns the residuals with a closure for their Jacobian.
 Every exchange chain the package designs is a ``Chain``: its couplings,
 with no on-site field, and spectra are plain sorted arrays.
-``propagator`` is the single e^{-iHt} primitive: a ``Chain`` goes
-through the chain eigensolver, any other Hermitian matrix through a dense
-eigendecomposition, and ``spectral_propagator`` evolves a decomposition a
-caller already holds.  Both gate the eigenvectors with ``check_orthonormal``,
-as does a graph walk that evolves one column of e^{-iAt} alone.
+``propagator`` is the single e^{-iHt} primitive, whole or one column: a
+``Chain`` goes through the chain eigensolver, any other Hermitian matrix
+through a dense eigendecomposition, and ``spectral_propagator`` evolves a
+decomposition a caller already holds.  Both refuse a non-finite time and
+gate the eigenvectors with ``check_orthonormal``, the one orthonormality
+gate, also of the Ising map's singular vectors.  ``chain_block`` is the
+even-by-odd block that the eigensolver and the null-vector flow work on.
 ``givens_factors`` writes a unitary or real orthogonal matrix as phases
 and adjacent-plane rotations, from which the dense cloning oracle builds
 its nearest-neighbour gate circuits.
@@ -69,25 +71,31 @@ def block_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return k // 2, (k + 1) // 2
 
 
+def chain_block(couplings) -> np.ndarray:
+    """Even-by-odd block X of a chain, its couplings at :func:`block_index`."""
+    n = np.size(couplings) + 1
+    block = np.zeros((n // 2, n - n // 2))
+    block[block_index(n)] = couplings
+    return block
+
+
 def eig_sym_tridiag(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a chain's single-excitation Hamiltonian.
 
     Returns the ascending eigenvalues and an orthonormal eigenvector matrix V
     with H = V diag(w) V^T.  With the lower bidiagonal block B = X^T = U S V^T
-    of :func:`block_index` the eigenvalues are +-sigma with vectors
+    of :func:`chain_block` the eigenvalues are +-sigma with vectors
     (u, +-v) / sqrt(2), and for odd n the zero mode V[:, n // 2] = (u_last, 0)
     on the odd (1-based) sites (Golub & Kahan 1965).  One real SVD of B
     holds even the widest clone ladders to rounding, where a tridiagonal
     eigensolver lost up to 1e-7 relative.  The vectors are orthonormal
     inside degenerate clusters too.
     """
-    n, couplings = chain.n, chain.couplings
+    n = chain.n
     if n == 1:
         return np.zeros(1), np.ones((1, 1))
     half = n // 2
-    block = np.zeros((half, n - half))
-    block[block_index(n)] = couplings
-    u, sigma, vt = np.linalg.svd(block.T)
+    u, sigma, vt = np.linalg.svd(chain_block(chain.couplings).T)
     pair_u, pair_v = u[:, :half] * np.sqrt(0.5), vt.T * np.sqrt(0.5)
     # columns: -sigma descending in magnitude, the zero mode, +sigma ascending
     v = np.zeros((n, n))
@@ -98,40 +106,49 @@ def eig_sym_tridiag(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-sigma, np.zeros(n % 2), sigma[::-1]]), v
 
 
-def propagator(h: Chain | np.ndarray, t: float) -> np.ndarray:
-    """Evolution operator e^{-iHt}, via eigendecomposition.
+def propagator(h: Chain | np.ndarray, t: float, k: int | None = None) -> np.ndarray:
+    """Evolution operator e^{-iHt}, or its column k, via eigendecomposition.
 
     A ``Chain`` goes through :func:`eig_sym_tridiag`, a Hermitian matrix
     through dense ``eigh``; :func:`spectral_propagator` evolves the result.
     """
     if isinstance(h, Chain):
-        return spectral_propagator(*eig_sym_tridiag(h), t)
+        return spectral_propagator(*eig_sym_tridiag(h), t, k)
     h = np.asarray(h)
-    dev = np.abs(h - h.conj().T).max() if h.size else 0.0
-    scale = max(1.0, np.abs(h).max()) if h.size else 1.0
-    if dev > HERMITICITY_TOL * scale:
+    w, v = np.linalg.eigh(h)
+    # eigh reads one triangle, so h is checked after it, in 64 x 64 tiles: the
+    # transposed reads stay in cache and no temporary adds to eigh's peak memory
+    dev = max((np.abs(h[i:i + 64, j:j + 64] - h[j:j + 64, i:i + 64].conj().T).max()
+               for i in range(0, len(h), 64) for j in range(0, len(h), 64)), default=0.0)
+    if dev > HERMITICITY_TOL and dev > HERMITICITY_TOL * np.abs(h).max():
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return spectral_propagator(*np.linalg.eigh(h), t)
+    return spectral_propagator(w, v, t, k)
 
 
-def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} for H = V diag(w) V^H, from an eigendecomposition in hand.
-
-    The eigenvectors pass :func:`check_orthonormal` first.
-    """
+def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float,
+                        k: int | None = None) -> np.ndarray:
+    """e^{-iHt} for H = V diag(w) V^H, or its column k alone, from an
+    eigendecomposition in hand; a non-finite time raises ``ValueError``,
+    and the eigenvectors pass :func:`check_orthonormal` first."""
+    if not np.isfinite(t):
+        raise ValueError("evolution time must be finite")
     check_orthonormal(v)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    phases = np.exp(-1j * w * t)
+    if k is None:
+        return (v * phases) @ v.conj().T
+    return v @ (phases * v[k].conj())
 
 
 def check_orthonormal(v: np.ndarray) -> None:
-    """Refuse eigenvectors whose columns are not orthonormal to 1e-10.
+    """Refuse a basis, or a stack of them, whose columns are not orthonormal to 1e-10.
 
-    Eigenvectors that pass make an evolution e^{-iHt} built from them
-    unitary to the same order; past that a ``ValueError`` is raised.
+    Vectors that pass make an evolution built from them unitary to the
+    same order; past that, and for NaN entries, a ``ValueError`` is raised.
     """
-    dev = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max()
-    if dev > 1e-10:
-        raise ValueError(f"propagator is not unitary (eigenvector deviation {dev:.3e})")
+    gram = np.swapaxes(v.conj(), -1, -2) @ v - np.eye(v.shape[-1])
+    dev = np.abs(gram, out=gram).real.max()
+    if not dev <= 1e-10:
+        raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
 
 
 def givens_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (Chain, FlowStallError, FlowTrace, antisym_exp,
-                       block_index, eig_sym_tridiag, levenberg_marquardt,
+from .numerics import (Chain, FlowStallError, FlowTrace, antisym_exp, block_index,
+                       chain_block, eig_sym_tridiag, levenberg_marquardt,
                        propagator, solve_affine, spectral_propagator)
 
 __all__ = [
@@ -99,9 +99,9 @@ class NullVectorTask:
         target = np.asarray(self.target_null_vector, dtype=float)
         if target.shape != (n,):
             raise ValueError(f"target null vector must have length {n}")
-        if n > 1 and np.abs(target[1::2]).max() > 1e-12:
+        if n > 1 and not np.abs(target[1::2]).max() <= 1e-12:
             raise ValueError("target null vector must vanish on even sites")
-        if abs(np.linalg.norm(target) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(target) - 1.0) <= 1e-10:
             raise ValueError("target null vector must be normalised")
         object.__setattr__(self, "target_null_vector", target)
 
@@ -147,18 +147,6 @@ def _saturating_box(step: float, chi: float) -> float:
 
 # ---------------------------------------------------------------------------
 # block-structure plumbing
-
-
-def _couplings_to_block(couplings: np.ndarray) -> np.ndarray:
-    """Even-by-odd block of the zero-diagonal chain Hamiltonian."""
-    n = couplings.size + 1
-    x = np.zeros((n // 2, (n + 1) // 2))
-    x[block_index(n)] = couplings
-    return x
-
-
-def _block_to_couplings(x: np.ndarray, n: int) -> np.ndarray:
-    return x[block_index(n)]
 
 
 def isospectral_step(x: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -385,31 +373,28 @@ def chain_from_spectrum(spectrum) -> np.ndarray:
     return couplings
 
 
-def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None):
-    """Odd-site zero mode of an odd chain and its positive eigenvalues.
+def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None) -> np.ndarray:
+    """Odd-site zero mode of an odd chain, from one :func:`numerics.eig_sym_tridiag`.
 
-    Both come from one :func:`numerics.eig_sym_tridiag`; the eigenvalues,
-    the block's singular values, are in descending order.  The sign of the
-    returned vector is fixed so its overlap with ``sign_ref`` (a full-length
-    vector or its odd-site part) is non-negative when a reference is
-    supplied.  An even chain raises ``ValueError``.
+    The sign of the returned vector is fixed so its overlap with
+    ``sign_ref`` (a full-length vector or its odd-site part) is
+    non-negative when a reference is supplied.  An even chain raises
+    ``ValueError``.
     """
     chain = Chain(couplings)
     if chain.n % 2 == 0:
         raise ValueError(f"a zero mode needs an odd number of sites, got {chain.n}")
-    half = chain.n // 2
-    spectrum, v = eig_sym_tridiag(chain)
-    lam = v[:, half]
+    lam = eig_sym_tridiag(chain)[1][:, chain.n // 2]
     if sign_ref is not None:
         ref = np.asarray(sign_ref, dtype=float)
         if float(lam[0::2] @ (ref[0::2] if ref.size == chain.n else ref)) < 0:
             lam = -lam
-    return lam, spectrum[:half:-1]
+    return lam
 
 
 def produced_state(couplings: np.ndarray, source: int) -> np.ndarray:
-    """State reached from ``source`` after evolving for ``REFLECTION_TIME``."""
-    return propagator(Chain(couplings), REFLECTION_TIME)[:, source - 1]
+    """State reached from ``source`` after ``REFLECTION_TIME``: one propagator column."""
+    return propagator(Chain(couplings), REFLECTION_TIME, source - 1)
 
 
 def reflection_check(h: Chain, t0: float) -> float:
@@ -528,8 +513,8 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     io, jo = 2 * np.array(np.triu_indices(no, 1))
     even_zeros = np.zeros(ne * (ne - 1) // 2)
 
-    x = _couplings_to_block(seed)
-    lam = zero_mode(seed, target)[0]
+    x = chain_block(seed)
+    lam = zero_mode(seed, target)
     chi = float(target @ lam)
     step = _BOX_STEP
     report = ConvergenceState(chi=min(max(chi, -1.0), 1.0), iterations=0)
@@ -543,15 +528,15 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         """One polish attempt, recorded at the current iteration and step;
         returns the root's block, chi and zero mode if accepted, else the
         arguments."""
-        root = polish_null_vector_root(_block_to_couplings(x, n), vals, target)
-        lam_p = None if root is None else zero_mode(root, target)[0]
+        root = polish_null_vector_root(x[block_index(n)], vals, target)
+        lam_p = None if root is None else zero_mode(root, target)
         accepted = lam_p is not None and float(target @ lam_p) >= chi
         report.polishes.append((it, accepted))
         if not accepted:
             return x, chi, lam
         chi = float(target @ lam_p)
         recorded.append((it, chi, _saturating_box(step, chi), 0.0))
-        return _couplings_to_block(root), chi, lam_p
+        return chain_block(root), chi, lam_p
 
     while it < budget:
         if not report.polishes and chi >= _HANDOVER_CHI and chi < 1.0 - tol:
@@ -574,7 +559,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         p_fix = solve_affine(rows, -x[mask])
         x_try = isospectral_step(x, p_fix + direction)
         x_try, off_res, ok = _compensate(x_try)
-        lam_try = zero_mode(_block_to_couplings(x_try, n), target)[0]
+        lam_try = zero_mode(x_try[block_index(n)], target)
         chi_try = float(target @ lam_try)
         if ok and chi_try >= chi - 1e-14:
             x, chi, lam = x_try, chi_try, lam_try
@@ -597,7 +582,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     report.chi = min(max(chi, -1.0), 1.0)
     report.iterations = it
     report.status = status
-    return Chain(_block_to_couplings(x, n)), report
+    return Chain(x[block_index(n)]), report
 
 
 def _null_vector_system(spectrum_values, target_null_vector):

@@ -742,6 +742,25 @@ class TestImportFloor:
                       "numpy.linalg.svd", "numpy.linalg.eig"))]
         assert found == []
 
+    def test_only_numerics_and_the_dense_reference_eigendecompose(self):
+        # a static check: every evolution goes through numerics, and only
+        # ghz_ising.brute_force_evolve, the dense reference that evolves
+        # arbitrary states, keeps an eigh of its own
+        package = Path(cli.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "numerics.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            tree.body = [node for node in tree.body
+                         if (path.name, getattr(node, "name", None))
+                         != ("ghz_ising.py", "brute_force_evolve")]
+            found += [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).startswith(
+                          ("np.linalg.eig", "numpy.linalg.eig"))]
+        assert found == []
+
     def test_wstate_design_still_runs(self, tmp_path):
         done = self.invoke(tmp_path, "design", "wstate", "--n", "5")
         assert done.returncode == 0, done.stderr

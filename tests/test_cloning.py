@@ -177,6 +177,11 @@ class TestCompressedState:
             CompressedState(amp0=1.0, amp1=1.0,
                             one_exc=np.zeros(3), m_minus_one_exc=np.zeros(3))
 
+    def test_nan_amplitude_refused(self):
+        with pytest.raises(ValueError, match="normalized"):
+            CompressedState(amp0=np.nan, amp1=1.0,
+                            one_exc=np.zeros(3), m_minus_one_exc=np.zeros(3))
+
     @pytest.mark.parametrize("one, hole", [(np.zeros(3), np.zeros(4)),
                                            (np.zeros((3, 1)), np.zeros((3, 1)))])
     def test_sectors_are_equal_length_vectors(self, one, hole):
@@ -359,6 +364,20 @@ class TestPipelineAgreement:
         with pytest.raises(CloningStageError, match="w stage"):
             clone_report(ghz, Chain([1.0, 1.0]), p, method="brute_force")
 
+    def test_nan_stage_tolerance_passes_no_stage(self):
+        p = symmetric_profile(2)
+        w = design_w_chain(p)
+        with pytest.raises(CloningStageError, match="ghz stage"):
+            clone_report(ghz_helper_chain(3), w, p, stage_tol=np.nan)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_exchange_time_refused(self, t):
+        p = symmetric_profile(2)
+        ghz, w = ghz_helper_chain(3), design_w_chain(p)
+        for run in (pipeline_run, brute_force_pipeline):
+            with pytest.raises(ValueError, match="evolution time must be finite"):
+                run(ghz, w, p, SIX_DESIGN_INPUTS[0], w_time=t)
+
 
 class TestOnePassPerReport:
     @pytest.mark.parametrize("m,seed", [(3, 10), (5, 11), (7, 12), (9, 13)])
@@ -412,8 +431,9 @@ class TestOnePassPerReport:
         propagators = self.counting(monkeypatch, "propagator")
         clone_report(ghz_helper_chain(p.m), w, p)
         assert len(deviations) == 1
-        # one column serves the w stage check and the spread of all inputs
-        assert len(propagators) == 1
+        # one column, (chain, time, k), serves the w stage check and the
+        # spread of all inputs; no call forms the whole operator
+        assert [len(args) for args in propagators] == [3]
 
     def test_brute_force_report_checks_the_stages_once(self, monkeypatch):
         p = profile_from_betas([2.0, 1.0, 1.0])
@@ -422,8 +442,9 @@ class TestOnePassPerReport:
         propagators = self.counting(monkeypatch, "propagator")
         clone_report(ghz_helper_chain(p.m), w, p, method="brute_force")
         assert len(deviations) == 1
-        # the w-stage check, and the exchange circuit of the oracle
-        assert len(propagators) == 2
+        # one column for the w-stage check, and the whole operator that the
+        # exchange circuit of the oracle factors
+        assert [len(args) for args in propagators] == [3, 2]
 
     @pytest.mark.parametrize("m,seed", [(3, 20), (5, 21), (9, 22), (21, 23)])
     def test_compressed_block_matches_single_inputs(self, m, seed):
@@ -507,6 +528,10 @@ class TestFrozenFidelities:
         with pytest.raises(ValueError, match="one fidelity per clone"):
             CloneReport(betas=np.array([0.5, 0.5]),
                         fidelities=np.array([0.9]), spread=0.0,
+                        method="compressed", max_stage_residual=0.0)
+        with pytest.raises(ValueError, match="must lie in"):
+            CloneReport(betas=np.array([0.5, 0.5]),
+                        fidelities=np.array([0.9, np.nan]), spread=0.0,
                         method="compressed", max_stage_residual=0.0)
 
 

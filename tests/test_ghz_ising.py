@@ -46,6 +46,17 @@ def zeros_state(n):
     return psi
 
 
+def full_mirror_deviation(c):
+    """Reference mirror deviation: the whole 2n x 2n one-particle map against
+    the signed mirror permutation, mode k to mode 2n+1-k with sign (-1)^k."""
+    w = one_particle_map(c, GHZ_TIME)
+    dim = 2 * c.n
+    target = np.zeros((dim, dim))
+    k = np.arange(1, dim + 1)
+    target[dim - k, k - 1] = (-1.0) ** k
+    return float(np.abs(w - target).max())
+
+
 class TestIsingFromPst:
     def test_four_site_split(self):
         chain = ising_from_pst(standard_couplings(4))
@@ -163,6 +174,11 @@ class TestBruteForceEvolve:
         with pytest.raises(ValueError, match="12"):
             brute_force_evolve(ghz_chain(13), 0.1, np.zeros(1 << 13))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_refused(self, t):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            brute_force_evolve(ghz_chain(3), t, zeros_state(3))
+
 
 class TestGlobalPhase:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -180,6 +196,18 @@ class TestMirrorDeviation:
 
     def test_small_chain(self):
         assert mirror_deviation(ghz_chain(2)) < 1e-12
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 30.0])
+    def test_blocks_match_the_whole_map(self, x):
+        # bit for bit: the blocks hold every entry of the map, the odd-even
+        # block as minus the transpose of the even-odd one
+        for n in range(1, 61):
+            rng = np.random.default_rng([n, int(x)])
+            base = ghz_chain(n)
+            chain = IsingChain(
+                fields=base.fields * (1 + x / 100 * rng.uniform(-1, 1, n)),
+                couplings=base.couplings * (1 + x / 100 * rng.uniform(-1, 1, n - 1)))
+            assert mirror_deviation(chain) == full_mirror_deviation(chain)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_perturbed_chain_breaks_mirror(self, seed):
@@ -257,8 +285,13 @@ class TestOneParticleMap:
             return u * (1.0 + 1e-8), sigma, vt
 
         monkeypatch.setattr(np.linalg, "svd", sloppy_svd)
-        with pytest.raises(ValueError, match="not orthogonal"):
+        with pytest.raises(ValueError, match="not orthonormal"):
             one_particle_map(ghz_chain(4), GHZ_TIME)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_refused(self, t):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            one_particle_map(ghz_chain(4), t)
 
 
 class TestBasisMap:

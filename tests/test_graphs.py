@@ -78,8 +78,13 @@ class TestEvolveVertex:
             return vals, vecs + 1e-9 * np.eye(len(vals))
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="not orthonormal"):
             evolve_vertex(path_graph(3), 1, 0.5)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_refused(self, t):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            evolve_vertex(path_graph(3), 1, t)
 
 
 class TestPhaseAlignment:
@@ -161,3 +166,12 @@ class TestInstanceReport:
                             target=np.array([1.0, 0.0]), time=1.0, deviation=0.0)
         with pytest.raises(ValueError):
             revival_instance(path_graph(2), 1, np.zeros(2), 1.0)
+
+    def test_nan_deviation_or_target_refused(self):
+        target = np.array([1.0, -1.0j]) / np.sqrt(2.0)
+        with pytest.raises(ValueError, match="deviation must be non-negative"):
+            RevivalInstance(graph=path_graph(2), source=1, target=target,
+                            time=1.0, deviation=np.nan)
+        with pytest.raises(ValueError, match="target must be normalized"):
+            RevivalInstance(graph=path_graph(2), source=1,
+                            target=np.array([np.nan, 1.0]), time=1.0, deviation=0.0)

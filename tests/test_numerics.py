@@ -6,6 +6,7 @@ from scipy.optimize import least_squares
 from spinforge.numerics import (
     Chain,
     antisym_exp,
+    check_orthonormal,
     eig_sym_tridiag,
     givens_factors,
     levenberg_marquardt,
@@ -150,8 +151,36 @@ class TestPropagator:
 
     def test_non_orthonormal_eigenvectors_rejected(self):
         v = np.array([[1.0, 0.0], [1e-9, 1.0]])
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="not orthonormal"):
             spectral_propagator(np.array([-1.0, 1.0]), v, 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            propagator(Chain([1.0, 1.0]), t)
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            propagator(np.diag([1.0, -1.0]), t, 0)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_column_is_the_operator_column(self, n):
+        rng = np.random.default_rng(100 + n)
+        chain = random_chain(rng, n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        t = float(rng.uniform(0.1, 5.0))
+        for h in (chain, a + a.conj().T):
+            u = propagator(h, t)
+            for k in range(n):
+                assert np.abs(propagator(h, t, k) - u[:, k]).max() <= 1e-14
+
+    def test_stack_with_one_bad_member_refused(self):
+        rng = np.random.default_rng(8)
+        stack = np.linalg.qr(rng.normal(size=(5, 6, 6)))[0]
+        check_orthonormal(stack)
+        stack[3, 2, 1] += 1e-9
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_orthonormal(stack)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_orthonormal(np.full((2, 2), np.nan))
 
     def test_chain_propagator_is_its_decomposition_evolved(self):
         m = random_chain(np.random.default_rng(7), 13)
