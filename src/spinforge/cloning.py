@@ -144,15 +144,6 @@ class CompressedState:
                  + np.vdot(self.m_minus_one_exc, self.m_minus_one_exc).real)
         return float(np.sqrt(total))
 
-    def inner(self, other: "CompressedState") -> complex:
-        """Hilbert inner product, exact because the sectors are orthogonal."""
-        if self.m != other.m:
-            raise ValueError("qubit counts differ")
-        return (np.conj(self.amp0) * other.amp0
-                + np.conj(self.amp1) * other.amp1
-                + complex(np.vdot(self.one_exc, other.one_exc))
-                + complex(np.vdot(self.m_minus_one_exc, other.m_minus_one_exc)))
-
     def embed(self) -> np.ndarray:
         """Dense 2^m state vector, for oracle comparisons on small registers."""
         if self.m > BRUTE_FORCE_MAX_M:
@@ -261,24 +252,6 @@ def _offset(p: AsymmetryProfile, k: Optional[int]) -> int:
     if not 0 <= k <= p.m - 2:
         raise ValueError("offset must leave the helper and input inside the register")
     return k
-
-
-def clone_map_target(p: AsymmetryProfile,
-                     k: Optional[int] = None) -> tuple[CompressedState, CompressedState]:
-    """Images of the two input basis states under the finished cloning map.
-
-    The |0> image pairs the all-zeros string (weight A) with hole states
-    on the odd sites (weights beta_n); the |1> image is its global spin
-    flip.  The pair is exactly orthonormal because the sectors are
-    disjoint.
-    """
-    _offset(p, k)
-    holes = np.zeros(p.m, dtype=complex)
-    holes[0::2] = p.betas
-    zero = np.zeros(p.m, dtype=complex)
-    image0 = CompressedState(amp0=p.a, amp1=0.0, one_exc=zero, m_minus_one_exc=holes)
-    image1 = CompressedState(amp0=0.0, amp1=p.a, one_exc=holes, m_minus_one_exc=zero)
-    return image0, image1
 
 
 # ---------------------------------------------------------------------------

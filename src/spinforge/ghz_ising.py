@@ -6,15 +6,14 @@ exactly by a real antisymmetric 2n x 2n matrix s, which carries the band
 B1, J1, B2, ..., Bn on its superdiagonal. With couplings inherited
 from a mirror-transfer chain of length 2n, evolving the all-zeros state for
 a quarter period produces the n-qubit GHZ state. This module builds those
-chains, verifies the synthesis both by brute force and at the quadratic
-level, and computes the GHZ overlap exactly from one (n+1)-square complex
-determinant, the Bogoliubov matrix between two complete Majorana pairings
-(Onishi & Yoshida 1966; Bravyi 2005), for Ising chains and for the
-YY-coupled chains of ``isoflow`` alike, fast enough for large disorder
-sweeps. The brute-force check is
-dense ``eigh`` of the Pauli-string matrix from ``dense_spin_hamiltonian``,
-the package's one spin-Hamiltonian builder; the dense cloning oracle
-evolves the same chains as gate circuits built from ``one_particle_map``.
+chains, verifies the synthesis at the quadratic level, and computes the
+GHZ overlap exactly from one (n+1)-square complex determinant, the
+Bogoliubov matrix between two complete Majorana pairings (Onishi &
+Yoshida 1966; Bravyi 2005), for Ising chains and for the YY-coupled chains
+of ``isoflow`` alike, fast enough for large disorder sweeps.  The dense
+cloning oracle evolves the same chains as gate circuits built from
+``one_particle_map``; the tests check all of it against a dense
+spin-Hamiltonian reference of their own.
 
 Time convention: all public functions take Hamiltonian evolution time. The
 quadratic (Majorana) sector evolves through twice the angle, i.e. the
@@ -33,7 +32,6 @@ from .numerics import Chain, check_orthonormal
 from .pst import standard_couplings
 
 GHZ_TIME = np.pi / 4
-BRUTE_FORCE_MAX_QUBITS = 12
 # Byte budget of one sample block in the disorder sweep, counted over its
 # largest stacks: the (n+1)-square complex determinant matrices and the three
 # n x n map blocks they are read from, 16(n+1)^2 + 24n^2 bytes a sample (14
@@ -88,66 +86,6 @@ def ising_from_pst(p: Chain) -> IsingChain:
     if p.n % 2:
         raise ValueError("transfer chain must have an even number of sites")
     return IsingChain(fields=p.couplings[0::2], couplings=p.couplings[1::2])
-
-
-def ghz_target(n: int) -> np.ndarray:
-    """The n-qubit GHZ state (|0...0> - i|1...1>)/sqrt(2)."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1 / np.sqrt(2)
-    psi[-1] = -1j / np.sqrt(2)
-    return psi
-
-
-def dense_spin_hamiltonian(n: int, x=None, zz=None, xx=None, yy=None) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of an n-qubit chain built from Pauli terms.
-
-    H = sum_m x_m X_m + sum_m (zz_m Z_m Z_m+1 + xx_m X_m X_m+1 + yy_m Y_m Y_m+1),
-    with n fields in ``x`` and n-1 bond coefficients in each of ``zz``,
-    ``xx`` and ``yy``; an omitted term kind is absent.  Qubit m corresponds
-    to bit n-m of the basis index, so |00...0> is index 0 and |11...1> the
-    last index.  Each term flips a fixed set of bits, so it fills the
-    entries (index ^ flips, index) with one sign-dressed value per index.
-    """
-    for name, coeffs, size in (("x", x, n), ("zz", zz, n - 1), ("xx", xx, n - 1),
-                               ("yy", yy, n - 1)):
-        if coeffs is not None and np.shape(coeffs) != (size,):
-            raise ValueError(f"{name} needs {size} coefficients")
-    idx = np.arange(1 << n)
-    bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    h = np.zeros((idx.size, idx.size))
-    if zz is not None:
-        z = 1.0 - 2.0 * bits
-        h[idx, idx] = (z[:, :-1] * z[:, 1:]) @ np.asarray(zz, dtype=float)
-    for m in range(n if x is not None else 0):
-        h[idx ^ (1 << (n - 1 - m)), idx] += float(x[m])
-    for bond, equal_sign in ((xx, 1.0), (yy, -1.0)):
-        for m in range(n - 1 if bond is not None else 0):
-            sign = np.where(bits[:, m] == bits[:, m + 1], equal_sign, 1.0)
-            h[idx ^ (3 << (n - 2 - m)), idx] += sign * float(bond[m])
-    return h
-
-
-def dense_hamiltonian(c: IsingChain) -> np.ndarray:
-    """Full 2^n x 2^n matrix of the chain Hamiltonian (real symmetric)."""
-    return dense_spin_hamiltonian(c.n, x=c.fields, zz=c.couplings)
-
-
-def brute_force_evolve(c: IsingChain, t: float, psi0: np.ndarray) -> np.ndarray:
-    """Exact dense evolution of an n-qubit state under the chain Hamiltonian."""
-    if c.n > BRUTE_FORCE_MAX_QUBITS:
-        raise ValueError(
-            f"dense evolution limited to {BRUTE_FORCE_MAX_QUBITS} qubits "
-            f"(got {c.n}); use the quadratic-sector routines instead"
-        )
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (1 << c.n,):
-        raise ValueError("state dimension does not match qubit count")
-    if not np.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    w, v = np.linalg.eigh(dense_hamiltonian(c))
-    return v @ (np.exp(-1j * w * t) * (v.T @ psi0))
 
 
 def majorana_blocks(fields, zz, yy=None) -> np.ndarray:
@@ -218,14 +156,6 @@ def mirror_deviation(c: IsingChain) -> float:
         majorana_blocks(c.fields[None], c.couplings[None]), GHZ_TIME))
     return float(max(np.abs(ee).max(), np.abs(oo).max(),
                      np.abs(eo[::-1] - np.eye(c.n)).max()))
-
-
-def overlap_exact(c: IsingChain) -> float:
-    """GHZ overlap by dense evolution of the all-zeros state (n <= 12)."""
-    psi0 = np.zeros(1 << c.n, dtype=complex)
-    psi0[0] = 1.0
-    psi = brute_force_evolve(c, GHZ_TIME, psi0)
-    return min(abs(np.vdot(ghz_target(c.n), psi)), 1.0)
 
 
 def ghz_overlaps(c: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ with no on-site field, and spectra are plain sorted arrays.
 ``Chain`` goes through the chain eigensolver, any other Hermitian matrix
 through a dense eigendecomposition, and ``spectral_propagator`` evolves a
 decomposition a caller already holds.  Both refuse a non-finite time and
-gate the eigenvectors with ``check_orthonormal``, the one orthonormality
-gate, also of the Ising map's singular vectors.  ``chain_block`` is the
-even-by-odd block that the eigensolver and the null-vector flow work on.
+a column outside the basis, and gate the eigenvectors with
+``check_orthonormal``, the one orthonormality gate, also of the Ising
+map's singular vectors.  ``chain_block`` is the even-by-odd block that
+the eigensolver and the null-vector flow work on.
 ``givens_factors`` writes a unitary or real orthogonal matrix as phases
 and adjacent-plane rotations, from which the dense cloning oracle builds
 its nearest-neighbour gate circuits.
@@ -128,10 +129,13 @@ def propagator(h: Chain | np.ndarray, t: float, k: int | None = None) -> np.ndar
 def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float,
                         k: int | None = None) -> np.ndarray:
     """e^{-iHt} for H = V diag(w) V^H, or its column k alone, from an
-    eigendecomposition in hand; a non-finite time raises ``ValueError``,
-    and the eigenvectors pass :func:`check_orthonormal` first."""
+    eigendecomposition in hand; a non-finite time or a column k outside
+    0..n-1 raises ``ValueError``, and the eigenvectors pass
+    :func:`check_orthonormal` first."""
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
+    if k is not None and not 0 <= k < len(w):
+        raise ValueError(f"basis index {k} is outside 0..{len(w) - 1}")
     check_orthonormal(v)
     phases = np.exp(-1j * w * t)
     if k is None:
@@ -144,9 +148,10 @@ def check_orthonormal(v: np.ndarray) -> None:
 
     Vectors that pass make an evolution built from them unitary to the
     same order; past that, and for NaN entries, a ``ValueError`` is raised.
+    An empty basis passes.
     """
     gram = np.swapaxes(v.conj(), -1, -2) @ v - np.eye(v.shape[-1])
-    dev = np.abs(gram, out=gram).real.max()
+    dev = np.abs(gram, out=gram).real.max(initial=0.0)
     if not dev <= 1e-10:
         raise ValueError(f"basis is not orthonormal (deviation {dev:.3e})")
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_reference import ghz_overlap, spin_hamiltonian
 from spinforge.cloning import (
     analytic_fidelity,
     brute_force_pipeline,
@@ -25,11 +26,9 @@ from spinforge.cloning import (
 from spinforge.ghz_ising import (
     GHZ_TIME,
     IsingChain,
-    dense_hamiltonian,
     ising_from_pst,
     mirror_deviation,
     overlap_estimate,
-    overlap_exact,
     perturb_sweep,
 )
 from spinforge.graphs import (
@@ -79,7 +78,7 @@ def test_criterion_02_exact_overlap_component():
     """The attainable half of criterion 2, kept green on its own."""
     for n in range(3, 11):
         chain = ising_from_pst(standard_couplings(2 * n))
-        assert overlap_exact(chain) >= 1 - 1e-8
+        assert ghz_overlap(chain.fields, chain.couplings) >= 1 - 1e-8
 
 
 @pytest.mark.xfail(
@@ -94,8 +93,8 @@ def test_criterion_02_exact_ghz_and_cycle_closure():
     for n in range(3, 11):
         chain = ising_from_pst(standard_couplings(2 * n))
         worst_overlap_gap = max(worst_overlap_gap,
-                                1.0 - overlap_exact(chain))
-        u4 = propagator(dense_hamiltonian(chain), 4 * GHZ_TIME)
+                                1.0 - ghz_overlap(chain.fields, chain.couplings))
+        u4 = propagator(spin_hamiltonian(n, chain.fields, chain.couplings), 4 * GHZ_TIME)
         closure = np.abs(u4 - (-1j) * np.eye(u4.shape[0])).max()
         worst_closure = max(worst_closure, closure)
     elapsed = time.perf_counter() - start
@@ -137,7 +136,7 @@ def test_criterion_05_estimator_tracks_brute_force():
         u = rng.uniform(-1.0, 1.0, band.size)
         perturbed = band * (1.0 + (x / 100.0) * u)
         chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-        gap = abs(overlap_estimate(chain) - overlap_exact(chain))
+        gap = abs(overlap_estimate(chain) - ghz_overlap(chain.fields, chain.couplings))
         hits += gap <= 0.05
     record(5, hits >= 90, f"{hits}/100 within 0.05")
 

@@ -32,9 +32,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinforge"
 
 KEEP = {
-    "cloning.clone_map_target":
-        "the closed-form clone map that test_output_hits_clone_map checks "
-        "the pipeline against",
     "synthesis.five_site_couplings":
         "closed-form chains of the five-site case study, the reference for "
         "zero_mode_chain and the null-vector flow",
@@ -43,8 +40,6 @@ KEEP = {
         "refusing on-site fields, so the format is two-way",
     "chainio.document_from_ising":
         "writes the ising documents simulate ghz reads, so the format is two-way",
-    "cloning.CompressedState.inner":
-        "tests compare the pipeline's output to clone_map_target through it",
     "synthesis.WstateDesign.half_couplings":
         "the mirror-reduced half chain whose revival half_overlap reports",
     "graphs.RevivalInstance.source":

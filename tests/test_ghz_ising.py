@@ -9,21 +9,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import evolve, ghz_overlap, ghz_target, spin_hamiltonian, zeros_state
 from spinforge import ghz_ising
 from spinforge.ghz_ising import (
     GHZ_TIME,
     IsingChain,
-    brute_force_evolve,
-    dense_hamiltonian,
-    dense_spin_hamiltonian,
     ghz_overlaps,
-    ghz_target,
     ising_from_pst,
     majorana_blocks,
     mirror_deviation,
     one_particle_map,
     overlap_estimate,
-    overlap_exact,
     perturb_sweep,
 )
 from spinforge.pst import standard_couplings
@@ -38,12 +34,6 @@ def majorana(band):
     superdiagonal, built here so that it does not depend on the package."""
     s = np.diag(band, 1)
     return s - s.T
-
-
-def zeros_state(n):
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    return psi
 
 
 def full_mirror_deviation(c):
@@ -114,30 +104,31 @@ class TestGhzTarget:
 
 class TestBruteForceEvolve:
     def test_zero_time(self):
-        psi0 = ghz_target(3)
-        out = brute_force_evolve(ghz_chain(3), 0.0, psi0)
+        psi0, chain = ghz_target(3), ghz_chain(3)
+        out = evolve(spin_hamiltonian(3, chain.fields, chain.couplings), 0.0, psi0)
         assert np.abs(out - psi0).max() < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
         psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi0 /= np.linalg.norm(psi0)
-        out = brute_force_evolve(ghz_chain(4), 0.37, psi0)
+        chain = ghz_chain(4)
+        out = evolve(spin_hamiltonian(4, chain.fields, chain.couplings), 0.37, psi0)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_quarter_period_reaches_ghz(self, n):
-        psi = brute_force_evolve(ghz_chain(n), GHZ_TIME, zeros_state(n))
-        assert abs(np.vdot(ghz_target(n), psi)) >= 1 - 1e-8
+        chain = ghz_chain(n)
+        assert ghz_overlap(chain.fields, chain.couplings) >= 1 - 1e-8
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_four_step_cycle_parity_closure(self, n):
         # two full periods return the all-zeros state up to the exact many-body
         # phase (-1)^n: every eigenvalue is an odd integer, so total energies
         # share the parity of n and e^{-i pi H} = (-1)^n on the whole space
-        psi = zeros_state(n)
+        chain, psi = ghz_chain(n), zeros_state(n)
         for _ in range(4):
-            psi = brute_force_evolve(ghz_chain(n), GHZ_TIME, psi)
+            psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), GHZ_TIME, psi)
         assert np.abs(psi - (-1.0) ** n * zeros_state(n)).max() < 1e-8
 
     @pytest.mark.xfail(
@@ -147,14 +138,16 @@ class TestBruteForceEvolve:
     )
     @pytest.mark.parametrize("n", [3, 4])
     def test_four_step_cycle_minus_i_closure_literal(self, n):
-        psi = zeros_state(n)
+        chain, psi = ghz_chain(n), zeros_state(n)
         for _ in range(4):
-            psi = brute_force_evolve(ghz_chain(n), GHZ_TIME, psi)
+            psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), GHZ_TIME, psi)
         assert np.abs(psi - (-1j) * zeros_state(n)).max() < 1e-8
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_half_period_reaches_all_ones(self, n):
-        psi = brute_force_evolve(ghz_chain(n), 2 * GHZ_TIME, zeros_state(n))
+        chain = ghz_chain(n)
+        psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), 2 * GHZ_TIME,
+                     zeros_state(n))
         expected = np.zeros(1 << n, dtype=complex)
         expected[-1] = -1j if n % 2 else 1.0
         assert np.abs(psi - expected).max() < 1e-8
@@ -165,26 +158,21 @@ class TestBruteForceEvolve:
     )
     def test_half_period_minus_i_phase_even_literal(self):
         n = 4
-        psi = brute_force_evolve(ghz_chain(n), 2 * GHZ_TIME, zeros_state(n))
+        chain = ghz_chain(n)
+        psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), 2 * GHZ_TIME,
+                     zeros_state(n))
         expected = np.zeros(1 << n, dtype=complex)
         expected[-1] = -1j
         assert np.abs(psi - expected).max() < 1e-8
-
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="12"):
-            brute_force_evolve(ghz_chain(13), 0.1, np.zeros(1 << 13))
-
-    @pytest.mark.parametrize("t", [np.nan, np.inf])
-    def test_non_finite_time_refused(self, t):
-        with pytest.raises(ValueError, match="evolution time must be finite"):
-            brute_force_evolve(ghz_chain(3), t, zeros_state(3))
 
 
 class TestGlobalPhase:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_brute_force(self, n):
         # <GHZ|psi(t0)> is +1 for odd n and (-1)^(n/2) e^{i pi/4} for even n
-        psi = brute_force_evolve(ghz_chain(n), GHZ_TIME, zeros_state(n))
+        chain = ghz_chain(n)
+        psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), GHZ_TIME,
+                     zeros_state(n))
         overlap = np.vdot(ghz_target(n), psi)
         phase = 1.0 if n % 2 else (-1.0) ** (n // 2) * np.exp(1j * np.pi / 4)
         assert abs(overlap - phase) < 1e-8
@@ -227,9 +215,7 @@ class TestMirrorDeviation:
         chain = ghz_chain(n)
         t = 0.3
         w_small = one_particle_map(chain, t)
-        h = dense_hamiltonian(chain)
-        ew, ev = np.linalg.eigh(h)
-        u = (ev * np.exp(-1j * ew * t)) @ ev.conj().T
+        u = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), t, np.eye(1 << n))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         y = np.array([[0, -1j], [1j, 0]])
         z = np.diag([1.0 + 0j, -1.0])
@@ -301,13 +287,14 @@ class TestBasisMap:
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_all_basis_states_follow_rule(self, n):
         chain = ghz_chain(n)
-        ghz_image = brute_force_evolve(chain, GHZ_TIME, zeros_state(n))
+        h = spin_hamiltonian(n, chain.fields, chain.couplings)
+        ghz_image = evolve(h, GHZ_TIME, zeros_state(n))
         idx = np.arange(1 << n)
         for code in range(1 << n):
             x = format(code, f"0{n}b")
             psi0 = np.zeros(1 << n, dtype=complex)
             psi0[code] = 1.0
-            evolved = brute_force_evolve(chain, GHZ_TIME, psi0)
+            evolved = evolve(h, GHZ_TIME, psi0)
             mask = int(x[::-1], 2)
             dressed = ghz_image[idx ^ mask]
             assert np.abs(evolved - dressed).max() < 1e-8
@@ -336,19 +323,11 @@ def gaussian_trace_overlap(w):
 
 def block_map(c, t):
     """exp(2ts) for the Majorana matrix s with even-odd block ``c``, from
-    dense ``eigh`` of the Hermitian i s."""
+    the dense evolution under the Hermitian i s for time 2t."""
     n = c.shape[0]
     s = np.zeros((2 * n, 2 * n))
     s[0::2, 1::2], s[1::2, 0::2] = c, -c.T
-    lam, v = np.linalg.eigh(1j * s)
-    return ((v * np.exp(-2j * t * lam)) @ v.conj().T).real
-
-
-def zeros_evolved_overlap(n, x, zz, yy):
-    """|<GHZ| e^{-iHt} |0...0>| by dense evolution of the spin chain."""
-    w, v = np.linalg.eigh(dense_spin_hamiltonian(n, x=x, zz=zz, yy=yy))
-    psi = v @ (np.exp(-1j * w * GHZ_TIME) * v[0])
-    return abs(np.vdot(ghz_target(n), psi))
+    return evolve(1j * s, 2 * t, np.eye(2 * n)).real
 
 
 class TestOverlapEstimate:
@@ -380,7 +359,7 @@ class TestOverlapEstimate:
         for _ in range(trials):
             band = base * (1 + rng.uniform(-0.04, 0.04, base.size))
             chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-            gap = abs(overlap_estimate(chain) - overlap_exact(chain))
+            gap = abs(overlap_estimate(chain) - ghz_overlap(chain.fields, chain.couplings))
             close += gap <= 0.05
         assert close >= 0.9 * trials
 
@@ -391,7 +370,7 @@ class TestOverlapEstimate:
         for scale in (0.0, 0.01, 0.1, 0.3, 0.6):
             band = base * (1 + rng.uniform(-scale, scale, base.size))
             chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-            assert abs(overlap_estimate(chain) - overlap_exact(chain)) < 1e-12
+            assert abs(overlap_estimate(chain) - ghz_overlap(chain.fields, chain.couplings)) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_zy_chains_match_dense_evolution(self, n):
@@ -407,7 +386,7 @@ class TestOverlapEstimate:
             signed = (rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n - 1))
             for x, zz, yy in (engineered, signed):
                 got = ghz_overlaps(majorana_blocks(x[None], zz[None], yy[None]))[0]
-                assert abs(got - zeros_evolved_overlap(n, x, zz, yy)) < 1e-12
+                assert abs(got - ghz_overlap(x, zz, yy)) < 1e-12
 
     @pytest.mark.parametrize("n", [*range(1, 13), 21, 60])
     def test_matches_explicit_product_estimator(self, n):
@@ -447,7 +426,7 @@ class TestOverlapEstimate:
             explicit[sign] = abs(det) ** 0.25 / 2.0 ** ((n + 1) / 2)
         got = overlap_estimate(chain)
         assert 0.1 < got < 0.99
-        assert abs(got - overlap_exact(chain)) < 1e-12
+        assert abs(got - ghz_overlap(chain.fields, chain.couplings)) < 1e-12
         assert abs(got - explicit[1.0]) < 1e-13
         assert abs(got - explicit[-1.0]) > 0.1
 
@@ -623,7 +602,7 @@ class TestSpinHamiltonian:
         for m in range(n - 1):
             for coeff, op in ((zz, PAULI_Z), (xx, PAULI_X), (yy, PAULI_Y)):
                 expected = expected + coeff[m] * site_operator(n, {m + 1: op, m + 2: op})
-        got = dense_spin_hamiltonian(n, x=x, zz=zz, xx=xx, yy=yy)
+        got = spin_hamiltonian(n, x=x, zz=zz, xx=xx, yy=yy)
         assert got.shape == (1 << n, 1 << n)
         assert np.abs(got - expected).max() < 1e-12
 
@@ -637,8 +616,8 @@ class TestSpinHamiltonian:
         for m in range(n - 1):
             hop = site_operator(n, {m + 1: lower, m + 2: lower.T}).real
             expected += j[m] * (hop + hop.T)
-        assert np.array_equal(dense_spin_hamiltonian(n, xx=j / 2, yy=j / 2), expected)
+        assert np.array_equal(spin_hamiltonian(n, xx=j / 2, yy=j / 2), expected)
 
     def test_coefficient_count_checked(self):
         with pytest.raises(ValueError):
-            dense_spin_hamiltonian(3, zz=np.ones(3))
+            spin_hamiltonian(3, zz=np.ones(3))

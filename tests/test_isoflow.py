@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinforge.ghz_ising import (GHZ_TIME, dense_hamiltonian, dense_spin_hamiltonian,
-                                 ghz_target, ising_from_pst, overlap_estimate)
+from dense_reference import ghz_overlap, spin_hamiltonian
+from spinforge.ghz_ising import ising_from_pst, overlap_estimate
 from spinforge.isoflow import (
     GammaMatrix,
     _ladder_system,
@@ -315,18 +315,17 @@ class TestStructureResidual:
         assert structure_residual(bent) == pytest.approx(2e-4 / x.upper[1], rel=1e-6)
 
 
-def zy_dense(x):
-    """The spin Hamiltonian of ``x``: X fields, ZZ on the upper band, YY on
-    the lower."""
-    return dense_spin_hamiltonian(x.n, x=x.diag, zz=x.upper, yy=x.lower)
-
-
 class TestZyHamiltonian:
+    """The spin Hamiltonian of a family member x has X fields x.diag, ZZ
+    couplings on the upper band and YY couplings on the lower."""
+
     def test_matches_ising_limit(self):
         for n in (2, 4):
             seed = gamma_seed(n, 1.0)
             chain = ising_from_pst(standard_couplings(2 * n))
-            assert np.abs(zy_dense(seed) - dense_hamiltonian(chain)).max() < 1e-12
+            zy = spin_hamiltonian(n, x=seed.diag, zz=seed.upper, yy=seed.lower)
+            ising = spin_hamiltonian(n, x=chain.fields, zz=chain.couplings)
+            assert np.abs(zy - ising).max() < 1e-12
             assert zy_ghz_overlap(seed) == overlap_estimate(chain)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -336,16 +335,14 @@ class TestZyHamiltonian:
         sv = np.linalg.svd(x.to_dense(), compute_uv=False)
         signs = np.array(np.meshgrid(*[[-1, 1]] * n)).reshape(n, -1).T
         expected = np.sort(signs @ sv)
-        got = np.linalg.eigvalsh(zy_dense(x))
+        got = np.linalg.eigvalsh(spin_hamiltonian(n, x=x.diag, zz=x.upper, yy=x.lower))
         assert np.abs(expected - got).max() < 1e-10
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_overlap_matches_dense_evolution(self, n):
         for gamma, seed in ((0.0, n), (0.3, n + 10), (0.8, n + 20)):
             x = family_member(n, gamma, seed=seed)
-            w, v = np.linalg.eigh(zy_dense(x))
-            psi = v @ (np.exp(-1j * w * GHZ_TIME) * v[0])
-            assert abs(zy_ghz_overlap(x) - abs(np.vdot(ghz_target(n), psi))) < 1e-12
+            assert abs(zy_ghz_overlap(x) - ghz_overlap(x.diag, x.upper, x.lower)) < 1e-12
 
     def test_twenty_one_site_member_makes_ghz(self):
         # the member design gamma writes at n = 21, past any dense evolution

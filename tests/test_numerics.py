@@ -172,6 +172,16 @@ class TestPropagator:
             for k in range(n):
                 assert np.abs(propagator(h, t, k) - u[:, k]).max() <= 1e-14
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_column_outside_the_basis_refused(self, k):
+        for h in (Chain([1.0, 2.0]), dense(Chain([1.0, 2.0]))):
+            with pytest.raises(ValueError, match=f"basis index {k} is outside 0..2"):
+                propagator(h, 1.0, k)
+
+    def test_empty_matrix_is_the_empty_operator(self):
+        assert propagator(np.zeros((0, 0)), 1.0).shape == (0, 0)
+        check_orthonormal(np.zeros((3, 0, 0)))
+
     def test_stack_with_one_bad_member_refused(self):
         rng = np.random.default_rng(8)
         stack = np.linalg.qr(rng.normal(size=(5, 6, 6)))[0]

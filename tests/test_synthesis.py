@@ -868,6 +868,15 @@ class TestSignGauge:
         for gauged, source, state in calls:
             assert np.abs(state - produced_state(gauged, source)).max() <= 1e-15
 
+    @pytest.mark.parametrize("source", [0, 6])
+    def test_source_outside_the_chain_refused(self, source):
+        # source 0 once wrapped round to the column of site 5
+        couplings = [1.0, 2.0, 2.0, 1.0]
+        with pytest.raises(ValueError, match="basis index"):
+            produced_state(couplings, source)
+        with pytest.raises(ValueError, match="basis index"):
+            sign_gauge(couplings, source, np.ones(5))
+
 
 @pytest.fixture(scope="module")
 def design():
