@@ -129,11 +129,14 @@ def propagator(h: Chain | np.ndarray, t: float, k: int | None = None) -> np.ndar
 def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float,
                         k: int | None = None) -> np.ndarray:
     """e^{-iHt} for H = V diag(w) V^H, or its column k alone, from an
-    eigendecomposition in hand; a non-finite time or a column k outside
+    eigendecomposition in hand; a non-finite time, a column k that is not
+    an integer (a float or a bool; numpy integers pass) or one outside
     0..n-1 raises ``ValueError``, and the eigenvectors pass
     :func:`check_orthonormal` first."""
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
+        raise ValueError(f"basis index must be an integer, got {k!r}")
     if k is not None and not 0 <= k < len(w):
         raise ValueError(f"basis index {k} is outside 0..{len(w) - 1}")
     check_orthonormal(v)

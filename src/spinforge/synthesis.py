@@ -488,11 +488,14 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     of 100 iterations; ``budget`` bounds the iterations.  Targets outside
     the reachable region stall on its boundary.
 
-    :func:`polish_null_vector_root` is tried once in the loop, the first
-    time chi reaches 0.99 short of convergence, and once more after the
-    loop if chi ends at 0.99 or above with no root taken yet.  A root
-    replaces the iterate only if its chi does not drop, so a refused
-    polish leaves the trajectory untouched.
+    :func:`polish_null_vector_root` is tried at the head of the loop on a
+    doubling schedule: with h the first iteration at which chi stands in
+    [0.99, 1 - tol), at iterations h, h + 1, h + 2, h + 4, h + 8, ...
+    while chi stays short of convergence, and nowhere else, so at most
+    floor(log2(budget)) + 2 attempts are made.  A root replaces the
+    iterate only if its chi does not drop, so a refused polish leaves the
+    trajectory untouched, and a budget at or past the iteration where the
+    flow converges returns the same chain.
 
     Returns the final chain and a ConvergenceState.
     """
@@ -521,7 +524,6 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     recorded = report.trace.rows
     recorded.append((0, chi, _saturating_box(step, chi), 0.0))
     consecutive = 0
-    status = "budget"
     it = 0
 
     def polish(x, chi, lam):
@@ -529,23 +531,30 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         returns the root's block, chi and zero mode if accepted, else the
         arguments."""
         root = polish_null_vector_root(x[block_index(n)], vals, target)
-        lam_p = None if root is None else zero_mode(root, target)
-        accepted = lam_p is not None and float(target @ lam_p) >= chi
+        lam_p = lam if root is None else zero_mode(root, target)
+        chi_p = float(target @ lam_p)
+        accepted = root is not None and chi_p >= chi
         report.polishes.append((it, accepted))
         if not accepted:
             return x, chi, lam
-        chi = float(target @ lam_p)
-        recorded.append((it, chi, _saturating_box(step, chi), 0.0))
-        return chain_block(root), chi, lam_p
+        recorded.append((it, chi_p, _saturating_box(step, chi_p), 0.0))
+        return chain_block(root), chi_p, lam_p
 
-    while it < budget:
-        if not report.polishes and chi >= _HANDOVER_CHI and chi < 1.0 - tol:
+    while True:
+        # the first polish is the handover, at the first iteration with chi in
+        # [0.99, 1 - tol); the others follow it by 1, 2, 4, 8, ... iterations
+        since = it - report.polishes[0][0] if report.polishes else 0
+        if (chi < 1.0 - tol and since & (since - 1) == 0
+                and (report.polishes or chi >= _HANDOVER_CHI)):
             x, chi, lam = polish(x, chi, lam)
         if chi >= 1.0 - tol:
-            status = "converged"
+            report.status = "converged"
+            break
+        if it >= budget:
+            report.status = "budget"
             break
         if step < _MIN_STEP:
-            status = "stalled"
+            report.status = "stalled"
             break
         it += 1
         size = _saturating_box(step, chi)
@@ -554,7 +563,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
                                    even_zeros])
         direction, gain = _lp_direction(rows, gradient, size)
         if gain < 1e-15:
-            status = "stalled"
+            report.status = "stalled"
             break
         p_fix = solve_affine(rows, -x[mask])
         x_try = isospectral_step(x, p_fix + direction)
@@ -573,15 +582,10 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         if it % _STALL_WINDOW == 0 and len(recorded) > _STALL_WINDOW:
             gain_w = chi - recorded[-_STALL_WINDOW - 1][1]
             if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < 1.0 - tol:
-                status = "stalled"
+                report.status = "stalled"
                 break
-    if chi >= _HANDOVER_CHI and not any(accepted for _, accepted in report.polishes):
-        x, chi, lam = polish(x, chi, lam)
-    if chi >= 1.0 - tol:
-        status = "converged"
     report.chi = min(max(chi, -1.0), 1.0)
     report.iterations = it
-    report.status = status
     return Chain(x[block_index(n)]), report
 
 

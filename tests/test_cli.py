@@ -495,6 +495,16 @@ class TestSimulateClone:
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "clone_report.json").exists()
 
+    def test_twenty_three_symmetric_clones(self, tmp_path):
+        # the symmetric W branch at m = 45, whose flow lands on a polish retry
+        out = tmp_path / "clone23.json"
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "23",
+                   "--profile", "symmetric", "--out", str(out))
+        assert code == 0
+        fidelities = json.loads(out.read_text())["fidelities"]
+        assert len(fidelities) == 23
+        assert np.abs(np.array(fidelities) - 47 / 69).max() <= 1e-12
+
     def test_three_clones_off_centre_take_a_ladder(self, tmp_path):
         out = tmp_path / "clone3.json"
         code = run(tmp_path, "simulate", "clone", "--n-clones", "3",

@@ -178,6 +178,17 @@ class TestPropagator:
             with pytest.raises(ValueError, match=f"basis index {k} is outside 0..2"):
                 propagator(h, 1.0, k)
 
+    @pytest.mark.parametrize("k", [1.5, True, np.bool_(False)],
+                             ids=["float", "bool", "numpy-bool"])
+    def test_column_that_is_not_an_integer_refused(self, k):
+        for h in (Chain([1.0, 2.0]), dense(Chain([1.0, 2.0]))):
+            with pytest.raises(ValueError, match="basis index must be an integer"):
+                propagator(h, 1.0, k)
+
+    def test_numpy_integer_column_accepted(self):
+        h = Chain([1.0, 2.0])
+        assert np.array_equal(propagator(h, 1.0, np.int64(2)), propagator(h, 1.0, 2))
+
     def test_empty_matrix_is_the_empty_operator(self):
         assert propagator(np.zeros((0, 0)), 1.0).shape == (0, 0)
         check_orthonormal(np.zeros((3, 0, 0)))

@@ -1,6 +1,8 @@
 """Tests for the isospectral synthesis flows."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from spinforge.cloning import (
     profile_from_betas,
     symmetric_profile,
 )
-from spinforge.numerics import Chain
+from spinforge.numerics import Chain, FlowStallError
 from spinforge.synthesis import (
     NullVectorTask,
     ConvergenceState,
@@ -693,13 +695,15 @@ def clone_task(weights, ladder):
 
 
 class TestRootHandover:
-    """The flow hands over to the root polish once chi reaches 0.99."""
+    """The flow hands over to the root polish once chi reaches 0.99, and
+    retries it 1, 2, 4, 8, ... iterations later."""
 
     @pytest.mark.parametrize("task, attempts", [
         # consecutive ladder at n = 11: stalls below 0.99, never polished
         (clone_task([3, 1, 2, 1, 1, 2], 0), 0),
-        # base-3 ladder: the handover and the final polish are both refused
-        (clone_task([3, 1, 2, 1, 1, 2], 1), 2),
+        # base-3 ladder: the handover at iteration 17 and its retries at
+        # 18, 19, 21, 25, 33, 49, 81 and 145 are all refused
+        (clone_task([3, 1, 2, 1, 1, 2], 1), 9),
         # the forbidden five-site target of criterion 10
         (NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(
             np.array([1.0, -1.0, 1.0]) / np.sqrt(3))), None),
@@ -722,6 +726,32 @@ class TestRootHandover:
         assert design.flow.status == "converged"
         assert design.flow.iterations < 100
         assert design.overlap >= 1 - 1e-9
+
+    def test_forty_five_sites_land_on_the_second_retry_at_every_budget(self):
+        # the budget bounds the flow but never moves its trajectory, so every
+        # budget from the landing iteration on returns the same chain
+        designs = [wstate_chain(45, budget=b) for b in (15, 20, 400)] + [wstate_chain(45)]
+        for design in designs:
+            assert design.flow.polishes == [(13, False), (14, False), (15, True)]
+            assert np.array_equal(design.couplings, designs[0].couplings)
+        with pytest.raises(FlowStallError, match="did not converge: budget"):
+            wstate_chain(45, budget=14)
+
+    def test_one_polish_site(self):
+        # a static check: the flow polishes from one place in its loop, and
+        # nothing else in the package calls the polish
+        def calls(tree, name):
+            return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+        package = Path(synthesis.__file__).resolve().parent
+        trees = {path.name: ast.parse(path.read_text(), str(path))
+                 for path in sorted(package.glob("*.py"))}
+        flow = next(node for node in trees["synthesis.py"].body
+                    if getattr(node, "name", None) == "synthesis_flow_nullvector")
+        assert len(calls(flow, "polish")) == 1
+        assert sum(len(calls(tree, "polish_null_vector_root"))
+                   for tree in trees.values()) == 1
 
 
 class TestPolishJacobian:
