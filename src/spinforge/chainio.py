@@ -1,13 +1,14 @@
 """Serialization of designed chains to a small JSON document format.
 
 One schema covers the four chain kinds the tools exchange: ``pst``
-(mirror-transfer couplings), ``ising`` (transverse fields plus ZZ
-couplings), ``zy`` (the deformed family, stored as underlying couplings,
-on-site terms, and the deformation parameter), and ``xx`` (exchange
-chains, whose field entries are all zero).  Every document embeds
-provenance, the command line, seed, and tolerances that produced it, so
-any artifact can be regenerated, and the numpy, BLAS and thread settings
-it ran under.
+(mirror-transfer couplings), ``ising`` (n transverse fields plus n - 1 ZZ
+couplings, read into and written from the 2n-site ``Chain`` of their
+Majorana band B1, J1, ..., Bn, as ``ghz_ising`` takes it), ``zy`` (the
+deformed family, stored as underlying couplings, on-site terms, and the
+deformation parameter), and ``xx`` (exchange chains, whose field entries
+are all zero).  Every document embeds provenance, the command line, seed,
+and tolerances that produced it, so any artifact can be regenerated, and
+the numpy, BLAS and thread settings it ran under.
 Serialization is deterministic: identical documents produce identical
 bytes.
 """
@@ -25,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from . import THREAD_VARIABLES, __version__
-from .ghz_ising import IsingChain
 from .isoflow import GammaMatrix
 from .numerics import Chain
 
@@ -182,15 +182,18 @@ def pst_chain(doc: ChainDocument) -> Chain:
     return Chain(doc.couplings)
 
 
-def document_from_ising(chain: IsingChain, provenance: dict) -> ChainDocument:
-    return ChainDocument(kind="ising", n=chain.n, couplings=chain.couplings,
-                         fields=chain.fields, provenance=provenance)
+def document_from_ising(chain: Chain, provenance: dict) -> ChainDocument:
+    """Ising document of a chain given by its band: fields at its even
+    positions, ZZ couplings at its odd ones."""
+    return ChainDocument(kind="ising", n=chain.n // 2, couplings=chain.couplings[1::2],
+                         fields=chain.couplings[0::2], provenance=provenance)
 
 
-def ising_chain(doc: ChainDocument) -> IsingChain:
+def ising_chain(doc: ChainDocument) -> Chain:
+    """Rebuild the Ising chain as the 2n-site chain of its band."""
     if doc.kind != "ising":
         raise ValueError(f"expected an ising document, got {doc.kind}")
-    return IsingChain(fields=doc.fields, couplings=doc.couplings)
+    return Chain(np.insert(doc.fields, np.arange(1, doc.n), doc.couplings))
 
 
 def document_from_gamma(x: GammaMatrix, provenance: dict) -> ChainDocument:

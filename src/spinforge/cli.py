@@ -42,7 +42,6 @@ from .cloning import (
 )
 from .ghz_ising import (
     GHZ_TIME,
-    ising_from_pst,
     mirror_deviation,
     overlap_estimate,
     perturb_sweep,
@@ -71,6 +70,13 @@ def tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"tolerance must be finite and positive, got {text}")
     return float(text)
+
+
+def _seed(text: str) -> int:
+    """Value of --seed: an integer of at least zero, as the random streams need."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be zero or more, got {text}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -121,7 +127,7 @@ def _build_parser() -> _Parser:
                        default=1e-6)
 
     for sub in (pst, gamma, wstate, ghz, sweep, clone):
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_seed, default=0)
         sub.add_argument("--out", default=None)
     for sub in (pst, gamma, wstate):
         sub.add_argument("--trace", default=None)
@@ -213,8 +219,8 @@ def _simulate_ghz(args, argv) -> int:
                "method": "exact", "time": GHZ_TIME}
     if doc.kind in ("pst", "ising"):
         chain = (chainio.ising_chain(doc) if doc.kind == "ising"
-                 else ising_from_pst(chainio.pst_chain(doc)))
-        payload.update({"n": chain.n, "overlap": overlap_estimate(chain)})
+                 else chainio.pst_chain(doc))
+        payload.update({"n": chain.n // 2, "overlap": overlap_estimate(chain)})
         if args.check:
             deviation = mirror_deviation(chain)
             payload["mirror_deviation"] = deviation

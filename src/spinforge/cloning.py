@@ -7,10 +7,12 @@ squares, the weights obey A^2 + B^2 = 1 and the Haar-average fidelity
 of clone n is (1 + (beta_n + A)^2) / 3.
 
 The realisation has two halves.  A GHZ-generating transverse Ising
-chain is run twice around a controlled-phase gate, followed by one
-controlled-NOT, which turns the input qubit and one helper qubit into a
-superposition of the extremal strings and single-defect strings.  An
-exchange-coupled chain then spreads the defect over the odd sites.
+chain, the 2M-site mirror-transfer ``Chain`` read as its Majorana band
+(see ``ghz_ising``), is run twice around a controlled-phase gate,
+followed by one controlled-NOT, which turns the input qubit and one
+helper qubit into a superposition of the extremal strings and
+single-defect strings.  An exchange-coupled chain then spreads the
+defect over the odd sites.
 Both halves commute with the global spin flip, so after the gate stages
 the register state stays inside a four-sector family (all zeros, all
 ones, one excitation, one hole).  The gates leave the defect on one site,
@@ -30,8 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ghz_ising import (GHZ_TIME, IsingChain, ising_from_pst, mirror_deviation,
-                        one_particle_map)
+from .ghz_ising import GHZ_TIME, mirror_deviation, one_particle_map
 from .numerics import Chain, givens_factors, propagator
 from .pst import standard_couplings
 from .synthesis import (
@@ -258,10 +259,11 @@ def _offset(p: AsymmetryProfile, k: Optional[int]) -> int:
 # pipelines
 
 
-def _checked_offset(ghz_chain: IsingChain, w_chain: Chain,
+def _checked_offset(ghz_chain: Chain, w_chain: Chain,
                    p: AsymmetryProfile, k: Optional[int]) -> int:
-    """Resolved input offset, once the chains, profile and offset fit."""
-    if ghz_chain.n != p.m or w_chain.n != p.m:
+    """Resolved input offset, once the chains, profile and offset fit: the
+    GHZ chain is the 2m-site band of an m-qubit Ising chain."""
+    if ghz_chain.n != 2 * p.m or w_chain.n != p.m:
         raise ValueError("chain sizes and profile disagree")
     return _offset(p, k)
 
@@ -284,7 +286,7 @@ def _compressed_states(p: AsymmetryProfile, column: np.ndarray, psi: np.ndarray)
     return states if psi.ndim == 2 else states[0]
 
 
-def pipeline_run(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
+def pipeline_run(ghz_chain: Chain, w_chain: Chain, p: AsymmetryProfile,
                  input_state, k: Optional[int] = None,
                  w_time: float = REFLECTION_TIME):
     """Clone input qubits through the gate-and-chain pipeline.
@@ -326,9 +328,9 @@ def _register(m: int, vec) -> np.ndarray:
     return vec
 
 
-def ising_evolve_dense(chain: IsingChain, t: float, vec) -> np.ndarray:
-    """Evolve a dense register state under a transverse Ising chain (m <= 13),
-    up to a global sign.
+def ising_evolve_dense(chain: Chain, t: float, vec) -> np.ndarray:
+    """Evolve a dense register state under a transverse Ising chain, given
+    by its 2m-site Majorana band (m <= 13), up to a global sign.
 
     The one-particle map W = exp(2ts) lies in SO(2m), so :func:`givens_factors`
     writes it as m(2m - 1) rotations of adjacent Majorana planes and nothing
@@ -339,9 +341,10 @@ def ising_evolve_dense(chain: IsingChain, t: float, vec) -> np.ndarray:
     +-1, which the pipeline's two GHZ stages cancel.  ``vec`` is one state
     or a block of states in columns.
     """
-    out = _register(chain.n, vec)
+    w = one_particle_map(chain, t)
+    out = _register(chain.n // 2, vec)
     block = out.reshape(out.shape[0], -1)
-    _, planes, rotations = givens_factors(one_particle_map(chain, t))
+    _, planes, rotations = givens_factors(w)
     halves = 0.5 * np.arctan2(rotations[:, 0, 1], rotations[:, 0, 0])
     for plane, half in zip(planes, halves):
         j = plane // 2
@@ -406,7 +409,7 @@ def _dense_cnot(vec: np.ndarray, m: int, control: int, target: int) -> np.ndarra
     return out
 
 
-def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
+def brute_force_pipeline(ghz_chain: Chain, w_chain: Chain,
                          p: AsymmetryProfile, input_state,
                          k: Optional[int] = None,
                          w_time: float = REFLECTION_TIME) -> np.ndarray:
@@ -420,7 +423,7 @@ def brute_force_pipeline(ghz_chain: IsingChain, w_chain: Chain,
     columns, shape (2, c); the result holds one register state per
     column, and all columns share each gate.  Limited to m <= 13 qubits.
     """
-    m = ghz_chain.n
+    m = ghz_chain.n // 2
     if m > BRUTE_FORCE_MAX_M:
         raise ValueError(f"the dense oracle is limited to {BRUTE_FORCE_MAX_M} qubits")
     k = _checked_offset(ghz_chain, w_chain, p, k)
@@ -481,7 +484,7 @@ def reduced_qubit_state(state, site: int) -> np.ndarray:
     return moved @ moved.conj().T
 
 
-def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
+def clone_report(ghz_chain: Chain, w_chain: Chain, p: AsymmetryProfile,
                  k: Optional[int] = None, method: str = "compressed",
                  stage_tol: float = 1e-6) -> CloneReport:
     """Fidelity report for a configured pipeline over the six axis inputs.
@@ -528,9 +531,10 @@ def clone_report(ghz_chain: IsingChain, w_chain: Chain, p: AsymmetryProfile,
 # chain design
 
 
-def ghz_helper_chain(m: int) -> IsingChain:
-    """Transverse Ising chain whose half period generates the m-qubit GHZ state."""
-    return ising_from_pst(standard_couplings(2 * m))
+def ghz_helper_chain(m: int) -> Chain:
+    """Transverse Ising chain whose half period generates the m-qubit GHZ
+    state: the 2m-site mirror-transfer chain, read as its Majorana band."""
+    return standard_couplings(2 * m)
 
 
 def _candidate_spectra(m: int) -> list:

@@ -3,17 +3,19 @@
 A chain of n qubits with transverse fields on X and nearest-neighbour ZZ
 couplings is quadratic in Majorana operators, so its evolution is captured
 exactly by a real antisymmetric 2n x 2n matrix s, which carries the band
-B1, J1, B2, ..., Bn on its superdiagonal. With couplings inherited
-from a mirror-transfer chain of length 2n, evolving the all-zeros state for
-a quarter period produces the n-qubit GHZ state. This module builds those
-chains, verifies the synthesis at the quadratic level, and computes the
-GHZ overlap exactly from one (n+1)-square complex determinant, the
-Bogoliubov matrix between two complete Majorana pairings (Onishi &
-Yoshida 1966; Bravyi 2005), for Ising chains and for the YY-coupled chains
-of ``isoflow`` alike, fast enough for large disorder sweeps.  The dense
-cloning oracle evolves the same chains as gate circuits built from
-``one_particle_map``; the tests check all of it against a dense
-spin-Hamiltonian reference of their own.
+B1, J1, B2, ..., Bn on its superdiagonal.  That band is the whole chain, so
+an n-qubit Ising chain is the 2n-site ``numerics.Chain`` whose couplings
+are its band, and one private helper reads the fields and ZZ couplings off
+it.  The mirror-transfer chain ``pst.standard_couplings(2n)`` is, as it
+stands, the Ising chain whose quarter period takes the all-zeros state to
+the n-qubit GHZ state.  This module verifies that synthesis at the
+quadratic level, and computes the GHZ overlap exactly from one
+(n+1)-square complex determinant, the Bogoliubov matrix between two
+complete Majorana pairings (Onishi & Yoshida 1966; Bravyi 2005), for Ising
+chains and for the YY-coupled chains of ``isoflow`` alike, fast enough for
+large disorder sweeps.  The dense cloning oracle evolves the same chains
+as gate circuits built from ``one_particle_map``; the tests check all of
+it against a dense spin-Hamiltonian reference of their own.
 
 Time convention: all public functions take Hamiltonian evolution time. The
 quadratic (Majorana) sector evolves through twice the angle, i.e. the
@@ -46,48 +48,6 @@ GHZ_TIME = np.pi / 4
 SWEEP_BLOCK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class IsingChain:
-    """Transverse-field Ising chain: n fields on X, n-1 couplings on ZZ."""
-
-    fields: np.ndarray
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        fields = np.asarray(self.fields, dtype=float)
-        couplings = np.asarray(self.couplings, dtype=float)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "couplings", couplings)
-        if fields.size < 1:
-            raise ValueError("need at least one qubit")
-        if couplings.shape != (fields.size - 1,):
-            raise ValueError("coupling count must be one less than field count")
-        if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(couplings))):
-            raise ValueError("chain parameters must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.fields.size
-
-    def band(self) -> np.ndarray:
-        """Interleaved parameter sequence B1, J1, B2, J2, ..., Bn."""
-        band = np.empty(2 * self.n - 1)
-        band[0::2] = self.fields
-        band[1::2] = self.couplings
-        return band
-
-
-def ising_from_pst(p: Chain) -> IsingChain:
-    """Split an even-length transfer chain into Ising fields and couplings.
-
-    The 2n-site coupling sequence is read alternately: odd positions become
-    the n transverse fields, even positions the n-1 ZZ couplings.
-    """
-    if p.n % 2:
-        raise ValueError("transfer chain must have an even number of sites")
-    return IsingChain(fields=p.couplings[0::2], couplings=p.couplings[1::2])
-
-
 def majorana_blocks(fields, zz, yy=None) -> np.ndarray:
     """Even-odd blocks C of the Majorana matrices s, stacked as (k, n, n).
 
@@ -104,6 +64,19 @@ def majorana_blocks(fields, zz, yy=None) -> np.ndarray:
     if yy is not None:
         c[:, i[:-1], i[1:]] = -np.asarray(yy, dtype=float)
     return c
+
+
+def _ising_blocks(bands: np.ndarray) -> np.ndarray:
+    """Blocks C of Ising chains given by their Majorana bands, stacked as (k, 2n - 1).
+
+    A band B1, J1, B2, ..., Bn holds the X fields at its even positions and
+    the ZZ couplings at its odd ones, so the 2n-site ``Chain`` with those
+    couplings is an n-qubit Ising chain.  A band of even length, an odd
+    number of sites, is refused.
+    """
+    if bands.shape[1] % 2 == 0:
+        raise ValueError("transfer chain must have an even number of sites")
+    return majorana_blocks(bands[:, 0::2], bands[:, 1::2])
 
 
 def _map_blocks(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,16 +108,18 @@ def _map_blocks(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.nda
     return (u * cos) @ ut, (v * cos) @ vt, (u * sin) @ vt
 
 
-def one_particle_map(c: IsingChain, t: float) -> np.ndarray:
-    """Real orthogonal map exp(2ts) transporting Majorana operators over Hamiltonian time t."""
-    ee, oo, eo = (b[0] for b in _map_blocks(
-        majorana_blocks(c.fields[None], c.couplings[None]), t))
-    w = np.empty((2 * c.n, 2 * c.n))
+def one_particle_map(c: Chain, t: float) -> np.ndarray:
+    """Real orthogonal map exp(2ts) transporting Majorana operators over Hamiltonian time t.
+
+    ``c`` is the Ising chain's 2n-site band, so the map is c.n x c.n.
+    """
+    ee, oo, eo = (b[0] for b in _map_blocks(_ising_blocks(c.couplings[None]), t))
+    w = np.empty((c.n, c.n))
     w[0::2, 0::2], w[1::2, 1::2], w[0::2, 1::2], w[1::2, 0::2] = ee, oo, eo, -eo.T
     return w
 
 
-def mirror_deviation(c: IsingChain) -> float:
+def mirror_deviation(c: Chain) -> float:
     """Deviation of the one-particle map from the signed mirror permutation.
 
     At the quarter period the engineered chain sends mode k to mode 2n+1-k
@@ -152,10 +127,9 @@ def mirror_deviation(c: IsingChain) -> float:
     that rule; diagnostic, large for perturbed chains.  In the blocks of
     :func:`_map_blocks` the rule reads ee = oo = 0 and eo = anti-identity.
     """
-    ee, oo, eo = (b[0] for b in _map_blocks(
-        majorana_blocks(c.fields[None], c.couplings[None]), GHZ_TIME))
+    ee, oo, eo = (b[0] for b in _map_blocks(_ising_blocks(c.couplings[None]), GHZ_TIME))
     return float(max(np.abs(ee).max(), np.abs(oo).max(),
-                     np.abs(eo[::-1] - np.eye(c.n)).max()))
+                     np.abs(eo[::-1] - np.eye(c.n // 2)).max()))
 
 
 def ghz_overlaps(c: np.ndarray) -> np.ndarray:
@@ -200,13 +174,13 @@ def ghz_overlaps(c: np.ndarray) -> np.ndarray:
     return overlap
 
 
-def overlap_estimate(c: IsingChain) -> float:
+def overlap_estimate(c: Chain) -> float:
     """Exact GHZ overlap of an Ising chain, by :func:`ghz_overlaps`.
 
     The name is kept from the estimator this replaced, because the
     benchmark's tracer times the function under it.
     """
-    return float(ghz_overlaps(majorana_blocks(c.fields[None], c.couplings[None]))[0])
+    return float(ghz_overlaps(_ising_blocks(c.couplings[None]))[0])
 
 
 @dataclass(eq=False)
@@ -258,7 +232,7 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
         raise ValueError("need at least one qubit")
     if samples < 1:
         raise ValueError("need at least one sample")
-    band = ising_from_pst(standard_couplings(2 * n)).band()
+    band = standard_couplings(2 * n).couplings
     block = max(1, SWEEP_BLOCK_BYTES // (16 * (n + 1) ** 2 + 24 * n ** 2))
     xs = [float(x) for x in x_percents]
     try:
@@ -267,7 +241,7 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
         raise ValueError(f"no memory for {len(xs)} strengths x {samples} samples") from None
     zero = np.array(xs) == 0.0
     if zero.any():
-        values[zero] = ghz_overlaps(majorana_blocks(band[None, 0::2], band[None, 1::2]))
+        values[zero] = ghz_overlaps(_ising_blocks(band[None]))
     rows = np.flatnonzero(~zero)
 
     def evaluate(start: int) -> None:
@@ -278,8 +252,7 @@ def perturb_sweep(n: int, x_percents, samples: int, seed: int) -> list[SweepPoin
             bands = band * (1.0 + (xs[row] / 100.0) * u)
             if not np.all(np.isfinite(bands)):
                 raise ValueError("chain parameters must be finite")
-            values[row, start:stop] = ghz_overlaps(
-                majorana_blocks(bands[:, 0::2], bands[:, 1::2]))
+            values[row, start:stop] = ghz_overlaps(_ising_blocks(bands))
 
     starts = range(0, samples if rows.size else 0, block)
     # threads start on the first submit, so an all-zero sweep starts none

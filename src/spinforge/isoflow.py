@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ghz_ising import ghz_overlaps, ising_from_pst, majorana_blocks
+from .ghz_ising import ghz_overlaps, majorana_blocks
 from .numerics import FlowStallError, FlowTrace
 from .pst import standard_couplings
 
@@ -99,14 +99,15 @@ def target_ladder(n: int) -> np.ndarray:
 def gamma_seed(n: int, gamma: float) -> GammaMatrix:
     """Known family member at an endpoint of the deformation range.
 
-    gamma = 1 is the bidiagonal split of the 2n-site transfer chain; gamma = 0
+    gamma = 1 is the 2n-site transfer chain's band split into its diagonal
+    (the even positions) and its upper band (the odd ones); gamma = 0
     is n on the diagonal plus the symmetric n-site transfer couplings.  Both
     carry singular values {1, 3, ..., 2n-1}, which is what makes them valid
     anchors for interpolation.
     """
     if abs(gamma - 1.0) < 1e-12:
-        chain = ising_from_pst(standard_couplings(2 * n))
-        return GammaMatrix(diag=chain.fields, upper=chain.couplings,
+        band = standard_couplings(2 * n).couplings
+        return GammaMatrix(diag=band[0::2], upper=band[1::2],
                            lower=np.zeros(n - 1), gamma=1.0)
     if abs(gamma) < 1e-12:
         off = standard_couplings(n).couplings if n > 1 else np.zeros(0)

@@ -426,12 +426,16 @@ def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     components are then sign-flipped on alternate odd sites, matching the
     zero-mode parity of positive-coupling chains, and the produced state
     carries the same alternation, removable by a diagonal sign gauge on
-    the couplings.
+    the couplings.  A source that is not an integer in 1..n raises
+    ``ValueError``.
     """
     target_state = np.asarray(target_state, dtype=float)
     n = target_state.size
     if np.abs(target_state[1::2]).max() > 1e-12:
         raise ValueError("target state must be supported on odd sites")
+    if (isinstance(source, bool) or not isinstance(source, (int, np.integer))
+            or not 1 <= source <= n):
+        raise ValueError(f"source must be a site in 1..{n}, got {source!r}")
     if source % 2 == 0:
         raise ValueError("source must be an odd site")
     phi = np.zeros(n)

@@ -59,6 +59,12 @@ def ghz_target(n: int) -> np.ndarray:
     return psi
 
 
+def ising_band(fields, zz) -> np.ndarray:
+    """The Majorana band B1, J1, B2, ..., Bn of the Ising chain with X fields
+    ``fields`` and ZZ couplings ``zz``: the couplings of its 2n-site chain."""
+    return np.insert(np.asarray(fields, dtype=float), np.arange(1, len(fields)), zz)
+
+
 def ghz_overlap(fields, zz, yy=None) -> float:
     """|<GHZ| e^{-iH pi/4} |0...0>|, clamped to at most 1, for the chain with X
     fields ``fields`` and ZZ (and YY) couplings ``zz`` (and ``yy``)."""

@@ -25,8 +25,6 @@ from spinforge.cloning import (
 )
 from spinforge.ghz_ising import (
     GHZ_TIME,
-    IsingChain,
-    ising_from_pst,
     mirror_deviation,
     overlap_estimate,
     perturb_sweep,
@@ -77,8 +75,8 @@ def test_criterion_01_mirror_transfer_all_sizes():
 def test_criterion_02_exact_overlap_component():
     """The attainable half of criterion 2, kept green on its own."""
     for n in range(3, 11):
-        chain = ising_from_pst(standard_couplings(2 * n))
-        assert ghz_overlap(chain.fields, chain.couplings) >= 1 - 1e-8
+        band = standard_couplings(2 * n).couplings
+        assert ghz_overlap(band[0::2], band[1::2]) >= 1 - 1e-8
 
 
 @pytest.mark.xfail(
@@ -91,10 +89,10 @@ def test_criterion_02_exact_ghz_and_cycle_closure():
     worst_overlap_gap = 0.0
     worst_closure = 0.0
     for n in range(3, 11):
-        chain = ising_from_pst(standard_couplings(2 * n))
+        band = standard_couplings(2 * n).couplings
         worst_overlap_gap = max(worst_overlap_gap,
-                                1.0 - ghz_overlap(chain.fields, chain.couplings))
-        u4 = propagator(spin_hamiltonian(n, chain.fields, chain.couplings), 4 * GHZ_TIME)
+                                1.0 - ghz_overlap(band[0::2], band[1::2]))
+        u4 = propagator(spin_hamiltonian(n, band[0::2], band[1::2]), 4 * GHZ_TIME)
         closure = np.abs(u4 - (-1j) * np.eye(u4.shape[0])).max()
         worst_closure = max(worst_closure, closure)
     elapsed = time.perf_counter() - start
@@ -106,7 +104,7 @@ def test_criterion_02_exact_ghz_and_cycle_closure():
 
 def test_criterion_03_ghz_at_scale():
     start = time.perf_counter()
-    chain = ising_from_pst(standard_couplings(42))
+    chain = standard_couplings(42)
     deviation = mirror_deviation(chain)
     overlap = overlap_estimate(chain)
     elapsed = time.perf_counter() - start
@@ -131,12 +129,11 @@ def test_criterion_05_estimator_tracks_brute_force():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         x = float(rng.uniform(0.0, 5.0))
-        base = ising_from_pst(standard_couplings(2 * n))
-        band = base.band()
+        band = standard_couplings(2 * n).couplings
         u = rng.uniform(-1.0, 1.0, band.size)
         perturbed = band * (1.0 + (x / 100.0) * u)
-        chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-        gap = abs(overlap_estimate(chain) - ghz_overlap(chain.fields, chain.couplings))
+        gap = abs(overlap_estimate(Chain(perturbed))
+                  - ghz_overlap(perturbed[0::2], perturbed[1::2]))
         hits += gap <= 0.05
     record(5, hits >= 90, f"{hits}/100 within 0.05")
 

@@ -206,7 +206,6 @@ def _array_dataclasses():
     lam = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
     return {
         "numerics.Chain": lambda: numerics.Chain([1.0, 2.0]),
-        "ghz_ising.IsingChain": lambda: ghz_ising.IsingChain(fields=[1.0, 1.0], couplings=[1.0]),
         "ghz_ising.SweepPoint": lambda: ghz_ising.SweepPoint(1.0, np.ones(3)),
         "isoflow.GammaMatrix": lambda: isoflow.GammaMatrix([0.0, 0.0], [1.0], [1.0], 0.0),
         "chainio.ChainDocument": lambda: chainio.ChainDocument("pst", 3, [1.0, 1.0], []),

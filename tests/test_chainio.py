@@ -24,7 +24,6 @@ from spinforge.chainio import (
     write_document,
     xx_chain,
 )
-from spinforge.ghz_ising import ising_from_pst
 from spinforge.isoflow import GammaMatrix
 from spinforge.numerics import Chain
 from spinforge.pst import standard_couplings
@@ -66,11 +65,21 @@ class TestChainDocument:
         assert np.allclose(back.couplings, chain.couplings)
 
     def test_ising_round_trip(self):
-        chain = ising_from_pst(standard_couplings(8))
+        chain = standard_couplings(8)
         doc = document_from_ising(chain, provenance())
         back = ising_chain(document_from_json(document_to_json(doc)))
-        assert np.allclose(back.fields, chain.fields)
-        assert np.allclose(back.couplings, chain.couplings)
+        assert np.array_equal(back.couplings, chain.couplings)
+
+    @pytest.mark.parametrize("sites, fields, couplings", [
+        (4, [np.sqrt(3), np.sqrt(3)], [2.0]),
+        (6, [np.sqrt(5), 3.0, np.sqrt(5)], [np.sqrt(8), np.sqrt(8)]),
+    ], ids=["four", "six"])
+    def test_ising_document_splits_the_band(self, sites, fields, couplings):
+        # fields at the band's even positions, ZZ couplings at its odd ones
+        doc = document_from_ising(standard_couplings(sites), provenance())
+        assert doc.n == sites // 2
+        assert np.allclose(doc.fields, fields)
+        assert np.allclose(doc.couplings, couplings)
 
     def test_gamma_round_trip(self):
         base = standard_couplings(6).couplings
@@ -94,8 +103,7 @@ class TestChainDocument:
         assert document_to_json(doc) == document_to_json(doc)
 
     def test_file_round_trip(self, tmp_path):
-        doc = document_from_ising(ising_from_pst(standard_couplings(4)),
-                                  provenance())
+        doc = document_from_ising(standard_couplings(4), provenance())
         path = tmp_path / "chain.json"
         write_document(doc, path)
         back = read_document(path)
@@ -228,9 +236,8 @@ class TestNonFinite:
 
 def nonfinite_document(kind, field, value):
     """A valid document's JSON with the second entry of ``field`` replaced."""
-    chain = ising_from_pst(standard_couplings(8))
     doc = {"pst": lambda: document_from_pst(standard_couplings(4), provenance()),
-           "ising": lambda: document_from_ising(chain, provenance()),
+           "ising": lambda: document_from_ising(standard_couplings(8), provenance()),
            "zy": lambda: ChainDocument(kind="zy", n=4, couplings=np.ones(3),
                                        fields=np.ones(4), gamma=0.5),
            "xx": lambda: ChainDocument(kind="xx", n=4, couplings=np.ones(3),

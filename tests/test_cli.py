@@ -13,9 +13,16 @@ from spinforge import THREAD_VARIABLES, cli, ghz_ising, synthesis
 from spinforge.chainio import (document_from_gamma, document_from_ising,
                                document_from_pst, make_provenance, read_document,
                                write_document)
-from spinforge.ghz_ising import ising_from_pst
 from spinforge.isoflow import gamma_seed
+from spinforge.numerics import Chain
 from spinforge.pst import standard_couplings
+
+
+def detuned_ghz_chain(field_scale):
+    """The four-qubit GHZ chain, its band B1, J1, ..., B4, with every field scaled."""
+    band = standard_couplings(8).couplings.copy()
+    band[0::2] *= field_scale
+    return Chain(band)
 
 
 def run(tmp_path, *args):
@@ -247,15 +254,11 @@ class TestSimulateGhz:
         assert payload["mirror_deviation"] < 1e-9
 
     def test_detuned_chain_breaches(self, tmp_path, capsys):
-        chain = ising_from_pst(standard_couplings(8))
-        doc = document_from_ising(
-            chain, {"command": "handmade", "seed": None, "tolerances": {}})
         broken = tmp_path / "broken.json"
         write_document(
             document_from_ising(
-                type(chain)(fields=chain.fields * 1.05,
-                            couplings=chain.couplings),
-                doc.provenance),
+                detuned_ghz_chain(1.05),
+                {"command": "handmade", "seed": None, "tolerances": {}}),
             broken)
         out = tmp_path / "report.json"
         code = run(tmp_path, "simulate", "ghz", "--chain", str(broken),
@@ -268,10 +271,9 @@ class TestSimulateGhz:
     def test_phases_without_digits_are_usage_error(self, tmp_path, capsys, scale):
         # finite phases past eps * phase = 1e-10 would give an overlap of
         # rounding noise; the named error is printed and nothing written
-        chain = ising_from_pst(standard_couplings(8))
         huge = tmp_path / "huge.json"
         write_document(document_from_ising(
-            type(chain)(fields=chain.fields * scale, couplings=chain.couplings * scale),
+            Chain(standard_couplings(8).couplings * scale),
             {"command": "handmade", "seed": None, "tolerances": {}}), huge)
         out = tmp_path / "report.json"
         code = run(tmp_path, "simulate", "ghz", "--chain", str(huge), "--out", str(out))
@@ -283,6 +285,16 @@ class TestSimulateGhz:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run(tmp_path, "simulate", "ghz", "--chain", "nope.json") == 1
+
+    def test_odd_pst_document_is_usage_error(self, tmp_path, capsys):
+        # a three-site transfer chain is no Ising band: it is refused by name
+        # and no report is written
+        assert run(tmp_path, "design", "pst", "--n", "3") == 0
+        assert run(tmp_path, "simulate", "ghz", "--chain", "pst3.json") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "spinforge simulate ghz: error: transfer chain must have an even "
+            "number of sites"]
+        assert not (tmp_path / "ghz_report.json").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("design, field", [
@@ -580,10 +592,8 @@ class TestStallAndBreachMessages:
     ], ids=["pst-mirror", "gamma-stall", "wstate-stall", "clone-design-stall",
             "clone-ghz-stage", "clone-w-stage", "ghz-mirror"])
     def test_one_line_names_the_stage_once(self, tmp_path, capsys, argv, code, name):
-        chain = ising_from_pst(standard_couplings(8))
         write_document(document_from_ising(
-            type(chain)(fields=chain.fields * 1.05, couplings=chain.couplings),
-            make_provenance("test")), tmp_path / "detuned.json")
+            detuned_ghz_chain(1.05), make_provenance("test")), tmp_path / "detuned.json")
         assert run(tmp_path, *argv) == code
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1, err
@@ -607,6 +617,45 @@ class TestToleranceFlags:
         assert run(tmp_path, *argv, tol) == 1
         assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestSeedFlag:
+    """Every command takes only a non-negative integer seed, checked before
+    any work: a refused seed writes nothing."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, seed):
+        before = sorted(tmp_path.iterdir())
+        assert run(tmp_path, *argv, "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "Traceback" not in err
+        if seed == "-1":
+            assert "seed must be zero or more, got -1" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "one"])
+    @pytest.mark.parametrize("argv", [
+        ("design", "pst", "--n", "4"),
+        ("design", "gamma", "--n", "3", "--from", "0", "--to", "0.5"),
+        ("design", "wstate", "--n", "9"),
+    ], ids=["pst", "gamma", "wstate"])
+    def test_design_commands_refuse_a_bad_seed(self, tmp_path, capsys, argv, seed):
+        self.refused(tmp_path, capsys, argv, seed)
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "one"])
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "ghz", "--chain", "chain.json"),
+        ("simulate", "sweep", "--n", "3", "--x", "1", "--samples", "2"),
+        ("simulate", "sweep", "--n", "3", "--x", "0", "--samples", "2"),
+        ("simulate", "clone", "--n-clones", "2"),
+    ], ids=["ghz", "sweep", "sweep-at-zero", "clone"])
+    def test_simulate_commands_refuse_a_bad_seed(self, tmp_path, capsys, argv, seed):
+        assert run(tmp_path, "design", "pst", "--n", "4", "--out", "chain.json") == 0
+        self.refused(tmp_path, capsys, argv, seed)
+
+    def test_seed_reaches_provenance(self, tmp_path):
+        assert run(tmp_path, "design", "pst", "--n", "4", "--seed", "7") == 0
+        assert read_document(tmp_path / "pst4.json").provenance["seed"] == 7
 
 
 class TestParsing:

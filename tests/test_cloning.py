@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dense_reference import clone_images, evolve, spin_hamiltonian
+from dense_reference import clone_images, evolve, ising_band, spin_hamiltonian
 from spinforge import cloning
 from spinforge.cli import main
 from spinforge.cloning import (
@@ -29,9 +29,9 @@ from spinforge.cloning import (
     symmetric_profile,
 )
 from spinforge import numerics
-from spinforge.ghz_ising import IsingChain
 from spinforge.chainio import document_from_xx, make_provenance, xx_chain
 from spinforge.numerics import Chain, propagator
+from spinforge.pst import standard_couplings
 from spinforge.synthesis import produced_state
 
 
@@ -256,9 +256,10 @@ class TestOracleCircuits:
     def test_ising_circuit_is_the_evolution_up_to_one_sign(self, m):
         rng = np.random.default_rng(70 + m)
         for t in self.TIMES:
-            chain = IsingChain(rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, m - 1))
+            fields, zz = rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, m - 1)
+            chain = Chain(ising_band(fields, zz))
             block = self.block(rng, m)
-            exact = evolve(spin_hamiltonian(m, x=chain.fields, zz=chain.couplings), t, block)
+            exact = evolve(spin_hamiltonian(m, x=fields, zz=zz), t, block)
             out = ising_evolve_dense(chain, t, block)
             # one sign for the whole block, not one per column
             sign = np.sign(np.vdot(exact[:, 0], out[:, 0]).real)
@@ -280,15 +281,21 @@ class TestOracleCircuits:
         rng = np.random.default_rng(90)
         block = self.block(rng, 4)
         kept = block.copy()
-        ising_evolve_dense(IsingChain(np.ones(4), np.ones(3)), 0.5, block)
+        ising_evolve_dense(Chain(np.ones(7)), 0.5, block)
         exchange_evolve_dense(np.ones(3), 0.5, block)
         assert np.array_equal(block, kept)
+
+    def test_ising_circuit_refuses_an_odd_chain(self):
+        # five sites are no Ising band; the block fits two qubits, so only
+        # the even-site gate stands in the way
+        block = self.block(np.random.default_rng(91), 2)
+        with pytest.raises(ValueError, match="even number of sites"):
+            ising_evolve_dense(Chain(np.ones(4)), 0.5, block)
 
     def test_ising_size_cap(self):
         m = BRUTE_FORCE_MAX_M + 1
         with pytest.raises(ValueError, match="limited to"):
-            ising_evolve_dense(IsingChain(np.ones(m), np.ones(m - 1)), 1.0,
-                               np.zeros(1 << m))
+            ising_evolve_dense(Chain(np.ones(2 * m - 1)), 1.0, np.zeros(1 << m))
 
 
 class TestPipelineAgreement:
@@ -347,10 +354,23 @@ class TestPipelineAgreement:
     def test_ghz_stage_failure_is_named(self):
         p = symmetric_profile(2)
         w = design_w_chain(p)
-        good = ghz_helper_chain(3)
-        broken = IsingChain(good.fields * 1.5, good.couplings)
+        band = ghz_helper_chain(3).couplings.copy()
+        band[0::2] *= 1.5
+        broken = Chain(band)
         with pytest.raises(CloningStageError, match="ghz stage"):
             clone_report(broken, w, p)
+
+    @pytest.mark.parametrize("sites", [5, 7, 8])
+    def test_helper_chain_of_the_wrong_size_refused(self, sites):
+        # a three-qubit register takes the six-site band of its helper chain
+        p = symmetric_profile(2)
+        w = design_w_chain(p)
+        ghz = standard_couplings(sites)
+        for run in (pipeline_run, brute_force_pipeline):
+            with pytest.raises(ValueError, match="chain sizes and profile disagree"):
+                run(ghz, w, p, SIX_DESIGN_INPUTS[0])
+        with pytest.raises(ValueError, match="chain sizes and profile disagree"):
+            clone_report(ghz, w, p)
 
     def test_w_stage_failure_is_named(self):
         p = symmetric_profile(2)
@@ -368,7 +388,7 @@ class TestPipelineAgreement:
         # no offset leaves a helper and an input inside a one-site register
         for run in (pipeline_run, brute_force_pipeline):
             with pytest.raises(ValueError, match="offset"):
-                run(IsingChain([1.0], []), Chain([]), symmetric_profile(1), SIX_DESIGN_INPUTS[0])
+                run(Chain([1.0]), Chain([]), symmetric_profile(1), SIX_DESIGN_INPUTS[0])
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_exchange_time_refused(self, t):

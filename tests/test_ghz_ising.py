@@ -9,24 +9,31 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import evolve, ghz_overlap, ghz_target, spin_hamiltonian, zeros_state
+from dense_reference import (evolve, ghz_overlap, ghz_target, ising_band, spin_hamiltonian,
+                             zeros_state)
 from spinforge import ghz_ising
+from spinforge.chainio import (document_from_ising, document_from_json, document_to_json,
+                               ising_chain)
 from spinforge.ghz_ising import (
     GHZ_TIME,
-    IsingChain,
     ghz_overlaps,
-    ising_from_pst,
     majorana_blocks,
     mirror_deviation,
     one_particle_map,
     overlap_estimate,
     perturb_sweep,
 )
-from spinforge.pst import standard_couplings
+from spinforge.numerics import Chain, propagator
+from spinforge.pst import standard_couplings, verify_mirror
 
 
 def ghz_chain(n):
-    return ising_from_pst(standard_couplings(2 * n))
+    return standard_couplings(2 * n)
+
+
+def split(chain):
+    """X fields and ZZ couplings of an Ising chain, read off its band."""
+    return chain.couplings[0::2], chain.couplings[1::2]
 
 
 def majorana(band):
@@ -40,7 +47,7 @@ def full_mirror_deviation(c):
     """Reference mirror deviation: the whole 2n x 2n one-particle map against
     the signed mirror permutation, mode k to mode 2n+1-k with sign (-1)^k."""
     w = one_particle_map(c, GHZ_TIME)
-    dim = 2 * c.n
+    dim = c.n
     target = np.zeros((dim, dim))
     k = np.arange(1, dim + 1)
     target[dim - k, k - 1] = (-1.0) ** k
@@ -48,38 +55,33 @@ def full_mirror_deviation(c):
 
 
 class TestIsingFromPst:
-    def test_four_site_split(self):
-        chain = ising_from_pst(standard_couplings(4))
-        assert np.allclose(chain.fields, [np.sqrt(3), np.sqrt(3)])
-        assert np.allclose(chain.couplings, [2.0])
-
-    def test_six_site_split(self):
-        chain = ising_from_pst(standard_couplings(6))
-        assert np.allclose(chain.fields, [np.sqrt(5), 3.0, np.sqrt(5)])
-        assert np.allclose(chain.couplings, [np.sqrt(8), np.sqrt(8)])
+    """The Ising chain of n qubits is the transfer chain of 2n sites: its X
+    fields and ZZ couplings are the band's even and odd entries."""
 
     def test_single_qubit(self):
-        chain = ising_from_pst(standard_couplings(2))
-        assert chain.fields.tolist() == [1.0]
-        assert chain.couplings.size == 0
+        chain = standard_couplings(2)
+        fields, zz = split(chain)
+        assert fields.tolist() == [1.0]
+        assert zz.size == 0
+        assert abs(overlap_estimate(chain) - ghz_overlap(fields, zz)) < 1e-12
 
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            ising_from_pst(standard_couplings(5))
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    @pytest.mark.parametrize("n", [2, 4, 9])
     def test_round_trip_to_transfer_band(self, n):
+        # the band goes out as n fields and n - 1 couplings and comes back
+        # bit for bit
         source = standard_couplings(2 * n)
-        assert np.array_equal(ising_from_pst(source).band(), source.couplings)
+        doc = document_from_json(document_to_json(document_from_ising(source, {})))
+        assert (doc.n, doc.fields.size, doc.couplings.size) == (n, n, n - 1)
+        assert np.array_equal(ising_chain(doc).couplings, source.couplings)
 
 
 class TestMajoranaMatrix:
     def test_single_qubit_band(self):
-        s = majorana(IsingChain(fields=[1.0], couplings=[]).band())
+        s = majorana(ghz_chain(1).couplings)
         assert np.array_equal(s, [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_two_qubit_band(self):
-        s = majorana(ghz_chain(2).band())
+        s = majorana(ghz_chain(2).couplings)
         assert np.allclose(np.diagonal(s, 1), [np.sqrt(3), 2.0, np.sqrt(3)])
 
     @pytest.mark.parametrize("n", [2, 5, 21])
@@ -105,7 +107,7 @@ class TestGhzTarget:
 class TestBruteForceEvolve:
     def test_zero_time(self):
         psi0, chain = ghz_target(3), ghz_chain(3)
-        out = evolve(spin_hamiltonian(3, chain.fields, chain.couplings), 0.0, psi0)
+        out = evolve(spin_hamiltonian(3, *split(chain)), 0.0, psi0)
         assert np.abs(out - psi0).max() < 1e-12
 
     def test_norm_preserved(self):
@@ -113,13 +115,13 @@ class TestBruteForceEvolve:
         psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi0 /= np.linalg.norm(psi0)
         chain = ghz_chain(4)
-        out = evolve(spin_hamiltonian(4, chain.fields, chain.couplings), 0.37, psi0)
+        out = evolve(spin_hamiltonian(4, *split(chain)), 0.37, psi0)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_quarter_period_reaches_ghz(self, n):
         chain = ghz_chain(n)
-        assert ghz_overlap(chain.fields, chain.couplings) >= 1 - 1e-8
+        assert ghz_overlap(*split(chain)) >= 1 - 1e-8
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_four_step_cycle_parity_closure(self, n):
@@ -128,7 +130,7 @@ class TestBruteForceEvolve:
         # share the parity of n and e^{-i pi H} = (-1)^n on the whole space
         chain, psi = ghz_chain(n), zeros_state(n)
         for _ in range(4):
-            psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), GHZ_TIME, psi)
+            psi = evolve(spin_hamiltonian(n, *split(chain)), GHZ_TIME, psi)
         assert np.abs(psi - (-1.0) ** n * zeros_state(n)).max() < 1e-8
 
     @pytest.mark.xfail(
@@ -140,13 +142,13 @@ class TestBruteForceEvolve:
     def test_four_step_cycle_minus_i_closure_literal(self, n):
         chain, psi = ghz_chain(n), zeros_state(n)
         for _ in range(4):
-            psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), GHZ_TIME, psi)
+            psi = evolve(spin_hamiltonian(n, *split(chain)), GHZ_TIME, psi)
         assert np.abs(psi - (-1j) * zeros_state(n)).max() < 1e-8
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_half_period_reaches_all_ones(self, n):
         chain = ghz_chain(n)
-        psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), 2 * GHZ_TIME,
+        psi = evolve(spin_hamiltonian(n, *split(chain)), 2 * GHZ_TIME,
                      zeros_state(n))
         expected = np.zeros(1 << n, dtype=complex)
         expected[-1] = -1j if n % 2 else 1.0
@@ -159,7 +161,7 @@ class TestBruteForceEvolve:
     def test_half_period_minus_i_phase_even_literal(self):
         n = 4
         chain = ghz_chain(n)
-        psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), 2 * GHZ_TIME,
+        psi = evolve(spin_hamiltonian(n, *split(chain)), 2 * GHZ_TIME,
                      zeros_state(n))
         expected = np.zeros(1 << n, dtype=complex)
         expected[-1] = -1j
@@ -171,7 +173,7 @@ class TestGlobalPhase:
     def test_matches_brute_force(self, n):
         # <GHZ|psi(t0)> is +1 for odd n and (-1)^(n/2) e^{i pi/4} for even n
         chain = ghz_chain(n)
-        psi = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), GHZ_TIME,
+        psi = evolve(spin_hamiltonian(n, *split(chain)), GHZ_TIME,
                      zeros_state(n))
         overlap = np.vdot(ghz_target(n), psi)
         phase = 1.0 if n % 2 else (-1.0) ** (n // 2) * np.exp(1j * np.pi / 4)
@@ -191,20 +193,17 @@ class TestMirrorDeviation:
         # block as minus the transpose of the even-odd one
         for n in range(1, 61):
             rng = np.random.default_rng([n, int(x)])
-            base = ghz_chain(n)
-            chain = IsingChain(
-                fields=base.fields * (1 + x / 100 * rng.uniform(-1, 1, n)),
-                couplings=base.couplings * (1 + x / 100 * rng.uniform(-1, 1, n - 1)))
+            fields, zz = split(ghz_chain(n))
+            chain = Chain(ising_band(fields * (1 + x / 100 * rng.uniform(-1, 1, n)),
+                                     zz * (1 + x / 100 * rng.uniform(-1, 1, n - 1))))
             assert mirror_deviation(chain) == full_mirror_deviation(chain)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_perturbed_chain_breaks_mirror(self, seed):
         rng = np.random.default_rng(seed)
-        base = ghz_chain(21)
-        chain = IsingChain(
-            fields=base.fields * (1 + rng.uniform(-0.05, 0.05, 21)),
-            couplings=base.couplings * (1 + rng.uniform(-0.05, 0.05, 20)),
-        )
+        fields, zz = split(ghz_chain(21))
+        chain = Chain(ising_band(fields * (1 + rng.uniform(-0.05, 0.05, 21)),
+                                 zz * (1 + rng.uniform(-0.05, 0.05, 20))))
         assert mirror_deviation(chain) > 1e-3
 
     def test_factor_of_two_convention(self):
@@ -215,7 +214,7 @@ class TestMirrorDeviation:
         chain = ghz_chain(n)
         t = 0.3
         w_small = one_particle_map(chain, t)
-        u = evolve(spin_hamiltonian(n, chain.fields, chain.couplings), t, np.eye(1 << n))
+        u = evolve(spin_hamiltonian(n, *split(chain)), t, np.eye(1 << n))
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         y = np.array([[0, -1j], [1j, 0]])
         z = np.diag([1.0 + 0j, -1.0])
@@ -247,9 +246,8 @@ class TestOneParticleMap:
         entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
         band = np.array(data.draw(st.lists(entry, min_size=2 * n - 1,
                                            max_size=2 * n - 1)))
-        chain = IsingChain(fields=band[0::2], couplings=band[1::2])
         expected = scipy.linalg.expm(2.0 * t * majorana(band))
-        assert np.abs(one_particle_map(chain, t) - expected).max() < 1e-12
+        assert np.abs(one_particle_map(Chain(band), t) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("band", [
         [1.3], [-0.7], [0.0],
@@ -257,10 +255,9 @@ class TestOneParticleMap:
         [1.2, -0.5, 0.0, 0.9, 0.7, 2.0, 0.0],
     ])
     def test_matches_expm_single_qubit_and_zero_field(self, band):
-        band = np.array(band)
-        chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+        chain = Chain(band)
         for t in (0.0, 0.45, GHZ_TIME, 1.7):
-            expected = scipy.linalg.expm(2.0 * t * majorana(band))
+            expected = scipy.linalg.expm(2.0 * t * majorana(chain.couplings))
             assert np.abs(one_particle_map(chain, t) - expected).max() < 1e-12
 
     def test_non_orthonormal_singular_vectors_raise(self, monkeypatch):
@@ -280,6 +277,36 @@ class TestOneParticleMap:
             one_particle_map(ghz_chain(4), t)
 
 
+class TestBandIsTheTransferChain:
+    def test_ising_chain_is_its_transfer_chain(self):
+        # with G = diag(i^k), k = 0..2n-1, exp(2ts) is Re(G* e^{-iH 2t} G)
+        # for the XX chain H of the same couplings, whose imaginary part
+        # vanishes; so the engineered band passes both mirror checks
+        rng = np.random.default_rng(130)
+        for n in (1, 2, 5, 21):
+            g = 1j ** np.arange(2 * n)
+            for t in (0.3, np.pi / 4, 1.7):
+                chain = Chain(rng.uniform(-2.0, 2.0, 2 * n - 1))
+                gauged = g.conj()[:, None] * propagator(chain, 2 * t) * g
+                assert np.abs(one_particle_map(chain, t) - gauged.real).max() <= 1e-12
+                assert np.abs(gauged.imag).max() <= 1e-12
+        for n in range(2, 22):
+            chain = standard_couplings(2 * n)
+            assert mirror_deviation(chain) <= 1e-12
+            assert verify_mirror(chain) <= 1e-12
+
+
+class TestEvenSiteGate:
+    @pytest.mark.parametrize("sites", [1, 3, 5, 43])
+    def test_odd_chain_refused(self, sites):
+        chain = Chain(np.ones(sites - 1))
+        for check in (overlap_estimate, mirror_deviation,
+                      lambda c: one_particle_map(c, 0.3)):
+            with pytest.raises(ValueError, match=r"\Atransfer chain must have an even "
+                                                 r"number of sites\Z"):
+                check(chain)
+
+
 class TestBasisMap:
     """The quarter period carries the basis state flipped at the set positions
     of x onto the GHZ state flipped at the mirrored positions, with no phase."""
@@ -287,7 +314,7 @@ class TestBasisMap:
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_all_basis_states_follow_rule(self, n):
         chain = ghz_chain(n)
-        h = spin_hamiltonian(n, chain.fields, chain.couplings)
+        h = spin_hamiltonian(n, *split(chain))
         ghz_image = evolve(h, GHZ_TIME, zeros_state(n))
         idx = np.arange(1 << n)
         for code in range(1 << n):
@@ -353,36 +380,34 @@ class TestOverlapEstimate:
     def test_tracks_brute_force_under_perturbation(self):
         n = 5
         rng = np.random.default_rng(11)
-        base = ghz_chain(n).band()
+        base = ghz_chain(n).couplings
         close = 0
         trials = 40
         for _ in range(trials):
             band = base * (1 + rng.uniform(-0.04, 0.04, base.size))
-            chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-            gap = abs(overlap_estimate(chain) - ghz_overlap(chain.fields, chain.couplings))
+            gap = abs(overlap_estimate(Chain(band)) - ghz_overlap(band[0::2], band[1::2]))
             close += gap <= 0.05
         assert close >= 0.9 * trials
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_ising_chains_match_dense_evolution(self, n):
         rng = np.random.default_rng(90 + n)
-        base = ghz_chain(n).band()
+        base = ghz_chain(n).couplings
         for scale in (0.0, 0.01, 0.1, 0.3, 0.6):
             band = base * (1 + rng.uniform(-scale, scale, base.size))
-            chain = IsingChain(fields=band[0::2], couplings=band[1::2])
-            assert abs(overlap_estimate(chain) - ghz_overlap(chain.fields, chain.couplings)) < 1e-12
+            assert abs(overlap_estimate(Chain(band)) - ghz_overlap(band[0::2], band[1::2])) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_zy_chains_match_dense_evolution(self, n):
         # X fields, ZZ and YY couplings: the engineered bands split between
         # ZZ and YY, disordered, and fully random signed bands
         rng = np.random.default_rng(110 + n)
-        base = ghz_chain(n)
+        fields, zz = split(ghz_chain(n))
         for scale in (0.0, 0.1, 0.6):
             share = rng.uniform(0.0, 1.0, n - 1)
-            engineered = (base.fields * (1 + rng.uniform(-scale, scale, n)),
-                          base.couplings * share * (1 + rng.uniform(-scale, scale, n - 1)),
-                          base.couplings * (1 - share) * (1 + rng.uniform(-scale, scale, n - 1)))
+            engineered = (fields * (1 + rng.uniform(-scale, scale, n)),
+                          zz * share * (1 + rng.uniform(-scale, scale, n - 1)),
+                          zz * (1 - share) * (1 + rng.uniform(-scale, scale, n - 1)))
             signed = (rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n - 1))
             for x, zz, yy in (engineered, signed):
                 got = ghz_overlaps(majorana_blocks(x[None], zz[None], yy[None]))[0]
@@ -395,11 +420,10 @@ class TestOverlapEstimate:
         # ghz_overlaps; the zy blocks are the gamma = 0 chain (field n, ZZ and
         # YY both the n-site transfer couplings, overlap 1) under disorder
         rng = np.random.default_rng(70 + n)
-        base = ghz_chain(n).band()
+        base = ghz_chain(n).couplings
         transfer = standard_couplings(n).couplings if n > 1 else np.zeros(0)
         for scale in (0.0, 0.01, 0.05, 0.3):
-            band = base * (1 + rng.uniform(-scale, scale, base.size))
-            chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+            chain = Chain(base * (1 + rng.uniform(-scale, scale, base.size)))
             explicit = gaussian_trace_overlap(one_particle_map(chain, GHZ_TIME))
             assert abs(overlap_estimate(chain) - min(explicit, 1.0)) < 1e-13
             x, zz, yy = (v * (1 + rng.uniform(-scale, scale, v.size))
@@ -414,8 +438,7 @@ class TestOverlapEstimate:
         # all-zeros side, both with sign +1; with opposite signs it fails
         n, eta, eta2 = 5, 10, 11
         rng = np.random.default_rng(29)
-        band = ghz_chain(n).band() * (1 + rng.uniform(-0.3, 0.3, 2 * n - 1))
-        chain = IsingChain(fields=band[0::2], couplings=band[1::2])
+        chain = Chain(ghz_chain(n).couplings * (1 + rng.uniform(-0.3, 0.3, 2 * n - 1)))
         padded = np.eye(2 * n + 2)
         padded[:2 * n, :2 * n] = one_particle_map(chain, GHZ_TIME)
         g_a = pairing(n, [(2 * n - 1, eta, 1.0), (0, eta2, 1.0)], ancillas=2)
@@ -426,12 +449,12 @@ class TestOverlapEstimate:
             explicit[sign] = abs(det) ** 0.25 / 2.0 ** ((n + 1) / 2)
         got = overlap_estimate(chain)
         assert 0.1 < got < 0.99
-        assert abs(got - ghz_overlap(chain.fields, chain.couplings)) < 1e-12
+        assert abs(got - ghz_overlap(*split(chain))) < 1e-12
         assert abs(got - explicit[1.0]) < 1e-13
         assert abs(got - explicit[-1.0]) > 0.1
 
     def test_overflowing_phases_raise(self):
-        chain = IsingChain(fields=[1e308, 1e308], couplings=[1e308])
+        chain = Chain([1e308, 1e308, 1e308])
         with pytest.raises(ValueError, match="overflows"):
             overlap_estimate(chain)
 
@@ -440,7 +463,8 @@ class TestOverlapEstimate:
         # past eps * 2t sigma = 1e-10 the rounding of a phase outgrows the
         # map's orthonormality gate, so its cosines and sines are refused
         chain = ghz_chain(5)
-        block = majorana_blocks(chain.fields[None], chain.couplings[None])[0]
+        fields, zz = split(chain)
+        block = majorana_blocks(fields[None], zz[None])[0]
         sigma = np.linalg.svd(block, compute_uv=False).max()
         t = factor * 1e-10 / np.finfo(float).eps / (2.0 * sigma)
         if refused:
@@ -474,7 +498,7 @@ class TestPerturbSweep:
     @pytest.mark.parametrize("samples", [1, 63, 130])
     def test_blocks_match_per_sample_estimates(self, n, samples):
         xs, seed = [4.0, 0.0, 1.0, 4.0, -0.0], 17
-        band = ghz_chain(n).band()
+        band = ghz_chain(n).couplings
         unperturbed = overlap_estimate(ghz_chain(n))
         points = perturb_sweep(n, xs, samples, seed)
         assert [p.x_percent for p in points] == xs
@@ -486,9 +510,7 @@ class TestPerturbSweep:
             expected = np.empty(samples)
             for index in range(samples):
                 u = np.random.default_rng([seed, index]).uniform(-1.0, 1.0, band.size)
-                perturbed = band * (1.0 + (x / 100.0) * u)
-                chain = IsingChain(fields=perturbed[0::2], couplings=perturbed[1::2])
-                expected[index] = overlap_estimate(chain)
+                expected[index] = overlap_estimate(Chain(band * (1.0 + (x / 100.0) * u)))
             assert np.abs(point.samples - expected).max() < 1e-13
 
     def test_long_chain_estimate_does_not_overflow(self):

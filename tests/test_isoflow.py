@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import ghz_overlap, spin_hamiltonian
-from spinforge.ghz_ising import ising_from_pst, overlap_estimate
+from spinforge.ghz_ising import overlap_estimate
 from spinforge.isoflow import (
     GammaMatrix,
     _ladder_system,
@@ -322,9 +322,9 @@ class TestZyHamiltonian:
     def test_matches_ising_limit(self):
         for n in (2, 4):
             seed = gamma_seed(n, 1.0)
-            chain = ising_from_pst(standard_couplings(2 * n))
+            chain = standard_couplings(2 * n)
             zy = spin_hamiltonian(n, x=seed.diag, zz=seed.upper, yy=seed.lower)
-            ising = spin_hamiltonian(n, x=chain.fields, zz=chain.couplings)
+            ising = spin_hamiltonian(n, x=chain.couplings[0::2], zz=chain.couplings[1::2])
             assert np.abs(zy - ising).max() < 1e-12
             assert zy_ghz_overlap(seed) == overlap_estimate(chain)
 

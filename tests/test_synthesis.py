@@ -984,3 +984,21 @@ class TestReflectionTarget:
         target[0] = 1.0
         with pytest.raises(ValueError):
             reflection_target(2, target)
+
+    @pytest.mark.parametrize("source", [-1, 0, 7])
+    def test_source_outside_the_chain_refused(self, source):
+        # -1 once named site 4 from the end, an even site, and 7 ran past
+        # the end into numpy's bare IndexError
+        target = np.zeros(5)
+        target[0::2] = 1.0 / np.sqrt(3.0)
+        with pytest.raises(ValueError, match=rf"source must be a site in 1\.\.5, got {source}"):
+            reflection_target(source, target)
+
+    @pytest.mark.parametrize("source", [3.0, True])
+    def test_source_that_is_not_an_integer_refused(self, source):
+        target = np.zeros(5)
+        target[0::2] = 1.0 / np.sqrt(3.0)
+        with pytest.raises(ValueError, match="source must be a site in 1..5"):
+            reflection_target(source, target)
+        assert reflection_target(np.int64(3), target) == pytest.approx(
+            reflection_target(3, target))
