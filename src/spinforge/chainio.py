@@ -2,11 +2,12 @@
 
 One schema covers the four chain kinds the tools exchange: ``pst``
 (mirror-transfer couplings), ``ising`` (n transverse fields plus n - 1 ZZ
-couplings, read into and written from the 2n-site ``Chain`` of their
-Majorana band B1, J1, ..., Bn, as ``ghz_ising`` takes it), ``zy`` (the
-deformed family, stored as underlying couplings, on-site terms, and the
-deformation parameter), and ``xx`` (exchange chains, whose field entries
-are all zero).  Every document embeds provenance, the command line, seed,
+couplings, read into the 2n-site ``Chain`` of their Majorana band B1, J1,
+..., Bn, as ``ghz_ising`` takes it), ``zy`` (a member of the deformed
+family, stored as its couplings J, on-site terms and deformation parameter,
+the three fields of ``isoflow.GammaMatrix``, which alone derives the bands
+from them), and ``xx`` (exchange chains, whose field entries are all
+zero).  Every document embeds provenance, the command line, seed,
 and tolerances that produced it, so any artifact can be regenerated, and
 the numpy, BLAS and thread settings it ran under.
 Serialization is deterministic: identical documents produce identical
@@ -182,13 +183,6 @@ def pst_chain(doc: ChainDocument) -> Chain:
     return Chain(doc.couplings)
 
 
-def document_from_ising(chain: Chain, provenance: dict) -> ChainDocument:
-    """Ising document of a chain given by its band: fields at its even
-    positions, ZZ couplings at its odd ones."""
-    return ChainDocument(kind="ising", n=chain.n // 2, couplings=chain.couplings[1::2],
-                         fields=chain.couplings[0::2], provenance=provenance)
-
-
 def ising_chain(doc: ChainDocument) -> Chain:
     """Rebuild the Ising chain as the 2n-site chain of its band."""
     if doc.kind != "ising":
@@ -197,7 +191,7 @@ def ising_chain(doc: ChainDocument) -> Chain:
 
 
 def document_from_gamma(x: GammaMatrix, provenance: dict) -> ChainDocument:
-    return ChainDocument(kind="zy", n=x.n, couplings=x.couplings(),
+    return ChainDocument(kind="zy", n=x.n, couplings=x.couplings,
                          fields=x.diag, gamma=float(x.gamma),
                          provenance=provenance)
 
@@ -205,11 +199,7 @@ def document_from_gamma(x: GammaMatrix, provenance: dict) -> ChainDocument:
 def gamma_matrix(doc: ChainDocument) -> GammaMatrix:
     if doc.kind != "zy":
         raise ValueError(f"expected a zy document, got {doc.kind}")
-    # an overflowing band is refused by GammaMatrix, so numpy need not warn
-    with np.errstate(over="ignore"):
-        upper = doc.couplings * (1.0 + doc.gamma)
-        lower = doc.couplings * (1.0 - doc.gamma)
-    return GammaMatrix(diag=doc.fields, upper=upper, lower=lower, gamma=doc.gamma)
+    return GammaMatrix(diag=doc.fields, couplings=doc.couplings, gamma=doc.gamma)
 
 
 def document_from_xx(chain: Chain, provenance: dict) -> ChainDocument:

@@ -202,6 +202,10 @@ def _design_wstate(args, argv) -> int:
         print(f"wstate flow: {err}", file=sys.stderr)
         return STALL
     _trace_path(args, out).write_text(design.flow.trace.to_csv())
+    if design.overlap < 1.0 - args.tol:
+        print(f"revival check: overlap {design.overlap:.6f} misses 1 - tol "
+              f"= {1.0 - args.tol:.6f}", file=sys.stderr)
+        return STALL
     doc = chainio.document_from_xx(
         Chain(design.couplings),
         _provenance(argv, args, {"revival": args.tol}))

@@ -8,13 +8,15 @@ antidiagonal, and whose singular values sit on the odd ladder
 the bidiagonal form of a transverse-field chain; at gamma = 0 it is a
 symmetric hopping matrix shifted by n along the diagonal.
 
-Mirror symmetry leaves n free values, the mirror classes theta of the
-diagonal and of the upper band; the lower band is r times the upper one, so
-every theta gives a matrix with the family's structure exactly.  A member is
-then a root of the n equations sigma(X(theta)) = ladder, a structured inverse
-singular-value problem that Newton's method solves with the analytic
-Jacobian d sigma_a = u_a^T dX v_a from one SVD (Friedland, Nocedal & Overton
-1987).  :func:`interpolate_gamma` walks gamma from a seed endpoint by a
+A member is stored as a zy chain document stores it, by its diagonal, its
+couplings J and gamma; the bands J(1 + gamma) and J(1 - gamma) are derived
+here and nowhere else, so no member can break their ratio.  Mirror symmetry
+leaves n free values, the mirror classes theta of the diagonal and of the
+upper band; the lower band is r times the upper one, so every theta gives a
+matrix with the family's structure exactly.  A member is then a root of the
+n equations sigma(X(theta)) = ladder, a structured inverse singular-value
+problem that Newton's method solves with the analytic Jacobian
+d sigma_a = u_a^T dX v_a from one SVD (Friedland, Nocedal & Overton 1987).  :func:`interpolate_gamma` walks gamma from a seed endpoint by a
 secant predictor and that Newton corrector (Allgower & Georg 1990), so it
 stays on the branch that the paper's Toda-like flow traces, which the
 null-vector flow of ``synthesis`` still integrates.  Progress goes to a
@@ -40,32 +42,32 @@ SEED_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class GammaMatrix:
-    """Tridiagonal member of the gamma family, stored by bands.
+    """Tridiagonal member of the gamma family, stored as a zy document stores it.
 
-    ``lower[k] / upper[k]`` must equal (1 - gamma) / (1 + gamma) and the bands
-    must be mirror-symmetric about the antidiagonal, both within a loose
+    The member is its diagonal, its couplings J and gamma; the bands
+    ``upper`` = J(1 + gamma) and ``lower`` = J(1 - gamma) are derived, so
+    their ratio (1 - gamma) / (1 + gamma) holds by construction.  The bands
+    must be finite and mirror-symmetric about the antidiagonal within a loose
     admission gate; use :func:`structure_residual` for precise measurement.
     """
 
     diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
+    couplings: np.ndarray
     gamma: float
 
     def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        for name, band in (("diag", diag), ("upper", upper), ("lower", lower)):
-            object.__setattr__(self, name, band)
-            if not np.isfinite(band).all():
-                raise ValueError(f"the {name} band must be finite, got {band.tolist()}")
-        if diag.size < 1:
+        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
+        object.__setattr__(self, "couplings", np.asarray(self.couplings, dtype=float))
+        if self.diag.size < 1:
             raise ValueError("need at least one site")
-        if upper.shape != (diag.size - 1,) or lower.shape != (diag.size - 1,):
+        if self.couplings.shape != (self.diag.size - 1,):
             raise ValueError("band lengths must be one less than the dimension")
         if not -1e-9 <= self.gamma <= 1 + 1e-9:
             raise ValueError("gamma must lie in [0, 1]")
+        for name in ("diag", "upper", "lower"):
+            band = getattr(self, name)
+            if not np.isfinite(band).all():
+                raise ValueError(f"the {name} band must be finite, got {band.tolist()}")
         residual = structure_residual(self)
         if residual > STRUCTURE_GATE:
             raise ValueError(
@@ -76,19 +78,24 @@ class GammaMatrix:
     def n(self) -> int:
         return self.diag.size
 
+    @property
+    def upper(self) -> np.ndarray:
+        """The upper band J(1 + gamma), the chain's ZZ couplings."""
+        # an overflowing band is refused by the gate, so numpy need not warn
+        with np.errstate(over="ignore"):
+            return self.couplings * (1.0 + self.gamma)
+
+    @property
+    def lower(self) -> np.ndarray:
+        """The lower band J(1 - gamma), the chain's YY couplings."""
+        return self.couplings * (1.0 - self.gamma)
+
     def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.upper.size:
-            m += np.diag(self.upper, 1) + np.diag(self.lower, -1)
-        return m
+        return np.diag(self.diag) + np.diag(self.upper, 1) + np.diag(self.lower, -1)
 
     def singular_values(self) -> np.ndarray:
         """Singular values in increasing order."""
         return np.linalg.svd(self.to_dense(), compute_uv=False)[::-1].copy()
-
-    def couplings(self) -> np.ndarray:
-        """Underlying coupling strengths J with upper = J(1+gamma)."""
-        return self.upper / (1.0 + self.gamma)
 
 
 def target_ladder(n: int) -> np.ndarray:
@@ -107,12 +114,10 @@ def gamma_seed(n: int, gamma: float) -> GammaMatrix:
     """
     if abs(gamma - 1.0) < 1e-12:
         band = standard_couplings(2 * n).couplings
-        return GammaMatrix(diag=band[0::2], upper=band[1::2],
-                           lower=np.zeros(n - 1), gamma=1.0)
+        return GammaMatrix(diag=band[0::2], couplings=band[1::2] / 2, gamma=1.0)
     if abs(gamma) < 1e-12:
         off = standard_couplings(n).couplings if n > 1 else np.zeros(0)
-        return GammaMatrix(diag=np.full(n, float(n)), upper=off, lower=off.copy(),
-                           gamma=0.0)
+        return GammaMatrix(diag=np.full(n, float(n)), couplings=off, gamma=0.0)
     raise ValueError("seeds exist only at gamma = 0 and gamma = 1")
 
 
@@ -130,17 +135,10 @@ def validate_seed(x: GammaMatrix) -> float:
 
 
 def structure_residual(x: GammaMatrix) -> float:
-    """Worst violation of the family structure for a band matrix."""
-    return _residual_dense(x.to_dense(), x.gamma)
-
-
-def _residual_dense(xd: np.ndarray, gamma: float) -> float:
-    d, u, l = np.diag(xd), np.diag(xd, 1), np.diag(xd, -1)
-    r = (1.0 - gamma) / (1.0 + gamma)
-    safe = np.abs(u) > 1e-9
-    quotient = np.where(safe, l / np.where(safe, u, 1.0) - r, l - r * u)
-    parts = (d - d[::-1], u - u[::-1], l - l[::-1], quotient)
-    return max(float(np.abs(p).max(initial=0.0)) for p in parts)
+    """Worst mirror deviation of the member's three bands about the antidiagonal;
+    their ratio holds by construction."""
+    return max(float(np.abs(band - band[::-1]).max(initial=0.0))
+               for band in (x.diag, x.upper, x.lower))
 
 
 def zy_ghz_overlap(x: GammaMatrix) -> float:
@@ -193,8 +191,11 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
     the range; a step is accepted when the corrector converges and then
     grows 1.5 times, and is rejected and halved when an iteration fails to
     halve the residual or meets a singular Jacobian.  The last step lands
-    on ``gamma_to`` exactly.  The band ratio and the mirror symmetry hold by
-    construction.
+    on ``gamma_to`` exactly.  Each accepted member is built once, from its
+    couplings J = upper / (1 + gamma), so the band ratio holds by
+    construction; the classes make the bands mirror-symmetric, so the
+    trace's ``structure_residual`` column, the member's
+    :func:`structure_residual`, reads 0.
 
     ``max_steps`` bounds the corrector iterations over the whole walk.
     Returns the member and the trace, one row per accepted step; raises
@@ -252,8 +253,8 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
                     f"(gamma = {g1:.6f})", trace)
             continue
         accepted = [accepted[-1], (gamma, theta)]
-        trace.rows.append((len(trace.rows) + 1, gamma, residual,
-                           _residual_dense(xd, gamma)))
+        member = GammaMatrix(diag=np.diag(xd), couplings=np.diag(xd, 1) / (1.0 + gamma),
+                             gamma=gamma)
+        trace.rows.append((len(trace.rows) + 1, gamma, residual, structure_residual(member)))
         h *= 1.5
-    return GammaMatrix(diag=np.diag(xd), upper=np.diag(xd, 1),
-                       lower=np.diag(xd, -1), gamma=gamma_to), trace
+    return member, trace

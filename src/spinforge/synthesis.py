@@ -845,9 +845,7 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     target = np.zeros(n)
     target[0::2] = 1.0 / np.sqrt(n_odd)
 
-    half_target = np.zeros(m + 1)
-    folded = mirror_target_fold(target)
-    half_target[0::2] = folded[0::2]
+    half_target = mirror_target_fold(target)
 
     # ladder with every other odd integer keeps the half spectrum reflective
     top = 2 * (n_odd - 1) - 1

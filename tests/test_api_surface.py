@@ -38,8 +38,6 @@ KEEP = {
     "chainio.xx_chain":
         "reads the xx documents design wstate writes back into a Chain, "
         "refusing on-site fields, so the format is two-way",
-    "chainio.document_from_ising":
-        "writes the ising documents simulate ghz reads, so the format is two-way",
     "synthesis.WstateDesign.half_couplings":
         "the mirror-reduced half chain whose revival half_overlap reports",
     "graphs.RevivalInstance.source":
@@ -207,7 +205,7 @@ def _array_dataclasses():
     return {
         "numerics.Chain": lambda: numerics.Chain([1.0, 2.0]),
         "ghz_ising.SweepPoint": lambda: ghz_ising.SweepPoint(1.0, np.ones(3)),
-        "isoflow.GammaMatrix": lambda: isoflow.GammaMatrix([0.0, 0.0], [1.0], [1.0], 0.0),
+        "isoflow.GammaMatrix": lambda: isoflow.GammaMatrix([0.0, 0.0], [1.0], 0.0),
         "chainio.ChainDocument": lambda: chainio.ChainDocument("pst", 3, [1.0, 1.0], []),
         "synthesis.NullVectorTask": lambda: synthesis.NullVectorTask([-1.0, 0.0, 1.0], lam),
         "synthesis.WstateDesign": lambda: synthesis.WstateDesign(

@@ -11,7 +11,6 @@ from spinforge.chainio import (
     SCHEMA_VERSION,
     ChainDocument,
     document_from_gamma,
-    document_from_ising,
     document_from_pst,
     document_from_xx,
     document_from_json,
@@ -24,7 +23,7 @@ from spinforge.chainio import (
     write_document,
     xx_chain,
 )
-from spinforge.isoflow import GammaMatrix
+from spinforge.isoflow import interpolate_gamma
 from spinforge.numerics import Chain
 from spinforge.pst import standard_couplings
 
@@ -34,6 +33,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def provenance():
     return make_provenance("spinforge design pst --n 6", seed=0,
                            tolerances={"mirror": 1e-9})
+
+
+def ising_document(chain, provenance):
+    """Ising document of a chain given by its band: fields at its even
+    positions, ZZ couplings at its odd ones."""
+    return ChainDocument(kind="ising", n=chain.n // 2, fields=chain.couplings[0::2],
+                         couplings=chain.couplings[1::2], provenance=provenance)
 
 
 class TestProvenance:
@@ -66,7 +72,7 @@ class TestChainDocument:
 
     def test_ising_round_trip(self):
         chain = standard_couplings(8)
-        doc = document_from_ising(chain, provenance())
+        doc = ising_document(chain, provenance())
         back = ising_chain(document_from_json(document_to_json(doc)))
         assert np.array_equal(back.couplings, chain.couplings)
 
@@ -76,20 +82,19 @@ class TestChainDocument:
     ], ids=["four", "six"])
     def test_ising_document_splits_the_band(self, sites, fields, couplings):
         # fields at the band's even positions, ZZ couplings at its odd ones
-        doc = document_from_ising(standard_couplings(sites), provenance())
-        assert doc.n == sites // 2
-        assert np.allclose(doc.fields, fields)
-        assert np.allclose(doc.couplings, couplings)
+        doc = ChainDocument(kind="ising", n=sites // 2, fields=fields,
+                            couplings=couplings, provenance=provenance())
+        assert np.allclose(ising_chain(doc).couplings, standard_couplings(sites).couplings)
 
     def test_gamma_round_trip(self):
-        base = standard_couplings(6).couplings
-        x = GammaMatrix(diag=np.full(6, 6.0), upper=base * 1.4,
-                        lower=base * 0.6, gamma=0.4)
-        doc = document_from_gamma(x, provenance())
-        back = gamma_matrix(document_from_json(document_to_json(doc)))
-        assert back.gamma == pytest.approx(0.4)
-        assert np.allclose(back.upper, x.upper)
-        assert np.allclose(back.lower, x.lower)
+        # the document holds the member's three fields, so the bands come back bit for bit
+        for n, ends in ((21, (0.0, 0.7)), (6, (0.0, 0.5)), (9, (1.0, 0.2))):
+            x, _ = interpolate_gamma(n, *ends)
+            doc = document_from_gamma(x, provenance())
+            back = gamma_matrix(document_from_json(document_to_json(doc)))
+            assert back.gamma == x.gamma
+            for name in ("diag", "couplings", "upper", "lower"):
+                assert np.array_equal(getattr(back, name), getattr(x, name)), (n, name)
 
     def test_xx_round_trip(self):
         chain = Chain(np.array([1.0, -2.0, 2.0, 1.5]))
@@ -103,7 +108,7 @@ class TestChainDocument:
         assert document_to_json(doc) == document_to_json(doc)
 
     def test_file_round_trip(self, tmp_path):
-        doc = document_from_ising(standard_couplings(4), provenance())
+        doc = ising_document(standard_couplings(4), provenance())
         path = tmp_path / "chain.json"
         write_document(doc, path)
         back = read_document(path)
@@ -237,7 +242,7 @@ class TestNonFinite:
 def nonfinite_document(kind, field, value):
     """A valid document's JSON with the second entry of ``field`` replaced."""
     doc = {"pst": lambda: document_from_pst(standard_couplings(4), provenance()),
-           "ising": lambda: document_from_ising(standard_couplings(8), provenance()),
+           "ising": lambda: ising_document(standard_couplings(8), provenance()),
            "zy": lambda: ChainDocument(kind="zy", n=4, couplings=np.ones(3),
                                        fields=np.ones(4), gamma=0.5),
            "xx": lambda: ChainDocument(kind="xx", n=4, couplings=np.ones(3),

@@ -10,19 +10,18 @@ import numpy as np
 import pytest
 
 from spinforge import THREAD_VARIABLES, cli, ghz_ising, synthesis
-from spinforge.chainio import (document_from_gamma, document_from_ising,
-                               document_from_pst, make_provenance, read_document,
-                               write_document)
+from spinforge.chainio import (ChainDocument, document_from_gamma, document_from_pst,
+                               make_provenance, read_document, write_document)
 from spinforge.isoflow import gamma_seed
-from spinforge.numerics import Chain
 from spinforge.pst import standard_couplings
 
 
-def detuned_ghz_chain(field_scale):
-    """The four-qubit GHZ chain, its band B1, J1, ..., B4, with every field scaled."""
-    band = standard_couplings(8).couplings.copy()
-    band[0::2] *= field_scale
-    return Chain(band)
+def detuned_ghz_document(field_scale, provenance):
+    """The four-qubit GHZ chain's ising document, its band B1, J1, ..., B4
+    split into fields and ZZ couplings, with every field scaled."""
+    band = standard_couplings(8).couplings
+    return ChainDocument(kind="ising", n=4, fields=band[0::2] * field_scale,
+                         couplings=band[1::2], provenance=provenance)
 
 
 def run(tmp_path, *args):
@@ -159,6 +158,16 @@ class TestDesignWstate:
         assert rows[0] == "iteration,chi,delta,off_band_residual"
         assert [int(row.split(",")[0]) for row in rows[1:]] == [0, 1, 2, 3]
 
+    def test_missed_revival_exits_two_with_trace(self, tmp_path, capsys):
+        # the flow stops at chi >= 1 - tol, where this chain revives to 0.9686 only
+        assert run(tmp_path, "design", "wstate", "--n", "9", "--tol", "0.01") == 2
+        assert capsys.readouterr().err == (
+            "revival check: overlap 0.968574 misses 1 - tol = 0.990000\n")
+        assert not (tmp_path / "xx9.json").exists()
+        rows = (tmp_path / "xx9.trace.csv").read_text().splitlines()
+        assert rows[0] == "iteration,chi,delta,off_band_residual"
+        assert len(rows) > 1
+
     def test_trace_ends_at_reported_chi(self, tmp_path):
         assert run(tmp_path, "design", "wstate", "--n", "9") == 0
         rows = (tmp_path / "xx9.trace.csv").read_text().splitlines()
@@ -244,6 +253,30 @@ class TestSimulateGhz:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma, eps, residual", [
+        (0.9, 3e-3, "5.70e-03"),
+        (0.0, 3e-3, None),
+        (0.9, 2e-3, None),
+        (0.5, 6e-3, "9.00e-03"),
+    ])
+    def test_zy_gate_measures_the_bands(self, tmp_path, capsys, gamma, eps, residual):
+        # a first coupling bent by eps bends the upper band by (1 + gamma) eps,
+        # and the 5e-3 mirror gate reads the bands, not the couplings
+        couplings = standard_couplings(6).couplings.copy()
+        couplings[0] += eps
+        write_document(ChainDocument(kind="zy", n=6, couplings=couplings,
+                                     fields=np.full(6, 6.0), gamma=gamma), tmp_path / "zy6.json")
+        code = run(tmp_path, "simulate", "ghz", "--chain", "zy6.json")
+        err = capsys.readouterr().err
+        if residual is None:
+            assert (code, err) == (0, "")
+            assert (tmp_path / "ghz_report.json").exists()
+        else:
+            assert code == 1
+            assert err == ("spinforge simulate ghz: error: bands violate the "
+                           f"gamma-family structure (residual {residual})\n")
+            assert not (tmp_path / "ghz_report.json").exists()
+
     def test_check_adds_mirror_deviation(self, tmp_path):
         chain = self.make_pst_doc(tmp_path)
         out = tmp_path / "report.json"
@@ -256,9 +289,8 @@ class TestSimulateGhz:
     def test_detuned_chain_breaches(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         write_document(
-            document_from_ising(
-                detuned_ghz_chain(1.05),
-                {"command": "handmade", "seed": None, "tolerances": {}}),
+            detuned_ghz_document(
+                1.05, {"command": "handmade", "seed": None, "tolerances": {}}),
             broken)
         out = tmp_path / "report.json"
         code = run(tmp_path, "simulate", "ghz", "--chain", str(broken),
@@ -272,9 +304,10 @@ class TestSimulateGhz:
         # finite phases past eps * phase = 1e-10 would give an overlap of
         # rounding noise; the named error is printed and nothing written
         huge = tmp_path / "huge.json"
-        write_document(document_from_ising(
-            Chain(standard_couplings(8).couplings * scale),
-            {"command": "handmade", "seed": None, "tolerances": {}}), huge)
+        band = standard_couplings(8).couplings * scale
+        write_document(ChainDocument(
+            kind="ising", n=4, fields=band[0::2], couplings=band[1::2],
+            provenance={"command": "handmade", "seed": None, "tolerances": {}}), huge)
         out = tmp_path / "report.json"
         code = run(tmp_path, "simulate", "ghz", "--chain", str(huge), "--out", str(out))
         assert code == 1
@@ -592,8 +625,8 @@ class TestStallAndBreachMessages:
     ], ids=["pst-mirror", "gamma-stall", "wstate-stall", "clone-design-stall",
             "clone-ghz-stage", "clone-w-stage", "ghz-mirror"])
     def test_one_line_names_the_stage_once(self, tmp_path, capsys, argv, code, name):
-        write_document(document_from_ising(
-            detuned_ghz_chain(1.05), make_provenance("test")), tmp_path / "detuned.json")
+        write_document(detuned_ghz_document(1.05, make_provenance("test")),
+                       tmp_path / "detuned.json")
         assert run(tmp_path, *argv) == code
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1, err

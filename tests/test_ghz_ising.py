@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from dense_reference import (evolve, ghz_overlap, ghz_target, ising_band, spin_hamiltonian,
                              zeros_state)
 from spinforge import ghz_ising
-from spinforge.chainio import (document_from_ising, document_from_json, document_to_json,
-                               ising_chain)
+from spinforge.chainio import ChainDocument, document_from_json, document_to_json, ising_chain
 from spinforge.ghz_ising import (
     GHZ_TIME,
     ghz_overlaps,
@@ -70,7 +69,9 @@ class TestIsingFromPst:
         # the band goes out as n fields and n - 1 couplings and comes back
         # bit for bit
         source = standard_couplings(2 * n)
-        doc = document_from_json(document_to_json(document_from_ising(source, {})))
+        written = ChainDocument(kind="ising", n=n, fields=source.couplings[0::2],
+                                couplings=source.couplings[1::2])
+        doc = document_from_json(document_to_json(written))
         assert (doc.n, doc.fields.size, doc.couplings.size) == (n, n, n - 1)
         assert np.array_equal(ising_chain(doc).couplings, source.couplings)
 

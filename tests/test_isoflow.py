@@ -27,9 +27,7 @@ def family_member(n, gamma, seed=0):
     diag = np.concatenate([diag, diag[: n // 2][::-1]])
     j = rng.uniform(0.5, 2, (n - 1 + 1) // 2)
     j = np.concatenate([j, j[: (n - 1) // 2][::-1]])
-    return GammaMatrix(
-        diag=diag, upper=j * (1 + gamma), lower=j * (1 - gamma), gamma=gamma
-    )
+    return GammaMatrix(diag=diag, couplings=j, gamma=gamma)
 
 
 def mirror_classes(x):
@@ -101,7 +99,7 @@ def band_members(draw):
     j = draw(st.lists(values, min_size=n // 2, max_size=n // 2))
     diag = np.array(diag + diag[: n // 2][::-1])
     j = np.array(j + j[: (n - 1) // 2][::-1])
-    return GammaMatrix(diag=diag, upper=j * (1 + gamma), lower=j * (1 - gamma), gamma=gamma)
+    return GammaMatrix(diag=diag, couplings=j, gamma=gamma)
 
 
 class TestGammaMatrix:
@@ -118,29 +116,27 @@ class TestGammaMatrix:
 
     def test_couplings_strip_the_deformation(self):
         x = family_member(4, 0.6, seed=3)
-        assert np.allclose(x.couplings() * (1 + x.gamma), x.upper)
+        assert np.array_equal(x.upper, x.couplings * (1 + 0.6))
+        assert np.array_equal(x.lower, x.couplings * (1 - 0.6))
 
     def test_band_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            GammaMatrix(diag=np.ones(3), upper=np.ones(3), lower=np.ones(2), gamma=0.0)
+            GammaMatrix(diag=np.ones(3), couplings=np.ones(3), gamma=0.0)
 
     def test_gamma_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            GammaMatrix(diag=np.ones(2), upper=[1.0], lower=[1.0], gamma=1.5)
+            GammaMatrix(diag=np.ones(2), couplings=[1.0], gamma=1.5)
 
-    def test_broken_ratio_rejected(self):
-        with pytest.raises(ValueError, match="structure"):
-            GammaMatrix(diag=np.ones(3), upper=[1.0, 1.0], lower=[0.2, 0.2], gamma=0.0)
-
-    @pytest.mark.parametrize("band", ["diag", "upper", "lower"])
+    @pytest.mark.parametrize("band", ["diag", "upper"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_band_rejected(self, band, value):
         # the structure gate cannot catch these: inf - inf makes its
-        # residual NaN, and NaN > STRUCTURE_GATE is false
-        bands = {"diag": np.ones(3), "upper": np.ones(2), "lower": np.ones(2)}
-        bands[band][1] = value
+        # residual NaN, and NaN > STRUCTURE_GATE is false; a non-finite
+        # coupling is first seen in the upper band
+        fields = {"diag": np.ones(3), "couplings": np.ones(2)}
+        fields["diag" if band == "diag" else "couplings"][1] = value
         with pytest.raises(ValueError, match=f"the {band} band must be finite"):
-            GammaMatrix(**bands, gamma=0.0)
+            GammaMatrix(**fields, gamma=0.0)
 
 
 class TestSeeds:
@@ -165,9 +161,7 @@ class TestSeeds:
 
     def test_validation_catches_off_ladder_matrix(self):
         x = gamma_seed(4, 0.0)
-        bad = GammaMatrix(
-            diag=1.01 * x.diag, upper=1.01 * x.upper, lower=1.01 * x.lower, gamma=0.0
-        )
+        bad = GammaMatrix(diag=1.01 * x.diag, couplings=1.01 * x.couplings, gamma=0.0)
         with pytest.raises(ValueError, match="ladder"):
             validate_seed(bad)
 
@@ -225,8 +219,8 @@ class TestGammaConstraints:
         assert np.abs(miss).max() > 1.0
         stepped, _, _ = _ladder_system(theta - np.linalg.solve(jacobian, miss), expand,
                                        ratio(0.3))
-        member = GammaMatrix(diag=np.diag(stepped), upper=np.diag(stepped, 1),
-                             lower=np.diag(stepped, -1), gamma=0.3)
+        member = GammaMatrix(diag=np.diag(stepped), couplings=np.diag(stepped, 1) / 1.3,
+                             gamma=0.3)
         assert structure_residual(member) < 1e-15
 
     def test_mirror_violation_feeds_back_linearly(self):
@@ -238,7 +232,7 @@ class TestGammaConstraints:
         for eps in (1e-4, 2e-4):
             diag = x.diag.copy()
             diag[0] += eps
-            bent = GammaMatrix(diag=diag, upper=x.upper, lower=x.lower, gamma=0.0)
+            bent = GammaMatrix(diag=diag, couplings=x.couplings, gamma=0.0)
             values.append(bent.singular_values() - target_ladder(4))
         assert values[0] == pytest.approx(1e-4 * jacobian[:, 0] / 2, rel=1e-3)
         assert values[1] / values[0] == pytest.approx(np.full(4, 2.0), rel=1e-4)
@@ -304,15 +298,16 @@ class TestStructureResidual:
         x = gamma_seed(4, 0.0)
         diag = x.diag.copy()
         diag[0] += 3e-4
-        bent = GammaMatrix(diag=diag, upper=x.upper, lower=x.lower, gamma=0.0)
+        bent = GammaMatrix(diag=diag, couplings=x.couplings, gamma=0.0)
         assert structure_residual(bent) == pytest.approx(3e-4, rel=1e-9)
 
-    def test_ratio_violation_measured(self):
-        x = gamma_seed(4, 0.0)
-        lower = x.lower.copy()
-        lower[1] += 2e-4
-        bent = GammaMatrix(diag=x.diag, upper=x.upper, lower=lower, gamma=0.0)
-        assert structure_residual(bent) == pytest.approx(2e-4 / x.upper[1], rel=1e-6)
+    def test_coupling_violation_measured_on_the_upper_band(self):
+        # the residual reads the bands, so a bent coupling counts (1 + gamma) times
+        x = interpolate_gamma(4, 0.0, 0.5)[0]
+        couplings = x.couplings.copy()
+        couplings[0] += 2e-4
+        bent = GammaMatrix(diag=x.diag, couplings=couplings, gamma=0.5)
+        assert structure_residual(bent) == pytest.approx(3e-4, rel=1e-9)
 
 
 class TestZyHamiltonian:
@@ -427,6 +422,8 @@ class TestInterpolateGamma:
         assert x.gamma == ends[1]
         assert_on_ladder(x)
         assert max(row[2] for row in trace.rows) <= 1e-12 * (2 * n - 1)
+        # each member's bands are built mirror-symmetric from its classes
+        assert [row[3] for row in trace.rows] == [0.0] * len(trace.rows)
 
     def test_forty_nine_sites_cross_the_whole_range(self):
         # the whole range at a size where other step rules met an exactly
