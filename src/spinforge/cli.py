@@ -5,8 +5,16 @@ convergence trace CSV) and ``simulate`` consumes them to produce report
 JSON and sweep CSV files.  All randomness derives from one ``--seed``
 through counter-based splitting, so any command re-run with identical
 flags produces byte-identical outputs.  Exit codes: 0 success, 1 usage
-error (an input too large to allocate included), 2 design stall (trace
+error (an input too large to allocate included), 2 a failed design (trace
 still written), 3 tolerance breach (the message names the failing stage).
+
+Handlers catch nothing.  A design handler returns its document and its
+trace; every failed design, in the library or in a handler's own check,
+raises ``numerics.FlowStallError`` with a message that names the flow or
+check, and a failed pipeline stage raises ``cloning.CloningStageError``.
+``main`` alone writes the trace, then the document, and maps each error to
+its exit code.  Only ``simulate ghz --check`` returns a code of its own: it
+writes its report, then exits 3 on a mirror breach.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .ghz_ising import (
     perturb_sweep,
 )
 from .isoflow import interpolate_gamma, zy_ghz_overlap
-from .numerics import Chain, FlowStallError
+from .numerics import Chain, FlowStallError, FlowTrace
 from .pst import standard_couplings, verify_mirror
 from .synthesis import wstate_chain
 
@@ -159,65 +167,39 @@ def _write_json(path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# design commands
+# design commands: each returns its document and its trace, or raises
 
 
-def _design_pst(args, argv) -> int:
+def _design_pst(args, argv):
     chain = standard_couplings(args.n)
     residual = verify_mirror(chain)
-    out = args.out or _default_out(args)
-    _trace_path(args, out).write_text(f"check,residual\nmirror,{residual!r}\n")
+    trace = FlowTrace("check,residual", "mirror,{!r}", [(residual,)])
     if residual > args.tol:
-        print(f"mirror check: residual {residual:.3e} exceeds {args.tol:.1e}",
-              file=sys.stderr)
-        return STALL
+        raise FlowStallError(f"mirror check: residual {residual:.3e} exceeds "
+                             f"{args.tol:.1e}", trace)
     doc = chainio.document_from_pst(
         chain, _provenance(argv, args, {"mirror": args.tol}))
-    chainio.write_document(doc, out)
-    return 0
+    return doc, trace
 
 
-def _design_gamma(args, argv) -> int:
-    out = args.out or _default_out(args)
-    try:
-        x, trace = interpolate_gamma(args.n, args.gamma_from, args.gamma_to,
-                                     max_steps=args.max_steps)
-    except FlowStallError as err:
-        _trace_path(args, out).write_text(err.trace.to_csv())
-        print(f"gamma continuation: {err}", file=sys.stderr)
-        return STALL
-    _trace_path(args, out).write_text(trace.to_csv())
-    doc = chainio.document_from_gamma(
-        x, _provenance(argv, args, {"structure": 1e-9}))
-    chainio.write_document(doc, out)
-    return 0
+def _design_gamma(args, argv):
+    x, trace = interpolate_gamma(args.n, args.gamma_from, args.gamma_to,
+                                 max_steps=args.max_steps)
+    return chainio.document_from_gamma(x, _provenance(argv, args, {})), trace
 
 
-def _design_wstate(args, argv) -> int:
-    out = args.out or _default_out(args)
-    try:
-        design = wstate_chain(args.n, tol=args.tol, budget=args.budget)
-    except FlowStallError as err:
-        _trace_path(args, out).write_text(err.trace.to_csv())
-        print(f"wstate flow: {err}", file=sys.stderr)
-        return STALL
-    _trace_path(args, out).write_text(design.flow.trace.to_csv())
-    if design.overlap < 1.0 - args.tol:
-        print(f"revival check: overlap {design.overlap:.6f} misses 1 - tol "
-              f"= {1.0 - args.tol:.6f}", file=sys.stderr)
-        return STALL
-    doc = chainio.document_from_xx(
-        Chain(design.couplings),
-        _provenance(argv, args, {"revival": args.tol}))
-    chainio.write_document(doc, out)
-    return 0
+def _design_wstate(args, argv):
+    design = wstate_chain(args.n, tol=args.tol, budget=args.budget)
+    doc = chainio.document_from_xx(Chain(design.couplings),
+                                   _provenance(argv, args, {"revival": args.tol}))
+    return doc, design.flow.trace
 
 
 # ---------------------------------------------------------------------------
 # simulate commands
 
 
-def _simulate_ghz(args, argv) -> int:
+def _simulate_ghz(args, argv, out) -> int:
     doc = chainio.read_document(args.chain)
     payload = {"provenance": _provenance(argv, args, {"mirror": args.tol}),
                "method": "exact", "time": GHZ_TIME}
@@ -229,7 +211,7 @@ def _simulate_ghz(args, argv) -> int:
             deviation = mirror_deviation(chain)
             payload["mirror_deviation"] = deviation
             if deviation > args.tol:
-                _write_json(args.out or _default_out(args), payload)
+                _write_json(out, payload)
                 print(f"mirror check: deviation {deviation:.3e} exceeds "
                       f"{args.tol:.1e}", file=sys.stderr)
                 return BREACH
@@ -240,7 +222,7 @@ def _simulate_ghz(args, argv) -> int:
                         "overlap": zy_ghz_overlap(chainio.gamma_matrix(doc))})
     else:
         raise ValueError(f"unsupported document kind {doc.kind}")
-    _write_json(args.out or _default_out(args), payload)
+    _write_json(out, payload)
     return 0
 
 
@@ -264,14 +246,13 @@ def _parse_percent_range(text: str) -> list:
     return [lo + step * i for i in range(int(count))]
 
 
-def _simulate_sweep(args, argv) -> int:
+def _simulate_sweep(args, argv, out) -> int:
     xs = _parse_percent_range(args.x)
     lines = ["x_percent,mean,stddev,samples"]
     for point in perturb_sweep(args.n, xs, args.samples, args.seed):
         lines.append(f"{point.x_percent!r},{point.mean!r},"
                      f"{point.stddev!r},{point.samples.size}")
-    out = Path(args.out or _default_out(args))
-    out.write_text("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     return 0
 
 
@@ -285,23 +266,15 @@ def _parse_profile(text: str, n_clones: int):
     return profile_from_betas(weights)
 
 
-def _simulate_clone(args, argv) -> int:
+def _simulate_clone(args, argv, out) -> int:
     profile = _parse_profile(args.profile, args.n_clones)
     if args.method == "brute_force" and profile.m > BRUTE_FORCE_MAX_M:
         raise ValueError(f"brute_force needs a register of at most "
                          f"{BRUTE_FORCE_MAX_M} qubits")
-    try:
-        w = design_w_chain(profile, k=args.offset, tol=args.stage_tol)
-    except RuntimeError as err:
-        print(f"spread-chain design: {err}", file=sys.stderr)
-        return STALL
-    try:
-        report = clone_report(ghz_helper_chain(profile.m), w, profile,
-                              k=args.offset, method=args.method,
-                              stage_tol=args.stage_tol)
-    except CloningStageError as err:
-        print(err, file=sys.stderr)
-        return BREACH
+    w = design_w_chain(profile, k=args.offset, tol=args.stage_tol)
+    report = clone_report(ghz_helper_chain(profile.m), w, profile,
+                          k=args.offset, method=args.method,
+                          stage_tol=args.stage_tol)
     payload = {
         "n_clones": report.n_clones,
         "betas": [float(b) for b in report.betas],
@@ -311,7 +284,7 @@ def _simulate_clone(args, argv) -> int:
         "max_stage_residual": float(report.max_stage_residual),
         "provenance": _provenance(argv, args, {"stage": args.stage_tol}),
     }
-    _write_json(args.out or _default_out(args), payload)
+    _write_json(out, payload)
     return 0
 
 
@@ -333,8 +306,24 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     handler = _HANDLERS[(args.family, args.command)]
+    out = args.out or _default_out(args)
     try:
-        return handler(args, argv)
+        try:
+            if args.family == "simulate":
+                return handler(args, argv, out)
+            doc, trace = handler(args, argv)
+        except FlowStallError as err:
+            # inside the outer try, so an unwritable trace is a usage error
+            if args.family == "design":
+                _trace_path(args, out).write_text(err.trace.to_csv())
+            print(err, file=sys.stderr)
+            return STALL
+        _trace_path(args, out).write_text(trace.to_csv())
+        chainio.write_document(doc, out)
+        return 0
+    except CloningStageError as err:
+        print(err, file=sys.stderr)
+        return BREACH
     except (ValueError, OSError, MemoryError) as err:
         print(f"spinforge {args.family} {args.command}: error: {err}",
               file=sys.stderr)

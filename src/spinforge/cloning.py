@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .ghz_ising import GHZ_TIME, mirror_deviation, one_particle_map
-from .numerics import Chain, givens_factors, propagator
+from .numerics import Chain, FlowStallError, givens_factors, propagator
 from .pst import standard_couplings
 from .synthesis import (
     REFLECTION_TIME,
@@ -566,6 +566,9 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     ``zero_mode_chain`` finds a root.  The couplings are
     sign gauged at the end so the spread weights come out positive; the
     chain is evolved once, for the gauge and the final check together.
+    Raises :class:`numerics.FlowStallError`, with no trace, when no ladder
+    admits a chain or the chain misses the weights (``spread-chain design:
+    ...``); the symmetric branch passes on ``wstate_chain``'s errors.
     """
     tol = _check_tol(tol)
     if p.n_clones < 2:
@@ -588,12 +591,13 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
         if couplings is None:
             tried = "; ".join(" ".join(f"{v:g}" for v in s[m // 2 + 1:])
                               for s in ladders)
-            raise RuntimeError(
-                "the direct zero-mode solve found no chain on any candidate "
-                f"ladder (positive halves tried: {tried}); the weight pattern "
-                "may be unreachable")
+            raise FlowStallError(
+                "spread-chain design: the direct zero-mode solve found no chain on "
+                f"any candidate ladder (positive halves tried: {tried}); the "
+                "weight pattern may be unreachable")
     couplings, produced = sign_gauge(couplings, source, u_full)
     residual = np.abs(produced - u_full).max()
     if residual > max(tol, 1e-8):
-        raise RuntimeError("designed chain misses the clone weights")
+        raise FlowStallError(
+            "spread-chain design: designed chain misses the clone weights")
     return Chain(couplings)

@@ -199,8 +199,8 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
 
     ``max_steps`` bounds the corrector iterations over the whole walk.
     Returns the member and the trace, one row per accepted step; raises
-    :class:`numerics.FlowStallError` (with the trace attached) when the
-    budget is spent or the step collapses.
+    :class:`numerics.FlowStallError` (``gamma continuation: ...``, with the
+    trace attached) when the budget is spent or the step collapses.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
@@ -236,8 +236,8 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
                 break
             if iterations >= max_steps:
                 raise FlowStallError(
-                    f"corrector budget of {max_steps} iterations spent "
-                    f"(gamma = {g1:.6f}, residual {residual:.2e})", trace)
+                    f"gamma continuation: corrector budget of {max_steps} iterations "
+                    f"spent (gamma = {g1:.6f}, residual {residual:.2e})", trace)
             iterations += 1
             try:
                 theta = theta - np.linalg.solve(jacobian, miss)
@@ -249,8 +249,8 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
             h /= 2.0
             if abs(h) < abs(span) * 2.0**-30:
                 raise FlowStallError(
-                    f"continuation step collapsed below {abs(h):.2e} "
-                    f"(gamma = {g1:.6f})", trace)
+                    f"gamma continuation: continuation step collapsed below "
+                    f"{abs(h):.2e} (gamma = {g1:.6f})", trace)
             continue
         accepted = [accepted[-1], (gamma, theta)]
         member = GammaMatrix(diag=np.diag(xd), couplings=np.diag(xd, 1) / (1.0 + gamma),

@@ -20,7 +20,8 @@ and adjacent-plane rotations, from which the dense cloning oracle builds
 its nearest-neighbour gate circuits.
 ``antisym_exp`` is the orthogonal exponential that the null-vector flow's
 isospectral step applies.  That flow and the gamma continuation record
-into ``FlowTrace`` (their progress CSV) and stall with ``FlowStallError``.
+into ``FlowTrace`` (their progress CSV), and every failed design, theirs
+or not, raises ``FlowStallError``.
 
 Only numpy is imported here, as in every module of the package.  The
 chain eigensolver is numpy's SVD of the chain's bidiagonal block.
@@ -212,10 +213,12 @@ class FlowTrace:
 
 
 class FlowStallError(RuntimeError):
-    """Raised when a flow stops short of its target; the partial
-    :class:`FlowTrace` is attached as ``trace``."""
+    """Raised when a design fails: a flow stops short of its target, its
+    result misses the target's check, or no design exists.  The message
+    starts with the name of the flow or check that failed, and ``trace`` is
+    the flow's partial :class:`FlowTrace`, or None when no flow ran."""
 
-    def __init__(self, message, trace: FlowTrace):
+    def __init__(self, message, trace: FlowTrace | None = None):
         super().__init__(message)
         self.trace = trace
 

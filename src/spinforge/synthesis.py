@@ -12,7 +12,8 @@ on a fixed-spectrum manifold.  The update is ``isospectral_step``, and
 ``_off_pattern_rows`` differentiates it in the same packed generator
 layout, so this module alone defines that layout; the flow's progress is a
 ``numerics.FlowTrace``, and ``wstate_chain`` raises
-``numerics.FlowStallError`` with that trace when the flow stops short.
+``numerics.FlowStallError`` with that trace when the flow stops short or
+its chain misses the revival.
 
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
@@ -832,7 +833,10 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     carry the per-site sign gauge that makes the state produced at time pi
     uniform with positive amplitudes.  Raises
     :class:`numerics.FlowStallError` with the flow's trace when the half
-    chain does not converge.
+    chain does not converge (``wstate flow: ...``), and when the chain's
+    revival overlap misses 1 - tol (``revival check: ...``): the flow stops
+    at chi >= 1 - tol, and chi is not the revival overlap, so W9 at
+    tol = 0.01 converges yet revives to 0.9686 only.
     """
     if n < 5 or n % 4 != 1:
         raise ValueError(
@@ -856,14 +860,17 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     task = NullVectorTask(spectrum=half_spec, target_null_vector=lam)
     half_chain, report = synthesis_flow_nullvector(task, budget=budget, tol=tol)
     if report.status != "converged":
-        raise FlowStallError(
-            f"half-chain flow did not converge: {report.status}", report.trace)
+        raise FlowStallError(f"wstate flow: half-chain flow did not converge: "
+                             f"{report.status}", report.trace)
 
     full = np.abs(unfold_couplings(half_chain.couplings))
     gauged, psi = sign_gauge(full, centre, target)
     half_gauged, psi_half = sign_gauge(half_chain.couplings, 1, half_target)
     overlap = abs(complex(target @ psi))
     half_overlap = abs(complex(half_target @ psi_half))
+    if overlap < 1.0 - tol:
+        raise FlowStallError(f"revival check: overlap {overlap:.6f} misses 1 - tol "
+                             f"= {1.0 - tol:.6f}", report.trace)
 
     return WstateDesign(couplings=gauged, half_couplings=half_gauged,
                         overlap=float(overlap), half_overlap=float(half_overlap),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinforge import THREAD_VARIABLES, cli, ghz_ising, synthesis
+from spinforge import THREAD_VARIABLES, cli, cloning, ghz_ising, synthesis
 from spinforge.chainio import (ChainDocument, document_from_gamma, document_from_pst,
                                make_provenance, read_document, write_document)
 from spinforge.isoflow import gamma_seed
@@ -115,6 +115,24 @@ class TestDesignGamma:
         assert len(trace) > 1
         err = capsys.readouterr().err
         assert "gamma continuation: corrector budget of 5 iterations spent" in err
+
+    def test_unwritable_trace_of_a_stall_is_usage_error(self, tmp_path, capsys):
+        # the stalled trace is written where its OSError still maps to exit 1
+        code = run(tmp_path, "design", "gamma", "--n", "6", "--from", "0",
+                   "--to", "0.5", "--max-steps", "5", "--trace",
+                   str(tmp_path / "missing" / "t.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinforge design gamma: error: "), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_provenance_records_no_tolerance(self, tmp_path):
+        # the structure is exact by construction and the command takes no
+        # tolerance; the trace's sv_drift column is what each member met
+        assert run(tmp_path, "design", "gamma", "--n", "6", "--from", "0",
+                   "--to", "0.5") == 0
+        assert read_document(tmp_path / "zy6.json").provenance["tolerances"] == {}
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-steps", "0", "max_steps must be at least 1"),
@@ -586,6 +604,28 @@ class TestSimulateClone:
             fidelities.append(json.loads(out.read_text())["fidelities"])
         assert fidelities[0] == fidelities[1]
 
+    def test_brute_force_register_limit_is_usage_error(self, tmp_path, capsys):
+        # 8 clones need a 15-qubit register, past the dense oracle's limit
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "8",
+                   "--method", "brute_force")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "spinforge simulate clone: error: brute_force needs a register of "
+            "at most 13 qubits\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plain_runtime_error_in_the_design_propagates(self, tmp_path,
+                                                          monkeypatch):
+        # only a failed design is exit 2; an unforeseen fault stays a traceback
+        def broken(spectrum, target):
+            raise RuntimeError("unforeseen fault")
+
+        monkeypatch.setattr(cloning, "zero_mode_chain", broken)
+        with pytest.raises(RuntimeError, match="unforeseen fault") as excinfo:
+            run(tmp_path, "simulate", "clone", "--n-clones", "3", "--profile", "2,1,1")
+        assert type(excinfo.value) is RuntimeError
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_clone_is_usage_error(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "clone", "--n-clones", "1")
         assert code == 1
@@ -631,6 +671,26 @@ class TestStallAndBreachMessages:
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert err.startswith(f"{name}: ") and err.count(name) == 1, err
+
+    def test_only_main_catches_a_failed_design(self):
+        # a static check: handlers raise and cli.main alone maps a failed
+        # design or stage to its exit code; nothing catches a bare
+        # RuntimeError, so an unforeseen fault is never reported as a stall
+        package = Path(cli.__file__).resolve().parent
+        watched = {"RuntimeError", "Exception", "BaseException", "<bare>",
+                   "FlowStallError", "CloningStageError"}
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text(), str(path)).body:
+                for node in ast.walk(top):
+                    if not isinstance(node, ast.ExceptHandler):
+                        continue
+                    kinds = (["<bare>"] if node.type is None else
+                             [ast.unparse(k) for k in getattr(node.type, "elts",
+                                                               [node.type])])
+                    found += [f"{path.stem}.{getattr(top, 'name', '<module>')} {k}"
+                              for k in kinds if k.split(".")[-1] in watched]
+        assert sorted(found) == ["cli.main CloningStageError", "cli.main FlowStallError"]
 
 
 class TestToleranceFlags:

@@ -30,7 +30,7 @@ from spinforge.cloning import (
 )
 from spinforge import numerics
 from spinforge.chainio import document_from_xx, make_provenance, xx_chain
-from spinforge.numerics import Chain, propagator
+from spinforge.numerics import Chain, FlowStallError, propagator
 from spinforge.pst import standard_couplings
 from spinforge.synthesis import produced_state
 
@@ -657,6 +657,12 @@ class TestDesignWChain:
     def test_even_seed_site_rejected(self):
         with pytest.raises(ValueError):
             design_w_chain(symmetric_profile(3), k=1)
+
+    def test_unreachable_pattern_raises_a_stall_without_trace(self):
+        with pytest.raises(FlowStallError, match="^spread-chain design: the direct "
+                           "zero-mode solve found no chain") as excinfo:
+            design_w_chain(profile_from_betas([0, 1, 1]))
+        assert excinfo.value.trace is None
 
     def test_chain_is_field_free(self):
         # a Chain holds couplings only, so its xx document has zero fields

@@ -954,6 +954,16 @@ class TestWstateChain:
         with pytest.raises(ValueError):
             wstate_chain(11)
 
+    def test_missed_revival_raises_with_the_flow_trace(self):
+        # the flow stops at chi >= 1 - tol, where this chain revives to 0.9686 only
+        with pytest.raises(FlowStallError) as excinfo:
+            wstate_chain(9, tol=0.01)
+        assert str(excinfo.value) == (
+            "revival check: overlap 0.968574 misses 1 - tol = 0.990000")
+        trace = excinfo.value.trace
+        assert trace.header == "iteration,chi,delta,off_band_residual"
+        assert trace.rows and trace.rows[-1][1] >= 0.99
+
 
 class TestReflectionTarget:
     def test_reflection_maps_source_to_target(self):
