@@ -7,14 +7,16 @@ through counter-based splitting, so any command re-run with identical
 flags produces byte-identical outputs.  Exit codes: 0 success, 1 usage
 error (an input too large to allocate included), 2 a failed design (trace
 still written), 3 tolerance breach (the message names the failing stage).
+A tolerance flag only accepts or refuses a finished result and moves no
+computation, so a looser tolerance never yields a different output.
 
-Handlers catch nothing.  A design handler returns its document and its
-trace; every failed design, in the library or in a handler's own check,
+Handlers catch nothing, write nothing and print nothing.  A design handler
+returns its document and its trace, a simulate handler the text of its
+report.  Every failed design, in the library or in a handler's own check,
 raises ``numerics.FlowStallError`` with a message that names the flow or
-check, and a failed pipeline stage raises ``cloning.CloningStageError``.
-``main`` alone writes the trace, then the document, and maps each error to
-its exit code.  Only ``simulate ghz --check`` returns a code of its own: it
-writes its report, then exits 3 on a mirror breach.
+check, and a finished result that misses a stage's tolerance raises
+``numerics.StageBreachError``, which may carry the report to write anyway.
+``main`` alone writes every file and maps each error to its exit code.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 from . import chainio
 from .cloning import (
     BRUTE_FORCE_MAX_M,
-    CloningStageError,
     clone_report,
     design_w_chain,
     ghz_helper_chain,
@@ -55,7 +56,7 @@ from .ghz_ising import (
     perturb_sweep,
 )
 from .isoflow import interpolate_gamma, zy_ghz_overlap
-from .numerics import Chain, FlowStallError, FlowTrace
+from .numerics import Chain, FlowStallError, FlowTrace, StageBreachError
 from .pst import standard_couplings, verify_mirror
 from .synthesis import wstate_chain
 
@@ -162,8 +163,8 @@ def _provenance(argv, args, tolerances: dict) -> dict:
                                    tolerances=tolerances)
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +197,10 @@ def _design_wstate(args, argv):
 
 
 # ---------------------------------------------------------------------------
-# simulate commands
+# simulate commands: each returns the text of its report, or raises
 
 
-def _simulate_ghz(args, argv, out) -> int:
+def _simulate_ghz(args, argv) -> str:
     doc = chainio.read_document(args.chain)
     payload = {"provenance": _provenance(argv, args, {"mirror": args.tol}),
                "method": "exact", "time": GHZ_TIME}
@@ -211,10 +212,8 @@ def _simulate_ghz(args, argv, out) -> int:
             deviation = mirror_deviation(chain)
             payload["mirror_deviation"] = deviation
             if deviation > args.tol:
-                _write_json(out, payload)
-                print(f"mirror check: deviation {deviation:.3e} exceeds "
-                      f"{args.tol:.1e}", file=sys.stderr)
-                return BREACH
+                raise StageBreachError("mirror check", f"deviation {deviation:.3e} "
+                                       f"exceeds {args.tol:.1e}", _json_text(payload))
     elif doc.kind == "zy":
         if args.check:
             raise ValueError("--check applies to pst and ising documents")
@@ -222,8 +221,7 @@ def _simulate_ghz(args, argv, out) -> int:
                         "overlap": zy_ghz_overlap(chainio.gamma_matrix(doc))})
     else:
         raise ValueError(f"unsupported document kind {doc.kind}")
-    _write_json(out, payload)
-    return 0
+    return _json_text(payload)
 
 
 def _parse_percent_range(text: str) -> list:
@@ -246,14 +244,13 @@ def _parse_percent_range(text: str) -> list:
     return [lo + step * i for i in range(int(count))]
 
 
-def _simulate_sweep(args, argv, out) -> int:
+def _simulate_sweep(args, argv) -> str:
     xs = _parse_percent_range(args.x)
     lines = ["x_percent,mean,stddev,samples"]
     for point in perturb_sweep(args.n, xs, args.samples, args.seed):
         lines.append(f"{point.x_percent!r},{point.mean!r},"
                      f"{point.stddev!r},{point.samples.size}")
-    Path(out).write_text("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _parse_profile(text: str, n_clones: int):
@@ -266,7 +263,7 @@ def _parse_profile(text: str, n_clones: int):
     return profile_from_betas(weights)
 
 
-def _simulate_clone(args, argv, out) -> int:
+def _simulate_clone(args, argv) -> str:
     profile = _parse_profile(args.profile, args.n_clones)
     if args.method == "brute_force" and profile.m > BRUTE_FORCE_MAX_M:
         raise ValueError(f"brute_force needs a register of at most "
@@ -275,7 +272,7 @@ def _simulate_clone(args, argv, out) -> int:
     report = clone_report(ghz_helper_chain(profile.m), w, profile,
                           k=args.offset, method=args.method,
                           stage_tol=args.stage_tol)
-    payload = {
+    return _json_text({
         "n_clones": report.n_clones,
         "betas": [float(b) for b in report.betas],
         "fidelities": [float(f) for f in report.fidelities],
@@ -283,9 +280,7 @@ def _simulate_clone(args, argv, out) -> int:
         "method": report.method,
         "max_stage_residual": float(report.max_stage_residual),
         "provenance": _provenance(argv, args, {"stage": args.stage_tol}),
-    }
-    _write_json(out, payload)
-    return 0
+    })
 
 
 _HANDLERS = {
@@ -308,22 +303,27 @@ def main(argv=None) -> int:
     handler = _HANDLERS[(args.family, args.command)]
     out = args.out or _default_out(args)
     try:
+        # each error is caught inside the outer try, so an unwritable trace
+        # or report is a usage error
         try:
-            if args.family == "simulate":
-                return handler(args, argv, out)
-            doc, trace = handler(args, argv)
+            artifact = handler(args, argv)
         except FlowStallError as err:
-            # inside the outer try, so an unwritable trace is a usage error
             if args.family == "design":
                 _trace_path(args, out).write_text(err.trace.to_csv())
             print(err, file=sys.stderr)
             return STALL
-        _trace_path(args, out).write_text(trace.to_csv())
-        chainio.write_document(doc, out)
+        except StageBreachError as err:
+            if err.report is not None:
+                Path(out).write_text(err.report)
+            print(err, file=sys.stderr)
+            return BREACH
+        if args.family == "simulate":
+            Path(out).write_text(artifact)
+        else:
+            doc, trace = artifact
+            _trace_path(args, out).write_text(trace.to_csv())
+            chainio.write_document(doc, out)
         return 0
-    except CloningStageError as err:
-        print(err, file=sys.stderr)
-        return BREACH
     except (ValueError, OSError, MemoryError) as err:
         print(f"spinforge {args.family} {args.command}: error: {err}",
               file=sys.stderr)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .ghz_ising import GHZ_TIME, mirror_deviation, one_particle_map
-from .numerics import Chain, FlowStallError, givens_factors, propagator
+from .numerics import Chain, FlowStallError, StageBreachError, givens_factors, propagator
 from .pst import standard_couplings
 from .synthesis import (
     REFLECTION_TIME,
@@ -55,14 +55,6 @@ SIX_DESIGN_INPUTS = (
     np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
     np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
 )
-
-
-class CloningStageError(RuntimeError):
-    """A pipeline stage missed its tolerance; the message names the stage."""
-
-    def __init__(self, stage: str, detail: str):
-        super().__init__(f"{stage}: {detail}")
-        self.stage = stage
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,7 +488,8 @@ def clone_report(ghz_chain: Chain, w_chain: Chain, p: AsymmetryProfile,
     propagator is formed once, and is both the w-stage check and, for
     the compressed method, the spread of every output.  The first stage
     whose residual is not within ``stage_tol`` (NaN never is) raises
-    :class:`CloningStageError`; either method takes the six inputs as one block.
+    :class:`numerics.StageBreachError`; either method takes the six inputs as
+    one block.
     """
     if method not in ("compressed", "brute_force"):
         raise ValueError("method must be compressed or brute_force")
@@ -508,8 +501,7 @@ def clone_report(ghz_chain: Chain, w_chain: Chain, p: AsymmetryProfile,
     }
     for stage, value in residuals.items():
         if not value <= stage_tol:
-            raise CloningStageError(
-                stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
+            raise StageBreachError(stage, f"residual {value:.3e} exceeds {stage_tol:.1e}")
     block = np.column_stack(SIX_DESIGN_INPUTS)
     if method == "compressed":
         outputs = _compressed_states(p, column, block)
@@ -569,6 +561,9 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     Raises :class:`numerics.FlowStallError`, with no trace, when no ladder
     admits a chain or the chain misses the weights (``spread-chain design:
     ...``); the symmetric branch passes on ``wstate_chain``'s errors.
+    ``tol`` only judges the finished chain against the weights, at
+    ``max(tol, 1e-8)``: the symmetric branch designs at ``wstate_chain``'s
+    default, so every ``tol`` that accepts a chain accepts the same one.
     """
     tol = _check_tol(tol)
     if p.n_clones < 2:
@@ -582,7 +577,7 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     if m == 3:
         couplings = three_site_couplings(reflection_target(source, u_full))
     elif symmetric and m % 4 == 1 and source == (m + 1) // 2:
-        couplings = wstate_chain(m, tol=tol).couplings
+        couplings = wstate_chain(m).couplings
     else:
         target = reflection_target(source, u_full)
         ladders = _candidate_spectra(m)

@@ -20,8 +20,9 @@ and adjacent-plane rotations, from which the dense cloning oracle builds
 its nearest-neighbour gate circuits.
 ``antisym_exp`` is the orthogonal exponential that the null-vector flow's
 isospectral step applies.  That flow and the gamma continuation record
-into ``FlowTrace`` (their progress CSV), and every failed design, theirs
-or not, raises ``FlowStallError``.
+into ``FlowTrace`` (their progress CSV).  Every failed design, theirs
+or not, raises ``FlowStallError``, and a finished result that misses a
+stage's tolerance raises ``StageBreachError``.
 
 Only numpy is imported here, as in every module of the package.  The
 chain eigensolver is numpy's SVD of the chain's bidiagonal block.
@@ -221,6 +222,16 @@ class FlowStallError(RuntimeError):
     def __init__(self, message, trace: FlowTrace | None = None):
         super().__init__(message)
         self.trace = trace
+
+
+class StageBreachError(RuntimeError):
+    """Raised when a finished result misses the tolerance of a stage or
+    check.  The message is ``"<stage>: <detail>"``, and ``report`` is the
+    text of the report to write anyway, or None."""
+
+    def __init__(self, stage: str, detail: str, report: str | None = None):
+        super().__init__(f"{stage}: {detail}")
+        self.report = report
 
 
 def levenberg_marquardt(system, x0):

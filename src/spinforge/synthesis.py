@@ -13,7 +13,8 @@ on a fixed-spectrum manifold.  The update is ``isospectral_step``, and
 layout, so this module alone defines that layout; the flow's progress is a
 ``numerics.FlowTrace``, and ``wstate_chain`` raises
 ``numerics.FlowStallError`` with that trace when the flow stops short or
-its chain misses the revival.
+its chain misses the revival.  The flow's stop is a module constant, so a
+tolerance only judges the chain it returns.
 
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
@@ -318,6 +319,8 @@ def _lp_direction(rows: np.ndarray, gradient: np.ndarray, box: float):
 
 _STALL_WINDOW = 100
 _HANDOVER_CHI = 0.99
+# The null-vector flow stops at chi >= _CONVERGED_CHI; no tolerance moves it.
+_CONVERGED_CHI = 1.0 - 1e-6
 # Largest LP box of the null-vector flow, which scales it by sqrt(1 - chi^2).
 _BOX_STEP = 0.1
 _MIN_STEP = 1e-13
@@ -473,8 +476,7 @@ def sign_gauge(couplings: np.ndarray, source: int, target: np.ndarray):
 # flows
 
 
-def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
-                              tol: float = 1e-6):
+def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
     """Drive the chain's zero mode onto the task's target null vector.
 
     Starting from the positive chain ``chain_from_spectrum`` builds for the
@@ -491,11 +493,13 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
     the LP finds no ascent, when the step falls below ``_MIN_STEP``, or
     when chi gains less than ``_WINDOW_SLOPE * (1 - chi)`` over a window
     of 100 iterations; ``budget`` bounds the iterations.  Targets outside
-    the reachable region stall on its boundary.
+    the reachable region stall on its boundary.  The flow converges at
+    chi >= ``_CONVERGED_CHI`` (1 - 1e-6), a constant: a caller's
+    tolerance judges the finished chain and never stops the flow early.
 
     :func:`polish_null_vector_root` is tried at the head of the loop on a
     doubling schedule: with h the first iteration at which chi stands in
-    [0.99, 1 - tol), at iterations h, h + 1, h + 2, h + 4, h + 8, ...
+    [0.99, _CONVERGED_CHI), at iterations h, h + 1, h + 2, h + 4, h + 8, ...
     while chi stays short of convergence, and nowhere else, so at most
     floor(log2(budget)) + 2 attempts are made.  A root replaces the
     iterate only if its chi does not drop, so a refused polish leaves the
@@ -504,7 +508,6 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
 
     Returns the final chain and a ConvergenceState.
     """
-    tol = _check_tol(tol)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
     vals = task.spectrum
@@ -547,12 +550,12 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
 
     while True:
         # the first polish is the handover, at the first iteration with chi in
-        # [0.99, 1 - tol); the others follow it by 1, 2, 4, 8, ... iterations
+        # [0.99, _CONVERGED_CHI); the others follow it by 1, 2, 4, 8, ... steps
         since = it - report.polishes[0][0] if report.polishes else 0
-        if (chi < 1.0 - tol and since & (since - 1) == 0
+        if (chi < _CONVERGED_CHI and since & (since - 1) == 0
                 and (report.polishes or chi >= _HANDOVER_CHI)):
             x, chi, lam = polish(x, chi, lam)
-        if chi >= 1.0 - tol:
+        if chi >= _CONVERGED_CHI:
             report.status = "converged"
             break
         if it >= budget:
@@ -586,7 +589,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000,
         recorded.append((it, chi, size, off_res))
         if it % _STALL_WINDOW == 0 and len(recorded) > _STALL_WINDOW:
             gain_w = chi - recorded[-_STALL_WINDOW - 1][1]
-            if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < 1.0 - tol:
+            if gain_w < max(1e-12, _WINDOW_SLOPE * (1.0 - chi)) and chi < _CONVERGED_CHI:
                 report.status = "stalled"
                 break
     report.chi = min(max(chi, -1.0), 1.0)
@@ -831,12 +834,12 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     refined onto an exact root, and unfolded.  Positive chains revive
     with alternating signs across the odd sites; the returned couplings
     carry the per-site sign gauge that makes the state produced at time pi
-    uniform with positive amplitudes.  Raises
+    uniform with positive amplitudes.  ``tol`` only judges the finished
+    chain: the flow runs to its own fixed stop, so every ``tol`` that
+    accepts a chain accepts the same couplings.  Raises
     :class:`numerics.FlowStallError` with the flow's trace when the half
-    chain does not converge (``wstate flow: ...``), and when the chain's
-    revival overlap misses 1 - tol (``revival check: ...``): the flow stops
-    at chi >= 1 - tol, and chi is not the revival overlap, so W9 at
-    tol = 0.01 converges yet revives to 0.9686 only.
+    chain does not converge (``wstate flow: ...``), and when 1 minus the
+    chain's revival overlap exceeds ``tol`` (``revival check: ...``).
     """
     if n < 5 or n % 4 != 1:
         raise ValueError(
@@ -858,7 +861,7 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
 
     lam = reflection_target(1, half_target)
     task = NullVectorTask(spectrum=half_spec, target_null_vector=lam)
-    half_chain, report = synthesis_flow_nullvector(task, budget=budget, tol=tol)
+    half_chain, report = synthesis_flow_nullvector(task, budget=budget)
     if report.status != "converged":
         raise FlowStallError(f"wstate flow: half-chain flow did not converge: "
                              f"{report.status}", report.trace)
@@ -868,9 +871,9 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     half_gauged, psi_half = sign_gauge(half_chain.couplings, 1, half_target)
     overlap = abs(complex(target @ psi))
     half_overlap = abs(complex(half_target @ psi_half))
-    if overlap < 1.0 - tol:
-        raise FlowStallError(f"revival check: overlap {overlap:.6f} misses 1 - tol "
-                             f"= {1.0 - tol:.6f}", report.trace)
+    if not 1.0 - overlap <= tol:
+        raise FlowStallError(f"revival check: 1 - overlap = {1.0 - overlap:.1e} "
+                             f"exceeds tol = {tol:.1e}", report.trace)
 
     return WstateDesign(couplings=gauged, half_couplings=half_gauged,
                         overlap=float(overlap), half_overlap=float(half_overlap),

@@ -176,11 +176,12 @@ class TestDesignWstate:
         assert rows[0] == "iteration,chi,delta,off_band_residual"
         assert [int(row.split(",")[0]) for row in rows[1:]] == [0, 1, 2, 3]
 
-    def test_missed_revival_exits_two_with_trace(self, tmp_path, capsys):
-        # the flow stops at chi >= 1 - tol, where this chain revives to 0.9686 only
+    def test_missed_revival_exits_two_with_trace(self, tmp_path, capsys, monkeypatch):
+        # a flow stopped at chi >= 0.99 leaves a W9 chain that revives to 0.9686
+        monkeypatch.setattr(synthesis, "_CONVERGED_CHI", 0.99)
         assert run(tmp_path, "design", "wstate", "--n", "9", "--tol", "0.01") == 2
         assert capsys.readouterr().err == (
-            "revival check: overlap 0.968574 misses 1 - tol = 0.990000\n")
+            "revival check: 1 - overlap = 3.1e-02 exceeds tol = 1.0e-02\n")
         assert not (tmp_path / "xx9.json").exists()
         rows = (tmp_path / "xx9.trace.csv").read_text().splitlines()
         assert rows[0] == "iteration,chi,delta,off_band_residual"
@@ -314,7 +315,7 @@ class TestSimulateGhz:
         code = run(tmp_path, "simulate", "ghz", "--chain", str(broken),
                    "--check", "--out", str(out))
         assert code == 3
-        assert out.exists()
+        assert json.loads(out.read_text())["mirror_deviation"] > 1e-9
         assert "mirror" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1e12, 1e200])
@@ -657,13 +658,18 @@ class TestStallAndBreachMessages:
          "spread-chain design"),
         (("simulate", "clone", "--n-clones", "4", "--stage-tol", "1e-17"), 3,
          "ghz stage"),
+        # a W-branch register: its spread chain is designed at the default
+        # tolerance, so the stage check, not the design, refuses it
+        (("simulate", "clone", "--n-clones", "3", "--stage-tol", "1e-17"), 3,
+         "ghz stage"),
         # the ghz stage passes at 8.0e-15 and the w stage misses at 1.5e-14
         (("simulate", "clone", "--n-clones", "6", "--profile", "3,1,2,1,1,2",
           "--stage-tol", "1e-14"), 3, "w stage"),
         (("simulate", "ghz", "--chain", "detuned.json", "--check"), 3,
          "mirror check"),
     ], ids=["pst-mirror", "gamma-stall", "wstate-stall", "clone-design-stall",
-            "clone-ghz-stage", "clone-w-stage", "ghz-mirror"])
+            "clone-ghz-stage", "clone-w-branch-ghz-stage", "clone-w-stage",
+            "ghz-mirror"])
     def test_one_line_names_the_stage_once(self, tmp_path, capsys, argv, code, name):
         write_document(detuned_ghz_document(1.05, make_provenance("test")),
                        tmp_path / "detuned.json")
@@ -678,7 +684,7 @@ class TestStallAndBreachMessages:
         # RuntimeError, so an unforeseen fault is never reported as a stall
         package = Path(cli.__file__).resolve().parent
         watched = {"RuntimeError", "Exception", "BaseException", "<bare>",
-                   "FlowStallError", "CloningStageError"}
+                   "FlowStallError", "StageBreachError"}
         found = []
         for path in sorted(package.glob("*.py")):
             for top in ast.parse(path.read_text(), str(path)).body:
@@ -690,7 +696,21 @@ class TestStallAndBreachMessages:
                                                                [node.type])])
                     found += [f"{path.stem}.{getattr(top, 'name', '<module>')} {k}"
                               for k in kinds if k.split(".")[-1] in watched]
-        assert sorted(found) == ["cli.main CloningStageError", "cli.main FlowStallError"]
+        assert sorted(found) == ["cli.main FlowStallError", "cli.main StageBreachError"]
+
+    def test_only_main_writes_or_prints(self):
+        # a static check: handlers return their artifact, and cli.main alone
+        # writes a file or prints, so no handler has an exit path of its own
+        found = set()
+        for func in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in ("write_text", "write_document", "print"):
+                        found.add(f"{func.name} {name}")
+        assert sorted(found) == ["main print", "main write_document", "main write_text"]
 
 
 class TestToleranceFlags:
@@ -710,6 +730,32 @@ class TestToleranceFlags:
         assert run(tmp_path, *argv, tol) == 1
         assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestToleranceIsAGate:
+    """A tolerance flag accepts or refuses a finished result and moves no
+    computation: loosening it never turns an accepted run into a refused
+    one, and every accepted run writes the default run's numbers."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (("design", "pst", "--n", "8", "--tol"), "couplings"),
+        (("simulate", "ghz", "--chain", "chain.json", "--check", "--tol"), "overlap"),
+        (("design", "wstate", "--n", "9", "--tol"), "couplings"),
+        (("simulate", "clone", "--n-clones", "3", "--stage-tol"), "fidelities"),
+        (("simulate", "clone", "--n-clones", "5", "--stage-tol"), "fidelities"),
+    ], ids=["pst", "ghz", "wstate9", "clone3", "clone5"])
+    def test_looser_tolerance_never_refuses_or_moves_a_result(self, tmp_path, argv, key):
+        assert run(tmp_path, "design", "pst", "--n", "8", "--out", "chain.json") == 0
+        assert run(tmp_path, *argv[:-1], "--out", "default.json") == 0
+        expected = json.loads((tmp_path / "default.json").read_text())[key]
+        codes = []
+        for tol in ("1e-12", "1e-9", "1e-6", "1e-3", "0.01", "0.1", "0.5"):
+            out = tmp_path / f"at{tol}.json"
+            codes.append(run(tmp_path, *argv, tol, "--out", str(out)))
+            if codes[-1] == 0:
+                assert json.loads(out.read_text())[key] == expected, tol
+        accepted = codes.index(0) if 0 in codes else len(codes)
+        assert codes[accepted:] == [0] * (len(codes) - accepted), codes
 
 
 class TestSeedFlag:

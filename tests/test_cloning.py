@@ -12,7 +12,6 @@ from spinforge.cloning import (
     _candidate_spectra,
     AsymmetryProfile,
     CloneReport,
-    CloningStageError,
     CompressedState,
     analytic_fidelity,
     brute_force_pipeline,
@@ -30,7 +29,7 @@ from spinforge.cloning import (
 )
 from spinforge import numerics
 from spinforge.chainio import document_from_xx, make_provenance, xx_chain
-from spinforge.numerics import Chain, FlowStallError, propagator
+from spinforge.numerics import Chain, FlowStallError, StageBreachError, propagator
 from spinforge.pst import standard_couplings
 from spinforge.synthesis import produced_state
 
@@ -357,7 +356,7 @@ class TestPipelineAgreement:
         band = ghz_helper_chain(3).couplings.copy()
         band[0::2] *= 1.5
         broken = Chain(band)
-        with pytest.raises(CloningStageError, match="ghz stage"):
+        with pytest.raises(StageBreachError, match="ghz stage"):
             clone_report(broken, w, p)
 
     @pytest.mark.parametrize("sites", [5, 7, 8])
@@ -375,13 +374,13 @@ class TestPipelineAgreement:
     def test_w_stage_failure_is_named(self):
         p = symmetric_profile(2)
         ghz = ghz_helper_chain(3)
-        with pytest.raises(CloningStageError, match="w stage"):
+        with pytest.raises(StageBreachError, match="w stage"):
             clone_report(ghz, Chain([1.0, 1.0]), p, method="brute_force")
 
     def test_nan_stage_tolerance_passes_no_stage(self):
         p = symmetric_profile(2)
         w = design_w_chain(p)
-        with pytest.raises(CloningStageError, match="ghz stage"):
+        with pytest.raises(StageBreachError, match="ghz stage"):
             clone_report(ghz_helper_chain(3), w, p, stage_tol=np.nan)
 
     def test_one_clone_has_no_register_to_fit(self):

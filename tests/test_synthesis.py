@@ -677,10 +677,6 @@ class TestNullVectorFlow:
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, np.nan, np.inf])
     def test_rejects_tolerance_outside_unit_interval(self, tol):
-        v = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
-        with pytest.raises(ValueError, match="tol"):
-            synthesis_flow_nullvector(task, tol=tol)
         with pytest.raises(ValueError, match="tol"):
             wstate_chain(9, tol=tol)
 
@@ -954,15 +950,29 @@ class TestWstateChain:
         with pytest.raises(ValueError):
             wstate_chain(11)
 
-    def test_missed_revival_raises_with_the_flow_trace(self):
-        # the flow stops at chi >= 1 - tol, where this chain revives to 0.9686 only
+    def test_missed_revival_raises_with_the_flow_trace(self, monkeypatch):
+        # a flow stopped at chi >= 0.99 leaves a W9 chain that revives to 0.9686
+        monkeypatch.setattr(synthesis, "_CONVERGED_CHI", 0.99)
         with pytest.raises(FlowStallError) as excinfo:
             wstate_chain(9, tol=0.01)
         assert str(excinfo.value) == (
-            "revival check: overlap 0.968574 misses 1 - tol = 0.990000")
+            "revival check: 1 - overlap = 3.1e-02 exceeds tol = 1.0e-02")
         trace = excinfo.value.trace
         assert trace.header == "iteration,chi,delta,off_band_residual"
-        assert trace.rows and trace.rows[-1][1] >= 0.99
+        assert len(trace.rows) == 11 and trace.rows[-1][1] >= 0.99
+
+    @pytest.mark.parametrize("n", [5, 9, 21])
+    def test_tolerance_never_moves_the_couplings(self, n):
+        # tol judges the finished chain only: the flow runs to its own stop
+        couplings = [wstate_chain(n, tol=tol).couplings
+                     for tol in (1e-12, 1e-6, 1e-3, 0.05, 0.5)]
+        assert all(np.array_equal(c, couplings[0]) for c in couplings[1:])
+
+    def test_revival_message_reads_the_shortfall(self):
+        # W17 revives to within one rounding of 1, which a tol of 1e-16 refuses
+        with pytest.raises(FlowStallError, match=r"^revival check: 1 - overlap = "
+                           r"\d\.\de-16 exceeds tol = 1\.0e-16$"):
+            wstate_chain(17, tol=1e-16)
 
 
 class TestReflectionTarget:
