@@ -74,10 +74,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def tolerance(text: str) -> float:
-    """Value of a tolerance flag: a finite number above zero."""
-    if not 0.0 < float(text) < np.inf:
+    """Value of a tolerance flag: a finite number in (0, 1), the range every
+    check that reads one accepts."""
+    if not 0.0 < float(text) < 1.0:
         raise argparse.ArgumentTypeError(
-            f"tolerance must be finite and positive, got {text}")
+            f"tolerance must be a finite number in (0, 1), got {text}")
     return float(text)
 
 
@@ -202,7 +203,9 @@ def _design_wstate(args, argv):
 
 def _simulate_ghz(args, argv) -> str:
     doc = chainio.read_document(args.chain)
-    payload = {"provenance": _provenance(argv, args, {"mirror": args.tol}),
+    # a tolerance is recorded only where a check read it
+    tolerances = {"mirror": args.tol} if args.check else {}
+    payload = {"provenance": _provenance(argv, args, tolerances),
                "method": "exact", "time": GHZ_TIME}
     if doc.kind in ("pst", "ising"):
         chain = (chainio.ising_chain(doc) if doc.kind == "ising"
@@ -321,8 +324,14 @@ def main(argv=None) -> int:
             Path(out).write_text(artifact)
         else:
             doc, trace = artifact
-            _trace_path(args, out).write_text(trace.to_csv())
-            chainio.write_document(doc, out)
+            trace_path = _trace_path(args, out)
+            trace_path.write_text(trace.to_csv())
+            try:
+                chainio.write_document(doc, out)
+            except OSError:
+                # a design that exits 1 leaves no file behind
+                trace_path.unlink()
+                raise
         return 0
     except (ValueError, OSError, MemoryError) as err:
         print(f"spinforge {args.family} {args.command}: error: {err}",

@@ -191,14 +191,13 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
     the range; a step is accepted when the corrector converges and then
     grows 1.5 times, and is rejected and halved when an iteration fails to
     halve the residual or meets a singular Jacobian.  The last step lands
-    on ``gamma_to`` exactly.  Each accepted member is built once, from its
-    couplings J = upper / (1 + gamma), so the band ratio holds by
-    construction; the classes make the bands mirror-symmetric, so the
-    trace's ``structure_residual`` column, the member's
-    :func:`structure_residual`, reads 0.
+    on ``gamma_to`` exactly.  The member is built once, after the walk, from
+    its couplings J = upper / (1 + gamma), so the band ratio holds by
+    construction, and the classes make the bands mirror-symmetric.
 
     ``max_steps`` bounds the corrector iterations over the whole walk.
-    Returns the member and the trace, one row per accepted step; raises
+    Returns the member and the trace, one row per accepted step with its
+    ``sv_drift``, the corrector's final max |sigma - ladder|; raises
     :class:`numerics.FlowStallError` (``gamma continuation: ...``, with the
     trace attached) when the budget is spent or the step collapses.
     """
@@ -210,7 +209,7 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
         raise ValueError("chains need at least two sites")
     seed = gamma_seed(n, gamma_from)
     validate_seed(seed)
-    trace = FlowTrace("step,gamma,sv_drift,structure_residual", "{},{!r},{!r},{!r}")
+    trace = FlowTrace("step,gamma,sv_drift", "{},{!r},{!r}")
     if abs(gamma_to - gamma_from) <= 1e-12:
         return seed, trace
 
@@ -253,8 +252,7 @@ def interpolate_gamma(n: int, gamma_from: float, gamma_to: float,
                     f"{abs(h):.2e} (gamma = {g1:.6f})", trace)
             continue
         accepted = [accepted[-1], (gamma, theta)]
-        member = GammaMatrix(diag=np.diag(xd), couplings=np.diag(xd, 1) / (1.0 + gamma),
-                             gamma=gamma)
-        trace.rows.append((len(trace.rows) + 1, gamma, residual, structure_residual(member)))
+        trace.rows.append((len(trace.rows) + 1, gamma, residual))
         h *= 1.5
-    return member, trace
+    return GammaMatrix(diag=np.diag(xd), couplings=np.diag(xd, 1) / (1.0 + gamma_to),
+                       gamma=gamma_to), trace

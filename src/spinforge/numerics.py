@@ -7,11 +7,10 @@ solver of the root problems, whose one ``system`` callable factors each
 point once and returns the residuals with a closure for their Jacobian.
 Every exchange chain the package designs is a ``Chain``: its couplings,
 with no on-site field, and spectra are plain sorted arrays.
-``propagator`` is the single e^{-iHt} primitive, whole or one column: a
+``propagator`` is the one e^{-iHt} primitive, whole or one column: a
 ``Chain`` goes through the chain eigensolver, any other Hermitian matrix
-through a dense eigendecomposition, and ``spectral_propagator`` evolves a
-decomposition a caller already holds.  Both refuse a non-finite time and
-a column outside the basis, and gate the eigenvectors with
+through a dense eigendecomposition.  It refuses a non-finite time and a
+column outside the basis, and gates the eigenvectors with
 ``check_orthonormal``, the one orthonormality gate, also of the Ising
 map's singular vectors.  ``chain_block`` is the even-by-odd block that
 the eigensolver and the null-vector flow work on.
@@ -110,31 +109,26 @@ def eig_sym_tridiag(chain: Chain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagator(h: Chain | np.ndarray, t: float, k: int | None = None) -> np.ndarray:
-    """Evolution operator e^{-iHt}, or its column k, via eigendecomposition.
+    """Evolution operator e^{-iHt}, or its column k alone, via eigendecomposition.
 
     A ``Chain`` goes through :func:`eig_sym_tridiag`, a Hermitian matrix
-    through dense ``eigh``; :func:`spectral_propagator` evolves the result.
+    through dense ``eigh``, and H = V diag(w) V^H is evolved as
+    V diag(e^{-iwt}) V^H.  A non-Hermitian matrix, a non-finite time, a
+    column k that is not an integer (a float or a bool; numpy integers
+    pass) or one outside 0..n-1 raises ``ValueError``, and the eigenvectors
+    pass :func:`check_orthonormal` first.
     """
     if isinstance(h, Chain):
-        return spectral_propagator(*eig_sym_tridiag(h), t, k)
-    h = np.asarray(h)
-    w, v = np.linalg.eigh(h)
-    # eigh reads one triangle, so h is checked after it, in 64 x 64 tiles: the
-    # transposed reads stay in cache and no temporary adds to eigh's peak memory
-    dev = max((np.abs(h[i:i + 64, j:j + 64] - h[j:j + 64, i:i + 64].conj().T).max()
-               for i in range(0, len(h), 64) for j in range(0, len(h), 64)), default=0.0)
-    if dev > HERMITICITY_TOL and dev > HERMITICITY_TOL * np.abs(h).max():
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return spectral_propagator(w, v, t, k)
-
-
-def spectral_propagator(w: np.ndarray, v: np.ndarray, t: float,
-                        k: int | None = None) -> np.ndarray:
-    """e^{-iHt} for H = V diag(w) V^H, or its column k alone, from an
-    eigendecomposition in hand; a non-finite time, a column k that is not
-    an integer (a float or a bool; numpy integers pass) or one outside
-    0..n-1 raises ``ValueError``, and the eigenvectors pass
-    :func:`check_orthonormal` first."""
+        w, v = eig_sym_tridiag(h)
+    else:
+        h = np.asarray(h)
+        w, v = np.linalg.eigh(h)
+        # eigh reads one triangle, so h is checked after it, in 64 x 64 tiles: the
+        # transposed reads stay in cache and no temporary adds to eigh's peak memory
+        dev = max((np.abs(h[i:i + 64, j:j + 64] - h[j:j + 64, i:i + 64].conj().T).max()
+                   for i in range(0, len(h), 64) for j in range(0, len(h), 64)), default=0.0)
+        if dev > HERMITICITY_TOL and dev > HERMITICITY_TOL * np.abs(h).max():
+            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):

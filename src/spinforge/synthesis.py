@@ -19,15 +19,18 @@ tolerance only judges the chain it returns.
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
 propagator at ``REFLECTION_TIME`` a reflection, and hands over to a
-Levenberg-Marquardt root polish near the target.  Each ascent step is the
-vertex of a small linear programme, found by a primal simplex in the null
-space of the pattern constraint (``_lp_direction``) and returned exactly:
-its bound coordinates at the box, the rest solving the constraint, so the
-module needs numpy alone.  ``zero_mode_chain`` solves the same inverse
-problem directly on a ratio-fixed chain, and ``wstate_chain`` designs the
-uniform odd-site revival through the mirror-reduced half chain.  A
-designed chain is evolved once, by ``sign_gauge``, which returns the
-sign-gauged couplings together with the state they produce.
+Levenberg-Marquardt root polish near the target.  A ``NullVectorTask``
+states that reflection: it refuses a spectrum whose phases at that time
+miss -1, so the flow and its polish read the task and check nothing
+themselves.  Each ascent step is the vertex of a small linear programme,
+found by a primal simplex in the null space of the pattern constraint
+(``_lp_direction``) and returned exactly: its bound coordinates at the
+box, the rest solving the constraint, so the module needs numpy alone.
+``zero_mode_chain`` solves the same inverse problem directly on a
+ratio-fixed chain, and ``wstate_chain`` designs the uniform odd-site
+revival through the mirror-reduced half chain.  A designed chain is
+evolved once, by ``sign_gauge``, which returns the sign-gauged couplings
+together with the state they produce.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ import numpy as np
 
 from .numerics import (Chain, FlowStallError, FlowTrace, antisym_exp, block_index,
                        chain_block, eig_sym_tridiag, levenberg_marquardt,
-                       propagator, solve_affine, spectral_propagator)
+                       propagator, solve_affine)
 
 __all__ = [
     "NullVectorTask",
     "ConvergenceState",
     "synthesis_flow_nullvector",
-    "reflection_check",
     "boundary_value",
     "chain_from_spectrum",
     "zero_mode",
@@ -78,8 +80,12 @@ class NullVectorTask:
 
     Requires a finite spectrum consisting of symmetric pairs around a
     unique zero eigenvalue, so the chain supports a zero mode confined to
-    odd sites; it is kept as a sorted array.  The target must share that
-    support: unit norm, even components zero.
+    odd sites; it is kept as a sorted array.  Every other eigenvalue must
+    give exp(-i lambda ``REFLECTION_TIME``) = -1 to 1e-8, so that the
+    propagator at that time is a reflection about the zero mode.  The
+    target must share the zero mode's support: unit norm, even components
+    zero.  A task is the whole contract of a null-vector design: the flow
+    and its root polish read it and check nothing themselves.
     """
 
     spectrum: np.ndarray
@@ -98,6 +104,11 @@ class NullVectorTask:
             raise ValueError("spectrum must contain exactly one zero eigenvalue")
         if np.abs(vals + vals[::-1]).max() > 1e-9:
             raise ValueError("spectrum must be symmetric about zero")
+        # the phase each mode picks up, as propagator computes it
+        miss = np.abs(np.exp(-1j * vals[~zeros] * REFLECTION_TIME) + 1.0).max(initial=0.0)
+        if not miss <= 1e-8:
+            raise ValueError(f"spectrum does not produce a reflection at time pi "
+                             f"(phase miss {miss:.1e})")
         target = np.asarray(self.target_null_vector, dtype=float)
         if target.shape != (n,):
             raise ValueError(f"target null vector must have length {n}")
@@ -401,26 +412,6 @@ def produced_state(couplings: np.ndarray, source: int) -> np.ndarray:
     return propagator(Chain(couplings), REFLECTION_TIME, source - 1)
 
 
-def reflection_check(h: Chain, t0: float) -> float:
-    """How far the propagator at ``t0`` is from a zero-mode reflection.
-
-    Returns the minimum over a global phase of the entrywise deviation
-    between exp(-i h t0) and phase * (1 - 2 P0), with P0 the projector
-    onto the eigenspace nearest zero.  Small values certify that
-    evolution for t0 acts as a reflection about the zero mode.  The
-    propagator and the zero mode come from one eigendecomposition.
-    """
-    spectrum, v = eig_sym_tridiag(h)
-    u = spectral_propagator(spectrum, v, t0)
-    k = int(np.argmin(np.abs(spectrum)))
-    p0 = np.outer(v[:, k], v[:, k])
-    r = np.eye(h.n) - 2.0 * p0
-    # the best phase aligns the two matrices in the trace inner product
-    tr = np.trace(u @ r)
-    phase = tr / abs(tr) if abs(tr) > 1e-14 else 1.0
-    return float(np.abs(u - phase * r).max())
-
-
 def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     """Null vector whose reflection carries ``source`` onto ``target_state``.
 
@@ -485,7 +476,8 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
     the target, inside the box ``_saturating_box(step, chi)``
     (0.1 * sqrt(1 - chi^2) at full step).  It applies that direction plus
     the fix ``p_fix`` of the current off-pattern leakage as one exact
-    isospectral rotation, then compensates the leakage that remains.
+    isospectral rotation, then compensates the leakage that remains.  The
+    task has checked its spectrum and target, so the flow checks neither.
 
     A step is accepted when compensation passes and chi does not drop by
     more than 1e-14.  Rejected steps halve the working step; five
@@ -510,13 +502,9 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
-    vals = task.spectrum
     n = task.n
     target = task.target_null_vector
-
-    seed = chain_from_spectrum(vals)
-    if reflection_check(Chain(seed), REFLECTION_TIME) > 1e-8:
-        raise ValueError("spectrum does not produce a reflection at time pi")
+    seed = chain_from_spectrum(task.spectrum)
 
     no, ne = (n + 1) // 2, n // 2
     # odd-generator pairs (i, j), i < j, as full-chain sites 2i and 2j; the
@@ -538,7 +526,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
         """One polish attempt, recorded at the current iteration and step;
         returns the root's block, chi and zero mode if accepted, else the
         arguments."""
-        root = polish_null_vector_root(x[block_index(n)], vals, target)
+        root = polish_null_vector_root(x[block_index(n)], task)
         lam_p = lam if root is None else zero_mode(root, target)
         chi_p = float(target @ lam_p)
         accepted = root is not None and chi_p >= chi
@@ -597,23 +585,18 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
     return Chain(x[block_index(n)]), report
 
 
-def _null_vector_system(spectrum_values, target_null_vector):
-    """The null-vector root problem as a ``levenberg_marquardt`` system.
+def _null_vector_system(task: NullVectorTask):
+    """The task's root problem as a ``levenberg_marquardt`` system.
 
     The residual stacks the largest eigenvalues minus the positive half of
     the spectrum, in descending order, and the zero mode minus the target;
     both come from one :func:`numerics.eig_sym_tridiag` of the point.  By
     Hellmann-Feynman J_i moves eigenvalue k by 2 v_k[i] v_k[i+1], and it
     moves the zero mode lam by -H^+ (dH/dJ_i) lam, with the pseudo-inverse
-    H^+ built from the same eigenpairs.  An even target raises
-    ``ValueError``.
+    H^+ built from the same eigenpairs.
     """
-    vals = np.asarray(spectrum_values, dtype=float)
-    target = np.asarray(target_null_vector, dtype=float)
-    positive = np.sort(vals[vals > 1e-12])[::-1]
-    if target.size % 2 == 0:
-        raise ValueError(f"a zero mode needs an odd number of sites, got {target.size}")
-    half = target.size // 2
+    target, half = task.target_null_vector, task.n // 2
+    positive = task.spectrum[half + 1:][::-1]
 
     def system(j):
         spectrum, v = eig_sym_tridiag(Chain(j))
@@ -632,16 +615,15 @@ def _null_vector_system(spectrum_values, target_null_vector):
     return system
 
 
-def polish_null_vector_root(couplings, spectrum_values, target_null_vector):
-    """Least-squares refinement onto an exact chain for the null-vector task.
+def polish_null_vector_root(couplings, task: NullVectorTask):
+    """Least-squares refinement of ``couplings`` onto an exact chain for ``task``.
 
     Solves for couplings whose block singular values match the positive
-    half of the spectrum and whose zero mode equals the target, by
+    half of the task's spectrum and whose zero mode equals its target, by
     Levenberg-Marquardt with the analytic Jacobian.  Returns the refined
     couplings, or None when no nearby root exists.
     """
-    system = _null_vector_system(spectrum_values, target_null_vector)
-    x, fun = levenberg_marquardt(system, couplings)
+    x, fun = levenberg_marquardt(_null_vector_system(task), couplings)
     if np.abs(fun).max() < 1e-10:
         return x
     return None

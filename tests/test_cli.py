@@ -76,6 +76,16 @@ class TestDesignPst:
             "spinforge design pst: error: Unable to allocate 728. TiB for an array"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out, trace", [("missing/p.json", "t.csv"),
+                                            ("p.json", "missing/t.csv")],
+                             ids=["unwritable-out", "unwritable-trace"])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, out, trace):
+        # either write failing is a usage error, and neither file is left
+        assert run(tmp_path, "design", "pst", "--n", "8", "--out", out,
+                   "--trace", trace) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDesignGamma:
     def test_writes_zy_document(self, tmp_path):
@@ -87,7 +97,7 @@ class TestDesignGamma:
         assert doc.kind == "zy"
         assert doc.gamma == pytest.approx(0.3)
         header = (tmp_path / "zy6.trace.csv").read_text().splitlines()[0]
-        assert header == "step,gamma,sv_drift,structure_residual"
+        assert header == "step,gamma,sv_drift"
 
     def test_step_flag_is_unrecognised(self, tmp_path, capsys):
         # continuation sizes its own steps
@@ -111,7 +121,7 @@ class TestDesignGamma:
         assert code == 2
         assert not out.exists()
         trace = (tmp_path / "zy6.trace.csv").read_text().splitlines()
-        assert trace[0] == "step,gamma,sv_drift,structure_residual"
+        assert trace[0] == "step,gamma,sv_drift"
         assert len(trace) > 1
         err = capsys.readouterr().err
         assert "gamma continuation: corrector budget of 5 iterations spent" in err
@@ -304,6 +314,16 @@ class TestSimulateGhz:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["mirror_deviation"] < 1e-9
+        assert payload["provenance"]["tolerances"] == {"mirror": 1e-9}
+
+    @pytest.mark.parametrize("design", [PST_DESIGN, GAMMA_DESIGN], ids=["pst", "zy"])
+    def test_provenance_records_no_tolerance_without_check(self, tmp_path, design):
+        # without --check no mirror check reads --tol, on a zy document none can
+        assert run(tmp_path, "design", *design, "--out", "chain.json") == 0
+        assert run(tmp_path, "simulate", "ghz", "--chain", "chain.json",
+                   "--tol", "1e-6", "--out", "report.json") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["provenance"]["tolerances"] == {}
 
     def test_detuned_chain_breaches(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
@@ -714,21 +734,24 @@ class TestStallAndBreachMessages:
 
 
 class TestToleranceFlags:
-    """Every tolerance flag takes only finite positive values, checked
-    before any work; ``design wstate --tol`` is covered above."""
+    """Every tolerance flag takes only finite values in (0, 1), refused by
+    the parser with a usage line before any work."""
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1", "2"])
     @pytest.mark.parametrize("argv", [
         ("design", "pst", "--n", "8", "--tol"),
         ("simulate", "ghz", "--chain", "chain.json", "--check", "--tol"),
         ("simulate", "clone", "--n-clones", "3", "--stage-tol"),
+        ("design", "wstate", "--n", "9", "--tol"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, tol):
         assert run(tmp_path, "design", "pst", "--n", "8", "--out",
                    "chain.json", "--trace", "chain.trace.csv") == 0
         before = sorted(tmp_path.iterdir())
         assert run(tmp_path, *argv, tol) == 1
-        assert "tolerance must be finite and positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spinforge "), err
+        assert f"tolerance must be a finite number in (0, 1), got {tol}" in err
         assert sorted(tmp_path.iterdir()) == before
 
 

@@ -23,7 +23,6 @@ from spinforge.synthesis import (
     NullVectorTask,
     ConvergenceState,
     synthesis_flow_nullvector,
-    reflection_check,
     boundary_value,
     chain_from_spectrum,
     zero_mode,
@@ -153,9 +152,26 @@ class TestTaskValidation:
     def test_reflectionless_spectrum_rejected(self):
         evens = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
         lam = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3))
-        task = NullVectorTask(spectrum=evens, target_null_vector=lam)
         with pytest.raises(ValueError, match="reflection"):
-            synthesis_flow_nullvector(task)
+            NullVectorTask(spectrum=evens, target_null_vector=lam)
+
+    @pytest.mark.parametrize("spectrum", [FIVE_SITE, np.zeros(1)] + [
+        # the half chain of wstate_chain(n): every fourth odd integer, 3 to n - 2
+        np.concatenate([-np.arange(n - 2.0, 2.0, -4.0), [0.0], np.arange(3.0, n - 1, 4.0)])
+        for n in range(5, 66, 4)], ids=["five-site", "one-site"] + [f"W{n}" for n in range(5, 66, 4)])
+    def test_odd_integer_spectrum_reflects(self, spectrum):
+        task = NullVectorTask(spectrum=spectrum, target_null_vector=np.eye(spectrum.size)[0])
+        assert np.array_equal(task.spectrum, spectrum)
+
+    @pytest.mark.parametrize("spectrum", [
+        np.array([-3.0 - 1e-6, 0.0, 3.0 + 1e-6]),
+        # exact odd integers, but pi * 21^8 rounds to a phase that misses -1
+        _candidate_spectra(19)[4],
+    ], ids=["three-plus-1e-6", "base-21-ladder-at-19"])
+    def test_phase_miss_past_1e_8_refused(self, spectrum):
+        with pytest.raises(ValueError, match="does not produce a reflection at time pi"):
+            NullVectorTask(spectrum=spectrum, target_null_vector=np.eye(spectrum.size)[0])
+
 
 class TestChainConstruction:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -196,8 +212,7 @@ class TestChainConstruction:
         with pytest.raises(ValueError, match="odd number of sites"):
             zero_mode(np.ones(3))
         with pytest.raises(ValueError, match="odd number of sites"):
-            synthesis.polish_null_vector_root(np.ones(3), [-2.0, -1.0, 1.0, 2.0],
-                                              [1.0, 0.0, 0.0, 0.0])
+            NullVectorTask(spectrum=[-3.0, -1.0, 1.0, 3.0], target_null_vector=[1.0, 0.0, 0.0, 0.0])
 
     def test_positive_chain_mode_alternates(self):
         rng = np.random.default_rng(11)
@@ -207,41 +222,6 @@ class TestChainConstruction:
         odd = lam[0::2]
         odd = odd * np.sign(odd[0])
         assert (np.sign(odd) == [(-1.0) ** k for k in range(6)]).all()
-
-
-class TestReflectionCheck:
-    def test_odd_integer_spectrum_reflects(self):
-        chain = Chain(chain_from_spectrum(FIVE_SITE))
-        assert reflection_check(chain, np.pi) <= 1e-9
-
-    def test_even_spectrum_does_not_reflect(self):
-        chain = Chain(chain_from_spectrum([-4.0, -2.0, 0.0, 2.0, 4.0]))
-        assert reflection_check(chain, np.pi) > 0.5
-
-    def test_zero_time_deviation(self):
-        # at t = 0 the propagator is the identity, whose best-phase distance
-        # from the reflection is twice the largest squared mode amplitude
-        couplings = chain_from_spectrum(FIVE_SITE)
-        chain = Chain(couplings)
-        lam = zero_mode(couplings)
-        expected = 2.0 * np.max(lam ** 2)
-        value = reflection_check(chain, 0.0)
-        assert value == pytest.approx(expected, rel=1e-10)
-        assert value > 0.3
-
-    def test_one_decomposition_per_check(self, monkeypatch):
-        chain = Chain(chain_from_spectrum(FIVE_SITE))
-        calls = []
-        original = numerics.eig_sym_tridiag
-
-        def counted(h):
-            calls.append(h)
-            return original(h)
-
-        monkeypatch.setattr(numerics, "eig_sym_tridiag", counted)
-        monkeypatch.setattr(synthesis, "eig_sym_tridiag", counted)
-        assert reflection_check(chain, np.pi) <= 1e-9
-        assert calls == [chain]
 
 
 class TestBoundaryValue:
@@ -463,7 +443,7 @@ class TestEachPointFactoredOnce:
                           lambda *args: calls.append(args) or original(*args))
             wstate_chain(21)
         assert calls
-        couplings, vals, target = calls[0]
+        couplings, task = calls[0]
         block = numerics.chain_block(couplings).shape
         evaluations, returns, svds, solves = [], [], [], []
         svd = np.linalg.svd
@@ -478,7 +458,7 @@ class TestEachPointFactoredOnce:
                             lambda chain: solves.append(1) or original(chain))
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         self.count_evaluations(monkeypatch, evaluations, returns)
-        synthesis.polish_null_vector_root(couplings, vals, target)
+        synthesis.polish_null_vector_root(couplings, task)
         assert len(returns) == 1 and len(evaluations) > 1
         assert len(solves) == len(svds) == len(evaluations)
 
@@ -756,13 +736,13 @@ class TestPolishJacobian:
         rng = np.random.default_rng(n)
         j = rng.uniform(0.5, 2.0, size=n - 1)
         lam = zero_mode(j)
-        svs = numerics.eig_sym_tridiag(Chain(j))[0][n // 2 + 1:]
-        # a nearby target and spectrum keep the residual away from zero
+        # a nearby target and the odd ladder keep the residual away from zero
         target = lam.copy()
         target[0::2] += rng.normal(scale=0.05, size=(n + 1) // 2)
         target /= np.linalg.norm(target)
-        vals = 1.01 * np.concatenate([-svs, [0.0], svs])
-        system = _null_vector_system(vals, target)
+        ladder = np.arange(1.0, n - 1, 2.0)
+        system = _null_vector_system(NullVectorTask(
+            spectrum=np.concatenate([-ladder[::-1], [0.0], ladder]), target_null_vector=target))
         h = 1e-6
         numeric = np.column_stack([(system(j + h * e)[0] - system(j - h * e)[0])
                                    / (2.0 * h) for e in np.eye(n - 1)])
