@@ -118,7 +118,7 @@ def _build_parser() -> _Parser:
     ghz.add_argument("--chain", required=True)
     ghz.add_argument("--check", action="store_true",
                      help="also verify the mirror transfer condition")
-    ghz.add_argument("--tol", type=tolerance, default=1e-9)
+    ghz.add_argument("--tol", type=tolerance, help="needs --check; default 1e-9")
 
     sweep = ssub.add_parser("sweep", help="disorder sweep of the GHZ overlap")
     sweep.add_argument("--n", type=int, required=True)
@@ -202,9 +202,12 @@ def _design_wstate(args, argv):
 
 
 def _simulate_ghz(args, argv) -> str:
+    if args.tol is not None and not args.check:
+        raise ValueError("--tol applies only with --check")
+    tol = 1e-9 if args.tol is None else args.tol
     doc = chainio.read_document(args.chain)
     # a tolerance is recorded only where a check read it
-    tolerances = {"mirror": args.tol} if args.check else {}
+    tolerances = {"mirror": tol} if args.check else {}
     payload = {"provenance": _provenance(argv, args, tolerances),
                "method": "exact", "time": GHZ_TIME}
     if doc.kind in ("pst", "ising"):
@@ -214,9 +217,9 @@ def _simulate_ghz(args, argv) -> str:
         if args.check:
             deviation = mirror_deviation(chain)
             payload["mirror_deviation"] = deviation
-            if deviation > args.tol:
+            if deviation > tol:
                 raise StageBreachError("mirror check", f"deviation {deviation:.3e} "
-                                       f"exceeds {args.tol:.1e}", _json_text(payload))
+                                       f"exceeds {tol:.1e}", _json_text(payload))
     elif doc.kind == "zy":
         if args.check:
             raise ValueError("--check applies to pst and ising documents")

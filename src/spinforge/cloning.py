@@ -529,36 +529,35 @@ def ghz_helper_chain(m: int) -> Chain:
     return standard_couplings(2 * m)
 
 
-def _candidate_spectra(m: int) -> list:
-    """Symmetric odd-integer spectra to try for the exchange chain, in order.
+def _candidate_ladders(m: int) -> list:
+    """Ascending odd-integer ladders to try for the exchange chain, in order.
 
-    Any symmetric set of distinct odd integers around a single zero turns
-    the time-pi propagator into a reflection, so the spectrum itself is a
-    free design parameter.  Consecutive ladders keep the couplings mild
-    but their reachable zero modes are bounded (compare the five-site
-    closed form); geometric ladders trade coupling size for a much wider
-    reachable set, so they serve as fallbacks.
+    Any ladder of distinct odd integers gives the m-site chain the spectrum
+    -ladder, 0, +ladder, which turns the time-pi propagator into a
+    reflection, so the ladder itself is a free design parameter.
+    Consecutive ladders keep the couplings mild but their reachable zero
+    modes are bounded (compare the five-site closed form); geometric
+    ladders trade coupling size for a much wider reachable set, so they
+    serve as fallbacks.
     """
     half = (m - 1) // 2
-    ladders = [3.0 + 2.0 * np.arange(half)]
-    ladders += [float(base) ** np.arange(half) for base in (3, 5, 11, 21)]
-    return [np.concatenate([-positives[::-1], [0.0], positives])
-            for positives in ladders]
+    return [3.0 + 2.0 * np.arange(half)] + [
+        float(base) ** np.arange(half) for base in (3, 5, 11, 21)]
 
 
 def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
                    tol: float = 1e-6) -> Chain:
     """Exchange chain spreading the seed site onto the clone weights.
 
-    At ``REFLECTION_TIME`` a chain with a symmetric odd-integer spectrum acts
-    as a reflection about its zero mode, so the needed zero mode is read
-    off the seed and weight states directly.  A three-site register uses a
-    closed form, the symmetric central task reduces to a half chain, and
-    anything else takes the first ``_candidate_spectra`` ladder on which
-    ``zero_mode_chain`` finds a root.  The couplings are
-    sign gauged at the end so the spread weights come out positive; the
-    chain is evolved once, for the gauge and the final check together.
-    Raises :class:`numerics.FlowStallError`, with no trace, when no ladder
+    At ``REFLECTION_TIME`` a chain whose spectrum is an odd-integer ladder,
+    its negative and zero acts as a reflection about its zero mode, so the
+    needed zero mode is read off the seed and weight states directly.  A
+    three-site register uses a closed form, the symmetric central task
+    reduces to a half chain, and anything else takes the first
+    ``_candidate_ladders`` ladder on which ``zero_mode_chain`` finds a
+    root.  The couplings are sign gauged at the end so the spread weights
+    come out positive; the chain is evolved once, for the gauge and the
+    final check together.  Raises :class:`numerics.FlowStallError`, with no trace, when no ladder
     admits a chain or the chain misses the weights (``spread-chain design:
     ...``); the symmetric branch passes on ``wstate_chain``'s errors.
     ``tol`` only judges the finished chain against the weights, at
@@ -580,12 +579,11 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
         couplings = wstate_chain(m).couplings
     else:
         target = reflection_target(source, u_full)
-        ladders = _candidate_spectra(m)
+        ladders = _candidate_ladders(m)
         couplings = next((c for c in (zero_mode_chain(s, target) for s in ladders)
                           if c is not None), None)
         if couplings is None:
-            tried = "; ".join(" ".join(f"{v:g}" for v in s[m // 2 + 1:])
-                              for s in ladders)
+            tried = "; ".join(" ".join(f"{v:g}" for v in s) for s in ladders)
             raise FlowStallError(
                 "spread-chain design: the direct zero-mode solve found no chain on "
                 f"any candidate ladder (positive halves tried: {tried}); the "

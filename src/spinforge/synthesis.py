@@ -19,11 +19,13 @@ tolerance only judges the chain it returns.
 The null-vector flow steers the zero mode of the chain toward a prescribed
 vector, which fixes the evolution exactly when the spectrum makes the
 propagator at ``REFLECTION_TIME`` a reflection, and hands over to a
-Levenberg-Marquardt root polish near the target.  A ``NullVectorTask``
-states that reflection: it refuses a spectrum whose phases at that time
-miss -1, so the flow and its polish read the task and check nothing
-themselves.  Each ascent step is the vertex of a small linear programme,
-found by a primal simplex in the null space of the pattern constraint
+Levenberg-Marquardt root polish near the target.  A design takes the
+spectrum as its ladder, the h positive eigenvalues of a (2h + 1)-site
+chain whose spectrum is -ladder, 0, +ladder.  A ``NullVectorTask`` states
+the reflection: it refuses a ladder whose phases at that time miss -1, so
+the flow and its polish read the task and check nothing themselves.
+Each ascent step is the vertex of a small linear programme, found by a
+primal simplex in the null space of the pattern constraint
 (``_lp_direction``) and returned exactly: its bound coordinates at the
 box, the rest solving the constraint, so the module needs numpy alone.
 ``zero_mode_chain`` solves the same inverse problem directly on a
@@ -74,53 +76,70 @@ REFLECTION_TIME = np.pi
 # task containers
 
 
+def _checked_ladder(ladder) -> np.ndarray:
+    """``ladder`` sorted ascending, or ``ValueError`` naming it.
+
+    A ladder is the h positive eigenvalues of a zero-diagonal chain of
+    2h + 1 sites, whose spectrum is then -ladder, 0, +ladder: its values
+    must be finite, distinct and at least 1e-12, below which an eigenvalue
+    counts as the zero mode's.
+    """
+    values = np.asarray(ladder, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"ladder must be one-dimensional, got {ladder!r}")
+    values = np.sort(values)
+    if not (np.all(np.isfinite(values)) and np.all(values >= 1e-12)
+            and np.all(np.diff(values) > 0)):
+        raise ValueError(f"ladder must hold distinct finite values of at least "
+                         f"1e-12, got {values}")
+    return values
+
+
+def _checked_target(target, n: int) -> np.ndarray:
+    """``target`` as a zero mode of an n-site chain can be: length n, even
+    sites zero to 1e-12, unit norm to 1e-10; else ``ValueError``."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != (n,):
+        raise ValueError(f"target null vector must have length {n}")
+    if n > 1 and not np.abs(target[1::2]).max() <= 1e-12:
+        raise ValueError("target null vector must vanish on even sites")
+    if not abs(np.linalg.norm(target) - 1.0) <= 1e-10:
+        raise ValueError("target null vector must be normalised")
+    return target
+
+
 @dataclass(frozen=True, eq=False)
 class NullVectorTask:
     """A request to steer the chain's zero mode onto ``target_null_vector``.
 
-    Requires a finite spectrum consisting of symmetric pairs around a
-    unique zero eigenvalue, so the chain supports a zero mode confined to
-    odd sites; it is kept as a sorted array.  Every other eigenvalue must
-    give exp(-i lambda ``REFLECTION_TIME``) = -1 to 1e-8, so that the
-    propagator at that time is a reflection about the zero mode.  The
-    target must share the zero mode's support: unit norm, even components
-    zero.  A task is the whole contract of a null-vector design: the flow
-    and its root polish read it and check nothing themselves.
+    ``ladder`` holds the h positive eigenvalues of the (2h + 1)-site chain,
+    whose spectrum is -ladder, 0, +ladder, so the chain supports a zero
+    mode confined to odd sites; it is kept sorted, and an empty ladder is
+    the one-site task.  Every ladder value must give
+    exp(-i lambda ``REFLECTION_TIME``) = -1 to 1e-8, which then holds for
+    -lambda too, so that the propagator at that time is a reflection about
+    the zero mode.  The target must share the zero mode's support: unit
+    norm, even components zero.  A task is the whole contract of a
+    null-vector design: the flow and its root polish read it and check
+    nothing themselves.
     """
 
-    spectrum: np.ndarray
+    ladder: np.ndarray
     target_null_vector: np.ndarray
 
     def __post_init__(self):
-        vals = np.sort(np.asarray(self.spectrum, dtype=float))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum must be finite")
-        object.__setattr__(self, "spectrum", vals)
-        n = vals.size
-        if n % 2 == 0:
-            raise ValueError("null-vector tasks need an odd number of sites")
-        zeros = np.abs(vals) < 1e-12
-        if zeros.sum() != 1:
-            raise ValueError("spectrum must contain exactly one zero eigenvalue")
-        if np.abs(vals + vals[::-1]).max() > 1e-9:
-            raise ValueError("spectrum must be symmetric about zero")
-        # the phase each mode picks up, as propagator computes it
-        miss = np.abs(np.exp(-1j * vals[~zeros] * REFLECTION_TIME) + 1.0).max(initial=0.0)
+        object.__setattr__(self, "ladder", _checked_ladder(self.ladder))
+        # the phase each nonzero mode picks up, as propagator computes it
+        miss = np.abs(np.exp(-1j * self.ladder * REFLECTION_TIME) + 1.0).max(initial=0.0)
         if not miss <= 1e-8:
             raise ValueError(f"spectrum does not produce a reflection at time pi "
                              f"(phase miss {miss:.1e})")
-        target = np.asarray(self.target_null_vector, dtype=float)
-        if target.shape != (n,):
-            raise ValueError(f"target null vector must have length {n}")
-        if n > 1 and not np.abs(target[1::2]).max() <= 1e-12:
-            raise ValueError("target null vector must vanish on even sites")
-        if not abs(np.linalg.norm(target) - 1.0) <= 1e-10:
-            raise ValueError("target null vector must be normalised")
-        object.__setattr__(self, "target_null_vector", target)
+        object.__setattr__(self, "target_null_vector",
+                           _checked_target(self.target_null_vector, self.n))
 
     @property
     def n(self) -> int:
-        return self.spectrum.size
+        return 2 * self.ladder.size + 1
 
 
 def _null_vector_trace() -> FlowTrace:
@@ -349,28 +368,26 @@ def _check_tol(tol: float) -> float:
 # chain construction and diagnostics
 
 
-def chain_from_spectrum(spectrum) -> np.ndarray:
-    """Positive couplings of the zero-diagonal chain with ``spectrum``.
+def chain_from_spectrum(ladder) -> np.ndarray:
+    """Positive couplings of the (2h + 1)-site zero-diagonal chain whose
+    spectrum is -ladder, 0, +ladder, for a ladder of h values.
 
     The chain is the Lanczos chain of diag(spectrum) from the uniform start
     vector, built in bidiagonal form: Golub-Kahan bidiagonalization of
-    A = [diag(lambda_+); 0], the positive half over the zero modes, from
+    A = [diag(ladder); 0], the positive half over the zero mode, from
     u_1 = (sqrt(2/n), ..., sqrt(2/n), sqrt(1/n)) (Golub & Kahan 1965).  Its
     alternating norms alpha_1, beta_2, alpha_2, ... are the couplings from
     site 1 on, with both bases fully reorthogonalised.  The diagonal is zero
     by construction, so the widest clone ladders are rebuilt to rounding.
+    A ladder that ``_checked_ladder`` refuses raises its ``ValueError``.
     """
-    vals = np.sort(np.asarray(spectrum, dtype=float))
-    n, half = vals.size, vals.size // 2
-    if np.abs(vals + vals[::-1]).max() > 1e-8:
-        raise ValueError("spectrum is not symmetric about zero")
-    a = np.zeros((n - half, half))
-    a[np.arange(half), np.arange(half)] = vals[n - half:]
+    ladder = _checked_ladder(ladder)
+    half, n = ladder.size, 2 * ladder.size + 1
+    a = np.eye(half + 1, half) * ladder
     # odd sites (1-based) span the left basis, even sites the right one
-    bases = [np.zeros((n - half, n - half)), np.zeros((half, half))]
+    bases = [np.zeros((half + 1, half + 1)), np.zeros((half, half))]
     bases[0][:, 0] = np.sqrt(2.0 / n)
-    if n % 2:
-        bases[0][-1, 0] = np.sqrt(1.0 / n)
+    bases[0][-1, 0] = np.sqrt(1.0 / n)
     couplings = np.zeros(n - 1)
     for k in range(n - 1):
         side = (k + 1) % 2
@@ -421,8 +438,8 @@ def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     components are then sign-flipped on alternate odd sites, matching the
     zero-mode parity of positive-coupling chains, and the produced state
     carries the same alternation, removable by a diagonal sign gauge on
-    the couplings.  A source that is not an integer in 1..n raises
-    ``ValueError``.
+    the couplings.  A source that is not an integer in 1..n, and a target
+    that is minus the source, where the sum vanishes, raise ``ValueError``.
     """
     target_state = np.asarray(target_state, dtype=float)
     n = target_state.size
@@ -436,7 +453,11 @@ def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     phi = np.zeros(n)
     phi[source - 1] = 1.0
     lam = phi + target_state
-    lam /= np.linalg.norm(lam)
+    norm = np.linalg.norm(lam)
+    if norm == 0.0:
+        raise ValueError("target state is minus the source: the sum branch "
+                         "has no null vector")
+    lam /= norm
     signs = np.ones(n)
     signs[0::2] = [(-1.0) ** k for k in range((n + 1) // 2)]
     lam = lam * signs
@@ -471,13 +492,13 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
     """Drive the chain's zero mode onto the task's target null vector.
 
     Starting from the positive chain ``chain_from_spectrum`` builds for the
-    task spectrum, each iteration solves the linear programme for the
+    task's ladder, each iteration solves the linear programme for the
     generator that most increases chi, the overlap of the zero mode with
     the target, inside the box ``_saturating_box(step, chi)``
     (0.1 * sqrt(1 - chi^2) at full step).  It applies that direction plus
     the fix ``p_fix`` of the current off-pattern leakage as one exact
     isospectral rotation, then compensates the leakage that remains.  The
-    task has checked its spectrum and target, so the flow checks neither.
+    task has checked its ladder and target, so the flow checks neither.
 
     A step is accepted when compensation passes and chi does not drop by
     more than 1e-14.  Rejected steps halve the working step; five
@@ -504,7 +525,7 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
         raise ValueError(f"budget must be at least 1, got {budget!r}")
     n = task.n
     target = task.target_null_vector
-    seed = chain_from_spectrum(task.spectrum)
+    seed = chain_from_spectrum(task.ladder)
 
     no, ne = (n + 1) // 2, n // 2
     # odd-generator pairs (i, j), i < j, as full-chain sites 2i and 2j; the
@@ -588,28 +609,28 @@ def synthesis_flow_nullvector(task: NullVectorTask, budget: int = 100_000):
 def _null_vector_system(task: NullVectorTask):
     """The task's root problem as a ``levenberg_marquardt`` system.
 
-    The residual stacks the largest eigenvalues minus the positive half of
-    the spectrum, in descending order, and the zero mode minus the target;
-    both come from one :func:`numerics.eig_sym_tridiag` of the point.  By
+    The residual stacks the largest eigenvalues minus the task's ladder, in
+    descending order, and the zero mode minus the target; both come from
+    one :func:`numerics.eig_sym_tridiag` of the point.  By
     Hellmann-Feynman J_i moves eigenvalue k by 2 v_k[i] v_k[i+1], and it
     moves the zero mode lam by -H^+ (dH/dJ_i) lam, with the pseudo-inverse
     H^+ built from the same eigenpairs.
     """
-    target, half = task.target_null_vector, task.n // 2
-    positive = task.spectrum[half + 1:][::-1]
+    target, half = task.target_null_vector, task.ladder.size
+    positive = task.ladder[::-1]
 
     def system(j):
         spectrum, v = eig_sym_tridiag(Chain(j))
         lam = v[:, half] if float(v[:, half] @ target) >= 0 else -v[:, half]
 
         def jacobian():
-            top = v[:, ::-1][:, : positive.size]
+            top = v[:, ::-1][:, :half]
             pairs = np.delete(v, half, axis=1)
             pinv = (pairs / np.delete(spectrum, half)) @ pairs.T
             d_lam = -(pinv[:, :-1] * lam[1:] + pinv[:, 1:] * lam[:-1])
             return np.vstack([(2.0 * top[:-1] * top[1:]).T, d_lam])
 
-        return np.concatenate([spectrum[::-1][: positive.size] - positive,
+        return np.concatenate([spectrum[::-1][:half] - positive,
                                lam - target]), jacobian
 
     return system
@@ -618,8 +639,8 @@ def _null_vector_system(task: NullVectorTask):
 def polish_null_vector_root(couplings, task: NullVectorTask):
     """Least-squares refinement of ``couplings`` onto an exact chain for ``task``.
 
-    Solves for couplings whose block singular values match the positive
-    half of the task's spectrum and whose zero mode equals its target, by
+    Solves for couplings whose block singular values match the task's
+    ladder and whose zero mode equals its target, by
     Levenberg-Marquardt with the analytic Jacobian.  Returns the refined
     couplings, or None when no nearby root exists.
     """
@@ -701,34 +722,36 @@ def five_site_couplings(target_null_odd, branch: int = 1) -> np.ndarray:
     return np.array([j1, j2, j3, j4])
 
 
-def zero_mode_chain(spectrum, target_null_vector):
-    """Positive chain with a symmetric spectrum and a prescribed zero mode.
+def zero_mode_chain(ladder, target_null_vector):
+    """Positive chain with spectrum -ladder, 0, +ladder and a prescribed
+    zero mode.
 
     Generalises ``five_site_couplings``: the zero mode fixes each ratio
     J_2j / J_2j-1 = |lam_2j-1 / lam_2j+1|, leaving a square inverse
-    eigenvalue problem in the (n - 1) / 2 magnitudes J_2j-1.  It is solved
-    in log magnitudes by Levenberg-Marquardt on log(eigenvalues / spectrum)
-    with the Jacobian d(ev_k)/d(J_i) = 2 v_k[i] v_k[i+1].  The problem has
-    many roots, so three starts are tried in turn: the odd couplings and
-    the pair products of ``chain_from_spectrum``, then equal couplings.
-    The zero mode equals the target up to a diagonal sign gauge.
+    eigenvalue problem in the h = ``ladder.size`` magnitudes J_2j-1.  It is
+    solved in log magnitudes by Levenberg-Marquardt on
+    log(eigenvalues / ladder) with the Jacobian
+    d(ev_k)/d(J_i) = 2 v_k[i] v_k[i+1].  The problem has many roots, so
+    three starts are tried in turn: the odd couplings and the pair products
+    of ``chain_from_spectrum``, then equal couplings.  The zero mode equals
+    the target up to a diagonal sign gauge.
 
     Returns the couplings once every eigenvalue matches to 1e-10 relative;
     None when no start finds a root, an odd-site target component
-    vanishes, or the solve leaves the finite numbers.  A spectrum that
-    ``chain_from_spectrum`` refuses raises its ``ValueError``.
+    vanishes, or the solve leaves the finite numbers.  A ladder that
+    ``_checked_ladder`` refuses, an empty ladder, and a target that a
+    ``NullVectorTask`` would refuse raise ``ValueError``.
     """
-    vals = np.sort(np.asarray(spectrum, dtype=float))
-    target = np.asarray(target_null_vector, dtype=float)
-    n, half = vals.size, vals.size // 2
-    if n < 3 or n % 2 == 0 or target.shape != (n,):
-        raise ValueError("need an odd spectrum and a target of the same size")
+    ladder = _checked_ladder(ladder)
+    half = ladder.size
+    if not half:
+        raise ValueError("a zero-mode chain needs at least one ladder value")
+    target = _checked_target(target_null_vector, 2 * half + 1)
     lam = np.abs(target[0::2])
     if lam.min() == 0.0:
         return None
     ratios = lam[:-1] / lam[1:]
     gains = np.column_stack([np.ones(half), ratios]).ravel()
-    positive = vals[half + 1:]
 
     def couplings(a):
         with np.errstate(over="ignore"):
@@ -745,20 +768,20 @@ def zero_mode_chain(spectrum, target_null_vector):
 
         # a trial point whose smallest positive eigenvalue rounds to 0 gets a
         # large finite residual, so LM rejects that step, not the whole start
-        return np.log(np.maximum(ev, np.finfo(float).tiny) / positive), jacobian
+        return np.log(np.maximum(ev, np.finfo(float).tiny) / ladder), jacobian
 
     def solve(start):
         try:
             a, f = levenberg_marquardt(system, start)
         except ValueError:
             return None
-        # f is log(eigenvalues / spectrum) at a
+        # f is log(eigenvalues / ladder) at a
         return couplings(a) if np.abs(np.expm1(f)).max() < 1e-10 else None
 
-    # equal couplings carry the spectrum's trace: sum J^2 = sum positive^2
-    seed = np.log(chain_from_spectrum(vals))
+    # equal couplings carry the spectrum's trace: sum J^2 = sum ladder^2
+    seed = np.log(chain_from_spectrum(ladder))
     starts = [seed[0::2], (seed[0::2] + seed[1::2] - np.log(ratios)) / 2,
-              np.full(half, np.log((positive ** 2).sum() / (gains ** 2).sum()) / 2)]
+              np.full(half, np.log((ladder ** 2).sum() / (gains ** 2).sum()) / 2)]
     return next((j for j in map(solve, starts) if j is not None), None)
 
 
@@ -836,13 +859,9 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
 
     half_target = mirror_target_fold(target)
 
-    # ladder with every other odd integer keeps the half spectrum reflective
-    top = 2 * (n_odd - 1) - 1
-    positive = np.arange(top, 0, -4.0)
-    half_spec = np.concatenate([-positive, [0.0], positive[::-1]])
-
     lam = reflection_target(1, half_target)
-    task = NullVectorTask(spectrum=half_spec, target_null_vector=lam)
+    # every other odd integer, 3 to n - 2, keeps the half chain reflective
+    task = NullVectorTask(ladder=np.arange(3.0, n - 1, 4.0), target_null_vector=lam)
     half_chain, report = synthesis_flow_nullvector(task, budget=budget)
     if report.status != "converged":
         raise FlowStallError(f"wstate flow: half-chain flow did not converge: "

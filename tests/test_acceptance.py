@@ -211,7 +211,7 @@ def test_criterion_09_compressed_equals_brute_force():
 
 def test_criterion_10_five_site_case_study():
     start = time.perf_counter()
-    spectrum = np.array([-5.0, -3.0, 0.0, 3.0, 5.0])
+    ladder = np.array([3.0, 5.0])
     checks = []
 
     def embed_odd(v):
@@ -229,13 +229,13 @@ def test_criterion_10_five_site_case_study():
         found += 1
         target = embed_odd(v * np.array([1.0, -1.0, 1.0]))
         chain, report = synthesis_flow_nullvector(
-            NullVectorTask(spectrum=spectrum, target_null_vector=target))
+            NullVectorTask(ladder=ladder, target_null_vector=target))
         checks.append(report.status == "converged" and report.chi >= 1 - 1e-6)
         checks.append(abs(np.sum(chain.couplings ** 2) - 34.0) <= 1e-6)
 
     forbidden = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
     chain, report = synthesis_flow_nullvector(
-        NullVectorTask(spectrum=spectrum, target_null_vector=forbidden))
+        NullVectorTask(ladder=ladder, target_null_vector=forbidden))
     j = chain.couplings
     landing = boundary_value(abs(j[0] / j[1]), abs(j[3] / j[2]))
     checks.append(report.status == "stalled")

@@ -207,7 +207,7 @@ def _array_dataclasses():
         "ghz_ising.SweepPoint": lambda: ghz_ising.SweepPoint(1.0, np.ones(3)),
         "isoflow.GammaMatrix": lambda: isoflow.GammaMatrix([0.0, 0.0], [1.0], 0.0),
         "chainio.ChainDocument": lambda: chainio.ChainDocument("pst", 3, [1.0, 1.0], []),
-        "synthesis.NullVectorTask": lambda: synthesis.NullVectorTask([-1.0, 0.0, 1.0], lam),
+        "synthesis.NullVectorTask": lambda: synthesis.NullVectorTask([1.0], lam),
         "synthesis.WstateDesign": lambda: synthesis.WstateDesign(
             np.ones(2), np.ones(1), 1.0, 1.0),
         "cloning.AsymmetryProfile": lambda: cloning.symmetric_profile(2),

@@ -317,11 +317,19 @@ class TestSimulateGhz:
         assert payload["provenance"]["tolerances"] == {"mirror": 1e-9}
 
     @pytest.mark.parametrize("design", [PST_DESIGN, GAMMA_DESIGN], ids=["pst", "zy"])
-    def test_provenance_records_no_tolerance_without_check(self, tmp_path, design):
-        # without --check no mirror check reads --tol, on a zy document none can
+    def test_provenance_records_no_tolerance_without_check(self, tmp_path, capsys, design):
+        # without --check no mirror check reads --tol, so the flag is refused;
+        # on a zy document no check can run at all
         assert run(tmp_path, "design", *design, "--out", "chain.json") == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
         assert run(tmp_path, "simulate", "ghz", "--chain", "chain.json",
-                   "--tol", "1e-6", "--out", "report.json") == 0
+                   "--tol", "1e-6", "--out", "report.json") == 1
+        assert capsys.readouterr().err == (
+            "spinforge simulate ghz: error: --tol applies only with --check\n")
+        assert sorted(tmp_path.iterdir()) == before
+        assert run(tmp_path, "simulate", "ghz", "--chain", "chain.json",
+                   "--out", "report.json") == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["provenance"]["tolerances"] == {}
 
@@ -638,7 +646,7 @@ class TestSimulateClone:
     def test_plain_runtime_error_in_the_design_propagates(self, tmp_path,
                                                           monkeypatch):
         # only a failed design is exit 2; an unforeseen fault stays a traceback
-        def broken(spectrum, target):
+        def broken(ladder, target):
             raise RuntimeError("unforeseen fault")
 
         monkeypatch.setattr(cloning, "zero_mode_chain", broken)

@@ -9,7 +9,7 @@ from spinforge.cli import main
 from spinforge.cloning import (
     BRUTE_FORCE_MAX_M,
     SIX_DESIGN_INPUTS,
-    _candidate_spectra,
+    _candidate_ladders,
     AsymmetryProfile,
     CloneReport,
     CompressedState,
@@ -623,7 +623,8 @@ class TestDesignWChain:
         w = design_w_chain(p)
         produced = produced_state(w.couplings, default_offset(p.n_clones) + 1)
         assert np.abs(produced - clone_weight_state(p)).max() < 1e-12
-        spectrum = _candidate_spectra(p.m)[ladder]
+        positive = _candidate_ladders(p.m)[ladder]
+        spectrum = np.concatenate([-positive[::-1], [0.0], positive])
         vals = np.linalg.eigvalsh(dense(w))
         assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
 
@@ -636,7 +637,8 @@ class TestDesignWChain:
     def test_profiles_whose_root_is_on_a_fallback_ladder(self, weights, ladder):
         p = profile_from_betas(weights)
         w = design_w_chain(p)
-        spectrum = _candidate_spectra(p.m)[ladder]
+        positive = _candidate_ladders(p.m)[ladder]
+        spectrum = np.concatenate([-positive[::-1], [0.0], positive])
         vals = np.linalg.eigvalsh(dense(w))
         assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
         report = clone_report(ghz_helper_chain(p.m), w, p)

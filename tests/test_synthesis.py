@@ -11,7 +11,7 @@ from scipy.optimize import least_squares, linprog
 
 from spinforge import cloning, numerics, synthesis
 from spinforge.cloning import (
-    _candidate_spectra,
+    _candidate_ladders,
     clone_weight_state,
     default_offset,
     design_w_chain,
@@ -42,7 +42,13 @@ from spinforge.synthesis import (
     _saturating_box,
 )
 
-FIVE_SITE = np.array([-5.0, -3.0, 0.0, 3.0, 5.0])
+FIVE_SITE = np.array([3.0, 5.0])
+
+
+def symmetric(ladder):
+    """The ascending spectrum -ladder, 0, +ladder of a ladder's chain."""
+    ladder = np.asarray(ladder, dtype=float)
+    return np.concatenate([-ladder[::-1], [0.0], ladder])
 
 
 def dense(couplings):
@@ -121,56 +127,69 @@ class TestConvergenceState:
 
 
 class TestTaskValidation:
-    def test_null_vector_needs_unique_zero(self):
-        bad = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-        lam = np.zeros(7)
-        lam[0] = 1.0
-        with pytest.raises(ValueError):
-            NullVectorTask(spectrum=bad, target_null_vector=lam)
-
-    def test_null_vector_needs_symmetry(self):
-        bad = np.array([-4.0, -3.0, 0.0, 3.0, 5.0])
-        lam = np.zeros(5)
-        lam[0] = 1.0
-        with pytest.raises(ValueError):
-            NullVectorTask(spectrum=bad, target_null_vector=lam)
-
     def test_null_vector_odd_support_only(self):
         lam = np.ones(5) / np.sqrt(5)
         with pytest.raises(ValueError):
-            NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam)
+            NullVectorTask(ladder=FIVE_SITE, target_null_vector=lam)
 
     def test_nan_target_rejected(self):
         lam = embed_odd(np.array([1.0, np.nan, 1.0]))
         with pytest.raises(ValueError, match="normalised"):
-            NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam)
+            NullVectorTask(ladder=FIVE_SITE, target_null_vector=lam)
         lam = embed_odd(np.array([1.0, 0.0, 0.0]))
         lam[1] = np.nan
         with pytest.raises(ValueError, match="vanish on even sites"):
-            NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam)
+            NullVectorTask(ladder=FIVE_SITE, target_null_vector=lam)
 
     def test_reflectionless_spectrum_rejected(self):
-        evens = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
+        evens = np.array([2.0, 4.0])
         lam = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3))
         with pytest.raises(ValueError, match="reflection"):
-            NullVectorTask(spectrum=evens, target_null_vector=lam)
+            NullVectorTask(ladder=evens, target_null_vector=lam)
 
-    @pytest.mark.parametrize("spectrum", [FIVE_SITE, np.zeros(1)] + [
+    @pytest.mark.parametrize("ladder", [FIVE_SITE, np.zeros(0)] + [
         # the half chain of wstate_chain(n): every fourth odd integer, 3 to n - 2
-        np.concatenate([-np.arange(n - 2.0, 2.0, -4.0), [0.0], np.arange(3.0, n - 1, 4.0)])
+        np.arange(3.0, n - 1, 4.0)
         for n in range(5, 66, 4)], ids=["five-site", "one-site"] + [f"W{n}" for n in range(5, 66, 4)])
-    def test_odd_integer_spectrum_reflects(self, spectrum):
-        task = NullVectorTask(spectrum=spectrum, target_null_vector=np.eye(spectrum.size)[0])
-        assert np.array_equal(task.spectrum, spectrum)
+    def test_odd_integer_spectrum_reflects(self, ladder):
+        task = NullVectorTask(ladder=ladder, target_null_vector=np.eye(2 * ladder.size + 1)[0])
+        assert np.array_equal(task.ladder, ladder)
 
-    @pytest.mark.parametrize("spectrum", [
-        np.array([-3.0 - 1e-6, 0.0, 3.0 + 1e-6]),
+    @pytest.mark.parametrize("ladder", [
+        np.array([3.0 + 1e-6]),
         # exact odd integers, but pi * 21^8 rounds to a phase that misses -1
-        _candidate_spectra(19)[4],
+        _candidate_ladders(19)[4],
     ], ids=["three-plus-1e-6", "base-21-ladder-at-19"])
-    def test_phase_miss_past_1e_8_refused(self, spectrum):
+    def test_phase_miss_past_1e_8_refused(self, ladder):
         with pytest.raises(ValueError, match="does not produce a reflection at time pi"):
-            NullVectorTask(spectrum=spectrum, target_null_vector=np.eye(spectrum.size)[0])
+            NullVectorTask(ladder=ladder, target_null_vector=np.eye(2 * ladder.size + 1)[0])
+
+    def test_ladder_is_kept_sorted(self):
+        task = NullVectorTask(ladder=[5.0, 3.0], target_null_vector=embed_odd(np.eye(3)[0]))
+        assert np.array_equal(task.ladder, FIVE_SITE)
+        assert task.n == 5
+
+
+BAD_LADDERS = {
+    "zero": [0.0, 3.0],
+    "negative": [-3.0, 5.0],
+    "repeated": [3.0, 3.0],
+    "nan": [3.0, np.nan],
+    "inf": [3.0, np.inf],
+    "two-dimensional": [[3.0, 5.0]],
+}
+
+
+@pytest.mark.parametrize("ladder", BAD_LADDERS.values(), ids=BAD_LADDERS.keys())
+def test_ladder_needs_distinct_positive_values(ladder):
+    """The task, the Lanczos seed and the direct solve share one ladder rule."""
+    target = embed_odd(np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0))
+    for build in (lambda: NullVectorTask(ladder=ladder, target_null_vector=target),
+                  lambda: chain_from_spectrum(ladder),
+                  lambda: zero_mode_chain(ladder, target)):
+        with pytest.raises(ValueError, match="^ladder must be one-dimensional|"
+                                             "^ladder must hold distinct finite values"):
+            build()
 
 
 class TestChainConstruction:
@@ -178,27 +197,21 @@ class TestChainConstruction:
     def test_lanczos_chain_matches_spectrum(self, seed):
         rng = np.random.default_rng(seed)
         positive = np.sort(rng.uniform(0.5, 8.0, size=4))
-        values = np.concatenate([-positive[::-1], [0.0], positive])
-        couplings = chain_from_spectrum(values)
+        couplings = chain_from_spectrum(positive)
         assert (couplings > 0).all()
         h = dense(couplings)
-        assert np.linalg.eigvalsh(h) == pytest.approx(values, abs=1e-8)
+        assert np.linalg.eigvalsh(h) == pytest.approx(symmetric(positive), abs=1e-8)
 
     @pytest.mark.parametrize("m, ladder", [(m, ladder) for m in range(5, 20, 2)
                                            for ladder in range(5)])
     def test_every_clone_ladder_is_rebuilt(self, m, ladder):
         # the base-21 ladder reaches 21^8 at m = 19; dense eigvalsh is
         # accurate to eps * |H|, so the bound is relative to the top value
-        spectrum = _candidate_spectra(m)[ladder]
-        couplings = chain_from_spectrum(spectrum)
+        positive = _candidate_ladders(m)[ladder]
+        couplings = chain_from_spectrum(positive)
         assert (couplings > 0).all()
         values = np.linalg.eigvalsh(dense(couplings))
-        top = np.abs(spectrum).max()
-        assert np.abs(values - spectrum).max() <= 1e-14 * top
-
-    def test_asymmetric_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            chain_from_spectrum([-2.0, 0.0, 1.0])
+        assert np.abs(values - symmetric(positive)).max() <= 1e-14 * positive.max()
 
     def test_zero_mode_annihilated(self):
         couplings = chain_from_spectrum(FIVE_SITE)
@@ -211,14 +224,11 @@ class TestChainConstruction:
         # an even chain's block is square and, with nonzero couplings, invertible
         with pytest.raises(ValueError, match="odd number of sites"):
             zero_mode(np.ones(3))
-        with pytest.raises(ValueError, match="odd number of sites"):
-            NullVectorTask(spectrum=[-3.0, -1.0, 1.0, 3.0], target_null_vector=[1.0, 0.0, 0.0, 0.0])
 
     def test_positive_chain_mode_alternates(self):
         rng = np.random.default_rng(11)
         positive = np.sort(rng.uniform(0.5, 9.0, size=5))
-        values = np.concatenate([-positive[::-1], [0.0], positive])
-        lam = zero_mode(chain_from_spectrum(values))
+        lam = zero_mode(chain_from_spectrum(positive))
         odd = lam[0::2]
         odd = odd * np.sign(odd[0])
         assert (np.sign(odd) == [(-1.0) ** k for k in range(6)]).all()
@@ -279,10 +289,10 @@ def spread_target(weights):
 
 
 def first_root(m, target):
-    for index, spectrum in enumerate(_candidate_spectra(m)):
-        couplings = zero_mode_chain(spectrum, target)
+    for index, ladder in enumerate(_candidate_ladders(m)):
+        couplings = zero_mode_chain(ladder, target)
         if couplings is not None:
-            return index, spectrum, couplings
+            return index, ladder, couplings
     return None, None, None
 
 
@@ -306,12 +316,11 @@ class TestZeroModeChain:
         for weights in [rng.uniform(0.1, 1.0, size=n_clones),
                         rng.integers(1, 4, size=n_clones)]:
             m, target = spread_target(weights)
-            index, spectrum, couplings = first_root(m, target)
+            index, ladder, couplings = first_root(m, target)
             assert index is not None, weights
             assert (couplings > 0).all()
             vals = np.linalg.eigvalsh(dense(couplings))
-            top = np.abs(spectrum).max()
-            assert np.abs(vals - spectrum).max() <= 1e-10 * top
+            assert np.abs(vals - symmetric(ladder)).max() <= 1e-10 * ladder.max()
             lam = zero_mode(couplings, target)
             assert np.abs(lam - target).max() < 1e-10
 
@@ -319,11 +328,11 @@ class TestZeroModeChain:
         # LM tries a point on this base-21 ladder where the smallest positive
         # eigenvalue comes out as exactly 0; the start must go on from there
         m, target = spread_target([2, 3, 1, 1, 3, 3, 2, 3, 1])
-        spectrum = _candidate_spectra(m)[4]
-        couplings = zero_mode_chain(spectrum, target)
+        ladder = _candidate_ladders(m)[4]
+        couplings = zero_mode_chain(ladder, target)
         assert couplings is not None
         vals = np.linalg.eigvalsh(dense(couplings))
-        assert np.abs(vals - spectrum).max() <= 1e-10 * spectrum.max()
+        assert np.abs(vals - symmetric(ladder)).max() <= 1e-10 * ladder.max()
         lam = zero_mode(couplings, target)
         assert np.abs(lam - target).max() < 1e-10
 
@@ -335,11 +344,23 @@ class TestZeroModeChain:
         m, target = spread_target([1, 0, 1, 1, 1, 1])
         assert target[2] == 0.0
         assert all(zero_mode_chain(s, target) is None
-                   for s in _candidate_spectra(m))
+                   for s in _candidate_ladders(m))
 
     def test_size_mismatch_is_a_value_error(self):
         with pytest.raises(ValueError):
             zero_mode_chain(FIVE_SITE, np.ones(7) / np.sqrt(7.0))
+
+    def test_target_is_checked_as_the_task_checks_it(self):
+        # an even-site entry or a norm other than one once gave the unit
+        # target's chain, as if the solve had read them
+        target = embed_odd(random_reachable_mode(np.random.default_rng(3)))
+        assert zero_mode_chain(FIVE_SITE, target) is not None
+        on_even_site = target.copy()
+        on_even_site[1] = 0.7
+        with pytest.raises(ValueError, match="vanish on even sites"):
+            zero_mode_chain(FIVE_SITE, on_even_site)
+        with pytest.raises(ValueError, match="normalised"):
+            zero_mode_chain(FIVE_SITE, 5.0 * target)
 
 
 # The clone-asym bench profiles and the zero-mode survey of the
@@ -373,7 +394,7 @@ class TestLevenbergMarquardtRoots:
     @pytest.mark.parametrize("profile", SURVEY_PROFILES)
     def test_same_root_on_every_ladder(self, profile, monkeypatch):
         m, target = spread_target([float(w) for w in profile.split(",")])
-        ladders = _candidate_spectra(m)
+        ladders = _candidate_ladders(m)
         ours = [zero_mode_chain(s, target) for s in ladders]
         monkeypatch.setattr(synthesis, "levenberg_marquardt", scipy_lm)
         theirs = [zero_mode_chain(s, target) for s in ladders]
@@ -393,7 +414,7 @@ class TestLevenbergMarquardtRoots:
             return x, fun
 
         monkeypatch.setattr(synthesis, "levenberg_marquardt", recorded)
-        assert zero_mode_chain(_candidate_spectra(m)[0], target) is None
+        assert zero_mode_chain(_candidate_ladders(m)[0], target) is None
         assert ends and min(ends) > 1e-10
 
 
@@ -429,8 +450,8 @@ class TestEachPointFactoredOnce:
         monkeypatch.setattr(synthesis, "eig_sym_tridiag",
                             lambda chain: solves.append(1) or original(chain))
         self.count_evaluations(monkeypatch, evaluations, returns)
-        for spectrum in _candidate_spectra(m):
-            zero_mode_chain(spectrum, target)
+        for ladder in _candidate_ladders(m):
+            zero_mode_chain(ladder, target)
         assert len(returns) >= 3
         assert len(solves) == len(evaluations)
 
@@ -586,7 +607,7 @@ class TestLpDirection:
 
         monkeypatch.setattr(synthesis, "_lp_direction", row_space_only)
         v = random_reachable_mode(np.random.default_rng(0))
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=embed_odd(v))
         _, report = synthesis_flow_nullvector(task)
         assert (report.status, report.iterations) == ("stalled", 1)
 
@@ -596,17 +617,17 @@ class TestNullVectorFlow:
     def test_reachable_targets_converge(self, seed):
         rng = np.random.default_rng(seed)
         v = random_reachable_mode(rng)
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=embed_odd(v))
         chain, report = synthesis_flow_nullvector(task)
         assert report.status == "converged"
         assert report.chi >= 1 - 1e-6
         assert np.sum(chain.couplings ** 2) == pytest.approx(34.0, abs=1e-6)
         h = dense(chain.couplings)
-        assert np.linalg.eigvalsh(h) == pytest.approx(FIVE_SITE, abs=1e-8)
+        assert np.linalg.eigvalsh(h) == pytest.approx(symmetric(FIVE_SITE), abs=1e-8)
 
     def test_forbidden_target_stalls_on_boundary(self):
         v = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=embed_odd(v))
         chain, report = synthesis_flow_nullvector(task)
         assert report.status == "stalled"
         j = chain.couplings
@@ -617,7 +638,7 @@ class TestNullVectorFlow:
     def test_chi_monotone_and_log_linear(self, monkeypatch):
         rng = np.random.default_rng(9)
         v = random_reachable_mode(rng)
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=embed_odd(v))
         # the bare flow, with every root handover refused
         monkeypatch.setattr(synthesis, "polish_null_vector_root",
                             lambda *args: None)
@@ -637,20 +658,20 @@ class TestNullVectorFlow:
     def test_trivial_target_zero_iterations(self):
         couplings = chain_from_spectrum(FIVE_SITE)
         lam = zero_mode(couplings)
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam)
+        task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=lam)
         _, report = synthesis_flow_nullvector(task)
         assert report.status == "converged"
         assert report.iterations == 0
 
     def test_one_site_task_converges_at_once(self):
-        task = NullVectorTask(spectrum=[0.0], target_null_vector=[1.0])
+        task = NullVectorTask(ladder=[], target_null_vector=[1.0])
         chain, report = synthesis_flow_nullvector(task)
         assert (chain.n, report.status, report.iterations) == (1, "converged", 0)
 
     def test_off_band_residuals_recorded_small(self):
         rng = np.random.default_rng(21)
         v = random_reachable_mode(rng)
-        task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(v))
+        task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=embed_odd(v))
         _, report = synthesis_flow_nullvector(task)
         offs = [row[3] for row in report.trace.rows]
         assert max(offs) <= 1e-8
@@ -666,7 +687,7 @@ def clone_task(weights, ladder):
     p = profile_from_betas(weights)
     source = default_offset(p.n_clones) + 1
     target = reflection_target(source, clone_weight_state(p))
-    return NullVectorTask(spectrum=_candidate_spectra(p.m)[ladder],
+    return NullVectorTask(ladder=_candidate_ladders(p.m)[ladder],
                           target_null_vector=target)
 
 
@@ -681,7 +702,7 @@ class TestRootHandover:
         # 18, 19, 21, 25, 33, 49, 81 and 145 are all refused
         (clone_task([3, 1, 2, 1, 1, 2], 1), 9),
         # the forbidden five-site target of criterion 10
-        (NullVectorTask(spectrum=FIVE_SITE, target_null_vector=embed_odd(
+        (NullVectorTask(ladder=FIVE_SITE, target_null_vector=embed_odd(
             np.array([1.0, -1.0, 1.0]) / np.sqrt(3))), None),
     ])
     def test_stalls_are_untouched(self, task, attempts, monkeypatch):
@@ -741,8 +762,7 @@ class TestPolishJacobian:
         target[0::2] += rng.normal(scale=0.05, size=(n + 1) // 2)
         target /= np.linalg.norm(target)
         ladder = np.arange(1.0, n - 1, 2.0)
-        system = _null_vector_system(NullVectorTask(
-            spectrum=np.concatenate([-ladder[::-1], [0.0], ladder]), target_null_vector=target))
+        system = _null_vector_system(NullVectorTask(ladder=ladder, target_null_vector=target))
         h = 1e-6
         numeric = np.column_stack([(system(j + h * e)[0] - system(j - h * e)[0])
                                    / (2.0 * h) for e in np.eye(n - 1)])
@@ -760,7 +780,7 @@ class TestReflectorCrossCheck:
         v = random_reachable_mode(rng)
         lam_full = embed_odd(v)
         reflector = np.eye(5) - 2.0 * np.outer(lam_full, lam_full)
-        nv_task = NullVectorTask(spectrum=FIVE_SITE, target_null_vector=lam_full)
+        nv_task = NullVectorTask(ladder=FIVE_SITE, target_null_vector=lam_full)
         chain_n, report_n = synthesis_flow_nullvector(nv_task)
         assert report_n.status == "converged"
         psi_n = produced_state(chain_n.couplings, 3)
@@ -848,8 +868,7 @@ class TestSignGauge:
         assert np.abs(gauged) == pytest.approx(couplings)
 
     def test_gauge_fixes_produced_signs(self):
-        couplings = chain_from_spectrum([-7.0, -5.0, -3.0, -1.0, 0.0,
-                                         1.0, 3.0, 5.0, 7.0])
+        couplings = chain_from_spectrum([1.0, 3.0, 5.0, 7.0])
         gauged, psi_g = sign_gauge(couplings, 5, UNIFORM_NINE)
         assert np.abs(psi_g - produced_state(gauged, 5)).max() <= 1e-15
         support = np.abs(psi_g) > 1e-9
@@ -993,6 +1012,11 @@ class TestReflectionTarget:
         target[0::2] = 1.0 / np.sqrt(3.0)
         with pytest.raises(ValueError, match=rf"source must be a site in 1\.\.5, got {source}"):
             reflection_target(source, target)
+
+    def test_target_minus_the_source_refused(self):
+        # the sum of the two states vanishes, which once divided 0 by 0
+        with pytest.raises(ValueError, match="minus the source"):
+            reflection_target(1, -np.eye(5)[0])
 
     @pytest.mark.parametrize("source", [3.0, True])
     def test_source_that_is_not_an_integer_refused(self, source):
