@@ -385,22 +385,6 @@ def exchange_evolve_dense(couplings, t: float, vec) -> np.ndarray:
     return out
 
 
-def _dense_cz(vec: np.ndarray, m: int, qa: int, qb: int) -> np.ndarray:
-    idx = np.arange(vec.shape[0])
-    both = (((idx >> (m - qa)) & 1) & ((idx >> (m - qb)) & 1)) == 1
-    out = vec.copy()
-    out[both] *= -1.0
-    return out
-
-
-def _dense_cnot(vec: np.ndarray, m: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(vec.shape[0])
-    on = ((idx >> (m - control)) & 1) == 1
-    out = vec.copy()
-    out[idx[on]] = vec[(idx ^ (1 << (m - target)))[on]]
-    return out
-
-
 def brute_force_pipeline(ghz_chain: Chain, w_chain: Chain,
                          p: AsymmetryProfile, input_state,
                          k: Optional[int] = None,
@@ -429,9 +413,12 @@ def brute_force_pipeline(ghz_chain: Chain, w_chain: Chain,
         vec = np.kron(vec, factors.get(q, ground))
 
     vec = ising_evolve_dense(ghz_chain, GHZ_TIME, vec)
-    vec = _dense_cz(vec, m, m - k, m - k - 1)
+    # CZ on qubits m - k - 1 and m - k: negate the strings with both set
+    vec.reshape(1 << (m - k - 2), 2, 2, -1)[:, 1, 1] *= -1.0
     vec = ising_evolve_dense(ghz_chain, GHZ_TIME, vec)
-    vec = _dense_cnot(vec, m, k + 1, k + 2)
+    # CNOT from qubit k + 1 onto k + 2: swap the target's pair where the control is set
+    flip = vec.reshape(1 << k, 2, 2, -1)[:, 1]
+    flip[:] = flip[:, ::-1].copy()
     vec = exchange_evolve_dense(w_chain.couplings, w_time, vec)
     return vec if psi.ndim == 2 else vec[:, 0]
 
@@ -536,9 +523,9 @@ def _candidate_ladders(m: int) -> list:
     -ladder, 0, +ladder, which turns the time-pi propagator into a
     reflection, so the ladder itself is a free design parameter.
     Consecutive ladders keep the couplings mild but their reachable zero
-    modes are bounded (compare the five-site closed form); geometric
-    ladders trade coupling size for a much wider reachable set, so they
-    serve as fallbacks.
+    modes are bounded (the five-site closed form of the tests draws that
+    boundary for the ladder 3, 5); geometric ladders trade coupling size
+    for a much wider reachable set, so they serve as fallbacks.
     """
     half = (m - 1) // 2
     return [3.0 + 2.0 * np.arange(half)] + [
@@ -563,14 +550,15 @@ def design_w_chain(p: AsymmetryProfile, k: Optional[int] = None,
     ``tol`` only judges the finished chain against the weights, at
     ``max(tol, 1e-8)``: the symmetric branch designs at ``wstate_chain``'s
     default, so every ``tol`` that accepts a chain accepts the same one.
+    An even seed site raises ``reflection_target``'s ``ValueError``: the
+    other branches call it, and the symmetric one only takes the centre of
+    a 4k + 1 register, which is odd.
     """
     tol = _check_tol(tol)
     if p.n_clones < 2:
         raise ValueError("cloning needs at least two clones")
     m = p.m
     source = _offset(p, k) + 1
-    if source % 2 == 0:
-        raise ValueError("the seed site must be odd to spread with a real pattern")
     u_full = clone_weight_state(p)
     symmetric = bool(np.all(np.abs(p.betas - p.betas[0]) < 1e-12))
     if m == 3:

@@ -21,18 +21,22 @@ vector, which fixes the evolution exactly when the spectrum makes the
 propagator at ``REFLECTION_TIME`` a reflection, and hands over to a
 Levenberg-Marquardt root polish near the target.  A design takes the
 spectrum as its ladder, the h positive eigenvalues of a (2h + 1)-site
-chain whose spectrum is -ladder, 0, +ladder.  A ``NullVectorTask`` states
-the reflection: it refuses a ladder whose phases at that time miss -1, so
-the flow and its polish read the task and check nothing themselves.
+chain whose spectrum is -ladder, 0, +ladder, and its target is one vector:
+finite, zero on the even sites, of unit norm.  ``_checked_target`` is that
+one rule, and every entry that takes a target or target state reads it
+there: the task, ``reflection_target``, ``three_site_couplings`` and
+``zero_mode_chain``.  A ``NullVectorTask`` states the reflection: it
+refuses a ladder whose phases at that time miss -1, so the flow and its
+polish read the task and check nothing themselves.
 Each ascent step is the vertex of a small linear programme, found by a
 primal simplex in the null space of the pattern constraint
 (``_lp_direction``) and returned exactly: its bound coordinates at the
 box, the rest solving the constraint, so the module needs numpy alone.
 ``zero_mode_chain`` solves the same inverse problem directly on a
 ratio-fixed chain, and ``wstate_chain`` designs the uniform odd-site
-revival through the mirror-reduced half chain.  A designed chain is
-evolved once, by ``sign_gauge``, which returns the sign-gauged couplings
-together with the state they produce.
+revival through the mirror-reduced half chain, folding its own target.
+A designed chain is evolved once, by ``sign_gauge``, which returns the
+sign-gauged couplings together with the state they produce.
 """
 
 from __future__ import annotations
@@ -49,18 +53,15 @@ __all__ = [
     "NullVectorTask",
     "ConvergenceState",
     "synthesis_flow_nullvector",
-    "boundary_value",
     "chain_from_spectrum",
     "zero_mode",
     "reflection_target",
     "three_site_couplings",
-    "five_site_couplings",
     "zero_mode_chain",
     "polish_null_vector_root",
     "produced_state",
     "sign_gauge",
     "unfold_couplings",
-    "mirror_target_fold",
     "wstate_chain",
     "WstateDesign",
     "REFLECTION_TIME",
@@ -97,14 +98,19 @@ def _checked_ladder(ladder) -> np.ndarray:
 
 def _checked_target(target, n: int) -> np.ndarray:
     """``target`` as a zero mode of an n-site chain can be: length n, even
-    sites zero to 1e-12, unit norm to 1e-10; else ``ValueError``."""
+    sites zero to 1e-12, unit norm to 1e-10; else ``ValueError``.
+
+    The one rule for every zero-mode target in this module, and for the
+    state a reflection carries the source onto: a NaN entry fails the
+    even-site or the norm test.
+    """
     target = np.asarray(target, dtype=float)
     if target.shape != (n,):
-        raise ValueError(f"target null vector must have length {n}")
+        raise ValueError(f"target must have length {n}")
     if n > 1 and not np.abs(target[1::2]).max() <= 1e-12:
-        raise ValueError("target null vector must vanish on even sites")
+        raise ValueError("target must vanish on even sites")
     if not abs(np.linalg.norm(target) - 1.0) <= 1e-10:
-        raise ValueError("target null vector must be normalised")
+        raise ValueError("target must be normalised")
     return target
 
 
@@ -409,18 +415,18 @@ def zero_mode(couplings: np.ndarray, sign_ref: np.ndarray | None = None) -> np.n
     """Odd-site zero mode of an odd chain, from one :func:`numerics.eig_sym_tridiag`.
 
     The sign of the returned vector is fixed so its overlap with
-    ``sign_ref`` (a full-length vector or its odd-site part) is
-    non-negative when a reference is supplied.  An even chain raises
-    ``ValueError``.
+    ``sign_ref``, a vector of the chain's length as a task's target is,
+    is non-negative when a reference is supplied.  An even chain and a
+    reference of another length raise ``ValueError``.
     """
     chain = Chain(couplings)
     if chain.n % 2 == 0:
         raise ValueError(f"a zero mode needs an odd number of sites, got {chain.n}")
     lam = eig_sym_tridiag(chain)[1][:, chain.n // 2]
-    if sign_ref is not None:
-        ref = np.asarray(sign_ref, dtype=float)
-        if float(lam[0::2] @ (ref[0::2] if ref.size == chain.n else ref)) < 0:
-            lam = -lam
+    if sign_ref is not None and np.shape(sign_ref) != (chain.n,):
+        raise ValueError(f"sign reference must have length {chain.n}")
+    if sign_ref is not None and float(lam[0::2] @ sign_ref[0::2]) < 0:
+        lam = -lam
     return lam
 
 
@@ -438,13 +444,13 @@ def reflection_target(source: int, target_state: np.ndarray) -> np.ndarray:
     components are then sign-flipped on alternate odd sites, matching the
     zero-mode parity of positive-coupling chains, and the produced state
     carries the same alternation, removable by a diagonal sign gauge on
-    the couplings.  A source that is not an integer in 1..n, and a target
-    that is minus the source, where the sum vanishes, raise ``ValueError``.
+    the couplings.  The target must be what a zero mode can be (finite,
+    zero on even sites, unit norm; ``_checked_target``), the source an odd
+    integer in 1..n, and the target not minus the source, where the sum
+    vanishes; else ``ValueError``.
     """
-    target_state = np.asarray(target_state, dtype=float)
+    target_state = _checked_target(target_state, np.size(target_state))
     n = target_state.size
-    if np.abs(target_state[1::2]).max() > 1e-12:
-        raise ValueError("target state must be supported on odd sites")
     if (isinstance(source, bool) or not isinstance(source, (int, np.integer))
             or not 1 <= source <= n):
         raise ValueError(f"source must be a site in 1..{n}, got {source!r}")
@@ -651,31 +657,18 @@ def polish_null_vector_root(couplings, task: NullVectorTask):
 
 
 # ---------------------------------------------------------------------------
-# five-site case study
-
-
-def boundary_value(gamma1: float, gamma2: float) -> float:
-    """Classifier for which five-site zero modes are reachable.
-
-    Positive values mean the coupling ratios gamma1 = J1/J2 and
-    gamma2 = J4/J3 admit a chain with spectrum {0, +-3, +-5}; negative
-    values fall in the forbidden region whose boundary satisfies
-    (1 + gamma1^2)(1 + gamma2^2) = 289/64.
-    """
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ValueError("coupling ratios must be positive")
-    return (1.0 + gamma1 ** 2) * (1.0 + gamma2 ** 2) - 289.0 / 64.0
+# direct zero-mode solves
 
 
 def three_site_couplings(target_null) -> np.ndarray:
     """Two couplings whose zero mode is ``target_null`` with spectrum {0, +-3}.
 
     The zero mode of a three-site chain is (J2, 0, -J1) up to norm, so the
-    couplings are read off the target directly and scaled to the band.
+    couplings are read off the target directly and scaled to the band.  A
+    target that ``_checked_target`` refuses raises its ``ValueError``, and
+    one whose signs admit no positive couplings raises too.
     """
-    v = np.asarray(target_null, dtype=float)
-    if v.shape != (3,) or abs(v[1]) > 1e-12:
-        raise ValueError("target must be (v1, 0, v3)")
+    v = _checked_target(target_null, 3)
     v = v / np.linalg.norm(v)
     j2, j1 = 3.0 * v[0], -3.0 * v[2]
     if j1 < 0:
@@ -685,51 +678,14 @@ def three_site_couplings(target_null) -> np.ndarray:
     return np.array([j1, j2])
 
 
-def five_site_couplings(target_null_odd, branch: int = 1) -> np.ndarray:
-    """Closed-form five-site chain with spectrum {0, +-3, +-5} and a
-    prescribed odd-site zero mode.
-
-    The zero mode (v1, v2, v3) on the odd sites fixes the coupling ratios
-    gamma1 = -v2/v1 and gamma2 = -v2/v3; the two spectral symmetric
-    functions then determine the coupling magnitudes through a quadratic
-    whose two roots give distinct valid chains (select with ``branch``).
-    Raises ValueError for targets in the forbidden region where the
-    quadratic has no real root.
-    """
-    v = np.asarray(target_null_odd, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("odd-site target must have three components")
-    v = v / np.linalg.norm(v)
-    if v[0] * v[2] <= 0 or abs(v[1]) < 1e-15:
-        # one sign pattern per gauge orbit admits positive-ratio chains
-        raise ValueError("target signs incompatible with a zero mode")
-    g1 = -v[1] / v[0]
-    g2 = -v[1] / v[2]
-    if g1 <= 0:
-        g1, g2 = -g1, -g2
-    p = (1.0 + g1 ** 2) * (1.0 + g2 ** 2)
-    s_sum = 3.0 ** 2 + 5.0 ** 2
-    q = 3.0 ** 2 * 5.0 ** 2
-    disc = s_sum ** 2 / 4.0 - q * p / (p - 1.0)
-    if disc < -1e-12:
-        raise ValueError("forbidden target: no chain with this spectrum")
-    disc = max(disc, 0.0)
-    u = s_sum / 2.0 + (1 if branch >= 0 else -1) * np.sqrt(disc)
-    j2 = np.sqrt(u / (1.0 + g1 ** 2))
-    j1 = g1 * j2
-    j3 = np.sqrt((s_sum - u) / (1.0 + g2 ** 2))
-    j4 = g2 * j3
-    return np.array([j1, j2, j3, j4])
-
-
 def zero_mode_chain(ladder, target_null_vector):
     """Positive chain with spectrum -ladder, 0, +ladder and a prescribed
     zero mode.
 
-    Generalises ``five_site_couplings``: the zero mode fixes each ratio
-    J_2j / J_2j-1 = |lam_2j-1 / lam_2j+1|, leaving a square inverse
-    eigenvalue problem in the h = ``ladder.size`` magnitudes J_2j-1.  It is
-    solved in log magnitudes by Levenberg-Marquardt on
+    Generalises the five-site closed form of the tests: the zero mode
+    fixes each ratio J_2j / J_2j-1 = |lam_2j-1 / lam_2j+1|, leaving a
+    square inverse eigenvalue problem in the h = ``ladder.size`` magnitudes
+    J_2j-1.  It is solved in log magnitudes by Levenberg-Marquardt on
     log(eigenvalues / ladder) with the Jacobian
     d(ev_k)/d(J_i) = 2 v_k[i] v_k[i+1].  The problem has many roots, so
     three starts are tried in turn: the odd couplings and the pair products
@@ -739,8 +695,8 @@ def zero_mode_chain(ladder, target_null_vector):
     Returns the couplings once every eigenvalue matches to 1e-10 relative;
     None when no start finds a root, an odd-site target component
     vanishes, or the solve leaves the finite numbers.  A ladder that
-    ``_checked_ladder`` refuses, an empty ladder, and a target that a
-    ``NullVectorTask`` would refuse raise ``ValueError``.
+    ``_checked_ladder`` refuses, an empty ladder, and a target that
+    ``_checked_target`` refuses raise ``ValueError``.
     """
     ladder = _checked_ladder(ladder)
     half = ladder.size
@@ -796,22 +752,6 @@ def unfold_couplings(half: np.ndarray) -> np.ndarray:
     return np.concatenate([left, left[::-1]])
 
 
-def mirror_target_fold(target_state: np.ndarray) -> np.ndarray:
-    """Fold a mirror-symmetric state onto the half chain (centre first).
-
-    The centre amplitude carries over unchanged and each mirror pair
-    contributes its amplitude scaled by sqrt(2).
-    """
-    t = np.asarray(target_state, dtype=float)
-    n = t.size
-    if n % 2 == 0:
-        raise ValueError("mirror folding needs an odd number of sites")
-    if np.abs(t - t[::-1]).max() > 1e-10:
-        raise ValueError("state is not mirror symmetric")
-    m = (n - 1) // 2
-    return np.concatenate([[t[m]], np.sqrt(2.0) * t[m + 1:]])
-
-
 @dataclass(frozen=True, eq=False)
 class WstateDesign:
     """Chains produced for a uniform odd-site revival task.
@@ -857,7 +797,8 @@ def wstate_chain(n: int = 21, tol: float = 1e-6, budget: int = 100_000) -> Wstat
     target = np.zeros(n)
     target[0::2] = 1.0 / np.sqrt(n_odd)
 
-    half_target = mirror_target_fold(target)
+    # the centre carries over and each mirror pair folds in scaled by sqrt(2)
+    half_target = np.concatenate([[target[m]], np.sqrt(2.0) * target[m + 1:]])
 
     lam = reflection_target(1, half_target)
     # every other odd integer, 3 to n - 2, keeps the half chain reflective

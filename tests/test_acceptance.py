@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dense_reference import ghz_overlap, spin_hamiltonian
+from five_site import boundary_value
 from spinforge.cloning import (
     analytic_fidelity,
     brute_force_pipeline,
@@ -45,7 +46,6 @@ from spinforge.numerics import Chain, propagator
 from spinforge.pst import standard_couplings, verify_mirror
 from spinforge.synthesis import (
     NullVectorTask,
-    boundary_value,
     synthesis_flow_nullvector,
     wstate_chain,
 )

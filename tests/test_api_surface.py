@@ -16,7 +16,9 @@ field to the constructor is no read.  The guard matches names, so a read of
 a same-named attribute of another object keeps a field too, except that a
 ``self.<name>`` read inside a class's methods keeps only that class's field.
 
-Names kept on purpose are listed in ``KEEP`` with their reason.
+Names kept on purpose are listed in ``KEEP`` with their reason; an entry
+that has since gained a caller or a reader fails, since its reason no
+longer holds.
 """
 
 import ast
@@ -32,9 +34,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinforge"
 
 KEEP = {
-    "synthesis.five_site_couplings":
-        "closed-form chains of the five-site case study, the reference for "
-        "zero_mode_chain and the null-vector flow",
     "chainio.xx_chain":
         "reads the xx documents design wstate writes back into a Chain, "
         "refusing on-site fields, so the format is two-way",
@@ -153,20 +152,34 @@ def _unread_fields(fields, reads) -> list:
                    for read, owner, holder in reads))
 
 
-def test_every_top_level_name_has_a_caller():
+def _uncalled() -> set:
+    """Definitions, as "module.name", that nothing in ``SCOPE`` refers to."""
     referenced = set().union(*map(_references, SCOPE))
-    unused = sorted(
-        f"{path.stem}.{name}" for path, name, node in _definitions()
-        if ("attr", node.name) not in referenced
-        and ("." in name or ("name", node.name) not in referenced)
-        and f"{path.stem}.{name}" not in KEEP)
+    return {f"{path.stem}.{name}" for path, name, node in _definitions()
+            if ("attr", node.name) not in referenced
+            and ("." in name or ("name", node.name) not in referenced)}
+
+
+def _unread() -> set:
+    """Dataclass fields, as "module.Class.field", that nothing in ``SCOPE`` reads."""
+    return set(_unread_fields(_fields(MODULES), set().union(*map(_field_reads, SCOPE))))
+
+
+def test_every_top_level_name_has_a_caller():
+    unused = sorted(_uncalled() - set(KEEP))
     assert unused == [], f"no caller outside tests: {unused}"
 
 
 def test_every_dataclass_field_is_read():
-    reads = set().union(*map(_field_reads, SCOPE))
-    unused = [name for name in _unread_fields(_fields(MODULES), reads) if name not in KEEP]
+    unused = sorted(_unread() - set(KEEP))
     assert unused == [], f"no reader outside tests: {unused}"
+
+
+def test_kept_names_still_need_keeping():
+    # an entry whose name has gained a caller, or whose field a reader, keeps
+    # a reason that no longer holds
+    stale = sorted(set(KEEP) - _uncalled() - _unread())
+    assert stale == [], f"kept, yet used outside tests: {stale}"
 
 
 def test_self_read_keeps_only_its_own_class_field(tmp_path):

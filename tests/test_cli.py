@@ -605,6 +605,14 @@ class TestSimulateClone:
         payload = json.loads(out.read_text())
         assert payload["fidelities"] == pytest.approx([7 / 9] * 3, abs=1e-12)
 
+    def test_even_seed_site_is_a_usage_error(self, tmp_path, capsys):
+        # offset 1 seeds site 2, which no reflection spreads with real amplitudes
+        code = run(tmp_path, "simulate", "clone", "--n-clones", "3", "--offset", "1")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "spinforge simulate clone: error: source must be an odd site\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_three_clones_with_a_zero_weight_exit_two(self, tmp_path, capsys):
         code = run(tmp_path, "simulate", "clone", "--n-clones", "3",
                    "--profile", "0,1,1")
